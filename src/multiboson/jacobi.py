@@ -7,6 +7,11 @@ purpose: ``oracle_eigs``/``oracle_eigh`` call LAPACK's tridiagonal solvers
 eigenvector at a known spectrum atom by three-term recurrence, stabilizing
 the decaying tail with a backward (Miller-style) sweep glued at the
 classical turning point.
+
+``oracle_eigs`` computes only an index window of the spectrum: the lowest
+``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
+Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
+the window, so a caller should ask for exactly the eigenvalues it reads.
 """
 
 import math
@@ -54,19 +59,30 @@ class JacobiOperator:
 
 
 def oracle_eigs(op: JacobiOperator, count: int | None = None,
-                n: int | None = None) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of the truncated operator, ascending.
+                n: int | None = None, top: bool = False) -> np.ndarray:
+    """Index window of the truncated operator's eigenvalues, ascending.
+
+    The window is the lowest ``count`` eigenvalues, or the highest ``count``
+    when ``top`` is true; ``count=None`` (or ``count >= n``) asks for the
+    whole spectrum.  Bisection costs O(n) per step for each eigenvalue in
+    the window, so a few extremal eigenvalues of a large truncation are
+    cheap and the full spectrum is not.
 
     Independent of any closed form: straight LAPACK tridiagonal solve.
     """
     n = op.size if n is None else n
-    count = n if count is None else min(count, n)
+    if count is None:
+        count = n
+    elif count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    count = min(count, n)
+    lo = n - count if top else 0
     try:
         if n == 1:
             return op.diag_array(1)
         w = eigh_tridiagonal(op.diag_array(n), op.offdiag_array(n),
                              eigvals_only=True, select="i",
-                             select_range=(0, count - 1))
+                             select_range=(lo, lo + count - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
     return w

@@ -355,8 +355,14 @@ class TruncationCheck:
 
 
 def hc_truncation_check(block: CBlock, count: int | None = None) -> TruncationCheck:
-    """Bound-state oracle: eigenvalues of three nested truncations with
+    """Bound-state oracle: top eigenvalues of three nested truncations with
     empirical-order Richardson extrapolation.
+
+    Only the highest ``count`` eigenvalues (default: the bound states plus
+    the continuum edge) of the truncations at n_levels, n_levels // 2 and
+    n_levels // 4 are computed; bisection costs O(n_levels) per step for each
+    of them, not for the whole spectrum.  Raises ``ValueError`` when the
+    quarter truncation has fewer than ``count`` levels.
 
     Convergence in n_levels is slow (the bound-state tails are polynomial),
     so the raw top eigenvalues are reported together with the extrapolated
@@ -366,14 +372,13 @@ def hc_truncation_check(block: CBlock, count: int | None = None) -> TruncationCh
     n_bound = hc_family(block).n_atoms()
     if count is None:
         count = n_bound + 1
-    count = max(count, 1)
-    op = hc_block_jacobi(block)
     n = block.n_levels
-    tops = []
-    for m in (n, n // 2, n // 4):
-        w = oracle_eigs(op, count=m, n=m)
-        tops.append(w[-count:])
-    full, half, quarter = tops
+    if n // 4 < count:
+        raise ValueError(f"n_levels // 4 = {n // 4} is below count = {count}: "
+                         "the quarter truncation cannot hold the window")
+    op = hc_block_jacobi(block)
+    full, half, quarter = (oracle_eigs(op, count=count, n=m, top=True)
+                           for m in (n, n // 2, n // 4))
     num = half - quarter
     den = full - half
     extrap = np.empty(count)

@@ -49,6 +49,28 @@ def test_spectrum_onemode_case5(capsys, tmp_path):
     assert payload["config"]["command"] == "spectrum"
 
 
+@pytest.mark.parametrize("case, mu, nu", [(6, -4.0, -1.0), (8, -1.0, -4.0),
+                                           (9, -1.5, -1.5)])
+def test_spectrum_onemode_bounded_above(capsys, tmp_path, case, mu, nu):
+    # spectra bounded above are compared with the top truncated eigenvalues
+    out_path = tmp_path / "spec.json"
+    code = main(["spectrum", "--model", "onemode", "--mu", str(mu), "--nu", str(nu),
+                 "--alpha0-table", "1.0", "--n-levels", "2000",
+                 "--out", str(out_path)])
+    assert code == 0
+    res = json.loads(out_path.read_text())["results"]
+    assert res["case_index"] == case
+    atoms = [abs(a["location"]) for a in res["atoms"]]
+    assert res["oracle_delta"] <= 1e-9 * max(1.0, *atoms)
+
+
+def test_spectrum_count_zero_usage_error(capsys):
+    code, _, err = _run(capsys, "spectrum", "--model", "onemode", "--mu", "4",
+                        "--nu", "1", "--count", "0")
+    assert code == 2
+    assert "count" in err
+
+
 def test_spectrum_onemode_continuum(capsys, tmp_path):
     out_path = tmp_path / "spec.json"
     code = main(["spectrum", "--model", "onemode", "--mu", "1", "--nu", "0",
@@ -67,6 +89,19 @@ def test_spectrum_two_d(capsys, tmp_path):
     res = json.loads(out_path.read_text())["results"]
     assert res["eigenvalues"] == pytest.approx([0.5, 2.5])
     assert res["oracle_delta"] <= 1e-9
+
+
+def test_spectrum_two_c_two_bound_states(capsys, tmp_path):
+    # u = (beta0 - alpha0 + 1) / 2 = -1.5 < -1: two bound states, each paired
+    # with its own extrapolated truncation eigenvalue
+    out_path = tmp_path / "spec.json"
+    code = main(["spectrum", "--model", "two-c", "--K", "0",
+                 "--alpha0", "4.5", "--beta0", "0.5", "--n-levels", "1000",
+                 "--out", str(out_path)])
+    assert code == 0
+    res = json.loads(out_path.read_text())["results"]
+    assert len(res["atoms"]) == 2
+    assert res["oracle_delta"] <= 0.1
 
 
 def test_spectrum_two_c_boundary_warning(capsys, tmp_path):

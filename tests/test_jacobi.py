@@ -1,0 +1,72 @@
+"""Index windows of the tridiagonal oracle against the full-range solve."""
+
+import functools
+
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal
+
+from multiboson import onemode as om
+from multiboson import rep
+from multiboson import twomode as tm
+from multiboson.jacobi import oracle_eigs
+
+EPS = np.finfo(float).eps
+
+
+def _operator(kind, n):
+    """Operator of the given kind whose first n levels are the test matrix
+    (C-blocks and one-mode sectors need at least two levels)."""
+    if kind == "hc":
+        return tm.hc_block_jacobi(tm.CBlock(0, 0.3, 0.3, n_levels=max(n, 2)))
+    if kind == "hd":
+        return tm.hd_block_jacobi(tm.DBlock(n - 1, 0.5, 0.7))
+    # one-mode case 6 (mu < nu < 0): a discrete spectrum bounded above
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, max(n, 2))
+    return om.jacobi(om.OneModeHamiltonian(-4.0, -1.0, sector))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(kind, n):
+    """Every eigenvalue through the full index range, and ||T||."""
+    op = _operator(kind, n)
+    d, e = op.diag_array(n), op.offdiag_array(n)
+    w = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                         select_range=(0, n - 1))
+    return w, np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0)
+
+
+@pytest.mark.parametrize("kind", ["hc", "hd", "onemode"])
+@pytest.mark.parametrize("n", [1, 2, 250, 1000, 4000])
+@pytest.mark.parametrize("count", [1, 3, "n"])
+def test_window_matches_full_range(kind, n, count):
+    count = n if count == "n" else count
+    ref, norm = _reference(kind, n)
+    tol = 2.0 * EPS * norm
+    op = _operator(kind, n)
+    k = min(count, n)
+    low = oracle_eigs(op, count=count, n=n)
+    high = oracle_eigs(op, count=count, n=n, top=True)
+    assert low.shape == high.shape == (k,)
+    assert np.abs(low - ref[:k]).max() <= tol
+    assert np.abs(high - ref[n - k:]).max() <= tol
+
+
+def test_full_spectrum_request_unchanged():
+    # count=None keeps the full index range: bit-identical to the reference
+    ref, _ = _reference("hd", 250)
+    assert np.array_equal(oracle_eigs(_operator("hd", 250)), ref)
+    assert np.array_equal(oracle_eigs(_operator("hd", 250), top=True), ref)
+
+
+def test_hc_truncation_check_top_window_exact():
+    chk = tm.hc_truncation_check(tm.CBlock(0, 0.3, 0.3, n_levels=4000))
+    count = chk.top_full.size
+    assert np.array_equal(chk.top_full, _reference("hc", 4000)[0][-count:])
+    assert np.array_equal(chk.top_half, _reference("hc", 2000)[0][-count:])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_oracle_eigs_rejects_empty_window(count):
+    with pytest.raises(ValueError, match="count"):
+        oracle_eigs(_operator("hd", 10), count=count)

@@ -262,6 +262,13 @@ def test_hc_truncation_check_richardson():
     assert chk.top_full[-2] < 0.005  # everything else below the continuum edge
 
 
+@pytest.mark.parametrize("n_levels", [2, 3, 4, 7])
+def test_hc_truncation_check_rejects_short_quarter(n_levels):
+    # the default window (one bound state plus the edge) needs n_levels // 4 >= 2
+    with pytest.raises(ValueError, match="n_levels // 4"):
+        tm.hc_truncation_check(tm.CBlock(0, 0.3, 0.3, n_levels=n_levels))
+
+
 def test_coupling_functions_diagonal_and_hiv():
     # the C-pattern with unit single-boson clusters carries the pair
     # couplings of the fourth preset up to overall sign
