@@ -35,6 +35,7 @@ __all__ = [
     "orbit_invariant",
     "meixner_c",
     "transformed_a0_operator",
+    "implementer_operator",
     "implementer",
     "ImplementerInfo",
     "structure_constants",
@@ -139,9 +140,17 @@ def transformed_a0_operator(g: GroupElement, alpha0: float, n: int) -> JacobiOpe
     cb = (1.0 / av - av) / 2.0
     return JacobiOperator(
         diag=lambda k: ca * (2.0 * k + alpha0),
-        offdiag=lambda k: cb * math.sqrt((k + alpha0) * (k + 1.0)),
+        offdiag=lambda k: cb * np.sqrt((k + alpha0) * (k + 1.0)),
         size=n,
     )
+
+
+def implementer_operator(g: GroupElement, alpha0: float, n: int) -> JacobiOperator:
+    """The transformed A0 with off-diagonal |b_k|: the positive-off-diagonal
+    recurrence whose eigenvectors, decorated with signs by ``implementer``,
+    are the implementer's columns."""
+    signed = transformed_a0_operator(g, alpha0, n)
+    return JacobiOperator(signed.diag, lambda k: np.abs(signed.offdiag(k)), n)
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,8 @@ def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = Fals
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
     which no unitary realizes.  Columns are recurrence-built at the exact
-    eigenvalues 2m + alpha0 and ell^2-normalized over the window.
+    eigenvalues 2m + alpha0, all in one batched ``atom_eigenvector`` sweep,
+    and ell^2-normalized over the window.
     """
     if g.a <= 0:
         raise UnsupportedElementError(
@@ -179,18 +189,12 @@ def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = Fals
         u = np.diag(np.asarray([float(g.sigma) ** m for m in range(n)]))
         info = ImplementerInfo(n, n, 0.0)
         return (u, info) if return_info else u
-    # positive-off-diagonal recurrence; sign alternation enters through the
-    # explicit decoration below
-    signed = transformed_a0_operator(g, alpha0, n)
-    op = JacobiOperator(signed.diag, lambda k: abs(signed.offdiag(k)), n)
     av = float(g.a) ** g.sigma
-    u = np.empty((n, n))
-    ks = np.arange(n)
-    for m in range(n):
-        col = atom_eigenvector(op, 2.0 * m + alpha0)
-        if av > 1.0:
-            col = col * (-1.0) ** (ks + m)
-        u[:, m] = col * float(g.sigma) ** m
+    ms = np.arange(n)
+    u = atom_eigenvector(implementer_operator(g, alpha0, n), 2.0 * ms + alpha0)
+    if av > 1.0:
+        u = u * (-1.0) ** (ms[:, None] + ms)
+    u = u * float(g.sigma) ** ms
     if not return_info:
         return u
     tail = np.abs(u[max(0, n - 8):, :]).max(axis=0)

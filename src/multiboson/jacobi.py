@@ -1,12 +1,17 @@
 """Symmetric tridiagonal (Jacobi) operators and their eigen-machinery.
 
 The truncated matrix built from coefficient streams is the workhorse for
-every Hamiltonian here.  Two independent routes to eigenpairs coexist on
-purpose: ``oracle_eigs``/``oracle_eigh`` call LAPACK's tridiagonal solvers
-(the verification oracle), while ``atom_eigenvector`` evaluates the exact
-eigenvector at a known spectrum atom by three-term recurrence, stabilizing
-the decaying tail with a backward (Miller-style) sweep glued at the
-classical turning point.
+every Hamiltonian here.  A coefficient stream is a function of a float
+k-array: ``diag(k)`` and ``offdiag(k)`` return the coefficients at every
+index of ``k`` in one numpy expression (a scalar ``k`` is the 0-d case), so
+building a truncation is one vectorized call and never a Python loop.
+
+Two independent routes to eigenpairs coexist on purpose: ``oracle_eigs``/
+``oracle_eigh`` call LAPACK's tridiagonal solvers (the verification oracle),
+while ``atom_eigenvector`` evaluates the exact eigenvectors at known
+spectrum atoms by three-term recurrence, stabilizing the decaying tail with
+a backward (Miller-style) sweep glued at the classical turning point.  It
+sweeps any number of atoms at once, one column per atom.
 
 ``oracle_eigs`` computes only an index window of the spectrum: the lowest
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
@@ -14,7 +19,6 @@ Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
 the window, so a caller should ask for exactly the eigenvalues it reads.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,12 +34,16 @@ __all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "atom_eigenvector"]
 class JacobiOperator:
     """Coefficient streams a_k (diagonal) and b_k (off-diagonal) with a cutoff.
 
-    b_k couples levels k and k+1 and may carry either sign; the spectrum only
-    sees |b_k| but eigenvector component signs follow the stream as given.
+    ``diag`` and ``offdiag`` take a float k-array and return the
+    coefficients at every index in it, elementwise in numpy (a scalar k is
+    the 0-d case); a stream that returns a scalar is constant and is
+    broadcast.  b_k couples levels k and k+1 and may carry either sign; the
+    spectrum only sees |b_k| but eigenvector component signs follow the
+    stream as given.
     """
 
-    diag: Callable[[int], float]
-    offdiag: Callable[[int], float]
+    diag: Callable[[np.ndarray], np.ndarray]
+    offdiag: Callable[[np.ndarray], np.ndarray]
     size: int
 
     def __post_init__(self):
@@ -43,12 +51,14 @@ class JacobiOperator:
             raise ValueError(f"size must be >= 1, got {self.size}")
 
     def diag_array(self, n: int | None = None) -> np.ndarray:
+        """[a_0, ..., a_{n-1}] in one vectorized call."""
         n = self.size if n is None else n
-        return np.array([self.diag(k) for k in range(n)], dtype=float)
+        return _stream(self.diag, n)
 
     def offdiag_array(self, n: int | None = None) -> np.ndarray:
+        """[b_0, ..., b_{n-2}] in one vectorized call."""
         n = self.size if n is None else n
-        return np.array([self.offdiag(k) for k in range(n - 1)], dtype=float)
+        return _stream(self.offdiag, n - 1)
 
     def dense(self, n: int | None = None) -> np.ndarray:
         n = self.size if n is None else n
@@ -56,6 +66,12 @@ class JacobiOperator:
         e = self.offdiag_array(n)
         m += np.diag(e, 1) + np.diag(e, -1)
         return m
+
+
+def _stream(coeff: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """Fresh float array coeff(0), ..., coeff(n-1); constants are broadcast."""
+    k = np.arange(n, dtype=float)
+    return np.broadcast_to(coeff(k), k.shape).astype(float)
 
 
 def oracle_eigs(op: JacobiOperator, count: int | None = None,
@@ -99,57 +115,121 @@ def oracle_eigh(op: JacobiOperator, n: int | None = None):
         raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
 
 
-def _decay_onset(d: np.ndarray, e: np.ndarray, x: float) -> int:
-    """First index at which x has left the local band [a_k - 2|b_k|, a_k + 2|b_k|]
-    on the side the diagonal drifts to; size of array if never."""
+_RESCALE = 1e250
+
+
+def _decay_onset(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per atom in x, the first index at which it has left the local band
+    [a_k - 2|b_k|, a_k + 2|b_k|] on the side the diagonal drifts to; the
+    size of the arrays if never."""
     n = d.size
     eb = np.empty(n)
     eb[:-1] = np.abs(e)
     eb[-1] = eb[-2] if n > 1 else 0.0
+    shape = (n,) + (1,) * x.ndim
     if d[-1] >= d[0]:
-        cond = d - 2 * eb > x
+        cond = (d - 2 * eb).reshape(shape) > x
     else:
-        cond = d + 2 * eb < x
-    idx = np.flatnonzero(cond)
-    return int(idx[0]) if idx.size else n
+        cond = (d + 2 * eb).reshape(shape) < x
+    return np.where(cond.any(axis=0), cond.argmax(axis=0), n)
 
 
-def atom_eigenvector(op: JacobiOperator, x: float, n: int | None = None) -> np.ndarray:
-    """Normalized eigenvector components p_k(x) at a spectrum atom x.
+def atom_eigenvector(op: JacobiOperator, x: float | np.ndarray,
+                     n: int | None = None) -> np.ndarray:
+    """Normalized eigenvector components p_k(x) at spectrum atoms x.
+
+    ``x`` is one atom (result shape ``(n,)``) or a 1-D array of m atoms
+    (result shape ``(n, m)``, one column per atom).  The sweeps run over
+    rows k with every atom in the row, so a batch costs one Python loop,
+    and every column is bit-identical to the call with its atom alone.
 
     Forward recurrence through the oscillatory region; beyond the turning
     point the decaying solution is recovered by a backward sweep seeded at
-    the cutoff and scale-matched where the forward solution is largest.
-    Entries below 1e-18 of the peak are flushed to zero.
+    the cutoff (its tail divided down whenever an entry passes 1e250) and
+    scale-matched where the forward solution is largest.  Entries below
+    1e-18 of the column peak are flushed to zero.
     """
     n = op.size if n is None else n
-    d = op.diag_array(n)
-    e = op.offdiag_array(n) if n > 1 else np.zeros(0)
+    x = np.asarray(x, dtype=float)
     if n == 1:
-        return np.ones(1)
-    km = min(_decay_onset(d, e, x), n - 1)
-    p = np.zeros(n)
-    p[0] = 1.0
-    if km >= 1:
-        p[1] = (x - d[0]) / e[0]
-    for k in range(1, km):
-        p[k + 1] = ((x - d[k]) * p[k] - e[k - 1] * p[k - 1]) / e[k]
-    if km < n - 1:
-        lo = max(0, km - 15)
-        j = lo + int(np.argmax(np.abs(p[lo:km + 1])))
-        q = np.zeros(n)
-        q[n - 1] = 1.0
-        q[n - 2] = (x - d[n - 1]) * q[n - 1] / e[n - 2]
-        if abs(q[n - 2]) > 1e250:
-            q[n - 2:] /= abs(q[n - 2])
-        for k in range(n - 2, j, -1):
-            q[k - 1] = ((x - d[k]) * q[k] - e[k] * q[k + 1]) / e[k - 1]
-            if abs(q[k - 1]) > 1e250:
-                q[k - 1:] /= abs(q[k - 1])
-        if q[j] != 0.0 and p[j] != 0.0:
-            p[j:] = q[j:] * (p[j] / q[j])
-    peak = np.abs(p).max()
-    if not math.isfinite(peak) or peak == 0.0:
-        raise NumericalFailureError(f"eigenvector recurrence degenerated at x={x}")
+        return np.ones((1,) + x.shape)
+    d = op.diag_array(n)
+    e = op.offdiag_array(n)
+    # row k of every work array holds index k for all atoms: shape (n,) + x.shape
+    rows = np.arange(n).reshape((n,) + (1,) * x.ndim)
+    xd = x - d.reshape(rows.shape)
+    km = np.minimum(_decay_onset(d, e, x), n - 1)
+    # atoms are independent; entries past an atom's own stopping row are
+    # computed alongside and discarded, so their overflows are silenced
+    with np.errstate(all="ignore"):
+        p = _forward_sweep(xd, e, int(km.max()))
+        p = np.where(rows > km, 0.0, p)
+        back = km < n - 1
+        if back.any():
+            lo = np.maximum(0, km - 15)
+            window = (rows >= lo) & (rows <= km)
+            j = np.argmax(np.where(window, np.abs(p), -1.0), axis=0)
+            j = np.where(back, j, n - 1)
+            q = _backward_sweep(xd, e, j)
+            pj = np.take_along_axis(p, j[None], axis=0)[0]
+            qj = np.take_along_axis(q, j[None], axis=0)[0]
+            glue = back & (qj != 0.0) & (pj != 0.0)
+            p = np.where(glue & (rows >= j), q * (pj / qj), p)
+    peak = np.abs(p).max(axis=0)
+    bad = ~np.isfinite(peak) | (peak == 0.0)
+    if bad.any():
+        raise NumericalFailureError(
+            f"eigenvector recurrence degenerated at x={x.flat[np.argmax(bad)]}")
     p[np.abs(p) < 1e-18 * peak] = 0.0
-    return p / np.linalg.norm(p)
+    # each column contiguous, so its norm is the same dot product as alone
+    v = np.ascontiguousarray(np.moveaxis(p, 0, -1))
+    for col in v.reshape(-1, n):
+        col /= np.linalg.norm(col)
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+
+
+def _forward_sweep(xd: np.ndarray, e: np.ndarray, stop: int) -> np.ndarray:
+    """p_0 = 1, p_1 = (x - a_0) / b_0 and p_{k+1} = ((x - a_k) p_k -
+    b_{k-1} p_{k-1}) / b_k up to row stop, with xd[k] = x - a_k; rows past
+    both are zero."""
+    b = e.tolist()
+    p = np.zeros(xd.shape)
+    p[0] = 1.0
+    p[1] = xd[0] / b[0]
+    for k in range(1, stop):
+        p[k + 1] = (xd[k] * p[k] - b[k - 1] * p[k - 1]) / b[k]
+    return p
+
+
+def _backward_sweep(xd: np.ndarray, e: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """q_{n-1} = 1, q_{k-1} = ((x - a_k) q_k - b_k q_{k+1}) / b_{k-1} down to
+    row j of each atom (rows below are not meaningful); an atom with
+    j = n - 1 takes no part.  Whenever a live entry passes _RESCALE, that
+    atom's tail q[k-1:] is divided by its magnitude."""
+    n = xd.shape[0]
+    b = e.tolist()
+    q = np.zeros(xd.shape)
+    q[n - 1] = 1.0
+    q[n - 2] = xd[n - 1] * q[n - 1] / b[n - 2]
+    bound = _rescale_tail(q, n - 2, j < n - 1)
+    # max(|q_{k-1}|, |q_k|) <= growth[k-1] * max(|q_k|, |q_{k+1}|), with a
+    # margin for rounding, so the exact test only runs once this running
+    # bound could have passed the threshold
+    ae = np.abs(e)
+    reach = np.abs(xd[1:n - 1]).reshape(n - 2, xd[0].size).max(axis=1, initial=0.0)
+    growth = (np.maximum((reach + ae[1:]) / ae[:-1], 1.0) * (1.0 + 1e-10)).tolist()
+    for k in range(n - 2, int(j.min()), -1):
+        q[k - 1] = (xd[k] * q[k] - b[k] * q[k + 1]) / b[k - 1]
+        bound *= growth[k - 1]
+        if not bound <= _RESCALE:
+            bound = _rescale_tail(q, k - 1, j <= k - 1)
+    return q
+
+
+def _rescale_tail(q: np.ndarray, row: int, live: np.ndarray) -> float:
+    """Divide q[row:] by |q[row]| for the live atoms where it passed
+    _RESCALE; return max |q[row:row+2]| over the live atoms after."""
+    big = live & (np.abs(q[row]) > _RESCALE)
+    if big.any():
+        q[row:] = np.where(big, q[row:] / np.abs(q[row]), q[row:])
+    return float(np.where(live, np.abs(q[row:row + 2]), 0.0).max())

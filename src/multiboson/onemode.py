@@ -85,7 +85,7 @@ def jacobi(h: OneModeHamiltonian) -> JacobiOperator:
     cb = 0.5 * (mu - nu)
     return JacobiOperator(
         diag=lambda k: ca * (2.0 * k + a),
-        offdiag=lambda k: cb * math.sqrt((k + a) * (k + 1.0)),
+        offdiag=lambda k: cb * np.sqrt((k + a) * (k + 1.0)),
         size=h.sector.n_levels,
     )
 

@@ -2,8 +2,10 @@
 
 Every family is a frozen parameter record that knows its orthonormal
 three-term recurrence (positive off-diagonal convention, P_0 = 1) and its
-orthogonality measure.  Measures are kept in the family's natural variable;
-callers map to physical variables with :meth:`SpectralMeasure.mapped`.
+orthogonality measure.  ``recurrence(k)`` takes a scalar or a float
+k-array and returns (a_k, b_k) elementwise.  Measures are kept in the
+family's natural variable; callers map to physical variables with
+:meth:`SpectralMeasure.mapped`.
 
 Natural variables and stored (unnormalized) measures:
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad_vec
 from scipy.special import gammaln, kv, loggamma
 
 from .errors import NumericalFailureError
@@ -231,9 +233,9 @@ class Laguerre:
         if self.alpha <= -1:
             raise ValueError(f"Laguerre requires alpha > -1, got {self.alpha}")
 
-    def recurrence(self, k: int) -> tuple[float, float]:
+    def recurrence(self, k: float | np.ndarray):
         a = 2 * k + self.alpha + 1
-        b = math.sqrt((k + 1) * (k + self.alpha + 1))
+        b = np.sqrt((k + 1) * (k + self.alpha + 1))
         return a, b
 
     def measure(self, normalize: bool = False) -> SpectralMeasure:
@@ -266,10 +268,10 @@ class Meixner:
         if not 0 < self.c < 1:
             raise ValueError(f"Meixner requires 0 < c < 1, got {self.c}")
 
-    def recurrence(self, k: int) -> tuple[float, float]:
+    def recurrence(self, k: float | np.ndarray):
         beta, c = self.beta, self.c
         a = (1 + c) / (1 - c) * (2 * k + beta)
-        b = 2 * math.sqrt(c) / (1 - c) * math.sqrt((k + 1) * (k + beta))
+        b = 2 * math.sqrt(c) / (1 - c) * np.sqrt((k + 1) * (k + beta))
         return a, b
 
     def atom_weight(self, n: int) -> float:
@@ -304,10 +306,10 @@ class MeixnerPollaczek:
         if not 0 < self.phi < math.pi:
             raise ValueError(f"MeixnerPollaczek requires 0 < phi < pi, got {self.phi}")
 
-    def recurrence(self, k: int) -> tuple[float, float]:
+    def recurrence(self, k: float | np.ndarray):
         lam, phi = self.lam, self.phi
         a = -(k + lam) * math.cos(phi) / math.sin(phi)
-        b = math.sqrt((k + 1) * (k + 2 * lam)) / (2 * math.sin(phi))
+        b = np.sqrt((k + 1) * (k + 2 * lam)) / (2 * math.sin(phi))
         return a, b
 
     def measure(self, normalize: bool = False) -> SpectralMeasure:
@@ -338,12 +340,12 @@ class DualHahn:
     def nmax(self) -> int:
         return self.kmax
 
-    def recurrence(self, k: int) -> tuple[float, float]:
+    def recurrence(self, k: float | np.ndarray):
+        """(a_k, b_k); b_k = 0 from k = K on, where the family ends."""
         a0, b0, K = self.gamma + 1, self.delta + 1, self.kmax
         a = 0.5 * (2 * k + a0) * (2 * (K - k) + b0) - 0.5 * a0 * b0
-        if k >= K:
-            return a, 0.0
-        b = math.sqrt((k + 1) * (k + a0) * (K - k) * (K - k + b0 - 1))
+        bsq = (k + 1) * (k + a0) * (K - k) * (K - k + b0 - 1)
+        b = np.where(np.less(k, K), np.sqrt(np.maximum(bsq, 0.0)), 0.0)
         return a, b
 
     def atom_weight(self, n: int) -> float:
@@ -389,12 +391,12 @@ class ContinuousDualHahn:
                 f"u={self.u}, v={self.v}, w={self.w}"
             )
 
-    def recurrence(self, k: int) -> tuple[float, float]:
+    def recurrence(self, k: float | np.ndarray):
         u, v, w = self.u, self.v, self.w
         A = (k + u + v) * (k + u + w)
         C = k * (k + v + w - 1.0)
         a = u * u - A - C
-        b = math.sqrt(A * (k + 1) * (k + v + w))
+        b = np.sqrt(A * (k + 1) * (k + v + w))
         return a, b
 
     def density_y(self, y: float) -> float:
@@ -436,60 +438,64 @@ PolyFamily = Union[Laguerre, Meixner, MeixnerPollaczek, DualHahn, ContinuousDual
 # ---------------------------------------------------------------------------
 # evaluation and orthonormality checks
 
-def eval_orthonormal(family: PolyFamily, n: int, x: float) -> float:
-    """Value at x of the orthonormal degree-n member, by forward recurrence.
-
-    P_{-1} = 0 and P_0 = 1; orthonormality is with respect to the family's
-    normalized measure.  Forward recurrence only: fine for the small degrees
-    in scope, instability at large degree is documented, not mitigated.
-    """
+def eval_orthonormal(family: PolyFamily, n: int, x: float | np.ndarray):
+    """Value at x of the orthonormal degree-n member: row n of
+    :func:`poly_table`."""
     if family.nmax is not None and n > family.nmax:
         raise ValueError(f"degree {n} exceeds family size {family.nmax}")
-    if n == 0:
-        return 1.0
-    a0, b0 = family.recurrence(0)
-    pm, pk = 1.0, (x - a0) / b0
-    for k in range(1, n):
-        ak, bk = family.recurrence(k)
-        _, bkm = family.recurrence(k - 1)
-        pm, pk = pk, ((x - ak) * pk - bkm * pm) / bk
-    return pk
+    return poly_table(family, n, x)[n]
 
 
-def poly_table(family: PolyFamily, n_max: int, x: float) -> np.ndarray:
-    """Values [P_0(x), ..., P_{n_max}(x)] in one recurrence sweep."""
-    out = np.empty(n_max + 1)
+def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndarray:
+    """Values P_0(x), ..., P_{n_max}(x) in one forward recurrence sweep.
+
+    ``x`` is a scalar or an array; the result has shape
+    ``(n_max + 1,) + x.shape``, row n holding P_n at every point.  The
+    coefficients a_0..a_{n_max-1}, b_0..b_{n_max-1} come from one
+    vectorized ``recurrence`` call, and every entry is bit-identical to the
+    sweep at that point alone.  P_{-1} = 0 and P_0 = 1; orthonormality is
+    with respect to the family's normalized measure.  Forward recurrence
+    only: fine for the small degrees in scope, instability at large degree
+    is documented, not mitigated.
+    """
+    x = np.asarray(x, dtype=float)[()]   # a scalar x stays a numpy scalar
+    a, b = family.recurrence(np.arange(n_max, dtype=float))
+    out = np.empty((n_max + 1,) + np.shape(x))
     out[0] = 1.0
     if n_max >= 1:
-        a0, b0 = family.recurrence(0)
-        out[1] = (x - a0) / b0
+        out[1] = (x - a[0]) / b[0]
     for k in range(1, n_max):
-        ak, bk = family.recurrence(k)
-        _, bkm = family.recurrence(k - 1)
-        out[k + 1] = ((x - ak) * out[k] - bkm * out[k - 1]) / bk
+        out[k + 1] = ((x - a[k]) * out[k] - b[k - 1] * out[k - 1]) / b[k]
     return out
 
 
-def _integrate(f: Callable[[float], float], lo: float, hi: float,
-               characteristic: float = 1.0) -> float:
-    """Adaptive quadrature over (lo, hi), infinite supports truncated where
-    the integrand is negligible.  Raises on an unreliable error estimate."""
-    lo_f, hi_f = _finite_cutoffs(f, lo, hi, characteristic)
+def _integrate(f: Callable[[float], np.ndarray], lo: float, hi: float,
+               characteristic: float = 1.0):
+    """Adaptive quadrature over (lo, hi) of a scalar- or vector-valued f,
+    infinite supports truncated where every entry is negligible.
+
+    One ``quad_vec`` per breakpoint piece integrates all entries together
+    (error in the max norm).  Raises on an unreliable error estimate.
+    """
+    lo_f, hi_f = _finite_cutoffs(lambda x: np.abs(f(x)).max(), lo, hi,
+                                 characteristic)
     pieces = _breakpoints(lo_f, hi_f)
     total = 0.0
     err = 0.0
     with warnings.catch_warnings():
-        # endpoint singularities trip quad's heuristic; the error estimate
-        # below is what actually gates acceptance
+        # endpoint singularities keep the subdivision from converging to
+        # its own target; the error estimate below gates acceptance
         warnings.simplefilter("ignore", IntegrationWarning)
         for a, b in zip(pieces[:-1], pieces[1:]):
-            val, est = quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
-            total += val
+            val, est = quad_vec(f, a, b, epsabs=1e-13, epsrel=1e-10,
+                                norm="max", limit=300)
+            total = total + val
             err += est
-    if err > 1e-7 * (abs(total) + 1.0):
+    scale = float(np.abs(total).max())
+    if err > 1e-7 * (scale + 1.0):
         raise NumericalFailureError(
             f"quadrature error estimate {err:.2e} too large on "
-            f"({lo_f:.3g}, {hi_f:.3g}), value {total:.6e}"
+            f"({lo_f:.3g}, {hi_f:.3g}), largest value {scale:.6e}"
         )
     return total
 
@@ -569,36 +575,42 @@ def _gram_atoms(family: PolyFamily, n_max: int):
 
 def gram_check(family: PolyFamily, n_max: int) -> float:
     """Max deviation |<P_i, P_j> - delta_ij| for i, j <= n_max under the
-    family's normalized measure (atom sums plus adaptive quadrature)."""
+    family's normalized measure.
+
+    The atom part is one product (P w) P^T over all atoms; the continuous
+    part integrates the upper triangle of density * P P^T as one vector
+    with a single adaptive quadrature per breakpoint piece.
+    """
     if family.nmax is not None:
         n_max = min(n_max, family.nmax)
     G = np.zeros((n_max + 1, n_max + 1))
-    for x, w in _gram_atoms(family, n_max):
+    atoms = _gram_atoms(family, n_max)
+    if atoms:
+        x, w = np.array(atoms).T
         p = poly_table(family, n_max, x)
-        G += w * np.outer(p, p)
+        G += (p * w) @ p.T
+    upper = np.triu_indices(n_max + 1)
     if isinstance(family, (Laguerre, MeixnerPollaczek)):
         meas = family.measure(normalize=True)
         lo, hi = meas.continuous.support
         dens = meas.continuous.density
-        for i in range(n_max + 1):
-            for j in range(i, n_max + 1):
-                f = lambda x: dens(x) * poly_table(family, n_max, x)[i] \
-                    * poly_table(family, n_max, x)[j]
-                val = _integrate(f, lo, hi, characteristic=4.0 * (n_max + 1))
-                G[i, j] += val
-                if i != j:
-                    G[j, i] += val
+
+        def f(x):
+            p = poly_table(family, n_max, x)
+            return dens(x) * np.outer(p, p)[upper]
+        vals = _integrate(f, lo, hi, characteristic=4.0 * (n_max + 1))
     elif isinstance(family, ContinuousDualHahn):
         # substitute x = -y^2: the 1/(2y) density factor cancels the
         # Jacobian, leaving the smooth integrand density_y * P_i * P_j
         mass = family.measure().total_mass_closed
-        for i in range(n_max + 1):
-            for j in range(i, n_max + 1):
-                f = lambda y: family.density_y(y) / mass \
-                    * poly_table(family, n_max, -y * y)[i] \
-                    * poly_table(family, n_max, -y * y)[j]
-                val = _integrate(f, 0.0, math.inf, characteristic=4.0)
-                G[i, j] += val
-                if i != j:
-                    G[j, i] += val
+
+        def f(y):
+            p = poly_table(family, n_max, -y * y)
+            return family.density_y(y) / mass * np.outer(p, p)[upper]
+        vals = _integrate(f, 0.0, math.inf, characteristic=4.0)
+    else:
+        vals = 0.0
+    C = np.zeros_like(G)
+    C[upper] = vals
+    G += C + np.triu(C, 1).T
     return float(np.abs(G - np.eye(n_max + 1)).max())

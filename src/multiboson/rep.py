@@ -105,15 +105,16 @@ class OneModeSector:
 
 
 def sector_coeffs(sector: OneModeSector):
-    """(diagonal, lowering, raising) coefficient functions on sector basis |k>_r:
+    """(diagonal, lowering, raising) coefficient streams on sector basis |k>_r,
+    each a function of a float k-array (or a scalar k):
 
         A0 |k> = (2k + a) |k>,  A- |k> = sqrt(k (k + a - 1)) |k-1>,
         A+ |k> = sqrt((k + a)(k + 1)) |k+1>,   a = alpha0(r).
     """
     a = sector.alpha0
     diag = lambda k: 2.0 * k + a
-    lowering = lambda k: math.sqrt(k * (k + a - 1.0))
-    raising = lambda k: math.sqrt((k + a) * (k + 1.0))
+    lowering = lambda k: np.sqrt(k * (k + a - 1.0))
+    raising = lambda k: np.sqrt((k + a) * (k + 1.0))
     return diag, lowering, raising
 
 
@@ -123,8 +124,7 @@ def sector_matrices(sector: OneModeSector):
     diag, lowering, _ = sector_coeffs(sector)
     k = np.arange(n, dtype=float)
     a0 = np.diag(diag(k))
-    low = np.array([lowering(j) for j in range(1, n)])
-    am = np.diag(low, 1)
+    am = np.diag(lowering(k[1:]), 1)
     return a0, am, am.T.copy()
 
 

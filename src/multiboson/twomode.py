@@ -189,7 +189,7 @@ def hd_block_jacobi(block: DBlock, convention: str = "operator-derived") -> Jaco
     def diag(k):
         return 0.5 * (2.0 * k + a0) * (2.0 * (K - k) + b0)
     def offdiag(k):
-        return math.sqrt((k + 1.0) * (k + a0) * (K - k) * (K - k + shift))
+        return np.sqrt((k + 1.0) * (k + a0) * (K - k) * (K - k + shift))
     return JacobiOperator(diag, offdiag, K + 1)
 
 
@@ -236,12 +236,12 @@ def hc_block_jacobi(block: CBlock) -> JacobiOperator:
         def diag(k):
             return -0.5 * (2.0 * (K + k) + a0) * (2.0 * k + b0)
         def offdiag(k):
-            return -math.sqrt((K + k + a0) * (K + k + 1.0) * (k + b0) * (k + 1.0))
+            return -np.sqrt((K + k + a0) * (K + k + 1.0) * (k + b0) * (k + 1.0))
     else:
         def diag(k):
             return -0.5 * (2.0 * k + a0) * (2.0 * (k - K) + b0)
         def offdiag(k):
-            return -math.sqrt((k + a0) * (k + 1.0) * (k - K + b0) * (k - K + 1.0))
+            return -np.sqrt((k + a0) * (k + 1.0) * (k - K + b0) * (k - K + 1.0))
     return JacobiOperator(diag, offdiag, block.n_levels)
 
 

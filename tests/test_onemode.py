@@ -142,7 +142,7 @@ def test_eigenvectors_continuous_case_rejected():
 
 
 def test_oracle_eigs_trivial():
-    diag = JacobiOperator(lambda k: float(3 - k), lambda k: 0.0, 4)
+    diag = JacobiOperator(lambda k: 3.0 - k, lambda k: 0.0, 4)
     assert np.allclose(oracle_eigs(diag), [0.0, 1.0, 2.0, 3.0])
     swap = JacobiOperator(lambda k: 0.0, lambda k: 1.0, 2)
     assert np.allclose(oracle_eigs(swap), [-1.0, 1.0])

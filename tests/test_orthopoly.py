@@ -232,6 +232,24 @@ def test_gram_cdh_both_regimes():
 
 
 @pytest.mark.parametrize("fam,n", [
+    (op.DualHahn(0.0, 0.0, 3), 3),
+    (op.DualHahn(-0.5, 1.7, 6), 6),
+    (op.Meixner(1.0, 1.0 / 9.0), 8),
+    (op.Meixner(2.7, 0.25), 10),
+    (op.Laguerre(-0.5), 10),
+    (op.Laguerre(1.7), 10),
+    (op.MeixnerPollaczek(0.75, math.pi / 2), 6),
+    (op.MeixnerPollaczek(0.5, 1.0), 8),
+    (op.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
+    (op.ContinuousDualHahn(0.5, 0.5, 1.0), 8),
+])
+def test_gram_quadrature_accuracy_pinned(fam, n):
+    # the acceptance families (criterion 08) at a fixed bound far below
+    # their tolerances, so a faster quadrature cannot trade accuracy away
+    assert op.gram_check(fam, n) <= 1e-11
+
+
+@pytest.mark.parametrize("fam,n", [
     (op.Laguerre(0.0), 10),
     (op.Meixner(2.7, 0.4), 10),
     (op.MeixnerPollaczek(1.35, 2.2), 8),
