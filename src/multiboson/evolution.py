@@ -8,20 +8,24 @@ eigendecompositions of the truncated blocks otherwise, and a
 scaling-and-squaring matrix exponential for a generic two-mode interaction
 with no aligned block structure.
 
-Evolution of the truncated model is exactly unitary, so norms and the
-block labels (Manley-Rowe charges) are conserved to roundoff for any
-cutoff.  Whether the truncated model tracks the infinite one is a separate
-question monitored through the state's tail fraction: models whose
-interactions pump quanta without bound (all four presets at large t) leave
-any fixed window, and runs probing conservation laws rather than
-asymptotic occupations should declare a lax ``tail_tol``.
+Evolution of the truncated model is unitary, so norms and the block labels
+(Manley-Rowe charges) are conserved to roundoff, with one known exception:
+complete D-blocks of high charge (K from about 60) get their eigenvectors
+from a plain forward recurrence that loses orthogonality there, and states
+in them lose norm (ROADMAP item 1).  Whether the truncated model tracks
+the infinite one is a separate question monitored through the state's tail
+fraction: models whose interactions pump quanta without bound (all four
+presets at large t) leave any fixed window, and runs probing conservation
+laws rather than asymptotic occupations should declare a lax ``tail_tol``.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import TruncationOverflowError
 from .jacobi import JacobiOperator, oracle_eigh
@@ -71,9 +75,10 @@ class CanonicalInteraction:
         return self.reps.rep1.alpha0_init[self.sector[1]]
 
     def matrix(self) -> np.ndarray:
-        return (self.scale
-                * canonical_matrix(self.kind, self.reps, self.sector, self.n_per_mode)
-                + self.offset * np.eye(self.n_per_mode ** 2))
+        m = canonical_matrix(self.kind, self.reps, self.sector, self.n_per_mode)
+        m *= self.scale
+        m[np.diag_indices_from(m)] += self.offset
+        return m
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,9 @@ def _ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _HALF_TABLE = (0.5, 1.5)
+# smallest cutoff per preset: HI-HIII map onto a window of (n + 1) // 2
+# cluster states per mode, HIV onto n, and a window needs two states
+_PRESET_MIN_N = {"HI": 3, "HII": 3, "HIII": 3, "HIV": 2}
 
 
 def preset(name: str, n_per_mode: int) -> PresetModel:
@@ -366,14 +374,22 @@ def preset(name: str, n_per_mode: int) -> PresetModel:
 
     Every one is an affine image of a canonical D- or C-form on cluster
     representations; the returned mapping reproduces the matrix entrywise.
+    The matrix is assembled as a sum of sparse Kronecker terms and densified
+    once, so the peak memory is one dense n_per_mode^2 x n_per_mode^2 result.
+    Raises ``ValueError`` for an unknown name or a cutoff below 3 (HI, HII,
+    HIII) or 2 (HIV).
     """
+    if name not in _PRESET_MIN_N:
+        raise ValueError(f"unknown preset {name!r}; use HI, HII, HIII or HIV")
+    if n_per_mode < _PRESET_MIN_N[name]:
+        raise ValueError(f"preset {name} needs n_per_mode >= {_PRESET_MIN_N[name]}, "
+                         f"got {n_per_mode}")
     n = n_per_mode
     a, ad, num = _ladder(n)
     eye = np.eye(n)
-    k = np.kron
+    k = partial(sp.kron, format="csr")
     diag = k(num, eye) + k(eye, num) + 2.0 * k(num, num)
     sq = np.sqrt(np.arange(n, dtype=float))
-    sq1 = np.sqrt(np.arange(1, n + 1, dtype=float))
     rep1 = MultibosonRep(1, (1.0,))
     rep2 = MultibosonRep(2, _HALF_TABLE)
     if name == "HI":
@@ -394,12 +410,10 @@ def preset(name: str, n_per_mode: int) -> PresetModel:
         mapping = CanonicalInteraction("D", TwoModeRep(rep1, rep2), (0, 0),
                                        (n + 1) // 2, scale=2.0, offset=-0.5)
         pair = (GroupElement(1.0, -1), GroupElement(1.0, 1))
-    elif name == "HIV":
+    else:  # HIV
         x = k(np.diag(sq) @ ad, np.diag(sq) @ ad)
         m = diag + x + x.T
         mapping = CanonicalInteraction("C", TwoModeRep(rep1, rep1), (0, 0),
                                        n, scale=-1.0, offset=-0.5)
         pair = (GroupElement(1.0, -1), GroupElement(-1.0, 1))
-    else:
-        raise ValueError(f"unknown preset {name!r}; use HI, HII, HIII or HIV")
-    return PresetModel(name, m, mapping, pair)
+    return PresetModel(name, m.toarray(), mapping, pair)

@@ -34,8 +34,10 @@ behind ``convention='printed'`` purely as a pinned regression.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BoundaryAmbiguityError, NoBoundStateError
 from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigs
@@ -100,7 +102,10 @@ def _mode_matrices(reps: TwoModeRep, sector: tuple[int, int], n: int):
 
 def build_h_matrix(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
     """Truncated interaction matrix on the (r0, r1) product basis
-    |k0, k1>, flattened as k0 * n_per_mode + k1."""
+    |k0, k1>, flattened as k0 * n_per_mode + k1.
+
+    Assembled as a sum of sparse Kronecker terms and densified once, so the
+    peak memory is one dense n_per_mode^2 x n_per_mode^2 result."""
     (a0, am, ap), (b0, bm, bp) = _mode_matrices(h.reps, h.sector, n_per_mode)
     a, s = h.g.a, h.g.sigma
     b, t = h.h.a, h.h.sigma
@@ -109,23 +114,26 @@ def build_h_matrix(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
     c_p0 = -s * (a * a - b * b) / (4 * a * b)
     c_0p = t * (a * a - b * b) / (4 * a * b)
     c_pm = -s * t * (a + b) ** 2 / (4 * a * b)
-    k = np.kron
+    k = partial(sp.kron, format="csr")
     return (c_00 * k(a0, b0)
             + c_pp * (k(ap, bp) + k(am, bm))
             + c_p0 * (k(ap, b0) + k(am, b0))
             + c_0p * (k(a0, bm) + k(a0, bp))
-            + c_pm * (k(ap, bm) + k(am, bp)))
+            + c_pm * (k(ap, bm) + k(am, bp))).toarray()
 
 
 def canonical_matrix(kind: str, reps: TwoModeRep, sector: tuple[int, int],
                      n_per_mode: int) -> np.ndarray:
-    """Canonical D-form or C-form interaction on the product basis."""
+    """Canonical D-form or C-form interaction on the product basis.
+
+    Assembled as a sum of sparse Kronecker terms and densified once, so the
+    peak memory is one dense n_per_mode^2 x n_per_mode^2 result."""
     (a0, am, ap), (b0, bm, bp) = _mode_matrices(reps, sector, n_per_mode)
-    k = np.kron
+    k = partial(sp.kron, format="csr")
     if kind == "D":
-        return 0.5 * k(a0, b0) + k(ap, bm) + k(am, bp)
+        return (0.5 * k(a0, b0) + k(ap, bm) + k(am, bp)).toarray()
     if kind == "C":
-        return -(0.5 * k(a0, b0) + k(ap, bp) + k(am, bm))
+        return (-(0.5 * k(a0, b0) + k(ap, bp) + k(am, bm))).toarray()
     raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
 
 
