@@ -16,7 +16,8 @@ from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
                         Meixner, MeixnerPollaczek, PolyFamily, SpectralMeasure,
                         bessel_k, eval_orthonormal, gamma_abs_sq, gram_check,
                         hyp0f1, hyp3f2_terminating, ln_gamma)
-from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigh, oracle_eigs
+from .jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
+                     forward_eigenvector, oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, StateVector, alpha0,
                   alpha_minus, build_generators_full, casimir_value, residue,
                   sector_coeffs, sector_matrices, series_class)

@@ -3,20 +3,20 @@
 Schroedinger solutions factor as psi(t) = exp(-i H0 t) exp(-i H t) psi(0)
 with H0 the free number Hamiltonian (diagonal phases).  The interaction
 factor goes through spectral decompositions: closed-form eigenpairs for
-finite D-blocks and the discrete one-mode cases, tridiagonal
-eigendecompositions of the truncated blocks otherwise, and a
-scaling-and-squaring matrix exponential for a generic two-mode interaction
-with no aligned block structure.
+the discrete one-mode cases, LAPACK tridiagonal eigendecompositions of
+every charge block of a canonical interaction (the closed-form D-block
+eigenpairs, ``twomode.hd_spectrum`` and ``hd_eigenvectors``, agree with
+them to roundoff and are tested against them), and a scaling-and-squaring
+matrix exponential for a generic two-mode interaction with no aligned
+block structure.
 
 Evolution of the truncated model is unitary, so norms and the block labels
-(Manley-Rowe charges) are conserved to roundoff, with one known exception:
-complete D-blocks of high charge (K from about 60) get their eigenvectors
-from a plain forward recurrence that loses orthogonality there, and states
-in them lose norm (ROADMAP item 1).  Whether the truncated model tracks
-the infinite one is a separate question monitored through the state's tail
-fraction: models whose interactions pump quanta without bound (all four
-presets at large t) leave any fixed window, and runs probing conservation
-laws rather than asymptotic occupations should declare a lax ``tail_tol``.
+(Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
+model tracks the infinite one is a separate question monitored through the
+state's tail fraction: models whose interactions pump quanta without bound
+(all four presets at large t) leave any fixed window, and runs probing
+conservation laws rather than asymptotic occupations should declare a lax
+``tail_tol``.
 """
 
 import math
@@ -33,7 +33,7 @@ from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .rep import MultibosonRep, StateVector
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
                       build_h_matrix, canonical_matrix, hd_block_jacobi,
-                      hd_spectrum, hc_block_jacobi)
+                      hc_block_jacobi)
 from .bogoliubov import GroupElement
 
 __all__ = [
@@ -172,7 +172,6 @@ class InteractionEvolver:
 
 def _canonical_blocks(h: CanonicalInteraction) -> list[_BlockEvolver]:
     n = h.n_per_mode
-    a0, b0 = h.alpha0(), h.beta0()
     k0, k1 = np.divmod(np.arange(n * n), n)
     charge = k0 + k1 if h.kind == "D" else k0 - k1
     blocks = []
@@ -180,17 +179,8 @@ def _canonical_blocks(h: CanonicalInteraction) -> list[_BlockEvolver]:
         idx = np.flatnonzero(charge == q)
         order = np.argsort(k0[idx])
         idx = idx[order]
-        m = idx.size
-        if h.kind == "D" and q <= n - 1:
-            # complete block: closed-form eigenvalues, recurrence eigenvectors
-            blk = DBlock(int(q), a0, b0)
-            op = hd_block_jacobi(blk)
-            w = hd_spectrum(blk)
-            v = _jacobi_eigvecs(op, m, w)
-        else:
-            op = _charge_block_operator(h, int(q), m)
-            w, v = oracle_eigh(op, n=m)
-        blocks.append(_BlockEvolver(idx, np.asarray(w, dtype=float), v))
+        w, v = oracle_eigh(_charge_block_operator(h, int(q), idx.size))
+        blocks.append(_BlockEvolver(idx, w, v))
     return blocks
 
 
@@ -202,29 +192,15 @@ def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOpe
         blk = CBlock(q, a0, b0, n_levels=max(m, 2))
         op = hc_block_jacobi(blk)
         return JacobiOperator(op.diag, op.offdiag, m)
-    # cut D-block: states (k, q - k), k = q - n + 1 .. n - 1
-    base = q - n + 1
+    # D-block, complete or cut by the window: states (k, q - k),
+    # k = max(0, q - n + 1) .. min(q, n - 1)
+    base = max(0, q - n + 1)
     full = hd_block_jacobi(DBlock(q, a0, b0))
     return JacobiOperator(
         diag=lambda j: full.diag(base + j),
         offdiag=lambda j: full.offdiag(base + j),
         size=m,
     )
-
-
-def _jacobi_eigvecs(op: JacobiOperator, m: int, energies: np.ndarray) -> np.ndarray:
-    d = op.diag_array(m)
-    e = op.offdiag_array(m)
-    v = np.empty((m, m))
-    for i, x in enumerate(energies):
-        p = np.zeros(m)
-        p[0] = 1.0
-        if m > 1:
-            p[1] = (x - d[0]) / e[0]
-        for k in range(1, m - 1):
-            p[k + 1] = ((x - d[k]) * p[k] - e[k - 1] * p[k - 1]) / e[k]
-        v[:, i] = p / np.linalg.norm(p)
-    return v
 
 
 def _free_phases(model: FullModel, t: float) -> np.ndarray:

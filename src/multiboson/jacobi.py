@@ -6,12 +6,17 @@ k-array: ``diag(k)`` and ``offdiag(k)`` return the coefficients at every
 index of ``k`` in one numpy expression (a scalar ``k`` is the 0-d case), so
 building a truncation is one vectorized call and never a Python loop.
 
-Two independent routes to eigenpairs coexist on purpose: ``oracle_eigs``/
-``oracle_eigh`` call LAPACK's tridiagonal solvers (the verification oracle),
-while ``atom_eigenvector`` evaluates the exact eigenvectors at known
-spectrum atoms by three-term recurrence, stabilizing the decaying tail with
-a backward (Miller-style) sweep glued at the classical turning point.  It
-sweeps any number of atoms at once, one column per atom.
+Three routes to eigenpairs coexist: ``oracle_eigs``/``oracle_eigh`` call
+LAPACK's tridiagonal solvers (the verification oracle); the atom sweep
+``atom_eigenvector`` evaluates untruncated-chain eigenvectors at known
+spectrum atoms, which need not be eigenvalues of the truncation, by
+three-term recurrence with a backward (Miller-style) sweep glued at the
+classical turning point, one column per atom; inverse iteration
+``block_eigenvectors`` (LAPACK ``dstein``) turns closed-form eigenvalues of
+the truncation itself into its eigenvectors, where forward recurrence is
+unstable (Gautschi, SIAM Rev. 9, 1967).  ``forward_eigenvector`` is the
+atom sweep's forward half alone, for atoms whose tail decays only
+algebraically.
 
 ``oracle_eigs`` computes only an index window of the spectrum: the lowest
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
@@ -24,10 +29,12 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 from .errors import NumericalFailureError
 
-__all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "atom_eigenvector"]
+__all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "block_eigenvectors",
+           "forward_eigenvector", "atom_eigenvector"]
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,38 @@ def oracle_eigh(op: JacobiOperator, n: int | None = None):
         return eigh_tridiagonal(op.diag_array(n), op.offdiag_array(n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
+
+
+def block_eigenvectors(op: JacobiOperator, w: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the truncated operator at its ascending eigenvalues w
+    (accurate eigenvalues of the truncation) by inverse iteration, LAPACK
+    ``dstein``: one column per eigenvalue, signed so that component 0 is
+    positive as with p_0 = 1 (an unreduced Jacobi matrix has no eigenvector
+    with a zero first component).  Raises NumericalFailureError when LAPACK
+    reports a failure."""
+    n = op.size
+    w = np.asarray(w, dtype=float)
+    if n == 1:
+        return np.ones((1, w.size))
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    z, info = dstein(op.diag_array(), op.offdiag_array(), w, iblock, isplit)
+    if info != 0:
+        raise NumericalFailureError(f"inverse iteration failed: dstein info = {info}")
+    return z * np.copysign(1.0, z[0])
+
+
+def forward_eigenvector(op: JacobiOperator, x: float) -> np.ndarray:
+    """Normalized solution of the three-term recurrence at x with p_0 = 1,
+    swept forward over the whole truncation and not stabilized: right where
+    the solutions of the recurrence grow or decay only algebraically, such
+    as bound states with a polynomially decaying tail."""
+    n = op.size
+    if n == 1:
+        return np.ones(1)
+    p = _forward_sweep(x - op.diag_array(), op.offdiag_array(), n - 1)
+    return p / np.linalg.norm(p)
 
 
 _RESCALE = 1e250

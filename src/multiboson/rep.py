@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .orthopoly import pochhammer
+
 __all__ = [
     "MultibosonRep",
     "OneModeSector",
@@ -22,7 +24,6 @@ __all__ = [
     "residue",
     "alpha0",
     "alpha_minus",
-    "rising_factorial",
     "sector_coeffs",
     "sector_matrices",
     "build_generators_full",
@@ -38,14 +39,6 @@ def residue(n: int, l: int) -> int:
     if l < 1:
         raise ValueError(f"cluster size must be >= 1, got {l}")
     return n % l
-
-
-def rising_factorial(n: float, l: int) -> float:
-    """(n)_l = n (n+1) ... (n+l-1)."""
-    out = 1.0
-    for j in range(l):
-        out *= n + j
-    return out
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ def alpha_minus(rep: MultibosonRep, n: int) -> float:
     Positive by construction; solves the defining difference equations."""
     m = n // rep.l
     a = rep.alpha0_init[n % rep.l]
-    return math.sqrt((m + a) * (m + 1.0) / rising_factorial(n + 1.0, rep.l))
+    return math.sqrt((m + a) * (m + 1.0) / pochhammer(n + 1.0, rep.l))
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,7 @@ def build_generators_full(rep: MultibosonRep, n: int, dense: bool | None = None)
         dense = n <= DENSE_LIMIT
     d = np.array([alpha0(rep, m) for m in range(n)])
     upper = np.array(
-        [alpha_minus(rep, m) * math.sqrt(rising_factorial(m + 1.0, rep.l))
+        [alpha_minus(rep, m) * math.sqrt(pochhammer(m + 1.0, rep.l))
          for m in range(n - rep.l)]
     )
     if dense:

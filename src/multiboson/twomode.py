@@ -40,7 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BoundaryAmbiguityError, NoBoundStateError
-from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigs
+from .jacobi import (JacobiOperator, block_eigenvectors, forward_eigenvector,
+                     oracle_eigs)
 from .orthopoly import ContinuousDualHahn, DualHahn, SpectralMeasure, pochhammer
 from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
 from .bogoliubov import GroupElement
@@ -212,30 +213,14 @@ def hd_family(block: DBlock) -> DualHahn:
 
 
 def hd_eigenvectors(block: DBlock, n: int) -> StateVector:
-    """Normalized eigenvector of the D-block at the nth closed-form eigenvalue."""
+    """Normalized eigenvector of the D-block at the nth closed-form eigenvalue:
+    column n of the whole block's inverse-iteration eigenvectors
+    (``jacobi.block_eigenvectors``), so vectors of different n are orthogonal
+    to roundoff; component 0 positive."""
     if not 0 <= n <= block.K:
         raise ValueError(f"n must be in [0, {block.K}], got {n}")
-    op = hd_block_jacobi(block)
-    e = float(hd_spectrum(block)[n])
-    if block.K == 0:
-        vec = np.ones(1)
-    else:
-        vec = _finite_block_vector(op, e)
-    return StateVector(vec.astype(complex), sector=block)
-
-
-def _finite_block_vector(op: JacobiOperator, x: float) -> np.ndarray:
-    """Eigenvector of a small finite Jacobi block by plain forward recurrence."""
-    n = op.size
-    d = op.diag_array()
-    e = op.offdiag_array()
-    p = np.zeros(n)
-    p[0] = 1.0
-    if n > 1:
-        p[1] = (x - d[0]) / e[0]
-    for k in range(1, n - 1):
-        p[k + 1] = ((x - d[k]) * p[k] - e[k - 1] * p[k - 1]) / e[k]
-    return p / np.linalg.norm(p)
+    vecs = block_eigenvectors(hd_block_jacobi(block), hd_spectrum(block))
+    return StateVector(vecs[:, n].astype(complex), sector=block)
 
 
 def hc_block_jacobi(block: CBlock) -> JacobiOperator:
@@ -331,8 +316,11 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
     """Truncated normalized bound-state vector number n (requires u + n < 0).
 
     Components decay only algebraically, so the truncated vector converges
-    slowly in n_levels; forward recurrence is adequate here because the
-    solution dichotomy is polynomial, not exponential.
+    slowly in n_levels, and the plain forward sweep
+    ``jacobi.forward_eigenvector`` (p_0 = 1) is adequate because the
+    solution dichotomy is polynomial, not exponential.  The backward
+    stabilizer of ``jacobi.atom_eigenvector`` is left out: for large alpha0,
+    beta0 and |K| it engages at k = 0 and misses the vector.
     """
     p = uvw_params(block.K, block.alpha0, block.beta0)
     if p.u + n >= 0:
@@ -340,8 +328,7 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
             f"u + n = {p.u + n} >= 0: no bound state with index {n}")
     s = continuum_shift(block.alpha0, block.beta0)
     e = (p.u + n) ** 2 - s
-    op = hc_block_jacobi(block)
-    vec = _finite_block_vector(op, e)
+    vec = forward_eigenvector(hc_block_jacobi(block), e)
     return StateVector(vec.astype(complex), sector=block, tail_tol=1.0)
 
 

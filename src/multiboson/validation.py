@@ -59,9 +59,9 @@ def _difference_eq_residual(l: int, table: tuple[float, ...], n_max: int) -> flo
     r = rep.MultibosonRep(l, table)
     dev = 0.0
     for n in range(n_max + 1):
-        a2 = rep.rising_factorial(n + 1.0, l) * rep.alpha_minus(r, n) ** 2
+        a2 = orthopoly.pochhammer(n + 1.0, l) * rep.alpha_minus(r, n) ** 2
         if n >= l:
-            prev = rep.rising_factorial(n - l + 1.0, l) * rep.alpha_minus(r, n - l) ** 2
+            prev = orthopoly.pochhammer(n - l + 1.0, l) * rep.alpha_minus(r, n - l) ** 2
             dev = max(dev, abs(a2 - prev - rep.alpha0(r, n)) / max(1.0, rep.alpha0(r, n)))
             dev = max(dev, abs((rep.alpha0(r, n) - rep.alpha0(r, n - l) - 2.0)
                                * rep.alpha_minus(r, n - l)))

@@ -46,9 +46,9 @@ def test_criterion_01_sl2_algebra():
                 worst_comm = max(worst_comm,
                                  np.abs((lhs - rhs)[:interior, :interior]).max())
             for n in range(101):
-                a2 = rep.rising_factorial(n + 1.0, l) * rep.alpha_minus(r, n) ** 2
+                a2 = op.pochhammer(n + 1.0, l) * rep.alpha_minus(r, n) ** 2
                 if n >= l:
-                    prev = (rep.rising_factorial(n - l + 1.0, l)
+                    prev = (op.pochhammer(n - l + 1.0, l)
                             * rep.alpha_minus(r, n - l) ** 2)
                     worst_diff = max(
                         worst_diff,

@@ -15,7 +15,8 @@ from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
 from multiboson.errors import NumericalFailureError
-from multiboson.jacobi import JacobiOperator, atom_eigenvector
+from multiboson.jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
+                              forward_eigenvector)
 
 SIZES = [1, 2, 500]
 
@@ -144,3 +145,5 @@ def test_atom_eigenvector_single_level():
     jop = JacobiOperator(lambda k: 1.0, lambda k: 0.0, 1)
     assert np.array_equal(atom_eigenvector(jop, 1.0), np.ones(1))
     assert np.array_equal(atom_eigenvector(jop, np.array([1.0, 2.0])), np.ones((1, 2)))
+    assert np.array_equal(forward_eigenvector(jop, 1.0), np.ones(1))
+    assert np.array_equal(block_eigenvectors(jop, np.array([1.0])), np.ones((1, 1)))

@@ -176,6 +176,22 @@ def test_run_series_manley_rowe_invariant():
     assert max(series.norm_errors) <= 1e-10
 
 
+@pytest.mark.parametrize("q", [90, 105, 119])
+def test_dform_run_series_conserves_high_charge_blocks(q):
+    # complete D-blocks up to the window edge (charge n_per_mode - 1) evolve
+    # unitarily; limits as in the evolve benchmark
+    r2 = rep.MultibosonRep(2, (0.5, 1.5))
+    h = ev.CanonicalInteraction("D", TwoModeRep(r2, r2), (0, 0), 120)
+    model = ev.FullModel(h, (1.0, 1.3), tail_tol=math.inf)
+    for k0 in (q // 4 + 1, q // 2, 3 * q // 4):
+        psi0 = ev.basis_state(model, (2 * k0, 2 * (q - k0)))
+        series = ev.run_series(model, psi0, np.linspace(0.0, 5.0, 11))
+        assert max(series.norm_errors) <= 1e-10
+        drift = max(abs((m0 + m1) / 2 - q) for m0, m1 in
+                    (r.means for r in series.records))
+        assert drift <= 1e-8 * q
+
+
 def test_interaction_energy_conserved():
     model = _hiv_model(n=28)
     psi0 = ev.basis_state(model, (1, 2))

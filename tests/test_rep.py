@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiboson import rep
+from multiboson.orthopoly import pochhammer
 
 
 def test_residue():
@@ -46,10 +47,10 @@ def test_alpha_minus_values():
 
 
 def _difference_residual(r: rep.MultibosonRep, n: int) -> float:
-    a2 = rep.rising_factorial(n + 1.0, r.l) * rep.alpha_minus(r, n) ** 2
+    a2 = pochhammer(n + 1.0, r.l) * rep.alpha_minus(r, n) ** 2
     if n < r.l:
         return abs(a2 - rep.alpha0(r, n)) / max(1.0, rep.alpha0(r, n))
-    prev = rep.rising_factorial(n - r.l + 1.0, r.l) * rep.alpha_minus(r, n - r.l) ** 2
+    prev = pochhammer(n - r.l + 1.0, r.l) * rep.alpha_minus(r, n - r.l) ** 2
     d1 = abs(a2 - prev - rep.alpha0(r, n)) / max(1.0, rep.alpha0(r, n))
     d2 = abs((rep.alpha0(r, n) - rep.alpha0(r, n - r.l) - 2.0)
              * rep.alpha_minus(r, n - r.l))

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiboson import twomode as tm
 from multiboson import orthopoly as op
 from multiboson.bogoliubov import GroupElement
 from multiboson.errors import BoundaryAmbiguityError, NoBoundStateError
-from multiboson.jacobi import oracle_eigh, oracle_eigs
+from multiboson.jacobi import block_eigenvectors, oracle_eigh, oracle_eigs
 from multiboson.rep import MultibosonRep
 
 
@@ -164,6 +166,58 @@ def test_hd_eigenvectors_match_terminating_hypergeometric(K, a0, b0):
         raw /= np.linalg.norm(raw)
         v = tm.hd_eigenvectors(blk, n).amplitudes.real
         assert min(np.abs(raw - v).max(), np.abs(raw + v).max()) <= 1e-10
+
+
+def _check_hd_basis_against_oracle(blk):
+    # the whole block in one kernel call; hd_eigenvectors returns its columns
+    jop = tm.hd_block_jacobi(blk)
+    v = block_eigenvectors(jop, tm.hd_spectrum(blk))
+    _, ref = oracle_eigh(jop)
+    assert 1.0 - np.abs((v * ref).sum(axis=0)).min() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(blk.K + 1)).max() <= 1e-13
+    assert np.all(v[0] > 0)
+    for n in {0, blk.K // 2, blk.K}:
+        assert np.array_equal(tm.hd_eigenvectors(blk, n).amplitudes.real, v[:, n])
+
+
+@pytest.mark.parametrize("a0,b0", [(0.5, 0.5), (0.1, 5.0), (2.7, 1.3)])
+@pytest.mark.parametrize("K", [40, 60, 100, 199])
+def test_hd_eigenvectors_match_oracle_large_blocks(K, a0, b0):
+    # a plain forward recurrence at the closed-form eigenvalues loses the
+    # edge eigenvectors from K ~ 60 on; every column must match LAPACK
+    _check_hd_basis_against_oracle(tm.DBlock(K, a0, b0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 150), st.floats(0.1, 5.0), st.floats(0.1, 5.0))
+def test_hd_eigenvectors_match_oracle_sweep(K, a0, b0):
+    _check_hd_basis_against_oracle(tm.DBlock(K, a0, b0))
+
+
+def _forward_recurrence(jop, x):
+    """p_0 = 1, p_{k+1} = ((x - a_k) p_k - b_{k-1} p_{k-1}) / b_k, normalized."""
+    d, e = jop.diag_array(), jop.offdiag_array()
+    p = np.zeros(jop.size)
+    p[0] = 1.0
+    p[1] = (x - d[0]) / e[0]
+    for k in range(1, jop.size - 1):
+        p[k + 1] = ((x - d[k]) * p[k] - e[k - 1] * p[k - 1]) / e[k]
+    return p / np.linalg.norm(p)
+
+
+@pytest.mark.parametrize("K,a0,b0,n_levels", [
+    (0, 0.3, 0.3, 1000), (0, 0.3, 0.3, 2000), (0, 0.3, 0.3, 4000),
+    (-1, 0.3, 0.3, 2000),
+    # here the atom sweep's backward stabilizer would engage at k = 0
+    (8, 11.0, 9.0, 1000)])
+def test_hc_eigenvectors_discrete_is_forward_recurrence(K, a0, b0, n_levels):
+    # the bound-state tail decays algebraically: bit for bit the plain
+    # forward recurrence
+    blk = tm.CBlock(K, a0, b0, n_levels=n_levels)
+    p = tm.uvw_params(K, a0, b0)
+    e = p.u ** 2 - tm.continuum_shift(a0, b0)
+    v = tm.hc_eigenvectors_discrete(blk, 0).amplitudes.real
+    assert np.array_equal(v, _forward_recurrence(tm.hc_block_jacobi(blk), e))
 
 
 def test_hc_block_jacobi():
