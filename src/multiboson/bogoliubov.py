@@ -6,14 +6,14 @@ adjointness relations; with rows-as-images convention the matrix map is a
 homomorphism: matrix(g h) = matrix(g) @ matrix(h).
 
 Elements with a > 0 are implemented by unitaries whose columns are the
-eigenvectors of the transformed A0 -- Meixner-type vectors with
-c = ((a-1)/(a+1))^2 -- computed by three-term recurrence at the exact
-eigenvalues 2n + alpha0.
+eigenvectors of the transformed A0 at the exact eigenvalues 2n + alpha0:
+orthonormal Meixner functions with c = ((a-1)/(a+1))^2, taken from the
+Meixner kernel ``jacobi.atom_eigenvector``.
 
-Column phase convention: the undedecorated recurrence column starts positive
-(P_0 = 1); columns are then multiplied by sigma^n, and by (-1)^(k+n) when
-a^sigma > 1.  This is the unique decoration (up to a global sign) under
-which U X U* reproduces the generator action.
+Column phase convention: the undecorated kernel column starts positive
+(sqrt(w_n) P_0 > 0); columns are then multiplied by sigma^n, and by
+(-1)^(k+n) when a^sigma > 1.  This is the unique decoration (up to a
+global sign) under which U X U* reproduces the generator action.
 """
 
 import math
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedElementError
-from .jacobi import JacobiOperator, atom_eigenvector
+from .jacobi import atom_eigenvector
+from .orthopoly import Meixner
 
 __all__ = [
     "GroupElement",
@@ -34,8 +35,6 @@ __all__ = [
     "act_on_labels",
     "orbit_invariant",
     "meixner_c",
-    "transformed_a0_operator",
-    "implementer_operator",
     "implementer",
     "ImplementerInfo",
     "structure_constants",
@@ -129,30 +128,6 @@ def meixner_c(a: float) -> float:
     return ((a - 1.0) / (a + 1.0)) ** 2
 
 
-def transformed_a0_operator(g: GroupElement, alpha0: float, n: int) -> JacobiOperator:
-    """Jacobi form of the transformed A0 on a sector:
-
-        a_k = (a^-s + a^s)/2 (2k + alpha0),
-        b_k = (a^-s - a^s)/2 sqrt((k + alpha0)(k + 1)).
-    """
-    av = float(g.a) ** g.sigma
-    ca = (1.0 / av + av) / 2.0
-    cb = (1.0 / av - av) / 2.0
-    return JacobiOperator(
-        diag=lambda k: ca * (2.0 * k + alpha0),
-        offdiag=lambda k: cb * np.sqrt((k + alpha0) * (k + 1.0)),
-        size=n,
-    )
-
-
-def implementer_operator(g: GroupElement, alpha0: float, n: int) -> JacobiOperator:
-    """The transformed A0 with off-diagonal |b_k|: the positive-off-diagonal
-    recurrence whose eigenvectors, decorated with signs by ``implementer``,
-    are the implementer's columns."""
-    signed = transformed_a0_operator(g, alpha0, n)
-    return JacobiOperator(signed.diag, lambda k: np.abs(signed.offdiag(k)), n)
-
-
 @dataclass(frozen=True)
 class ImplementerInfo:
     """Truncation diagnostics for an implementing unitary.
@@ -173,9 +148,15 @@ def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = Fals
     """N x N unitary whose columns are the transformed-A0 eigenvectors.
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
-    which no unitary realizes.  Columns are recurrence-built at the exact
-    eigenvalues 2m + alpha0, all in one batched ``atom_eigenvector`` sweep,
-    and ell^2-normalized over the window.
+    which no unitary realizes.  The transformed A0,
+
+        a_k = (a^-s + a^s)/2 (2k + alpha0),
+        |b_k| = |a^-s - a^s|/2 sqrt((k + alpha0)(k + 1)),
+
+    is the Meixner(alpha0, c) Jacobi operator, so column m is column m of
+    the Meixner kernel ``atom_eigenvector`` (the eigenvector at the exact
+    eigenvalue 2m + alpha0), ell^2-normalized over the window and then
+    sign-decorated.
     """
     if g.a <= 0:
         raise UnsupportedElementError(
@@ -191,7 +172,8 @@ def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = Fals
         return (u, info) if return_info else u
     av = float(g.a) ** g.sigma
     ms = np.arange(n)
-    u = atom_eigenvector(implementer_operator(g, alpha0, n), 2.0 * ms + alpha0)
+    u = atom_eigenvector(Meixner(alpha0, c), n)
+    u /= np.linalg.norm(u, axis=0)
     if av > 1.0:
         u = u * (-1.0) ** (ms[:, None] + ms)
     u = u * float(g.sigma) ** ms

@@ -6,17 +6,16 @@ k-array: ``diag(k)`` and ``offdiag(k)`` return the coefficients at every
 index of ``k`` in one numpy expression (a scalar ``k`` is the 0-d case), so
 building a truncation is one vectorized call and never a Python loop.
 
-Three routes to eigenpairs coexist: ``oracle_eigs``/``oracle_eigh`` call
-LAPACK's tridiagonal solvers (the verification oracle); the atom sweep
-``atom_eigenvector`` evaluates untruncated-chain eigenvectors at known
-spectrum atoms, which need not be eigenvalues of the truncation, by
-three-term recurrence with a backward (Miller-style) sweep glued at the
-classical turning point, one column per atom; inverse iteration
-``block_eigenvectors`` (LAPACK ``dstein``) turns closed-form eigenvalues of
-the truncation itself into its eigenvectors, where forward recurrence is
-unstable (Gautschi, SIAM Rev. 9, 1967).  ``forward_eigenvector`` is the
-atom sweep's forward half alone, for atoms whose tail decays only
-algebraically.
+Four routes to eigenpairs coexist, one per job: ``oracle_eigs`` /
+``oracle_eigh`` call LAPACK's tridiagonal solvers (the verification
+oracle); the Meixner kernel ``atom_eigenvector`` builds the exact block
+sqrt(w_j) P_k(x_j) of orthonormal Meixner functions, the eigenvectors of an
+untruncated Meixner chain at its atoms, from a forward sweep and the
+family's self-duality; inverse iteration ``block_eigenvectors`` (LAPACK
+``dstein``) turns closed-form eigenvalues of the truncation itself into its
+eigenvectors, where forward recurrence is unstable (Gautschi, SIAM Rev. 9,
+1967); and the plain forward sweep ``forward_eigenvector`` serves atoms
+whose tail decays only algebraically.
 
 ``oracle_eigs`` computes only an index window of the spectrum: the lowest
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
@@ -24,6 +23,7 @@ Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
 the window, so a caller should ask for exactly the eigenvalues it reads.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +32,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
 from .errors import NumericalFailureError
+from .orthopoly import Meixner
 
 __all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "block_eigenvectors",
            "forward_eigenvector", "atom_eigenvector"]
@@ -144,131 +145,72 @@ def block_eigenvectors(op: JacobiOperator, w: np.ndarray) -> np.ndarray:
 
 def forward_eigenvector(op: JacobiOperator, x: float) -> np.ndarray:
     """Normalized solution of the three-term recurrence at x with p_0 = 1,
-    swept forward over the whole truncation and not stabilized: right where
-    the solutions of the recurrence grow or decay only algebraically, such
-    as bound states with a polynomially decaying tail."""
+    p_1 = (x - a_0) / b_0 and p_{k+1} = ((x - a_k) p_k - b_{k-1} p_{k-1}) /
+    b_k, swept forward over the whole truncation and not stabilized: right
+    where the solutions of the recurrence grow or decay only algebraically,
+    such as bound states with a polynomially decaying tail."""
     n = op.size
     if n == 1:
         return np.ones(1)
-    p = _forward_sweep(x - op.diag_array(), op.offdiag_array(), n - 1)
+    xd = (x - op.diag_array()).tolist()
+    b = op.offdiag_array().tolist()
+    p = np.empty(n)
+    p[0] = 1.0
+    p[1] = xd[0] / b[0]
+    for k in range(1, n - 1):
+        p[k + 1] = (xd[k] * p[k] - b[k - 1] * p[k - 1]) / b[k]
     return p / np.linalg.norm(p)
 
 
-_RESCALE = 1e250
+def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np.ndarray:
+    """Block B[k, j] = sqrt(w_j) P_k(x_j), k < n_rows and j < n_cols
+    (``n_cols`` defaults to ``n_rows``), of the orthogonal matrix of
+    orthonormal Meixner functions: column j is the eigenvector of the
+    untruncated chain at the atom x_j = 2j + beta, exactly, not normalized
+    over the window.
 
-
-def _decay_onset(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per atom in x, the first index at which it has left the local band
-    [a_k - 2|b_k|, a_k + 2|b_k|] on the side the diagonal drifts to; the
-    size of the arrays if never."""
-    n = d.size
-    eb = np.empty(n)
-    eb[:-1] = np.abs(e)
-    eb[-1] = eb[-2] if n > 1 else 0.0
-    shape = (n,) + (1,) * x.ndim
-    if d[-1] >= d[0]:
-        cond = (d - 2 * eb).reshape(shape) > x
-    else:
-        cond = (d + 2 * eb).reshape(shape) < x
-    return np.where(cond.any(axis=0), cond.argmax(axis=0), n)
-
-
-def atom_eigenvector(op: JacobiOperator, x: float | np.ndarray,
-                     n: int | None = None) -> np.ndarray:
-    """Normalized eigenvector components p_k(x) at spectrum atoms x.
-
-    ``x`` is one atom (result shape ``(n,)``) or a 1-D array of m atoms
-    (result shape ``(n, m)``, one column per atom).  The sweeps run over
-    rows k with every atom in the row, so a batch costs one Python loop,
-    and every column is bit-identical to the call with its atom alone.
-
-    Forward recurrence through the oscillatory region; beyond the turning
-    point the decaying solution is recovered by a backward sweep seeded at
-    the cutoff (its tail divided down whenever an entry passes 1e250) and
-    scale-matched where the forward solution is largest.  Entries below
-    1e-18 of the column peak are flushed to zero.
+    Meixner polynomials are self-dual (Koekoek, Lesky & Swarttouw,
+    Hypergeometric Orthogonal Polynomials, 2010, section 9.10), so
+    B[k, j] = (-1)^(k+j) B[j, k].  Rows k <= j come from a forward sweep of
+    ``fam.recurrence``, stable there because column j still grows or
+    oscillates up to k = j; the entries k > j come from the transpose.
+    Row 0 is the closed form |B[0, j]|^2 = (1-c)^beta (beta)_j c^j / j!,
+    a running product of sqrt(c (beta + j) / (j + 1)).  Every column keeps
+    its own binary exponent, moved by exact powers of two as the sweep goes,
+    so no column underflows before it peaks (c = 1/9 puts B[0, 800] near
+    1e-382) and the scaling adds no rounding.  Cost n_rows * n_cols.
     """
-    n = op.size if n is None else n
-    x = np.asarray(x, dtype=float)
-    if n == 1:
-        return np.ones((1,) + x.shape)
-    d = op.diag_array(n)
-    e = op.offdiag_array(n)
-    # row k of every work array holds index k for all atoms: shape (n,) + x.shape
-    rows = np.arange(n).reshape((n,) + (1,) * x.ndim)
-    xd = x - d.reshape(rows.shape)
-    km = np.minimum(_decay_onset(d, e, x), n - 1)
-    # atoms are independent; entries past an atom's own stopping row are
-    # computed alongside and discarded, so their overflows are silenced
-    with np.errstate(all="ignore"):
-        p = _forward_sweep(xd, e, int(km.max()))
-        p = np.where(rows > km, 0.0, p)
-        back = km < n - 1
-        if back.any():
-            lo = np.maximum(0, km - 15)
-            window = (rows >= lo) & (rows <= km)
-            j = np.argmax(np.where(window, np.abs(p), -1.0), axis=0)
-            j = np.where(back, j, n - 1)
-            q = _backward_sweep(xd, e, j)
-            pj = np.take_along_axis(p, j[None], axis=0)[0]
-            qj = np.take_along_axis(q, j[None], axis=0)[0]
-            glue = back & (qj != 0.0) & (pj != 0.0)
-            p = np.where(glue & (rows >= j), q * (pj / qj), p)
-    peak = np.abs(p).max(axis=0)
-    bad = ~np.isfinite(peak) | (peak == 0.0)
-    if bad.any():
-        raise NumericalFailureError(
-            f"eigenvector recurrence degenerated at x={x.flat[np.argmax(bad)]}")
-    p[np.abs(p) < 1e-18 * peak] = 0.0
-    # each column contiguous, so its norm is the same dot product as alone
-    v = np.ascontiguousarray(np.moveaxis(p, 0, -1))
-    for col in v.reshape(-1, n):
-        col /= np.linalg.norm(col)
-    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
-
-
-def _forward_sweep(xd: np.ndarray, e: np.ndarray, stop: int) -> np.ndarray:
-    """p_0 = 1, p_1 = (x - a_0) / b_0 and p_{k+1} = ((x - a_k) p_k -
-    b_{k-1} p_{k-1}) / b_k up to row stop, with xd[k] = x - a_k; rows past
-    both are zero."""
-    b = e.tolist()
-    p = np.zeros(xd.shape)
-    p[0] = 1.0
-    p[1] = xd[0] / b[0]
-    for k in range(1, stop):
-        p[k + 1] = (xd[k] * p[k] - b[k - 1] * p[k - 1]) / b[k]
-    return p
-
-
-def _backward_sweep(xd: np.ndarray, e: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """q_{n-1} = 1, q_{k-1} = ((x - a_k) q_k - b_k q_{k+1}) / b_{k-1} down to
-    row j of each atom (rows below are not meaningful); an atom with
-    j = n - 1 takes no part.  Whenever a live entry passes _RESCALE, that
-    atom's tail q[k-1:] is divided by its magnitude."""
-    n = xd.shape[0]
-    b = e.tolist()
-    q = np.zeros(xd.shape)
-    q[n - 1] = 1.0
-    q[n - 2] = xd[n - 1] * q[n - 1] / b[n - 2]
-    bound = _rescale_tail(q, n - 2, j < n - 1)
-    # max(|q_{k-1}|, |q_k|) <= growth[k-1] * max(|q_k|, |q_{k+1}|), with a
-    # margin for rounding, so the exact test only runs once this running
-    # bound could have passed the threshold
-    ae = np.abs(e)
-    reach = np.abs(xd[1:n - 1]).reshape(n - 2, xd[0].size).max(axis=1, initial=0.0)
-    growth = (np.maximum((reach + ae[1:]) / ae[:-1], 1.0) * (1.0 + 1e-10)).tolist()
-    for k in range(n - 2, int(j.min()), -1):
-        q[k - 1] = (xd[k] * q[k] - b[k] * q[k + 1]) / b[k - 1]
-        bound *= growth[k - 1]
-        if not bound <= _RESCALE:
-            bound = _rescale_tail(q, k - 1, j <= k - 1)
-    return q
-
-
-def _rescale_tail(q: np.ndarray, row: int, live: np.ndarray) -> float:
-    """Divide q[row:] by |q[row]| for the live atoms where it passed
-    _RESCALE; return max |q[row:row+2]| over the live atoms after."""
-    big = live & (np.abs(q[row]) > _RESCALE)
-    if big.any():
-        q[row:] = np.where(big, q[row:] / np.abs(q[row]), q[row:])
-    return float(np.where(live, np.abs(q[row:row + 2]), 0.0).max())
+    n_cols = n_rows if n_cols is None else n_cols
+    m, width = min(n_rows, n_cols), max(n_rows, n_cols)
+    beta, c = fam.beta, fam.c
+    a, b = fam.recurrence(np.arange(m, dtype=float))
+    x = 2.0 * np.arange(width) + beta
+    # row 0 as mantissa * 2**expo, column by column
+    p = np.empty(width)
+    expo = np.empty(width, dtype=int)
+    f, e = math.frexp((1.0 - c) ** (0.5 * beta))
+    jj = np.arange(width - 1)
+    for j, r in enumerate(np.sqrt(c * (beta + jj) / (jj + 1.0)).tolist()):
+        p[j], expo[j] = f, e
+        f, de = math.frexp(f * r)
+        e += de
+    p[-1], expo[-1] = f, e
+    upper = np.zeros((m, width))
+    prev = np.zeros(width)
+    for k in range(m):
+        upper[k, k:] = np.ldexp(p[k:], expo[k:])
+        if k + 1 == m:
+            break
+        s = slice(k + 1, width)
+        nxt = (x[s] - a[k]) * p[s]
+        if k:
+            nxt -= b[k - 1] * prev[s]
+        f, e = np.frexp(nxt / b[k])
+        prev[s] = np.ldexp(p[s], -e)
+        p[s] = f
+        expo[s] += e
+    sign = 1.0 - 2.0 * (np.arange(width) % 2)
+    out = np.zeros((n_rows, n_cols))
+    out[:m] = upper[:, :n_cols]
+    out[:, :m] += np.tril(upper[:, :n_rows].T * np.outer(sign[:n_rows], sign[:m]), -1)
+    return out

@@ -148,10 +148,10 @@ def eigenvectors_discrete(h: OneModeHamiltonian, n: int,
                           n_levels: int | None = None) -> StateVector:
     """Normalized eigenvector of H at the closed-form nth eigenvalue.
 
-    Components are the orthonormal-recurrence values of the attached family
-    evaluated at the eigenvalue; running the recurrence with the signed
-    Jacobi coefficients of H realizes the per-case sign rules (the (-1)^k
-    alternation shows up exactly where the off-diagonal is negative).
+    Components are column n of the attached Meixner family's kernel
+    ``atom_eigenvector`` (orthonormal Meixner functions at the atom n),
+    times (-1)^k where the off-diagonal of H and the family's have opposite
+    signs (cases 7 and 8), normalized over the truncation.
     """
     label = classify(h.mu, h.nu, h.sector.alpha0)
     if not label.discrete:
@@ -166,9 +166,8 @@ def eigenvectors_discrete(h: OneModeHamiltonian, n: int,
         amp = np.zeros(size, dtype=complex)
         amp[n] = 1.0
         return StateVector(amp, sector=h.sector)
-    op = jacobi(h)
-    vec = atom_eigenvector(op, eigenvalue_discrete(h, n), n=size)
-    return StateVector(vec.astype(complex), sector=h.sector)
+    vec = _discrete_block(h, label, size, n + 1)[:, n]
+    return StateVector(vec / np.linalg.norm(vec), sector=h.sector)
 
 
 def default_n_levels(h: OneModeHamiltonian) -> int:
@@ -177,28 +176,37 @@ def default_n_levels(h: OneModeHamiltonian) -> int:
     return max(100, 20 * int(math.ceil(abs(label.scale))))
 
 
-def _expand_discrete(h: OneModeHamiltonian, psi: np.ndarray):
-    """Expansion of psi over closed-form eigenpairs, to residual 1e-15."""
+def _discrete_block(h: OneModeHamiltonian, label: CaseLabel, n_rows: int,
+                    n_cols: int) -> np.ndarray:
+    """Rows k < n_rows of the first n_cols eigenvectors of H in cases 5-8:
+    the family's Meixner kernel block, row k times (-1)^k where
+    (mu - nu) scale < 0, since H = scale * J_family up to that sign."""
+    u = atom_eigenvector(label.family, n_rows, n_cols)
+    if (h.mu - h.nu) * label.scale < 0:
+        u[1::2] *= -1.0
+    return u
+
+
+def _expand_discrete(h: OneModeHamiltonian, label: CaseLabel, psi: np.ndarray):
+    """Eigenvectors, coefficients and energies of the leading closed-form
+    eigenpairs whose coefficients leave a directly summed tail of at most
+    1e-15 of |psi|^2, out of the first 4N."""
     size = psi.size
-    label = classify(h.mu, h.nu, h.sector.alpha0)
-    op = jacobi(h)
-    total = float(np.vdot(psi, psi).real)
-    resid = total
-    vecs, coeffs, energies = [], [], []
+    nz = np.flatnonzero(psi)
+    rows = int(nz[-1]) + 1 if nz.size else 1
     cap = 4 * size
-    for m in range(cap):
-        v = atom_eigenvector(op, label.scale * (2.0 * m + h.sector.alpha0), n=size)
-        c = complex(np.dot(v, psi))
-        vecs.append(v)
-        coeffs.append(c)
-        energies.append(label.scale * (2.0 * m + h.sector.alpha0))
-        resid -= abs(c) ** 2
-        if resid < 1e-15 * total:
-            return vecs, coeffs, energies
-    raise TruncationOverflowError(
-        f"eigen-expansion residual {resid / total:.2e} after {cap} terms; "
-        f"state reaches the truncation edge", advised_n=2 * size,
-    )
+    coeffs = psi[:rows] @ _discrete_block(h, label, rows, cap)
+    tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
+    total = float(np.vdot(psi, psi).real)
+    done = np.flatnonzero(tail <= 1e-15 * total)
+    if done.size == 0:
+        raise TruncationOverflowError(
+            f"eigen-expansion tail {tail[-1] / total:.2e} after {cap} terms; "
+            f"state reaches the truncation edge", advised_n=2 * size,
+        )
+    m = int(done[0])
+    energies = label.scale * (2.0 * np.arange(m) + h.sector.alpha0)
+    return _discrete_block(h, label, size, m), coeffs[:m], energies
 
 
 def evolve(h: OneModeHamiltonian, psi0: StateVector, t: float) -> StateVector:
@@ -221,10 +229,8 @@ def evolve(h: OneModeHamiltonian, psi0: StateVector, t: float) -> StateVector:
         phases = np.exp(1j * t * h.mu * (2.0 * np.arange(size) + a))
         out = phases * psi
     elif label.discrete:
-        vecs, coeffs, energies = _expand_discrete(h, psi)
-        out = np.zeros(size, dtype=complex)
-        for v, c, e in zip(vecs, coeffs, energies):
-            out += c * np.exp(1j * t * e) * v
+        vecs, coeffs, energies = _expand_discrete(h, label, psi)
+        out = vecs @ (coeffs * np.exp(1j * t * energies))
     else:
         w, v = oracle_eigh(jacobi(h), n=size)
         out = v @ (np.exp(1j * t * w) * (v.T @ psi))

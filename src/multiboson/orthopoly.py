@@ -270,7 +270,9 @@ class Meixner:
 
     def recurrence(self, k: float | np.ndarray):
         beta, c = self.beta, self.c
-        a = (1 + c) / (1 - c) * (2 * k + beta)
+        # (1+c)/(1-c) written as 1 + 2c/(1-c): for small c the rounding
+        # error of the factor shrinks with c instead of biasing every a_k
+        a = (1 + 2 * c / (1 - c)) * (2 * k + beta)
         b = 2 * math.sqrt(c) / (1 - c) * np.sqrt((k + 1) * (k + beta))
         return a, b
 
@@ -590,7 +592,16 @@ def gram_check(family: PolyFamily, n_max: int) -> float:
         p = poly_table(family, n_max, x)
         G += (p * w) @ p.T
     upper = np.triu_indices(n_max + 1)
-    if isinstance(family, (Laguerre, MeixnerPollaczek)):
+    if isinstance(family, Laguerre):
+        # substitute x = t^2: the Jacobian 2t cancels the x^alpha endpoint
+        # singularity for alpha = -1/2 and softens it for any alpha > -1
+        dens = family.measure(normalize=True).continuous.density
+
+        def f(t):
+            p = poly_table(family, n_max, t * t)
+            return 2.0 * t * dens(t * t) * np.outer(p, p)[upper]
+        vals = _integrate(f, 0.0, math.inf, characteristic=2.0 * math.sqrt(n_max + 1))
+    elif isinstance(family, MeixnerPollaczek):
         meas = family.measure(normalize=True)
         lo, hi = meas.continuous.support
         dens = meas.continuous.density

@@ -316,11 +316,9 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
     """Truncated normalized bound-state vector number n (requires u + n < 0).
 
     Components decay only algebraically, so the truncated vector converges
-    slowly in n_levels, and the plain forward sweep
-    ``jacobi.forward_eigenvector`` (p_0 = 1) is adequate because the
-    solution dichotomy is polynomial, not exponential.  The backward
-    stabilizer of ``jacobi.atom_eigenvector`` is left out: for large alpha0,
-    beta0 and |K| it engages at k = 0 and misses the vector.
+    slowly in n_levels.  The plain forward sweep
+    ``jacobi.forward_eigenvector`` (p_0 = 1) needs no stabilizing: the
+    solution dichotomy is polynomial, not exponential.
     """
     p = uvw_params(block.K, block.alpha0, block.beta0)
     if p.u + n >= 0:

@@ -1,8 +1,10 @@
 """Array paths of the three-term recurrence against per-point evaluation.
 
-Coefficient streams, family recurrences, ``poly_table`` and
-``atom_eigenvector`` all take arrays; every entry must be bit-identical to
-the same quantity computed one scalar at a time.
+Coefficient streams, family recurrences and ``poly_table`` take arrays;
+every entry must be bit-identical to the same quantity computed one scalar
+at a time.  The Meixner kernel ``atom_eigenvector`` builds a whole block in
+one call; every column, and every rectangular slice, must be bit-identical
+to the call that asks for it alone.
 """
 
 import numpy as np
@@ -14,7 +16,6 @@ from multiboson import onemode as om
 from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
-from multiboson.errors import NumericalFailureError
 from multiboson.jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
                               forward_eigenvector)
 
@@ -41,10 +42,6 @@ def _operators(n):
         ops[f"hd-{conv}"] = tm.hd_block_jacobi(tm.DBlock(n - 1, 0.7, 1.9), conv)
     for K in (3, 0, -4):
         ops[f"hc(K={K})"] = tm.hc_block_jacobi(tm.CBlock(K, 0.7, 1.9, max(n, 2)))
-    for a, sigma in ((2.0, 1), (2.0, -1), (0.3, 1)):
-        g = bg.GroupElement(a, sigma)
-        ops[f"a0({a},{sigma})"] = bg.transformed_a0_operator(g, 1.5, n)
-        ops[f"implementer({a},{sigma})"] = bg.implementer_operator(g, 1.5, n)
     ops["charge-C"] = ev._charge_block_operator(_canonical("C", 600), 7, n)
     ops["charge-D-cut"] = ev._charge_block_operator(_canonical("D", 600), 1199 - n, n)
     return ops
@@ -104,46 +101,43 @@ def test_poly_table_over_x_matches_scalar_calls(family):
         assert np.array_equal(op.eval_orthonormal(family, n, x), table[n])
 
 
+def _columns_alone(fam, n_rows, cols):
+    return np.stack([atom_eigenvector(fam, n_rows, j + 1)[:, j] for j in cols], axis=1)
+
+
 @pytest.mark.parametrize("n", [64, 240])
 @pytest.mark.parametrize("alpha0", [0.5, 1.0, 2.7])
 @pytest.mark.parametrize("sigma", [1, -1])
 @pytest.mark.parametrize("a", [0.3, 0.7, 1.5, 3.0])
 def test_batched_atom_eigenvector_implementer(a, sigma, alpha0, n):
-    jop = bg.implementer_operator(bg.GroupElement(a, sigma), alpha0, n)
-    atoms = 2.0 * np.arange(n) + alpha0
-    batch = atom_eigenvector(jop, atoms)
+    fam = op.Meixner(alpha0, bg.meixner_c(float(a) ** sigma))
+    batch = atom_eigenvector(fam, n)
     assert batch.shape == (n, n)
-    single = np.stack([atom_eigenvector(jop, x) for x in atoms], axis=1)
-    assert np.array_equal(batch, single)
+    cols = [*range(0, n, 9), n - 1]
+    assert np.array_equal(batch[:, cols], _columns_alone(fam, n, cols))
+    for r, c in ((n, 1), (1, n), (n // 3, n), (n, n // 3), (n + 5, n - 7)):
+        part = atom_eigenvector(fam, r, c)
+        assert part.shape == (r, c)
+        assert np.array_equal(part[:n, :n], batch[:r, :c])
 
 
 @pytest.mark.parametrize("mu, nu, count", [(2.0, 0.5, 600), (1.0, 0.9, 190)])
 def test_batched_atom_eigenvector_onemode_case5(mu, nu, count):
-    # (1.0, 0.9) decays fast enough that the backward sweep is rescaled
-    # past 1e250 many times on the way down
-    h = om.OneModeHamiltonian(mu, nu, _sector(800))
+    # (1.0, 0.9) has c ~ 7e-4: row 0 starts near c^(j/2), far below the
+    # double range for most columns, so the binary exponents carry them
     label = om.classify(mu, nu, 1.3)
     assert label.index == 5
-    jop = om.jacobi(h)
-    atoms = label.scale * (2.0 * np.arange(0, count, 3) + 1.3)
-    batch = atom_eigenvector(jop, atoms)
-    single = np.stack([atom_eigenvector(jop, x) for x in atoms], axis=1)
-    assert np.array_equal(batch, single)
-
-
-def test_batched_atom_eigenvector_raises_at_degenerate_atom():
-    h = om.OneModeHamiltonian(2.0, 0.5, _sector(800))
-    label = om.classify(2.0, 0.5, 1.3)
-    good, bad = label.scale * (2.0 * 10 + 1.3), label.scale * (2.0 * 700 + 1.3)
-    with pytest.raises(NumericalFailureError):
-        atom_eigenvector(om.jacobi(h), bad)
-    with pytest.raises(NumericalFailureError, match=f"x={bad}"):
-        atom_eigenvector(om.jacobi(h), np.array([good, bad]))
+    batch = atom_eigenvector(label.family, 800, count)
+    cols = range(0, count, 17)
+    assert np.array_equal(batch[:, cols], _columns_alone(label.family, 800, cols))
+    assert np.all(np.abs(batch).max(axis=0) > 0.0)
 
 
 def test_atom_eigenvector_single_level():
+    fam = op.Meixner(1.5, 0.25)
+    assert np.array_equal(atom_eigenvector(fam, 1), [[0.75 ** 0.75]])
+    row = atom_eigenvector(fam, 1, 3)
+    assert row.shape == (1, 3) and row[0, 0] == 0.75 ** 0.75
     jop = JacobiOperator(lambda k: 1.0, lambda k: 0.0, 1)
-    assert np.array_equal(atom_eigenvector(jop, 1.0), np.ones(1))
-    assert np.array_equal(atom_eigenvector(jop, np.array([1.0, 2.0])), np.ones((1, 2)))
     assert np.array_equal(forward_eigenvector(jop, 1.0), np.ones(1))
     assert np.array_equal(block_eigenvectors(jop, np.array([1.0])), np.ones((1, 1)))

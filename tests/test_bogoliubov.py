@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import strategies as st
 
 from multiboson import bogoliubov as bg
+from multiboson import onemode as om
 from multiboson import rep
 from multiboson.errors import UnsupportedElementError
 from multiboson.jacobi import oracle_eigh, oracle_eigs
@@ -19,6 +21,14 @@ elements = st.builds(
         lambda a: st.sampled_from([a, -a])),
     st.sampled_from([-1, 1]),
 )
+
+
+def _transformed_a0(g, alpha0, n):
+    """Jacobi form of the transformed A0 on a sector: the one-mode H at
+    (mu, nu) = (a^-sigma, a^sigma)."""
+    av = float(g.a) ** g.sigma
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
+    return om.jacobi(om.OneModeHamiltonian(1.0 / av, av, sector))
 
 
 def test_multiply():
@@ -128,13 +138,31 @@ def test_implementer_columns_match_eigenvector_oracle():
     alpha0, n = 1.0, 200
     assert bg.meixner_c(3.0) == pytest.approx(0.25)
     u, info = bg.implementer(g, alpha0, n, return_info=True)
-    op = bg.transformed_a0_operator(g, alpha0, 4 * n)
+    op = _transformed_a0(g, alpha0, 4 * n)
     w, v = oracle_eigh(op)
     assert np.abs(w[:10] - (2 * np.arange(10) + alpha0)).max() <= 1e-9
     for m in range(min(info.converged_cols, 40)):
         ref = v[:n, m] / np.linalg.norm(v[:n, m])
         overlap = abs(float(np.dot(ref, u[:, m])))
         assert overlap >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("a", [0.7, 1.5])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_implementer_matches_larger_oracle_on_every_column(a, sigma):
+    # every column, converged or not, is the exact eigenvector normalized
+    # over the window: no zero columns, and agreement with the same
+    # eigenvectors of a 4x larger truncation restricted to the window
+    g = bg.GroupElement(a, sigma)
+    n = 240
+    u = bg.implementer(g, 1.0, n)
+    assert np.all(np.abs(u).max(axis=0) > 0.0)
+    op = _transformed_a0(g, 1.0, 4 * n)
+    _, v = eigh_tridiagonal(op.diag_array(), op.offdiag_array(),
+                            select="i", select_range=(0, n - 1))
+    ref = v[:n] / np.linalg.norm(v[:n], axis=0)
+    ref *= np.copysign(1.0, np.sum(ref * u, axis=0))
+    assert np.abs(u - ref).max() <= 1e-12
 
 
 def test_implementer_unitarity_interior():
@@ -166,6 +194,6 @@ def test_implementer_conjugation(a, sigma, alpha0):
 def test_eigenvalue_preservation_at_truncation():
     # lowest eigenvalues of the truncated transformed A0 converge to 2n + alpha0
     for alpha0 in (0.5, 1.0, 2.7):
-        op = bg.transformed_a0_operator(bg.GroupElement(2.0, 1), alpha0, 300)
+        op = _transformed_a0(bg.GroupElement(2.0, 1), alpha0, 300)
         w = oracle_eigs(op, count=5)
         assert np.abs(w - (2 * np.arange(5) + alpha0)).max() <= 1e-6

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import eigh_tridiagonal
 
 from multiboson import onemode as om
 from multiboson import rep
@@ -134,6 +135,21 @@ def test_eigenvectors_case7_alternating_signs():
     assert abs(float(aligned @ v5)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_eigenvectors_discrete_match_larger_oracle_past_window():
+    # columns 636-643 of case 5 at N 800 reach past the window (spread to
+    # k ~ 2n at c = 1/9); each must match the same eigenvector of a 4x
+    # larger truncation, restricted to the window and normalized there
+    h = _h(2.0, 0.5, alpha0=1.3, n=800)
+    big = om.jacobi(_h(2.0, 0.5, alpha0=1.3, n=3200))
+    _, ref = eigh_tridiagonal(big.diag_array(), big.offdiag_array(),
+                              select="i", select_range=(636, 643))
+    for i, n in enumerate(range(636, 644)):
+        v = om.eigenvectors_discrete(h, n).amplitudes.real
+        assert np.abs(v).max() > 0.0
+        r = ref[:800, i] / np.linalg.norm(ref[:800, i])
+        assert np.abs(v - np.copysign(1.0, r @ v) * r).max() <= 1e-12
+
+
 def test_eigenvectors_continuous_case_rejected():
     with pytest.raises(UnsupportedCaseError):
         om.eigenvectors_discrete(_h(1.0, 0.0), 0)
@@ -210,6 +226,33 @@ def test_evolve_case5_matches_expm_oracle():
     u = scipy.linalg.expm(1j * t * om.jacobi(h).dense())
     ref = u @ psi0.amplitudes
     assert np.abs(out.amplitudes - ref).max() <= 1e-7
+
+
+DISCRETE_CASES = [(2.0, 0.5, 5), (-2.0, -0.5, 6), (0.5, 2.0, 7), (-0.5, -2.0, 8)]
+
+
+def _evolve_against_oracle(mu, nu, k0, t):
+    h = _h(mu, nu, alpha0=1.3, n=800)
+    psi = np.zeros(800, dtype=complex)
+    psi[k0] = 1.0
+    out = om.evolve(h, rep.StateVector(psi), t)
+    w, v = oracle_eigh(om.jacobi(h))
+    return np.abs(out.amplitudes - v @ (np.exp(1j * t * w) * v[k0])).max()
+
+
+@pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
+def test_evolve_discrete_from_mid_window(mu, nu, case):
+    assert om.classify(mu, nu, 1.3).index == case
+    assert _evolve_against_oracle(mu, nu, 200, 0.5) <= 1e-8
+    # by t = 2 the state has spread to the truncation edge
+    with pytest.raises(TruncationOverflowError):
+        _evolve_against_oracle(mu, nu, 200, 2.0)
+
+
+@pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
+def test_evolve_discrete_from_low_state(mu, nu, case):
+    for t in (0.5, 2.0):
+        assert _evolve_against_oracle(mu, nu, 4, t) <= 1e-8
 
 
 def test_evolve_continuous_case_unitary():
