@@ -2,13 +2,17 @@
 
 Schroedinger solutions factor as psi(t) = exp(-i H0 t) exp(-i H t) psi(0)
 with H0 the free number Hamiltonian (diagonal phases).  The interaction
-factor goes through spectral decompositions: closed-form eigenpairs for
-the discrete one-mode cases, LAPACK tridiagonal eigendecompositions of
-every charge block of a canonical interaction (the closed-form D-block
-eigenpairs, ``twomode.hd_spectrum`` and ``hd_eigenvectors``, agree with
-them to roundoff and are tested against them), and a scaling-and-squaring
-matrix exponential for a generic two-mode interaction with no aligned
-block structure.
+factor goes through spectral decompositions, each taken once per run and
+applied to a whole time grid in one product: closed-form eigenpairs for
+the discrete one-mode cases, LAPACK tridiagonal eigendecompositions of the
+charge blocks of a canonical interaction, and one symmetric
+eigendecomposition of the whole truncated matrix of a generic two-mode
+interaction with no aligned block structure.  A canonical interaction is
+split into its Manley-Rowe charge blocks, and only the blocks in which the
+state has amplitude are solved; the others stay exactly zero.  (The
+closed-form D-block eigenpairs, ``twomode.hd_spectrum`` and
+``hd_eigenvectors``, agree with the LAPACK ones to roundoff and are tested
+against them.)
 
 Evolution of the truncated model is unitary, so norms and the block labels
 (Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
@@ -21,7 +25,7 @@ conservation laws rather than asymptotic occupations should declare a lax
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -86,8 +90,8 @@ class FullModel:
     """Free frequencies plus an interaction handle.
 
     ``interaction`` is a OneModeHamiltonian, a CanonicalInteraction, or a
-    TwoModeHamiltonian (generic, exponentiated densely; pass ``n_per_mode``
-    to fix its truncation).  ``omega`` has one entry per mode.
+    TwoModeHamiltonian (generic, eigendecomposed as one dense block; pass
+    ``n_per_mode`` to fix its truncation).  ``omega`` has one entry per mode.
     """
 
     interaction: object
@@ -124,64 +128,82 @@ def _two_mode_layout(model: "FullModel") -> tuple[TwoModeRep, tuple[int, int], i
 
 
 @dataclass
-class _BlockEvolver:
-    """Per-block spectral data for a canonical interaction."""
+class _Block:
+    """One invariant block: flattened positions of its states (ascending k0),
+    and its energies and eigenvectors (columns, block coordinates) once solved."""
 
-    indices: np.ndarray     # flattened positions of the block states
-    energies: np.ndarray
-    vectors: np.ndarray     # columns are eigenvectors in block coordinates
-
-    def apply(self, amps: np.ndarray, t: float, scale: float, offset: float):
-        sub = amps[self.indices]
-        coeff = self.vectors.T @ sub
-        phases = np.exp(-1j * t * (scale * self.energies + offset))
-        amps[self.indices] = self.vectors @ (phases * coeff)
+    indices: np.ndarray
+    energies: np.ndarray | None = None
+    vectors: np.ndarray | None = None
 
 
 class InteractionEvolver:
-    """Applies exp(-i H t) for the supported interaction kinds."""
+    """Applies exp(-i H t) for the supported interaction kinds.
+
+    A two-mode interaction is held as invariant blocks keyed by a label,
+    and ``labels`` gives the label of every flattened position: the
+    Manley-Rowe charge blocks of a canonical interaction, keyed by charge,
+    or the whole truncated matrix of a generic one under label 0.  A
+    canonical block is eigendecomposed the first time a state has amplitude
+    in it, and the result is kept for later calls.
+    """
 
     def __init__(self, model: FullModel):
         self.model = model
         h = model.interaction
         if isinstance(h, OneModeHamiltonian):
-            self.kind = "onemode"
-        elif isinstance(h, CanonicalInteraction):
-            self.kind = "canonical"
-            self.blocks = _canonical_blocks(h)
+            return
+        if isinstance(h, CanonicalInteraction):
+            self.labels, self.blocks = _charge_partition(h)
         elif isinstance(h, TwoModeHamiltonian):
-            self.kind = "dense"
-            self.matrix = build_h_matrix(h, model.n_per_mode)
+            w, v = scipy.linalg.eigh(build_h_matrix(h, model.n_per_mode))
+            self.labels = np.zeros(w.size, dtype=np.intp)
+            self.blocks = {0: _Block(np.arange(w.size), w, v)}
         else:
             raise TypeError(f"unsupported interaction {type(h).__name__}")
 
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
+    def apply(self, psi: np.ndarray, t) -> np.ndarray:
+        """exp(-i H t) psi at a time t (a vector), or at every time of a
+        1-d array t (an (n_times, dim) array).  Only the blocks where psi is
+        nonzero are solved and applied; the others stay exactly zero."""
         h = self.model.interaction
-        if self.kind == "onemode":
+        psi = np.asarray(psi, dtype=complex)
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError("t must be a scalar or a 1-d array of times")
+        ts = np.atleast_1d(times)
+        if isinstance(h, OneModeHamiltonian):
             sv = StateVector(psi, sector=h.sector, tail_tol=math.inf)
-            return evolve_onemode(h, sv, -t).amplitudes
-        if self.kind == "canonical":
-            out = psi.astype(complex).copy()
-            for blk in self.blocks:
-                blk.apply(out, t, h.scale, h.offset)
-            return out
-        # scaling-and-squaring exponential; unitarity checked by callers
-        u = scipy.linalg.expm(-1j * t * self.matrix)
-        return u @ psi
+            out = np.stack([s.amplitudes for s in evolve_onemode(h, sv, -ts)])
+        else:
+            out = np.zeros((ts.size, psi.size), dtype=complex)
+            for label in np.unique(self.labels[np.flatnonzero(psi)]).tolist():
+                blk = self._solved(label)
+                coeff = blk.vectors.T @ psi[blk.indices]
+                phases = np.exp(-1j * ts[:, None] * blk.energies)
+                out[:, blk.indices] = (phases * coeff) @ blk.vectors.T
+        return out[0] if times.ndim == 0 else out
+
+    def _solved(self, label: int) -> _Block:
+        blk = self.blocks[label]
+        if blk.vectors is None:
+            h = self.model.interaction
+            w, blk.vectors = oracle_eigh(_charge_block_operator(h, label, blk.indices.size))
+            blk.energies = h.scale * w + h.offset
+        return blk
 
 
-def _canonical_blocks(h: CanonicalInteraction) -> list[_BlockEvolver]:
+def _charge_partition(h: CanonicalInteraction) -> tuple[np.ndarray, dict[int, _Block]]:
+    """Manley-Rowe charge of every flattened position, and the unsolved
+    charge blocks by charge."""
     n = h.n_per_mode
     k0, k1 = np.divmod(np.arange(n * n), n)
     charge = k0 + k1 if h.kind == "D" else k0 - k1
-    blocks = []
-    for q in np.unique(charge):
-        idx = np.flatnonzero(charge == q)
-        order = np.argsort(k0[idx])
-        idx = idx[order]
-        w, v = oracle_eigh(_charge_block_operator(h, int(q), idx.size))
-        blocks.append(_BlockEvolver(idx, w, v))
-    return blocks
+    # a stable sort keeps each block in ascending flattened index, i.e. k0
+    order = np.argsort(charge, kind="stable")
+    qs, starts = np.unique(charge[order], return_index=True)
+    return charge, {int(q): _Block(idx)
+                    for q, idx in zip(qs, np.split(order, starts[1:]))}
 
 
 def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOperator:
@@ -203,25 +225,26 @@ def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOpe
     )
 
 
-def _free_phases(model: FullModel, t: float) -> np.ndarray:
-    occ = model.occupations()
-    total = sum(w * n for w, n in zip(model.omega, occ))
-    return np.exp(-1j * t * total)
+def _evolve_grid(model: FullModel, psi0: StateVector, times: np.ndarray):
+    """psi(t) = exp(-i H0 t) exp(-i H t) psi0 at every time of a 1-d grid,
+    from one spectral solve of the blocks psi0 occupies, with the tail
+    checked at each time in order."""
+    out = InteractionEvolver(model).apply(psi0.amplitudes, times)
+    total = sum(w * n for w, n in zip(model.omega, model.occupations()))
+    for t, amps in zip(times.tolist(), out):
+        amps *= np.exp(-1j * t * total)
+        result = StateVector(amps, sector=psi0.sector, tail_tol=model.tail_tol)
+        if result.tail_fraction() > model.tail_tol:
+            raise TruncationOverflowError(
+                f"tail fraction {result.tail_fraction():.2e} exceeds "
+                f"{model.tail_tol:.2e} at t = {t}; increase the truncation",
+                advised_n=None)
+        yield result
 
 
-def evolve_full(model: FullModel, psi0: StateVector, t: float,
-                _evolver: InteractionEvolver | None = None) -> StateVector:
+def evolve_full(model: FullModel, psi0: StateVector, t: float) -> StateVector:
     """psi(t) = exp(-i H0 t) exp(-i H t) psi0, with tail monitoring."""
-    ev = InteractionEvolver(model) if _evolver is None else _evolver
-    out = ev.apply(np.asarray(psi0.amplitudes, dtype=complex), t)
-    out = _free_phases(model, t) * out
-    result = StateVector(out, sector=psi0.sector, tail_tol=model.tail_tol)
-    if result.tail_fraction() > model.tail_tol:
-        raise TruncationOverflowError(
-            f"tail fraction {result.tail_fraction():.2e} exceeds "
-            f"{model.tail_tol:.2e} at t = {t}; increase the truncation",
-            advised_n=None)
-    return result
+    return next(_evolve_grid(model, psi0, np.array([float(t)])))
 
 
 @dataclass(frozen=True)
@@ -258,14 +281,18 @@ class ObservableSeries:
 
 
 def run_series(model: FullModel, psi0: StateVector, t_grid) -> ObservableSeries:
-    """Observables along a time grid; one spectral solve shared by all times."""
-    ev = InteractionEvolver(model)
-    psi0n = psi0.normalized()
+    """Observables along a time grid.
+
+    The normalized psi0 is evolved to every time at once: one spectral solve
+    per block it occupies (one per run for a one-mode or a generic
+    interaction), whatever the grid length, then one product per block for
+    the whole grid.  The tail is checked and the observables taken per time.
+    """
+    times = np.asarray(t_grid, dtype=float).reshape(-1)
     series = ObservableSeries([], [])
-    for t in t_grid:
-        psi_t = evolve_full(model, psi0n, float(t), _evolver=ev)
+    for t, psi_t in zip(times.tolist(), _evolve_grid(model, psi0.normalized(), times)):
         rec = observables(psi_t, model)
-        series.times.append(float(t))
+        series.times.append(t)
         series.records.append(rec)
         series.norm_errors.append(abs(rec.norm - 1.0))
     return series
@@ -316,16 +343,39 @@ def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
 
 @dataclass(frozen=True)
 class PresetModel:
-    """Preset matrix plus the cluster-model parameters reproducing it:
+    """Preset interaction on the cutoff-``n_per_mode`` product basis, and the
+    cluster-model parameters reproducing it:
 
         matrix = mapping.scale * canonical_matrix(mapping.kind, ...)
                  + mapping.offset * Id
+
+    Evolution needs only ``mapping``.  ``matrix``, a dense n_per_mode^2 x
+    n_per_mode^2 array, is assembled on first access as a sum of sparse
+    Kronecker terms densified once (peak memory one dense result) and kept.
     """
 
     name: str
-    matrix: np.ndarray
+    n_per_mode: int
     mapping: CanonicalInteraction
     group_elements: tuple[GroupElement, GroupElement]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n = self.n_per_mode
+        a, ad, num = _ladder(n)
+        eye = np.eye(n)
+        k = partial(sp.kron, format="csr")
+        sq = np.diag(np.sqrt(np.arange(n, dtype=float)))
+        if self.name == "HI":
+            x = k(a @ a, a @ a)
+        elif self.name == "HII":
+            x = k(a @ a, ad @ ad)
+        elif self.name == "HIII":
+            x = k(sq @ ad, a @ a)
+        else:  # HIV
+            x = k(sq @ ad, sq @ ad)
+        m = k(num, eye) + k(eye, num) + 2.0 * k(num, num) + x + x.T
+        return m.toarray()
 
 
 def _ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,10 +400,10 @@ def preset(name: str, n_per_mode: int) -> PresetModel:
 
     Every one is an affine image of a canonical D- or C-form on cluster
     representations; the returned mapping reproduces the matrix entrywise.
-    The matrix is assembled as a sum of sparse Kronecker terms and densified
-    once, so the peak memory is one dense n_per_mode^2 x n_per_mode^2 result.
-    Raises ``ValueError`` for an unknown name or a cutoff below 3 (HI, HII,
-    HIII) or 2 (HIV).
+    Only the mapping and the group elements are built here; the matrix is
+    assembled when first read (``PresetModel.matrix``).  Raises
+    ``ValueError`` for an unknown name or a cutoff below 3 (HI, HII, HIII)
+    or 2 (HIV).
     """
     if name not in _PRESET_MIN_N:
         raise ValueError(f"unknown preset {name!r}; use HI, HII, HIII or HIV")
@@ -361,35 +411,22 @@ def preset(name: str, n_per_mode: int) -> PresetModel:
         raise ValueError(f"preset {name} needs n_per_mode >= {_PRESET_MIN_N[name]}, "
                          f"got {n_per_mode}")
     n = n_per_mode
-    a, ad, num = _ladder(n)
-    eye = np.eye(n)
-    k = partial(sp.kron, format="csr")
-    diag = k(num, eye) + k(eye, num) + 2.0 * k(num, num)
-    sq = np.sqrt(np.arange(n, dtype=float))
     rep1 = MultibosonRep(1, (1.0,))
     rep2 = MultibosonRep(2, _HALF_TABLE)
     if name == "HI":
-        x = k(a @ a, a @ a)
-        m = diag + x + x.T
         mapping = CanonicalInteraction("C", TwoModeRep(rep2, rep2), (0, 0),
                                        (n + 1) // 2, scale=-4.0, offset=-0.5)
         pair = (GroupElement(1.0, -1), GroupElement(-1.0, 1))
     elif name == "HII":
-        x = k(a @ a, ad @ ad)
-        m = diag + x + x.T
         mapping = CanonicalInteraction("D", TwoModeRep(rep2, rep2), (0, 0),
                                        (n + 1) // 2, scale=4.0, offset=-0.5)
         pair = (GroupElement(1.0, -1), GroupElement(1.0, 1))
     elif name == "HIII":
-        x = k(np.diag(sq) @ ad, a @ a)
-        m = diag + x + x.T
         mapping = CanonicalInteraction("D", TwoModeRep(rep1, rep2), (0, 0),
                                        (n + 1) // 2, scale=2.0, offset=-0.5)
         pair = (GroupElement(1.0, -1), GroupElement(1.0, 1))
     else:  # HIV
-        x = k(np.diag(sq) @ ad, np.diag(sq) @ ad)
-        m = diag + x + x.T
         mapping = CanonicalInteraction("C", TwoModeRep(rep1, rep1), (0, 0),
                                        n, scale=-1.0, offset=-0.5)
         pair = (GroupElement(1.0, -1), GroupElement(-1.0, 1))
-    return PresetModel(name, m.toarray(), mapping, pair)
+    return PresetModel(name, n, mapping, pair)

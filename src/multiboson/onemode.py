@@ -209,13 +209,17 @@ def _expand_discrete(h: OneModeHamiltonian, label: CaseLabel, psi: np.ndarray):
     return _discrete_block(h, label, size, m), coeffs[:m], energies
 
 
-def evolve(h: OneModeHamiltonian, psi0: StateVector, t: float) -> StateVector:
-    """Apply exp(i t H) to psi0.
+def evolve(h: OneModeHamiltonian, psi0: StateVector, t):
+    """Apply exp(i t H) to psi0 at a time t, or at every time of a 1-d array t.
 
-    Discrete cases go through the closed-form eigenpairs; continuous cases
-    exponentiate the truncated Jacobi operator through its (LAPACK)
-    eigendecomposition.  Raises TruncationOverflowError when the state's
-    truncation tail exceeds psi0.tail_tol.
+    A scalar t returns one StateVector, an array one StateVector per time.
+    The spectral data is taken once per call, whatever the number of times:
+    one closed-form eigen-expansion of psi0 in the discrete cases 5-8, one
+    (LAPACK) eigendecomposition of the truncated Jacobi operator in the
+    continuous cases 1-4, one set of diagonal phases in case 9.  Raises
+    TruncationOverflowError when psi0's truncation tail exceeds
+    psi0.tail_tol, or when the evolved state's does at any time (the first
+    such time in the order given).
     """
     psi = np.asarray(psi0.amplitudes, dtype=complex)
     size = psi.size
@@ -223,20 +227,27 @@ def evolve(h: OneModeHamiltonian, psi0: StateVector, t: float) -> StateVector:
         raise TruncationOverflowError(
             f"initial tail fraction {psi0.tail_fraction():.2e} exceeds "
             f"{psi0.tail_tol:.2e}", advised_n=2 * size)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-d array of times")
+    ts = np.atleast_1d(times)[:, None]
     label = classify(h.mu, h.nu, h.sector.alpha0)
     if label.index == 9:
         a = h.sector.alpha0
-        phases = np.exp(1j * t * h.mu * (2.0 * np.arange(size) + a))
-        out = phases * psi
-    elif label.discrete:
-        vecs, coeffs, energies = _expand_discrete(h, label, psi)
-        out = vecs @ (coeffs * np.exp(1j * t * energies))
+        out = np.exp(1j * ts * (h.mu * (2.0 * np.arange(size) + a))) * psi
     else:
-        w, v = oracle_eigh(jacobi(h), n=size)
-        out = v @ (np.exp(1j * t * w) * (v.T @ psi))
-    result = StateVector(out, sector=psi0.sector, tail_tol=psi0.tail_tol)
-    if result.tail_fraction() > result.tail_tol:
-        raise TruncationOverflowError(
-            f"evolved tail fraction {result.tail_fraction():.2e} exceeds "
-            f"{result.tail_tol:.2e}; increase n_levels", advised_n=2 * size)
-    return result
+        if label.discrete:
+            vecs, coeffs, energies = _expand_discrete(h, label, psi)
+        else:
+            energies, vecs = oracle_eigh(jacobi(h), n=size)
+            coeffs = vecs.T @ psi
+        out = (np.exp(1j * ts * energies) * coeffs) @ vecs.T
+    results = []
+    for amps in out:
+        result = StateVector(amps, sector=psi0.sector, tail_tol=psi0.tail_tol)
+        if result.tail_fraction() > result.tail_tol:
+            raise TruncationOverflowError(
+                f"evolved tail fraction {result.tail_fraction():.2e} exceeds "
+                f"{result.tail_tol:.2e}; increase n_levels", advised_n=2 * size)
+        results.append(result)
+    return results[0] if times.ndim == 0 else results

@@ -178,7 +178,7 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.ndim != 1 or self.amplitudes.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d array")
-        if not np.all(np.isfinite(self.amplitudes.view(float))):
+        if not np.isfinite(self.amplitudes).all():
             raise ValueError("amplitudes must be finite")
 
     def norm(self) -> float:

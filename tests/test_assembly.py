@@ -152,6 +152,25 @@ def test_preset_peak_memory_is_one_result(name):
     assert _peak_ratio(lambda: ev.preset(name, 64)) <= 1.1
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_lazy_preset_matrix_peak_memory_is_one_result(name):
+    # the matrix is assembled on first access, under the same bound
+    assert _peak_ratio(lambda: ev.preset(name, 64).matrix) <= 1.1
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_mapping_allocates_no_matrix(name):
+    # the dense preset at cutoff 96 takes 648 MiB; the mapping needs none of it
+    tracemalloc.start()
+    try:
+        mapping = ev.preset(name, 96).mapping
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mapping.n_per_mode in (48, 96)
+    assert peak < 5 * 2 ** 20
+
+
 def test_canonical_interaction_peak_memory_is_one_result():
     reps = tm.TwoModeRep(MultibosonRep(2, (0.5, 1.5)), MultibosonRep(1, (1.0,)))
     ci = ev.CanonicalInteraction("D", reps, (1, 0), 64, scale=2.0, offset=-0.5)

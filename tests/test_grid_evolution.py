@@ -1,0 +1,238 @@
+"""Evolution of a whole time grid from one spectral solve.
+
+``run_series`` evolves the initial state to every time of the grid at once.
+It must agree with per-time ``evolve_full``, leave the blocks the state does
+not occupy exactly zero, and make the same number of spectral solves for a
+201-point grid as for a 3-point one: one per occupied block.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from multiboson import evolution as ev
+from multiboson import onemode as om
+from multiboson import rep
+from multiboson import twomode as tm
+from multiboson.bogoliubov import GroupElement
+from multiboson.errors import TruncationOverflowError
+
+R0 = rep.MultibosonRep(1, (0.7,))
+R1 = rep.MultibosonRep(2, (0.5, 1.5))
+REPS = tm.TwoModeRep(R0, R1)
+SECTOR = (0, 1)
+
+# one-mode (mu, nu) per case: Laguerre, Meixner-Pollaczek, Meixner, diagonal
+ONEMODE = {1: (1.2, 0.0), 4: (-0.9, 1.4), 5: (2.0, 0.5), 9: (1.5, 1.5)}
+
+# basis states (k0, k1) of the two-mode window, one to three charge blocks
+# (D-charge k0 + k1, C-charge k0 - k1)
+CANONICAL_STATES = {
+    "D": {"basis": [(5, 9)], "superposition": [(2, 3), (4, 4), (6, 5)]},
+    "C": {"basis": [(9, 5)], "superposition": [(2, 3), (4, 4), (6, 2)]},
+}
+
+
+def _onemode_model(case, n=120):
+    mu, nu = ONEMODE[case]
+    sec = rep.OneModeSector(R0, 0, n)
+    h = om.OneModeHamiltonian(mu, nu, sec)
+    assert om.classify(mu, nu, sec.alpha0).index == case
+    return ev.FullModel(h, (0.8,), tail_tol=math.inf)
+
+
+def _canonical_model(kind, n=24):
+    h = ev.CanonicalInteraction(kind, REPS, SECTOR, n, scale=1.3, offset=-0.4)
+    return ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf)
+
+
+def _generic_model(n=8):
+    h = tm.TwoModeHamiltonian(REPS, GroupElement(1.3, -1), GroupElement(-0.6, 1), SECTOR)
+    return ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf, n_per_mode=n)
+
+
+def _state(model, cells):
+    """Normalized superposition of the basis states (k0[, k1]) of the window."""
+    amps = sum((0.6 + 0.3j * i) * ev.basis_state(model, _occupation(c)).amplitudes
+               for i, c in enumerate(cells))
+    return rep.StateVector(amps / np.linalg.norm(amps), tail_tol=math.inf)
+
+
+def _occupation(cell):
+    """Occupation numbers of the window cell (k0[, k1])."""
+    if len(cell) == 1:
+        return cell
+    return (cell[0] * R0.l + SECTOR[0], cell[1] * R1.l + SECTOR[1])
+
+
+def _cases():
+    out = [(f"onemode{c}", lambda c=c: (_onemode_model(c), [(3,)])) for c in ONEMODE]
+    for kind, starts in CANONICAL_STATES.items():
+        for which, cells in starts.items():
+            out.append((f"canonical{kind}-{which}",
+                        lambda kind=kind, cells=cells: (_canonical_model(kind), cells)))
+    out.append(("generic", lambda: (_generic_model(), [(2, 1)])))
+    return out
+
+
+CASES = _cases()
+IDS = [name for name, _ in CASES]
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_run_series_matches_per_time_evolve_full(name, make):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    times = np.linspace(0.0, 1.5, 7)
+    series = ev.run_series(model, psi0, times)
+    assert series.times == times.tolist()
+    for t, rec, err in zip(times, series.records, series.norm_errors):
+        ref = ev.observables(ev.evolve_full(model, psi0, t), model)
+        for got, want in ((rec.means, ref.means), (rec.variances, ref.variances)):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12 * max(1.0, max(want))
+        assert abs(err - abs(ref.norm - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_grid_apply_matches_scalar_apply(name, make):
+    model, cells = make()
+    psi0 = _state(model, cells).amplitudes
+    evolver = ev.InteractionEvolver(model)
+    times = np.array([0.0, 0.4, -1.1, 2.0])
+    grid = evolver.apply(psi0, times)
+    assert grid.shape == (times.size, psi0.size)
+    for t, row in zip(times, grid):
+        single = evolver.apply(psi0, t)
+        assert single.shape == psi0.shape
+        assert np.abs(single - row).max() <= 1e-12
+        assert abs(np.linalg.norm(row) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["D", "C"])
+@pytest.mark.parametrize("which", ["basis", "superposition"])
+def test_unoccupied_blocks_stay_exactly_zero(kind, which):
+    model = _canonical_model(kind)
+    n = model.interaction.n_per_mode
+    cells = CANONICAL_STATES[kind][which]
+    psi0 = _state(model, cells)
+    k0, k1 = np.divmod(np.arange(n * n), n)
+    charge = k0 + k1 if kind == "D" else k0 - k1
+    occupied = np.isin(charge, [c[0] + c[1] if kind == "D" else c[0] - c[1]
+                                for c in cells])
+    grid = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 3.0, 11))
+    assert np.all(grid[:, ~occupied] == 0.0)
+    assert np.all(np.abs(grid[1:, occupied]).sum(axis=1) > 0.0)
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _solves(monkeypatch, model, psi0, points):
+    """(oracle_eigh, atom_eigenvector, dense eigh) calls of one run_series."""
+    with monkeypatch.context() as m:
+        eigh = _count(m, ev, "oracle_eigh")
+        eigh_1 = _count(m, om, "oracle_eigh")
+        atoms = _count(m, om, "atom_eigenvector")
+        dense = _count(m, scipy.linalg, "eigh")
+        series = ev.run_series(model, psi0, np.linspace(0.0, 1.0, points))
+    assert len(series.records) == points
+    return len(eigh) + len(eigh_1), len(atoms), len(dense)
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_spectral_solves_do_not_grow_with_the_grid(monkeypatch, name, make):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    counts = _solves(monkeypatch, model, psi0, 3)
+    assert _solves(monkeypatch, model, psi0, 201) == counts
+    h = model.interaction
+    if isinstance(h, om.OneModeHamiltonian):
+        case = om.classify(h.mu, h.nu, h.sector.alpha0).index
+        expected = {1: (1, 0, 0), 4: (1, 0, 0), 5: (0, 2, 0), 9: (0, 0, 0)}[case]
+    elif isinstance(h, ev.CanonicalInteraction):
+        expected = (len(cells), 0, 0)   # one oracle_eigh per occupied block
+    else:
+        expected = (0, 0, 1)
+    assert counts == expected
+
+
+def test_canonical_solves_are_kept_by_the_evolver(monkeypatch):
+    model = _canonical_model("C")
+    psi0 = _state(model, CANONICAL_STATES["C"]["superposition"]).amplitudes
+    calls = _count(monkeypatch, ev, "oracle_eigh")
+    evolver = ev.InteractionEvolver(model)
+    assert calls == []
+    first = evolver.apply(psi0, 0.7)
+    assert len(calls) == 3
+    assert np.array_equal(evolver.apply(psi0, 0.7), first)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("case", sorted(ONEMODE))
+def test_onemode_evolve_grid_returns_one_state_per_time(case):
+    h = _onemode_model(case).interaction
+    psi0 = rep.StateVector(np.eye(h.sector.n_levels)[3].astype(complex))
+    times = np.array([0.0, 0.3, 0.6])
+    states = om.evolve(h, psi0, times)
+    assert len(states) == times.size
+    for t, state in zip(times, states):
+        one = om.evolve(h, psi0, float(t))
+        assert isinstance(one, rep.StateVector)
+        assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-12
+
+
+def test_onemode_evolve_grid_raises_at_the_first_overflowing_time():
+    sec = rep.OneModeSector(R0, 0, 30)
+    h = om.OneModeHamiltonian(1.0, 0.0, sec)
+    psi0 = rep.StateVector(np.eye(30)[0].astype(complex), tail_tol=1e-8)
+    with pytest.raises(TruncationOverflowError):
+        om.evolve(h, psi0, np.array([0.0, 0.1, 50.0]))
+    assert len(om.evolve(h, psi0, np.array([0.0, 0.1]))) == 2
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_build_h_matrix_exactly_symmetric(l):
+    # the generic route hands the matrix to a symmetric eigensolver, which
+    # reads one triangle only
+    rng = np.random.default_rng(300 + l)
+    signs = set()
+    for _ in range(10):
+        reps = tm.TwoModeRep(rep.MultibosonRep(l, tuple(rng.uniform(0.2, 3.0, l))),
+                             rep.MultibosonRep(l, tuple(rng.uniform(0.2, 3.0, l))))
+        g, h = (GroupElement(float(rng.uniform(0.3, 2.5) * rng.choice((-1, 1))),
+                             int(rng.choice((-1, 1)))) for _ in range(2))
+        signs.update({(g.a > 0, g.sigma), (h.a > 0, h.sigma)})
+        sector = (int(rng.integers(l)), int(rng.integers(l)))
+        m = tm.build_h_matrix(tm.TwoModeHamiltonian(reps, g, h, sector),
+                              int(rng.integers(2, 14)))
+        assert np.array_equal(m, m.T)
+    assert len(signs) == 4  # every sign of a and of sigma was drawn
+
+
+@pytest.mark.parametrize("t", [0.3, 1.7, -2.4])
+def test_generic_evolve_full_matches_expm(t):
+    model = _generic_model()
+    psi0 = _state(model, [(2, 1), (0, 3)])
+    out = ev.evolve_full(model, psi0, t)
+    h = tm.build_h_matrix(model.interaction, model.n_per_mode)
+    total = sum(w * n for w, n in zip(model.omega, model.occupations()))
+    ref = np.exp(-1j * t * total) * (scipy.linalg.expm(-1j * t * h) @ psi0.amplitudes)
+    assert np.abs(out.amplitudes - ref).max() <= 1e-12
+
+
+def test_time_grid_must_be_one_dimensional():
+    model = _canonical_model("D")
+    psi0 = _state(model, [(1, 1)]).amplitudes
+    with pytest.raises(ValueError):
+        ev.InteractionEvolver(model).apply(psi0, np.zeros((2, 2)))

@@ -175,3 +175,13 @@ def test_state_vector():
     a = rep.StateVector(np.array([1.0, 1.0j]))
     b = rep.StateVector(np.array([1.0, 0.0]))
     assert a.inner(b) == pytest.approx(1.0)
+
+
+def test_state_vector_accepts_strided_views():
+    # a column of a (times, states) array is not contiguous
+    grid = np.arange(12, dtype=complex).reshape(3, 4)
+    col = rep.StateVector(grid[:, 1])
+    assert np.array_equal(col.amplitudes, [1.0, 5.0, 9.0])
+    grid[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        rep.StateVector(grid[:, 2])
