@@ -14,13 +14,21 @@ closed-form D-block eigenpairs, ``twomode.hd_spectrum`` and
 ``hd_eigenvectors``, agree with the LAPACK ones to roundoff and are tested
 against them.)
 
+H0 is diagonal in the Fock basis, so its phases change no |amplitude|: the
+occupation observables of ``run_series`` and the tail check are taken from
+exp(-i H t) psi(0) alone, and only ``evolve_full`` forms the free phases.
+The tail check and the observables read only the positions where the
+evolved state is nonzero at some time, and every observable is an exactly
+rounded sum (``math.fsum``).
+
 Evolution of the truncated model is unitary, so norms and the block labels
 (Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
 model tracks the infinite one is a separate question monitored through the
-state's tail fraction: models whose interactions pump quanta without bound
-(all four presets at large t) leave any fixed window, and runs probing
-conservation laws rather than asymptotic occupations should declare a lax
-``tail_tol``.
+state's tail fraction, the norm-squared share of the positions where some
+mode sits in the last 10% of its window (``FullModel.tail_tol``): models
+whose interactions pump quanta without bound (all four presets at large t)
+leave any fixed window, and runs probing conservation laws rather than
+asymptotic occupations should declare a lax ``tail_tol``.
 """
 
 import math
@@ -34,6 +42,7 @@ import scipy.sparse as sp
 from .errors import TruncationOverflowError
 from .jacobi import JacobiOperator, oracle_eigh
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
+from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep, StateVector
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
                       build_h_matrix, canonical_matrix, hd_block_jacobi,
@@ -92,6 +101,10 @@ class FullModel:
     ``interaction`` is a OneModeHamiltonian, a CanonicalInteraction, or a
     TwoModeHamiltonian (generic, eigendecomposed as one dense block; pass
     ``n_per_mode`` to fix its truncation).  ``omega`` has one entry per mode.
+    ``tail_tol`` bounds the evolved state's tail fraction at every time: the
+    norm-squared share of the positions where some mode's window index k
+    is at least ceil(0.9 n), n the levels per mode (k1 counts as well as
+    k0, unlike the flattened ``StateVector.tail_fraction``).
     """
 
     interaction: object
@@ -225,26 +238,47 @@ def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOpe
     )
 
 
-def _evolve_grid(model: FullModel, psi0: StateVector, times: np.ndarray):
-    """psi(t) = exp(-i H0 t) exp(-i H t) psi0 at every time of a 1-d grid,
-    from one spectral solve of the blocks psi0 occupies, with the tail
-    checked at each time in order."""
+def _evolve_grid(model: FullModel, psi0: StateVector, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) psi0 at every time of a 1-d grid, one row per time, from
+    one spectral solve of the blocks psi0 occupies; the free phases
+    exp(-i H0 t) are left out.  Raises TruncationOverflowError at the first
+    time whose tail fraction exceeds ``model.tail_tol``."""
     out = InteractionEvolver(model).apply(psi0.amplitudes, times)
-    total = sum(w * n for w, n in zip(model.omega, model.occupations()))
-    for t, amps in zip(times.tolist(), out):
-        amps *= np.exp(-1j * t * total)
-        result = StateVector(amps, sector=psi0.sector, tail_tol=model.tail_tol)
-        if result.tail_fraction() > model.tail_tol:
-            raise TruncationOverflowError(
-                f"tail fraction {result.tail_fraction():.2e} exceeds "
-                f"{model.tail_tol:.2e} at t = {t}; increase the truncation",
-                advised_n=None)
-        yield result
+    cols = np.flatnonzero(out.any(axis=0))
+    p = np.abs(out[:, cols]) ** 2
+    total = p.sum(axis=1)
+    tail = p[:, _tail_mask(model, cols)].sum(axis=1)
+    fractions = np.divide(tail, total, out=np.zeros_like(total), where=total > 0)
+    over = np.flatnonzero(fractions > model.tail_tol)
+    if over.size:
+        i = int(over[0])
+        raise TruncationOverflowError(
+            f"tail fraction {fractions[i]:.2e} exceeds "
+            f"{model.tail_tol:.2e} at t = {times[i].item()}; increase the truncation",
+            advised_n=None)
+    return out
+
+
+def _tail_mask(model: FullModel, cols: np.ndarray) -> np.ndarray:
+    """Which flattened positions ``cols`` have some mode's window index
+    k >= ceil(0.9 n), n the levels per mode."""
+    h = model.interaction
+    if isinstance(h, OneModeHamiltonian):
+        n, ks = h.sector.n_levels, (cols,)
+    else:
+        n = _two_mode_layout(model)[2]
+        ks = np.divmod(cols, n)
+    cut = max(1, math.ceil(0.9 * n))
+    return np.logical_or.reduce([k >= cut for k in ks])
 
 
 def evolve_full(model: FullModel, psi0: StateVector, t: float) -> StateVector:
-    """psi(t) = exp(-i H0 t) exp(-i H t) psi0, with tail monitoring."""
-    return next(_evolve_grid(model, psi0, np.array([float(t)])))
+    """psi(t) = exp(-i H0 t) exp(-i H t) psi0, with tail monitoring: the
+    interaction factor as in ``run_series``, then the free phases."""
+    amps = _evolve_grid(model, psi0, np.array([float(t)]))[0]
+    total = sum(w * n for w, n in zip(model.omega, model.occupations()))
+    amps *= np.exp(-1j * float(t) * total)
+    return StateVector(amps, sector=psi0.sector, tail_tol=model.tail_tol)
 
 
 @dataclass(frozen=True)
@@ -255,22 +289,42 @@ class ObservableRecord:
     norm: float
 
 
-def observables(psi: StateVector, model: FullModel) -> ObservableRecord:
-    """Mean occupations, variances and Fano factors per mode."""
-    p = np.abs(np.asarray(psi.amplitudes, dtype=complex)) ** 2
-    total = float(p.sum())
+def observables(psi: StateVector | np.ndarray,
+                model: FullModel) -> ObservableRecord | list[ObservableRecord]:
+    """Mean occupations, variances and Fano factors per mode.
+
+    ``psi`` is a StateVector (one record) or an (n_times, dim) array of
+    states, one per row (a list of records, one per row).  Only the columns
+    where some row is nonzero are read; each row's norm and its first and
+    second occupation moments per mode are exactly rounded sums
+    (``math.fsum``) of p = |amplitudes|^2 times 1, n_i and n_i^2.
+    """
+    single = isinstance(psi, StateVector)
+    amps = psi.amplitudes[None, :] if single else np.asarray(psi, dtype=complex)
+    if amps.ndim != 2:
+        raise ValueError("psi must be a StateVector or an (n_times, dim) array")
+    cols = np.flatnonzero(amps.any(axis=0))
+    ns = [occ[cols].astype(float) for occ in model.occupations()]
+    occs = [(n, n * n) for n in ns]
+    records = [_record(row, occs) for row in np.abs(amps[:, cols]) ** 2]
+    return records[0] if single else records
+
+
+def _record(p: np.ndarray, occs) -> ObservableRecord:
+    """Record of one state from its squared moduli p and the (n_i, n_i^2)
+    of every mode at the same positions, all sums exactly rounded."""
+    total = math.fsum(p.tolist())
     if total <= 0:
         raise ValueError("zero state")
     means, variances, fanos = [], [], []
-    for occ in model.occupations():
-        m1 = float((p * occ).sum()) / total
-        m2 = float((p * occ.astype(float) ** 2).sum()) / total
+    for n, n2 in occs:
+        m1 = math.fsum((p * n).tolist()) / total
+        m2 = math.fsum((p * n2).tolist()) / total
         var = max(m2 - m1 * m1, 0.0)
         means.append(m1)
         variances.append(var)
         fanos.append(var / m1 if m1 > 1e-12 else math.nan)
-    return ObservableRecord(tuple(means), tuple(variances), tuple(fanos),
-                            math.sqrt(total))
+    return ObservableRecord(tuple(means), tuple(variances), tuple(fanos), math.sqrt(total))
 
 
 @dataclass
@@ -286,32 +340,48 @@ def run_series(model: FullModel, psi0: StateVector, t_grid) -> ObservableSeries:
     The normalized psi0 is evolved to every time at once: one spectral solve
     per block it occupies (one per run for a one-mode or a generic
     interaction), whatever the grid length, then one product per block for
-    the whole grid.  The tail is checked and the observables taken per time.
+    the whole grid.  The free phases are not formed, since no occupation
+    observable sees them.  The tail of every time is checked in one pass,
+    and every record comes from one ``observables`` call on the grid.
     """
     times = np.asarray(t_grid, dtype=float).reshape(-1)
-    series = ObservableSeries([], [])
-    for t, psi_t in zip(times.tolist(), _evolve_grid(model, psi0.normalized(), times)):
-        rec = observables(psi_t, model)
-        series.times.append(t)
-        series.records.append(rec)
-        series.norm_errors.append(abs(rec.norm - 1.0))
-    return series
+    records = observables(_evolve_grid(model, psi0.normalized(), times), model)
+    return ObservableSeries(times.tolist(), records,
+                            [abs(rec.norm - 1.0) for rec in records])
 
 
 def interaction_energy(model: FullModel, psi: StateVector) -> float:
-    """<psi| H |psi> for the interaction factor (per the stripped state
-    exp(+i H0 t) psi(t), this is conserved along any run)."""
+    """<psi| H |psi> / <psi|psi> for the interaction factor (per the stripped
+    state exp(+i H0 t) psi(t), this is conserved along any run).
+
+    A canonical interaction is summed over the charge blocks psi occupies,
+    scale * sum_b psi_b^H J_b psi_b + offset * |psi|^2 with J_b the block's
+    Jacobi operator, and a one-mode one is the Jacobi quadratic form; neither
+    builds a matrix.  A generic two-mode interaction builds its dense matrix.
+    """
     h = model.interaction
     amps = np.asarray(psi.amplitudes, dtype=complex)
+    norm2 = np.vdot(amps, amps).real
     if isinstance(h, OneModeHamiltonian):
-        from .onemode import jacobi as onemode_jacobi
-        m = onemode_jacobi(h).dense(amps.size)
+        energy = _jacobi_form(onemode_jacobi(h), amps)
     elif isinstance(h, CanonicalInteraction):
-        m = h.matrix()
+        labels, blocks = _charge_partition(h)
+        form = 0.0
+        for q in np.unique(labels[np.flatnonzero(amps)]).tolist():
+            idx = blocks[q].indices
+            form += _jacobi_form(_charge_block_operator(h, q, idx.size), amps[idx])
+        energy = h.scale * form + h.offset * norm2
     else:
         n = int(round(math.sqrt(amps.size)))
-        m = build_h_matrix(h, n)
-    return float(np.vdot(amps, m @ amps).real / np.vdot(amps, amps).real)
+        energy = np.vdot(amps, build_h_matrix(h, n) @ amps).real
+    return float(energy / norm2)
+
+
+def _jacobi_form(op: JacobiOperator, x: np.ndarray) -> float:
+    """x^H J x for the truncation of the Jacobi operator J to x.size levels."""
+    d = op.diag_array(x.size)
+    e = op.offdiag_array(x.size)
+    return float(d @ (np.abs(x) ** 2) + 2.0 * (e @ (x[:-1].conj() * x[1:]).real))
 
 
 def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:

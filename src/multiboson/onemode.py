@@ -36,7 +36,7 @@ from .errors import TruncationOverflowError, UnsupportedCaseError
 from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigh, oracle_eigs
 from .orthopoly import (Laguerre, Meixner, MeixnerPollaczek, PolyFamily,
                         SpectralMeasure)
-from .rep import OneModeSector, StateVector
+from .rep import OneModeSector, StateVector, tail_fractions
 
 __all__ = [
     "OneModeHamiltonian",
@@ -242,12 +242,12 @@ def evolve(h: OneModeHamiltonian, psi0: StateVector, t):
             energies, vecs = oracle_eigh(jacobi(h), n=size)
             coeffs = vecs.T @ psi
         out = (np.exp(1j * ts * energies) * coeffs) @ vecs.T
-    results = []
-    for amps in out:
-        result = StateVector(amps, sector=psi0.sector, tail_tol=psi0.tail_tol)
-        if result.tail_fraction() > result.tail_tol:
-            raise TruncationOverflowError(
-                f"evolved tail fraction {result.tail_fraction():.2e} exceeds "
-                f"{result.tail_tol:.2e}; increase n_levels", advised_n=2 * size)
-        results.append(result)
+    tails = tail_fractions(out)
+    over = np.flatnonzero(tails > psi0.tail_tol)
+    if over.size:
+        raise TruncationOverflowError(
+            f"evolved tail fraction {tails[over[0]]:.2e} exceeds "
+            f"{psi0.tail_tol:.2e}; increase n_levels", advised_n=2 * size)
+    results = [StateVector(amps, sector=psi0.sector, tail_tol=psi0.tail_tol)
+               for amps in out]
     return results[0] if times.ndim == 0 else results

@@ -21,6 +21,7 @@ __all__ = [
     "MultibosonRep",
     "OneModeSector",
     "StateVector",
+    "tail_fractions",
     "residue",
     "alpha0",
     "alpha_minus",
@@ -161,6 +162,16 @@ def series_class(rep: MultibosonRep, r: int) -> str:
     return "other"
 
 
+def tail_fractions(amps) -> np.ndarray:
+    """Norm-squared share of the last 10% of positions (index >= ceil(0.9 n))
+    along the last axis of ``amps``, one value per row; 0 for a zero row."""
+    p = np.abs(np.asarray(amps)) ** 2
+    cut = max(1, int(math.ceil(0.9 * p.shape[-1])))
+    total = p.sum(axis=-1)
+    tail = p[..., cut:].sum(axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(total), where=total > 0)
+
+
 @dataclass
 class StateVector:
     """Complex amplitudes over a truncated basis, with tail bookkeeping.
@@ -191,12 +202,11 @@ class StateVector:
         return StateVector(self.amplitudes / nrm, self.sector, self.tail_tol)
 
     def tail_fraction(self) -> float:
-        n = self.amplitudes.size
-        cut = max(1, int(math.ceil(0.9 * n)))
-        total = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(self.amplitudes[cut:]) ** 2)) / total
+        """Norm-squared share of the last 10% of the flattened amplitudes
+        (``tail_fractions``).  On a two-mode product basis this covers only
+        the last tenth of k0; the evolution check (``FullModel.tail_tol``)
+        is the per-mode one."""
+        return float(tail_fractions(self.amplitudes))
 
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))

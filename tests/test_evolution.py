@@ -211,6 +211,65 @@ def test_tail_enforcement_raises():
         ev.evolve_full(model, psi0, 4.0)
 
 
+def test_tail_enforcement_covers_the_second_mode():
+    # from (0, 30) the C-form run moves mass up in k1 only: at t = 3 a
+    # quarter of it sits at k1 >= 36, the last tenth of mode 1's window,
+    # while the last tenth of the flattened vector (k0 >= 36) stays empty
+    model = ev.FullModel(ev.preset("HIV", 40).mapping, (1.0, 0.7), tail_tol=1e-8)
+    psi0 = ev.basis_state(model, (0, 30))
+    with pytest.raises(TruncationOverflowError, match="at t = 3.0"):
+        ev.evolve_full(model, psi0, 3.0)
+    with pytest.raises(TruncationOverflowError, match="at t = 3.0"):
+        ev.run_series(model, psi0, [0.0, 3.0, 4.0])
+    free = ev.FullModel(model.interaction, model.omega, tail_tol=math.inf)
+    out = ev.evolve_full(free, psi0, 3.0)
+    assert out.tail_fraction() == 0.0
+    mass = np.abs(out.amplitudes.reshape(40, 40)) ** 2
+    assert mass[:, 36:].sum() > 0.2
+
+
+def _superposition(n_amps, rng):
+    amps = np.zeros(n_amps, dtype=complex)
+    idx = rng.choice(n_amps, size=12, replace=False)
+    amps[idx] = rng.normal(size=12) + 1j * rng.normal(size=12)
+    return rep.StateVector(amps, tail_tol=math.inf)
+
+
+@pytest.mark.parametrize("kind", ["D", "C"])
+def test_canonical_interaction_energy_matches_dense(kind):
+    reps = TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(2, (0.5, 1.5)))
+    h = ev.CanonicalInteraction(kind, reps, (0, 1), 28, scale=1.3, offset=-0.4)
+    model = ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf)
+    psi = _superposition(28 * 28, np.random.default_rng(11))
+    amps = psi.amplitudes
+    ref = np.vdot(amps, h.matrix() @ amps).real / np.vdot(amps, amps).real
+    assert abs(ev.interaction_energy(model, psi) - ref) <= 1e-12 * abs(ref)
+
+
+def test_onemode_interaction_energy_matches_dense():
+    sec = rep.OneModeSector(rep.MultibosonRep(1, (0.7,)), 0, 28)
+    h = om.OneModeHamiltonian(2.0, 0.5, sec)
+    model = ev.FullModel(h, (1.0,), tail_tol=math.inf)
+    psi = _superposition(28, np.random.default_rng(12))
+    amps = psi.amplitudes
+    ref = np.vdot(amps, om.jacobi(h).dense() @ amps).real / np.vdot(amps, amps).real
+    assert abs(ev.interaction_energy(model, psi) - ref) <= 1e-12 * abs(ref)
+
+
+def test_interaction_energy_conserved_without_a_dense_matrix(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense n^2 x n^2 matrix built")
+
+    monkeypatch.setattr(ev, "canonical_matrix", dense)
+    model = _hiv_model(n=300)
+    psi0 = ev.basis_state(model, (2, 3))
+    e0 = ev.interaction_energy(model, psi0)
+    grid = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.5, 3.0, 6))
+    for row in grid:
+        e_t = ev.interaction_energy(model, rep.StateVector(row, tail_tol=math.inf))
+        assert abs(e_t - e0) <= 1e-9 * max(1.0, abs(e0))
+
+
 def test_generic_two_mode_dense_route_matches_canonical():
     reps = TwoModeRep(rep.MultibosonRep(1, (1.0,)), rep.MultibosonRep(1, (1.0,)))
     generic = TwoModeHamiltonian(reps, GroupElement(1.0, -1), GroupElement(1.0, 1),

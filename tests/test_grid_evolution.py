@@ -3,9 +3,13 @@
 ``run_series`` evolves the initial state to every time of the grid at once.
 It must agree with per-time ``evolve_full``, leave the blocks the state does
 not occupy exactly zero, and make the same number of spectral solves for a
-201-point grid as for a 3-point one: one per occupied block.
+201-point grid as for a 3-point one: one per occupied block.  Its records
+come from one batched ``observables`` call, which must equal per-state
+calls and exactly summed references bit for bit, and never see the free
+phases.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -236,3 +240,69 @@ def test_time_grid_must_be_one_dimensional():
     psi0 = _state(model, [(1, 1)]).amplitudes
     with pytest.raises(ValueError):
         ev.InteractionEvolver(model).apply(psi0, np.zeros((2, 2)))
+
+
+def _records_equal(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+               for f in ("means", "variances", "fanos", "norm"))
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_batched_observables_equal_per_state_observables(name, make):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    grid = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 1.5, 7))
+    records = ev.observables(grid, model)
+    assert len(records) == len(grid)
+    for row, rec in zip(grid, records):
+        assert _records_equal(rec, ev.observables(rep.StateVector(row), model))
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_run_series_does_not_see_the_free_phases(name, make):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    times = np.linspace(0.0, 1.5, 7)
+    free = dataclasses.replace(model, omega=(0.0,) * len(model.omega))
+    a, b = ev.run_series(model, psi0, times), ev.run_series(free, psi0, times)
+    assert a.norm_errors == b.norm_errors
+    assert all(_records_equal(x, y) for x, y in zip(a.records, b.records))
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_run_series_matches_exact_sums_over_the_full_basis(name, make):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    times = np.linspace(0.0, 1.5, 7)
+    series = ev.run_series(model, psi0, times)
+    grid = ev.InteractionEvolver(model).apply(psi0.normalized().amplitudes, times)
+    occs = [occ.astype(float) for occ in model.occupations()]
+    for row, rec in zip(np.abs(grid) ** 2, series.records):
+        total = math.fsum(row.tolist())
+        assert rec.norm == math.sqrt(total)
+        assert rec.means == tuple(math.fsum((row * n).tolist()) / total for n in occs)
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+@pytest.mark.parametrize("points", [3, 201])
+def test_run_series_takes_the_occupations_once(monkeypatch, name, make, points):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    calls = _count(monkeypatch, ev.FullModel, "occupations")
+    series = ev.run_series(model, psi0, np.linspace(0.0, 1.0, points))
+    assert len(series.records) == points
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind, cell", [("D", (150, 200)), ("C", (250, 100))])
+def test_canonical_run_series_at_n_per_mode_400(kind, cell):
+    r = rep.MultibosonRep(1, (1.0,))
+    h = ev.CanonicalInteraction(kind, tm.TwoModeRep(r, r), (0, 0), 400,
+                                scale=0.8, offset=0.3)
+    model = ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf)
+    q = cell[0] + cell[1] if kind == "D" else cell[0] - cell[1]
+    series = ev.run_series(model, ev.basis_state(model, cell), np.linspace(0.0, 2.0, 21))
+    assert max(series.norm_errors) <= 1e-10
+    sign = 1.0 if kind == "D" else -1.0
+    drift = max(abs(m0 + sign * m1 - q) for m0, m1 in (rec.means for rec in series.records))
+    assert drift <= 1e-8 * q

@@ -177,6 +177,17 @@ def test_state_vector():
     assert a.inner(b) == pytest.approx(1.0)
 
 
+def test_tail_fractions_one_value_per_row():
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=(4, 23)) + 1j * rng.normal(size=(4, 23))
+    amps[2] = 0.0
+    fractions = rep.tail_fractions(amps)
+    assert fractions.shape == (4,)
+    assert fractions[2] == 0.0
+    for row, f in zip(amps, fractions):
+        assert rep.StateVector(row).tail_fraction() == f
+
+
 def test_state_vector_accepts_strided_views():
     # a column of a (times, states) array is not contiguous
     grid = np.arange(12, dtype=complex).reshape(3, 4)
