@@ -3,10 +3,16 @@
 Subcommands: ``validate``, ``spectrum``, ``evolve``, ``coherent``.  A JSON
 config file (``--config``) supplies defaults; explicit flags override it.
 Exit codes: 0 success, 1 numerical/validation failure, 2 usage errors.
+
+The argparse tree is built once per process, on the first ``main`` call,
+and reused by every later call; ``parse_args`` returns a fresh namespace
+each time and every option defaults to None, so no state carries from one
+call to the next.  Callers must not mutate what ``build_parser()`` returns.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -127,6 +133,9 @@ def cmd_spectrum(args) -> int:
     results = {}
     diagnostics = {}
     if model == "onemode":
+        missing = [f"--{key}" for key in ("mu", "nu") if key not in cfg]
+        if missing:
+            raise ValueError(f"--model onemode needs {' and '.join(missing)}")
         l = int(cfg.get("l", 1))
         table = tuple(cfg.get("alpha0_table", [1.0] * l))
         sector = rep.OneModeSector(rep.MultibosonRep(l, table),
@@ -186,8 +195,10 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"unknown model {model!r}")
     payload = {"config": {"command": "spectrum", **cfg}, "version": __version__,
                "results": results, "diagnostics": diagnostics}
-    rows = [(k, json.dumps(v, sort_keys=True, default=_json_default), "")
-            for k, v in results.items()]
+    rows = None
+    if fmt == "csv":
+        rows = [(k, json.dumps(v, sort_keys=True, default=_json_default), "")
+                for k, v in results.items()]
     _emit(payload, fmt, args.out, rows, ("key", "value", ""))
     return 0
 
@@ -242,6 +253,9 @@ def cmd_coherent(args) -> int:
     zeta = complex(float(cfg.get("zeta_re", 1.0)), float(cfg.get("zeta_im", 0.0)))
     al = float(cfg.get("alpha0", 1.0))
     n = int(cfg.get("n_levels", 80))
+    k_max = int(cfg.get("k_max", 6))
+    if k_max < 0:
+        raise ValueError(f"--k-max must be >= 0, got {k_max}")
     state = coherent.coherent_amplitudes(zeta, al, n)
     sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
     _, am, _ = rep.sector_matrices(sector)
@@ -249,10 +263,10 @@ def cmd_coherent(args) -> int:
                   / state.norm())
     norm2 = state.norm() ** 2
     kern = coherent.kernel(abs(zeta) ** 2, al)
-    meas = coherent.radial_measure(al, k_checked=int(cfg.get("k_max", 6)))
+    meas = coherent.radial_measure(al, k_checked=k_max)
     moments = [{"k": k, "value": meas.moment(k), "target": meas.target_moment(k),
                 "rel_error": meas.moment_error(k)}
-               for k in range(int(cfg.get("k_max", 6)) + 1)]
+               for k in range(k_max + 1)]
     results = {
         "eigenstate_residual": resid,
         "norm_sq": norm2,
@@ -269,6 +283,7 @@ def cmd_coherent(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="multiboson",
                                 description="cluster-model spectra and evolution")

@@ -108,7 +108,12 @@ def kernel(z: complex, alpha0: float) -> complex:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Rotation-invariant weight w(rho) with dmu = w(rho) rho drho dphi."""
+    """Rotation-invariant weight w(rho) with dmu = w(rho) rho drho dphi.
+
+    The moments k = 0..``k_checked`` are computed once, at construction, and
+    checked against the moment identity; ``moment`` and ``moment_error``
+    read them back without a new quadrature.
+    """
 
     alpha0: float
     k_checked: int = 8
@@ -116,6 +121,11 @@ class RadialMeasure:
     def __post_init__(self):
         if self.alpha0 <= 0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if self.k_checked < 0:
+            raise ValueError(f"k_checked must be >= 0, got {self.k_checked}")
+        # the dataclass is frozen
+        object.__setattr__(self, "_moments", tuple(
+            self.moment(k, weight=self.weight) for k in range(self.k_checked + 1)))
         worst = max(self.moment_error(k) for k in range(self.k_checked + 1))
         if worst > 1e-6:
             raise NumericalFailureError(
@@ -137,7 +147,10 @@ class RadialMeasure:
         return rho ** a * kv(a, 2.0 * rho) / (2.0 * math.pi * math.exp(gammaln(a)))
 
     def moment(self, k: int, weight=None) -> float:
-        """integral rho^{2k} w(rho) 2 pi rho drho by quadrature."""
+        """integral rho^{2k} w(rho) 2 pi rho drho by quadrature; the stored
+        value for the shipped weight and 0 <= k <= ``k_checked``."""
+        if weight is None and 0 <= k <= self.k_checked:
+            return self._moments[k]
         w = self.weight if weight is None else weight
         f = lambda r: w(r) * r ** (2 * k) * 2.0 * math.pi * r
         val = 0.0

@@ -142,37 +142,33 @@ def _two_mode_layout(model: "FullModel") -> tuple[TwoModeRep, tuple[int, int], i
 
 @dataclass
 class _Block:
-    """One invariant block: flattened positions of its states (ascending k0),
-    and its energies and eigenvectors (columns, block coordinates) once solved."""
+    """One solved invariant block: flattened positions of its states
+    (ascending k0), its energies and its eigenvectors (columns, block
+    coordinates)."""
 
     indices: np.ndarray
-    energies: np.ndarray | None = None
-    vectors: np.ndarray | None = None
+    energies: np.ndarray
+    vectors: np.ndarray
 
 
 class InteractionEvolver:
     """Applies exp(-i H t) for the supported interaction kinds.
 
-    A two-mode interaction is held as invariant blocks keyed by a label,
-    and ``labels`` gives the label of every flattened position: the
+    A two-mode interaction is held as invariant blocks keyed by a label: the
     Manley-Rowe charge blocks of a canonical interaction, keyed by charge,
     or the whole truncated matrix of a generic one under label 0.  A
-    canonical block is eigendecomposed the first time a state has amplitude
-    in it, and the result is kept for later calls.
+    canonical block is built and eigendecomposed the first time a state has
+    amplitude in it, and the result is kept for later calls.
     """
 
     def __init__(self, model: FullModel):
         self.model = model
+        self.blocks: dict[int, _Block] = {}
         h = model.interaction
-        if isinstance(h, OneModeHamiltonian):
-            return
-        if isinstance(h, CanonicalInteraction):
-            self.labels, self.blocks = _charge_partition(h)
-        elif isinstance(h, TwoModeHamiltonian):
+        if isinstance(h, TwoModeHamiltonian):
             w, v = scipy.linalg.eigh(build_h_matrix(h, model.n_per_mode))
-            self.labels = np.zeros(w.size, dtype=np.intp)
-            self.blocks = {0: _Block(np.arange(w.size), w, v)}
-        else:
+            self.blocks[0] = _Block(np.arange(w.size), w, v)
+        elif not isinstance(h, (OneModeHamiltonian, CanonicalInteraction)):
             raise TypeError(f"unsupported interaction {type(h).__name__}")
 
     def apply(self, psi: np.ndarray, t) -> np.ndarray:
@@ -190,7 +186,10 @@ class InteractionEvolver:
             out = np.stack([s.amplitudes for s in evolve_onemode(h, sv, -ts)])
         else:
             out = np.zeros((ts.size, psi.size), dtype=complex)
-            for label in np.unique(self.labels[np.flatnonzero(psi)]).tolist():
+            nonzero = np.flatnonzero(psi)
+            labels = (_charges(h, nonzero) if isinstance(h, CanonicalInteraction)
+                      else np.zeros(nonzero.size, dtype=np.intp))
+            for label in np.unique(labels).tolist():
                 blk = self._solved(label)
                 coeff = blk.vectors.T @ psi[blk.indices]
                 phases = np.exp(-1j * ts[:, None] * blk.energies)
@@ -198,25 +197,30 @@ class InteractionEvolver:
         return out[0] if times.ndim == 0 else out
 
     def _solved(self, label: int) -> _Block:
-        blk = self.blocks[label]
-        if blk.vectors is None:
+        blk = self.blocks.get(label)
+        if blk is None:
             h = self.model.interaction
-            w, blk.vectors = oracle_eigh(_charge_block_operator(h, label, blk.indices.size))
-            blk.energies = h.scale * w + h.offset
+            idx = _charge_block_indices(h, label)
+            w, v = oracle_eigh(_charge_block_operator(h, label, idx.size))
+            blk = self.blocks[label] = _Block(idx, h.scale * w + h.offset, v)
         return blk
 
 
-def _charge_partition(h: CanonicalInteraction) -> tuple[np.ndarray, dict[int, _Block]]:
-    """Manley-Rowe charge of every flattened position, and the unsolved
-    charge blocks by charge."""
+def _charges(h: CanonicalInteraction, positions: np.ndarray) -> np.ndarray:
+    """Manley-Rowe charge k0 + k1 (D-form) or k0 - k1 (C-form) of each
+    flattened position."""
+    k0, k1 = np.divmod(positions, h.n_per_mode)
+    return k0 + k1 if h.kind == "D" else k0 - k1
+
+
+def _charge_block_indices(h: CanonicalInteraction, q: int) -> np.ndarray:
+    """Flattened positions k0 n + k1 of the charge-q block, ascending in k0."""
     n = h.n_per_mode
-    k0, k1 = np.divmod(np.arange(n * n), n)
-    charge = k0 + k1 if h.kind == "D" else k0 - k1
-    # a stable sort keeps each block in ascending flattened index, i.e. k0
-    order = np.argsort(charge, kind="stable")
-    qs, starts = np.unique(charge[order], return_index=True)
-    return charge, {int(q): _Block(idx)
-                    for q, idx in zip(qs, np.split(order, starts[1:]))}
+    if h.kind == "D":
+        k0 = np.arange(max(0, q - n + 1), min(q, n - 1) + 1)
+        return k0 * n + q - k0
+    k0 = np.arange(max(0, q), min(n - 1, n - 1 + q) + 1)
+    return k0 * n + k0 - q
 
 
 def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOperator:
@@ -365,10 +369,9 @@ def interaction_energy(model: FullModel, psi: StateVector) -> float:
     if isinstance(h, OneModeHamiltonian):
         energy = _jacobi_form(onemode_jacobi(h), amps)
     elif isinstance(h, CanonicalInteraction):
-        labels, blocks = _charge_partition(h)
         form = 0.0
-        for q in np.unique(labels[np.flatnonzero(amps)]).tolist():
-            idx = blocks[q].indices
+        for q in np.unique(_charges(h, np.flatnonzero(amps))).tolist():
+            idx = _charge_block_indices(h, q)
             form += _jacobi_form(_charge_block_operator(h, q, idx.size), amps[idx])
         energy = h.scale * form + h.offset * norm2
     else:

@@ -3,10 +3,21 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from multiboson.cli import main
+from multiboson.cli import build_parser, main
+
+# reference ``spectrum`` output, byte for byte, keyed "<model> <format>"
+GOLDEN = json.loads((Path(__file__).parent / "data" / "spectrum_golden.json").read_text())
+GOLDEN_ARGV = {
+    "onemode": ["--model", "onemode", "--mu", "4", "--nu", "1",
+                "--n-levels", "200", "--count", "3"],
+    "two-d": ["--model", "two-d", "--K", "3", "--alpha0", "1.5", "--beta0", "0.5"],
+    "two-c": ["--model", "two-c", "--K", "0", "--alpha0", "4.5", "--beta0", "0.5",
+              "--n-levels", "200"],
+}
 
 
 def _run(capsys, *argv):
@@ -69,6 +80,48 @@ def test_spectrum_count_zero_usage_error(capsys):
                         "--nu", "1", "--count", "0")
     assert code == 2
     assert "count" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--model", "onemode", "--nu", "1"], "--mu"),
+    (["spectrum", "--model", "onemode", "--mu", "4"], "--nu"),
+    (["coherent", "--k-max", "-1"], "--k-max"),
+])
+def test_usage_error_names_the_flag(capsys, argv, flag):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert flag in err
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_ARGV))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_output_matches_golden(capsys, model, fmt):
+    code, out, _ = _run(capsys, "spectrum", *GOLDEN_ARGV[model], "--format", fmt)
+    assert code == 0
+    assert out == GOLDEN[f"{model} {fmt}"]
+
+
+def test_parser_built_once_per_process(capsys):
+    assert build_parser() is build_parser()
+    _run(capsys, "spectrum", "--model", "two-d", "--K", "1")
+    _run(capsys, "spectrum", "--model", "two-d", "--K", "2")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_back_to_back_calls_do_not_leak_state(capsys):
+    onemode = ("spectrum", "--model", "onemode", "--mu", "4", "--nu", "1")
+    code, out, _ = _run(capsys, *onemode, "--count", "3")
+    assert code == 0 and len(json.loads(out)["results"]["atoms"]) == 3
+    code, out, _ = _run(capsys, *onemode)
+    assert code == 0 and len(json.loads(out)["results"]["atoms"]) == 8
+    code, out, _ = _run(capsys, *onemode, "--format", "csv")
+    assert code == 0 and out.startswith("key,value,")
+    code, out, _ = _run(capsys, *onemode)
+    assert code == 0 and "format" not in json.loads(out)["config"]
+    code, _, _ = _run(capsys, "spectrum", "--model", "bogus")
+    assert code == 2
+    code, _, _ = _run(capsys, *onemode)
+    assert code == 0
 
 
 def test_spectrum_onemode_continuum(capsys, tmp_path):

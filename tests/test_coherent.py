@@ -66,6 +66,31 @@ def test_radial_measure_moments():
     assert m.target_moment(5) == pytest.approx(86400.0, rel=1e-12)
 
 
+def test_radial_measure_computes_each_moment_once(monkeypatch):
+    calls = []
+    quad = ch.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "quad", counting_quad)
+    m = ch.radial_measure(2.0, k_checked=6)
+    for k in range(7):
+        m.moment(k)
+        m.moment_error(k)
+    # four breakpoint pieces per moment, k = 0..6, all at construction
+    assert len(calls) == 28
+    monkeypatch.undo()
+    for k in range(7):
+        assert m.moment(k) == m.moment(k, weight=m.weight)
+
+
+def test_radial_measure_rejects_negative_k_checked():
+    with pytest.raises(ValueError, match="k_checked"):
+        ch.radial_measure(1.0, k_checked=-1)
+
+
 def test_radial_measure_reference_weight_fails_moments():
     # the reference weight (both indices one unit up) overshoots the k-th
     # moment by exactly (alpha0 + k) / 4: demonstrably k-dependent, so no

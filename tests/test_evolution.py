@@ -192,6 +192,21 @@ def test_dform_run_series_conserves_high_charge_blocks(q):
         assert drift <= 1e-8 * q
 
 
+@pytest.mark.parametrize("kind", ["D", "C"])
+def test_charge_block_indices_match_sorted_partition(kind):
+    n = 7
+    r1 = rep.MultibosonRep(1, (1.0,))
+    h = ev.CanonicalInteraction(kind, TwoModeRep(r1, r1), (0, 0), n)
+    k0, k1 = np.divmod(np.arange(n * n), n)
+    charge = k0 + k1 if kind == "D" else k0 - k1
+    # a stable sort keeps each block in ascending flattened index, i.e. k0
+    order = np.argsort(charge, kind="stable")
+    qs, starts = np.unique(charge[order], return_index=True)
+    for q, ref in zip(qs.tolist(), np.split(order, starts[1:])):
+        assert np.array_equal(ev._charge_block_indices(h, q), ref)
+        assert np.array_equal(ev._charges(h, ref), np.full(ref.size, q))
+
+
 def test_interaction_energy_conserved():
     model = _hiv_model(n=28)
     psi0 = ev.basis_state(model, (1, 2))
