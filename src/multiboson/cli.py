@@ -239,12 +239,21 @@ def cmd_evolve(args) -> int:
 
 
 def _parse_times(arg) -> list[float]:
-    if isinstance(arg, (list, tuple)):
-        return [float(t) for t in arg]
-    if ":" in str(arg):
-        lo, hi, num = str(arg).split(":")
-        return np.linspace(float(lo), float(hi), int(num)).tolist()
-    return [float(t) for t in str(arg).split(",")]
+    """The evolve time grid: a list, "lo:hi:num" (num evenly spaced times)
+    or comma-separated times.  A grid must hold at least one time."""
+    try:
+        if isinstance(arg, (list, tuple)):
+            times = [float(t) for t in arg]
+        elif ":" in str(arg):
+            lo, hi, num = str(arg).split(":")
+            times = np.linspace(float(lo), float(hi), max(int(num), 0)).tolist()
+        else:
+            times = [float(t) for t in str(arg).split(",")]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"--times {arg!r} is not a time grid: {exc}") from None
+    if not times:
+        raise ValueError(f"--times {arg!r} holds no times; give at least one")
+    return times
 
 
 def cmd_coherent(args) -> int:

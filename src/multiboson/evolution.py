@@ -14,12 +14,22 @@ closed-form D-block eigenpairs, ``twomode.hd_spectrum`` and
 ``hd_eigenvectors``, agree with the LAPACK ones to roundoff and are tested
 against them.)
 
+An evolved state is carried as the pair (indices, amplitudes): the
+ascending flattened positions of the blocks it occupies and its amplitudes
+there, one row per time (``InteractionEvolver.apply``).  A one-mode or a
+generic interaction is one block over the whole basis; a canonical state
+lives on a few charge blocks of at most n positions each, out of n^2.  The
+tail check and the observables read only those positions, and only
+``evolve_full`` scatters the pair into a full ``StateVector``.
+
 H0 is diagonal in the Fock basis, so its phases change no |amplitude|: the
 occupation observables of ``run_series`` and the tail check are taken from
 exp(-i H t) psi(0) alone, and only ``evolve_full`` forms the free phases.
-The tail check and the observables read only the positions where the
-evolved state is nonzero at some time, and every observable is an exactly
-rounded sum (``math.fsum``).
+Every observable is an exactly rounded sum, equal bit for bit to
+``math.fsum`` of the same float64 terms, for the whole grid at once: an
+extended-precision sum is accepted where a rounding certificate proves it
+rounds to the exact value, and ``math.fsum`` takes the other rows
+(``_exact_sums``).
 
 Evolution of the truncated model is unitary, so norms and the block labels
 (Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
@@ -119,15 +129,17 @@ class FullModel:
         if isinstance(self.interaction, TwoModeHamiltonian) and self.n_per_mode is None:
             raise ValueError("a generic two-mode interaction needs n_per_mode")
 
-    def occupations(self) -> list[np.ndarray]:
-        """Physical occupation numbers per mode over the flattened basis."""
+    def occupations(self, positions: np.ndarray | None = None) -> list[np.ndarray]:
+        """Physical occupation numbers per mode at the flattened basis
+        ``positions`` (an integer array; None reads the whole basis)."""
         h = self.interaction
         if isinstance(h, OneModeHamiltonian):
             s = h.sector
-            k = np.arange(s.n_levels)
+            k = np.arange(s.n_levels) if positions is None else np.asarray(positions)
             return [k * s.rep.l + s.r]
         reps, (r0, r1), n = _two_mode_layout(self)
-        k0, k1 = np.divmod(np.arange(n * n), n)
+        flat = np.arange(n * n) if positions is None else np.asarray(positions)
+        k0, k1 = np.divmod(flat, n)
         return [k0 * reps.rep0.l + r0, k1 * reps.rep1.l + r1]
 
 
@@ -171,10 +183,16 @@ class InteractionEvolver:
         elif not isinstance(h, (OneModeHamiltonian, CanonicalInteraction)):
             raise TypeError(f"unsupported interaction {type(h).__name__}")
 
-    def apply(self, psi: np.ndarray, t) -> np.ndarray:
-        """exp(-i H t) psi at a time t (a vector), or at every time of a
-        1-d array t (an (n_times, dim) array).  Only the blocks where psi is
-        nonzero are solved and applied; the others stay exactly zero."""
+    def apply(self, psi: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        """exp(-i H t) psi as the pair (indices, amplitudes).
+
+        ``indices`` are the ascending flattened positions of the blocks
+        where psi is nonzero (the whole basis for a one-mode or a generic
+        interaction); ``amplitudes`` holds the evolved state there, shape
+        (m,) at a scalar t, or (n_times, m) with one row per time of a 1-d
+        array t.  Every other position stays exactly zero and is not stored.
+        Only the occupied blocks are solved and applied.
+        """
         h = self.model.interaction
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(t, dtype=float)
@@ -183,18 +201,21 @@ class InteractionEvolver:
         ts = np.atleast_1d(times)
         if isinstance(h, OneModeHamiltonian):
             sv = StateVector(psi, sector=h.sector, tail_tol=math.inf)
+            indices = np.arange(psi.size)
             out = np.stack([s.amplitudes for s in evolve_onemode(h, sv, -ts)])
         else:
-            out = np.zeros((ts.size, psi.size), dtype=complex)
             nonzero = np.flatnonzero(psi)
             labels = (_charges(h, nonzero) if isinstance(h, CanonicalInteraction)
                       else np.zeros(nonzero.size, dtype=np.intp))
-            for label in np.unique(labels).tolist():
-                blk = self._solved(label)
+            blocks = [self._solved(label) for label in np.unique(labels).tolist()]
+            indices = (np.sort(np.concatenate([blk.indices for blk in blocks])) if blocks
+                       else np.zeros(0, dtype=np.intp))
+            out = np.empty((ts.size, indices.size), dtype=complex)
+            for blk in blocks:
                 coeff = blk.vectors.T @ psi[blk.indices]
                 phases = np.exp(-1j * ts[:, None] * blk.energies)
-                out[:, blk.indices] = (phases * coeff) @ blk.vectors.T
-        return out[0] if times.ndim == 0 else out
+                out[:, np.searchsorted(indices, blk.indices)] = (phases * coeff) @ blk.vectors.T
+        return indices, (out[0] if times.ndim == 0 else out)
 
     def _solved(self, label: int) -> _Block:
         blk = self.blocks.get(label)
@@ -242,16 +263,17 @@ def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOpe
     )
 
 
-def _evolve_grid(model: FullModel, psi0: StateVector, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) psi0 at every time of a 1-d grid, one row per time, from
-    one spectral solve of the blocks psi0 occupies; the free phases
+def _evolve_grid(model: FullModel, psi0: np.ndarray,
+                 times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i H t) psi0 at every time of a 1-d grid, as the pair (indices,
+    (n_times, m) amplitudes) of ``InteractionEvolver.apply``, from one
+    spectral solve of the blocks psi0 occupies; the free phases
     exp(-i H0 t) are left out.  Raises TruncationOverflowError at the first
     time whose tail fraction exceeds ``model.tail_tol``."""
-    out = InteractionEvolver(model).apply(psi0.amplitudes, times)
-    cols = np.flatnonzero(out.any(axis=0))
-    p = np.abs(out[:, cols]) ** 2
+    indices, amps = InteractionEvolver(model).apply(psi0, times)
+    p = np.abs(amps) ** 2
     total = p.sum(axis=1)
-    tail = p[:, _tail_mask(model, cols)].sum(axis=1)
+    tail = p[:, _tail_mask(model, indices)].sum(axis=1)
     fractions = np.divide(tail, total, out=np.zeros_like(total), where=total > 0)
     over = np.flatnonzero(fractions > model.tail_tol)
     if over.size:
@@ -260,7 +282,7 @@ def _evolve_grid(model: FullModel, psi0: StateVector, times: np.ndarray) -> np.n
             f"tail fraction {fractions[i]:.2e} exceeds "
             f"{model.tail_tol:.2e} at t = {times[i].item()}; increase the truncation",
             advised_n=None)
-    return out
+    return indices, amps
 
 
 def _tail_mask(model: FullModel, cols: np.ndarray) -> np.ndarray:
@@ -278,11 +300,13 @@ def _tail_mask(model: FullModel, cols: np.ndarray) -> np.ndarray:
 
 def evolve_full(model: FullModel, psi0: StateVector, t: float) -> StateVector:
     """psi(t) = exp(-i H0 t) exp(-i H t) psi0, with tail monitoring: the
-    interaction factor as in ``run_series``, then the free phases."""
-    amps = _evolve_grid(model, psi0, np.array([float(t)]))[0]
-    total = sum(w * n for w, n in zip(model.omega, model.occupations()))
-    amps *= np.exp(-1j * float(t) * total)
-    return StateVector(amps, sector=psi0.sector, tail_tol=model.tail_tol)
+    interaction factor as in ``run_series``, then the free phases at the
+    occupied positions, scattered into a full StateVector."""
+    indices, amps = _evolve_grid(model, psi0.amplitudes, np.array([float(t)]))
+    total = sum(w * n for w, n in zip(model.omega, model.occupations(indices)))
+    out = np.zeros(psi0.amplitudes.size, dtype=complex)
+    out[indices] = amps[0] * np.exp(-1j * float(t) * total)
+    return StateVector(out, sector=psi0.sector, tail_tol=model.tail_tol)
 
 
 @dataclass(frozen=True)
@@ -293,42 +317,82 @@ class ObservableRecord:
     norm: float
 
 
-def observables(psi: StateVector | np.ndarray,
+def observables(psi: StateVector | tuple[np.ndarray, np.ndarray],
                 model: FullModel) -> ObservableRecord | list[ObservableRecord]:
     """Mean occupations, variances and Fano factors per mode.
 
-    ``psi`` is a StateVector (one record) or an (n_times, dim) array of
-    states, one per row (a list of records, one per row).  Only the columns
-    where some row is nonzero are read; each row's norm and its first and
-    second occupation moments per mode are exactly rounded sums
-    (``math.fsum``) of p = |amplitudes|^2 times 1, n_i and n_i^2.
+    ``psi`` is a StateVector (one record, read at its nonzero positions) or
+    the pair (indices, amplitudes) of ``InteractionEvolver.apply``: one
+    record for (m,) amplitudes, a list of records, one per row, for
+    (n_times, m).  Only the positions ``indices`` are read
+    (``FullModel.occupations(indices)``).  Each row's norm and its first
+    and second occupation moments per mode are exactly rounded sums, bit
+    for bit ``math.fsum``, of p = |amplitudes|^2 times 1, n_i and n_i^2.
     """
-    single = isinstance(psi, StateVector)
-    amps = psi.amplitudes[None, :] if single else np.asarray(psi, dtype=complex)
-    if amps.ndim != 2:
-        raise ValueError("psi must be a StateVector or an (n_times, dim) array")
-    cols = np.flatnonzero(amps.any(axis=0))
-    ns = [occ[cols].astype(float) for occ in model.occupations()]
-    occs = [(n, n * n) for n in ns]
-    records = [_record(row, occs) for row in np.abs(amps[:, cols]) ** 2]
+    if isinstance(psi, StateVector):
+        indices = np.flatnonzero(psi.amplitudes)
+        amps = psi.amplitudes[indices]
+    elif isinstance(psi, tuple):
+        indices, amps = psi
+    else:
+        raise TypeError("psi must be a StateVector or an (indices, amplitudes) pair")
+    single = np.ndim(amps) == 1
+    p = np.abs(np.atleast_2d(amps)) ** 2
+    if p.ndim != 2:
+        raise ValueError("amplitudes must have shape (m,) or (n_times, m)")
+    total = _exact_sums(p)
+    if not (total > 0).all():
+        raise ValueError("zero state")
+    means, variances, fanos = [], [], []
+    for occ in model.occupations(indices):
+        n = occ.astype(float)
+        m1 = _exact_sums(p * n) / total
+        m2 = _exact_sums(p * (n * n)) / total
+        var = np.maximum(m2 - m1 * m1, 0.0)
+        means.append(m1.tolist())
+        variances.append(var.tolist())
+        fanos.append(np.divide(var, m1, out=np.full_like(var, math.nan),
+                               where=m1 > 1e-12).tolist())
+    records = [ObservableRecord(*fields, norm)
+               for *fields, norm in zip(zip(*means), zip(*variances), zip(*fanos),
+                                        np.sqrt(total).tolist())]
     return records[0] if single else records
 
 
-def _record(p: np.ndarray, occs) -> ObservableRecord:
-    """Record of one state from its squared moduli p and the (n_i, n_i^2)
-    of every mode at the same positions, all sums exactly rounded."""
-    total = math.fsum(p.tolist())
-    if total <= 0:
-        raise ValueError("zero state")
-    means, variances, fanos = [], [], []
-    for n, n2 in occs:
-        m1 = math.fsum((p * n).tolist()) / total
-        m2 = math.fsum((p * n2).tolist()) / total
-        var = max(m2 - m1 * m1, 0.0)
-        means.append(m1)
-        variances.append(var)
-        fanos.append(var / m1 if m1 > 1e-12 else math.nan)
-    return ObservableRecord(tuple(means), tuple(variances), tuple(fanos), math.sqrt(total))
+# the wide type of _exact_sums: 80-bit extended on x86 Linux builds, float64
+# where numpy has no wider type (then every row of more than one term takes
+# math.fsum)
+_WIDE = np.longdouble
+
+
+def _exact_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-d array of nonnegative float64 values,
+    exactly rounded: bit for bit ``math.fsum`` of the row.
+
+    The rows are summed in ``_WIDE`` by halving the columns, so each term
+    passes through at most d = ceil(log2 m) rounded additions.  No term is
+    negative, so the wide sum S differs from the exact sum s by at most
+    ((1 + u)^d - 1) s, u the unit roundoff of ``_WIDE`` (its arithmetic
+    rounds to nearest at full precision), and 2 d u S bounds that.  The
+    float64 rounding r of S is the rounding of s when |S - r| plus the bound
+    is below half the smaller of r's two float64 spacings: s then lies
+    strictly inside r's rounding interval, off any tie.  The other rows take
+    ``math.fsum``.
+    """
+    m = x.shape[1]
+    wide = x.astype(_WIDE)
+    width = m
+    while width > 1:
+        half = width // 2
+        wide[:, :half] += wide[:, width - half:width]
+        width -= half
+    s = wide[:, 0] if m else np.zeros(x.shape[0], dtype=_WIDE)   # m = 0: a zero state
+    out = s.astype(np.float64)
+    spacing = np.minimum(out - np.nextafter(out, -np.inf), np.nextafter(out, np.inf) - out)
+    bound = (m - 1).bit_length() * np.finfo(_WIDE).eps * s   # 2 d u S
+    for i in np.flatnonzero(~(abs(s - out) + bound < spacing / 2)).tolist():
+        out[i] = math.fsum(x[i].tolist())
+    return out
 
 
 @dataclass
@@ -344,12 +408,18 @@ def run_series(model: FullModel, psi0: StateVector, t_grid) -> ObservableSeries:
     The normalized psi0 is evolved to every time at once: one spectral solve
     per block it occupies (one per run for a one-mode or a generic
     interaction), whatever the grid length, then one product per block for
-    the whole grid.  The free phases are not formed, since no occupation
-    observable sees them.  The tail of every time is checked in one pass,
-    and every record comes from one ``observables`` call on the grid.
+    the whole grid.  The state is carried as (indices, amplitudes) over the
+    occupied blocks, so nothing of size n_times x n^2 is formed.  The free
+    phases are not formed, since no occupation observable sees them.  The
+    tail of every time is checked in one pass, and every record comes from
+    one ``observables`` call on the pair: certified exact sums over the
+    block positions.
     """
     times = np.asarray(t_grid, dtype=float).reshape(-1)
-    records = observables(_evolve_grid(model, psi0.normalized(), times), model)
+    # a unit-norm state is evolved as it is: dividing by 1.0 changes no bit,
+    # and skipping it spares a copy of the whole basis
+    psi = psi0.amplitudes if psi0.norm() == 1.0 else psi0.normalized().amplitudes
+    records = observables(_evolve_grid(model, psi, times), model)
     return ObservableSeries(times.tolist(), records,
                             [abs(rec.norm - 1.0) for rec in records])
 

@@ -1,12 +1,14 @@
 """Cross-module invariant suite behind the ``validate`` CLI command.
 
-Each check returns a measured deviation and its tolerance.  The suite
+Each check returns a measured deviation and its tolerance, and the wall
+time of the section of ``run_all`` that produced it.  The suite
 doubles as the machine-readable face of the test suite's acceptance
 criteria: every closed form is held against an independent matrix oracle.
 """
 
 import math
 from dataclasses import dataclass, asdict
+from time import perf_counter
 
 import numpy as np
 
@@ -24,6 +26,7 @@ class CheckResult:
     passed: bool
     expected_fail: bool = False
     note: str = ""
+    seconds: float = 0.0   # wall time of the run_all section behind the check
 
     def status(self) -> str:
         if self.passed:
@@ -39,6 +42,22 @@ class CheckResult:
 def _check(name, deviation, tolerance, expected_fail=False, note=""):
     return CheckResult(name, float(deviation), float(tolerance),
                        bool(deviation <= tolerance), expected_fail, note)
+
+
+class _SectionTimer:
+    """Stamps each check with the wall time of its ``run_all`` section: a
+    section ends at a ``lap`` call and begins at the previous one."""
+
+    def __init__(self, results: list[CheckResult]):
+        self.results = results
+        self.done = 0
+        self.start = perf_counter()
+
+    def lap(self):
+        now = perf_counter()
+        for r in self.results[self.done:]:
+            r.seconds = now - self.start
+        self.done, self.start = len(self.results), now
 
 
 def _commutator_residual(l: int, table: tuple[float, ...], n: int) -> float:
@@ -96,6 +115,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
     """Run the invariant suite; returns a list of CheckResult."""
     rng = np.random.default_rng(20240817)
     out = []
+    timer = _SectionTimer(out)
 
     # ladder algebra and Casimir
     dev_c = dev_d = dev_cas = 0.0
@@ -108,6 +128,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
     out.append(_check("rep.commutators.interior", dev_c, 1e-10))
     out.append(_check("rep.difference_equations", dev_d, 1e-10))
     out.append(_check("rep.casimir.sector_scalar", dev_cas, 1e-10))
+    timer.lap()
 
     # Casimir invariance under random generator actions
     r1 = rep.MultibosonRep(1, (1.3,))
@@ -125,6 +146,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         worst = max(worst, np.abs(cas[:interior, :interior]
                                   - rep.casimir_value(r1, 0) * np.eye(interior)).max())
     out.append(_check("bogoliubov.casimir_invariance", worst, 1e-9))
+    timer.lap()
 
     # group homomorphism and structure constants
     f = bogoliubov.structure_constants()
@@ -143,6 +165,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         dev_s = max(dev_s, np.abs(lhs - rhs).max())
     out.append(_check("bogoliubov.homomorphism", dev_h, 1e-12))
     out.append(_check("bogoliubov.structure_constants", dev_s, 1e-12))
+    timer.lap()
 
     # implementing unitaries
     n = 160 if quick else 240
@@ -167,6 +190,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
                         (u @ xs[i] @ u.T - img)[:ii, :ii]).max())
     out.append(_check("bogoliubov.implementer_unitarity", dev_u, 1e-8))
     out.append(_check("bogoliubov.implementer_conjugation", dev_cj, 1e-7))
+    timer.lap()
 
     # one-mode diagonal case
     sec = rep.OneModeSector(rep.MultibosonRep(1, (2.0,)), 0, 40)
@@ -175,6 +199,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
     expected = -3.0 * (2 * np.arange(40) + 2.0)
     out.append(_check("onemode.case9.diagonal_spectrum",
                       np.abs(atoms - expected).max(), 1e-12))
+    timer.lap()
 
     # one-mode Meixner case vs oracle
     sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
@@ -188,6 +213,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         v = onemode.eigenvectors_discrete(h5, m).amplitudes.real
         worst = max(worst, 1.0 - abs(float(np.dot(v, vecs[:, m]))))
     out.append(_check("onemode.case5.eigenvector_overlap", worst, 1e-8))
+    timer.lap()
 
     # finite two-mode blocks: closed form vs oracle, under both conventions
     dev = _hd_closed_vs_oracle("operator-derived")
@@ -206,6 +232,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         out.append(_check("twomode.hd.regression_pin_gap",
                           0.1, gap,
                           note="shifted b_k variant must stay wrong by >= 0.1"))
+    timer.lap()
 
     # dual Hahn eigenvector overlaps
     worst = 0.0
@@ -215,6 +242,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         v = twomode.hd_eigenvectors(blk, m).amplitudes.real
         worst = max(worst, 1.0 - abs(float(np.dot(v, vv[:, m]))))
     out.append(_check("twomode.hd.eigenvector_overlap", worst, 1e-9))
+    timer.lap()
 
     # C-form bound state
     nlev = 2000 if quick else 4000
@@ -230,6 +258,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
     out.append(_check("twomode.hc.continuum_edge",
                       float(chk.top_full[-2]), 0.005,
                       note="second eigenvalue must stay below the continuum edge"))
+    timer.lap()
 
     # orthonormality suites
     dev_d = max(orthopoly.gram_check(orthopoly.DualHahn(0.0, 0.0, 3), 3),
@@ -242,6 +271,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
                        orthopoly.gram_check(orthopoly.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
                        orthopoly.gram_check(orthopoly.ContinuousDualHahn(0.5, 0.5, 1.0), 8))
     out.append(_check("orthopoly.gram.continuous", dev_cont, 1e-7))
+    timer.lap()
 
     # coherent states
     worst = 0.0
@@ -261,6 +291,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         worst = max(worst, max(m.moment_error(k)
                                for k in range(5 if quick else 11)))
     out.append(_check("coherent.measure_moments", worst, 1e-6))
+    timer.lap()
 
     # disc-model flow
     worst_det = worst_law = 0.0
@@ -274,6 +305,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
             worst_law = max(worst_law, abs(prod.a - gts.a), abs(prod.b - gts.b))
     out.append(_check("coherent.su11_determinant", worst_det, 1e-12))
     out.append(_check("coherent.su11_group_law", worst_law, 1e-10))
+    timer.lap()
 
     # preset equivalence and conservation laws
     pm = evolution.preset("HIV", 40)
@@ -290,6 +322,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
                       max(abs(v + 1.0) for v in mr), 1e-8))
     out.append(_check("evolution.norm_drift", max(series.norm_errors), 1e-10))
 
+    timer.lap()
     return out
 
 
@@ -298,7 +331,7 @@ def format_report(results) -> str:
     width = max(len(r.name) for r in results)
     for r in results:
         lines.append(f"{r.name:<{width}}  dev={r.deviation:.3e}  "
-                     f"tol={r.tolerance:.1e}  {r.status()}"
+                     f"tol={r.tolerance:.1e}  {r.seconds:7.3f}s  {r.status()}"
                      + (f"  [{r.note}]" if r.note else ""))
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,26 @@ def test_validate_printed_convention_expected_fail(capsys, tmp_path):
     assert len(rows) == 1
     assert rows[0]["status"] == "EXPECTED-FAIL"
     assert rows[0]["expected_fail"] is True
+
+
+def test_validate_times_each_section(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    code, out, _ = _run(capsys, "validate", "--quick", "--out", str(out_path))
+    wall = time.perf_counter() - t0
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+    seconds = {name: r["seconds"] for name, r in rows.items()}
+    assert all(s >= 0.0 for s in seconds.values())
+    # checks of one section share its time, and the sections add up to no
+    # more than the run
+    assert seconds["rep.commutators.interior"] == seconds["rep.casimir.sector_scalar"]
+    assert seconds["twomode.hc.uvw"] == seconds["twomode.hc.continuum_edge"]
+    assert seconds["twomode.hc.uvw"] > 0.0
+    assert sum(set(seconds.values())) <= wall
+    for name, s in seconds.items():
+        line = next(ln for ln in out.splitlines() if ln.startswith(name + " "))
+        assert f"{s:7.3f}s" in line
 
 
 def test_spectrum_onemode_case5(capsys, tmp_path):
@@ -86,6 +107,8 @@ def test_spectrum_count_zero_usage_error(capsys):
     (["spectrum", "--model", "onemode", "--nu", "1"], "--mu"),
     (["spectrum", "--model", "onemode", "--mu", "4"], "--nu"),
     (["coherent", "--k-max", "-1"], "--k-max"),
+    (["evolve", "--times", "0:1:0"], "--times"),
+    (["evolve", "--times", "0:1:-3"], "--times"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)

@@ -3,14 +3,18 @@
 ``run_series`` evolves the initial state to every time of the grid at once.
 It must agree with per-time ``evolve_full``, leave the blocks the state does
 not occupy exactly zero, and make the same number of spectral solves for a
-201-point grid as for a 3-point one: one per occupied block.  Its records
-come from one batched ``observables`` call, which must equal per-state
-calls and exactly summed references bit for bit, and never see the free
-phases.
+201-point grid as for a 3-point one: one per occupied block.
+``InteractionEvolver.apply`` returns the pair (indices, amplitudes) over the
+occupied blocks; tests that compare full vectors scatter it (``_dense``).
+The records come from one batched ``observables`` call, which must equal
+per-state calls and ``math.fsum`` references bit for bit (also on rows whose
+exact sum sits at or next to a float64 tie, and with no extended type), and
+never see the free phases.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +89,15 @@ CASES = _cases()
 IDS = [name for name, _ in CASES]
 
 
+def _dense(pair, dim):
+    """Scatter the (indices, amplitudes) pair of ``InteractionEvolver.apply``
+    into full state vectors over the dim-position basis."""
+    indices, amps = pair
+    out = np.zeros(amps.shape[:-1] + (dim,), dtype=complex)
+    out[..., indices] = amps
+    return out
+
+
 @pytest.mark.parametrize("name, make", CASES, ids=IDS)
 def test_run_series_matches_per_time_evolve_full(name, make):
     model, cells = make()
@@ -105,13 +118,20 @@ def test_grid_apply_matches_scalar_apply(name, make):
     psi0 = _state(model, cells).amplitudes
     evolver = ev.InteractionEvolver(model)
     times = np.array([0.0, 0.4, -1.1, 2.0])
-    grid = evolver.apply(psi0, times)
+    grid = _dense(evolver.apply(psi0, times), psi0.size)
     assert grid.shape == (times.size, psi0.size)
     for t, row in zip(times, grid):
-        single = evolver.apply(psi0, t)
+        single = _dense(evolver.apply(psi0, t), psi0.size)
         assert single.shape == psi0.shape
         assert np.abs(single - row).max() <= 1e-12
         assert abs(np.linalg.norm(row) - 1.0) <= 1e-10
+
+
+def _occupied(kind, n, cells):
+    """Mask over the n^2 window of the charge blocks of the given cells."""
+    k0, k1 = np.divmod(np.arange(n * n), n)
+    charge = k0 + k1 if kind == "D" else k0 - k1
+    return np.isin(charge, [c[0] + c[1] if kind == "D" else c[0] - c[1] for c in cells])
 
 
 @pytest.mark.parametrize("kind", ["D", "C"])
@@ -121,13 +141,44 @@ def test_unoccupied_blocks_stay_exactly_zero(kind, which):
     n = model.interaction.n_per_mode
     cells = CANONICAL_STATES[kind][which]
     psi0 = _state(model, cells)
-    k0, k1 = np.divmod(np.arange(n * n), n)
-    charge = k0 + k1 if kind == "D" else k0 - k1
-    occupied = np.isin(charge, [c[0] + c[1] if kind == "D" else c[0] - c[1]
-                                for c in cells])
-    grid = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 3.0, 11))
+    occupied = _occupied(kind, n, cells)
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 3.0, 11)),
+                  n * n)
     assert np.all(grid[:, ~occupied] == 0.0)
     assert np.all(np.abs(grid[1:, occupied]).sum(axis=1) > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["D", "C"])
+@pytest.mark.parametrize("which", ["basis", "superposition"])
+def test_apply_returns_the_occupied_block_positions(kind, which):
+    model = _canonical_model(kind)
+    n = model.interaction.n_per_mode
+    cells = CANONICAL_STATES[kind][which]
+    psi0 = _state(model, cells)
+    occupied = _occupied(kind, n, cells)
+    evolver = ev.InteractionEvolver(model)
+    indices, amps = evolver.apply(psi0.amplitudes, np.linspace(0.0, 3.0, 11))
+    assert np.array_equal(indices, np.flatnonzero(occupied))
+    assert amps.shape == (11, indices.size)
+    one, amp = evolver.apply(psi0.amplitudes, 0.5)
+    assert np.array_equal(one, indices) and amp.shape == (indices.size,)
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_evolution_reads_occupations_at_block_positions_only(monkeypatch, name, make):
+    model, cells = make()
+    psi0 = _state(model, cells)
+    orig = ev.FullModel.occupations
+    seen = []
+
+    def occupations(self, positions=None):
+        seen.append(positions)
+        return orig(self, positions)
+
+    monkeypatch.setattr(ev.FullModel, "occupations", occupations)
+    ev.run_series(model, psi0, np.linspace(0.0, 1.0, 5))
+    ev.evolve_full(model, psi0, 0.5)
+    assert len(seen) == 2 and all(p is not None for p in seen)
 
 
 def _count(monkeypatch, module, name):
@@ -177,9 +228,9 @@ def test_canonical_solves_are_kept_by_the_evolver(monkeypatch):
     calls = _count(monkeypatch, ev, "oracle_eigh")
     evolver = ev.InteractionEvolver(model)
     assert calls == []
-    first = evolver.apply(psi0, 0.7)
+    first = _dense(evolver.apply(psi0, 0.7), psi0.size)
     assert len(calls) == 3
-    assert np.array_equal(evolver.apply(psi0, 0.7), first)
+    assert np.array_equal(_dense(evolver.apply(psi0, 0.7), psi0.size), first)
     assert len(calls) == 3
 
 
@@ -251,11 +302,21 @@ def _records_equal(a, b):
 def test_batched_observables_equal_per_state_observables(name, make):
     model, cells = make()
     psi0 = _state(model, cells)
-    grid = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 1.5, 7))
-    records = ev.observables(grid, model)
+    pair = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 1.5, 7))
+    records = ev.observables(pair, model)
+    grid = _dense(pair, psi0.amplitudes.size)
     assert len(records) == len(grid)
     for row, rec in zip(grid, records):
         assert _records_equal(rec, ev.observables(rep.StateVector(row), model))
+
+
+def test_observables_rejects_a_dense_grid():
+    # a dense (n_times, dim) array is not a pair: its two rows must not be
+    # read as (indices, amplitudes)
+    model = _canonical_model("D")
+    grid = np.ones((2, 24 * 24), dtype=complex)
+    with pytest.raises(TypeError):
+        ev.observables(grid, model)
 
 
 @pytest.mark.parametrize("name, make", CASES, ids=IDS)
@@ -275,12 +336,66 @@ def test_run_series_matches_exact_sums_over_the_full_basis(name, make):
     psi0 = _state(model, cells)
     times = np.linspace(0.0, 1.5, 7)
     series = ev.run_series(model, psi0, times)
-    grid = ev.InteractionEvolver(model).apply(psi0.normalized().amplitudes, times)
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0.normalized().amplitudes, times),
+                  psi0.amplitudes.size)
     occs = [occ.astype(float) for occ in model.occupations()]
     for row, rec in zip(np.abs(grid) ** 2, series.records):
         total = math.fsum(row.tolist())
         assert rec.norm == math.sqrt(total)
         assert rec.means == tuple(math.fsum((row * n).tolist()) / total for n in occs)
+
+
+# rows whose exact sum is a float64 tie, or lies just past one: an extended
+# sum rounded to float64 gets the second row wrong (1.0 for 1 + 2^-52)
+TIE_ROWS = [[1.0, 2.0**-53, 0.0], [1.0, 2.0**-53, 2.0**-120], [1.0, 2.0**-52, 2.0**-53]]
+
+
+@pytest.mark.parametrize("wide", [np.longdouble, np.float64])
+def test_exact_sums_round_ties_like_fsum(monkeypatch, wide):
+    monkeypatch.setattr(ev, "_WIDE", wide)
+    rows = np.array(TIE_ROWS)
+    got = ev._exact_sums(rows)
+    assert got.tolist() == [math.fsum(row) for row in TIE_ROWS]
+    assert float(np.longdouble(1.0) + 2.0**-53 + 2.0**-120) != got[1]
+
+
+@pytest.mark.parametrize("wide", [np.longdouble, np.float64])
+def test_observables_on_a_tie_equal_fsum(monkeypatch, wide):
+    monkeypatch.setattr(ev, "_WIDE", wide)
+    model = _onemode_model(5)
+    amps = np.zeros(120, dtype=complex)
+    amps[:4] = [1.0, 2.0**-27, 2.0**-27, 2.0**-60]
+    p = (np.abs(amps) ** 2)[:4].tolist()      # 1, 2^-54, 2^-54, 2^-120
+    total = math.fsum(p)
+    assert total == 1.0 + 2.0**-52
+    n = model.occupations(np.arange(4))[0].astype(float).tolist()
+    rec = ev.observables(rep.StateVector(amps), model)
+    assert rec.norm == math.sqrt(total)
+    assert rec.means == (math.fsum(x * k for x, k in zip(p, n)) / total,)
+
+
+@pytest.mark.parametrize("name, make", CASES, ids=IDS)
+def test_records_without_extended_precision_equal_fsum(monkeypatch, name, make):
+    # with float64 as the wide type no certificate holds on a row of more
+    # than one term, so every sum is math.fsum's; the records must not move
+    model, cells = make()
+    psi0 = _state(model, cells)
+    times = np.linspace(0.0, 1.5, 7)
+    series = ev.run_series(model, psi0, times)
+    monkeypatch.setattr(ev, "_WIDE", np.float64)
+    narrow = ev.run_series(model, psi0, times)
+    assert all(_records_equal(a, b) for a, b in zip(series.records, narrow.records))
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0.normalized().amplitudes, times),
+                  psi0.amplitudes.size)
+    occs = [occ.astype(float) for occ in model.occupations()]
+    for row, rec in zip(np.abs(grid) ** 2, narrow.records):
+        total = math.fsum(row.tolist())
+        assert rec.norm == math.sqrt(total)
+        means = [math.fsum((row * n).tolist()) / total for n in occs]
+        assert rec.means == tuple(means)
+        assert rec.variances == tuple(
+            max(math.fsum((row * (n * n)).tolist()) / total - m * m, 0.0)
+            for n, m in zip(occs, means))
 
 
 @pytest.mark.parametrize("name, make", CASES, ids=IDS)
@@ -306,3 +421,30 @@ def test_canonical_run_series_at_n_per_mode_400(kind, cell):
     sign = 1.0 if kind == "D" else -1.0
     drift = max(abs(m0 + sign * m1 - q) for m0, m1 in (rec.means for rec in series.records))
     assert drift <= 1e-8 * q
+
+
+@pytest.mark.parametrize("kind, cell", [("D", (1000, 999)), ("C", (1000, 1000))])
+def test_canonical_run_series_memory_at_n_per_mode_2000(kind, cell):
+    # one block of 2000 states out of 4e6: a dense (201, n^2) grid would be
+    # 12.9 GB.  Measured peak 116 MiB for either kind (numpy 2.4, scipy 1.17,
+    # x86_64): the 32 MB block eigenvectors, their 64 MB complex copy in the
+    # grid product, and the (201, 2000) amplitudes.  psi0 itself (64 MB) is
+    # built before tracing starts.
+    r = rep.MultibosonRep(1, (1.0,))
+    h = ev.CanonicalInteraction(kind, tm.TwoModeRep(r, r), (0, 0), 2000,
+                                scale=0.8, offset=0.3)
+    model = ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf)
+    psi0 = ev.basis_state(model, cell)
+    tracemalloc.start()
+    try:
+        series = ev.run_series(model, psi0, np.linspace(0.0, 2.0, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * 2**20
+    assert len(series.records) == 201
+    assert max(series.norm_errors) <= 1e-10
+    q = cell[0] + cell[1] if kind == "D" else cell[0] - cell[1]
+    sign = 1.0 if kind == "D" else -1.0
+    drift = max(abs(m0 + sign * m1 - q) for m0, m1 in (rec.means for rec in series.records))
+    assert drift <= 1e-8 * max(q, 1)
