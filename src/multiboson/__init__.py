@@ -15,7 +15,7 @@ from .errors import (BoundaryAmbiguityError, NoBoundStateError,
 from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
                         Meixner, MeixnerPollaczek, PolyFamily, SpectralMeasure,
                         bessel_k, eval_orthonormal, gamma_abs_sq, gram_check,
-                        hyp0f1, hyp3f2_terminating, ln_gamma)
+                        gram_matrix, hyp0f1, hyp3f2_terminating, ln_gamma)
 from .jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
                      forward_eigenvector, oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, StateVector, alpha0,

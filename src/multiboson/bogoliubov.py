@@ -166,17 +166,18 @@ def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = Fals
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     c = meixner_c(g.a)
+    # (-1)^m as exact +-1 entries: the decoration only flips signs
+    sign = np.where(np.arange(n) % 2 == 1, -1.0, 1.0)
     if g.a == 1.0:
-        u = np.diag(np.asarray([float(g.sigma) ** m for m in range(n)]))
+        u = np.diag(sign if g.sigma == -1 else np.ones(n))
         info = ImplementerInfo(n, n, 0.0)
         return (u, info) if return_info else u
-    av = float(g.a) ** g.sigma
-    ms = np.arange(n)
     u = atom_eigenvector(Meixner(alpha0, c), n)
     u /= np.linalg.norm(u, axis=0)
-    if av > 1.0:
-        u = u * (-1.0) ** (ms[:, None] + ms)
-    u = u * float(g.sigma) ** ms
+    if float(g.a) ** g.sigma > 1.0:
+        u *= np.outer(sign, sign)
+    if g.sigma == -1:
+        u *= sign
     if not return_info:
         return u
     tail = np.abs(u[max(0, n - 8):, :]).max(axis=0)

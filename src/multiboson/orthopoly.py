@@ -16,17 +16,24 @@ Natural variables and stored (unnormalized) measures:
 * ``ContinuousDualHahn(u,v,w)``  density on (-inf, 0) plus ceil(-u) atoms at
   x = (u+n)^2 when u < 0
 
-Only the discrete-mass normalizations are available in closed form; the
-``normalize`` flag of :meth:`measure` divides by them.
+Every family gives its total mass in closed form; the ``normalize`` flag
+of :meth:`measure` divides by it.  Densities are elementwise functions of a
+scalar or an array.
+
+:func:`gram_check` integrates the continuous parts with one routine,
+:func:`_integrate`: the 21-point Gauss-Kronrod rule of QUADPACK (Piessens
+et al., 1983) under global adaptive bisection, the strategy of SciPy's
+vector-valued adaptive quadrature, evaluating the integrand once per round
+on the nodes of every panel being bisected.
 """
 
+import heapq
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad_vec
 from scipy.special import gammaln, kv, loggamma
 
 from .errors import NumericalFailureError
@@ -49,6 +56,7 @@ __all__ = [
     "PolyFamily",
     "eval_orthonormal",
     "poly_table",
+    "gram_matrix",
     "gram_check",
 ]
 
@@ -139,12 +147,23 @@ def bessel_k(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # spectral measures
 
+def _where_positive(x, fn):
+    """fn(x) where x > 0 and 0 elsewhere, elementwise over a scalar or an
+    array x; fn only sees the positive entries."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = x > 0
+    out[pos] = fn(x[pos])
+    return out[()]
+
+
 @dataclass(frozen=True)
 class ContinuousPart:
-    """Absolutely continuous piece: support interval and pointwise density."""
+    """Absolutely continuous piece: support interval and density, an
+    elementwise function of a scalar or an array."""
 
     support: tuple[float, float]
-    density: Callable[[float], float]
+    density: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -153,7 +172,8 @@ class SpectralMeasure:
 
     ``shift`` and ``scale`` record the affine map from the originating
     family's natural variable to the variable the atoms/density are stored
-    in: x_stored = scale * x_natural + shift.
+    in: x_stored = scale * x_natural + shift.  A measure with a continuous
+    part carries its total mass in closed form.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -165,6 +185,8 @@ class SpectralMeasure:
     def __post_init__(self):
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
+        if self.continuous is not None and self.total_mass_closed is None:
+            raise ValueError("a continuous part needs total_mass_closed")
         for loc, w in self.atoms:
             if w <= 0:
                 raise ValueError(f"atom weight must be positive, got {w} at {loc}")
@@ -179,14 +201,10 @@ class SpectralMeasure:
         return float(sum(w for _, w in self.atoms))
 
     def total_mass(self) -> float:
-        """Closed-form total mass when known, else atoms plus quadrature."""
+        """Closed-form total mass when known, else the atom mass."""
         if self.total_mass_closed is not None:
             return self.total_mass_closed
-        mass = self.atom_mass()
-        if self.continuous is not None:
-            lo, hi = self.continuous.support
-            mass += _integrate(self.continuous.density, lo, hi)
-        return mass
+        return self.atom_mass()
 
     def normalized(self) -> "SpectralMeasure":
         """Rescale weights and density so the total mass is 1."""
@@ -240,7 +258,7 @@ class Laguerre:
 
     def measure(self, normalize: bool = False) -> SpectralMeasure:
         al = self.alpha
-        dens = lambda x: math.exp(al * math.log(x) - x) if x > 0 else 0.0
+        dens = lambda x: _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
         m = SpectralMeasure(
             continuous=ContinuousPart((0.0, math.inf), dens),
             total_mass_closed=math.exp(gammaln(al + 1)),
@@ -316,7 +334,8 @@ class MeixnerPollaczek:
 
     def measure(self, normalize: bool = False) -> SpectralMeasure:
         lam, phi = self.lam, self.phi
-        dens = lambda x: math.exp((2 * phi - math.pi) * x) * gamma_abs_sq(lam, x)
+        dens = lambda x: (np.exp((2 * phi - math.pi) * x)
+                          * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
         mass = 2 * math.pi * math.exp(gammaln(2 * lam)) / (2 * math.sin(phi)) ** (2 * lam)
         m = SpectralMeasure(continuous=ContinuousPart((-math.inf, math.inf), dens),
                             total_mass_closed=mass)
@@ -401,12 +420,14 @@ class ContinuousDualHahn:
         b = np.sqrt(A * (k + 1) * (k + v + w))
         return a, b
 
-    def density_y(self, y: float) -> float:
-        """Continuous density with respect to dy at y = sqrt(-x) (already per 2 pi)."""
+    def density_y(self, y: float | np.ndarray):
+        """Continuous density with respect to dy at y = sqrt(-x) (already per
+        2 pi), elementwise over a scalar or an array y > 0."""
         u, v, w = self.u, self.v, self.w
-        lg = (loggamma(complex(u, y)) + loggamma(complex(v, y))
-              + loggamma(complex(w, y)) - loggamma(complex(0.0, 2 * y)))
-        return math.exp(2.0 * lg.real) / (2 * math.pi)
+        iy = 1j * np.asarray(y, dtype=float)
+        lg = (loggamma(u + iy) + loggamma(v + iy) + loggamma(w + iy)
+              - loggamma(2.0 * iy))
+        return np.exp(2.0 * lg.real) / (2 * math.pi)
 
     def n_atoms(self) -> int:
         return int(math.ceil(-self.u)) if self.u < 0 else 0
@@ -424,8 +445,9 @@ class ContinuousDualHahn:
     def measure(self, normalize: bool = False) -> SpectralMeasure:
         atoms = tuple(((self.u + n) ** 2, self.atom_weight(n))
                       for n in range(self.n_atoms()))
-        dens = lambda x: (self.density_y(math.sqrt(-x)) / (2 * math.sqrt(-x))
-                          if x < 0 else 0.0)
+        dens = lambda x: _where_positive(
+            -np.asarray(x, dtype=float),
+            lambda y2: self.density_y(np.sqrt(y2)) / (2 * np.sqrt(y2)))
         mass = math.exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
                         + gammaln(self.v + self.w))
         m = SpectralMeasure(atoms=atoms,
@@ -471,30 +493,129 @@ def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndar
     return out
 
 
-def _integrate(f: Callable[[float], np.ndarray], lo: float, hi: float,
-               characteristic: float = 1.0):
-    """Adaptive quadrature over (lo, hi) of a scalar- or vector-valued f,
-    infinite supports truncated where every entry is negligible.
+# Gauss-Kronrod 21-point rule on [-1, 1] (Piessens et al., QUADPACK, 1983,
+# routine QK21): the Kronrod nodes and weights, and the weights of the
+# embedded 10-point Gauss rule, whose nodes are the odd-indexed Kronrod nodes
+_GK21_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK21_NODES = np.concatenate([_GK21_NODES, -_GK21_NODES[-2::-1]])
+_GK21_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK21_WEIGHTS = np.concatenate([_GK21_WEIGHTS, _GK21_WEIGHTS[-2::-1]])
+_G10_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_G10_WEIGHTS = np.concatenate([_G10_WEIGHTS, _G10_WEIGHTS[::-1]])
 
-    One ``quad_vec`` per breakpoint piece integrates all entries together
-    (error in the max norm).  Raises on an unreliable error estimate.
+
+def _gk21(f, a: np.ndarray, b: np.ndarray):
+    """The 21-point Gauss-Kronrod rule on the panels [a_i, b_i], with one
+    call of f on the nodes of all panels.
+
+    f maps an x-array of shape (m,) to values of shape (m, n_out).
+    Returns the panel integrals (len(a), n_out), their error estimates and
+    their rounding-error bounds, both in the max norm over the n_out
+    entries and formed as in QK21: the Kronrod-Gauss difference, scaled by
+    the integral of |f - mean| and bounded below by 50 eps times the
+    integral of |f|.
     """
-    lo_f, hi_f = _finite_cutoffs(lambda x: np.abs(f(x)).max(), lo, hi,
-                                 characteristic)
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c[:, None] + h[:, None] * _GK21_NODES
+    fv = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape + (-1,))
+    s_k = _GK21_WEIGHTS @ fv
+    s_g = _G10_WEIGHTS @ fv[:, 1::2]
+    s_abs = _GK21_WEIGHTS @ np.abs(fv)
+    s_dabs = _GK21_WEIGHTS @ np.abs(fv - 0.5 * s_k[:, None])
+    h = h[:, None]
+    err = np.abs((s_k - s_g) * h).max(axis=1)
+    dabs = np.abs(s_dabs * h).max(axis=1)
+    scaled = (dabs != 0) & (err != 0)
+    err[scaled] = dabs[scaled] * np.minimum(
+        1.0, (200 * err[scaled] / dabs[scaled]) ** 1.5)
+    rnd = np.abs(50 * sys.float_info.epsilon * h * s_abs).max(axis=1)
+    floor = rnd > sys.float_info.min
+    err[floor] = np.maximum(err[floor], rnd[floor])
+    return h * s_k, err, rnd
+
+
+def _adaptive_gk21(f, a: float, b: float, epsabs: float, epsrel: float,
+                   limit: int):
+    """Globally adaptive GK21 over the finite (a, b), as SciPy's
+    vector-valued adaptive quadrature does it: each round bisects the
+    panels of largest error estimate (at most 128, and no more than needed
+    to cover the excess over tol / 8), all of them in one ``_gk21`` call.
+    It stops once the total error estimate is below tol / 8 or below the
+    summed rounding bounds (tol = max(epsabs, epsrel * |integral|_max)),
+    or at ``limit`` panels.
+
+    Returns the integral and the error estimate plus rounding bound.
+    """
+    ig, err, rnd = _gk21(f, np.array([a]), np.array([b]))
+    total, total_err, round_err = ig[0], float(err[0]), float(rnd[0])
+    heap = [(-total_err, a, b, ig[0])]   # (-error, left, right, integral)
+    while len(heap) < limit:
+        tol = max(epsabs, epsrel * float(np.abs(total).max()))
+        split = []
+        err_sum = 0.0
+        while heap and len(split) < 128:
+            if split and err_sum > total_err - tol / 8:
+                break
+            split.append(heapq.heappop(heap))
+            err_sum -= split[-1][0]
+        lo = np.array([p[1] for p in split])
+        hi = np.array([p[2] for p in split])
+        mid = 0.5 * (lo + hi)
+        ig, err, rnd = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        k = len(split)
+        for j, (neg_err, x1, x2, old) in enumerate(split):
+            total = total + (ig[j] + ig[k + j] - old)
+            total_err += float(err[j] + err[k + j]) + neg_err
+            round_err += float(rnd[j] + rnd[k + j])
+            xm = float(mid[j])
+            heapq.heappush(heap, (-float(err[j]), x1, xm, ig[j]))
+            heapq.heappush(heap, (-float(err[k + j]), xm, x2, ig[k + j]))
+        tol = max(epsabs, epsrel * float(np.abs(total).max()))
+        if total_err < tol / 8 or total_err < round_err:
+            break
+        if not (math.isfinite(total_err) and math.isfinite(round_err)):
+            break
+    return total, total_err + round_err
+
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+               characteristic: float = 1.0) -> np.ndarray:
+    """Adaptive quadrature over (lo, hi) of an array integrand, infinite
+    supports truncated where every entry is negligible.
+
+    f maps an x-array of shape (m,) to values of shape (m, n_out).  Each
+    piece of the :func:`_breakpoints` ladder is integrated by
+    :func:`_adaptive_gk21` (epsabs 1e-13, epsrel 1e-10 in the max norm,
+    at most 300 panels), every entry together.  Raises
+    NumericalFailureError when the summed error estimate exceeds
+    1e-7 (|integral|_max + 1) or is not a number.
+    """
+    lo_f, hi_f = _finite_cutoffs(f, lo, hi, characteristic)
     pieces = _breakpoints(lo_f, hi_f)
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        # endpoint singularities keep the subdivision from converging to
-        # its own target; the error estimate below gates acceptance
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            val, est = quad_vec(f, a, b, epsabs=1e-13, epsrel=1e-10,
-                                norm="max", limit=300)
-            total = total + val
-            err += est
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        val, est = _adaptive_gk21(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
+        total = total + val
+        err += est
     scale = float(np.abs(total).max())
-    if err > 1e-7 * (scale + 1.0):
+    if not err <= 1e-7 * (scale + 1.0):   # a NaN estimate fails too
         raise NumericalFailureError(
             f"quadrature error estimate {err:.2e} too large on "
             f"({lo_f:.3g}, {hi_f:.3g}), largest value {scale:.6e}"
@@ -503,14 +624,17 @@ def _integrate(f: Callable[[float], np.ndarray], lo: float, hi: float,
 
 
 def _finite_cutoffs(f, lo, hi, characteristic):
-    peak = max(abs(f(x)) for x in _probe_points(lo, hi, characteristic))
+    """Finite ends for an infinite (lo, hi): from +-characteristic, doubled
+    until every entry of f is below 1e-18 of its peak over the probes."""
+    size = lambda x: float(np.abs(f(np.array([x]))).max())
+    peak = float(np.abs(f(_probe_points(lo, hi, characteristic))).max())
     if peak == 0.0:
         peak = 1.0
     thresh = 1e-18 * peak
     if math.isinf(hi):
         hi = characteristic
         for _ in range(80):
-            if abs(f(hi)) < thresh:
+            if size(hi) < thresh:
                 break
             hi *= 2.0
         else:
@@ -518,7 +642,7 @@ def _finite_cutoffs(f, lo, hi, characteristic):
     if math.isinf(lo):
         lo = -characteristic
         for _ in range(80):
-            if abs(f(lo)) < thresh:
+            if size(lo) < thresh:
                 break
             lo *= 2.0
         else:
@@ -527,12 +651,9 @@ def _finite_cutoffs(f, lo, hi, characteristic):
 
 
 def _probe_points(lo, hi, characteristic):
-    pts = []
     a = lo if math.isfinite(lo) else -8 * characteristic
     b = hi if math.isfinite(hi) else 8 * characteristic
-    for i in range(1, 32):
-        pts.append(a + (b - a) * i / 32.0)
-    return pts
+    return a + (b - a) * np.arange(1, 32) / 32.0
 
 
 def _breakpoints(lo, hi):
@@ -575,13 +696,15 @@ def _gram_atoms(family: PolyFamily, n_max: int):
     return []
 
 
-def gram_check(family: PolyFamily, n_max: int) -> float:
-    """Max deviation |<P_i, P_j> - delta_ij| for i, j <= n_max under the
-    family's normalized measure.
+def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
+    """Gram matrix <P_i, P_j>, i, j <= n_max (capped at the family size),
+    under the family's normalized measure.
 
-    The atom part is one product (P w) P^T over all atoms; the continuous
+    The atom part is one product (P w) P^T over all atoms.  The continuous
     part integrates the upper triangle of density * P P^T as one vector
-    with a single adaptive quadrature per breakpoint piece.
+    with :func:`_integrate`; its integrand takes the quadrature nodes as an
+    array, with one :func:`poly_table` sweep and one density evaluation
+    per call.
     """
     if family.nmax is not None:
         n_max = min(n_max, family.nmax)
@@ -592,14 +715,19 @@ def gram_check(family: PolyFamily, n_max: int) -> float:
         p = poly_table(family, n_max, x)
         G += (p * w) @ p.T
     upper = np.triu_indices(n_max + 1)
+
+    def products(x):
+        # (len(x), n_upper): P_i(x) P_j(x) for i <= j, row by point
+        p = poly_table(family, n_max, x)
+        return (p[upper[0]] * p[upper[1]]).T
+
     if isinstance(family, Laguerre):
         # substitute x = t^2: the Jacobian 2t cancels the x^alpha endpoint
         # singularity for alpha = -1/2 and softens it for any alpha > -1
         dens = family.measure(normalize=True).continuous.density
 
         def f(t):
-            p = poly_table(family, n_max, t * t)
-            return 2.0 * t * dens(t * t) * np.outer(p, p)[upper]
+            return (2.0 * t * dens(t * t))[:, None] * products(t * t)
         vals = _integrate(f, 0.0, math.inf, characteristic=2.0 * math.sqrt(n_max + 1))
     elif isinstance(family, MeixnerPollaczek):
         meas = family.measure(normalize=True)
@@ -607,8 +735,7 @@ def gram_check(family: PolyFamily, n_max: int) -> float:
         dens = meas.continuous.density
 
         def f(x):
-            p = poly_table(family, n_max, x)
-            return dens(x) * np.outer(p, p)[upper]
+            return dens(x)[:, None] * products(x)
         vals = _integrate(f, lo, hi, characteristic=4.0 * (n_max + 1))
     elif isinstance(family, ContinuousDualHahn):
         # substitute x = -y^2: the 1/(2y) density factor cancels the
@@ -616,12 +743,17 @@ def gram_check(family: PolyFamily, n_max: int) -> float:
         mass = family.measure().total_mass_closed
 
         def f(y):
-            p = poly_table(family, n_max, -y * y)
-            return family.density_y(y) / mass * np.outer(p, p)[upper]
+            return (family.density_y(y) / mass)[:, None] * products(-y * y)
         vals = _integrate(f, 0.0, math.inf, characteristic=4.0)
     else:
         vals = 0.0
     C = np.zeros_like(G)
     C[upper] = vals
-    G += C + np.triu(C, 1).T
-    return float(np.abs(G - np.eye(n_max + 1)).max())
+    return G + C + np.triu(C, 1).T
+
+
+def gram_check(family: PolyFamily, n_max: int) -> float:
+    """Max deviation |<P_i, P_j> - delta_ij| for i, j <= n_max under the
+    family's normalized measure: :func:`gram_matrix` against the identity."""
+    G = gram_matrix(family, n_max)
+    return float(np.abs(G - np.eye(len(G))).max())

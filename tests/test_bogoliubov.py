@@ -12,7 +12,8 @@ from multiboson import bogoliubov as bg
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson.errors import UnsupportedElementError
-from multiboson.jacobi import oracle_eigh, oracle_eigs
+from multiboson.jacobi import atom_eigenvector, oracle_eigh, oracle_eigs
+from multiboson.orthopoly import Meixner
 
 
 elements = st.builds(
@@ -124,6 +125,30 @@ def test_implementer_trivial_elements():
     assert np.allclose(bg.implementer(bg.GroupElement(1.0, 1), 1.5, n), np.eye(n))
     u = bg.implementer(bg.GroupElement(1.0, -1), 1.5, n)
     assert np.allclose(u, np.diag((-1.0) ** np.arange(n)))
+
+
+def _power_form_implementer(g, alpha0, n):
+    """The implementer with its sign decoration written as powers of -1
+    and of sigma, the form the +-1 sign products replace."""
+    if g.a == 1.0:
+        return np.diag(np.asarray([float(g.sigma) ** m for m in range(n)]))
+    ms = np.arange(n)
+    u = atom_eigenvector(Meixner(alpha0, bg.meixner_c(g.a)), n)
+    u /= np.linalg.norm(u, axis=0)
+    if float(g.a) ** g.sigma > 1.0:
+        u = u * (-1.0) ** (ms[:, None] + ms)
+    return u * float(g.sigma) ** ms
+
+
+@pytest.mark.parametrize("n", [160, 240])
+def test_implementer_sign_products_equal_power_form(n):
+    # the validate grid, plus the identity and the flip at a = 1
+    for a in (1 / 3, 0.5, 1.0, 2.0, 3.0):
+        for sigma in (1, -1):
+            for alpha0 in (0.5, 1.0, 2.7):
+                g = bg.GroupElement(a, sigma)
+                assert np.array_equal(bg.implementer(g, alpha0, n),
+                                      _power_form_implementer(g, alpha0, n))
 
 
 def test_implementer_rejects_negative_a():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import iv
 
@@ -256,6 +256,142 @@ def test_gram_quadrature_accuracy_pinned(fam, n):
 ])
 def test_gram_wider_parameters(fam, n):
     assert op.gram_check(fam, n) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the quadrature behind gram_check
+
+def _monomial_moment(d):
+    return 2.0 / (d + 1) if d % 2 == 0 else 0.0
+
+
+def test_gk21_kronrod_rule_exact_through_degree_31():
+    x, v = op._GK21_NODES, op._GK21_WEIGHTS
+    assert len(x) == 21 and np.all(np.diff(x) < 0)
+    for d in range(32):
+        assert abs(v @ x ** d - _monomial_moment(d)) <= 1e-15, d
+    # degree 32 is past the rule's exactness
+    assert abs(v @ x ** 32 - _monomial_moment(32)) > 1e-13
+
+
+def test_gk21_embedded_gauss_rule_exact_through_degree_19():
+    x, w = op._GK21_NODES[1::2], op._G10_WEIGHTS
+    for d in range(20):
+        assert abs(w @ x ** d - _monomial_moment(d)) <= 1e-15, d
+    assert abs(w @ x ** 20 - _monomial_moment(20)) > 1e-7
+
+
+def test_gk21_panels_integrate_polynomials_in_one_call():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.stack([x ** k for k in range(32)], axis=1)
+
+    a, b = np.array([0.5, -2.0, 3.0]), np.array([1.5, 3.0, 3.25])
+    ig, err, rnd = op._gk21(f, a, b)
+    assert calls == [(63,)]
+    exact = np.array([[(hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k in range(32)]
+                      for lo, hi in zip(a, b)])
+    assert np.abs(ig / exact - 1.0).max() <= 1e-14
+    assert ig.shape == (3, 32) and err.shape == rnd.shape == (3,)
+    assert np.all(err >= rnd) and np.all(rnd > 0.0)
+
+
+@pytest.mark.parametrize("f,lo,hi", [
+    (lambda x: (1.0 / np.abs(x - 0.3))[:, None], 0.0, 1.0),    # not integrable
+    (lambda x: np.sin(1e5 * x)[:, None], 0.0, 1.0),            # unresolved
+    (lambda x: np.ones((len(x), 2)), 0.0, math.inf),            # no decay
+    (lambda x: np.where(x > 0.5, np.nan, 1.0)[:, None], 0.0, 1.0),  # NaN
+])
+def test_integrate_error_gate_raises(f, lo, hi):
+    with pytest.raises(NumericalFailureError):
+        op._integrate(f, lo, hi)
+
+
+def test_integrate_matches_closed_form_moments():
+    # Laguerre moments int_0^inf x^k x^alpha e^-x dx = Gamma(k + alpha + 1)
+    al = 1.7
+    f = lambda x: np.stack([op.Laguerre(al).measure().continuous.density(x) * x ** k
+                            for k in range(6)], axis=1)
+    got = op._integrate(f, 0.0, math.inf, characteristic=4.0)
+    ref = np.array([math.gamma(k + al + 1) for k in range(6)])
+    assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+def test_densities_take_arrays_elementwise():
+    xs = np.array([-3.0, -0.5, 0.0, 0.7, 2.5, 11.0])
+    for meas in (op.Laguerre(-0.5).measure(normalize=True),
+                 op.MeixnerPollaczek(0.75, 1.0).measure(),
+                 op.ContinuousDualHahn(-0.2, 0.5, 0.5).measure().mapped(shift=1.0)):
+        dens = meas.continuous.density
+        got = dens(xs)
+        assert got.shape == xs.shape
+        assert np.allclose(got, [dens(x) for x in xs], rtol=1e-15, atol=0.0)
+    cdh = op.ContinuousDualHahn(0.5, 0.5, 1.0)
+    ys = np.array([0.1, 1.0, 7.5])
+    assert np.allclose(cdh.density_y(ys), [cdh.density_y(y) for y in ys],
+                       rtol=1e-15, atol=0.0)
+    # |Gamma(1/2 + i)|^2 = pi / cosh(pi), the scalar special function
+    mp = op.MeixnerPollaczek(0.5, math.pi / 2).measure().continuous.density
+    assert mp(1.0) == pytest.approx(op.gamma_abs_sq(0.5, 1.0), rel=1e-13)
+
+
+def test_continuous_measure_needs_closed_mass():
+    part = op.Laguerre(0.0).measure().continuous
+    with pytest.raises(ValueError):
+        op.SpectralMeasure(continuous=part)
+    # atoms alone sum to their mass
+    assert op.SpectralMeasure(atoms=((1.0, 0.25), (2.0, 0.5))).total_mass() == 0.75
+
+
+def _quad_vec_gram(fam, n):
+    """Gram matrix from an independent route: atoms of fam.measure, and
+    scipy's quad_vec on a scalar integrand over fixed finite ranges."""
+    if fam.nmax is not None:
+        n = min(n, fam.nmax)
+    outer = lambda x: np.outer(*2 * [op.poly_table(fam, n, x)])
+    if isinstance(fam, op.Meixner):
+        meas = fam.measure(n_atoms=250, normalize=True)
+    else:
+        meas = fam.measure(normalize=True)
+    G = sum((w * outer(x) for x, w in meas.atoms), np.zeros((n + 1, n + 1)))
+    if meas.continuous is None:
+        return G
+    dens = meas.continuous.density
+    if isinstance(fam, op.Laguerre):
+        g = lambda t: 2.0 * t * float(dens(t * t)) * outer(t * t)
+        lo, hi = 0.0, 16.0
+    elif isinstance(fam, op.ContinuousDualHahn):
+        mass = fam.measure().total_mass_closed
+        g = lambda y: float(fam.density_y(y)) / mass * outer(-y * y)
+        lo, hi = 0.0, 80.0
+    else:
+        g = lambda x: float(dens(x)) * outer(x)
+        lo, hi = -80.0, 80.0
+    pts = sorted({lo, hi} | {s * 2.0 ** k for k in range(7) for s in (-1, 1)
+                             if lo < s * 2.0 ** k < hi})
+    for a, b in zip(pts[:-1], pts[1:]):
+        G += quad_vec(g, a, b, epsabs=1e-15, epsrel=1e-13, norm="max", limit=2000)[0]
+    return G
+
+
+@pytest.mark.parametrize("fam,n", [
+    (op.DualHahn(0.0, 0.0, 3), 3),
+    (op.DualHahn(-0.5, 1.7, 6), 6),
+    (op.Meixner(1.0, 1.0 / 9.0), 8),
+    (op.Meixner(2.7, 0.25), 10),
+    (op.Laguerre(-0.5), 10),
+    (op.Laguerre(1.7), 10),
+    (op.MeixnerPollaczek(0.75, math.pi / 2), 6),
+    (op.MeixnerPollaczek(0.5, 1.0), 8),
+    (op.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
+    (op.ContinuousDualHahn(0.5, 0.5, 1.0), 8),
+])
+def test_gram_matrix_matches_quad_vec_reference(fam, n):
+    G = op.gram_matrix(fam, n)
+    assert np.abs(G - _quad_vec_gram(fam, n)).max() <= 1e-12
+    assert op.gram_check(fam, n) == np.abs(G - np.eye(len(G))).max()
 
 
 def test_dual_hahn_atoms_match_jacobi_eigenvalues():
