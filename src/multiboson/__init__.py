@@ -17,7 +17,7 @@ from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
                         bessel_k, eval_orthonormal, gamma_abs_sq, gram_check,
                         gram_matrix, hyp0f1, hyp3f2_terminating, ln_gamma)
 from .jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
-                     forward_eigenvector, oracle_eigh, oracle_eigs)
+                     oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, StateVector, alpha0,
                   alpha_minus, build_generators_full, casimir_value, residue,
                   sector_coeffs, sector_matrices, series_class)

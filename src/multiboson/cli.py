@@ -221,8 +221,11 @@ def cmd_evolve(args) -> int:
                                 (float(cfg.get("omega0", 1.0)),
                                  float(cfg.get("omega1", 1.0))),
                                 tail_tol=tail)
-    occ = tuple(int(x) for x in str(cfg.get("state", "2,3")).split(","))
-    psi0 = evolution.basis_state(model, occ)
+    state = cfg.get("state", "2,3")
+    try:
+        psi0 = evolution.basis_state(model, tuple(int(x) for x in str(state).split(",")))
+    except ValueError as exc:
+        raise ValueError(f"--state {state!r} is not a basis state: {exc}") from None
     times = _parse_times(cfg.get("times", "0:10:21"))
     series = evolution.run_series(model, psi0, times)
     rows = []

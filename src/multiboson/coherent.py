@@ -14,7 +14,8 @@ The weight shipping here is the one derived from that identity,
     dmu = [2 rho^{alpha0 - 1} K_{alpha0 - 1}(2 rho) / (pi Gamma(alpha0))]
           rho drho dphi,
 
-verified against quadrature at construction.  A weight with both indices
+verified at construction by ``orthopoly._integrate``, the quadrature that
+also serves ``orthopoly.gram_matrix``.  A weight with both indices
 raised by one (rho^{alpha0} K_{alpha0}(2 rho) / (2 pi Gamma(alpha0))) is
 kept as ``reference_weight`` for comparison: its k-th moment overshoots by
 the factor (alpha0 + k)/4, so no constant rescale can repair it.
@@ -24,11 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, kv
 
 from .errors import NumericalFailureError
-from .orthopoly import hyp0f1, ln_pochhammer
+from .orthopoly import _integrate, _where_positive, hyp0f1, ln_pochhammer
 from .rep import StateVector
 
 __all__ = [
@@ -125,38 +125,58 @@ class RadialMeasure:
             raise ValueError(f"k_checked must be >= 0, got {self.k_checked}")
         # the dataclass is frozen
         object.__setattr__(self, "_moments", tuple(
-            self.moment(k, weight=self.weight) for k in range(self.k_checked + 1)))
+            self._moment_vector(self.weight, self.k_checked).tolist()))
         worst = max(self.moment_error(k) for k in range(self.k_checked + 1))
         if worst > 1e-6:
             raise NumericalFailureError(
                 f"moment identity violated at construction: rel err {worst:.2e}"
             )
 
-    def weight(self, rho: float) -> float:
+    def weight(self, rho):
+        """w(rho), elementwise over a scalar or an array; 0 for rho <= 0."""
         a = self.alpha0
-        if rho <= 0:
-            return 0.0
-        return (2.0 * rho ** (a - 1.0) * kv(a - 1.0, 2.0 * rho)
-                / (math.pi * math.exp(gammaln(a))))
+        return _where_positive(rho, lambda r: (
+            2.0 * r ** (a - 1.0) * kv(a - 1.0, 2.0 * r)
+            / (math.pi * math.exp(gammaln(a)))))
 
-    def reference_weight(self, rho: float) -> float:
+    def reference_weight(self, rho):
         """Weight with both indices raised; fails the moment identity."""
         a = self.alpha0
-        if rho <= 0:
-            return 0.0
-        return rho ** a * kv(a, 2.0 * rho) / (2.0 * math.pi * math.exp(gammaln(a)))
+        return _where_positive(rho, lambda r: (
+            r ** a * kv(a, 2.0 * r) / (2.0 * math.pi * math.exp(gammaln(a)))))
 
     def moment(self, k: int, weight=None) -> float:
-        """integral rho^{2k} w(rho) 2 pi rho drho by quadrature; the stored
-        value for the shipped weight and 0 <= k <= ``k_checked``."""
-        if weight is None and 0 <= k <= self.k_checked:
+        """integral rho^{2k} w(rho) 2 pi rho drho by quadrature of the moments
+        0..max(k, ``k_checked``) together; the stored value for the shipped
+        weight and 0 <= k <= ``k_checked``."""
+        if k < 0:
+            raise ValueError(f"moment order must be >= 0, got {k}")
+        if weight is None and k <= self.k_checked:
             return self._moments[k]
         w = self.weight if weight is None else weight
-        f = lambda r: w(r) * r ** (2 * k) * 2.0 * math.pi * r
-        val = 0.0
-        for a, b in ((0.0, 1.0), (1.0, 5.0), (5.0, 15.0), (15.0, 40.0 + 4.0 * k)):
-            val += quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=300)[0]
-        return val
+        return float(self._moment_vector(w, max(k, self.k_checked))[k])
+
+    def _moment_vector(self, weight, k_max: int) -> np.ndarray:
+        """Moments k = 0..k_max of ``weight`` as one vector integral.  Column
+        k is divided by its target k! (alpha0)_k, so the max-norm tolerance
+        holds every moment to the same relative accuracy."""
+        a = self.alpha0
+        k = np.arange(1.0, k_max + 1)
+        step = k * (a + k - 1.0)    # target_k / target_{k-1}
+        # rho = t^m with m = max(2, 1 / alpha0): the rho^{2 alpha0 - 1}
+        # endpoint of w(rho) rho drho becomes m t^{2 alpha0 m - 1} dt, at
+        # least linear in t
+        m = max(2.0, 1.0 / a)
+
+        def f(t):
+            rho = t ** m
+            # column k is column k-1 times rho^2 / step_k, the weight first:
+            # where it underflows every column is 0, never 0 * inf
+            cols = np.empty((t.size, k_max + 1))
+            cols[:, 0] = 2.0 * math.pi * m * rho * rho / t * weight(rho)
+            cols[:, 1:] = (rho * rho)[:, None] / step
+            return np.cumprod(cols, axis=1)
+        return _integrate(f, 0.0, math.inf) * np.cumprod(np.append(1.0, step))
 
     def target_moment(self, k: int) -> float:
         """k! (alpha0)_k."""

@@ -166,20 +166,19 @@ class _Block:
 class InteractionEvolver:
     """Applies exp(-i H t) for the supported interaction kinds.
 
-    A two-mode interaction is held as invariant blocks keyed by a label: the
-    Manley-Rowe charge blocks of a canonical interaction, keyed by charge,
-    or the whole truncated matrix of a generic one under label 0.  A
-    canonical block is built and eigendecomposed the first time a state has
-    amplitude in it, and the result is kept for later calls.
+    A two-mode interaction acts through invariant blocks: the Manley-Rowe
+    charge blocks of a canonical interaction, or the whole truncated matrix
+    of a generic one, eigendecomposed once here.  ``apply`` builds and
+    eigendecomposes the charge blocks in which its state has amplitude.
     """
 
     def __init__(self, model: FullModel):
         self.model = model
-        self.blocks: dict[int, _Block] = {}
+        self.whole: _Block | None = None
         h = model.interaction
         if isinstance(h, TwoModeHamiltonian):
             w, v = scipy.linalg.eigh(build_h_matrix(h, model.n_per_mode))
-            self.blocks[0] = _Block(np.arange(w.size), w, v)
+            self.whole = _Block(np.arange(w.size), w, v)
         elif not isinstance(h, (OneModeHamiltonian, CanonicalInteraction)):
             raise TypeError(f"unsupported interaction {type(h).__name__}")
 
@@ -205,9 +204,14 @@ class InteractionEvolver:
             out = np.stack([s.amplitudes for s in evolve_onemode(h, sv, -ts)])
         else:
             nonzero = np.flatnonzero(psi)
-            labels = (_charges(h, nonzero) if isinstance(h, CanonicalInteraction)
-                      else np.zeros(nonzero.size, dtype=np.intp))
-            blocks = [self._solved(label) for label in np.unique(labels).tolist()]
+            if isinstance(h, TwoModeHamiltonian):
+                blocks = [self.whole] if nonzero.size else []
+            else:
+                blocks = []
+                for q in np.unique(_charges(h, nonzero)).tolist():
+                    idx = _charge_block_indices(h, q)
+                    w, v = oracle_eigh(_charge_block_operator(h, q, idx.size))
+                    blocks.append(_Block(idx, h.scale * w + h.offset, v))
             indices = (np.sort(np.concatenate([blk.indices for blk in blocks])) if blocks
                        else np.zeros(0, dtype=np.intp))
             out = np.empty((ts.size, indices.size), dtype=complex)
@@ -216,15 +220,6 @@ class InteractionEvolver:
                 phases = np.exp(-1j * ts[:, None] * blk.energies)
                 out[:, np.searchsorted(indices, blk.indices)] = (phases * coeff) @ blk.vectors.T
         return indices, (out[0] if times.ndim == 0 else out)
-
-    def _solved(self, label: int) -> _Block:
-        blk = self.blocks.get(label)
-        if blk is None:
-            h = self.model.interaction
-            idx = _charge_block_indices(h, label)
-            w, v = oracle_eigh(_charge_block_operator(h, label, idx.size))
-            blk = self.blocks[label] = _Block(idx, h.scale * w + h.offset, v)
-        return blk
 
 
 def _charges(h: CanonicalInteraction, positions: np.ndarray) -> np.ndarray:
@@ -458,27 +453,27 @@ def _jacobi_form(op: JacobiOperator, x: np.ndarray) -> float:
 
 
 def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
-    """Fock basis state |n0[, n1]> as a StateVector over the model's basis."""
+    """Fock basis state |n0[, n1]> as a StateVector over the model's basis;
+    ValueError unless each mode's occupation n is in its sector and window."""
     h = model.interaction
     if isinstance(h, OneModeHamiltonian):
-        (n0,) = occupations
-        s = h.sector
-        if n0 % s.rep.l != s.r:
-            raise ValueError(f"occupation {n0} not in sector r={s.r} (l={s.rep.l})")
-        amps = np.zeros(s.n_levels, dtype=complex)
-        amps[n0 // s.rep.l] = 1.0
-        return StateVector(amps, sector=s, tail_tol=model.tail_tol)
-    reps, (r0, r1), n = _two_mode_layout(model)
-    n0, n1 = occupations
-    l0, l1 = reps.rep0.l, reps.rep1.l
-    if n0 % l0 != r0 or n1 % l1 != r1:
-        raise ValueError(f"occupations {occupations} not in sector ({r0}, {r1})")
-    k0, k1 = n0 // l0, n1 // l1
-    if k0 >= n or k1 >= n:
-        raise ValueError(f"occupations {occupations} outside truncation {n}")
-    amps = np.zeros(n * n, dtype=complex)
-    amps[k0 * n + k1] = 1.0
-    return StateVector(amps, sector=(r0, r1), tail_tol=model.tail_tol)
+        sector = h.sector
+        ls, rs, n = (sector.rep.l,), (sector.r,), sector.n_levels
+    else:
+        reps, sector, n = _two_mode_layout(model)
+        ls, rs = (reps.rep0.l, reps.rep1.l), sector
+    occupations = tuple(occupations)
+    if len(occupations) != len(ls):
+        raise ValueError(f"need {len(ls)} occupation(s), one per mode, got {occupations}")
+    if any(occ % l != r for occ, l, r in zip(occupations, ls, rs)):
+        raise ValueError(f"occupations {occupations} not in sector {rs} (l = {ls})")
+    ks = tuple(occ // l for occ, l in zip(occupations, ls))
+    if not all(0 <= k < n for k in ks):
+        raise ValueError(f"occupations {occupations} outside the window: each "
+                         f"n // l must be in 0..{n - 1}")
+    amps = np.zeros(n ** len(ks), dtype=complex)
+    amps[np.ravel_multi_index(ks, (n,) * len(ks))] = 1.0
+    return StateVector(amps, sector=sector, tail_tol=model.tail_tol)
 
 
 # ---------------------------------------------------------------------------

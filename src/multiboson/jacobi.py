@@ -6,16 +6,16 @@ k-array: ``diag(k)`` and ``offdiag(k)`` return the coefficients at every
 index of ``k`` in one numpy expression (a scalar ``k`` is the 0-d case), so
 building a truncation is one vectorized call and never a Python loop.
 
-Four routes to eigenpairs coexist, one per job: ``oracle_eigs`` /
+Three routes to eigenpairs coexist, one per job: ``oracle_eigs`` /
 ``oracle_eigh`` call LAPACK's tridiagonal solvers (the verification
 oracle); the Meixner kernel ``atom_eigenvector`` builds the exact block
 sqrt(w_j) P_k(x_j) of orthonormal Meixner functions, the eigenvectors of an
 untruncated Meixner chain at its atoms, from a forward sweep and the
-family's self-duality; inverse iteration ``block_eigenvectors`` (LAPACK
+family's self-duality; and inverse iteration ``block_eigenvectors`` (LAPACK
 ``dstein``) turns closed-form eigenvalues of the truncation itself into its
 eigenvectors, where forward recurrence is unstable (Gautschi, SIAM Rev. 9,
-1967); and the plain forward sweep ``forward_eigenvector`` serves atoms
-whose tail decays only algebraically.
+1967).  Atoms whose tail decays only algebraically take the plain forward
+sweep ``orthopoly.poly_table`` over ``JacobiOperator.recurrence``.
 
 ``oracle_eigs`` computes only an index window of the spectrum: the lowest
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
@@ -35,7 +35,7 @@ from .errors import NumericalFailureError
 from .orthopoly import Meixner
 
 __all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "block_eigenvectors",
-           "forward_eigenvector", "atom_eigenvector"]
+           "atom_eigenvector"]
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,18 @@ class JacobiOperator:
     def diag_array(self, n: int | None = None) -> np.ndarray:
         """[a_0, ..., a_{n-1}] in one vectorized call."""
         n = self.size if n is None else n
-        return _stream(self.diag, n)
+        return _stream(self.diag, np.arange(n, dtype=float))
 
     def offdiag_array(self, n: int | None = None) -> np.ndarray:
         """[b_0, ..., b_{n-2}] in one vectorized call."""
         n = self.size if n is None else n
-        return _stream(self.offdiag, n - 1)
+        return _stream(self.offdiag, np.arange(n - 1, dtype=float))
+
+    def recurrence(self, k: np.ndarray):
+        """(a_k, b_k) at every index of the float k-array, broadcast to its
+        shape: the three-term recurrence that ``orthopoly.poly_table``
+        sweeps."""
+        return _stream(self.diag, k), _stream(self.offdiag, k)
 
     def dense(self, n: int | None = None) -> np.ndarray:
         n = self.size if n is None else n
@@ -76,9 +82,9 @@ class JacobiOperator:
         return m
 
 
-def _stream(coeff: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Fresh float array coeff(0), ..., coeff(n-1); constants are broadcast."""
-    k = np.arange(n, dtype=float)
+def _stream(coeff: Callable[[np.ndarray], np.ndarray], k: np.ndarray) -> np.ndarray:
+    """Fresh float array of coeff at every index of the float k-array;
+    constants are broadcast."""
     return np.broadcast_to(coeff(k), k.shape).astype(float)
 
 
@@ -141,25 +147,6 @@ def block_eigenvectors(op: JacobiOperator, w: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalFailureError(f"inverse iteration failed: dstein info = {info}")
     return z * np.copysign(1.0, z[0])
-
-
-def forward_eigenvector(op: JacobiOperator, x: float) -> np.ndarray:
-    """Normalized solution of the three-term recurrence at x with p_0 = 1,
-    p_1 = (x - a_0) / b_0 and p_{k+1} = ((x - a_k) p_k - b_{k-1} p_{k-1}) /
-    b_k, swept forward over the whole truncation and not stabilized: right
-    where the solutions of the recurrence grow or decay only algebraically,
-    such as bound states with a polynomially decaying tail."""
-    n = op.size
-    if n == 1:
-        return np.ones(1)
-    xd = (x - op.diag_array()).tolist()
-    b = op.offdiag_array().tolist()
-    p = np.empty(n)
-    p[0] = 1.0
-    p[1] = xd[0] / b[0]
-    for k in range(1, n - 1):
-        p[k + 1] = (xd[k] * p[k] - b[k - 1] * p[k - 1]) / b[k]
-    return p / np.linalg.norm(p)
 
 
 def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np.ndarray:

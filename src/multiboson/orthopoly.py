@@ -20,11 +20,13 @@ Every family gives its total mass in closed form; the ``normalize`` flag
 of :meth:`measure` divides by it.  Densities are elementwise functions of a
 scalar or an array.
 
-:func:`gram_check` integrates the continuous parts with one routine,
-:func:`_integrate`: the 21-point Gauss-Kronrod rule of QUADPACK (Piessens
-et al., 1983) under global adaptive bisection, the strategy of SciPy's
-vector-valued adaptive quadrature, evaluating the integrand once per round
-on the nodes of every panel being bisected.
+One routine, :func:`_integrate`, does every quadrature of the package: the
+continuous parts in :func:`gram_check` and the moments of
+``coherent.RadialMeasure``.  It runs the 21-point Gauss-Kronrod rule of
+QUADPACK (Piessens et al., 1983) under global adaptive bisection, the
+strategy of SciPy's vector-valued adaptive quadrature, evaluating the
+integrand once per round on the nodes of every panel being bisected, and
+finds the finite ends of an infinite support itself.
 """
 
 import heapq
@@ -471,7 +473,8 @@ def eval_orthonormal(family: PolyFamily, n: int, x: float | np.ndarray):
 
 
 def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndarray:
-    """Values P_0(x), ..., P_{n_max}(x) in one forward recurrence sweep.
+    """Values P_0(x), ..., P_{n_max}(x) in one forward recurrence sweep,
+    the package's only one, for a family or a ``jacobi.JacobiOperator``.
 
     ``x`` is a scalar or an array; the result has shape
     ``(n_max + 1,) + x.shape``, row n holding P_n at every point.  The
@@ -479,17 +482,19 @@ def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndar
     vectorized ``recurrence`` call, and every entry is bit-identical to the
     sweep at that point alone.  P_{-1} = 0 and P_0 = 1; orthonormality is
     with respect to the family's normalized measure.  Forward recurrence
-    only: fine for the small degrees in scope, instability at large degree
-    is documented, not mitigated.
+    only: right for the small degrees of the Gram checks and for solutions
+    that decay only algebraically; instability is documented, not mitigated.
     """
-    x = np.asarray(x, dtype=float)[()]   # a scalar x stays a numpy scalar
-    a, b = family.recurrence(np.arange(n_max, dtype=float))
-    out = np.empty((n_max + 1,) + np.shape(x))
-    out[0] = 1.0
+    x = np.asarray(x, dtype=float)
+    a, b = (c.tolist() for c in family.recurrence(np.arange(n_max, dtype=float)))
+    out = np.empty((n_max + 1,) + x.shape)
+    x = x.tolist() if x.ndim == 0 else x   # a float: same doubles, faster steps
+    out[0] = prev = 1.0
     if n_max >= 1:
-        out[1] = (x - a[0]) / b[0]
+        out[1] = cur = (x - a[0]) / b[0]
     for k in range(1, n_max):
-        out[k + 1] = ((x - a[k]) * out[k] - b[k - 1] * out[k - 1]) / b[k]
+        prev, cur = cur, ((x - a[k]) * cur - b[k - 1] * prev) / b[k]
+        out[k + 1] = cur
     return out
 
 
@@ -594,8 +599,7 @@ def _adaptive_gk21(f, a: float, b: float, epsabs: float, epsrel: float,
     return total, total_err + round_err
 
 
-def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-               characteristic: float = 1.0) -> np.ndarray:
+def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> np.ndarray:
     """Adaptive quadrature over (lo, hi) of an array integrand, infinite
     supports truncated where every entry is negligible.
 
@@ -606,7 +610,7 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     NumericalFailureError when the summed error estimate exceeds
     1e-7 (|integral|_max + 1) or is not a number.
     """
-    lo_f, hi_f = _finite_cutoffs(f, lo, hi, characteristic)
+    lo_f, hi_f = _finite_cutoff(f, lo), _finite_cutoff(f, hi)
     pieces = _breakpoints(lo_f, hi_f)
     total = 0.0
     err = 0.0
@@ -623,41 +627,25 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return total
 
 
-def _finite_cutoffs(f, lo, hi, characteristic):
-    """Finite ends for an infinite (lo, hi): from +-characteristic, doubled
-    until every entry of f is below 1e-18 of its peak over the probes."""
-    size = lambda x: float(np.abs(f(np.array([x]))).max())
-    peak = float(np.abs(f(_probe_points(lo, hi, characteristic))).max())
-    if peak == 0.0:
-        peak = 1.0
-    thresh = 1e-18 * peak
-    if math.isinf(hi):
-        hi = characteristic
-        for _ in range(80):
-            if size(hi) < thresh:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalFailureError("no decay found toward +inf")
-    if math.isinf(lo):
-        lo = -characteristic
-        for _ in range(80):
-            if size(lo) < thresh:
-                break
-            lo *= 2.0
-        else:
-            raise NumericalFailureError("no decay found toward -inf")
-    return lo, hi
-
-
-def _probe_points(lo, hi, characteristic):
-    a = lo if math.isfinite(lo) else -8 * characteristic
-    b = hi if math.isfinite(hi) else 8 * characteristic
-    return a + (b - a) * np.arange(1, 32) / 32.0
+def _finite_cutoff(f, end: float) -> float:
+    """A finite end stays.  An infinite end is found by a walk toward it,
+    +-1, +-2, +-4, ..., that stops past the running peak of the walk: at
+    the first point where every entry of f is below 1e-18 of that peak."""
+    if math.isfinite(end):
+        return end
+    x = math.copysign(1.0, end)
+    peak = 0.0
+    for _ in range(80):
+        size = float(np.abs(f(np.array([x]))).max())
+        if size < 1e-18 * peak:
+            return x
+        peak = max(peak, size)
+        x *= 2.0
+    raise NumericalFailureError(f"no decay found toward {end}")
 
 
 def _breakpoints(lo, hi):
-    """Geometric ladder of subdivision points; quad handles each piece."""
+    """Geometric ladder of subdivision points; _adaptive_gk21 takes each piece."""
     pts = {lo, hi}
     mag = 1.0
     while mag < max(abs(lo), abs(hi)):
@@ -728,7 +716,7 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
 
         def f(t):
             return (2.0 * t * dens(t * t))[:, None] * products(t * t)
-        vals = _integrate(f, 0.0, math.inf, characteristic=2.0 * math.sqrt(n_max + 1))
+        vals = _integrate(f, 0.0, math.inf)
     elif isinstance(family, MeixnerPollaczek):
         meas = family.measure(normalize=True)
         lo, hi = meas.continuous.support
@@ -736,7 +724,7 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
 
         def f(x):
             return dens(x)[:, None] * products(x)
-        vals = _integrate(f, lo, hi, characteristic=4.0 * (n_max + 1))
+        vals = _integrate(f, lo, hi)
     elif isinstance(family, ContinuousDualHahn):
         # substitute x = -y^2: the 1/(2y) density factor cancels the
         # Jacobian, leaving the smooth integrand density_y * P_i * P_j
@@ -744,7 +732,7 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
 
         def f(y):
             return (family.density_y(y) / mass)[:, None] * products(-y * y)
-        vals = _integrate(f, 0.0, math.inf, characteristic=4.0)
+        vals = _integrate(f, 0.0, math.inf)
     else:
         vals = 0.0
     C = np.zeros_like(G)

@@ -122,7 +122,7 @@ def sector_matrices(sector: OneModeSector):
     return a0, am, am.T.copy()
 
 
-def build_generators_full(rep: MultibosonRep, n: int, dense: bool | None = None):
+def build_generators_full(rep: MultibosonRep, n: int):
     """(A0, A-, A+) on Fock levels 0..n-1 from the global coefficient functions.
 
     Dense ndarrays up to DENSE_LIMIT levels, banded sparse above; both paths
@@ -130,14 +130,12 @@ def build_generators_full(rep: MultibosonRep, n: int, dense: bool | None = None)
     """
     if n <= rep.l:
         raise ValueError(f"need n > l = {rep.l}, got {n}")
-    if dense is None:
-        dense = n <= DENSE_LIMIT
     d = np.array([alpha0(rep, m) for m in range(n)])
     upper = np.array(
         [alpha_minus(rep, m) * math.sqrt(pochhammer(m + 1.0, rep.l))
          for m in range(n - rep.l)]
     )
-    if dense:
+    if n <= DENSE_LIMIT:
         a0 = np.diag(d)
         am = np.diag(upper, rep.l)
         return a0, am, am.T.copy()

@@ -40,9 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BoundaryAmbiguityError, NoBoundStateError
-from .jacobi import (JacobiOperator, block_eigenvectors, forward_eigenvector,
-                     oracle_eigs)
-from .orthopoly import ContinuousDualHahn, DualHahn, SpectralMeasure, pochhammer
+from .jacobi import JacobiOperator, block_eigenvectors, oracle_eigs
+from .orthopoly import (ContinuousDualHahn, DualHahn, SpectralMeasure, pochhammer,
+                        poly_table)
 from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
 from .bogoliubov import GroupElement
 
@@ -316,9 +316,9 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
     """Truncated normalized bound-state vector number n (requires u + n < 0).
 
     Components decay only algebraically, so the truncated vector converges
-    slowly in n_levels.  The plain forward sweep
-    ``jacobi.forward_eigenvector`` (p_0 = 1) needs no stabilizing: the
-    solution dichotomy is polynomial, not exponential.
+    slowly in n_levels.  The plain forward sweep ``orthopoly.poly_table``
+    of the block's recurrence at the bound-state energy (p_0 = 1) needs no
+    stabilizing: the solution dichotomy is polynomial, not exponential.
     """
     p = uvw_params(block.K, block.alpha0, block.beta0)
     if p.u + n >= 0:
@@ -326,8 +326,10 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
             f"u + n = {p.u + n} >= 0: no bound state with index {n}")
     s = continuum_shift(block.alpha0, block.beta0)
     e = (p.u + n) ** 2 - s
-    vec = forward_eigenvector(hc_block_jacobi(block), e)
-    return StateVector(vec.astype(complex), sector=block, tail_tol=1.0)
+    op = hc_block_jacobi(block)
+    vec = poly_table(op, op.size - 1, e)
+    return StateVector((vec / np.linalg.norm(vec)).astype(complex), sector=block,
+                       tail_tol=1.0)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from multiboson import onemode as om
 from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
-from multiboson.jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
-                              forward_eigenvector)
+from multiboson.jacobi import JacobiOperator, atom_eigenvector, block_eigenvectors
 
 SIZES = [1, 2, 500]
 
@@ -139,5 +138,5 @@ def test_atom_eigenvector_single_level():
     row = atom_eigenvector(fam, 1, 3)
     assert row.shape == (1, 3) and row[0, 0] == 0.75 ** 0.75
     jop = JacobiOperator(lambda k: 1.0, lambda k: 0.0, 1)
-    assert np.array_equal(forward_eigenvector(jop, 1.0), np.ones(1))
+    assert np.array_equal(op.poly_table(jop, jop.size - 1, 1.0), np.ones(1))
     assert np.array_equal(block_eigenvectors(jop, np.array([1.0])), np.ones((1, 1)))

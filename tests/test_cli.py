@@ -109,6 +109,9 @@ def test_spectrum_count_zero_usage_error(capsys):
     (["coherent", "--k-max", "-1"], "--k-max"),
     (["evolve", "--times", "0:1:0"], "--times"),
     (["evolve", "--times", "0:1:-3"], "--times"),
+    (["evolve", "--preset", "HIV", "--state=-1,3", "--times", "0"], "--state"),
+    (["evolve", "--preset", "HIV", "--state=2", "--times", "0"], "--state"),
+    (["evolve", "--preset", "HIV", "--state=200,3", "--times", "0"], "--state"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from multiboson import coherent as ch
 from multiboson import rep
@@ -68,27 +69,56 @@ def test_radial_measure_moments():
 
 def test_radial_measure_computes_each_moment_once(monkeypatch):
     calls = []
-    quad = ch.quad
+    integrate = ch._integrate
 
-    def counting_quad(*args, **kwargs):
+    def counting_integrate(*args, **kwargs):
         calls.append(args)
-        return quad(*args, **kwargs)
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(ch, "quad", counting_quad)
+    monkeypatch.setattr(ch, "_integrate", counting_integrate)
     m = ch.radial_measure(2.0, k_checked=6)
+    # every checked moment in one vector integral, at construction
+    assert len(calls) == 1
     for k in range(7):
         m.moment(k)
         m.moment_error(k)
-    # four breakpoint pieces per moment, k = 0..6, all at construction
-    assert len(calls) == 28
+    assert len(calls) == 1
     monkeypatch.undo()
     for k in range(7):
         assert m.moment(k) == m.moment(k, weight=m.weight)
 
 
+@pytest.mark.parametrize("al", [0.05, 0.3, 1.0, 2.7, 5.0])
+def test_radial_measure_moments_match_scalar_quadrature(al):
+    # an independent reference: scipy's scalar QUADPACK routine, moment by
+    # moment, on pieces around the peak of rho^{2k+1} K(2 rho)
+    m = ch.radial_measure(al, k_checked=10)
+    for k in range(11):
+        f = lambda r: m.weight(r) * r ** (2 * k) * 2.0 * math.pi * r
+        ref = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                  for a, b in ((0.0, 1.0), (1.0, 5.0), (5.0, 15.0), (15.0, 60.0)))
+        assert abs(m.moment(k) / ref - 1.0) <= 1e-12
+
+
+def test_radial_weights_take_arrays_elementwise():
+    m = ch.radial_measure(0.7, k_checked=2)
+    rho = np.array([-1.0, 0.0, 0.3, 2.0, 9.0])
+    for w in (m.weight, m.reference_weight):
+        got = w(rho)
+        assert got.shape == rho.shape and got[0] == got[1] == 0.0
+        assert np.array_equal(got, [w(r) for r in rho])
+        assert isinstance(w(0.3), float) and w(-2.0) == 0.0
+
+
 def test_radial_measure_rejects_negative_k_checked():
     with pytest.raises(ValueError, match="k_checked"):
         ch.radial_measure(1.0, k_checked=-1)
+
+
+def test_radial_moment_rejects_negative_order():
+    m = ch.radial_measure(1.0, k_checked=2)
+    with pytest.raises(ValueError, match="moment order"):
+        m.moment(-1, weight=m.weight)
 
 
 def test_radial_measure_reference_weight_fails_moments():

@@ -323,3 +323,17 @@ def test_onemode_interaction_route():
     h0 = np.diag(0.5 * np.arange(100.0))
     ref = scipy.linalg.expm(-1j * t * h0) @ scipy.linalg.expm(-1j * t * j) @ amps
     assert np.abs(out.amplitudes - ref).max() <= 1e-7
+
+
+def test_basis_state_checks_every_occupation_against_the_window():
+    # one mode of two-boson clusters on the even sector, 10 levels: Fock
+    # occupations 0, 2, ..., 18
+    sec = rep.OneModeSector(rep.MultibosonRep(2, (0.5, 1.5)), 0, 10)
+    one = ev.FullModel(om.OneModeHamiltonian(1.0, 1.0, sec), (1.0,))
+    assert np.array_equal(ev.basis_state(one, (18,)).amplitudes, np.eye(10)[9])
+    two = _hiv_model(n=8)
+    assert ev.basis_state(two, (7, 0)).amplitudes[56] == 1.0
+    for model, occ in ((one, (-2,)), (one, (20,)), (one, (3,)), (one, (0, 0)),
+                       (two, (-1, 3)), (two, (3, -8)), (two, (8, 3)), (two, (2,))):
+        with pytest.raises(ValueError):
+            ev.basis_state(model, occ)

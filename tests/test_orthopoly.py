@@ -314,9 +314,16 @@ def test_integrate_matches_closed_form_moments():
     al = 1.7
     f = lambda x: np.stack([op.Laguerre(al).measure().continuous.density(x) * x ** k
                             for k in range(6)], axis=1)
-    got = op._integrate(f, 0.0, math.inf, characteristic=4.0)
+    got = op._integrate(f, 0.0, math.inf)
     ref = np.array([math.gamma(k + al + 1) for k in range(6)])
     assert np.abs(got / ref - 1.0).max() <= 1e-12
+
+
+def test_integrate_finds_mass_far_from_the_origin():
+    # x^40 e^-x peaks at x = 40; the walk toward +inf finds the cutoff
+    # without a scale hint
+    got = op._integrate(lambda x: (x ** 40 * np.exp(-x))[:, None], 0.0, math.inf)
+    assert abs(got[0] / math.gamma(41) - 1.0) <= 1e-12
 
 
 def test_densities_take_arrays_elementwise():

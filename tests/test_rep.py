@@ -97,7 +97,11 @@ def test_full_generators_entries():
 def test_banded_and_dense_identical():
     r = rep.MultibosonRep(3, (0.3, 1.0, 2.2))
     n = 540
-    a0d, amd, apd = rep.build_generators_full(r, n, dense=True)
+    # dense reference straight from the coefficient functions
+    a0d = np.diag([rep.alpha0(r, m) for m in range(n)])
+    amd = np.diag([rep.alpha_minus(r, m) * math.sqrt(pochhammer(m + 1.0, r.l))
+                   for m in range(n - r.l)], r.l)
+    apd = amd.T
     a0b, amb, apb = rep.build_generators_full(r, n)  # above DENSE_LIMIT: banded
     assert not isinstance(a0b, np.ndarray)
     assert np.array_equal(a0b.toarray(), a0d)
