@@ -41,24 +41,21 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _load_config(path, command):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    unknown = set(cfg) - _KNOWN_KEYS[command]
+def _config(args: argparse.Namespace) -> dict:
+    """The ``--config`` file overlaid with every flag given on the command
+    line; both take the keys ``_KNOWN_KEYS[args.command]``."""
+    cfg = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    unknown = set(cfg) - _KNOWN_KEYS[args.command]
     if unknown:
-        raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-    return cfg
-
-
-def _merge(cfg: dict, args: argparse.Namespace, keys) -> dict:
-    out = dict(cfg)
-    for key in keys:
-        val = getattr(args, key, None)
+        raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    for key in sorted(_KNOWN_KEYS[args.command]):
+        val = getattr(args, key)
         if val is not None:
-            out[key] = val
-    return out
+            cfg[key] = val
+    return cfg
 
 
 def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None):
@@ -91,8 +88,7 @@ def _json_default(obj):
 
 
 def cmd_validate(args) -> int:
-    cfg = _merge(_load_config(args.config, "validate"), args,
-                 ("hd_convention", "quick"))
+    cfg = _config(args)
     convention = cfg.get("hd_convention", "operator-derived")
     results = validation.run_all(hd_convention=convention,
                                  quick=bool(cfg.get("quick", False)))
@@ -122,9 +118,7 @@ def _measure_rows(meas, count):
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _merge(_load_config(args.config, "spectrum"), args,
-                 ("model", "mu", "nu", "l", "r", "n_levels", "count", "K",
-                  "alpha0", "beta0", "format"))
+    cfg = _config(args)
     if args.alpha0_table is not None:
         cfg["alpha0_table"] = [float(x) for x in args.alpha0_table.split(",")]
     model = cfg.get("model", "onemode")
@@ -210,9 +204,7 @@ def _family_params(fam):
 
 
 def cmd_evolve(args) -> int:
-    cfg = _merge(_load_config(args.config, "evolve"), args,
-                 ("preset", "n_per_mode", "omega0", "omega1", "state", "times",
-                  "tail_tol", "format"))
+    cfg = _config(args)
     name = cfg.get("preset", "HIV")
     n = int(cfg.get("n_per_mode", 48))
     pm = evolution.preset(name, n)
@@ -260,8 +252,7 @@ def _parse_times(arg) -> list[float]:
 
 
 def cmd_coherent(args) -> int:
-    cfg = _merge(_load_config(args.config, "coherent"), args,
-                 ("zeta_re", "zeta_im", "alpha0", "n_levels", "k_max", "format"))
+    cfg = _config(args)
     zeta = complex(float(cfg.get("zeta_re", 1.0)), float(cfg.get("zeta_im", 0.0)))
     al = float(cfg.get("alpha0", 1.0))
     n = int(cfg.get("n_levels", 80))
@@ -275,7 +266,10 @@ def cmd_coherent(args) -> int:
                   / state.norm())
     norm2 = state.norm() ** 2
     kern = coherent.kernel(abs(zeta) ** 2, al)
-    meas = coherent.radial_measure(al, k_checked=k_max)
+    try:
+        meas = coherent.radial_measure(al, k_checked=k_max)
+    except ValueError as exc:
+        raise ValueError(f"--k-max {k_max} is too large: {exc}") from None
     moments = [{"k": k, "value": meas.moment(k), "target": meas.target_moment(k),
                 "rel_error": meas.moment_error(k)}
                for k in range(k_max + 1)]
@@ -339,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (pv, ps, pe, pc):
         sp.add_argument("--config")
         sp.add_argument("--out")
+    for sp in (ps, pe, pc):
         sp.add_argument("--format", choices=("json", "csv"))
     return p
 

@@ -21,6 +21,7 @@ kept as ``reference_weight`` for comparison: its k-th moment overshoots by
 the factor (alpha0 + k)/4, so no constant rescale can repair it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 TAIL_EPS = 1e-16
+# ln of the largest float64: a moment target k! (alpha0)_k above it overflows
+_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _amp_array(zeta: complex, alpha0: float, n: int) -> np.ndarray:
@@ -112,7 +115,8 @@ class RadialMeasure:
 
     The moments k = 0..``k_checked`` are computed once, at construction, and
     checked against the moment identity; ``moment`` and ``moment_error``
-    read them back without a new quadrature.
+    read them back without a new quadrature.  An order whose target overflows
+    float64 raises ``ValueError``, before any quadrature.
     """
 
     alpha0: float
@@ -123,6 +127,7 @@ class RadialMeasure:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
         if self.k_checked < 0:
             raise ValueError(f"k_checked must be >= 0, got {self.k_checked}")
+        self._check_order(self.k_checked)
         # the dataclass is frozen
         object.__setattr__(self, "_moments", tuple(
             self._moment_vector(self.weight, self.k_checked).tolist()))
@@ -153,6 +158,7 @@ class RadialMeasure:
             raise ValueError(f"moment order must be >= 0, got {k}")
         if weight is None and k <= self.k_checked:
             return self._moments[k]
+        self._check_order(k)
         w = self.weight if weight is None else weight
         return float(self._moment_vector(w, max(k, self.k_checked))[k])
 
@@ -180,7 +186,21 @@ class RadialMeasure:
 
     def target_moment(self, k: int) -> float:
         """k! (alpha0)_k."""
-        return math.exp(gammaln(k + 1) + ln_pochhammer(self.alpha0, k))
+        return math.exp(self._check_order(k))
+
+    def _check_order(self, k: int) -> float:
+        """ln(k! (alpha0)_k), or ValueError when k! (alpha0)_k overflows
+        float64.  The logarithm rises from k = 1 on, so the admissible
+        orders are 0..top."""
+        def ln_target(j):
+            return gammaln(j + 1) + ln_pochhammer(self.alpha0, j)
+        ln = ln_target(k)
+        if ln > _LN_FLOAT_MAX:
+            top = next(j for j in itertools.count(1) if ln_target(j) > _LN_FLOAT_MAX) - 1
+            raise ValueError(f"moment order {k} overflows float64 at alpha0 = "
+                             f"{self.alpha0}: k! (alpha0)_k exceeds 1.8e308; the "
+                             f"largest admissible order is {top}")
+        return ln
 
     def moment_error(self, k: int) -> float:
         t = self.target_moment(k)

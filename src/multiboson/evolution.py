@@ -54,10 +54,9 @@ from .jacobi import JacobiOperator, oracle_eigh
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep, StateVector
-from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
-                      build_h_matrix, canonical_matrix, hd_block_jacobi,
-                      hc_block_jacobi)
-from .bogoliubov import GroupElement
+from .twomode import (CANONICAL_TWISTS, CBlock, DBlock, TwoModeHamiltonian,
+                      TwoModeRep, _kron_sum, build_h_matrix, canonical_matrix,
+                      hd_block_jacobi, hc_block_jacobi)
 
 __all__ = [
     "CanonicalInteraction",
@@ -86,7 +85,7 @@ class CanonicalInteraction:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("D", "C"):
+        if self.kind not in CANONICAL_TWISTS:
             raise ValueError(f"kind must be 'D' or 'C', got {self.kind!r}")
         if self.n_per_mode < 2:
             raise ValueError("need n_per_mode >= 2")
@@ -109,8 +108,10 @@ class FullModel:
     """Free frequencies plus an interaction handle.
 
     ``interaction`` is a OneModeHamiltonian, a CanonicalInteraction, or a
-    TwoModeHamiltonian (generic, eigendecomposed as one dense block; pass
-    ``n_per_mode`` to fix its truncation).  ``omega`` has one entry per mode.
+    TwoModeHamiltonian (generic, eigendecomposed as one dense block).  Only
+    a generic interaction takes ``n_per_mode``, and needs it, to fix its
+    truncation; the other two carry their own window.  ``omega`` has one
+    entry per mode.
     ``tail_tol`` bounds the evolved state's tail fraction at every time: the
     norm-squared share of the positions where some mode's window index k
     is at least ceil(0.9 n), n the levels per mode (k1 counts as well as
@@ -123,33 +124,40 @@ class FullModel:
     n_per_mode: int | None = None
 
     def __post_init__(self):
-        n_modes = 1 if isinstance(self.interaction, OneModeHamiltonian) else 2
+        n_modes = len(_layout(self)[0])
         if len(self.omega) != n_modes:
             raise ValueError(f"need {n_modes} frequencies, got {len(self.omega)}")
-        if isinstance(self.interaction, TwoModeHamiltonian) and self.n_per_mode is None:
+        generic = isinstance(self.interaction, TwoModeHamiltonian)
+        if generic and self.n_per_mode is None:
             raise ValueError("a generic two-mode interaction needs n_per_mode")
+        if not generic and self.n_per_mode is not None:
+            raise ValueError(f"a {type(self.interaction).__name__} carries its own "
+                             "window; only a generic interaction takes n_per_mode")
 
     def occupations(self, positions: np.ndarray | None = None) -> list[np.ndarray]:
         """Physical occupation numbers per mode at the flattened basis
         ``positions`` (an integer array; None reads the whole basis)."""
-        h = self.interaction
-        if isinstance(h, OneModeHamiltonian):
-            s = h.sector
-            k = np.arange(s.n_levels) if positions is None else np.asarray(positions)
-            return [k * s.rep.l + s.r]
-        reps, (r0, r1), n = _two_mode_layout(self)
-        flat = np.arange(n * n) if positions is None else np.asarray(positions)
-        k0, k1 = np.divmod(flat, n)
-        return [k0 * reps.rep0.l + r0, k1 * reps.rep1.l + r1]
+        ls, rs, n = _layout(self)
+        flat = np.arange(n ** len(ls)) if positions is None else np.asarray(positions)
+        ks = np.unravel_index(flat, (n,) * len(ls))
+        return [k * l + r for k, l, r in zip(ks, ls, rs)]
 
 
-def _two_mode_layout(model: "FullModel") -> tuple[TwoModeRep, tuple[int, int], int]:
+def _layout(model: FullModel) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+    """How a flattened basis index maps to occupations: the cluster size l
+    and the sector residue r of each mode, and the window n of levels k per
+    mode; position sum_i k_i n^(modes-1-i) holds occupations k_i l_i + r_i."""
     h = model.interaction
+    if isinstance(h, OneModeHamiltonian):
+        s = h.sector
+        return (s.rep.l,), (s.r,), s.n_levels
     if isinstance(h, CanonicalInteraction):
-        return h.reps, h.sector, h.n_per_mode
-    if isinstance(h, TwoModeHamiltonian):
-        return h.reps, h.sector, model.n_per_mode
-    raise TypeError(f"unsupported interaction {type(h).__name__}")
+        n = h.n_per_mode
+    elif isinstance(h, TwoModeHamiltonian):
+        n = model.n_per_mode
+    else:
+        raise TypeError(f"unsupported interaction {type(h).__name__}")
+    return (h.reps.rep0.l, h.reps.rep1.l), tuple(h.sector), n
 
 
 @dataclass
@@ -179,8 +187,6 @@ class InteractionEvolver:
         if isinstance(h, TwoModeHamiltonian):
             w, v = scipy.linalg.eigh(build_h_matrix(h, model.n_per_mode))
             self.whole = _Block(np.arange(w.size), w, v)
-        elif not isinstance(h, (OneModeHamiltonian, CanonicalInteraction)):
-            raise TypeError(f"unsupported interaction {type(h).__name__}")
 
     def apply(self, psi: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         """exp(-i H t) psi as the pair (indices, amplitudes).
@@ -283,14 +289,9 @@ def _evolve_grid(model: FullModel, psi0: np.ndarray,
 def _tail_mask(model: FullModel, cols: np.ndarray) -> np.ndarray:
     """Which flattened positions ``cols`` have some mode's window index
     k >= ceil(0.9 n), n the levels per mode."""
-    h = model.interaction
-    if isinstance(h, OneModeHamiltonian):
-        n, ks = h.sector.n_levels, (cols,)
-    else:
-        n = _two_mode_layout(model)[2]
-        ks = np.divmod(cols, n)
+    ls, _, n = _layout(model)
     cut = max(1, math.ceil(0.9 * n))
-    return np.logical_or.reduce([k >= cut for k in ks])
+    return np.logical_or.reduce([k >= cut for k in np.unravel_index(cols, (n,) * len(ls))])
 
 
 def evolve_full(model: FullModel, psi0: StateVector, t: float) -> StateVector:
@@ -426,7 +427,8 @@ def interaction_energy(model: FullModel, psi: StateVector) -> float:
     A canonical interaction is summed over the charge blocks psi occupies,
     scale * sum_b psi_b^H J_b psi_b + offset * |psi|^2 with J_b the block's
     Jacobi operator, and a one-mode one is the Jacobi quadratic form; neither
-    builds a matrix.  A generic two-mode interaction builds its dense matrix.
+    builds a matrix.  A generic two-mode interaction multiplies psi by its
+    sparse matrix (``twomode._kron_sum``), never made dense.
     """
     h = model.interaction
     amps = np.asarray(psi.amplitudes, dtype=complex)
@@ -440,8 +442,7 @@ def interaction_energy(model: FullModel, psi: StateVector) -> float:
             form += _jacobi_form(_charge_block_operator(h, q, idx.size), amps[idx])
         energy = h.scale * form + h.offset * norm2
     else:
-        n = int(round(math.sqrt(amps.size)))
-        energy = np.vdot(amps, build_h_matrix(h, n) @ amps).real
+        energy = np.vdot(amps, _kron_sum(h, model.n_per_mode) @ amps).real
     return float(energy / norm2)
 
 
@@ -455,13 +456,7 @@ def _jacobi_form(op: JacobiOperator, x: np.ndarray) -> float:
 def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
     """Fock basis state |n0[, n1]> as a StateVector over the model's basis;
     ValueError unless each mode's occupation n is in its sector and window."""
-    h = model.interaction
-    if isinstance(h, OneModeHamiltonian):
-        sector = h.sector
-        ls, rs, n = (sector.rep.l,), (sector.r,), sector.n_levels
-    else:
-        reps, sector, n = _two_mode_layout(model)
-        ls, rs = (reps.rep0.l, reps.rep1.l), sector
+    ls, rs, n = _layout(model)
     occupations = tuple(occupations)
     if len(occupations) != len(ls):
         raise ValueError(f"need {len(ls)} occupation(s), one per mode, got {occupations}")
@@ -473,7 +468,7 @@ def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
                          f"n // l must be in 0..{n - 1}")
     amps = np.zeros(n ** len(ks), dtype=complex)
     amps[np.ravel_multi_index(ks, (n,) * len(ks))] = 1.0
-    return StateVector(amps, sector=sector, tail_tol=model.tail_tol)
+    return StateVector(amps, sector=model.interaction.sector, tail_tol=model.tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +482,7 @@ class PresetModel:
         matrix = mapping.scale * canonical_matrix(mapping.kind, ...)
                  + mapping.offset * Id
 
+    The mapping's kind names its twists in ``twomode.CANONICAL_TWISTS``.
     Evolution needs only ``mapping``.  ``matrix``, a dense n_per_mode^2 x
     n_per_mode^2 array, is assembled on first access as a sum of sparse
     Kronecker terms densified once (peak memory one dense result) and kept.
@@ -495,7 +491,6 @@ class PresetModel:
     name: str
     n_per_mode: int
     mapping: CanonicalInteraction
-    group_elements: tuple[GroupElement, GroupElement]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -521,10 +516,11 @@ def _ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, a.T.copy(), np.diag(np.arange(n, dtype=float))
 
 
-_HALF_TABLE = (0.5, 1.5)
-# smallest cutoff per preset: HI-HIII map onto a window of (n + 1) // 2
-# cluster states per mode, HIV onto n, and a window needs two states
-_PRESET_MIN_N = {"HI": 3, "HII": 3, "HIII": 3, "HIV": 2}
+# each preset as (canonical kind, cluster sizes of the two modes, scale); its
+# window holds ceil(n / l) cluster states per mode, l the larger cluster size
+_PRESETS = {"HI": ("C", (2, 2), -4.0), "HII": ("D", (2, 2), 4.0),
+            "HIII": ("D", (1, 2), 2.0), "HIV": ("C", (1, 1), -1.0)}
+_CLUSTER_REPS = {1: MultibosonRep(1, (1.0,)), 2: MultibosonRep(2, (0.5, 1.5))}
 
 
 def preset(name: str, n_per_mode: int) -> PresetModel:
@@ -538,33 +534,20 @@ def preset(name: str, n_per_mode: int) -> PresetModel:
 
     Every one is an affine image of a canonical D- or C-form on cluster
     representations; the returned mapping reproduces the matrix entrywise.
-    Only the mapping and the group elements are built here; the matrix is
-    assembled when first read (``PresetModel.matrix``).  Raises
-    ``ValueError`` for an unknown name or a cutoff below 3 (HI, HII, HIII)
-    or 2 (HIV).
+    Only the mapping is built here; the matrix is assembled when first read
+    (``PresetModel.matrix``).  Raises ``ValueError`` for an unknown name or
+    a cutoff whose window holds fewer than two cluster states: below 3 (HI,
+    HII, HIII) or 2 (HIV).
     """
-    if name not in _PRESET_MIN_N:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; use HI, HII, HIII or HIV")
-    if n_per_mode < _PRESET_MIN_N[name]:
-        raise ValueError(f"preset {name} needs n_per_mode >= {_PRESET_MIN_N[name]}, "
+    kind, (l0, l1), scale = _PRESETS[name]
+    l = max(l0, l1)
+    # ceil(n / l) >= 2 holds from n = l + 1 on
+    if n_per_mode < l + 1:
+        raise ValueError(f"preset {name} needs n_per_mode >= {l + 1}, "
                          f"got {n_per_mode}")
-    n = n_per_mode
-    rep1 = MultibosonRep(1, (1.0,))
-    rep2 = MultibosonRep(2, _HALF_TABLE)
-    if name == "HI":
-        mapping = CanonicalInteraction("C", TwoModeRep(rep2, rep2), (0, 0),
-                                       (n + 1) // 2, scale=-4.0, offset=-0.5)
-        pair = (GroupElement(1.0, -1), GroupElement(-1.0, 1))
-    elif name == "HII":
-        mapping = CanonicalInteraction("D", TwoModeRep(rep2, rep2), (0, 0),
-                                       (n + 1) // 2, scale=4.0, offset=-0.5)
-        pair = (GroupElement(1.0, -1), GroupElement(1.0, 1))
-    elif name == "HIII":
-        mapping = CanonicalInteraction("D", TwoModeRep(rep1, rep2), (0, 0),
-                                       (n + 1) // 2, scale=2.0, offset=-0.5)
-        pair = (GroupElement(1.0, -1), GroupElement(1.0, 1))
-    else:  # HIV
-        mapping = CanonicalInteraction("C", TwoModeRep(rep1, rep1), (0, 0),
-                                       n, scale=-1.0, offset=-0.5)
-        pair = (GroupElement(1.0, -1), GroupElement(-1.0, 1))
-    return PresetModel(name, n, mapping, pair)
+    reps = TwoModeRep(_CLUSTER_REPS[l0], _CLUSTER_REPS[l1])
+    mapping = CanonicalInteraction(kind, reps, (0, 0), -(-n_per_mode // l),
+                                   scale=scale, offset=-0.5)
+    return PresetModel(name, n_per_mode, mapping)

@@ -12,12 +12,12 @@ Expanded in products of the mode triples:
 
 The conserved combination D0 = A0 +- B0 splits each sector into blocks:
 
-* D-form (``canonical_matrix('D')``, group elements (1,-1), (1,+1)):
+* D-form (``canonical_matrix('D')``, H at ``CANONICAL_TWISTS['D']``):
   (1/2) A0 B0 + A+ B- + A- B+ on finite blocks |k, K-k>, k = 0..K.  Note the
   middle interaction: it is the combination that commutes with A0 + B0 and
   whose matrix elements match the block coefficients below; the pair
   A+ B+ + A- B- does not commute with A0 + B0.
-* C-form (``canonical_matrix('C')``, group elements (1,-1), (-1,+1)):
+* C-form (``canonical_matrix('C')``, H at ``CANONICAL_TWISTS['C']``):
   -[(1/2) A0 B0 + A+ B+ + A- B-] on semi-infinite blocks |K+k, k> (K >= 0)
   or |k, k-K> (K < 0).
 
@@ -47,6 +47,7 @@ from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
 from .bogoliubov import GroupElement
 
 __all__ = [
+    "CANONICAL_TWISTS",
     "TwoModeRep",
     "TwoModeHamiltonian",
     "DBlock",
@@ -95,47 +96,51 @@ class TwoModeHamiltonian:
         return self.reps.rep1.alpha0_init[self.sector[1]]
 
 
-def _mode_matrices(reps: TwoModeRep, sector: tuple[int, int], n: int):
-    s0 = OneModeSector(reps.rep0, sector[0], n)
-    s1 = OneModeSector(reps.rep1, sector[1], n)
-    return sector_matrices(s0), sector_matrices(s1)
+def _kron_sum(h: TwoModeHamiltonian, n_per_mode: int) -> sp.csr_matrix:
+    """Truncated interaction on the (r0, r1) product basis |k0, k1>,
+    flattened as k0 * n_per_mode + k1: the CSR sum of the Kronecker terms of
+    the expansion in the module docstring, skipping every term whose
+    coefficient is zero.  Each nonzero entry comes from exactly one
+    (dk0, dk1) term, so no entry depends on the order of the sum."""
+    (a0, am, ap), (b0, bm, bp) = (sector_matrices(OneModeSector(rep, r, n_per_mode))
+                                  for rep, r in zip((h.reps.rep0, h.reps.rep1), h.sector))
+    a, s = h.g.a, h.g.sigma
+    b, t = h.h.a, h.h.sigma
+    ab4 = 4 * a * b
+    terms = (((a * a + b * b) / ab4, [(a0, b0)]),
+             (-s * t * (a - b) ** 2 / ab4, [(ap, bp), (am, bm)]),
+             (-s * (a * a - b * b) / ab4, [(ap, b0), (am, b0)]),
+             (t * (a * a - b * b) / ab4, [(a0, bm), (a0, bp)]),
+             (-s * t * (a + b) ** 2 / ab4, [(ap, bm), (am, bp)]))
+    k = partial(sp.kron, format="csr")
+    parts = [c * sum((k(x, y) for x, y in pairs[1:]), k(*pairs[0]))
+             for c, pairs in terms if c != 0]
+    return sum(parts[1:], parts[0])
 
 
 def build_h_matrix(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
-    """Truncated interaction matrix on the (r0, r1) product basis
-    |k0, k1>, flattened as k0 * n_per_mode + k1.
+    """Truncated interaction matrix on the (r0, r1) product basis |k0, k1>,
+    flattened as k0 * n_per_mode + k1: the sparse Kronecker sum densified
+    once, so the peak memory is one dense n_per_mode^2 x n_per_mode^2 result."""
+    return _kron_sum(h, n_per_mode).toarray()
 
-    Assembled as a sum of sparse Kronecker terms and densified once, so the
-    peak memory is one dense n_per_mode^2 x n_per_mode^2 result."""
-    (a0, am, ap), (b0, bm, bp) = _mode_matrices(h.reps, h.sector, n_per_mode)
-    a, s = h.g.a, h.g.sigma
-    b, t = h.h.a, h.h.sigma
-    c_00 = (a * a + b * b) / (4 * a * b)
-    c_pp = -s * t * (a - b) ** 2 / (4 * a * b)
-    c_p0 = -s * (a * a - b * b) / (4 * a * b)
-    c_0p = t * (a * a - b * b) / (4 * a * b)
-    c_pm = -s * t * (a + b) ** 2 / (4 * a * b)
-    k = partial(sp.kron, format="csr")
-    return (c_00 * k(a0, b0)
-            + c_pp * (k(ap, bp) + k(am, bm))
-            + c_p0 * (k(ap, b0) + k(am, b0))
-            + c_0p * (k(a0, bm) + k(a0, bp))
-            + c_pm * (k(ap, bm) + k(am, bp))).toarray()
+
+# the canonical forms as twists (g, h) of the diagonal Casimir
+CANONICAL_TWISTS = {
+    "D": (GroupElement(1.0, -1), GroupElement(1.0, 1)),
+    "C": (GroupElement(1.0, -1), GroupElement(-1.0, 1)),
+}
 
 
 def canonical_matrix(kind: str, reps: TwoModeRep, sector: tuple[int, int],
                      n_per_mode: int) -> np.ndarray:
-    """Canonical D-form or C-form interaction on the product basis.
-
-    Assembled as a sum of sparse Kronecker terms and densified once, so the
-    peak memory is one dense n_per_mode^2 x n_per_mode^2 result."""
-    (a0, am, ap), (b0, bm, bp) = _mode_matrices(reps, sector, n_per_mode)
-    k = partial(sp.kron, format="csr")
-    if kind == "D":
-        return (0.5 * k(a0, b0) + k(ap, bm) + k(am, bp)).toarray()
-    if kind == "C":
-        return (-(0.5 * k(a0, b0) + k(ap, bp) + k(am, bm))).toarray()
-    raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
+    """Canonical D-form or C-form interaction on the product basis: H at
+    the twists ``CANONICAL_TWISTS[kind]``, densified once like
+    ``build_h_matrix``."""
+    if kind not in CANONICAL_TWISTS:
+        raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
+    h = TwoModeHamiltonian(reps, *CANONICAL_TWISTS[kind], sector)
+    return _kron_sum(h, n_per_mode).toarray()
 
 
 @dataclass(frozen=True)
@@ -390,12 +395,13 @@ def hc_truncation_check(block: CBlock, count: int | None = None) -> TruncationCh
 
 
 def _ladder_up(n: int, l: int) -> float:
-    """<n + l| (a*)^l |n> = sqrt((n+1)...(n+l))."""
+    """<n + l| (a*)^l |n> = sqrt((n+1)...(n+l)), 1 at l = 0."""
     return math.sqrt(pochhammer(n + 1.0, l))
 
 
 def coupling_functions(h: TwoModeHamiltonian, grid, n_per_mode: int | None = None):
-    """Intensity-dependent coupling samples read off the interaction matrix.
+    """Intensity-dependent coupling samples read off the entries of the
+    sparse interaction matrix (no dense n_per_mode^2 x n_per_mode^2 array).
 
     The interaction has the normal form
 
@@ -416,21 +422,16 @@ def coupling_functions(h: TwoModeHamiltonian, grid, n_per_mode: int | None = Non
             raise ValueError(f"grid point ({n0}, {n1}) not in sector {h.sector}")
     if n_per_mode is None:
         n_per_mode = max(max(n0 // l0, n1 // l1) for n0, n1 in pts) + 3
-    m = build_h_matrix(h, n_per_mode)
-    def idx(n0, n1):
-        return (n0 // l0) * n_per_mode + (n1 // l1)
-    out = {"g00": {}, "gpm": {}, "gm0": {}, "g0m": {}, "gmm": {}}
+    m = _kron_sum(h, n_per_mode)
+    # the level steps (dk0, dk1) from the bra to the ket of each term
+    steps = {"g00": (0, 0), "gpm": (-1, 1), "gm0": (1, 0), "g0m": (0, 1), "gmm": (1, 1)}
+    out = {key: {} for key in steps}
     for n0, n1 in pts:
-        i = idx(n0, n1)
-        out["g00"][(n0, n1)] = m[i, i]
-        if n1 // l1 + 1 < n_per_mode and n0 >= l0:
-            out["gpm"][(n0, n1)] = (m[i, idx(n0 - l0, n1 + l1)]
-                                    / (_ladder_up(n0 - l0, l0) * _ladder_up(n1, l1)))
-        if n0 // l0 + 1 < n_per_mode:
-            out["gm0"][(n0, n1)] = m[i, idx(n0 + l0, n1)] / _ladder_up(n0, l0)
-        if n1 // l1 + 1 < n_per_mode:
-            out["g0m"][(n0, n1)] = m[i, idx(n0, n1 + l1)] / _ladder_up(n1, l1)
-        if n0 // l0 + 1 < n_per_mode and n1 // l1 + 1 < n_per_mode:
-            out["gmm"][(n0, n1)] = (m[i, idx(n0 + l0, n1 + l1)]
-                                    / (_ladder_up(n0, l0) * _ladder_up(n1, l1)))
+        k0, k1 = n0 // l0, n1 // l1
+        for key, (d0, d1) in steps.items():
+            if 0 <= k0 + d0 < n_per_mode and 0 <= k1 + d1 < n_per_mode:
+                ladder = (_ladder_up(min(n0, n0 + d0 * l0), abs(d0) * l0)
+                          * _ladder_up(min(n1, n1 + d1 * l1), abs(d1) * l1))
+                out[key][(n0, n1)] = (m[k0 * n_per_mode + k1,
+                                        (k0 + d0) * n_per_mode + k1 + d1] / ladder)
     return out

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multiboson.cli import build_parser, main
+from multiboson.cli import _KNOWN_KEYS, build_parser, main
 
 # reference ``spectrum`` output, byte for byte, keyed "<model> <format>"
 GOLDEN = json.loads((Path(__file__).parent / "data" / "spectrum_golden.json").read_text())
@@ -112,6 +113,7 @@ def test_spectrum_count_zero_usage_error(capsys):
     (["evolve", "--preset", "HIV", "--state=-1,3", "--times", "0"], "--state"),
     (["evolve", "--preset", "HIV", "--state=2", "--times", "0"], "--state"),
     (["evolve", "--preset", "HIV", "--state=200,3", "--times", "0"], "--state"),
+    (["coherent", "--alpha0", "0.05", "--k-max", "100"], "--k-max"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)
@@ -125,6 +127,19 @@ def test_spectrum_output_matches_golden(capsys, model, fmt):
     code, out, _ = _run(capsys, "spectrum", *GOLDEN_ARGV[model], "--format", fmt)
     assert code == 0
     assert out == GOLDEN[f"{model} {fmt}"]
+
+
+def test_each_subcommand_takes_exactly_its_config_keys(capsys):
+    # every flag is a config key and every config key a flag, so no flag is
+    # parsed and then ignored
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_KNOWN_KEYS)
+    for command, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
+        assert dests - {"command", "config", "out"} == _KNOWN_KEYS[command]
+    code, _, err = _run(capsys, "validate", "--format", "csv")
+    assert code == 2 and "--format" in err
 
 
 def test_parser_built_once_per_process(capsys):

@@ -121,6 +121,26 @@ def test_radial_moment_rejects_negative_order():
         m.moment(-1, weight=m.weight)
 
 
+def test_radial_measure_rejects_an_overflowing_order(monkeypatch):
+    # 99! (0.05)_99 exceeds the largest float64, 98! (0.05)_98 does not; the
+    # order is checked before any quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ch, "_integrate", no_quadrature)
+        for k in (99, 100, 400):
+            with pytest.raises(ValueError, match=f"moment order {k} overflows.*"
+                                                 "largest admissible order is 98"):
+                ch.radial_measure(0.05, k_checked=k)
+    m = ch.radial_measure(0.05, k_checked=2)
+    with pytest.raises(ValueError, match="largest admissible order is 98"):
+        m.moment(99)
+    with pytest.raises(ValueError, match="largest admissible order is 98"):
+        m.target_moment(99)
+    assert math.isfinite(m.target_moment(98))
+
+
 def test_radial_measure_reference_weight_fails_moments():
     # the reference weight (both indices one unit up) overshoots the k-th
     # moment by exactly (alpha0 + k) / 4: demonstrably k-dependent, so no

@@ -9,6 +9,7 @@ import scipy.linalg
 from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import rep
+from multiboson import twomode as tm
 from multiboson.errors import TruncationOverflowError
 from multiboson.orthopoly import hyp0f1
 from multiboson.twomode import TwoModeHamiltonian, TwoModeRep
@@ -293,6 +294,53 @@ def test_interaction_energy_conserved_without_a_dense_matrix(monkeypatch):
     for row in grid:
         e_t = ev.interaction_energy(model, rep.StateVector(row, tail_tol=math.inf))
         assert abs(e_t - e0) <= 1e-9 * max(1.0, abs(e0))
+
+
+def _generic_model(n):
+    reps = TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(2, (0.5, 1.5)))
+    h = TwoModeHamiltonian(reps, GroupElement(1.3, -1), GroupElement(-0.6, 1), (0, 1))
+    return ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf, n_per_mode=n)
+
+
+def test_generic_interaction_energy_matches_dense():
+    model = _generic_model(20)
+    psi = _superposition(20 * 20, np.random.default_rng(13))
+    amps = psi.amplitudes
+    dense = tm.build_h_matrix(model.interaction, 20)
+    ref = np.vdot(amps, dense @ amps).real / np.vdot(amps, amps).real
+    assert abs(ev.interaction_energy(model, psi) - ref) <= 1e-12 * abs(ref)
+
+
+def test_generic_interaction_energy_conserved_without_a_dense_matrix(monkeypatch):
+    model = _generic_model(20)
+    psi0 = _superposition(20 * 20, np.random.default_rng(14))
+    # the generic evolver's one eigh needs the dense matrix; the energies do not
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.5, 3.0, 6)),
+                  psi0.amplitudes.size)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense n^2 x n^2 matrix built")
+
+    monkeypatch.setattr(ev, "build_h_matrix", dense)
+    monkeypatch.setattr(tm, "build_h_matrix", dense)
+    e0 = ev.interaction_energy(model, psi0)
+    for row in grid:
+        e_t = ev.interaction_energy(model, rep.StateVector(row, tail_tol=math.inf))
+        assert abs(e_t - e0) <= 1e-9 * max(1.0, abs(e0))
+
+
+def test_n_per_mode_only_for_a_generic_interaction():
+    # a one-mode or a canonical interaction carries its own window: a second
+    # cutoff would be ignored, so it is refused
+    sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 10)
+    reps = TwoModeRep(rep.MultibosonRep(1, (1.0,)), rep.MultibosonRep(1, (1.0,)))
+    for h, omega in ((om.OneModeHamiltonian(4.0, 1.0, sec), (1.0,)),
+                     (ev.CanonicalInteraction("C", reps, (0, 0), 10), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="carries its own window"):
+            ev.FullModel(h, omega, n_per_mode=20)
+        assert ev.FullModel(h, omega).n_per_mode is None
+    with pytest.raises(ValueError, match="needs n_per_mode"):
+        ev.FullModel(_generic_model(20).interaction, (1.0, 0.7))
 
 
 def test_generic_two_mode_dense_route_matches_canonical():

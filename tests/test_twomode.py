@@ -23,21 +23,39 @@ def _two(alpha0=1.0, beta0=1.0, g=(1.0, -1), h=(1.0, 1)):
     return tm.TwoModeHamiltonian(reps, GroupElement(*g), GroupElement(*h), (0, 0))
 
 
+def _assert_build_h_is_canonical_at_the_twists(kind, seed):
+    # random cluster sizes, alpha0 tables, sectors and cutoffs: H at the
+    # table's twists is the canonical form bit for bit
+    g, h = tm.CANONICAL_TWISTS[kind]
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        l0, l1 = (int(l) for l in rng.integers(1, 4, 2))
+        reps = tm.TwoModeRep(MultibosonRep(l0, tuple(rng.uniform(0.2, 3.0, l0))),
+                             MultibosonRep(l1, tuple(rng.uniform(0.2, 3.0, l1))))
+        sector = (int(rng.integers(l0)), int(rng.integers(l1)))
+        n = int(rng.integers(2, 24))
+        m = tm.build_h_matrix(tm.TwoModeHamiltonian(reps, g, h, sector), n)
+        assert np.array_equal(m, tm.canonical_matrix(kind, reps, sector, n))
+
+
 def test_build_h_matrix_d_pair():
     # (1,-1), (1,1): the pair-creation coefficient vanishes and the matrix
     # is exactly the canonical D-form
-    h = _two()
-    m = tm.build_h_matrix(h, 8)
-    ref = tm.canonical_matrix("D", h.reps, (0, 0), 8)
-    assert np.abs(m - ref).max() <= 1e-14
+    assert tm.CANONICAL_TWISTS["D"] == (GroupElement(1.0, -1), GroupElement(1.0, 1))
+    _assert_build_h_is_canonical_at_the_twists("D", 21)
     assert (-1) * (1) * (1.0 - 1.0) ** 2 == 0.0
 
 
 def test_build_h_matrix_c_pair():
-    h = _two(g=(1.0, -1), h=(-1.0, 1))
-    m = tm.build_h_matrix(h, 8)
-    ref = tm.canonical_matrix("C", h.reps, (0, 0), 8)
-    assert np.abs(m - ref).max() <= 1e-14
+    assert tm.CANONICAL_TWISTS["C"] == (GroupElement(1.0, -1), GroupElement(-1.0, 1))
+    _assert_build_h_is_canonical_at_the_twists("C", 22)
+
+
+def test_canonical_matrix_rejects_other_kinds():
+    reps = tm.TwoModeRep(R1, R1)
+    for kind in ("E", "d", ""):
+        with pytest.raises(ValueError, match=f"kind must be 'D' or 'C', got {kind!r}"):
+            tm.canonical_matrix(kind, reps, (0, 0), 4)
 
 
 def test_build_h_matrix_no_mixing_when_a_equals_b():
@@ -352,6 +370,25 @@ def test_coupling_functions_sector_validation():
     h = tm.TwoModeHamiltonian(reps, GroupElement(1.0, -1), GroupElement(1.0, 1), (0, 0))
     with pytest.raises(ValueError):
         tm.coupling_functions(h, [(1, 0)])  # n0 odd, sector r0 = 0
+
+
+def test_coupling_functions_never_builds_the_dense_matrix(monkeypatch):
+    reps = tm.TwoModeRep(MultibosonRep(2, (0.5, 1.5)), R1)
+    h = tm.TwoModeHamiltonian(reps, GroupElement(1.3, -1), GroupElement(-0.6, 1), (1, 0))
+    m = tm.build_h_matrix(h, 6)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense n^2 x n^2 matrix built")
+
+    monkeypatch.setattr(tm, "build_h_matrix", dense)
+    grid = [(2 * k0 + 1, n1) for k0 in range(3) for n1 in range(3)]
+    g = tm.coupling_functions(h, grid, n_per_mode=6)
+    for n0, n1 in grid:
+        # |k0, n1> sits at k0 * 6 + n1, and a0^2 a1 steps to k0 + 1, n1 + 1
+        i = (n0 // 2) * 6 + n1
+        assert g["g00"][(n0, n1)] == m[i, i]
+        assert g["gmm"][(n0, n1)] == m[i, i + 7] / (tm._ladder_up(n0, 2)
+                                                     * tm._ladder_up(n1, 1))
 
 
 def test_cdh_gram_for_block_parameters():
