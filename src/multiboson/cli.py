@@ -123,6 +123,8 @@ def cmd_spectrum(args) -> int:
         cfg["alpha0_table"] = [float(x) for x in args.alpha0_table.split(",")]
     model = cfg.get("model", "onemode")
     count = int(cfg.get("count", 8))
+    if count < 1:
+        raise ValueError(f"--count must be >= 1, got {count}")
     fmt = cfg.get("format", "json")
     results = {}
     diagnostics = {}
@@ -213,7 +215,12 @@ def cmd_evolve(args) -> int:
                                 (float(cfg.get("omega0", 1.0)),
                                  float(cfg.get("omega1", 1.0))),
                                 tail_tol=tail)
-    state = cfg.get("state", "2,3")
+    state = cfg.get("state")
+    if state is None:
+        # (2, 3), each occupation n rounded down into its mode's sector r mod l
+        m = pm.mapping
+        ls = (m.reps.rep0.l, m.reps.rep1.l)
+        state = ",".join(str(n - (n - r) % l) for n, l, r in zip((2, 3), ls, m.sector))
     try:
         psi0 = evolution.basis_state(model, tuple(int(x) for x in str(state).split(",")))
     except ValueError as exc:

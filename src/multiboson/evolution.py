@@ -2,17 +2,18 @@
 
 Schroedinger solutions factor as psi(t) = exp(-i H0 t) exp(-i H t) psi(0)
 with H0 the free number Hamiltonian (diagonal phases).  The interaction
-factor goes through spectral decompositions, each taken once per run and
-applied to a whole time grid in one product: closed-form eigenpairs for
-the discrete one-mode cases, LAPACK tridiagonal eigendecompositions of the
-charge blocks of a canonical interaction, and one symmetric
-eigendecomposition of the whole truncated matrix of a generic two-mode
-interaction with no aligned block structure.  A canonical interaction is
-split into its Manley-Rowe charge blocks, and only the blocks in which the
-state has amplitude are solved; the others stay exactly zero.  (The
-closed-form D-block eigenpairs, ``twomode.hd_spectrum`` and
-``hd_eigenvectors``, agree with the LAPACK ones to roundoff and are tested
-against them.)
+factor goes through spectral decompositions, all taken in one call of
+``InteractionEvolver.apply`` per run and applied to a whole time grid in
+one product: ``onemode.evolve`` for a one-mode interaction (closed-form
+eigenpairs in the discrete cases; amplitude arrays in, one row per time
+out), LAPACK tridiagonal eigendecompositions of the charge blocks of a
+canonical interaction, and one symmetric eigendecomposition of the whole
+truncated matrix of a generic two-mode interaction with no aligned block
+structure.  A canonical interaction is split into its Manley-Rowe charge
+blocks, and only the blocks in which the state has amplitude are solved;
+the others stay exactly zero.  (The closed-form D-block eigenpairs,
+``twomode.hd_spectrum`` and ``hd_eigenvectors``, agree with the LAPACK
+ones to roundoff and are tested against them.)
 
 An evolved state is carried as the pair (indices, amplitudes): the
 ascending flattened positions of the blocks it occupies and its amplitudes
@@ -33,12 +34,13 @@ rounds to the exact value, and ``math.fsum`` takes the other rows
 
 Evolution of the truncated model is unitary, so norms and the block labels
 (Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
-model tracks the infinite one is a separate question monitored through the
-state's tail fraction, the norm-squared share of the positions where some
-mode sits in the last 10% of its window (``FullModel.tail_tol``): models
-whose interactions pump quanta without bound (all four presets at large t)
-leave any fixed window, and runs probing conservation laws rather than
-asymptotic occupations should declare a lax ``tail_tol``.
+model tracks the infinite one is a separate question monitored in one
+place, ``_evolve_grid``, through the state's tail fraction: the
+norm-squared share of the positions where some mode sits in the last 10%
+of its window (``FullModel.tail_tol``).  Models whose interactions pump
+quanta without bound (all four presets at large t) leave any fixed
+window, and runs probing conservation laws rather than asymptotic
+occupations should declare a lax ``tail_tol``.
 """
 
 import math
@@ -115,7 +117,7 @@ class FullModel:
     ``tail_tol`` bounds the evolved state's tail fraction at every time: the
     norm-squared share of the positions where some mode's window index k
     is at least ceil(0.9 n), n the levels per mode (k1 counts as well as
-    k0, unlike the flattened ``StateVector.tail_fraction``).
+    k0).  It is the package's only tail monitor.
     """
 
     interaction: object
@@ -160,33 +162,18 @@ def _layout(model: FullModel) -> tuple[tuple[int, ...], tuple[int, ...], int | N
     return (h.reps.rep0.l, h.reps.rep1.l), tuple(h.sector), n
 
 
-@dataclass
-class _Block:
-    """One solved invariant block: flattened positions of its states
-    (ascending k0), its energies and its eigenvectors (columns, block
-    coordinates)."""
-
-    indices: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
-
-
 class InteractionEvolver:
     """Applies exp(-i H t) for the supported interaction kinds.
 
-    A two-mode interaction acts through invariant blocks: the Manley-Rowe
-    charge blocks of a canonical interaction, or the whole truncated matrix
-    of a generic one, eigendecomposed once here.  ``apply`` builds and
-    eigendecomposes the charge blocks in which its state has amplitude.
+    A one-mode interaction goes through ``onemode.evolve``.  A two-mode
+    interaction acts through invariant blocks: the Manley-Rowe charge blocks
+    of a canonical interaction, or the whole truncated matrix of a generic
+    one.  ``apply`` builds and eigendecomposes the blocks in which its state
+    has amplitude, so nothing is solved before it is called.
     """
 
     def __init__(self, model: FullModel):
         self.model = model
-        self.whole: _Block | None = None
-        h = model.interaction
-        if isinstance(h, TwoModeHamiltonian):
-            w, v = scipy.linalg.eigh(build_h_matrix(h, model.n_per_mode))
-            self.whole = _Block(np.arange(w.size), w, v)
 
     def apply(self, psi: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         """exp(-i H t) psi as the pair (indices, amplitudes).
@@ -196,7 +183,8 @@ class InteractionEvolver:
         interaction); ``amplitudes`` holds the evolved state there, shape
         (m,) at a scalar t, or (n_times, m) with one row per time of a 1-d
         array t.  Every other position stays exactly zero and is not stored.
-        Only the occupied blocks are solved and applied.
+        Only the occupied blocks are solved and applied, each as the tuple
+        (indices, energies, eigenvectors in block coordinates).
         """
         h = self.model.interaction
         psi = np.asarray(psi, dtype=complex)
@@ -205,26 +193,26 @@ class InteractionEvolver:
             raise ValueError("t must be a scalar or a 1-d array of times")
         ts = np.atleast_1d(times)
         if isinstance(h, OneModeHamiltonian):
-            sv = StateVector(psi, sector=h.sector, tail_tol=math.inf)
-            indices = np.arange(psi.size)
-            out = np.stack([s.amplitudes for s in evolve_onemode(h, sv, -ts)])
+            indices, out = np.arange(psi.size), evolve_onemode(h, psi, -ts)
         else:
             nonzero = np.flatnonzero(psi)
+            blocks = []
             if isinstance(h, TwoModeHamiltonian):
-                blocks = [self.whole] if nonzero.size else []
+                if nonzero.size:
+                    w, v = scipy.linalg.eigh(build_h_matrix(h, self.model.n_per_mode))
+                    blocks.append((np.arange(w.size), w, v))
             else:
-                blocks = []
                 for q in np.unique(_charges(h, nonzero)).tolist():
                     idx = _charge_block_indices(h, q)
                     w, v = oracle_eigh(_charge_block_operator(h, q, idx.size))
-                    blocks.append(_Block(idx, h.scale * w + h.offset, v))
-            indices = (np.sort(np.concatenate([blk.indices for blk in blocks])) if blocks
+                    blocks.append((idx, h.scale * w + h.offset, v))
+            indices = (np.sort(np.concatenate([idx for idx, _, _ in blocks])) if blocks
                        else np.zeros(0, dtype=np.intp))
             out = np.empty((ts.size, indices.size), dtype=complex)
-            for blk in blocks:
-                coeff = blk.vectors.T @ psi[blk.indices]
-                phases = np.exp(-1j * ts[:, None] * blk.energies)
-                out[:, np.searchsorted(indices, blk.indices)] = (phases * coeff) @ blk.vectors.T
+            for idx, energies, vectors in blocks:
+                coeff = vectors.T @ psi[idx]
+                phases = np.exp(-1j * ts[:, None] * energies)
+                out[:, np.searchsorted(indices, idx)] = (phases * coeff) @ vectors.T
         return indices, (out[0] if times.ndim == 0 else out)
 
 
@@ -246,22 +234,16 @@ def _charge_block_indices(h: CanonicalInteraction, q: int) -> np.ndarray:
 
 
 def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOperator:
-    """Tridiagonal restriction of the canonical interaction to one charge block."""
+    """Tridiagonal restriction of the canonical interaction to the window's
+    m states of the charge-q block: a view of the whole block's Jacobi
+    operator from its level base on, where a D-block cut by the window
+    starts (k0 = q - n + 1) and 0 for a C-block."""
     a0, b0 = h.alpha0(), h.beta0()
-    n = h.n_per_mode
     if h.kind == "C":
-        blk = CBlock(q, a0, b0, n_levels=max(m, 2))
-        op = hc_block_jacobi(blk)
-        return JacobiOperator(op.diag, op.offdiag, m)
-    # D-block, complete or cut by the window: states (k, q - k),
-    # k = max(0, q - n + 1) .. min(q, n - 1)
-    base = max(0, q - n + 1)
-    full = hd_block_jacobi(DBlock(q, a0, b0))
-    return JacobiOperator(
-        diag=lambda j: full.diag(base + j),
-        offdiag=lambda j: full.offdiag(base + j),
-        size=m,
-    )
+        base, full = 0, hc_block_jacobi(CBlock(q, a0, b0))
+    else:
+        base, full = max(0, q - h.n_per_mode + 1), hd_block_jacobi(DBlock(q, a0, b0))
+    return JacobiOperator(lambda j: full.diag(base + j), lambda j: full.offdiag(base + j), m)
 
 
 def _evolve_grid(model: FullModel, psi0: np.ndarray,
@@ -302,7 +284,7 @@ def evolve_full(model: FullModel, psi0: StateVector, t: float) -> StateVector:
     total = sum(w * n for w, n in zip(model.omega, model.occupations(indices)))
     out = np.zeros(psi0.amplitudes.size, dtype=complex)
     out[indices] = amps[0] * np.exp(-1j * float(t) * total)
-    return StateVector(out, sector=psi0.sector, tail_tol=model.tail_tol)
+    return StateVector(out, sector=psi0.sector)
 
 
 @dataclass(frozen=True)
@@ -468,7 +450,7 @@ def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
                          f"n // l must be in 0..{n - 1}")
     amps = np.zeros(n ** len(ks), dtype=complex)
     amps[np.ravel_multi_index(ks, (n,) * len(ks))] = 1.0
-    return StateVector(amps, sector=model.interaction.sector, tail_tol=model.tail_tol)
+    return StateVector(amps, sector=model.interaction.sector)
 
 
 # ---------------------------------------------------------------------------

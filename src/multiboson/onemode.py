@@ -25,6 +25,11 @@ Case index -> conditions, family, affine map (x_phys = scale * x_family):
 with phi = arccos(-(mu+nu)/(mu-nu)), c = (mu+nu-2 sqrt(mu nu))/(mu+nu+2 sqrt(mu nu))
 and c' the same with +-2 sqrt(mu nu) swapped.  Case boundaries are exact
 sign tests; callers pass exact zeros when they mean the axes.
+
+``evolve`` maps an amplitude array to amplitude arrays, one row per time,
+and checks no truncation tail: the package has one tail monitor, the
+per-mode check of ``evolution.run_series`` and ``evolve_full`` against
+the ``FullModel``'s tolerance.
 """
 
 import math
@@ -33,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationOverflowError, UnsupportedCaseError
-from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigh, oracle_eigs
+from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigh
 from .orthopoly import (Laguerre, Meixner, MeixnerPollaczek, PolyFamily,
                         SpectralMeasure)
-from .rep import OneModeSector, StateVector, tail_fractions
+from .rep import OneModeSector, StateVector
 
 __all__ = [
     "OneModeHamiltonian",
@@ -46,7 +51,6 @@ __all__ = [
     "spectrum",
     "eigenvalue_discrete",
     "eigenvectors_discrete",
-    "oracle_eigs",
     "evolve",
     "default_n_levels",
 ]
@@ -209,24 +213,21 @@ def _expand_discrete(h: OneModeHamiltonian, label: CaseLabel, psi: np.ndarray):
     return _discrete_block(h, label, size, m), coeffs[:m], energies
 
 
-def evolve(h: OneModeHamiltonian, psi0: StateVector, t):
-    """Apply exp(i t H) to psi0 at a time t, or at every time of a 1-d array t.
+def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
+    """Apply exp(i t H) to the amplitude array psi at a time t, or at every
+    time of a 1-d array t: shape (N,) at a scalar t, (n_times, N) with one
+    row per time of an array t.
 
-    A scalar t returns one StateVector, an array one StateVector per time.
     The spectral data is taken once per call, whatever the number of times:
-    one closed-form eigen-expansion of psi0 in the discrete cases 5-8, one
+    one closed-form eigen-expansion of psi in the discrete cases 5-8, one
     (LAPACK) eigendecomposition of the truncated Jacobi operator in the
-    continuous cases 1-4, one set of diagonal phases in case 9.  Raises
-    TruncationOverflowError when psi0's truncation tail exceeds
-    psi0.tail_tol, or when the evolved state's does at any time (the first
-    such time in the order given).
+    continuous cases 1-4, one set of diagonal phases in case 9.  The
+    closed-form expansion raises TruncationOverflowError when 4N terms do
+    not hold psi; the truncation tail of the evolved state is left to
+    ``evolution.run_series`` and ``evolve_full``.
     """
-    psi = np.asarray(psi0.amplitudes, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
     size = psi.size
-    if psi0.tail_fraction() > psi0.tail_tol:
-        raise TruncationOverflowError(
-            f"initial tail fraction {psi0.tail_fraction():.2e} exceeds "
-            f"{psi0.tail_tol:.2e}", advised_n=2 * size)
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-d array of times")
@@ -242,12 +243,4 @@ def evolve(h: OneModeHamiltonian, psi0: StateVector, t):
             energies, vecs = oracle_eigh(jacobi(h), n=size)
             coeffs = vecs.T @ psi
         out = (np.exp(1j * ts * energies) * coeffs) @ vecs.T
-    tails = tail_fractions(out)
-    over = np.flatnonzero(tails > psi0.tail_tol)
-    if over.size:
-        raise TruncationOverflowError(
-            f"evolved tail fraction {tails[over[0]]:.2e} exceeds "
-            f"{psi0.tail_tol:.2e}; increase n_levels", advised_n=2 * size)
-    results = [StateVector(amps, sector=psi0.sector, tail_tol=psi0.tail_tol)
-               for amps in out]
-    return results[0] if times.ndim == 0 else results
+    return out[0] if times.ndim == 0 else out

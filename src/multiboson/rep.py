@@ -10,7 +10,7 @@ shift with coefficients depending only on k and alpha0(r).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +21,6 @@ __all__ = [
     "MultibosonRep",
     "OneModeSector",
     "StateVector",
-    "tail_fractions",
     "residue",
     "alpha0",
     "alpha_minus",
@@ -160,28 +159,15 @@ def series_class(rep: MultibosonRep, r: int) -> str:
     return "other"
 
 
-def tail_fractions(amps) -> np.ndarray:
-    """Norm-squared share of the last 10% of positions (index >= ceil(0.9 n))
-    along the last axis of ``amps``, one value per row; 0 for a zero row."""
-    p = np.abs(np.asarray(amps)) ** 2
-    cut = max(1, int(math.ceil(0.9 * p.shape[-1])))
-    total = p.sum(axis=-1)
-    tail = p[..., cut:].sum(axis=-1)
-    return np.divide(tail, total, out=np.zeros_like(total), where=total > 0)
-
-
 @dataclass
 class StateVector:
-    """Complex amplitudes over a truncated basis, with tail bookkeeping.
+    """Complex amplitudes over a truncated basis.
 
     ``sector`` is free-form metadata (a OneModeSector, a block record, ...).
-    The tail fraction is the norm-squared share of the last 10% of
-    amplitudes; evolution operations keep it below ``tail_tol``.
     """
 
     amplitudes: np.ndarray
     sector: object = None
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -197,14 +183,7 @@ class StateVector:
         nrm = self.norm()
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / nrm, self.sector, self.tail_tol)
-
-    def tail_fraction(self) -> float:
-        """Norm-squared share of the last 10% of the flattened amplitudes
-        (``tail_fractions``).  On a two-mode product basis this covers only
-        the last tenth of k0; the evolution check (``FullModel.tail_tol``)
-        is the per-mode one."""
-        return float(tail_fractions(self.amplitudes))
+        return StateVector(self.amplitudes / nrm, self.sector)
 
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))

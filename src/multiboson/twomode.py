@@ -41,8 +41,7 @@ import scipy.sparse as sp
 
 from .errors import BoundaryAmbiguityError, NoBoundStateError
 from .jacobi import JacobiOperator, block_eigenvectors, oracle_eigs
-from .orthopoly import (ContinuousDualHahn, DualHahn, SpectralMeasure, pochhammer,
-                        poly_table)
+from .orthopoly import ContinuousDualHahn, SpectralMeasure, pochhammer, poly_table
 from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
 from .bogoliubov import GroupElement
 
@@ -59,7 +58,6 @@ __all__ = [
     "hd_block_jacobi",
     "hd_spectrum",
     "hd_eigenvectors",
-    "hd_family",
     "hc_block_jacobi",
     "hc_family",
     "uvw_params",
@@ -213,10 +211,6 @@ def hd_spectrum(block: DBlock) -> np.ndarray:
     return n * (n + block.alpha0 + block.beta0 - 1.0) + 0.5 * block.alpha0 * block.beta0
 
 
-def hd_family(block: DBlock) -> DualHahn:
-    return DualHahn(block.alpha0 - 1.0, block.beta0 - 1.0, block.K)
-
-
 def hd_eigenvectors(block: DBlock, n: int) -> StateVector:
     """Normalized eigenvector of the D-block at the nth closed-form eigenvalue:
     column n of the whole block's inverse-iteration eigenvectors
@@ -333,8 +327,7 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
     e = (p.u + n) ** 2 - s
     op = hc_block_jacobi(block)
     vec = poly_table(op, op.size - 1, e)
-    return StateVector((vec / np.linalg.norm(vec)).astype(complex), sector=block,
-                       tail_tol=1.0)
+    return StateVector((vec / np.linalg.norm(vec)).astype(complex), sector=block)
 
 
 @dataclass(frozen=True)

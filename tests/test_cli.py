@@ -114,6 +114,9 @@ def test_spectrum_count_zero_usage_error(capsys):
     (["evolve", "--preset", "HIV", "--state=2", "--times", "0"], "--state"),
     (["evolve", "--preset", "HIV", "--state=200,3", "--times", "0"], "--state"),
     (["coherent", "--alpha0", "0.05", "--k-max", "100"], "--k-max"),
+    # a count below 1, continuous (case 1) and discrete (case 5)
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "0", "--count", "0"], "--count"),
+    (["spectrum", "--model", "onemode", "--mu", "4", "--nu", "1", "--count", "0"], "--count"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)
@@ -225,6 +228,21 @@ def test_evolve_manley_rowe_columns(capsys, tmp_path):
         assert float(row[i0]) - float(row[i1]) == pytest.approx(-1.0, abs=1e-8)
         assert float(row[ie]) <= 1e-10
     assert float(data[0][i0]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("preset, state", [("HI", (2, 2)), ("HII", (2, 2)),
+                                           ("HIII", (2, 2)), ("HIV", (2, 3))])
+def test_evolve_default_state_lies_in_the_preset_sector(capsys, preset, state):
+    # without --state, each occupation of (2, 3) is rounded down into its
+    # mode's sector; the run equals one from that state given explicitly
+    argv = ["evolve", "--preset", preset, "--times", "0:1:3", "--format", "json"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    # at t = 0 the block eigendecomposition returns the state to roundoff
+    assert (res[0]["mean_n0"], res[0]["mean_n1"]) == pytest.approx(state, abs=1e-12)
+    code, explicit, _ = _run(capsys, *argv, "--state", ",".join(map(str, state)))
+    assert code == 0 and json.loads(explicit)["results"] == res
 
 
 def test_evolve_single_time_point(capsys, tmp_path):

@@ -65,7 +65,7 @@ def _state(model, cells):
     """Normalized superposition of the basis states (k0[, k1]) of the window."""
     amps = sum((0.6 + 0.3j * i) * ev.basis_state(model, _occupation(c)).amplitudes
                for i, c in enumerate(cells))
-    return rep.StateVector(amps / np.linalg.norm(amps), tail_tol=math.inf)
+    return rep.StateVector(amps / np.linalg.norm(amps))
 
 
 def _occupation(cell):
@@ -222,36 +222,56 @@ def test_spectral_solves_do_not_grow_with_the_grid(monkeypatch, name, make):
     assert counts == expected
 
 
-def test_one_apply_solves_only_the_occupied_blocks(monkeypatch):
-    model = _canonical_model("C")
-    psi0 = _state(model, CANONICAL_STATES["C"]["superposition"]).amplitudes
-    calls = _count(monkeypatch, ev, "oracle_eigh")
+@pytest.mark.parametrize("name, make, solver, n_solves", [
+    ("C", lambda: (_canonical_model("C"), CANONICAL_STATES["C"]["superposition"]),
+     (ev, "oracle_eigh"), 3),
+    ("generic", lambda: (_generic_model(), [(2, 1)]), (scipy.linalg, "eigh"), 1),
+], ids=["C", "generic"])
+def test_one_apply_solves_only_the_occupied_blocks(monkeypatch, name, make, solver, n_solves):
+    # nothing is solved when the evolver is built, only in apply
+    model, cells = make()
+    psi0 = _state(model, cells).amplitudes
+    calls = _count(monkeypatch, *solver)
     evolver = ev.InteractionEvolver(model)
     assert calls == []
     evolver.apply(psi0, 0.7)
-    assert len(calls) == 3
+    assert len(calls) == n_solves
 
 
 @pytest.mark.parametrize("case", sorted(ONEMODE))
 def test_onemode_evolve_grid_returns_one_state_per_time(case):
     h = _onemode_model(case).interaction
-    psi0 = rep.StateVector(np.eye(h.sector.n_levels)[3].astype(complex))
+    psi0 = np.eye(h.sector.n_levels)[3].astype(complex)
     times = np.array([0.0, 0.3, 0.6])
     states = om.evolve(h, psi0, times)
-    assert len(states) == times.size
+    assert states.shape == (times.size, psi0.size)
     for t, state in zip(times, states):
         one = om.evolve(h, psi0, float(t))
-        assert isinstance(one, rep.StateVector)
-        assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-12
+        assert one.shape == psi0.shape
+        assert np.abs(state - one).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(ONEMODE))
+def test_onemode_apply_is_onemode_evolve_backwards(case):
+    # apply's one-mode amplitudes are onemode.evolve's at -t, bit for bit
+    model = _onemode_model(case)
+    psi0 = _state(model, [(3,), (5,)]).amplitudes
+    times = np.linspace(-1.0, 2.0, 7)
+    indices, amps = ev.InteractionEvolver(model).apply(psi0, times)
+    assert np.array_equal(indices, np.arange(psi0.size))
+    assert np.array_equal(amps, om.evolve(model.interaction, psi0, -times))
+    _, one = ev.InteractionEvolver(model).apply(psi0, 0.4)
+    assert np.array_equal(one, om.evolve(model.interaction, psi0, -0.4))
 
 
 def test_onemode_evolve_grid_raises_at_the_first_overflowing_time():
+    # the one tail monitor: run_series on a one-mode model, omega 0
     sec = rep.OneModeSector(R0, 0, 30)
-    h = om.OneModeHamiltonian(1.0, 0.0, sec)
-    psi0 = rep.StateVector(np.eye(30)[0].astype(complex), tail_tol=1e-8)
-    with pytest.raises(TruncationOverflowError):
-        om.evolve(h, psi0, np.array([0.0, 0.1, 50.0]))
-    assert len(om.evolve(h, psi0, np.array([0.0, 0.1]))) == 2
+    model = ev.FullModel(om.OneModeHamiltonian(1.0, 0.0, sec), (0.0,), tail_tol=1e-8)
+    psi0 = ev.basis_state(model, (0,))
+    with pytest.raises(TruncationOverflowError, match="at t = 50.0"):
+        ev.run_series(model, psi0, np.array([0.0, 0.1, 50.0]))
+    assert len(ev.run_series(model, psi0, np.array([0.0, 0.1])).records) == 2
 
 
 @pytest.mark.parametrize("l", [1, 2])

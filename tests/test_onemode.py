@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
+from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson.bogoliubov import GroupElement, act_on_labels
@@ -207,46 +208,54 @@ def test_three_term_identity_against_family():
 def test_evolve_t0_and_case9_phases():
     h = om.OneModeHamiltonian(1.5, 1.5, _sector(1.0, 16))
     amps = 0.5 ** np.arange(16) * (1.0 + 0.0j)
-    psi0 = rep.StateVector(amps / np.linalg.norm(amps))
+    psi0 = amps / np.linalg.norm(amps)
     out = om.evolve(h, psi0, 0.0)
-    assert np.allclose(out.amplitudes, psi0.amplitudes)
+    assert np.allclose(out, psi0)
     t = 0.41
     out = om.evolve(h, psi0, t)
     k = np.arange(16)
-    expected = np.exp(1j * t * 1.5 * (2 * k + 1.0)) * psi0.amplitudes
-    assert np.abs(out.amplitudes - expected).max() <= 1e-12
+    expected = np.exp(1j * t * 1.5 * (2 * k + 1.0)) * psi0
+    assert np.abs(out - expected).max() <= 1e-12
 
 
 def test_evolve_case5_matches_expm_oracle():
     h = _h(4.0, 1.0, n=100)
-    psi0 = rep.StateVector(np.eye(100)[0].astype(complex))
+    psi0 = np.eye(100)[0].astype(complex)
     t = 0.37
     out = om.evolve(h, psi0, t)
-    assert abs(out.norm() - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
     u = scipy.linalg.expm(1j * t * om.jacobi(h).dense())
-    ref = u @ psi0.amplitudes
-    assert np.abs(out.amplitudes - ref).max() <= 1e-7
+    ref = u @ psi0
+    assert np.abs(out - ref).max() <= 1e-7
 
 
 DISCRETE_CASES = [(2.0, 0.5, 5), (-2.0, -0.5, 6), (0.5, 2.0, 7), (-0.5, -2.0, 8)]
 
 
-def _evolve_against_oracle(mu, nu, k0, t):
+def _basis_model(mu, nu, k0, tail_tol):
+    """One-mode FullModel at omega 0 and its basis state k0 (N = 800)."""
     h = _h(mu, nu, alpha0=1.3, n=800)
-    psi = np.zeros(800, dtype=complex)
-    psi[k0] = 1.0
-    out = om.evolve(h, rep.StateVector(psi), t)
+    model = ev.FullModel(h, (0.0,), tail_tol=tail_tol)
+    return model, ev.basis_state(model, (k0,))
+
+
+def _evolve_against_oracle(mu, nu, k0, t):
+    model, psi0 = _basis_model(mu, nu, k0, math.inf)
+    h = model.interaction
+    out = om.evolve(h, psi0.amplitudes, t)
     w, v = oracle_eigh(om.jacobi(h))
-    return np.abs(out.amplitudes - v @ (np.exp(1j * t * w) * v[k0])).max()
+    return np.abs(out - v @ (np.exp(1j * t * w) * v[k0])).max()
 
 
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
 def test_evolve_discrete_from_mid_window(mu, nu, case):
     assert om.classify(mu, nu, 1.3).index == case
     assert _evolve_against_oracle(mu, nu, 200, 0.5) <= 1e-8
-    # by t = 2 the state has spread to the truncation edge
+    # by t = 2 the state has spread to the truncation edge: the tail monitor
+    # of evolve_full, exp(-i H t) at omega 0, raises at t = -2
+    model, psi0 = _basis_model(mu, nu, 200, 1e-8)
     with pytest.raises(TruncationOverflowError):
-        _evolve_against_oracle(mu, nu, 200, 2.0)
+        ev.evolve_full(model, psi0, -2.0)
 
 
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
@@ -257,19 +266,23 @@ def test_evolve_discrete_from_low_state(mu, nu, case):
 
 def test_evolve_continuous_case_unitary():
     h = _h(1.0, 0.0, n=120)
-    psi0 = rep.StateVector(np.eye(120)[2].astype(complex))
+    psi0 = np.eye(120)[2].astype(complex)
     out = om.evolve(h, psi0, 0.9)
-    assert abs(out.norm() - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
     back = om.evolve(h, out, -0.9)
-    assert np.abs(back.amplitudes - psi0.amplitudes).max() <= 1e-9
+    assert np.abs(back - psi0).max() <= 1e-9
 
 
 def test_evolve_tail_overflow():
+    # a state on the last level overflows the tail monitor of evolve_full
+    # and run_series, whatever the time
     h = _h(1.0, 0.0, n=30)
-    bad = np.zeros(30, dtype=complex)
-    bad[-1] = 1.0
+    model = ev.FullModel(h, (0.0,), tail_tol=1e-8)
+    bad = ev.basis_state(model, (29,))
     with pytest.raises(TruncationOverflowError):
-        om.evolve(h, rep.StateVector(bad), 0.1)
+        ev.evolve_full(model, bad, -0.1)
+    with pytest.raises(TruncationOverflowError, match="at t = 0.0"):
+        ev.run_series(model, bad, [0.0, 0.1])
 
 
 def test_default_n_levels():

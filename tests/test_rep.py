@@ -170,8 +170,6 @@ def test_state_vector():
     v = rep.StateVector(np.array([3.0, 4.0j]))
     assert v.norm() == pytest.approx(5.0)
     assert v.normalized().norm() == pytest.approx(1.0)
-    tail = rep.StateVector(np.concatenate([np.ones(18), [1e-3, 1e-3]]))
-    assert tail.tail_fraction() == pytest.approx(2e-6 / (18 + 2e-6))
     with pytest.raises(ValueError):
         rep.StateVector(np.array([np.nan + 0j]))
     with pytest.raises(ValueError):
@@ -179,17 +177,6 @@ def test_state_vector():
     a = rep.StateVector(np.array([1.0, 1.0j]))
     b = rep.StateVector(np.array([1.0, 0.0]))
     assert a.inner(b) == pytest.approx(1.0)
-
-
-def test_tail_fractions_one_value_per_row():
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=(4, 23)) + 1j * rng.normal(size=(4, 23))
-    amps[2] = 0.0
-    fractions = rep.tail_fractions(amps)
-    assert fractions.shape == (4,)
-    assert fractions[2] == 0.0
-    for row, f in zip(amps, fractions):
-        assert rep.StateVector(row).tail_fraction() == f
 
 
 def test_state_vector_accepts_strided_views():
