@@ -83,9 +83,6 @@ class GeneratorAction:
             raise ValueError("generator action must be invertible")
         object.__setattr__(self, "matrix", m)
 
-    def compose(self, other: "GeneratorAction") -> "GeneratorAction":
-        return GeneratorAction(self.matrix @ other.matrix)
-
 
 def action_matrix(g: GroupElement) -> GeneratorAction:
     """Linear action of (a, sigma) on (A0, A-, A+).
@@ -144,8 +141,10 @@ class ImplementerInfo:
     c: float
 
 
-def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = False):
-    """N x N unitary whose columns are the transformed-A0 eigenvectors.
+def implementer(g: GroupElement, alpha0: float,
+                n: int) -> tuple[np.ndarray, ImplementerInfo]:
+    """N x N unitary whose columns are the transformed-A0 eigenvectors, and
+    its truncation diagnostics: the pair (u, info).
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
     which no unitary realizes.  The transformed A0,
@@ -170,16 +169,13 @@ def implementer(g: GroupElement, alpha0: float, n: int, return_info: bool = Fals
     sign = np.where(np.arange(n) % 2 == 1, -1.0, 1.0)
     if g.a == 1.0:
         u = np.diag(sign if g.sigma == -1 else np.ones(n))
-        info = ImplementerInfo(n, n, 0.0)
-        return (u, info) if return_info else u
+        return u, ImplementerInfo(n, n, 0.0)
     u = atom_eigenvector(Meixner(alpha0, c), n)
     u /= np.linalg.norm(u, axis=0)
     if float(g.a) ** g.sigma > 1.0:
         u *= np.outer(sign, sign)
     if g.sigma == -1:
         u *= sign
-    if not return_info:
-        return u
     tail = np.abs(u[max(0, n - 8):, :]).max(axis=0)
     bad = np.flatnonzero(tail > 1e-9)
     ncol = int(bad[0]) if bad.size else n

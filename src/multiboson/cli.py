@@ -28,7 +28,7 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 _KNOWN_KEYS = {
-    "validate": {"hd_convention", "quick"},
+    "validate": {"quick"},
     "spectrum": {"model", "mu", "nu", "alpha0_table", "l", "r", "n_levels",
                  "count", "K", "alpha0", "beta0", "format"},
     "evolve": {"preset", "n_per_mode", "omega0", "omega1", "state", "times",
@@ -87,15 +87,20 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    """``value`` unchanged, or a usage error naming ``flag`` below ``low``."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def cmd_validate(args) -> int:
     cfg = _config(args)
-    convention = cfg.get("hd_convention", "operator-derived")
-    results = validation.run_all(hd_convention=convention,
-                                 quick=bool(cfg.get("quick", False)))
+    quick = bool(cfg.get("quick", False))
+    results = validation.run_all(quick=quick)
     report = validation.format_report(results)
     payload = {
-        "config": {"command": "validate", "hd_convention": convention,
-                   "quick": bool(cfg.get("quick", False))},
+        "config": {"command": "validate", "quick": quick},
         "version": __version__,
         "results": [r.to_dict() for r in results],
         "diagnostics": {"n_checks": len(results),
@@ -109,22 +114,12 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else FAILURE
 
 
-def _measure_rows(meas, count):
-    rows = [("atom", _fmt(loc), _fmt(w)) for loc, w in meas.atoms[:count]]
-    if meas.continuous is not None:
-        lo, hi = meas.continuous.support
-        rows.append(("continuum", f"[{_fmt(lo)}, {_fmt(hi)}]", ""))
-    return rows
-
-
 def cmd_spectrum(args) -> int:
     cfg = _config(args)
     if args.alpha0_table is not None:
         cfg["alpha0_table"] = [float(x) for x in args.alpha0_table.split(",")]
     model = cfg.get("model", "onemode")
-    count = int(cfg.get("count", 8))
-    if count < 1:
-        raise ValueError(f"--count must be >= 1, got {count}")
+    count = _at_least("--count", int(cfg.get("count", 8)), 1)
     fmt = cfg.get("format", "json")
     results = {}
     diagnostics = {}
@@ -134,9 +129,8 @@ def cmd_spectrum(args) -> int:
             raise ValueError(f"--model onemode needs {' and '.join(missing)}")
         l = int(cfg.get("l", 1))
         table = tuple(cfg.get("alpha0_table", [1.0] * l))
-        sector = rep.OneModeSector(rep.MultibosonRep(l, table),
-                                   int(cfg.get("r", 0)),
-                                   int(cfg.get("n_levels", 100)))
+        n = _at_least("--n-levels", int(cfg.get("n_levels", 100)), 2)
+        sector = rep.OneModeSector(rep.MultibosonRep(l, table), int(cfg.get("r", 0)), n)
         h = onemode.OneModeHamiltonian(float(cfg["mu"]), float(cfg["nu"]), sector)
         label = onemode.classify(h.mu, h.nu, sector.alpha0)
         meas = onemode.spectrum(h, n_atoms=count)
@@ -160,13 +154,14 @@ def cmd_spectrum(args) -> int:
         b0 = float(cfg.get("beta0", 1.0))
         K = int(cfg.get("K", 0))
         if model == "two-d":
-            blk = twomode.DBlock(K, a0, b0)
+            blk = twomode.DBlock(_at_least("--K", K, 0), a0, b0)
             ev = twomode.hd_spectrum(blk)
             w = oracle_eigs(twomode.hd_block_jacobi(blk))
             results["eigenvalues"] = ev.tolist()
             results["oracle_delta"] = float(np.abs(ev - w).max())
         else:
-            blk = twomode.CBlock(K, a0, b0, n_levels=int(cfg.get("n_levels", 4000)))
+            n = _at_least("--n-levels", int(cfg.get("n_levels", 4000)), 2)
+            blk = twomode.CBlock(K, a0, b0, n_levels=n)
             try:
                 meas = twomode.hc_spectrum(blk)
             except BoundaryAmbiguityError as exc:
@@ -180,7 +175,10 @@ def cmd_spectrum(args) -> int:
                                     for loc, w in meas.atoms]
                 results["continuum"] = list(meas.continuous.support)
                 if meas.atoms:
-                    chk = twomode.hc_truncation_check(blk, count=len(meas.atoms) + 1)
+                    try:
+                        chk = twomode.hc_truncation_check(blk, count=len(meas.atoms) + 1)
+                    except ValueError as exc:
+                        raise ValueError(f"--n-levels {n} is too small: {exc}") from None
                     diagnostics["truncation_top"] = chk.top_full.tolist()
                     diagnostics["richardson"] = chk.extrapolated.tolist()
                     diagnostics["agreement"] = chk.agreement
@@ -262,10 +260,8 @@ def cmd_coherent(args) -> int:
     cfg = _config(args)
     zeta = complex(float(cfg.get("zeta_re", 1.0)), float(cfg.get("zeta_im", 0.0)))
     al = float(cfg.get("alpha0", 1.0))
-    n = int(cfg.get("n_levels", 80))
-    k_max = int(cfg.get("k_max", 6))
-    if k_max < 0:
-        raise ValueError(f"--k-max must be >= 0, got {k_max}")
+    n = _at_least("--n-levels", int(cfg.get("n_levels", 80)), 2)
+    k_max = _at_least("--k-max", int(cfg.get("k_max", 6)), 0)
     state = coherent.coherent_amplitudes(zeta, al, n)
     sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
     _, am, _ = rep.sector_matrices(sector)
@@ -304,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("validate", help="run the cross-module invariant suite")
-    pv.add_argument("--hd-convention", dest="hd_convention",
-                    choices=("operator-derived", "printed"))
     pv.add_argument("--quick", action="store_const", const=True)
 
     ps = sub.add_parser("spectrum", help="closed-form spectra with oracle deltas")

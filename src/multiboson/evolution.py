@@ -195,16 +195,14 @@ class InteractionEvolver:
         if isinstance(h, OneModeHamiltonian):
             indices, out = np.arange(psi.size), evolve_onemode(h, psi, -ts)
         else:
-            nonzero = np.flatnonzero(psi)
             blocks = []
             if isinstance(h, TwoModeHamiltonian):
-                if nonzero.size:
+                if psi.any():
                     w, v = scipy.linalg.eigh(build_h_matrix(h, self.model.n_per_mode))
                     blocks.append((np.arange(w.size), w, v))
             else:
-                for q in np.unique(_charges(h, nonzero)).tolist():
-                    idx = _charge_block_indices(h, q)
-                    w, v = oracle_eigh(_charge_block_operator(h, q, idx.size))
+                for idx, op in _occupied_charge_blocks(h, psi):
+                    w, v = oracle_eigh(op)
                     blocks.append((idx, h.scale * w + h.offset, v))
             indices = (np.sort(np.concatenate([idx for idx, _, _ in blocks])) if blocks
                        else np.zeros(0, dtype=np.intp))
@@ -221,6 +219,14 @@ def _charges(h: CanonicalInteraction, positions: np.ndarray) -> np.ndarray:
     flattened position."""
     k0, k1 = np.divmod(positions, h.n_per_mode)
     return k0 + k1 if h.kind == "D" else k0 - k1
+
+
+def _occupied_charge_blocks(h: CanonicalInteraction, psi: np.ndarray):
+    """(indices, Jacobi operator) of each charge block where psi is nonzero,
+    in ascending charge."""
+    for q in np.unique(_charges(h, np.flatnonzero(psi))).tolist():
+        idx = _charge_block_indices(h, q)
+        yield idx, _charge_block_operator(h, q, idx.size)
 
 
 def _charge_block_indices(h: CanonicalInteraction, q: int) -> np.ndarray:
@@ -419,9 +425,8 @@ def interaction_energy(model: FullModel, psi: StateVector) -> float:
         energy = _jacobi_form(onemode_jacobi(h), amps)
     elif isinstance(h, CanonicalInteraction):
         form = 0.0
-        for q in np.unique(_charges(h, np.flatnonzero(amps))).tolist():
-            idx = _charge_block_indices(h, q)
-            form += _jacobi_form(_charge_block_operator(h, q, idx.size), amps[idx])
+        for idx, op in _occupied_charge_blocks(h, amps):
+            form += _jacobi_form(op, amps[idx])
         energy = h.scale * form + h.offset * norm2
     else:
         energy = np.vdot(amps, _kron_sum(h, model.n_per_mode) @ amps).real

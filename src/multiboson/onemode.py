@@ -10,7 +10,7 @@ below), the third its mirror, the axes are Laguerre-type (half-line
 continuum), the even quadrants Meixner-Pollaczek-type (full-line
 continuum), and the diagonal is already diagonal in the sector basis.
 
-Case index -> conditions, family, affine map (x_phys = scale * x_family):
+Case index -> conditions, family, linear map (x_phys = scale * x_family):
 
     1  nu = 0, mu != 0   Laguerre(alpha0 - 1),            scale mu/2
     2  mu = 0, nu != 0   Laguerre(alpha0 - 1),            scale nu/2
@@ -70,11 +70,10 @@ class OneModeHamiltonian:
 @dataclass(frozen=True)
 class CaseLabel:
     """Spectral class: index 1..9, attached family (None for the diagonal
-    case), and the affine map x_phys = scale * x_family + shift."""
+    case), and the linear map x_phys = scale * x_family."""
 
     index: int
     family: PolyFamily | None
-    shift: float
     scale: float
 
     @property
@@ -98,29 +97,28 @@ def classify(mu: float, nu: float, alpha0: float) -> CaseLabel:
     if mu == 0 and nu == 0:
         raise ValueError("label pair (0, 0) is excluded")
     if mu == nu:
-        return CaseLabel(9, None, 0.0, mu)
+        return CaseLabel(9, None, mu)
     if nu == 0:
-        return CaseLabel(1, Laguerre(alpha0 - 1.0), 0.0, mu / 2.0)
+        return CaseLabel(1, Laguerre(alpha0 - 1.0), mu / 2.0)
     if mu == 0:
-        return CaseLabel(2, Laguerre(alpha0 - 1.0), 0.0, nu / 2.0)
+        return CaseLabel(2, Laguerre(alpha0 - 1.0), nu / 2.0)
     if mu * nu < 0:
         phi = math.acos(-(mu + nu) / (mu - nu))
         s = 2.0 * math.sqrt(-mu * nu)
         if mu > 0:
-            return CaseLabel(3, MeixnerPollaczek(alpha0 / 2.0, phi), 0.0, s)
-        return CaseLabel(4, MeixnerPollaczek(alpha0 / 2.0, phi), 0.0, -s)
+            return CaseLabel(3, MeixnerPollaczek(alpha0 / 2.0, phi), s)
+        return CaseLabel(4, MeixnerPollaczek(alpha0 / 2.0, phi), -s)
     root = 2.0 * math.sqrt(mu * nu)
     if mu > 0:
         c = (mu + nu - root) / (mu + nu + root)
         idx = 5 if mu > nu else 7
-        return CaseLabel(idx, Meixner(alpha0, c), 0.0, math.sqrt(mu * nu))
+        return CaseLabel(idx, Meixner(alpha0, c), math.sqrt(mu * nu))
     c = (mu + nu + root) / (mu + nu - root)
     idx = 6 if mu < nu else 8
-    return CaseLabel(idx, Meixner(alpha0, c), 0.0, -math.sqrt(mu * nu))
+    return CaseLabel(idx, Meixner(alpha0, c), -math.sqrt(mu * nu))
 
 
-def spectrum(h: OneModeHamiltonian, n_atoms: int | None = None,
-             normalize: bool = False) -> SpectralMeasure:
+def spectrum(h: OneModeHamiltonian, n_atoms: int | None = None) -> SpectralMeasure:
     """Spectral measure of H with atom locations at the H-eigenvalues.
 
     The diagonal case has no distinguished cyclic vector; its atoms carry
@@ -133,11 +131,8 @@ def spectrum(h: OneModeHamiltonian, n_atoms: int | None = None,
         atoms = tuple((h.mu * (2.0 * k + a), 1.0) for k in range(count))
         return SpectralMeasure(atoms=atoms, shift=0.0, scale=h.mu)
     fam = label.family
-    if isinstance(fam, Meixner):
-        meas = fam.measure(n_atoms=n_atoms, normalize=normalize)
-    else:
-        meas = fam.measure(normalize=normalize)
-    return meas.mapped(shift=label.shift, scale=label.scale)
+    meas = fam.measure(n_atoms=n_atoms) if isinstance(fam, Meixner) else fam.measure()
+    return meas.mapped(scale=label.scale)
 
 
 def eigenvalue_discrete(h: OneModeHamiltonian, n: int) -> float:

@@ -16,9 +16,9 @@ Natural variables and stored (unnormalized) measures:
 * ``ContinuousDualHahn(u,v,w)``  density on (-inf, 0) plus ceil(-u) atoms at
   x = (u+n)^2 when u < 0
 
-Every family gives its total mass in closed form; the ``normalize`` flag
-of :meth:`measure` divides by it.  Densities are elementwise functions of a
-scalar or an array.
+Every family gives its total mass in closed form, and
+:meth:`SpectralMeasure.normalized` divides by it.  Densities are
+elementwise functions of a scalar or an array.
 
 One routine, :func:`_integrate`, does every quadrature of the package: the
 continuous parts in :func:`gram_check` and the moments of
@@ -258,14 +258,13 @@ class Laguerre:
         b = np.sqrt((k + 1) * (k + self.alpha + 1))
         return a, b
 
-    def measure(self, normalize: bool = False) -> SpectralMeasure:
+    def measure(self) -> SpectralMeasure:
         al = self.alpha
         dens = lambda x: _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
-        m = SpectralMeasure(
+        return SpectralMeasure(
             continuous=ContinuousPart((0.0, math.inf), dens),
             total_mass_closed=math.exp(gammaln(al + 1)),
         )
-        return m.normalized() if normalize else m
 
 
 @dataclass(frozen=True)
@@ -304,13 +303,12 @@ class Meixner:
         # geometric tail below 1e-18 of the total mass
         return max(40, int(math.ceil(-42.0 / math.log(self.c))) + 10)
 
-    def measure(self, n_atoms: int | None = None, normalize: bool = False) -> SpectralMeasure:
+    def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
         if n_atoms is None:
             n_atoms = self.default_n_atoms()
         atoms = tuple((2.0 * n + self.beta, self.atom_weight(n)) for n in range(n_atoms))
-        m = SpectralMeasure(atoms=atoms,
-                            total_mass_closed=(1 - self.c) ** (-self.beta))
-        return m.normalized() if normalize else m
+        return SpectralMeasure(atoms=atoms,
+                               total_mass_closed=(1 - self.c) ** (-self.beta))
 
 
 @dataclass(frozen=True)
@@ -334,14 +332,13 @@ class MeixnerPollaczek:
         b = np.sqrt((k + 1) * (k + 2 * lam)) / (2 * math.sin(phi))
         return a, b
 
-    def measure(self, normalize: bool = False) -> SpectralMeasure:
+    def measure(self) -> SpectralMeasure:
         lam, phi = self.lam, self.phi
         dens = lambda x: (np.exp((2 * phi - math.pi) * x)
                           * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
         mass = 2 * math.pi * math.exp(gammaln(2 * lam)) / (2 * math.sin(phi)) ** (2 * lam)
-        m = SpectralMeasure(continuous=ContinuousPart((-math.inf, math.inf), dens),
-                            total_mass_closed=mass)
-        return m.normalized() if normalize else m
+        return SpectralMeasure(continuous=ContinuousPart((-math.inf, math.inf), dens),
+                               total_mass_closed=mass)
 
 
 @dataclass(frozen=True)
@@ -383,13 +380,12 @@ class DualHahn:
             den *= b0 + j
         return num / den
 
-    def measure(self, normalize: bool = False) -> SpectralMeasure:
+    def measure(self) -> SpectralMeasure:
         g, d, K = self.gamma, self.delta, self.kmax
         atoms = tuple((n * (n + g + d + 1.0), self.atom_weight(n)) for n in range(K + 1))
         # closed-form mass 1 / C(delta + K, K)
         mass = math.exp(gammaln(d + 1) + gammaln(K + 1) - gammaln(d + 1 + K))
-        m = SpectralMeasure(atoms=atoms, total_mass_closed=mass)
-        return m.normalized() if normalize else m
+        return SpectralMeasure(atoms=atoms, total_mass_closed=mass)
 
 
 @dataclass(frozen=True)
@@ -444,7 +440,7 @@ class ContinuousDualHahn:
             den *= (u + j) * (u - v + 1 + j) * (u - w + 1 + j) * (j + 1)
         return pref * num / den * (-1.0) ** n
 
-    def measure(self, normalize: bool = False) -> SpectralMeasure:
+    def measure(self) -> SpectralMeasure:
         atoms = tuple(((self.u + n) ** 2, self.atom_weight(n))
                       for n in range(self.n_atoms()))
         dens = lambda x: _where_positive(
@@ -452,10 +448,9 @@ class ContinuousDualHahn:
             lambda y2: self.density_y(np.sqrt(y2)) / (2 * np.sqrt(y2)))
         mass = math.exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
                         + gammaln(self.v + self.w))
-        m = SpectralMeasure(atoms=atoms,
-                            continuous=ContinuousPart((-math.inf, 0.0), dens),
-                            total_mass_closed=mass)
-        return m.normalized() if normalize else m
+        return SpectralMeasure(atoms=atoms,
+                               continuous=ContinuousPart((-math.inf, 0.0), dens),
+                               total_mass_closed=mass)
 
 
 PolyFamily = Union[Laguerre, Meixner, MeixnerPollaczek, DualHahn, ContinuousDualHahn]
@@ -662,7 +657,7 @@ def _gram_atoms(family: PolyFamily, n_max: int):
     """Atom list covering the discrete part to relative tail 1e-20 under
     polynomial factors of degree <= 2 n_max."""
     if isinstance(family, DualHahn):
-        meas = family.measure(normalize=True)
+        meas = family.measure().normalized()
         return list(meas.atoms)
     if isinstance(family, Meixner):
         mass = family.measure(n_atoms=1).total_mass()
@@ -712,13 +707,13 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
     if isinstance(family, Laguerre):
         # substitute x = t^2: the Jacobian 2t cancels the x^alpha endpoint
         # singularity for alpha = -1/2 and softens it for any alpha > -1
-        dens = family.measure(normalize=True).continuous.density
+        dens = family.measure().normalized().continuous.density
 
         def f(t):
             return (2.0 * t * dens(t * t))[:, None] * products(t * t)
         vals = _integrate(f, 0.0, math.inf)
     elif isinstance(family, MeixnerPollaczek):
-        meas = family.measure(normalize=True)
+        meas = family.measure().normalized()
         lo, hi = meas.continuous.support
         dens = meas.continuous.density
 

@@ -1,9 +1,10 @@
 """Cross-module invariant suite behind the ``validate`` CLI command.
 
 Each check returns a measured deviation and its tolerance, and the wall
-time of the section of ``run_all`` that produced it.  The suite
-doubles as the machine-readable face of the test suite's acceptance
-criteria: every closed form is held against an independent matrix oracle.
+time of the section of ``run_all`` that produced it; a check passes when
+the deviation is within the tolerance.  The suite doubles as the
+machine-readable face of the test suite's acceptance criteria: every
+closed form is held against an independent matrix oracle.
 """
 
 import math
@@ -13,7 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from . import bogoliubov, coherent, evolution, onemode, orthopoly, rep, twomode
-from .jacobi import oracle_eigh, oracle_eigs
+from .jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 
 __all__ = ["CheckResult", "run_all", "format_report"]
 
@@ -24,14 +25,11 @@ class CheckResult:
     deviation: float
     tolerance: float
     passed: bool
-    expected_fail: bool = False
     note: str = ""
     seconds: float = 0.0   # wall time of the run_all section behind the check
 
     def status(self) -> str:
-        if self.passed:
-            return "PASS"
-        return "EXPECTED-FAIL" if self.expected_fail else "FAIL"
+        return "PASS" if self.passed else "FAIL"
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -39,9 +37,9 @@ class CheckResult:
         return d
 
 
-def _check(name, deviation, tolerance, expected_fail=False, note=""):
+def _check(name, deviation, tolerance, note=""):
     return CheckResult(name, float(deviation), float(tolerance),
-                       bool(deviation <= tolerance), expected_fail, note)
+                       bool(deviation <= tolerance), note)
 
 
 class _SectionTimer:
@@ -99,19 +97,27 @@ def _casimir_residual(l: int, table: tuple[float, ...], n: int) -> float:
     return dev
 
 
-def _hd_closed_vs_oracle(convention: str) -> float:
+def _hd_closed_vs_oracle() -> float:
     worst = 0.0
     for K in range(7):
         for a0 in (0.5, 1.0, 2.7):
             for b0 in (0.5, 1.0, 2.7):
                 blk = twomode.DBlock(K, a0, b0)
-                op = twomode.hd_block_jacobi(blk, convention=convention)
-                w = oracle_eigs(op)
+                w = oracle_eigs(twomode.hd_block_jacobi(blk))
                 worst = max(worst, np.abs(w - twomode.hd_spectrum(blk)).max())
     return worst
 
 
-def run_all(hd_convention: str = "operator-derived", quick: bool = False):
+def _printed_hd_block_jacobi(block: twomode.DBlock) -> JacobiOperator:
+    """The D-block with the erratum's (K-k+beta0) in the last off-diagonal
+    factor instead of (K-k+beta0-1) (see the ``twomode`` docstring)."""
+    a0, b0, K = block.alpha0, block.beta0, block.K
+    return JacobiOperator(twomode.hd_block_jacobi(block).diag,
+                          lambda k: np.sqrt((k + 1.0) * (k + a0) * (K - k) * (K - k + b0)),
+                          K + 1)
+
+
+def run_all(quick: bool = False):
     """Run the invariant suite; returns a list of CheckResult."""
     rng = np.random.default_rng(20240817)
     out = []
@@ -177,7 +183,7 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
         for a in grid_a:
             for sg in (1, -1):
                 g = bogoliubov.GroupElement(a, sg)
-                u, info = bogoliubov.implementer(g, al, n, return_info=True)
+                u, info = bogoliubov.implementer(g, al, n)
                 nc = info.converged_cols
                 dev_u = max(dev_u, np.abs(u[:, :nc].T @ u[:, :nc] - np.eye(nc)).max())
                 m = bogoliubov.action_matrix(g).matrix
@@ -216,23 +222,15 @@ def run_all(hd_convention: str = "operator-derived", quick: bool = False):
     out.append(_check("onemode.case5.eigenvector_overlap", worst, 1e-8))
     timer.lap()
 
-    # finite two-mode blocks: closed form vs oracle, under both conventions
-    dev = _hd_closed_vs_oracle("operator-derived")
-    out.append(_check("twomode.hd.closed_vs_oracle", dev, 1e-9))
+    # finite two-mode blocks: closed form vs oracle, and the erratum's
+    # shifted off-diagonal still missing the closed form (regression pin)
+    out.append(_check("twomode.hd.closed_vs_oracle", _hd_closed_vs_oracle(), 1e-9))
     blk = twomode.DBlock(1, 1.0, 1.0)
-    w_printed = oracle_eigs(twomode.hd_block_jacobi(blk, convention="printed"))
+    w_printed = oracle_eigs(_printed_hd_block_jacobi(blk))
     gap = np.abs(w_printed - twomode.hd_spectrum(blk)).max()
-    if hd_convention == "printed":
-        # the shifted off-diagonal variant is a known-bad regression pin:
-        # this check is meant to fail
-        out.append(_check("twomode.hd.printed_convention", gap, 1e-9,
-                          expected_fail=True,
-                          note="shifted b_k variant misses the closed-form "
-                               f"spectrum by {gap:.3f} (regression pin)"))
-    else:
-        out.append(_check("twomode.hd.regression_pin_gap",
-                          0.1, gap,
-                          note="shifted b_k variant must stay wrong by >= 0.1"))
+    out.append(_check("twomode.hd.regression_pin_gap",
+                      0.1, gap,
+                      note="shifted b_k variant must stay wrong by >= 0.1"))
     timer.lap()
 
     # dual Hahn eigenvector overlaps

@@ -19,7 +19,7 @@ from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
 from multiboson.cli import main as cli_main
-from multiboson.jacobi import oracle_eigh, oracle_eigs
+from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 
 RNG_SEED = 20240817
 
@@ -130,7 +130,7 @@ def test_criterion_05_implementer():
         for sigma in (1, -1):
             for al in (0.5, 1.0, 2.7):
                 g = bg.GroupElement(a, sigma)
-                u, info = bg.implementer(g, al, n, return_info=True)
+                u, info = bg.implementer(g, al, n)
                 nc = info.converged_cols
                 worst_u = max(worst_u, np.abs(
                     u[:, :nc].T @ u[:, :nc] - np.eye(nc)).max())
@@ -171,9 +171,14 @@ def test_criterion_06_hd_blocks():
                     v = tm.hd_eigenvectors(blk, n).amplitudes.real
                     worst_overlap = min(worst_overlap,
                                         abs(float(vecs[:, n] @ v)))
+    # the erratum's off-diagonal, (K-k+beta0) for (K-k+beta0-1), must miss
+    # the closed form on the smallest nontrivial block
     blk = tm.DBlock(1, 1.0, 1.0)
-    gap = np.abs(oracle_eigs(tm.hd_block_jacobi(blk, convention="printed"))
-                 - tm.hd_spectrum(blk)).max()
+    a0, b0, K = blk.alpha0, blk.beta0, blk.K
+    printed = JacobiOperator(tm.hd_block_jacobi(blk).diag,
+                             lambda k: np.sqrt((k + 1.0) * (k + a0) * (K - k) * (K - k + b0)),
+                             K + 1)
+    gap = np.abs(oracle_eigs(printed) - tm.hd_spectrum(blk)).max()
     ok = worst <= 1e-9 and worst_overlap >= 1.0 - 1e-9 and gap >= 0.1
     _report(6, "finite two-mode blocks", ok,
             f"closed-vs-oracle {worst:.2e}, min overlap 1-{1 - worst_overlap:.2e}, "

@@ -16,6 +16,7 @@ from multiboson import onemode as om
 from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
+from multiboson import validation
 from multiboson.jacobi import JacobiOperator, atom_eigenvector, block_eigenvectors
 
 SIZES = [1, 2, 500]
@@ -37,8 +38,8 @@ def _operators(n):
                    (-4.0, -1.0), (1.5, 1.5)):
         h = om.OneModeHamiltonian(mu, nu, _sector(n))
         ops[f"onemode({mu},{nu})"] = om.jacobi(h)
-    for conv in ("operator-derived", "printed"):
-        ops[f"hd-{conv}"] = tm.hd_block_jacobi(tm.DBlock(n - 1, 0.7, 1.9), conv)
+    ops["hd"] = tm.hd_block_jacobi(tm.DBlock(n - 1, 0.7, 1.9))
+    ops["hd-printed"] = validation._printed_hd_block_jacobi(tm.DBlock(n - 1, 0.7, 1.9))
     for K in (3, 0, -4):
         ops[f"hc(K={K})"] = tm.hc_block_jacobi(tm.CBlock(K, 0.7, 1.9, max(n, 2)))
     ops["charge-C"] = ev._charge_block_operator(_canonical("C", 600), 7, n)

@@ -122,8 +122,10 @@ def test_label_action_preserves_orbit(g, mu, nu):
 
 def test_implementer_trivial_elements():
     n = 8
-    assert np.allclose(bg.implementer(bg.GroupElement(1.0, 1), 1.5, n), np.eye(n))
-    u = bg.implementer(bg.GroupElement(1.0, -1), 1.5, n)
+    u, info = bg.implementer(bg.GroupElement(1.0, 1), 1.5, n)
+    assert np.allclose(u, np.eye(n))
+    assert (info.converged_cols, info.interior_rows) == (n, n)
+    u, _ = bg.implementer(bg.GroupElement(1.0, -1), 1.5, n)
     assert np.allclose(u, np.diag((-1.0) ** np.arange(n)))
 
 
@@ -147,7 +149,7 @@ def test_implementer_sign_products_equal_power_form(n):
         for sigma in (1, -1):
             for alpha0 in (0.5, 1.0, 2.7):
                 g = bg.GroupElement(a, sigma)
-                assert np.array_equal(bg.implementer(g, alpha0, n),
+                assert np.array_equal(bg.implementer(g, alpha0, n)[0],
                                       _power_form_implementer(g, alpha0, n))
 
 
@@ -162,7 +164,7 @@ def test_implementer_columns_match_eigenvector_oracle():
     g = bg.GroupElement(3.0, 1)
     alpha0, n = 1.0, 200
     assert bg.meixner_c(3.0) == pytest.approx(0.25)
-    u, info = bg.implementer(g, alpha0, n, return_info=True)
+    u, info = bg.implementer(g, alpha0, n)
     op = _transformed_a0(g, alpha0, 4 * n)
     w, v = oracle_eigh(op)
     assert np.abs(w[:10] - (2 * np.arange(10) + alpha0)).max() <= 1e-9
@@ -180,7 +182,7 @@ def test_implementer_matches_larger_oracle_on_every_column(a, sigma):
     # eigenvectors of a 4x larger truncation restricted to the window
     g = bg.GroupElement(a, sigma)
     n = 240
-    u = bg.implementer(g, 1.0, n)
+    u, _ = bg.implementer(g, 1.0, n)
     assert np.all(np.abs(u).max(axis=0) > 0.0)
     op = _transformed_a0(g, 1.0, 4 * n)
     _, v = eigh_tridiagonal(op.diag_array(), op.offdiag_array(),
@@ -193,8 +195,7 @@ def test_implementer_matches_larger_oracle_on_every_column(a, sigma):
 def test_implementer_unitarity_interior():
     for a in (1 / 3, 0.5, 2.0, 3.0):
         for sigma in (1, -1):
-            u, info = bg.implementer(bg.GroupElement(a, sigma), 1.0, 220,
-                                     return_info=True)
+            u, info = bg.implementer(bg.GroupElement(a, sigma), 1.0, 220)
             nc = info.converged_cols
             g = u[:, :nc].T @ u[:, :nc] - np.eye(nc)
             assert np.abs(g).max() <= 1e-8
@@ -206,7 +207,7 @@ def test_implementer_unitarity_interior():
 def test_implementer_conjugation(a, sigma, alpha0):
     n = 220
     g = bg.GroupElement(a, sigma)
-    u, info = bg.implementer(g, alpha0, n, return_info=True)
+    u, info = bg.implementer(g, alpha0, n)
     s = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
     a0m, amm, apm = rep.sector_matrices(s)
     m = bg.action_matrix(g).matrix

@@ -34,17 +34,15 @@ def test_validate_quick_passes(capsys):
     assert "PASS" in out and "FAIL\n" not in out
 
 
-def test_validate_printed_convention_expected_fail(capsys, tmp_path):
-    out_path = tmp_path / "report.json"
-    code = main(["validate", "--quick", "--hd-convention", "printed",
-                 "--out", str(out_path)])
-    capsys.readouterr()
-    assert code == 1
-    payload = json.loads(out_path.read_text())
-    rows = [r for r in payload["results"] if r["name"] == "twomode.hd.printed_convention"]
-    assert len(rows) == 1
-    assert rows[0]["status"] == "EXPECTED-FAIL"
-    assert rows[0]["expected_fail"] is True
+def test_validate_has_no_convention_option(capsys, tmp_path):
+    # the D-blocks have one coefficient stream: neither a flag nor a config
+    # key selects another
+    code, _, err = _run(capsys, "validate", "--quick", "--hd-convention", "printed")
+    assert code == 2 and "--hd-convention" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hd_convention": "printed"}))
+    code, _, err = _run(capsys, "validate", "--quick", "--config", str(cfg))
+    assert code == 2 and "hd_convention" in err
 
 
 def test_validate_times_each_section(capsys, tmp_path):
@@ -117,6 +115,13 @@ def test_spectrum_count_zero_usage_error(capsys):
     # a count below 1, continuous (case 1) and discrete (case 5)
     (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "0", "--count", "0"], "--count"),
     (["spectrum", "--model", "onemode", "--mu", "4", "--nu", "1", "--count", "0"], "--count"),
+    # the C-block's quarter truncation cannot hold its bound state and edge
+    (["spectrum", "--model", "two-c", "--K", "0", "--alpha0", "0.3", "--beta0", "0.3",
+      "--n-levels", "4"], "--n-levels"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "1", "--n-levels", "1"],
+     "--n-levels"),
+    (["coherent", "--n-levels", "0"], "--n-levels"),
+    (["spectrum", "--model", "two-d", "--K", "-1"], "--K"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)

@@ -156,7 +156,7 @@ def test_meixner_degree_one_by_hand():
 
 def test_dual_hahn_two_point_gram_by_hand():
     fam = op.DualHahn(0.0, 0.0, 1)
-    meas = fam.measure(normalize=True)
+    meas = fam.measure().normalized()
     locs = meas.atom_locations()
     ws = meas.atom_weights()
     assert np.allclose(locs, [0.0, 2.0])
@@ -177,7 +177,7 @@ def test_meixner_measure_normalization():
     printed = fam.measure()
     assert printed.atom_weights()[0] == pytest.approx(1.0)  # (beta)_0 c^0 / 0!
     assert printed.total_mass() == pytest.approx((1 - 1 / 9.0) ** (-0.7), rel=1e-12)
-    normalized = fam.measure(normalize=True)
+    normalized = fam.measure().normalized()
     assert normalized.atom_mass() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(normalized.atom_locations()[:3], [0.7, 2.7, 4.7])
 
@@ -328,7 +328,7 @@ def test_integrate_finds_mass_far_from_the_origin():
 
 def test_densities_take_arrays_elementwise():
     xs = np.array([-3.0, -0.5, 0.0, 0.7, 2.5, 11.0])
-    for meas in (op.Laguerre(-0.5).measure(normalize=True),
+    for meas in (op.Laguerre(-0.5).measure().normalized(),
                  op.MeixnerPollaczek(0.75, 1.0).measure(),
                  op.ContinuousDualHahn(-0.2, 0.5, 0.5).measure().mapped(shift=1.0)):
         dens = meas.continuous.density
@@ -359,9 +359,9 @@ def _quad_vec_gram(fam, n):
         n = min(n, fam.nmax)
     outer = lambda x: np.outer(*2 * [op.poly_table(fam, n, x)])
     if isinstance(fam, op.Meixner):
-        meas = fam.measure(n_atoms=250, normalize=True)
+        meas = fam.measure(n_atoms=250).normalized()
     else:
-        meas = fam.measure(normalize=True)
+        meas = fam.measure().normalized()
     G = sum((w * outer(x) for x, w in meas.atoms), np.zeros((n + 1, n + 1)))
     if meas.continuous is None:
         return G

@@ -11,7 +11,7 @@ from multiboson import twomode as tm
 from multiboson import orthopoly as op
 from multiboson.bogoliubov import GroupElement
 from multiboson.errors import BoundaryAmbiguityError, NoBoundStateError
-from multiboson.jacobi import block_eigenvectors, oracle_eigh, oracle_eigs
+from multiboson.jacobi import JacobiOperator, block_eigenvectors, oracle_eigh, oracle_eigs
 from multiboson.rep import MultibosonRep
 
 
@@ -102,12 +102,21 @@ def test_d0_block_invariance():
         assert np.abs(comm[np.ix_(interior, interior)]).max() <= 1e-10
 
 
+def _printed_hd_block_jacobi(blk):
+    """The D-block with the erratum's (K-k+beta0) in the last off-diagonal
+    factor instead of the operator's (K-k+beta0-1)."""
+    a0, b0, K = blk.alpha0, blk.beta0, blk.K
+    return JacobiOperator(tm.hd_block_jacobi(blk).diag,
+                          lambda k: np.sqrt((k + 1.0) * (k + a0) * (K - k) * (K - k + b0)),
+                          K + 1)
+
+
 def test_hd_block_jacobi_conventions():
     blk = tm.DBlock(1, 1.0, 1.0)
     jop = tm.hd_block_jacobi(blk)
     assert jop.diag_array().tolist() == [1.5, 1.5]
     assert jop.offdiag_array().tolist() == [1.0]
-    jpr = tm.hd_block_jacobi(blk, convention="printed")
+    jpr = _printed_hd_block_jacobi(blk)
     assert jpr.offdiag_array()[0] == pytest.approx(math.sqrt(2.0))
     blk0 = tm.DBlock(0, 0.4, 2.2)
     assert tm.hd_block_jacobi(blk0).diag_array().tolist() == [0.5 * 0.4 * 2.2]
@@ -137,7 +146,7 @@ def test_hd_printed_convention_regression():
     # pinned erratum: the printed off-diagonal misses the closed-form
     # spectrum by a visible margin on the smallest nontrivial block
     blk = tm.DBlock(1, 1.0, 1.0)
-    w = oracle_eigs(tm.hd_block_jacobi(blk, convention="printed"))
+    w = oracle_eigs(_printed_hd_block_jacobi(blk))
     assert np.abs(w - tm.hd_spectrum(blk)).max() >= 0.1
 
 
