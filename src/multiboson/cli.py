@@ -94,6 +94,13 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
+def _positive(flag: str, value: float) -> float:
+    """``value`` unchanged, or a usage error naming ``flag`` unless it is > 0."""
+    if not value > 0:
+        raise ValueError(f"{flag} must be > 0, got {value}")
+    return value
+
+
 def cmd_validate(args) -> int:
     cfg = _config(args)
     quick = bool(cfg.get("quick", False))
@@ -127,10 +134,13 @@ def cmd_spectrum(args) -> int:
         missing = [f"--{key}" for key in ("mu", "nu") if key not in cfg]
         if missing:
             raise ValueError(f"--model onemode needs {' and '.join(missing)}")
-        l = int(cfg.get("l", 1))
+        l = _at_least("--l", int(cfg.get("l", 1)), 1)
+        r = int(cfg.get("r", 0))
+        if not 0 <= r < l:
+            raise ValueError(f"--r must be in [0, {l}) for --l {l}, got {r}")
         table = tuple(cfg.get("alpha0_table", [1.0] * l))
         n = _at_least("--n-levels", int(cfg.get("n_levels", 100)), 2)
-        sector = rep.OneModeSector(rep.MultibosonRep(l, table), int(cfg.get("r", 0)), n)
+        sector = rep.OneModeSector(rep.MultibosonRep(l, table), r, n)
         h = onemode.OneModeHamiltonian(float(cfg["mu"]), float(cfg["nu"]), sector)
         label = onemode.classify(h.mu, h.nu, sector.alpha0)
         meas = onemode.spectrum(h, n_atoms=count)
@@ -150,8 +160,8 @@ def cmd_spectrum(args) -> int:
             closed = meas.atom_locations()[:w.size]
             results["oracle_delta"] = float(np.abs(np.sort(closed) - w).max())
     elif model in ("two-d", "two-c"):
-        a0 = float(cfg.get("alpha0", 1.0))
-        b0 = float(cfg.get("beta0", 1.0))
+        a0 = _positive("--alpha0", float(cfg.get("alpha0", 1.0)))
+        b0 = _positive("--beta0", float(cfg.get("beta0", 1.0)))
         K = int(cfg.get("K", 0))
         if model == "two-d":
             blk = twomode.DBlock(_at_least("--K", K, 0), a0, b0)
@@ -207,7 +217,10 @@ def cmd_evolve(args) -> int:
     cfg = _config(args)
     name = cfg.get("preset", "HIV")
     n = int(cfg.get("n_per_mode", 48))
-    pm = evolution.preset(name, n)
+    try:
+        pm = evolution.preset(name, n)
+    except ValueError as exc:
+        raise ValueError(f"--preset {name} --n-per-mode {n}: {exc}") from None
     tail = float(cfg.get("tail_tol", math.inf))
     model = evolution.FullModel(pm.mapping,
                                 (float(cfg.get("omega0", 1.0)),
@@ -259,7 +272,7 @@ def _parse_times(arg) -> list[float]:
 def cmd_coherent(args) -> int:
     cfg = _config(args)
     zeta = complex(float(cfg.get("zeta_re", 1.0)), float(cfg.get("zeta_im", 0.0)))
-    al = float(cfg.get("alpha0", 1.0))
+    al = _positive("--alpha0", float(cfg.get("alpha0", 1.0)))
     n = _at_least("--n-levels", int(cfg.get("n_levels", 80)), 2)
     k_max = _at_least("--k-max", int(cfg.get("k_max", 6)), 0)
     state = coherent.coherent_amplitudes(zeta, al, n)

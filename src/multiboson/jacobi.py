@@ -17,6 +17,15 @@ eigenvectors, where forward recurrence is unstable (Gautschi, SIAM Rev. 9,
 1967).  Atoms whose tail decays only algebraically take the plain forward
 sweep ``orthopoly.poly_table`` over ``JacobiOperator.recurrence``.
 
+The Meixner kernel is the one place that tracks binary exponents.  Its
+entries span far more than the double range (row 0 falls like c^(j/2)), so
+every column carries its own power of two.  The sweep rescales once per
+block of rows, not once per row: a block ends before a growth bound on the
+recurrence, summed over the block, could carry a rescaled value past the
+top of the double range, and a row whose bound alone passes it is a block
+of one row.  Rescaling by an exact power of two adds no rounding, so the
+entries do not depend on where the blocks end.
+
 ``oracle_eigs`` computes only an index window of the spectrum: the lowest
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
 Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
@@ -149,6 +158,106 @@ def block_eigenvectors(op: JacobiOperator, w: np.ndarray) -> np.ndarray:
     return z * np.copysign(1.0, z[0])
 
 
+# Largest binary exponent a rescaled value may reach inside one block: the
+# top of the double range, 2**1024, less 64 bits of headroom for the
+# roundings the growth bounds leave out.
+_EXP_LIMIT = np.finfo(float).maxexp - 64
+
+
+def _row0(beta: float, c: float, width: int):
+    """Row 0 as (p, expo) with B[0, j] = p[j] * 2**expo[j]: the running
+    product (1-c)^(beta/2) prod_{i<j} r_i, r_i = sqrt(c (beta + i) / (i + 1)).
+    Columns whose log2 |B[0, j] / B[0, 0]| falls in one bin _EXP_LIMIT bits
+    wide form one np.multiply.accumulate run, started from a mantissa in
+    [0.5, 1), so no partial product leaves the normal range."""
+    jj = np.arange(width - 1)
+    r = np.sqrt(c * (beta + jj) / (jj + 1.0))
+    bins = np.floor(np.cumsum(np.log2(r)) / _EXP_LIMIT)
+    starts = (np.flatnonzero(np.diff(bins, prepend=0.0)) + 1).tolist()
+    p = np.empty(width)
+    p[1:] = r
+    expo = np.empty(width, dtype=np.int32)
+    f, e = math.frexp((1.0 - c) ** (0.5 * beta))
+    for j0, j1 in zip([0, *starts], [*starts, width]):
+        if j0:
+            # the product reaching column j0, from the mantissa of column
+            # j0 - 1 as one step of the per-column product; p[j0] still
+            # holds r_{j0-1}
+            f, de = math.frexp(p[j0 - 1])
+            f, de1 = math.frexp(f * p[j0])
+            e += de + de1
+        p[j0] = f
+        np.multiply.accumulate(p[j0:j1], out=p[j0:j1])
+        expo[j0:j1] = e
+    return p, expo
+
+
+def _row_blocks(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """Blocks (k0, k1) of the steps k0 <= k < k1 that share one set of
+    column exponents; step k computes row k+1 over the columns j > k.
+
+    In each column, |v_{k+1}| <= G_k max(|v_k|, |v_{k-1}|) and every
+    intermediate of step k is at most N_k max(|v_k|, |v_{k-1}|), with
+    N_k = max_j |x_j - a_k| + b_{k-1} over those columns and G_k = N_k / b_k.
+    A block starts with the larger state entry of each column in [0.5, 1),
+    so step k may join the block of k0 while
+    sum_{k0 <= i < k} log2 max(1, G_i) + log2 max(1, G_k, N_k) <= _EXP_LIMIT.
+    A step that passes the limit alone is a block of one step."""
+    steps = a.size - 1
+    if not steps:
+        return []
+    num = np.maximum(np.abs(x[1:steps + 1] - a[:-1]), np.abs(x[-1] - a[:-1]))
+    num[1:] += b[:-2]
+    grow = num / b[:-1]
+    cum = np.concatenate(([0.0], np.cumsum(np.log2(np.maximum(grow, 1.0)))))
+    top = cum[:-1] + np.log2(np.maximum(np.maximum(grow, num), 1.0))
+    starts = [0]
+    while True:
+        k0 = starts[-1]
+        over = np.flatnonzero(top[k0 + 1:] > cum[k0] + _EXP_LIMIT)
+        if not over.size:
+            return list(zip(starts, [*starts[1:], steps]))
+        starts.append(k0 + 1 + int(over[0]))
+
+
+def _upper_rows(fam: Meixner, m: int, width: int) -> np.ndarray:
+    """Rows k < m of B[k, j] for j < width, zero below the diagonal: the
+    blocked forward sweep of ``atom_eigenvector``."""
+    a, b = fam.recurrence(np.arange(m, dtype=float))
+    x = 2.0 * np.arange(width) + fam.beta
+    p, expo = _row0(fam.beta, fam.c, width)
+    upper = np.zeros((m, width))
+    np.ldexp(p, expo, out=upper[0])
+    # rows k0-1 and k0 of the block about to start, in units of 2**expo
+    state = np.zeros((2, width))
+    state[1] = p
+    tmp = np.empty(width)
+    a_k, b_k = a.tolist(), b.tolist()
+    for k0, k1 in _row_blocks(x, a, b):
+        s = slice(k0 + 1, width)
+        e = np.frexp(np.maximum(np.abs(state[0, s]), np.abs(state[1, s])))[1]
+        np.ldexp(state[:, s], -e, out=state[:, s])
+        expo[s] += e
+        prev, cur = state
+        for k in range(k0, k1):
+            t = slice(k + 1, width)
+            nxt, prod = upper[k + 1, t], tmp[t]
+            np.subtract(x[t], a_k[k], out=nxt)
+            nxt *= cur[t]
+            if k:
+                np.multiply(prev[t], b_k[k - 1], out=prod)
+                nxt -= prod
+            nxt /= b_k[k]
+            prev, cur = cur, upper[k + 1]
+        # keep the state rows in block units, then scale the block's rows
+        # to their true values
+        state[0, k1 + 1:] = prev[k1 + 1:]
+        state[1, k1 + 1:] = cur[k1 + 1:]
+        rows = upper[k0 + 1:k1 + 1, k0 + 1:]
+        np.ldexp(rows, expo[k0 + 1:], out=rows)
+    return upper
+
+
 def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np.ndarray:
     """Block B[k, j] = sqrt(w_j) P_k(x_j), k < n_rows and j < n_cols
     (``n_cols`` defaults to ``n_rows``), of the orthogonal matrix of
@@ -162,42 +271,37 @@ def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np
     ``fam.recurrence``, stable there because column j still grows or
     oscillates up to k = j; the entries k > j come from the transpose.
     Row 0 is the closed form |B[0, j]|^2 = (1-c)^beta (beta)_j c^j / j!,
-    a running product of sqrt(c (beta + j) / (j + 1)).  Every column keeps
-    its own binary exponent, moved by exact powers of two as the sweep goes,
-    so no column underflows before it peaks (c = 1/9 puts B[0, 800] near
-    1e-382) and the scaling adds no rounding.  Cost n_rows * n_cols.
+    a running product of sqrt(c (beta + j) / (j + 1)).
+
+    Every column keeps its own binary exponent, so no column underflows
+    before it peaks (c = 1/9 puts B[0, 800] near 1e-382).  The sweep works
+    in blocks of rows, in place in the output rows, under one exponent per
+    column; at a block's end its rows are scaled to their true values and
+    the two rows that carry the recurrence are rescaled so that each
+    column's larger entry lies in [0.5, 1).  A block ends before
+    log2 of the growth bound G_k = (max_j |x_j - a_k| + b_{k-1}) / b_k,
+    summed over its rows, passes _EXP_LIMIT (``_row_blocks``), so no
+    rescaled value overflows; none sinks toward the bottom of the range
+    either, since rows k <= j of column j grow or oscillate.  Row 0, a
+    product, splits where its log2 passes a multiple of _EXP_LIMIT
+    (``_row0``).  Multiplying by an exact power of two adds no rounding,
+    so every entry equals, bit for bit, the one a sweep that rescales after
+    every row would give, wherever the blocks end.  A step whose G_k alone
+    passes the limit (c so small that b_k is tiny) is a block of one row,
+    which is that per-row sweep.  Cost n_rows * n_cols.
     """
     n_cols = n_rows if n_cols is None else n_cols
     m, width = min(n_rows, n_cols), max(n_rows, n_cols)
-    beta, c = fam.beta, fam.c
-    a, b = fam.recurrence(np.arange(m, dtype=float))
-    x = 2.0 * np.arange(width) + beta
-    # row 0 as mantissa * 2**expo, column by column
-    p = np.empty(width)
-    expo = np.empty(width, dtype=int)
-    f, e = math.frexp((1.0 - c) ** (0.5 * beta))
-    jj = np.arange(width - 1)
-    for j, r in enumerate(np.sqrt(c * (beta + jj) / (jj + 1.0)).tolist()):
-        p[j], expo[j] = f, e
-        f, de = math.frexp(f * r)
-        e += de
-    p[-1], expo[-1] = f, e
-    upper = np.zeros((m, width))
-    prev = np.zeros(width)
-    for k in range(m):
-        upper[k, k:] = np.ldexp(p[k:], expo[k:])
-        if k + 1 == m:
-            break
-        s = slice(k + 1, width)
-        nxt = (x[s] - a[k]) * p[s]
-        if k:
-            nxt -= b[k - 1] * prev[s]
-        f, e = np.frexp(nxt / b[k])
-        prev[s] = np.ldexp(p[s], -e)
-        p[s] = f
-        expo[s] += e
+    upper = _upper_rows(fam, m, width)
+    if n_rows <= n_cols:
+        out = upper
+    else:
+        out = np.zeros((n_rows, n_cols))
+        out[:m] = upper[:, :n_cols]
+    # (-1)^(k+j) B[j, k] below the diagonal, zero on and above it
     sign = 1.0 - 2.0 * (np.arange(width) % 2)
-    out = np.zeros((n_rows, n_cols))
-    out[:m] = upper[:, :n_cols]
-    out[:, :m] += np.tril(upper[:, :n_rows].T * np.outer(sign[:n_rows], sign[:m]), -1)
+    low = upper[:, :n_rows].T * sign[:n_rows, None]
+    low *= sign[:m]
+    np.copyto(low, 0.0, where=~np.tri(n_rows, m, -1, dtype=bool))
+    out[:, :m] += low
     return out

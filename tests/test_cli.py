@@ -122,6 +122,12 @@ def test_spectrum_count_zero_usage_error(capsys):
      "--n-levels"),
     (["coherent", "--n-levels", "0"], "--n-levels"),
     (["spectrum", "--model", "two-d", "--K", "-1"], "--K"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2", "--r", "5"], "--r"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2", "--l", "0"], "--l"),
+    (["spectrum", "--model", "two-d", "--alpha0", "-1"], "--alpha0"),
+    (["spectrum", "--model", "two-c", "--beta0", "-1"], "--beta0"),
+    (["coherent", "--alpha0", "-1"], "--alpha0"),
+    (["evolve", "--n-per-mode", "1"], "--n-per-mode"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)
