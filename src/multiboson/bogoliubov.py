@@ -14,8 +14,15 @@ Column phase convention: the undecorated kernel column starts positive
 (sqrt(w_n) P_0 > 0); columns are then multiplied by sigma^n, and by
 (-1)^(k+n) when a^sigma > 1.  This is the unique decoration (up to a
 global sign) under which U X U* reproduces the generator action.
+
+The column-normalized kernel block depends on the element only through
+c, so (a, +1) and (a, -1), and a and 1/a, share it.  ``implementer``
+takes the block from a one-entry memo keyed by (alpha0, c, n) and
+decorates a copy: consecutive elements with the same block build it once,
+and the memo holds a single read-only block (460 KB at n = 240).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,10 +148,25 @@ class ImplementerInfo:
     c: float
 
 
+@functools.lru_cache(maxsize=1)
+def _meixner_block(alpha0: float, c: float, n: int) -> np.ndarray:
+    """Read-only n x n Meixner(alpha0, c) kernel block, each column
+    ell^2-normalized over the window."""
+    u = atom_eigenvector(Meixner(alpha0, c), n)
+    u /= np.linalg.norm(u, axis=0)
+    u.flags.writeable = False
+    return u
+
+
 def implementer(g: GroupElement, alpha0: float,
                 n: int) -> tuple[np.ndarray, ImplementerInfo]:
-    """N x N unitary whose columns are the transformed-A0 eigenvectors, and
+    """N x N matrix whose columns are the transformed-A0 eigenvectors, and
     its truncation diagnostics: the pair (u, info).
+
+    Only the first ``info.converged_cols`` columns are orthonormal (to
+    roundoff); a later column's tail is cut by the window, so u is not
+    unitary.  At a = 1/2, alpha0 = 1, n = 240 the first 92 columns are
+    orthonormal to 2.5e-15 while the full Gram misses the identity by 0.76.
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
     which no unitary realizes.  The transformed A0,
@@ -170,8 +192,7 @@ def implementer(g: GroupElement, alpha0: float,
     if g.a == 1.0:
         u = np.diag(sign if g.sigma == -1 else np.ones(n))
         return u, ImplementerInfo(n, n, 0.0)
-    u = atom_eigenvector(Meixner(alpha0, c), n)
-    u /= np.linalg.norm(u, axis=0)
+    u = _meixner_block(alpha0, c, n).copy()
     if float(g.a) ** g.sigma > 1.0:
         u *= np.outer(sign, sign)
     if g.sigma == -1:

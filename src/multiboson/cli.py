@@ -124,7 +124,10 @@ def cmd_validate(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _config(args)
     if args.alpha0_table is not None:
-        cfg["alpha0_table"] = [float(x) for x in args.alpha0_table.split(",")]
+        try:
+            cfg["alpha0_table"] = [float(x) for x in args.alpha0_table.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--alpha0-table: {exc}") from None
     model = cfg.get("model", "onemode")
     count = _at_least("--count", int(cfg.get("count", 8)), 1)
     fmt = cfg.get("format", "json")
@@ -138,9 +141,13 @@ def cmd_spectrum(args) -> int:
         r = int(cfg.get("r", 0))
         if not 0 <= r < l:
             raise ValueError(f"--r must be in [0, {l}) for --l {l}, got {r}")
-        table = tuple(cfg.get("alpha0_table", [1.0] * l))
+        table = cfg.get("alpha0_table", [1.0] * l)
+        try:
+            mrep = rep.MultibosonRep(l, tuple(table))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"--alpha0-table: {exc}") from None
         n = _at_least("--n-levels", int(cfg.get("n_levels", 100)), 2)
-        sector = rep.OneModeSector(rep.MultibosonRep(l, table), r, n)
+        sector = rep.OneModeSector(mrep, r, n)
         h = onemode.OneModeHamiltonian(float(cfg["mu"]), float(cfg["nu"]), sector)
         label = onemode.classify(h.mu, h.nu, sector.alpha0)
         meas = onemode.spectrum(h, n_atoms=count)

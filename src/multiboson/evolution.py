@@ -470,9 +470,10 @@ class PresetModel:
                  + mapping.offset * Id
 
     The mapping's kind names its twists in ``twomode.CANONICAL_TWISTS``.
-    Evolution needs only ``mapping``.  ``matrix``, a dense n_per_mode^2 x
-    n_per_mode^2 array, is assembled on first access as a sum of sparse
-    Kronecker terms densified once (peak memory one dense result) and kept.
+    Evolution needs only ``mapping``.  ``csr`` is the preset's expansion
+    assembled once, on first access, as a sum of sparse Kronecker terms.
+    ``matrix``, a dense n_per_mode^2 x n_per_mode^2 array, is that CSR
+    densified (peak memory one dense result); both are kept.
     """
 
     name: str
@@ -481,6 +482,10 @@ class PresetModel:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        return self.csr.toarray()
+
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
         n = self.n_per_mode
         a, ad, num = _ladder(n)
         eye = np.eye(n)
@@ -494,8 +499,7 @@ class PresetModel:
             x = k(sq @ ad, a @ a)
         else:  # HIV
             x = k(sq @ ad, sq @ ad)
-        m = k(num, eye) + k(eye, num) + 2.0 * k(num, num) + x + x.T
-        return m.toarray()
+        return k(num, eye) + k(eye, num) + 2.0 * k(num, num) + x + x.T
 
 
 def _ladder(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,7 +43,8 @@ def residue(n: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class MultibosonRep:
-    """Cluster size l and the free positive constants alpha0(r), r = 0..l-1."""
+    """Cluster size l and the free positive finite constants alpha0(r),
+    r = 0..l-1."""
 
     l: int
     alpha0_init: tuple[float, ...]
@@ -56,8 +57,9 @@ class MultibosonRep:
             raise ValueError(
                 f"need {self.l} initial constants, got {len(self.alpha0_init)}"
             )
-        if any(a <= 0 for a in self.alpha0_init):
-            raise ValueError(f"alpha0 constants must be positive: {self.alpha0_init}")
+        if not all(math.isfinite(a) and a > 0 for a in self.alpha0_init):
+            raise ValueError(f"alpha0 constants must be positive and finite: "
+                             f"{self.alpha0_init}")
 
 
 def alpha0(rep: MultibosonRep, n: int) -> float:

@@ -144,13 +144,38 @@ def _power_form_implementer(g, alpha0, n):
 
 @pytest.mark.parametrize("n", [160, 240])
 def test_implementer_sign_products_equal_power_form(n):
-    # the validate grid, plus the identity and the flip at a = 1
-    for a in (1 / 3, 0.5, 1.0, 2.0, 3.0):
-        for sigma in (1, -1):
-            for alpha0 in (0.5, 1.0, 2.7):
+    # the validate grid in its loop order, so that consecutive elements
+    # sharing a Meixner block take it from the memo, plus the identity and
+    # the flip at a = 1; bit for bit, signed zeros included
+    bg._meixner_block.cache_clear()
+    for alpha0 in (0.5, 1.0, 2.7):
+        for a in (1 / 3, 0.5, 1.0, 2.0, 3.0):
+            for sigma in (1, -1):
                 g = bg.GroupElement(a, sigma)
-                assert np.array_equal(bg.implementer(g, alpha0, n)[0],
-                                      _power_form_implementer(g, alpha0, n))
+                got = bg.implementer(g, alpha0, n)[0]
+                ref = _power_form_implementer(g, alpha0, n)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_implementer_returns_a_private_copy():
+    g = bg.GroupElement(0.5, 1)
+    u, _ = bg.implementer(g, 1.0, 64)
+    ref = u.copy()
+    u[:] = 0.0
+    assert np.array_equal(bg.implementer(g, 1.0, 64)[0], ref)
+    assert not bg._meixner_block(1.0, bg.meixner_c(0.5), 64).flags.writeable
+
+
+def test_implementer_is_orthonormal_only_on_converged_columns():
+    # the docstring's numbers: past converged_cols the window cuts the tails
+    # (the converged Gram reads 2.45e-15 with OpenBLAS; the bound leaves
+    # room for another BLAS's summation order)
+    u, info = bg.implementer(bg.GroupElement(0.5, 1), 1.0, 240)
+    assert info.converged_cols == 92
+    nc = info.converged_cols
+    assert np.abs(u[:, :nc].T @ u[:, :nc] - np.eye(nc)).max() <= 4e-15
+    full = np.abs(u.T @ u - np.eye(240)).max()
+    assert full == pytest.approx(0.76, abs=0.01)
 
 
 def test_implementer_rejects_negative_a():

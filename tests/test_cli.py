@@ -128,6 +128,19 @@ def test_spectrum_count_zero_usage_error(capsys):
     (["spectrum", "--model", "two-c", "--beta0", "-1"], "--beta0"),
     (["coherent", "--alpha0", "-1"], "--alpha0"),
     (["evolve", "--n-per-mode", "1"], "--n-per-mode"),
+    # every --alpha0-table error: sign, length, parse and non-finite values
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2",
+      "--alpha0-table", "-1"], "--alpha0-table"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2", "--l", "2",
+      "--alpha0-table", "1"], "--alpha0-table"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2",
+      "--alpha0-table", "x"], "--alpha0-table"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2",
+      "--alpha0-table", "1,,2"], "--alpha0-table"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2",
+      "--alpha0-table", "nan"], "--alpha0-table"),
+    (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2",
+      "--alpha0-table", "inf"], "--alpha0-table"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)

@@ -28,6 +28,13 @@ def test_rep_validation():
         rep.MultibosonRep(0, ())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rep_rejects_non_finite_constants(bad):
+    # nan <= 0 is False, so positivity alone lets nan through to LAPACK
+    with pytest.raises(ValueError, match="finite"):
+        rep.MultibosonRep(2, (1.0, bad))
+
+
 def test_alpha0_values():
     r = rep.MultibosonRep(1, (0.7,))
     assert rep.alpha0(r, 5) == pytest.approx(10.7)
