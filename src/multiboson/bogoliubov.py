@@ -194,7 +194,9 @@ def implementer(g: GroupElement, alpha0: float,
         return u, ImplementerInfo(n, n, 0.0)
     u = _meixner_block(alpha0, c, n).copy()
     if float(g.a) ** g.sigma > 1.0:
-        u *= np.outer(sign, sign)
+        # (-1)^(k+m) in place: negation is exact
+        u[1::2] *= -1.0
+        u[:, 1::2] *= -1.0
     if g.sigma == -1:
         u *= sign
     tail = np.abs(u[max(0, n - 8):, :]).max(axis=0)

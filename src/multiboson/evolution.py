@@ -13,7 +13,11 @@ structure.  A canonical interaction is split into its Manley-Rowe charge
 blocks, and only the blocks in which the state has amplitude are solved;
 the others stay exactly zero.  (The closed-form D-block eigenpairs,
 ``twomode.hd_spectrum`` and ``hd_eigenvectors``, agree with the LAPACK
-ones to roundoff and are tested against them.)
+ones to roundoff and are tested against them.)  Every route applies its
+eigenpairs through one real-arithmetic spectral apply,
+``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``: the eigenvectors
+are real, so the projection and the grid product are real products against
+them, and no complex copy of an eigenvector matrix is made.
 
 An evolved state is carried as the pair (indices, amplitudes): the
 ascending flattened positions of the blocks it occupies and its amplitudes
@@ -52,7 +56,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import TruncationOverflowError
-from .jacobi import JacobiOperator, oracle_eigh
+from .jacobi import JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep, StateVector
@@ -208,9 +212,9 @@ class InteractionEvolver:
                        else np.zeros(0, dtype=np.intp))
             out = np.empty((ts.size, indices.size), dtype=complex)
             for idx, energies, vectors in blocks:
-                coeff = vectors.T @ psi[idx]
-                phases = np.exp(-1j * ts[:, None] * energies)
-                out[:, np.searchsorted(indices, idx)] = (phases * coeff) @ vectors.T
+                coeffs = spectral_coeffs(vectors, psi[idx])
+                out[:, np.searchsorted(indices, idx)] = spectral_apply(vectors, energies,
+                                                                       coeffs, ts)
         return indices, (out[0] if times.ndim == 0 else out)
 
 

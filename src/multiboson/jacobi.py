@@ -30,6 +30,13 @@ entries do not depend on where the blocks end.
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
 Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
 the window, so a caller should ask for exactly the eigenvalues it reads.
+
+Every evolution goes through one real-arithmetic spectral apply: the
+eigenvectors V are real (orthogonal polynomials, the Meixner kernel or
+LAPACK), so ``spectral_coeffs`` projects c = V^T psi and ``spectral_apply``
+forms V (e^{-iEt} c) as real products against V, one for the real and one
+for the imaginary part.  A product of a complex array with the real V
+would make numpy copy V to complex first, twice the memory of V itself.
 """
 
 import math
@@ -44,7 +51,7 @@ from .errors import NumericalFailureError
 from .orthopoly import Meixner
 
 __all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "block_eigenvectors",
-           "atom_eigenvector"]
+           "atom_eigenvector", "spectral_coeffs", "spectral_apply"]
 
 
 @dataclass(frozen=True)
@@ -305,3 +312,28 @@ def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np
     np.copyto(low, 0.0, where=~np.tri(n_rows, m, -1, dtype=bool))
     out[:, :m] += low
     return out
+
+
+def _times_real(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z @ r for a complex z and a real r, as the two real products
+    Re z @ r and Im z @ r: no complex copy of r."""
+    out = np.empty(z.shape[:-1] + r.shape[1:], dtype=complex)
+    out.real = z.real @ r
+    out.imag = z.imag @ r
+    return out
+
+
+def spectral_coeffs(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Coefficients c = V^T psi of a complex amplitude array psi over the
+    real columns V of ``vectors`` (n, m): V^T Re psi + i V^T Im psi."""
+    return _times_real(psi, vectors)
+
+
+def spectral_apply(vectors: np.ndarray, energies: np.ndarray, coeffs: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """Amplitudes V (e^{-i E t} c) at every time t of the 1-d array ``times``,
+    shape (n_times, n), for real columns V of ``vectors`` (n, m) with
+    ``energies`` E and coefficients c (m,).  The phases are complex; their
+    product with V is two real products, one per part."""
+    phased = np.exp(-1j * times[:, None] * energies) * coeffs
+    return _times_real(phased, vectors.T)

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationOverflowError, UnsupportedCaseError
-from .jacobi import JacobiOperator, atom_eigenvector, oracle_eigh
+from .jacobi import (JacobiOperator, atom_eigenvector, oracle_eigh, spectral_apply,
+                     spectral_coeffs)
 from .orthopoly import (Laguerre, Meixner, MeixnerPollaczek, PolyFamily,
                         SpectralMeasure)
 from .rep import OneModeSector, StateVector
@@ -194,7 +195,7 @@ def _expand_discrete(h: OneModeHamiltonian, label: CaseLabel, psi: np.ndarray):
     nz = np.flatnonzero(psi)
     rows = int(nz[-1]) + 1 if nz.size else 1
     cap = 4 * size
-    coeffs = psi[:rows] @ _discrete_block(h, label, rows, cap)
+    coeffs = spectral_coeffs(_discrete_block(h, label, rows, cap), psi[:rows])
     tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
     total = float(np.vdot(psi, psi).real)
     done = np.flatnonzero(tail <= 1e-15 * total)
@@ -216,9 +217,12 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     The spectral data is taken once per call, whatever the number of times:
     one closed-form eigen-expansion of psi in the discrete cases 5-8, one
     (LAPACK) eigendecomposition of the truncated Jacobi operator in the
-    continuous cases 1-4, one set of diagonal phases in case 9.  The
-    closed-form expansion raises TruncationOverflowError when 4N terms do
-    not hold psi; the truncation tail of the evolved state is left to
+    continuous cases 1-4, one set of diagonal phases in case 9.  Cases 1-8
+    project psi and apply the phases in real arithmetic against the real
+    eigenvectors (``jacobi.spectral_coeffs`` and ``spectral_apply`` at -t),
+    so no complex copy of an eigenvector matrix is made.  The closed-form
+    expansion raises TruncationOverflowError when 4N terms do not hold psi;
+    the truncation tail of the evolved state is left to
     ``evolution.run_series`` and ``evolve_full``.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -226,16 +230,16 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-d array of times")
-    ts = np.atleast_1d(times)[:, None]
+    ts = np.atleast_1d(times)
     label = classify(h.mu, h.nu, h.sector.alpha0)
     if label.index == 9:
         a = h.sector.alpha0
-        out = np.exp(1j * ts * (h.mu * (2.0 * np.arange(size) + a))) * psi
+        out = np.exp(1j * ts[:, None] * (h.mu * (2.0 * np.arange(size) + a))) * psi
     else:
         if label.discrete:
             vecs, coeffs, energies = _expand_discrete(h, label, psi)
         else:
             energies, vecs = oracle_eigh(jacobi(h), n=size)
-            coeffs = vecs.T @ psi
-        out = (np.exp(1j * ts * energies) * coeffs) @ vecs.T
+            coeffs = spectral_coeffs(vecs, psi)
+        out = spectral_apply(vecs, energies, coeffs, -ts)
     return out[0] if times.ndim == 0 else out

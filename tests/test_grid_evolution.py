@@ -444,10 +444,11 @@ def test_canonical_run_series_at_n_per_mode_400(kind, cell):
 @pytest.mark.parametrize("kind, cell", [("D", (1000, 999)), ("C", (1000, 1000))])
 def test_canonical_run_series_memory_at_n_per_mode_2000(kind, cell):
     # one block of 2000 states out of 4e6: a dense (201, n^2) grid would be
-    # 12.9 GB.  Measured peak 116 MiB for either kind (numpy 2.4, scipy 1.17,
-    # x86_64): the 32 MB block eigenvectors, their 64 MB complex copy in the
-    # grid product, and the (201, 2000) amplitudes.  psi0 itself (64 MB) is
-    # built before tracing starts.
+    # 12.9 GB.  Measured peak 61.2 MiB for either kind (numpy 2.4, scipy
+    # 1.17, x86_64): the 32 MB block eigenvectors with the eigensolver's
+    # workspace, and the (201, 2000) amplitudes; the grid product is real
+    # arithmetic against the eigenvectors, which are never copied.  psi0
+    # itself (64 MB) is built before tracing starts.
     r = rep.MultibosonRep(1, (1.0,))
     h = ev.CanonicalInteraction(kind, tm.TwoModeRep(r, r), (0, 0), 2000,
                                 scale=0.8, offset=0.3)
@@ -459,10 +460,29 @@ def test_canonical_run_series_memory_at_n_per_mode_2000(kind, cell):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 150 * 2**20
+    assert peak <= 80 * 2**20
     assert len(series.records) == 201
     assert max(series.norm_errors) <= 1e-10
     q = cell[0] + cell[1] if kind == "D" else cell[0] - cell[1]
     sign = 1.0 if kind == "D" else -1.0
     drift = max(abs(m0 + sign * m1 - q) for m0, m1 in (rec.means for rec in series.records))
     assert drift <= 1e-8 * max(q, 1)
+
+
+def test_onemode_continuous_run_series_memory():
+    # case 3 at N 800: the LAPACK eigenvectors (5.1 MB) and the eigensolver's
+    # n^2 workspace bound the peak, measured 9.85 MiB (numpy 2.4, scipy 1.17,
+    # x86_64); a complex copy of the eigenvectors would add 10.2 MB
+    sec = rep.OneModeSector(R0, 0, 800)
+    model = ev.FullModel(om.OneModeHamiltonian(1.0, -0.6, sec), (1.0,), tail_tol=math.inf)
+    assert om.classify(1.0, -0.6, sec.alpha0).index == 3
+    psi0 = ev.basis_state(model, (3,))
+    tracemalloc.start()
+    try:
+        series = ev.run_series(model, psi0, np.linspace(0.0, 2.0, 21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
+    assert len(series.records) == 21
+    assert max(series.norm_errors) <= 1e-10

@@ -1,4 +1,5 @@
-"""Index windows of the tridiagonal oracle against the full-range solve."""
+"""Index windows of the tridiagonal oracle against the full-range solve, and
+the real-arithmetic spectral apply against the complex product it replaces."""
 
 import functools
 
@@ -9,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
-from multiboson.jacobi import oracle_eigs
+from multiboson.jacobi import oracle_eigh, oracle_eigs, spectral_apply, spectral_coeffs
 
 EPS = np.finfo(float).eps
 
@@ -70,3 +71,22 @@ def test_hc_truncation_check_top_window_exact():
 def test_oracle_eigs_rejects_empty_window(count):
     with pytest.raises(ValueError, match="count"):
         oracle_eigs(_operator("hd", 10), count=count)
+
+
+@pytest.mark.parametrize("kind", ["hc", "onemode"])
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("t", [0.7, np.linspace(-1.0, 3.0, 9)], ids=["scalar", "grid"])
+def test_spectral_apply_matches_complex_product(kind, n, t):
+    # the complex-by-real products the real-arithmetic helpers replace, at a
+    # psi with a nonzero imaginary part; measured worst 0.78 eps |psi|
+    w, v = oracle_eigh(_operator(kind, n), n)
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ts = np.atleast_1d(t)
+    coeffs = spectral_coeffs(v, psi)
+    tol = 4 * EPS * np.linalg.norm(psi)
+    assert np.abs(coeffs - v.T @ psi).max() <= tol
+    ref = (np.exp(-1j * np.multiply.outer(t, w)) * (v.T @ psi)) @ v.T
+    got = spectral_apply(v, w, coeffs, ts)
+    assert got.shape == (ts.size, n)
+    assert np.abs(got.reshape(ref.shape) - ref).max() <= tol
