@@ -7,11 +7,12 @@ factor goes through spectral decompositions, all taken in one call of
 one product: ``onemode.evolve`` for a one-mode interaction (closed-form
 eigenpairs in the discrete cases; amplitude arrays in, one row per time
 out), LAPACK tridiagonal eigendecompositions of the charge blocks of a
-canonical interaction, and one symmetric eigendecomposition of the whole
-truncated matrix of a generic two-mode interaction with no aligned block
-structure.  A canonical interaction is split into its Manley-Rowe charge
-blocks, and only the blocks in which the state has amplitude are solved;
-the others stay exactly zero.  (The closed-form D-block eigenpairs,
+canonical interaction, and one divide-and-conquer eigendecomposition
+(LAPACK ``dsyevd``, the dense form of the tridiagonal oracle's ``dstevd``)
+of the whole truncated matrix of a generic two-mode interaction with no
+aligned block structure.  A canonical interaction is split into its
+Manley-Rowe charge blocks, and only the blocks in which the state has
+amplitude are solved; the others stay exactly zero.  (The closed-form D-block eigenpairs,
 ``twomode.hd_spectrum`` and ``hd_eigenvectors``, agree with the LAPACK
 ones to roundoff and are tested against them.)  Every route applies its
 eigenpairs through one real-arithmetic spectral apply,
@@ -31,10 +32,10 @@ H0 is diagonal in the Fock basis, so its phases change no |amplitude|: the
 occupation observables of ``run_series`` and the tail check are taken from
 exp(-i H t) psi(0) alone, and only ``evolve_full`` forms the free phases.
 Every observable is an exactly rounded sum, equal bit for bit to
-``math.fsum`` of the same float64 terms, for the whole grid at once: an
-extended-precision sum is accepted where a rounding certificate proves it
-rounds to the exact value, and ``math.fsum`` takes the other rows
-(``_exact_sums``).
+``math.fsum`` of the same float64 terms, for the whole grid and every
+moment in one pass: an extended-precision sum is accepted where a rounding
+certificate proves it rounds to the exact value, and ``math.fsum`` takes
+the other rows (``_exact_sums``).
 
 Evolution of the truncated model is unitary, so norms and the block labels
 (Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
@@ -55,7 +56,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import TruncationOverflowError
+from .errors import NumericalFailureError, TruncationOverflowError
 from .jacobi import JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
@@ -114,7 +115,8 @@ class FullModel:
     """Free frequencies plus an interaction handle.
 
     ``interaction`` is a OneModeHamiltonian, a CanonicalInteraction, or a
-    TwoModeHamiltonian (generic, eigendecomposed as one dense block).  Only
+    TwoModeHamiltonian (generic: one divide-and-conquer eigendecomposition
+    of its whole dense truncated matrix, ``twomode.build_h_matrix``).  Only
     a generic interaction takes ``n_per_mode``, and needs it, to fix its
     truncation; the other two carry their own window.  ``omega`` has one
     entry per mode.
@@ -202,7 +204,7 @@ class InteractionEvolver:
             blocks = []
             if isinstance(h, TwoModeHamiltonian):
                 if psi.any():
-                    w, v = scipy.linalg.eigh(build_h_matrix(h, self.model.n_per_mode))
+                    w, v = _generic_eigh(build_h_matrix(h, self.model.n_per_mode))
                     blocks.append((np.arange(w.size), w, v))
             else:
                 for idx, op in _occupied_charge_blocks(h, psi):
@@ -216,6 +218,16 @@ class InteractionEvolver:
                 out[:, np.searchsorted(indices, idx)] = spectral_apply(vectors, energies,
                                                                        coeffs, ts)
         return indices, (out[0] if times.ndim == 0 else out)
+
+
+def _generic_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a generic interaction's dense matrix
+    by divide and conquer (LAPACK ``dsyevd``), the algorithm of the
+    tridiagonal ``oracle_eigh``; NumericalFailureError when LAPACK fails."""
+    try:
+        return scipy.linalg.eigh(m, driver="evd")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"dense symmetric eigensolve failed: {exc}") from exc
 
 
 def _charges(h: CanonicalInteraction, positions: np.ndarray) -> np.ndarray:
@@ -315,7 +327,8 @@ def observables(psi: StateVector | tuple[np.ndarray, np.ndarray],
     (n_times, m).  Only the positions ``indices`` are read
     (``FullModel.occupations(indices)``).  Each row's norm and its first
     and second occupation moments per mode are exactly rounded sums, bit
-    for bit ``math.fsum``, of p = |amplitudes|^2 times 1, n_i and n_i^2.
+    for bit ``math.fsum``, of p = |amplitudes|^2 times 1, n_i and n_i^2,
+    all taken in one ``_exact_sums`` call.
     """
     if isinstance(psi, StateVector):
         indices = np.flatnonzero(psi.amplitudes)
@@ -328,14 +341,17 @@ def observables(psi: StateVector | tuple[np.ndarray, np.ndarray],
     p = np.abs(np.atleast_2d(amps)) ** 2
     if p.ndim != 2:
         raise ValueError("amplitudes must have shape (m,) or (n_times, m)")
-    total = _exact_sums(p)
+    occs = [occ.astype(float) for occ in model.occupations(indices)]
+    # the rows p, then p n_i and p n_i^2 for each mode, summed in one pass
+    sums = _exact_sums(np.concatenate([p] + [p * f for n in occs for f in (n, n * n)]))
+    sums = sums.reshape(-1, p.shape[0])
+    total = sums[0]
     if not (total > 0).all():
         raise ValueError("zero state")
     means, variances, fanos = [], [], []
-    for occ in model.occupations(indices):
-        n = occ.astype(float)
-        m1 = _exact_sums(p * n) / total
-        m2 = _exact_sums(p * (n * n)) / total
+    for s1, s2 in zip(sums[1::2], sums[2::2]):
+        m1 = s1 / total
+        m2 = s2 / total
         var = np.maximum(m2 - m1 * m1, 0.0)
         means.append(m1.tolist())
         variances.append(var.tolist())
@@ -357,8 +373,11 @@ def _exact_sums(x: np.ndarray) -> np.ndarray:
     """Sum of each row of a 2-d array of nonnegative float64 values,
     exactly rounded: bit for bit ``math.fsum`` of the row.
 
-    The rows are summed in ``_WIDE`` by halving the columns, so each term
-    passes through at most d = ceil(log2 m) rounded additions.  No term is
+    The rows are summed in ``_WIDE`` by halving the columns: on a
+    transposed, C-contiguous copy, the trailing half of the remaining
+    columns is added onto the leading half, one contiguous slab at a time,
+    so each term passes through at most d = ceil(log2 m) rounded additions.
+    One call serves any number of rows, all in the same pass.  No term is
     negative, so the wide sum S differs from the exact sum s by at most
     ((1 + u)^d - 1) s, u the unit roundoff of ``_WIDE`` (its arithmetic
     rounds to nearest at full precision), and 2 d u S bounds that.  The
@@ -368,13 +387,13 @@ def _exact_sums(x: np.ndarray) -> np.ndarray:
     ``math.fsum``.
     """
     m = x.shape[1]
-    wide = x.astype(_WIDE)
+    wide = np.ascontiguousarray(x.T, dtype=_WIDE)
     width = m
     while width > 1:
         half = width // 2
-        wide[:, :half] += wide[:, width - half:width]
+        wide[:half] += wide[width - half:width]
         width -= half
-    s = wide[:, 0] if m else np.zeros(x.shape[0], dtype=_WIDE)   # m = 0: a zero state
+    s = wide[0] if m else np.zeros(x.shape[0], dtype=_WIDE)   # m = 0: a zero state
     out = s.astype(np.float64)
     spacing = np.minimum(out - np.nextafter(out, -np.inf), np.nextafter(out, np.inf) - out)
     bound = (m - 1).bit_length() * np.finfo(_WIDE).eps * s   # 2 d u S

@@ -35,7 +35,6 @@ Its miss is pinned by the ``twomode.hd.regression_pin_gap`` check of
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,33 +94,69 @@ class TwoModeHamiltonian:
         return self.reps.rep1.alpha0_init[self.sector[1]]
 
 
-def _kron_sum(h: TwoModeHamiltonian, n_per_mode: int) -> sp.csr_matrix:
-    """Truncated interaction on the (r0, r1) product basis |k0, k1>,
-    flattened as k0 * n_per_mode + k1: the CSR sum of the Kronecker terms of
-    the expansion in the module docstring, skipping every term whose
-    coefficient is zero.  Each nonzero entry comes from exactly one
-    (dk0, dk1) term, so no entry depends on the order of the sum."""
-    (a0, am, ap), (b0, bm, bp) = (sector_matrices(OneModeSector(rep, r, n_per_mode))
-                                  for rep, r in zip((h.reps.rep0, h.reps.rep1), h.sector))
+def _entries(h: TwoModeHamiltonian, n_per_mode: int):
+    """The nonzero entries of the truncated interaction on the (r0, r1)
+    product basis |k0, k1>, flattened as k0 * n_per_mode + k1, as one
+    (rows, cols, values) triplet per Kronecker term x (x) y of the expansion
+    in the module docstring.  Each mode operator is one diagonal of its
+    sector matrix (A0 on the main diagonal, A- above, A+ = (A-)^T below), so
+    each entry of coefficient c is written once as c * (x_ij * y_kl), and
+    every term whose coefficient is zero is skipped.  The terms step
+    (k0, k1) by distinct (dk0, dk1), so no two write the same position and
+    nothing is summed."""
+    n = n_per_mode
+    k = np.arange(n)
+
+    def mode(rep, r):
+        # each operator as (its row levels, the step to its column level,
+        # values), the values read off the diagonals of the sector matrices
+        a0, am, _ = sector_matrices(OneModeSector(rep, r, n))
+        e = np.diagonal(am, 1)
+        return {"0": (k, 0, np.diagonal(a0)), "-": (k[:-1], 1, e), "+": (k[1:], -1, e)}
+
+    x, y = (mode(rep, r) for rep, r in zip((h.reps.rep0, h.reps.rep1), h.sector))
     a, s = h.g.a, h.g.sigma
     b, t = h.h.a, h.h.sigma
     ab4 = 4 * a * b
-    terms = (((a * a + b * b) / ab4, [(a0, b0)]),
-             (-s * t * (a - b) ** 2 / ab4, [(ap, bp), (am, bm)]),
-             (-s * (a * a - b * b) / ab4, [(ap, b0), (am, b0)]),
-             (t * (a * a - b * b) / ab4, [(a0, bm), (a0, bp)]),
-             (-s * t * (a + b) ** 2 / ab4, [(ap, bm), (am, bp)]))
-    k = partial(sp.kron, format="csr")
-    parts = [c * sum((k(x, y) for x, y in pairs[1:]), k(*pairs[0]))
-             for c, pairs in terms if c != 0]
-    return sum(parts[1:], parts[0])
+    terms = (((a * a + b * b) / ab4, ["00"]),
+             (-s * t * (a - b) ** 2 / ab4, ["++", "--"]),
+             (-s * (a * a - b * b) / ab4, ["+0", "-0"]),
+             (t * (a * a - b * b) / ab4, ["0-", "0+"]),
+             (-s * t * (a + b) ** 2 / ab4, ["+-", "-+"]))
+    for c, pairs in terms:
+        if c == 0:
+            continue
+        for p, q in pairs:
+            (rx, dx, vx), (ry, dy, vy) = x[p], y[q]
+            rows = np.add.outer(rx * n, ry).ravel()
+            yield rows, rows + (dx * n + dy), (c * np.multiply.outer(vx, vy)).ravel()
+
+
+def _kron_sum(h: TwoModeHamiltonian, n_per_mode: int) -> sp.csr_matrix:
+    """Truncated interaction on the (r0, r1) product basis |k0, k1>,
+    flattened as k0 * n_per_mode + k1, as CSR: the entries of ``_entries``
+    stored once each, in one ``csr_matrix`` build."""
+    rows, cols, values = (np.concatenate(z) for z in zip(*_entries(h, n_per_mode)))
+    size = n_per_mode * n_per_mode
+    return sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+
+
+def _dense(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
+    """The entries of ``_entries`` scattered into one zero n_per_mode^2 x
+    n_per_mode^2 array."""
+    size = n_per_mode * n_per_mode
+    out = np.zeros((size, size))
+    for rows, cols, values in _entries(h, n_per_mode):
+        out[rows, cols] = values
+    return out
 
 
 def build_h_matrix(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
     """Truncated interaction matrix on the (r0, r1) product basis |k0, k1>,
-    flattened as k0 * n_per_mode + k1: the sparse Kronecker sum densified
-    once, so the peak memory is one dense n_per_mode^2 x n_per_mode^2 result."""
-    return _kron_sum(h, n_per_mode).toarray()
+    flattened as k0 * n_per_mode + k1: the nonzero entries of the Kronecker
+    expansion written into one zero dense n_per_mode^2 x n_per_mode^2 array,
+    which is the peak memory."""
+    return _dense(h, n_per_mode)
 
 
 # the canonical forms as twists (g, h) of the diagonal Casimir
@@ -134,12 +169,11 @@ CANONICAL_TWISTS = {
 def canonical_matrix(kind: str, reps: TwoModeRep, sector: tuple[int, int],
                      n_per_mode: int) -> np.ndarray:
     """Canonical D-form or C-form interaction on the product basis: H at
-    the twists ``CANONICAL_TWISTS[kind]``, densified once like
+    the twists ``CANONICAL_TWISTS[kind]``, written into one dense array like
     ``build_h_matrix``."""
     if kind not in CANONICAL_TWISTS:
         raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
-    h = TwoModeHamiltonian(reps, *CANONICAL_TWISTS[kind], sector)
-    return _kron_sum(h, n_per_mode).toarray()
+    return _dense(TwoModeHamiltonian(reps, *CANONICAL_TWISTS[kind], sector), n_per_mode)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
-"""Two-mode matrices assembled from sparse Kronecker terms.
+"""Two-mode matrices and their assembly.
 
-``preset``, ``canonical_matrix``, ``CanonicalInteraction.matrix`` and
-``build_h_matrix`` sum sparse Kronecker products of the n x n factor
-matrices and densify once.  Every entry must equal the dense ``np.kron``
-expression below (zeros may differ in sign), and the peak memory of a call
-must be one dense result.
+``canonical_matrix``, ``CanonicalInteraction.matrix`` and ``build_h_matrix``
+write the nonzero entries of the Kronecker expansion, read off the per-mode
+coefficient diagonals, into one zero dense array, and ``twomode._kron_sum``
+stores the same entries as CSR.  ``preset`` sums sparse Kronecker products
+of raw ladder matrices and densifies once.  Every entry must equal the dense
+``np.kron`` expression below (zeros may differ in sign); the two-mode
+builders must also equal, bit for bit and zero signs included, the CSR sum
+of ``scipy.sparse.kron`` terms they replaced (``_ref_kron_sum``).  The peak
+memory of a call must be one dense result.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from multiboson import evolution as ev
 from multiboson import twomode as tm
@@ -74,6 +80,24 @@ def _ref_build_h(h, n):
             + c_pm * (k(ap, bm) + k(am, bp)))
 
 
+def _ref_kron_sum(h, n):
+    """The expansion as the CSR sum of sparse Kronecker products of the
+    sector matrices, skipping every term whose coefficient is zero."""
+    (a0, am, ap), (b0, bm, bp) = _factors(h.reps, h.sector, n)
+    a, s = h.g.a, h.g.sigma
+    b, t = h.h.a, h.h.sigma
+    ab4 = 4 * a * b
+    terms = (((a * a + b * b) / ab4, [(a0, b0)]),
+             (-s * t * (a - b) ** 2 / ab4, [(ap, bp), (am, bm)]),
+             (-s * (a * a - b * b) / ab4, [(ap, b0), (am, b0)]),
+             (t * (a * a - b * b) / ab4, [(a0, bm), (a0, bp)]),
+             (-s * t * (a + b) ** 2 / ab4, [(ap, bm), (am, bp)]))
+    k = functools.partial(sp.kron, format="csr")
+    parts = [c * sum((k(x, y) for x, y in pairs[1:]), k(*pairs[0]))
+             for c, pairs in terms if c != 0]
+    return sum(parts[1:], parts[0])
+
+
 def _assert_same(got, ref):
     assert isinstance(got, np.ndarray) and got.dtype == np.float64
     assert got.shape == ref.shape
@@ -128,6 +152,47 @@ def test_build_h_matrix_matches_dense_kron(l):
         n = int(rng.integers(2, 16))
         _assert_same(tm.build_h_matrix(ham, n), _ref_build_h(ham, n))
     assert len(signs) == 4  # every sign of a and of sigma was drawn
+
+
+def _assert_bits(got, ref):
+    assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_assembly_is_bit_identical_to_the_kron_sum():
+    rng = np.random.default_rng(400)
+    signs, equal_moduli = set(), 0
+    for i in range(100):
+        l = int(rng.integers(1, 4))
+        reps = _random_reps(rng, l)
+        sector = (int(rng.integers(l)), int(rng.integers(l)))
+        g = _random_element(rng)
+        # every fifth case has |a| = |b|, so some terms have coefficient 0
+        h = (GroupElement(float(g.a * rng.choice((-1, 1))), int(rng.choice((-1, 1))))
+             if i % 5 == 0 else _random_element(rng))
+        equal_moduli += abs(g.a) == abs(h.a)
+        signs.update({(g.a > 0, g.sigma), (h.a > 0, h.sigma)})
+        n = int(rng.integers(2, 24))
+        ham = tm.TwoModeHamiltonian(reps, g, h, sector)
+        ref = _ref_kron_sum(ham, n)
+        got = tm._kron_sum(ham, n)
+        assert type(got) is type(ref) and got.has_canonical_format
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        _assert_bits(got.data, ref.data)
+        _assert_bits(tm.build_h_matrix(ham, n), ref.toarray())
+        for kind in ("D", "C"):
+            twists = tm.TwoModeHamiltonian(reps, *tm.CANONICAL_TWISTS[kind], sector)
+            canonical = _ref_kron_sum(twists, n).toarray()
+            _assert_bits(tm.canonical_matrix(kind, reps, sector, n), canonical)
+            scale, offset = rng.uniform(0.5, 3.0, 2) * rng.choice((-1, 1), 2)
+            ci = ev.CanonicalInteraction(kind, reps, sector, n,
+                                         scale=float(scale), offset=float(offset))
+            canonical *= ci.scale
+            canonical[np.diag_indices_from(canonical)] += ci.offset
+            _assert_bits(ci.matrix(), canonical)
+    assert len(signs) == 4  # every sign of a and of sigma was drawn
+    assert equal_moduli >= 20
 
 
 # ---------------------------------------------------------------------------
