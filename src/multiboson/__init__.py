@@ -16,7 +16,7 @@ from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
                         Meixner, MeixnerPollaczek, PolyFamily, SpectralMeasure,
                         bessel_k, eval_orthonormal, gamma_abs_sq, gram_check,
                         gram_matrix, hyp0f1, hyp3f2_terminating, ln_gamma)
-from .jacobi import (JacobiOperator, atom_eigenvector, block_eigenvectors,
+from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
                      oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, StateVector, alpha0,
                   alpha_minus, build_generators_full, casimir_value, residue,
@@ -24,15 +24,13 @@ from .rep import (MultibosonRep, OneModeSector, StateVector, alpha0,
 from .bogoliubov import (GeneratorAction, GroupElement, act_on_labels,
                          action_matrix, implementer, inverse, meixner_c,
                          multiply, orbit_invariant)
-from .onemode import (CaseLabel, OneModeHamiltonian, classify,
-                      eigenvalue_discrete, eigenvectors_discrete, evolve,
-                      jacobi, spectrum)
+from .onemode import (OneModeHamiltonian, classify, eigenvectors_discrete,
+                      evolve, jacobi)
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
                       UVWParams, build_h_matrix, canonical_matrix,
-                      coupling_functions, hc_block_jacobi,
-                      hc_eigenvectors_discrete, hc_spectrum,
-                      hc_truncation_check, hd_block_jacobi, hd_eigenvectors,
-                      hd_spectrum, manley_rowe_blocks, uvw_params)
+                      coupling_functions, hc_block_jacobi, hc_chain,
+                      hc_eigenvectors_discrete, hc_truncation_check,
+                      hd_block_jacobi, hd_chain, hd_eigenvectors, uvw_params)
 from .coherent import (CoherentState, SU11Element, coherent_amplitudes,
                        disc_eigenfunction, holo_apply, kernel, radial_measure,
                        su11_flow)

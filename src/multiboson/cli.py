@@ -114,9 +114,7 @@ def cmd_validate(args) -> int:
                         "n_passed": sum(r.passed for r in results)},
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _emit(payload, "json", args.out)
     print(report)
     return 0 if all(r.passed for r in results) else FAILURE
 
@@ -147,32 +145,37 @@ def cmd_spectrum(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"--alpha0-table: {exc}") from None
         n = _at_least("--n-levels", int(cfg.get("n_levels", 100)), 2)
+        if count > n and "count" in cfg:
+            raise ValueError(f"--count {count} exceeds --n-levels {n}")
+        count = min(count, n)
         sector = rep.OneModeSector(mrep, r, n)
         h = onemode.OneModeHamiltonian(float(cfg["mu"]), float(cfg["nu"]), sector)
-        label = onemode.classify(h.mu, h.nu, sector.alpha0)
-        meas = onemode.spectrum(h, n_atoms=count)
-        results["case_index"] = label.index
-        results["family"] = type(label.family).__name__ if label.family else "diagonal"
-        results["family_params"] = _family_params(label.family)
-        results["scale"] = label.scale
+        chain = onemode.classify(h.mu, h.nu, sector.alpha0)
+        try:
+            meas = chain.measure(count)
+        except ValueError as exc:
+            raise ValueError(f"--count {count} reaches atoms whose weight "
+                             f"underflows: {exc}") from None
+        results["case_index"] = chain.index
+        results["family"] = type(chain.family).__name__ if chain.family else "diagonal"
+        results["family_params"] = dict(vars(chain.family)) if chain.family else {}
+        results["scale"] = chain.scale
         results["atoms"] = [{"location": loc, "weight": w}
-                            for loc, w in meas.atoms[:count]]
+                            for loc, w in meas.atoms]
         if meas.continuous is not None:
             results["continuum"] = list(meas.continuous.support)
-        if label.discrete:
-            # the atoms run away from the edge of the spectrum, so a spectrum
-            # bounded above (scale < 0) is compared with the top eigenvalues
-            w = oracle_eigs(onemode.jacobi(h), count=min(count, 5),
-                            top=label.scale < 0)
-            closed = meas.atom_locations()[:w.size]
-            results["oracle_delta"] = float(np.abs(np.sort(closed) - w).max())
+        else:
+            m = min(count, 5)
+            w = oracle_eigs(onemode.jacobi(h), count=m, top=chain.pairs_top)
+            gap = meas.atom_locations()[:m] - chain.pair(w, m)
+            results["oracle_delta"] = float(np.abs(gap).max())
     elif model in ("two-d", "two-c"):
         a0 = _positive("--alpha0", float(cfg.get("alpha0", 1.0)))
         b0 = _positive("--beta0", float(cfg.get("beta0", 1.0)))
         K = int(cfg.get("K", 0))
         if model == "two-d":
             blk = twomode.DBlock(_at_least("--K", K, 0), a0, b0)
-            ev = twomode.hd_spectrum(blk)
+            ev = twomode.hd_chain(blk).atoms(K + 1)
             w = oracle_eigs(twomode.hd_block_jacobi(blk))
             results["eigenvalues"] = ev.tolist()
             results["oracle_delta"] = float(np.abs(ev - w).max())
@@ -180,28 +183,27 @@ def cmd_spectrum(args) -> int:
             n = _at_least("--n-levels", int(cfg.get("n_levels", 4000)), 2)
             blk = twomode.CBlock(K, a0, b0, n_levels=n)
             try:
-                meas = twomode.hc_spectrum(blk)
+                chain = twomode.hc_chain(blk)
             except BoundaryAmbiguityError as exc:
                 results["warning"] = str(exc)
                 results["uvw_candidates"] = list(exc.candidates)
-                meas = None
-            if meas is not None:
-                p = twomode.uvw_params(K, a0, b0)
-                results["uvw"] = {"u": p.u, "v": p.v, "w": p.w, "branch": p.branch}
+            else:
+                meas = chain.measure()
+                results["uvw"] = dict(vars(twomode.uvw_params(K, a0, b0)))
                 results["atoms"] = [{"location": loc, "weight": w}
                                     for loc, w in meas.atoms]
                 results["continuum"] = list(meas.continuous.support)
-                if meas.atoms:
+                m = len(meas.atoms)
+                if m:
                     try:
-                        chk = twomode.hc_truncation_check(blk, count=len(meas.atoms) + 1)
+                        chk = twomode.hc_truncation_check(blk)
                     except ValueError as exc:
                         raise ValueError(f"--n-levels {n} is too small: {exc}") from None
                     diagnostics["truncation_top"] = chk.top_full.tolist()
                     diagnostics["richardson"] = chk.extrapolated.tolist()
                     diagnostics["agreement"] = chk.agreement
-                    top = np.sort(chk.extrapolated[-len(meas.atoms):])
-                    atoms = np.sort(meas.atom_locations())
-                    results["oracle_delta"] = float(np.abs(top - atoms).max())
+                    gap = chain.pair(chk.extrapolated, m) - meas.atom_locations()
+                    results["oracle_delta"] = float(np.abs(gap).max())
     else:
         raise ValueError(f"unknown model {model!r}")
     payload = {"config": {"command": "spectrum", **cfg}, "version": __version__,
@@ -212,12 +214,6 @@ def cmd_spectrum(args) -> int:
                 for k, v in results.items()]
     _emit(payload, fmt, args.out, rows, ("key", "value", ""))
     return 0
-
-
-def _family_params(fam):
-    if fam is None:
-        return {}
-    return {k: v for k, v in fam.__dict__.items()}
 
 
 def cmd_evolve(args) -> int:

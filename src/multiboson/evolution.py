@@ -13,8 +13,8 @@ of the whole truncated matrix of a generic two-mode interaction with no
 aligned block structure.  A canonical interaction is split into its
 Manley-Rowe charge blocks, and only the blocks in which the state has
 amplitude are solved; the others stay exactly zero.  (The closed-form D-block eigenpairs,
-``twomode.hd_spectrum`` and ``hd_eigenvectors``, agree with the LAPACK
-ones to roundoff and are tested against them.)  Every route applies its
+``twomode.hd_chain`` and ``hd_eigenvectors``, agree with the LAPACK ones
+to roundoff up to sign, and are tested against them.)  Every route applies its
 eigenpairs through one real-arithmetic spectral apply,
 ``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``: the eigenvectors
 are real, so the projection and the grid product are real products against

@@ -15,7 +15,10 @@ family's self-duality; and inverse iteration ``block_eigenvectors`` (LAPACK
 ``dstein``) turns closed-form eigenvalues of the truncation itself into its
 eigenvectors, where forward recurrence is unstable (Gautschi, SIAM Rev. 9,
 1967).  Atoms whose tail decays only algebraically take the plain forward
-sweep ``orthopoly.poly_table`` over ``JacobiOperator.recurrence``.
+sweep ``orthopoly.poly_table`` over ``JacobiOperator.recurrence``.  A
+``Chain`` reads an operator as an affine image of an ``orthopoly`` family
+and picks its route; it also holds the one rule, ``Chain.pairs_top``, for
+which end of a truncated spectrum closed-form atoms pair with.
 
 The Meixner kernel is the one place that tracks binary exponents.  Its
 entries span far more than the double range (row 0 falls like c^(j/2)), so
@@ -48,10 +51,12 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
 from .errors import NumericalFailureError
-from .orthopoly import Meixner
+from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
+                        SpectralMeasure, poly_table)
 
-__all__ = ["JacobiOperator", "oracle_eigs", "oracle_eigh", "block_eigenvectors",
-           "atom_eigenvector", "spectral_coeffs", "spectral_apply"]
+__all__ = ["JacobiOperator", "Chain", "oracle_eigs", "oracle_eigh",
+           "block_eigenvectors", "atom_eigenvector", "spectral_coeffs",
+           "spectral_apply"]
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,11 @@ def block_eigenvectors(op: JacobiOperator, w: np.ndarray) -> np.ndarray:
     (accurate eigenvalues of the truncation) by inverse iteration, LAPACK
     ``dstein``: one column per eigenvalue, signed so that component 0 is
     positive as with p_0 = 1 (an unreduced Jacobi matrix has no eigenvector
-    with a zero first component).  Raises NumericalFailureError when LAPACK
-    reports a failure."""
+    with a zero first component).  Where the exact component 0 lies below
+    roundoff (about 1 column in 7 of a D-block at K 300), the computed one
+    is rounding noise and so is the sign: the columns are right only up to
+    sign there.  Raises NumericalFailureError when LAPACK reports a
+    failure."""
     n = op.size
     w = np.asarray(w, dtype=float)
     if n == 1:
@@ -312,6 +320,77 @@ def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np
     np.copyto(low, 0.0, where=~np.tri(n_rows, m, -1, dtype=bool))
     out[:, :m] += low
     return out
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A Jacobi operator as the affine image of an ``orthopoly`` family
+    (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials,
+    2010): a_k = scale a_k[family] + shift, b_k = offdiag_sign scale b_k[family],
+    so its spectrum is the family's measure under x -> scale x + shift.
+    ``family`` is None for a diagonal operator (one-mode class 9).
+    ``atom_stream`` is the operator's own atom formula over a float n-array
+    (None without atoms), held against the mapped family by ``validate``.
+    ``index`` is the one-mode class 1..9, 0 for a two-mode block."""
+
+    family: PolyFamily | None
+    scale: float
+    shift: float = 0.0
+    offdiag_sign: float = 1.0
+    atom_stream: Callable[[np.ndarray], np.ndarray] | None = None
+    index: int = 0
+
+    def recurrence(self, k: np.ndarray):
+        """(a_k, b_k) of the mapped family (a diagonal chain: atoms, zeros)."""
+        if self.family is None:
+            return self.atom_stream(k), np.zeros_like(k)
+        a, b = self.family.recurrence(k)
+        return self.scale * a + self.shift, self.offdiag_sign * self.scale * b
+
+    def atoms(self, count: int) -> np.ndarray:
+        return self.atom_stream(np.arange(count, dtype=float))
+
+    def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
+        """The family's measure mapped, with ``n_atoms`` atoms for Meixner;
+        a diagonal chain's first ``n_atoms`` atoms at unit weight."""
+        fam = self.family
+        if fam is None:
+            return SpectralMeasure(tuple((x, 1.0) for x in self.atoms(n_atoms).tolist()))
+        meas = fam.measure(n_atoms=n_atoms) if isinstance(fam, Meixner) else fam.measure()
+        return meas.mapped(shift=self.shift, scale=self.scale)
+
+    @property
+    def pairs_top(self) -> bool:
+        """The one rule for which end of a truncated spectrum the atoms pair
+        with: a family's atoms start at the bottom of its support (continuous
+        dual Hahn: above its continuum), and a negative scale turns it over."""
+        return (self.scale < 0) != isinstance(self.family, ContinuousDualHahn)
+
+    def pair(self, window: np.ndarray, k: int) -> np.ndarray:
+        """The k entries of an ascending ``oracle_eigs`` window taken at
+        ``self.pairs_top`` that pair with the first k atoms, in atom order."""
+        return window[::-1][:k] if self.pairs_top else window[:k]
+
+    def eigenvectors(self, op: JacobiOperator, n_rows: int, n_cols: int) -> np.ndarray:
+        """Rows k < n_rows of the eigenvectors of ``op`` at the first n_cols
+        atoms: unit columns (diagonal); the Meixner kernel
+        ``atom_eigenvector``, row k times (-1)^k if offdiag_sign < 0;
+        ``block_eigenvectors`` of the whole finite block (dual Hahn); the
+        forward sweep ``poly_table`` of ``op`` (continuous dual Hahn bound
+        states, which decay only algebraically; p_0 = 1, not normalized),
+        one sweep per atom, since a scalar point steps in Python floats."""
+        fam = self.family
+        if fam is None:
+            return np.eye(n_rows, n_cols)
+        if isinstance(fam, Meixner):
+            u = atom_eigenvector(fam, n_rows, n_cols)
+            if self.offdiag_sign < 0:
+                u[1::2] *= -1.0
+            return u
+        if isinstance(fam, DualHahn):
+            return block_eigenvectors(op, self.atoms(op.size))[:n_rows, :n_cols]
+        return np.stack([poly_table(op, n_rows - 1, x)
+                         for x in self.atoms(n_cols).tolist()], axis=1)
 
 
 def _times_real(z: np.ndarray, r: np.ndarray) -> np.ndarray:

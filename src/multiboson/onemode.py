@@ -10,21 +10,25 @@ below), the third its mirror, the axes are Laguerre-type (half-line
 continuum), the even quadrants Meixner-Pollaczek-type (full-line
 continuum), and the diagonal is already diagonal in the sector basis.
 
-Case index -> conditions, family, linear map (x_phys = scale * x_family):
+``classify`` returns the class as a ``jacobi.Chain``: H = scale * J_family
+with b_k times offdiag_sign, and atoms at scale (2n + alpha0) in 5-9.
 
-    1  nu = 0, mu != 0   Laguerre(alpha0 - 1),            scale mu/2
-    2  mu = 0, nu != 0   Laguerre(alpha0 - 1),            scale nu/2
-    3  mu > 0 > nu       MeixnerPollaczek(alpha0/2, phi), scale 2 sqrt(-mu nu)
-    4  mu < 0 < nu       MeixnerPollaczek(alpha0/2, phi), scale -2 sqrt(-mu nu)
-    5  mu > nu > 0       Meixner(alpha0, c),              scale sqrt(mu nu)
-    6  mu < nu < 0       Meixner(alpha0, c'),             scale -sqrt(mu nu)
-    7  nu > mu > 0       Meixner(alpha0, c),              scale sqrt(mu nu)
-    8  nu < mu < 0       Meixner(alpha0, c'),             scale -sqrt(mu nu)
-    9  mu = nu != 0      diagonal,                        scale mu
+    class  conditions        family                           scale           sign
+    1      nu = 0, mu != 0   Laguerre(alpha0 - 1)             mu/2            +1
+    2      mu = 0, nu != 0   Laguerre(alpha0 - 1)             nu/2            -1
+    3      mu > 0 > nu       MeixnerPollaczek(alpha0/2, phi)  2 sqrt(-mu nu)  +1
+    4      mu < 0 < nu       MeixnerPollaczek(alpha0/2, phi)  -2 sqrt(-mu nu) +1
+    5      mu > nu > 0       Meixner(alpha0, c)               sqrt(mu nu)     +1
+    6      mu < nu < 0       Meixner(alpha0, c')              -sqrt(mu nu)    +1
+    7      nu > mu > 0       Meixner(alpha0, c)               sqrt(mu nu)     -1
+    8      nu < mu < 0       Meixner(alpha0, c')              -sqrt(mu nu)    -1
+    9      mu = nu != 0      None (diagonal)                  mu              +1
 
 with phi = arccos(-(mu+nu)/(mu-nu)), c = (mu+nu-2 sqrt(mu nu))/(mu+nu+2 sqrt(mu nu))
 and c' the same with +-2 sqrt(mu nu) swapped.  Case boundaries are exact
-sign tests; callers pass exact zeros when they mean the axes.
+sign tests; callers pass exact zeros when they mean the axes.  A negative
+scale turns the spectrum over: classes 6, 8 and 9 with mu < 0 are bounded
+above, and their atoms pair with the top of a truncation (``Chain.pairs_top``).
 
 ``evolve`` maps an amplitude array to amplitude arrays, one row per time,
 and checks no truncation tail: the package has one tail monitor, the
@@ -38,22 +42,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationOverflowError, UnsupportedCaseError
-from .jacobi import (JacobiOperator, atom_eigenvector, oracle_eigh, spectral_apply,
-                     spectral_coeffs)
-from .orthopoly import (Laguerre, Meixner, MeixnerPollaczek, PolyFamily,
-                        SpectralMeasure)
+from .jacobi import Chain, JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
+from .orthopoly import Laguerre, Meixner, MeixnerPollaczek
 from .rep import OneModeSector, StateVector
 
 __all__ = [
     "OneModeHamiltonian",
-    "CaseLabel",
     "jacobi",
     "classify",
-    "spectrum",
-    "eigenvalue_discrete",
     "eigenvectors_discrete",
     "evolve",
-    "default_n_levels",
 ]
 
 
@@ -68,20 +66,6 @@ class OneModeHamiltonian:
             raise ValueError("label pair (0, 0) is excluded")
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    """Spectral class: index 1..9, attached family (None for the diagonal
-    case), and the linear map x_phys = scale * x_family."""
-
-    index: int
-    family: PolyFamily | None
-    scale: float
-
-    @property
-    def discrete(self) -> bool:
-        return self.index >= 5
-
-
 def jacobi(h: OneModeHamiltonian) -> JacobiOperator:
     """Jacobi coefficients of H on the sector basis."""
     mu, nu, a = h.mu, h.nu, h.sector.alpha0
@@ -94,108 +78,66 @@ def jacobi(h: OneModeHamiltonian) -> JacobiOperator:
     )
 
 
-def classify(mu: float, nu: float, alpha0: float) -> CaseLabel:
+def classify(mu: float, nu: float, alpha0: float) -> Chain:
+    """The class of (mu, nu) as its chain record (module docstring)."""
     if mu == 0 and nu == 0:
         raise ValueError("label pair (0, 0) is excluded")
     if mu == nu:
-        return CaseLabel(9, None, mu)
+        return _discrete(None, mu, 1.0, alpha0, 9)
     if nu == 0:
-        return CaseLabel(1, Laguerre(alpha0 - 1.0), mu / 2.0)
+        return Chain(Laguerre(alpha0 - 1.0), mu / 2.0, index=1)
     if mu == 0:
-        return CaseLabel(2, Laguerre(alpha0 - 1.0), nu / 2.0)
+        return Chain(Laguerre(alpha0 - 1.0), nu / 2.0, offdiag_sign=-1.0, index=2)
     if mu * nu < 0:
         phi = math.acos(-(mu + nu) / (mu - nu))
         s = 2.0 * math.sqrt(-mu * nu)
         if mu > 0:
-            return CaseLabel(3, MeixnerPollaczek(alpha0 / 2.0, phi), s)
-        return CaseLabel(4, MeixnerPollaczek(alpha0 / 2.0, phi), -s)
+            return Chain(MeixnerPollaczek(alpha0 / 2.0, phi), s, index=3)
+        return Chain(MeixnerPollaczek(alpha0 / 2.0, phi), -s, index=4)
     root = 2.0 * math.sqrt(mu * nu)
     if mu > 0:
         c = (mu + nu - root) / (mu + nu + root)
-        idx = 5 if mu > nu else 7
-        return CaseLabel(idx, Meixner(alpha0, c), math.sqrt(mu * nu))
+        sign, idx = (1.0, 5) if mu > nu else (-1.0, 7)
+        return _discrete(Meixner(alpha0, c), math.sqrt(mu * nu), sign, alpha0, idx)
     c = (mu + nu + root) / (mu + nu - root)
-    idx = 6 if mu < nu else 8
-    return CaseLabel(idx, Meixner(alpha0, c), -math.sqrt(mu * nu))
+    sign, idx = (1.0, 6) if mu < nu else (-1.0, 8)
+    return _discrete(Meixner(alpha0, c), -math.sqrt(mu * nu), sign, alpha0, idx)
 
 
-def spectrum(h: OneModeHamiltonian, n_atoms: int | None = None) -> SpectralMeasure:
-    """Spectral measure of H with atom locations at the H-eigenvalues.
-
-    The diagonal case has no distinguished cyclic vector; its atoms carry
-    unit counting weights.
-    """
-    label = classify(h.mu, h.nu, h.sector.alpha0)
-    if label.index == 9:
-        count = h.sector.n_levels if n_atoms is None else n_atoms
-        a = h.sector.alpha0
-        atoms = tuple((h.mu * (2.0 * k + a), 1.0) for k in range(count))
-        return SpectralMeasure(atoms=atoms, shift=0.0, scale=h.mu)
-    fam = label.family
-    meas = fam.measure(n_atoms=n_atoms) if isinstance(fam, Meixner) else fam.measure()
-    return meas.mapped(scale=label.scale)
+def _discrete(family, scale: float, sign: float, alpha0: float, index: int) -> Chain:
+    """A discrete class, with atoms at scale (2n + alpha0)."""
+    return Chain(family, scale, offdiag_sign=sign, index=index,
+                 atom_stream=lambda n: scale * (2.0 * n + alpha0))
 
 
-def eigenvalue_discrete(h: OneModeHamiltonian, n: int) -> float:
-    """Closed-form nth eigenvalue for the discrete cases 5..9."""
-    label = classify(h.mu, h.nu, h.sector.alpha0)
-    if not label.discrete:
-        raise UnsupportedCaseError(f"case {label.index} has continuous spectrum")
-    return label.scale * (2.0 * n + h.sector.alpha0)
-
-
-def eigenvectors_discrete(h: OneModeHamiltonian, n: int,
-                          n_levels: int | None = None) -> StateVector:
-    """Normalized eigenvector of H at the closed-form nth eigenvalue.
-
-    Components are column n of the attached Meixner family's kernel
-    ``atom_eigenvector`` (orthonormal Meixner functions at the atom n),
-    times (-1)^k where the off-diagonal of H and the family's have opposite
-    signs (cases 7 and 8), normalized over the truncation.
-    """
-    label = classify(h.mu, h.nu, h.sector.alpha0)
-    if not label.discrete:
+def eigenvectors_discrete(h: OneModeHamiltonian, n: int) -> StateVector:
+    """Normalized eigenvector of H at the closed-form nth eigenvalue, from
+    the chain's kernel (``Chain.eigenvectors``): column n of the Meixner
+    kernel, exact for the untruncated chain, or a unit vector in class 9,
+    normalized over the truncation."""
+    chain = classify(h.mu, h.nu, h.sector.alpha0)
+    if chain.atom_stream is None:
         raise UnsupportedCaseError(
-            f"case {label.index} has continuous spectrum; evaluate the family "
+            f"case {chain.index} has continuous spectrum; evaluate the family "
             "polynomials at spectral points instead"
         )
-    size = h.sector.n_levels if n_levels is None else n_levels
-    if label.index == 9:
-        if n >= size:
-            raise ValueError(f"level {n} outside truncation {size}")
-        amp = np.zeros(size, dtype=complex)
-        amp[n] = 1.0
-        return StateVector(amp, sector=h.sector)
-    vec = _discrete_block(h, label, size, n + 1)[:, n]
+    size = h.sector.n_levels
+    if chain.family is None and n >= size:
+        raise ValueError(f"level {n} outside truncation {size}")
+    vec = chain.eigenvectors(jacobi(h), size, n + 1)[:, n]
     return StateVector(vec / np.linalg.norm(vec), sector=h.sector)
 
 
-def default_n_levels(h: OneModeHamiltonian) -> int:
-    """N = max(100, 20 ceil(|spectral scale|))."""
-    label = classify(h.mu, h.nu, h.sector.alpha0)
-    return max(100, 20 * int(math.ceil(abs(label.scale))))
-
-
-def _discrete_block(h: OneModeHamiltonian, label: CaseLabel, n_rows: int,
-                    n_cols: int) -> np.ndarray:
-    """Rows k < n_rows of the first n_cols eigenvectors of H in cases 5-8:
-    the family's Meixner kernel block, row k times (-1)^k where
-    (mu - nu) scale < 0, since H = scale * J_family up to that sign."""
-    u = atom_eigenvector(label.family, n_rows, n_cols)
-    if (h.mu - h.nu) * label.scale < 0:
-        u[1::2] *= -1.0
-    return u
-
-
-def _expand_discrete(h: OneModeHamiltonian, label: CaseLabel, psi: np.ndarray):
-    """Eigenvectors, coefficients and energies of the leading closed-form
+def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
+    """Eigenvectors, energies and coefficients of the leading closed-form
     eigenpairs whose coefficients leave a directly summed tail of at most
     1e-15 of |psi|^2, out of the first 4N."""
     size = psi.size
     nz = np.flatnonzero(psi)
     rows = int(nz[-1]) + 1 if nz.size else 1
     cap = 4 * size
-    coeffs = spectral_coeffs(_discrete_block(h, label, rows, cap), psi[:rows])
+    op = jacobi(h)
+    coeffs = spectral_coeffs(chain.eigenvectors(op, rows, cap), psi[:rows])
     tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
     total = float(np.vdot(psi, psi).real)
     done = np.flatnonzero(tail <= 1e-15 * total)
@@ -205,8 +147,7 @@ def _expand_discrete(h: OneModeHamiltonian, label: CaseLabel, psi: np.ndarray):
             f"state reaches the truncation edge", advised_n=2 * size,
         )
     m = int(done[0])
-    energies = label.scale * (2.0 * np.arange(m) + h.sector.alpha0)
-    return _discrete_block(h, label, size, m), coeffs[:m], energies
+    return chain.eigenvectors(op, size, m), chain.atoms(m), coeffs[:m]
 
 
 def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
@@ -231,15 +172,12 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-d array of times")
     ts = np.atleast_1d(times)
-    label = classify(h.mu, h.nu, h.sector.alpha0)
-    if label.index == 9:
-        a = h.sector.alpha0
-        out = np.exp(1j * ts[:, None] * (h.mu * (2.0 * np.arange(size) + a))) * psi
+    chain = classify(h.mu, h.nu, h.sector.alpha0)
+    if chain.family is None:
+        out = np.exp(1j * ts[:, None] * chain.atoms(size)) * psi
+    elif chain.atom_stream is not None:
+        out = spectral_apply(*_expand_discrete(h, chain, psi), -ts)
     else:
-        if label.discrete:
-            vecs, coeffs, energies = _expand_discrete(h, label, psi)
-        else:
-            energies, vecs = oracle_eigh(jacobi(h), n=size)
-            coeffs = spectral_coeffs(vecs, psi)
-        out = spectral_apply(vecs, energies, coeffs, -ts)
+        energies, vecs = oracle_eigh(jacobi(h), n=size)
+        out = spectral_apply(vecs, energies, spectral_coeffs(vecs, psi), -ts)
     return out[0] if times.ndim == 0 else out

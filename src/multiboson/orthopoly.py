@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import gammaln, kv, loggamma
+from scipy.special import betaln, gammaln, kv, loggamma
 
 from .errors import NumericalFailureError
 
@@ -172,21 +172,16 @@ class ContinuousPart:
 class SpectralMeasure:
     """Discrete atoms plus an optional continuous density.
 
-    ``shift`` and ``scale`` record the affine map from the originating
-    family's natural variable to the variable the atoms/density are stored
-    in: x_stored = scale * x_natural + shift.  A measure with a continuous
-    part carries its total mass in closed form.
+    A measure with a continuous part carries its total mass in closed form.
+    The affine map from a family's natural variable to a physical one is
+    recorded once, on ``jacobi.Chain``.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     continuous: ContinuousPart | None = None
-    shift: float = 0.0
-    scale: float = 1.0
     total_mass_closed: float | None = None
 
     def __post_init__(self):
-        if self.scale == 0:
-            raise ValueError("scale must be nonzero")
         if self.continuous is not None and self.total_mass_closed is None:
             raise ValueError("a continuous part needs total_mass_closed")
         for loc, w in self.atoms:
@@ -216,8 +211,7 @@ class SpectralMeasure:
         if cont is not None:
             d = cont.density
             cont = ContinuousPart(cont.support, lambda x, _d=d, _m=m: _d(x) / _m)
-        return SpectralMeasure(atoms, cont, self.shift, self.scale,
-                               None if self.total_mass_closed is None else 1.0)
+        return SpectralMeasure(atoms, cont, None if self.total_mass_closed is None else 1.0)
 
     def mapped(self, shift: float = 0.0, scale: float = 1.0) -> "SpectralMeasure":
         """Pushforward under x -> scale * x + shift (mass preserved)."""
@@ -233,9 +227,7 @@ class SpectralMeasure:
                 (lo, hi),
                 lambda x, _d=d, _s=scale, _t=shift: _d((x - _t) / _s) / abs(_s),
             )
-        return SpectralMeasure(atoms, cont,
-                               scale * self.shift + shift, scale * self.scale,
-                               self.total_mass_closed)
+        return SpectralMeasure(atoms, cont, self.total_mass_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +360,27 @@ class DualHahn:
         b = np.where(np.less(k, K), np.sqrt(np.maximum(bsq, 0.0)), 0.0)
         return a, b
 
-    def atom_weight(self, n: int) -> float:
+    def atom_weight(self, n: int | np.ndarray):
+        """Weight (2n+s) (a0)_n (-K)_n K! / ((-1)^n n! (n+s)_{K+1} (b0)_n) of
+        atom n, elementwise over an int array n (a0 = gamma + 1, b0 = delta
+        + 1, s = a0 + b0 - 1), in log space: its K+1 factors leave the
+        double range from K near 64.  The signs cancel, (2n+s) / (n+s)_{K+1}
+        = (1 + n/(n+s)) / (n+s+1)_K, and C(K, n) and K! / (n+s+1)_K go
+        through ``betaln``, free of the cancellation of log-Gammas of size
+        K log K.  Weights below the double range (the top atoms from K near
+        550) come out 0."""
         a0, b0, K = self.gamma + 1, self.delta + 1, self.kmax
-        num = (2 * n + a0 + b0 - 1) * math.factorial(K)
-        for j in range(n):
-            num *= (a0 + j) * (-K + j)
-        den = (-1.0) ** n * math.factorial(n)
-        for j in range(K + 1):
-            den *= n + a0 + b0 - 1 + j
-        for j in range(n):
-            den *= b0 + j
-        return num / den
+        s = a0 + b0 - 1
+        n = np.asarray(n, dtype=float)
+        lead = np.log1p(n / np.where(n > 0, n + s, 1.0))
+        return np.exp(lead + np.log((n + s + 1 + K) / (K + 1))
+                      - betaln(K - n + 1, n + 1) + betaln(K + 1, n + s + 1)
+                      + gammaln(a0 + n) - gammaln(a0) - gammaln(b0 + n) + gammaln(b0))
 
     def measure(self) -> SpectralMeasure:
         g, d, K = self.gamma, self.delta, self.kmax
-        atoms = tuple((n * (n + g + d + 1.0), self.atom_weight(n)) for n in range(K + 1))
+        n = np.arange(K + 1)
+        atoms = tuple(zip((n * (n + g + d + 1.0)).tolist(), self.atom_weight(n).tolist()))
         # closed-form mass 1 / C(delta + K, K)
         mass = math.exp(gammaln(d + 1) + gammaln(K + 1) - gammaln(d + 1 + K))
         return SpectralMeasure(atoms=atoms, total_mass_closed=mass)
@@ -656,26 +654,18 @@ def _breakpoints(lo, hi):
 def _gram_atoms(family: PolyFamily, n_max: int):
     """Atom list covering the discrete part to relative tail 1e-20 under
     polynomial factors of degree <= 2 n_max."""
-    if isinstance(family, DualHahn):
-        meas = family.measure().normalized()
-        return list(meas.atoms)
+    if isinstance(family, (DualHahn, ContinuousDualHahn)):
+        return list(family.measure().normalized().atoms)
     if isinstance(family, Meixner):
         mass = family.measure(n_atoms=1).total_mass()
         atoms = []
-        n = 0
-        while True:
+        for n in range(100_001):
             x = 2.0 * n + family.beta
             w = family.atom_weight(n) / mass
             atoms.append((x, w))
             if n > 4 * n_max and w * max(1.0, x) ** (2 * n_max) < 1e-20:
-                break
-            n += 1
-            if n > 100_000:
-                raise NumericalFailureError("Meixner atom tail did not close")
-        return atoms
-    if isinstance(family, ContinuousDualHahn):
-        mass = family.measure().total_mass_closed
-        return [(loc, w / mass) for loc, w in family.measure().atoms]
+                return atoms
+        raise NumericalFailureError("Meixner atom tail did not close")
     return []
 
 

@@ -40,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BoundaryAmbiguityError, NoBoundStateError
-from .jacobi import JacobiOperator, block_eigenvectors, oracle_eigs
-from .orthopoly import ContinuousDualHahn, SpectralMeasure, pochhammer, poly_table
+from .jacobi import Chain, JacobiOperator, oracle_eigs
+from .orthopoly import ContinuousDualHahn, DualHahn, pochhammer
 from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
 from .bogoliubov import GroupElement
 
@@ -54,15 +54,13 @@ __all__ = [
     "UVWParams",
     "build_h_matrix",
     "canonical_matrix",
-    "manley_rowe_blocks",
     "hd_block_jacobi",
-    "hd_spectrum",
+    "hd_chain",
     "hd_eigenvectors",
     "hc_block_jacobi",
-    "hc_family",
+    "hc_chain",
     "uvw_params",
     "continuum_shift",
-    "hc_spectrum",
     "hc_eigenvectors_discrete",
     "hc_truncation_check",
     "coupling_functions",
@@ -141,22 +139,16 @@ def _kron_sum(h: TwoModeHamiltonian, n_per_mode: int) -> sp.csr_matrix:
     return sp.csr_matrix((values, (rows, cols)), shape=(size, size))
 
 
-def _dense(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
-    """The entries of ``_entries`` scattered into one zero n_per_mode^2 x
-    n_per_mode^2 array."""
+def build_h_matrix(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
+    """Truncated interaction matrix on the (r0, r1) product basis |k0, k1>,
+    flattened as k0 * n_per_mode + k1: the nonzero entries of the Kronecker
+    expansion (``_entries``) written into one zero dense n_per_mode^2 x
+    n_per_mode^2 array, which is the peak memory."""
     size = n_per_mode * n_per_mode
     out = np.zeros((size, size))
     for rows, cols, values in _entries(h, n_per_mode):
         out[rows, cols] = values
     return out
-
-
-def build_h_matrix(h: TwoModeHamiltonian, n_per_mode: int) -> np.ndarray:
-    """Truncated interaction matrix on the (r0, r1) product basis |k0, k1>,
-    flattened as k0 * n_per_mode + k1: the nonzero entries of the Kronecker
-    expansion written into one zero dense n_per_mode^2 x n_per_mode^2 array,
-    which is the peak memory."""
-    return _dense(h, n_per_mode)
 
 
 # the canonical forms as twists (g, h) of the diagonal Casimir
@@ -169,11 +161,11 @@ CANONICAL_TWISTS = {
 def canonical_matrix(kind: str, reps: TwoModeRep, sector: tuple[int, int],
                      n_per_mode: int) -> np.ndarray:
     """Canonical D-form or C-form interaction on the product basis: H at
-    the twists ``CANONICAL_TWISTS[kind]``, written into one dense array like
-    ``build_h_matrix``."""
+    the twists ``CANONICAL_TWISTS[kind]``, by ``build_h_matrix``."""
     if kind not in CANONICAL_TWISTS:
         raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
-    return _dense(TwoModeHamiltonian(reps, *CANONICAL_TWISTS[kind], sector), n_per_mode)
+    h = TwoModeHamiltonian(reps, *CANONICAL_TWISTS[kind], sector)
+    return build_h_matrix(h, n_per_mode)
 
 
 @dataclass(frozen=True)
@@ -215,16 +207,6 @@ class CBlock:
         return [(k, k - self.K) for k in range(self.n_levels)]
 
 
-def manley_rowe_blocks(kind: str, k_values, alpha0: float, beta0: float,
-                       n_levels: int = 4000):
-    """Blocks of the conserved D0 = A0 + B0 (D) or A0 - B0 (C) labelled by K."""
-    if kind == "D":
-        return [DBlock(K, alpha0, beta0) for K in k_values]
-    if kind == "C":
-        return [CBlock(K, alpha0, beta0, n_levels) for K in k_values]
-    raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
-
-
 def hd_block_jacobi(block: DBlock) -> JacobiOperator:
     a0, b0, K = block.alpha0, block.beta0, block.K
     shift = b0 - 1.0
@@ -235,20 +217,23 @@ def hd_block_jacobi(block: DBlock) -> JacobiOperator:
     return JacobiOperator(diag, offdiag, K + 1)
 
 
-def hd_spectrum(block: DBlock) -> np.ndarray:
-    """Closed-form D-block eigenvalues n(n + alpha0 + beta0 - 1) + alpha0 beta0 / 2."""
-    n = np.arange(block.K + 1, dtype=float)
-    return n * (n + block.alpha0 + block.beta0 - 1.0) + 0.5 * block.alpha0 * block.beta0
+def hd_chain(block: DBlock) -> Chain:
+    """The D-block as DualHahn(alpha0 - 1, beta0 - 1, K) shifted by
+    alpha0 beta0 / 2, with atoms E_n = n(n + alpha0 + beta0 - 1) + alpha0 beta0 / 2."""
+    a0, b0 = block.alpha0, block.beta0
+    return Chain(DualHahn(a0 - 1.0, b0 - 1.0, block.K), 1.0, 0.5 * a0 * b0,
+                 atom_stream=lambda n: n * (n + a0 + b0 - 1.0) + 0.5 * a0 * b0)
 
 
 def hd_eigenvectors(block: DBlock, n: int) -> StateVector:
     """Normalized eigenvector of the D-block at the nth closed-form eigenvalue:
     column n of the whole block's inverse-iteration eigenvectors
-    (``jacobi.block_eigenvectors``), so vectors of different n are orthogonal
-    to roundoff; component 0 positive."""
+    (``Chain.eigenvectors``), orthogonal to roundoff; component 0 positive,
+    except where its exact value is below roundoff (seen at K 300): there
+    the sign is noise, and the column is right only up to sign."""
     if not 0 <= n <= block.K:
         raise ValueError(f"n must be in [0, {block.K}], got {n}")
-    vecs = block_eigenvectors(hd_block_jacobi(block), hd_spectrum(block))
+    vecs = hd_chain(block).eigenvectors(hd_block_jacobi(block), block.K + 1, n + 1)
     return StateVector(vecs[:, n].astype(complex), sector=block)
 
 
@@ -293,34 +278,20 @@ def uvw_params(K: int, alpha0: float, beta0: float) -> UVWParams:
     d = beta0 - alpha0
     half_sum = 0.5 * (alpha0 + beta0 - 1.0)
     if K >= 0:
-        lo_t = (0.5 * (d + 1.0), K + 0.5 * (1.0 - d), half_sum)
-        mid_t = (half_sum, 0.5 * (d + 1.0), K + 0.5 * (1.0 - d))
-        hi_t = (K + 0.5 * (1.0 - d), half_sum, 0.5 * (d + 1.0))
-        edges = (-1.0, 2.0 * K + 1.0)
+        p, q, edges = 0.5 * (d + 1.0), K + 0.5 * (1.0 - d), (-1.0, 2.0 * K + 1.0)
     else:
-        lo_t = (-K + 0.5 * (d + 1.0), 0.5 * (1.0 - d), half_sum)
-        mid_t = (half_sum, -K + 0.5 * (d + 1.0), 0.5 * (1.0 - d))
-        hi_t = (0.5 * (1.0 - d), half_sum, -K + 0.5 * (d + 1.0))
-        edges = (2.0 * K - 1.0, 1.0)
+        p, q, edges = -K + 0.5 * (d + 1.0), 0.5 * (1.0 - d), (2.0 * K - 1.0, 1.0)
+    triples = {"low": (p, q, half_sum), "middle": (half_sum, p, q),
+               "high": (q, half_sum, p)}
     # candidates at an exact boundary are degenerate (a parameter hits 0),
     # so they are carried as raw triples, not validated records
-    if d == edges[0]:
-        raise BoundaryAmbiguityError(
-            f"beta0 - alpha0 = {d} sits on a branch boundary",
-            candidates=({"u": lo_t[0], "v": lo_t[1], "w": lo_t[2], "branch": "low"},
-                        {"u": mid_t[0], "v": mid_t[1], "w": mid_t[2],
-                         "branch": "middle"}))
-    if d == edges[1]:
-        raise BoundaryAmbiguityError(
-            f"beta0 - alpha0 = {d} sits on a branch boundary",
-            candidates=({"u": mid_t[0], "v": mid_t[1], "w": mid_t[2],
-                         "branch": "middle"},
-                        {"u": hi_t[0], "v": hi_t[1], "w": hi_t[2], "branch": "high"}))
-    if d < edges[0]:
-        return UVWParams(*lo_t, "low")
-    if d < edges[1]:
-        return UVWParams(*mid_t, "middle")
-    return UVWParams(*hi_t, "high")
+    for edge, pair in zip(edges, (("low", "middle"), ("middle", "high"))):
+        if d == edge:
+            raise BoundaryAmbiguityError(
+                f"beta0 - alpha0 = {d} sits on a branch boundary",
+                candidates=tuple(dict(zip("uvw", triples[b]), branch=b) for b in pair))
+    branch = "low" if d < edges[0] else "middle" if d < edges[1] else "high"
+    return UVWParams(*triples[branch], branch)
 
 
 def continuum_shift(alpha0: float, beta0: float) -> float:
@@ -328,35 +299,29 @@ def continuum_shift(alpha0: float, beta0: float) -> float:
     return 0.25 * ((alpha0 - 1.0) ** 2 + (beta0 - 1.0) ** 2 - 1.0)
 
 
-def hc_family(block: CBlock) -> ContinuousDualHahn:
+def hc_chain(block: CBlock) -> Chain:
+    """The C-block as ContinuousDualHahn(u, v, w) of its ``uvw_params``
+    branch, shifted by -s (``continuum_shift``) with the off-diagonal
+    negated: continuum (-inf, -s) plus ceil(-u) atoms (u+n)^2 - s when u < 0.
+    Raises BoundaryAmbiguityError on a branch boundary."""
     p = uvw_params(block.K, block.alpha0, block.beta0)
-    return ContinuousDualHahn(p.u, p.v, p.w)
-
-
-def hc_spectrum(block: CBlock) -> SpectralMeasure:
-    """Spectral measure of the C-block: continuum on (-inf, -s) plus
-    ceil(-u) atoms at (u+n)^2 - s when u < 0."""
-    fam = hc_family(block)
     s = continuum_shift(block.alpha0, block.beta0)
-    return fam.measure().mapped(shift=-s)
+    # libm pow, as the family's measure squares its atoms
+    return Chain(ContinuousDualHahn(p.u, p.v, p.w), 1.0, -s, offdiag_sign=-1.0,
+                 atom_stream=lambda n: np.float_power(p.u + n, 2.0) - s)
 
 
 def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
-    """Truncated normalized bound-state vector number n (requires u + n < 0).
-
-    Components decay only algebraically, so the truncated vector converges
-    slowly in n_levels.  The plain forward sweep ``orthopoly.poly_table``
-    of the block's recurrence at the bound-state energy (p_0 = 1) needs no
-    stabilizing: the solution dichotomy is polynomial, not exponential.
-    """
-    p = uvw_params(block.K, block.alpha0, block.beta0)
-    if p.u + n >= 0:
+    """Truncated normalized bound-state vector number n (requires u + n < 0),
+    from the forward sweep of ``Chain.eigenvectors``, stable as the solution
+    dichotomy is polynomial, not exponential; the components decay only
+    algebraically, so the vector converges slowly in n_levels."""
+    chain = hc_chain(block)
+    if chain.family.u + n >= 0:
         raise NoBoundStateError(
-            f"u + n = {p.u + n} >= 0: no bound state with index {n}")
-    s = continuum_shift(block.alpha0, block.beta0)
-    e = (p.u + n) ** 2 - s
+            f"u + n = {chain.family.u + n} >= 0: no bound state with index {n}")
     op = hc_block_jacobi(block)
-    vec = poly_table(op, op.size - 1, e)
+    vec = chain.eigenvectors(op, op.size, n + 1)[:, n]
     return StateVector((vec / np.linalg.norm(vec)).astype(complex), sector=block)
 
 
@@ -377,12 +342,12 @@ class TruncationCheck:
     converged: bool           # agreement <= 1e-3
 
 
-def hc_truncation_check(block: CBlock, count: int | None = None) -> TruncationCheck:
+def hc_truncation_check(block: CBlock) -> TruncationCheck:
     """Bound-state oracle: top eigenvalues of three nested truncations with
     empirical-order Richardson extrapolation.
 
-    Only the highest ``count`` eigenvalues (default: the bound states plus
-    the continuum edge) of the truncations at n_levels, n_levels // 2 and
+    Only the highest ``count`` eigenvalues, the bound states plus the
+    continuum edge, of the truncations at n_levels, n_levels // 2 and
     n_levels // 4 are computed; bisection costs O(n_levels) per step for each
     of them, not for the whole spectrum.  Raises ``ValueError`` when the
     quarter truncation has fewer than ``count`` levels.
@@ -392,27 +357,22 @@ def hc_truncation_check(block: CBlock, count: int | None = None) -> TruncationCh
     values; ``converged`` requires the full and half truncations to agree
     on every bound state within 1e-3.
     """
-    n_bound = hc_family(block).n_atoms()
-    if count is None:
-        count = n_bound + 1
+    chain = hc_chain(block)
+    n_bound = chain.family.n_atoms()
+    count = n_bound + 1
     n = block.n_levels
     if n // 4 < count:
         raise ValueError(f"n_levels // 4 = {n // 4} is below count = {count}: "
                          "the quarter truncation cannot hold the window")
     op = hc_block_jacobi(block)
-    full, half, quarter = (oracle_eigs(op, count=count, n=m, top=True)
+    full, half, quarter = (oracle_eigs(op, count=count, n=m, top=chain.pairs_top)
                            for m in (n, n // 2, n // 4))
-    num = half - quarter
     den = full - half
-    extrap = np.empty(count)
-    for i in range(count):
-        if den[i] != 0 and num[i] / den[i] > 1.0:
-            rate = num[i] / den[i]
-            extrap[i] = full[i] + den[i] / (rate - 1.0)
-        else:
-            extrap[i] = full[i]
-    k = min(n_bound, count)
-    agreement = float(np.abs(den[count - k:]).max()) if k else 0.0
+    rate = np.divide(half - quarter, den, out=np.zeros(count), where=den != 0)
+    fast = rate > 1.0
+    extrap = full.copy()
+    extrap[fast] += den[fast] / (rate[fast] - 1.0)
+    agreement = float(np.abs(chain.pair(den, n_bound)).max(initial=0.0))
     return TruncationCheck(full, half, extrap, n_bound, agreement,
                            agreement <= 1e-3)
 

@@ -104,7 +104,39 @@ def _hd_closed_vs_oracle() -> float:
             for b0 in (0.5, 1.0, 2.7):
                 blk = twomode.DBlock(K, a0, b0)
                 w = oracle_eigs(twomode.hd_block_jacobi(blk))
-                worst = max(worst, np.abs(w - twomode.hd_spectrum(blk)).max())
+                worst = max(worst, np.abs(w - twomode.hd_chain(blk).atoms(blk.K + 1)).max())
+    return worst
+
+
+def _chain_mapping_deviation() -> float:
+    """Largest gap, relative to its list's largest entry, between operators'
+    coefficient streams (200 levels) and atom formulas and their chains'
+    mapped families: one-mode labels of all nine classes, C-blocks on every
+    uvw_params branch (two low ones: u < -1, -1 < u < 0), D-blocks to K 200."""
+    labels = ((2.0, 0.0), (-1.5, 0.0), (0.0, 1.3), (1.3, -0.7), (-1.1, 2.2), (4.0, 1.0),
+              (-4.0, -1.5), (0.7, 2.5), (-0.5, -3.0), (1.5, 1.5), (-2.0, -2.0))
+    ops = [(onemode.jacobi(onemode.OneModeHamiltonian(
+               mu, nu, rep.OneModeSector(rep.MultibosonRep(1, (a0,)), 0, 200))),
+            onemode.classify(mu, nu, a0), 40)
+           for (mu, nu), a0 in zip(labels, (0.4, 1.3, 2.7) * 4)]
+    for K, a0, b0 in ((0, 4.5, 0.5), (1, 2.6, 0.6), (-1, 3.5, 0.2), (0, 0.3, 0.3),
+                      (-2, 0.7, 0.9), (0, 0.5, 2.0), (-1, 0.5, 2.0)):
+        blk = twomode.CBlock(K, a0, b0, n_levels=200)
+        ops.append((twomode.hc_block_jacobi(blk), twomode.hc_chain(blk), None))
+    for K, a0, b0 in ((0, 0.7, 1.9), (1, 2.3, 0.4), (7, 1.3, 0.7), (60, 0.5, 2.7),
+                      (200, 2.3, 0.4), (200, 0.4, 0.9)):
+        blk = twomode.DBlock(K, a0, b0)
+        ops.append((twomode.hd_block_jacobi(blk), twomode.hd_chain(blk), None))
+    worst = 0.0
+    for op, chain, n_atoms in ops:
+        a, b = chain.recurrence(np.arange(op.size, dtype=float))
+        pairs = [(op.diag_array(), a), (op.offdiag_array(), b[:op.size - 1])]
+        if chain.atom_stream is not None:
+            mapped = chain.measure(n_atoms).atom_locations()
+            pairs.append((chain.atoms(mapped.size), mapped))
+        for x, y in pairs:
+            scale = max(np.abs(x).max(initial=0.0), 1e-300)
+            worst = max(worst, np.abs(x - y).max(initial=0.0) / scale)
     return worst
 
 
@@ -212,9 +244,7 @@ def run_all(quick: bool = False):
     timer.lap()
 
     # one-mode diagonal case
-    sec = rep.OneModeSector(rep.MultibosonRep(1, (2.0,)), 0, 40)
-    h9 = onemode.OneModeHamiltonian(-3.0, -3.0, sec)
-    atoms = onemode.spectrum(h9).atom_locations()
+    atoms = onemode.classify(-3.0, -3.0, 2.0).atoms(40)
     expected = -3.0 * (2 * np.arange(40) + 2.0)
     out.append(_check("onemode.case9.diagonal_spectrum",
                       np.abs(atoms - expected).max(), 1e-12))
@@ -223,9 +253,10 @@ def run_all(quick: bool = False):
     # one-mode Meixner case vs oracle
     sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
     h5 = onemode.OneModeHamiltonian(4.0, 1.0, sec)
-    w = oracle_eigs(onemode.jacobi(h5), count=5)
+    chain = onemode.classify(4.0, 1.0, sec.alpha0)
+    w = oracle_eigs(onemode.jacobi(h5), count=5, top=chain.pairs_top)
     out.append(_check("onemode.case5.eigenvalues",
-                      np.abs(w - (4.0 * np.arange(5) + 2.0)).max(), 1e-8))
+                      np.abs(chain.pair(w, 5) - chain.atoms(5)).max(), 1e-8))
     _, vecs = oracle_eigh(onemode.jacobi(h5))
     worst = 0.0
     for m in range(5):
@@ -239,7 +270,7 @@ def run_all(quick: bool = False):
     out.append(_check("twomode.hd.closed_vs_oracle", _hd_closed_vs_oracle(), 1e-9))
     blk = twomode.DBlock(1, 1.0, 1.0)
     w_printed = oracle_eigs(_printed_hd_block_jacobi(blk))
-    gap = np.abs(w_printed - twomode.hd_spectrum(blk)).max()
+    gap = np.abs(w_printed - twomode.hd_chain(blk).atoms(blk.K + 1)).max()
     out.append(_check("twomode.hd.regression_pin_gap",
                       0.1, gap,
                       note="shifted b_k variant must stay wrong by >= 0.1"))
@@ -282,6 +313,13 @@ def run_all(quick: bool = False):
                        orthopoly.gram_check(orthopoly.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
                        orthopoly.gram_check(orthopoly.ContinuousDualHahn(0.5, 0.5, 1.0), 8))
     out.append(_check("orthopoly.gram.continuous", dev_cont, 1e-7))
+    timer.lap()
+
+    # every operator against its chain's mapped family (jacobi.Chain); c and
+    # phi of the one-mode families lose digits near the diagonal and the axes
+    # (4e6 eps at labels 1e-3 from the diagonal), so the bound is 1e-10
+    out.append(_check("jacobi.chain.mapped_family", _chain_mapping_deviation(), 1e-10,
+                      note="streams and atoms relative to their largest entry"))
     timer.lap()
 
     # coherent states

@@ -100,7 +100,7 @@ def test_criterion_03_case9_diagonal():
     dev = 0.0
     for mu in (1.5, -3.0):
         h = om.OneModeHamiltonian(mu, mu, sec)
-        atoms = om.spectrum(h).atom_locations()
+        atoms = om.classify(mu, mu, 0.7).measure(64).atom_locations()
         expected = mu * (2 * np.arange(64) + 0.7)
         dev = max(dev, np.abs(atoms - expected).max())
         dev = max(dev, np.abs(oracle_eigs(om.jacobi(h)) - np.sort(expected)).max())
@@ -165,7 +165,7 @@ def test_criterion_06_hd_blocks():
             for b0 in (0.5, 1.0, 2.7):
                 blk = tm.DBlock(K, a0, b0)
                 w = oracle_eigs(tm.hd_block_jacobi(blk))
-                worst = max(worst, np.abs(w - tm.hd_spectrum(blk)).max())
+                worst = max(worst, np.abs(w - tm.hd_chain(blk).atoms(blk.K + 1)).max())
                 _, vecs = oracle_eigh(tm.hd_block_jacobi(blk))
                 for n in range(K + 1):
                     v = tm.hd_eigenvectors(blk, n).amplitudes.real
@@ -178,7 +178,7 @@ def test_criterion_06_hd_blocks():
     printed = JacobiOperator(tm.hd_block_jacobi(blk).diag,
                              lambda k: np.sqrt((k + 1.0) * (k + a0) * (K - k) * (K - k + b0)),
                              K + 1)
-    gap = np.abs(oracle_eigs(printed) - tm.hd_spectrum(blk)).max()
+    gap = np.abs(oracle_eigs(printed) - tm.hd_chain(blk).atoms(blk.K + 1)).max()
     ok = worst <= 1e-9 and worst_overlap >= 1.0 - 1e-9 and gap >= 0.1
     _report(6, "finite two-mode blocks", ok,
             f"closed-vs-oracle {worst:.2e}, min overlap 1-{1 - worst_overlap:.2e}, "

@@ -141,6 +141,12 @@ def test_spectrum_count_zero_usage_error(capsys):
       "--alpha0-table", "nan"], "--alpha0-table"),
     (["spectrum", "--model", "onemode", "--mu", "1", "--nu", "2",
       "--alpha0-table", "inf"], "--alpha0-table"),
+    # a count past the truncation, and one whose Meixner(1, 1/9) atom weights
+    # c^n underflow past n 340: both exit 2 naming --count
+    (["spectrum", "--model", "onemode", "--mu", "4", "--nu", "1",
+      "--count", "100000000"], "--count"),
+    (["spectrum", "--model", "onemode", "--mu", "4", "--nu", "1", "--n-levels", "1000",
+      "--count", "400"], "--count"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)

@@ -67,6 +67,56 @@ def test_hc_truncation_check_top_window_exact():
     assert np.array_equal(chk.top_half, _reference("hc", 2000)[0][-count:])
 
 
+def _onemode_pairing(mu, nu):
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (1.3,)), 0, 400)
+    return om.jacobi(om.OneModeHamiltonian(mu, nu, sector)), om.classify(mu, nu, 1.3), 5
+
+
+def _hd_pairing(K, a0, b0):
+    blk = tm.DBlock(K, a0, b0)
+    return tm.hd_block_jacobi(blk), tm.hd_chain(blk), 3
+
+
+def _hc_pairing(K, a0, b0):
+    blk = tm.CBlock(K, a0, b0, n_levels=1000)
+    chain = tm.hc_chain(blk)
+    return tm.hc_block_jacobi(blk), chain, chain.family.n_atoms()
+
+
+# one-mode classes 5-9 with both signs of mu, D-blocks, and C-blocks with
+# bound states on the low (u < -1 and -1 < u < 0), middle and high branches
+PAIRING = {
+    "onemode5": lambda: _onemode_pairing(4.0, 1.0),
+    "onemode6": lambda: _onemode_pairing(-4.0, -1.0),
+    "onemode7": lambda: _onemode_pairing(1.0, 4.0),
+    "onemode8": lambda: _onemode_pairing(-1.0, -4.0),
+    "onemode9-pos": lambda: _onemode_pairing(1.5, 1.5),
+    "onemode9-neg": lambda: _onemode_pairing(-1.5, -1.5),
+    "hd-K10": lambda: _hd_pairing(10, 0.5, 0.7),
+    "hd-K40": lambda: _hd_pairing(40, 2.3, 0.4),
+    "hc-low-two": lambda: _hc_pairing(0, 4.5, 0.5),
+    "hc-low-one": lambda: _hc_pairing(1, 2.6, 0.6),
+    "hc-middle": lambda: _hc_pairing(0, 0.3, 0.3),
+    "hc-high": lambda: _hc_pairing(0, 0.5, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING))
+def test_closed_form_atoms_pair_with_the_window(name):
+    # the one pairing rule, Chain.pairs_top, reads the oracle window at the
+    # end the atoms pair with; the tolerances are the benchmark's: 1e-9
+    # relative for one-mode and D-block atoms, 0.1 for the C-block bound
+    # states, whose truncations converge only algebraically
+    op, chain, count = PAIRING[name]()
+    atoms = chain.atoms(count)
+    tol = 0.1 if name.startswith("hc") else 1e-9 * max(1.0, np.abs(atoms).max())
+    w = oracle_eigs(op, count=count, top=chain.pairs_top)
+    assert np.abs(atoms - chain.pair(w, count)).max() <= tol
+    # the other end of the window misses, so a flipped rule fails here
+    other = oracle_eigs(op, count=count, top=not chain.pairs_top)
+    assert np.abs(np.sort(atoms) - other).max() > tol
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_oracle_eigs_rejects_empty_window(count):
     with pytest.raises(ValueError, match="count"):

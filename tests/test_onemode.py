@@ -82,25 +82,28 @@ def test_classify_respects_label_transport():
 
 
 def test_spectrum_case5_atoms():
-    meas = om.spectrum(_h(4.0, 1.0), n_atoms=5)
+    chain = om.classify(4.0, 1.0, 1.0)
+    meas = chain.measure(n_atoms=5)
     assert np.allclose(meas.atom_locations(), [2.0, 6.0, 10.0, 14.0, 18.0])
+    # the atom formula equals the mapped Meixner atoms bit for bit
+    assert np.array_equal(chain.atoms(5), meas.atom_locations())
 
 
 def test_spectrum_case1_halfline():
-    meas = om.spectrum(_h(1.0, 0.0))
+    meas = om.classify(1.0, 0.0, 1.0).measure()
     assert meas.atoms == ()
     assert meas.continuous.support == (0.0, math.inf)
     # density of the mapped measure: 2 (2x)^(alpha0-1) e^(-2x) for mu = 1
     for x in (0.3, 1.0, 2.5):
         expected = 2.0 * (2 * x) ** 0.0 * math.exp(-2 * x)
         assert meas.continuous.density(x) == pytest.approx(expected, rel=1e-12)
-    neg = om.spectrum(_h(-2.0, 0.0))
+    neg = om.classify(-2.0, 0.0, 1.0).measure()
     assert neg.continuous.support == (-math.inf, 0.0)
 
 
 def test_spectrum_case9_diagonal():
     # spectrum mu (2k + alpha0) = -6 (k + 1) here
-    meas = om.spectrum(om.OneModeHamiltonian(-3.0, -3.0, _sector(2.0, 40)))
+    meas = om.classify(-3.0, -3.0, 2.0).measure(40)
     expected = [-3.0 * (2 * k + 2.0) for k in range(40)]
     assert np.allclose(meas.atom_locations(), expected)
     assert meas.atom_locations()[0] == -6.0 and meas.atom_locations()[1] == -12.0
@@ -155,7 +158,7 @@ def test_eigenvectors_continuous_case_rejected():
     with pytest.raises(UnsupportedCaseError):
         om.eigenvectors_discrete(_h(1.0, 0.0), 0)
     with pytest.raises(UnsupportedCaseError):
-        om.eigenvalue_discrete(_h(1.0, -1.0), 0)
+        om.eigenvectors_discrete(_h(1.0, -1.0), 0)
 
 
 def test_oracle_eigs_trivial():
@@ -283,8 +286,3 @@ def test_evolve_tail_overflow():
         ev.evolve_full(model, bad, -0.1)
     with pytest.raises(TruncationOverflowError, match="at t = 0.0"):
         ev.run_series(model, bad, [0.0, 0.1])
-
-
-def test_default_n_levels():
-    assert om.default_n_levels(_h(4.0, 1.0)) == 100
-    assert om.default_n_levels(_h(400.0, 100.0)) == 20 * 200

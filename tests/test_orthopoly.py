@@ -167,6 +167,60 @@ def test_dual_hahn_two_point_gram_by_hand():
     assert ws @ p1 == pytest.approx(0.0, abs=1e-14)
 
 
+def _dual_hahn_weight_exact(gamma, delta, K, n):
+    """The product formula of the dual Hahn weight in exact rationals."""
+    a0, b0 = Fraction(gamma) + 1, Fraction(delta) + 1
+    num = (2 * n + a0 + b0 - 1) * math.factorial(K)
+    for j in range(n):
+        num *= (a0 + j) * (-K + j)
+    den = (-1) ** n * math.factorial(n)
+    for j in range(K + 1):
+        den *= n + a0 + b0 - 1 + j
+    for j in range(n):
+        den *= b0 + j
+    return num / den
+
+
+# binary-exact (gamma, delta), so the exact rationals see the same parameters
+DUAL_HAHN_PARAMS = [(0.0, 0.0), (-0.5, 1.75), (2.25, 0.375), (-0.875, -0.875),
+                    (3.5, -0.25)]
+
+
+@pytest.mark.parametrize("gamma, delta", DUAL_HAHN_PARAMS)
+def test_dual_hahn_weights_match_the_product_formula(gamma, delta):
+    # log-space weights within 256 eps of the exact product formula at K <= 40
+    eps = np.finfo(float).eps
+    for K in (0, 1, 2, 5, 13, 27, 40):
+        w = op.DualHahn(gamma, delta, K).atom_weight(np.arange(K + 1))
+        ex = np.array([float(_dual_hahn_weight_exact(gamma, delta, K, n))
+                       for n in range(K + 1)])
+        assert (np.abs(w - ex) / ex).max() <= 256 * eps, K
+
+
+@pytest.mark.parametrize("gamma, delta", DUAL_HAHN_PARAMS)
+@pytest.mark.parametrize("K", [65, 200, 800])
+def test_dual_hahn_weights_past_the_product_range(gamma, delta, K):
+    # the product formula's factors leave the double range from K near 64;
+    # the weights stay finite, sum to the closed-form mass 1 / C(delta+K, K)
+    # within 8 eps K, and are positive wherever the double range holds them
+    eps = np.finfo(float).eps
+    fam = op.DualHahn(gamma, delta, K)
+    w = fam.atom_weight(np.arange(K + 1))
+    mass = math.exp(math.lgamma(delta + 1) + math.lgamma(K + 1)
+                    - math.lgamma(delta + 1 + K))
+    assert np.isfinite(w).all() and (w >= 0).all()
+    assert abs(math.fsum(w) / mass - 1.0) <= 8 * eps * K
+    if K < 800:
+        assert (w > 0).all()
+        assert len(fam.measure().atoms) == K + 1
+    else:
+        # the top atoms weigh about 1e-480, below the double range: they
+        # round to 0, past the first half of the block
+        assert (w[:K // 2] > 0).all() and w[-1] == 0.0
+        with pytest.raises(ValueError, match="atom weight must be positive"):
+            fam.measure()
+
+
 def test_dual_hahn_degree_overflow():
     with pytest.raises(ValueError):
         op.eval_orthonormal(op.DualHahn(0.0, 0.0, 2), 3, 1.0)
@@ -194,7 +248,6 @@ def test_measure_mapped_affine():
     fam = op.Meixner(1.0, 0.25)
     meas = fam.measure(n_atoms=5).mapped(shift=1.0, scale=-2.0)
     assert meas.atom_locations()[0] == pytest.approx(-2.0 * 1.0 + 1.0)
-    assert meas.scale == -2.0 and meas.shift == 1.0
     lag = op.Laguerre(0.5).measure().mapped(scale=0.5)
     lo, hi = lag.continuous.support
     assert lo == 0.0 and math.isinf(hi)
@@ -209,7 +262,7 @@ def test_spectral_measure_invariants():
     with pytest.raises(ValueError):
         op.SpectralMeasure(atoms=((0.0, -1.0),))
     with pytest.raises(ValueError):
-        op.SpectralMeasure(scale=0.0)
+        op.SpectralMeasure().mapped(scale=0.0)
 
 
 # ---------------------------------------------------------------------------

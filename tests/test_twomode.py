@@ -84,8 +84,6 @@ def test_manley_rowe_blocks():
     assert cm1.basis()[0] == (0, 1)
     c3 = tm.CBlock(3, 1.0, 1.0, n_levels=4)
     assert c3.basis()[2] == (5, 2)
-    blocks = tm.manley_rowe_blocks("D", range(3), 1.0, 1.0)
-    assert [b.K for b in blocks] == [0, 1, 2]
 
 
 def test_d0_block_invariance():
@@ -122,12 +120,16 @@ def test_hd_block_jacobi_conventions():
     assert tm.hd_block_jacobi(blk0).diag_array().tolist() == [0.5 * 0.4 * 2.2]
 
 
+def _hd_atoms(blk):
+    return tm.hd_chain(blk).atoms(blk.K + 1)
+
+
 def test_hd_spectrum_small_blocks():
-    assert tm.hd_spectrum(tm.DBlock(0, 1.0, 1.0)).tolist() == [0.5]
-    w = tm.hd_spectrum(tm.DBlock(1, 1.0, 1.0))
+    assert _hd_atoms(tm.DBlock(0, 1.0, 1.0)).tolist() == [0.5]
+    w = _hd_atoms(tm.DBlock(1, 1.0, 1.0))
     assert np.allclose(w, [0.5, 2.5])
     assert np.allclose(np.linalg.eigvalsh(np.array([[1.5, 1.0], [1.0, 1.5]])), w)
-    w2 = tm.hd_spectrum(tm.DBlock(1, 2.0, 1.0))
+    w2 = _hd_atoms(tm.DBlock(1, 2.0, 1.0))
     assert np.allclose(w2, [1.0, 4.0])
     m = np.array([[3.0, math.sqrt(2.0)], [math.sqrt(2.0), 2.0]])
     assert np.allclose(np.sort(np.linalg.eigvalsh(m)), w2)
@@ -139,7 +141,7 @@ def test_hd_closed_form_vs_oracle_grid():
             for b0 in (0.5, 1.0, 2.7):
                 blk = tm.DBlock(K, a0, b0)
                 w = oracle_eigs(tm.hd_block_jacobi(blk))
-                assert np.abs(w - tm.hd_spectrum(blk)).max() <= 1e-9
+                assert np.abs(w - _hd_atoms(blk)).max() <= 1e-9
 
 
 def test_hd_printed_convention_regression():
@@ -147,7 +149,7 @@ def test_hd_printed_convention_regression():
     # spectrum by a visible margin on the smallest nontrivial block
     blk = tm.DBlock(1, 1.0, 1.0)
     w = oracle_eigs(_printed_hd_block_jacobi(blk))
-    assert np.abs(w - tm.hd_spectrum(blk)).max() >= 0.1
+    assert np.abs(w - _hd_atoms(blk)).max() >= 0.1
 
 
 def test_hd_trace_sum_rule():
@@ -155,7 +157,7 @@ def test_hd_trace_sum_rule():
         for a0, b0 in ((0.5, 2.7), (1.0, 1.0), (2.7, 0.5)):
             blk = tm.DBlock(K, a0, b0)
             tr = tm.hd_block_jacobi(blk).diag_array().sum()
-            assert tr == pytest.approx(tm.hd_spectrum(blk).sum(), rel=1e-10)
+            assert tr == pytest.approx(_hd_atoms(blk).sum(), rel=1e-10)
 
 
 def test_hd_eigenvectors():
@@ -198,7 +200,7 @@ def test_hd_eigenvectors_match_terminating_hypergeometric(K, a0, b0):
 def _check_hd_basis_against_oracle(blk):
     # the whole block in one kernel call; hd_eigenvectors returns its columns
     jop = tm.hd_block_jacobi(blk)
-    v = block_eigenvectors(jop, tm.hd_spectrum(blk))
+    v = block_eigenvectors(jop, _hd_atoms(blk))
     _, ref = oracle_eigh(jop)
     assert 1.0 - np.abs((v * ref).sum(axis=0)).min() <= 1e-12
     assert np.abs(v.T @ v - np.eye(blk.K + 1)).max() <= 1e-13
@@ -293,7 +295,7 @@ def test_uvw_boundary_ambiguity():
 def test_hc_spectrum_bound_state():
     blk = tm.CBlock(0, 0.3, 0.3, n_levels=100)
     assert tm.continuum_shift(0.3, 0.3) == pytest.approx(-0.005)
-    meas = tm.hc_spectrum(blk)
+    meas = tm.hc_chain(blk).measure()
     assert meas.continuous.support == (-math.inf, pytest.approx(0.005))
     assert len(meas.atoms) == 1
     assert meas.atoms[0][0] == pytest.approx(0.045)
@@ -303,7 +305,7 @@ def test_hc_spectrum_bound_state():
 
 def test_hc_spectrum_no_atoms():
     blk = tm.CBlock(1, 1.0, 1.0, n_levels=50)
-    meas = tm.hc_spectrum(blk)
+    meas = tm.hc_chain(blk).measure()
     assert meas.atoms == ()
 
 
