@@ -10,7 +10,7 @@ cross-checked against an independent tridiagonal eigensolver.
 __version__ = "0.1.0"
 
 from .errors import (BoundaryAmbiguityError, NoBoundStateError,
-                     NumericalFailureError, TruncationOverflowError,
+                     NumericalFailureError, ParameterError, TruncationOverflowError,
                      UnsupportedCaseError, UnsupportedElementError)
 from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
                         Meixner, MeixnerPollaczek, PolyFamily, SpectralMeasure,
@@ -31,7 +31,7 @@ from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
                       coupling_functions, hc_block_jacobi, hc_chain,
                       hc_eigenvectors_discrete, hc_truncation_check,
                       hd_block_jacobi, hd_chain, hd_eigenvectors, uvw_params)
-from .coherent import (CoherentState, SU11Element, coherent_amplitudes,
+from .coherent import (SU11Element, coherent_amplitudes,
                        disc_eigenfunction, holo_apply, kernel, radial_measure,
                        su11_flow)
 from .evolution import (CanonicalInteraction, FullModel, ObservableSeries,

@@ -1,13 +1,29 @@
 """Command-line front end: spectrum queries, evolution runs, validation.
 
-Subcommands: ``validate``, ``spectrum``, ``evolve``, ``coherent``.  A JSON
-config file (``--config``) supplies defaults; explicit flags override it.
-Exit codes: 0 success, 1 numerical/validation failure, 2 usage errors.
+Subcommands ``validate``, ``spectrum``, ``evolve`` and ``coherent`` each
+take ``--config`` (a JSON file of flag values) and ``--out``.  Every other
+flag is declared once, in ``_FLAGS``, under its config key (the flag with
+"_" for "-"): its subcommands, one converter that fixes its type and range,
+and its default (per model or subcommand where it varies).  The argparse
+tree, the config-key check, the defaults and every single-flag usage error
+come from that table; config values pass the same converters, flags
+override them, and a null is not given.  Reals are finite, but
+``--tail-tol`` may be inf, its default.  Rules across flags stay in the
+commands; the library checks each value where it enters, raising
+``errors.ParameterError`` with its parameter names, mapped to flags here.
 
-The argparse tree is built once per process, on the first ``main`` call,
-and reused by every later call; ``parse_args`` returns a fresh namespace
-each time and every option defaults to None, so no state carries from one
-call to the next.  Callers must not mutate what ``build_parser()`` returns.
+Exit codes: 0 success; 2 a usage error naming the flags at fault (the given
+ones, if any); 1 a failure of another ``errors`` type, printed after its
+name; any other exception is a defect and is not caught.  Exit-0 output
+holds finite numbers but for two documented tokens: the infinite ends of a
+continuum support (``-Infinity``, ``Infinity`` on a half line) and the
+``NaN`` of an undefined Fano factor; the config echo repeats --tail-tol inf.
+The parser is built once per process and must not be mutated; every option
+defaults to None, so no state carries from one call to the next.
+
+Dense LAPACK solves run at OpenBLAS's default thread count, while the
+benchmark pins one: a generic n_per_mode 16 ``run_series`` took 7.8-15.9 ms
+against 4.3-5.9 ms at one thread (2-vCPU VM); set OPENBLAS_NUM_THREADS=1.
 """
 
 import argparse
@@ -20,142 +36,206 @@ import sys
 
 import numpy as np
 
-from . import __version__, coherent, evolution, onemode, rep, twomode, validation
-from .errors import BoundaryAmbiguityError
+from . import __version__, coherent, errors, evolution, onemode, rep, twomode, validation
+from .errors import BoundaryAmbiguityError, ParameterError
 from .jacobi import oracle_eigs
 
 USAGE_ERROR = 2
 FAILURE = 1
+# every errors type but ParameterError, which is caught first, is a failure
+_FAILURES = tuple(getattr(errors, name) for name in errors.__all__)
 
-_KNOWN_KEYS = {
-    "validate": {"quick"},
-    "spectrum": {"model", "mu", "nu", "alpha0_table", "l", "r", "n_levels",
-                 "count", "K", "alpha0", "beta0", "format"},
-    "evolve": {"preset", "n_per_mode", "omega0", "omega1", "state", "times",
-               "tail_tol", "format"},
-    "coherent": {"zeta_re", "zeta_im", "alpha0", "n_levels", "k_max", "format"},
+
+def _number(kind, low=-math.inf, inf=False):
+    """Converter to a ``kind`` (int or float) x in (low, inf), or (low, inf] if ``inf``."""
+    def convert(raw):
+        if isinstance(raw, (bool, float) if kind is int else bool):
+            raise TypeError(f"expected {kind.__name__}")
+        x = kind(raw)
+        if not (low < x < math.inf or inf and x == math.inf):
+            raise ValueError(f"must lie in ({low}, inf{']' if inf else ')'}")
+        return x
+    return convert
+
+
+def _choice(*options):
+    def convert(raw):
+        if raw not in options or isinstance(raw, bool) != isinstance(options[0], bool):
+            raise ValueError(f"must be one of {', '.join(map(str, options))}")
+        return raw
+    return convert
+
+
+def _items(raw) -> list:
+    """A comma-separated string, a list or one value, as a list."""
+    return raw.split(",") if isinstance(raw, str) else raw if isinstance(raw, list) else [raw]
+
+
+def _parse_times(raw) -> list[float]:
+    """Times "lo:hi:num" (num evenly spaced), comma-separated or listed; >= 1, finite."""
+    if isinstance(raw, str) and ":" in raw:
+        lo, hi, num = raw.split(":")
+        lo, hi = _REAL(lo), _REAL(hi)
+        if not math.isfinite(hi - lo):
+            raise ValueError("hi - lo must be finite")
+        times = np.linspace(lo, hi, max(int(num), 0)).tolist()
+    else:
+        times = [_REAL(t) for t in _items(raw)]
+    if not times:
+        raise ValueError("holds no times; give at least one")
+    return times
+
+
+def _as_written(parse):
+    """Converter checking a value by ``parse`` and keeping it as written, for the echo."""
+    return lambda raw: (parse(raw), raw)[1]
+
+
+_REAL, _POSITIVE = _number(float), _number(float, 0.0)
+_SWITCH = _choice(True, False)
+# config key: (subcommands, converter, default or {model or subcommand: default})
+_FLAGS = {
+    "quick": (("validate",), _SWITCH, False),
+    "model": (("spectrum",), _choice("onemode", "two-d", "two-c"), "onemode"),
+    "mu": (("spectrum",), _REAL, None),
+    "nu": (("spectrum",), _REAL, None),
+    "alpha0_table": (("spectrum",), lambda raw: [_POSITIVE(x) for x in _items(raw)], None),
+    "l": (("spectrum",), _number(int, 0), 1),
+    "r": (("spectrum",), _number(int, -1), 0),
+    "n_levels": (("spectrum", "coherent"), _number(int, 1),
+                 {"onemode": 100, "two-c": 4000, "coherent": 80}),
+    "count": (("spectrum",), _number(int, 0), 8),
+    "K": (("spectrum",), _number(int), 0),
+    "alpha0": (("spectrum", "coherent"), _POSITIVE, 1.0),
+    "beta0": (("spectrum",), _POSITIVE, 1.0),
+    "preset": (("evolve",), _choice("HI", "HII", "HIII", "HIV"), "HIV"),
+    "n_per_mode": (("evolve",), _number(int, 1), 48),
+    "omega0": (("evolve",), _REAL, 1.0),
+    "omega1": (("evolve",), _REAL, 1.0),
+    "state": (("evolve",), _as_written(lambda raw: [_number(int)(x) for x in _items(raw)]),
+              None),
+    "times": (("evolve",), _as_written(_parse_times), "0:10:21"),
+    "tail_tol": (("evolve",), _number(float, 0.0, inf=True), math.inf),
+    "zeta_re": (("coherent",), _REAL, 1.0),
+    "zeta_im": (("coherent",), _REAL, 0.0),
+    "k_max": (("coherent",), _number(int, -1), 6),
+    "format": (("spectrum", "evolve", "coherent"), _choice("json", "csv"),
+               {"evolve": "csv", "spectrum": "json", "coherent": "json"}),
 }
+_KEYS = {c: tuple(k for k, f in _FLAGS.items() if c in f[0])
+         for c in ("validate", "spectrum", "evolve", "coherent")}
+# library parameter names -> the config keys that set them (a name that is a
+# key maps to itself); a one-mode sector's alpha0 is an --alpha0-table entry
+_API_KEYS = {"n": ("n_levels",), "n_atoms": ("count",), "k_checked": ("k_max",),
+             "zeta": ("zeta_re", "zeta_im"), "alpha0": ("alpha0", "alpha0_table"),
+             "alpha0_init": ("alpha0_table",), "beta": ("alpha0_table",),
+             "alpha": ("alpha0_table",), "lam": ("alpha0_table",), "c": ("mu", "nu"),
+             "phi": ("mu", "nu"), "name": ("preset",), "t_grid": ("times",),
+             "occupations": ("state",), "omega": ("omega0", "omega1"),
+             **dict.fromkeys("uvw", ("alpha0", "beta0", "K"))}
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _config(args: argparse.Namespace) -> dict:
-    """The ``--config`` file overlaid with every flag given on the command
-    line; both take the keys ``_KNOWN_KEYS[args.command]``."""
-    cfg = {}
+def _flags(names, args, given) -> str:
+    """The flags setting the parameters ``names``: those given, if any was."""
+    keys = [k for k in dict.fromkeys(k for n in names for k in _API_KEYS.get(n, (n,)))
+            if k in _KEYS[args.command] + ("config", "out")]
+    named = [k for k in keys if k in given or k in ("config", "out") and getattr(args, k)]
+    return ", ".join(map(_flag, named or keys)) or str(names)
+
+
+def _config(args: argparse.Namespace) -> tuple[dict, dict]:
+    """(values, given): ``given`` holds the converted value of each key set
+    in ``--config`` or by a flag (which wins), ``values`` adds the defaults."""
+    keys = _KEYS[args.command]
+    raw = {}
     if args.config is not None:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    unknown = set(cfg) - _KNOWN_KEYS[args.command]
-    if unknown:
-        raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    for key in sorted(_KNOWN_KEYS[args.command]):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParameterError(("config",), str(exc)) from exc
+        unknown = set(raw) - set(keys) if isinstance(raw, dict) else {"(not an object)"}
+        if unknown:
+            raise ParameterError(("config",), f"unknown config keys for "
+                                 f"{args.command}: {sorted(unknown)}")
+    raw.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    given = {}
+    for key, value in raw.items():
+        if value is not None:
+            try:
+                given[key] = _FLAGS[key][1](value)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError((key,), f"{value!r} is not admissible: {exc}") from exc
+    values = {}
+    for key in keys:
+        default = _FLAGS[key][2]
+        if isinstance(default, dict):
+            default = default.get(args.command, default.get(given.get("model", "onemode")))
+        values[key] = given.get(key, default)
+    return values, given
 
 
-def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None):
+def _emit(config: dict, results, diagnostics: dict, fmt: str, out_path,
+          csv_rows=None, csv_header=("key", "value", "")):
+    """Print or write the payload; CSV rows default to one JSON value per result."""
+    payload = {"config": config, "version": __version__, "results": results,
+               "diagnostics": diagnostics}
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(payload, indent=2, sort_keys=True)
         text += "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
+        if csv_rows is None:
+            csv_rows = [(k, json.dumps(v, sort_keys=True), "") for k, v in results.items()]
         for row in csv_rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-        buf.write("# config: " + json.dumps(payload["config"], sort_keys=True,
-                                            default=_json_default) + "\n")
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        buf.write("# config: " + json.dumps(payload["config"], sort_keys=True) + "\n")
         buf.write(f"# version: {payload['version']}\n")
         text = buf.getvalue()
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParameterError(("out",), str(exc)) from exc
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
-def _at_least(flag: str, value: int, low: int) -> int:
-    """``value`` unchanged, or a usage error naming ``flag`` below ``low``."""
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
-def _positive(flag: str, value: float) -> float:
-    """``value`` unchanged, or a usage error naming ``flag`` unless it is > 0."""
-    if not value > 0:
-        raise ValueError(f"{flag} must be > 0, got {value}")
-    return value
-
-
-def cmd_validate(args) -> int:
-    cfg = _config(args)
-    quick = bool(cfg.get("quick", False))
-    results = validation.run_all(quick=quick)
-    report = validation.format_report(results)
-    payload = {
-        "config": {"command": "validate", "quick": quick},
-        "version": __version__,
-        "results": [r.to_dict() for r in results],
-        "diagnostics": {"n_checks": len(results),
-                        "n_passed": sum(r.passed for r in results)},
-    }
-    if args.out:
-        _emit(payload, "json", args.out)
-    print(report)
+def cmd_validate(cfg: dict, given: dict, out) -> int:
+    results = validation.run_all(quick=cfg["quick"])
+    if out:
+        _emit({"command": "validate", "quick": cfg["quick"]}, [r.to_dict() for r in results],
+              {"n_checks": len(results), "n_passed": sum(r.passed for r in results)},
+              "json", out)
+    print(validation.format_report(results))
     return 0 if all(r.passed for r in results) else FAILURE
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _config(args)
-    if args.alpha0_table is not None:
-        try:
-            cfg["alpha0_table"] = [float(x) for x in args.alpha0_table.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"--alpha0-table: {exc}") from None
-    model = cfg.get("model", "onemode")
-    count = _at_least("--count", int(cfg.get("count", 8)), 1)
-    fmt = cfg.get("format", "json")
-    results = {}
-    diagnostics = {}
+def cmd_spectrum(cfg: dict, given: dict, out) -> int:
+    model, count = cfg["model"], cfg["count"]
+    results, diagnostics = {}, {}
     if model == "onemode":
-        missing = [f"--{key}" for key in ("mu", "nu") if key not in cfg]
+        missing = tuple(key for key in ("mu", "nu") if key not in given)
         if missing:
-            raise ValueError(f"--model onemode needs {' and '.join(missing)}")
-        l = _at_least("--l", int(cfg.get("l", 1)), 1)
-        r = int(cfg.get("r", 0))
-        if not 0 <= r < l:
-            raise ValueError(f"--r must be in [0, {l}) for --l {l}, got {r}")
-        table = cfg.get("alpha0_table", [1.0] * l)
-        try:
-            mrep = rep.MultibosonRep(l, tuple(table))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"--alpha0-table: {exc}") from None
-        n = _at_least("--n-levels", int(cfg.get("n_levels", 100)), 2)
-        if count > n and "count" in cfg:
-            raise ValueError(f"--count {count} exceeds --n-levels {n}")
+            raise ParameterError(missing, "--model onemode needs --mu and --nu")
+        l, r, n = cfg["l"], cfg["r"], cfg["n_levels"]
+        if r >= l:
+            raise ParameterError(("r", "l"), f"--r {r} must be below --l {l}")
+        if count > n and "count" in given:
+            raise ParameterError(("count", "n_levels"), f"--count {count} > --n-levels {n}")
         count = min(count, n)
+        mrep = rep.MultibosonRep(l, tuple(cfg["alpha0_table"] or [1.0] * l))
         sector = rep.OneModeSector(mrep, r, n)
-        h = onemode.OneModeHamiltonian(float(cfg["mu"]), float(cfg["nu"]), sector)
+        h = onemode.OneModeHamiltonian(cfg["mu"], cfg["nu"], sector)
         chain = onemode.classify(h.mu, h.nu, sector.alpha0)
-        try:
-            meas = chain.measure(count)
-        except ValueError as exc:
-            raise ValueError(f"--count {count} reaches atoms whose weight "
-                             f"underflows: {exc}") from None
+        meas = chain.measure(count)
         results["case_index"] = chain.index
         results["family"] = type(chain.family).__name__ if chain.family else "diagonal"
         results["family_params"] = dict(vars(chain.family)) if chain.family else {}
@@ -169,126 +249,74 @@ def cmd_spectrum(args) -> int:
             w = oracle_eigs(onemode.jacobi(h), count=m, top=chain.pairs_top)
             gap = meas.atom_locations()[:m] - chain.pair(w, m)
             results["oracle_delta"] = float(np.abs(gap).max())
-    elif model in ("two-d", "two-c"):
-        a0 = _positive("--alpha0", float(cfg.get("alpha0", 1.0)))
-        b0 = _positive("--beta0", float(cfg.get("beta0", 1.0)))
-        K = int(cfg.get("K", 0))
+    else:
+        a0, b0, K = cfg["alpha0"], cfg["beta0"], cfg["K"]
         if model == "two-d":
-            blk = twomode.DBlock(_at_least("--K", K, 0), a0, b0)
+            blk = twomode.DBlock(K, a0, b0)
             ev = twomode.hd_chain(blk).atoms(K + 1)
             w = oracle_eigs(twomode.hd_block_jacobi(blk))
             results["eigenvalues"] = ev.tolist()
             results["oracle_delta"] = float(np.abs(ev - w).max())
         else:
-            n = _at_least("--n-levels", int(cfg.get("n_levels", 4000)), 2)
-            blk = twomode.CBlock(K, a0, b0, n_levels=n)
+            blk = twomode.CBlock(K, a0, b0, n_levels=cfg["n_levels"])
             try:
                 chain = twomode.hc_chain(blk)
             except BoundaryAmbiguityError as exc:
                 results["warning"] = str(exc)
                 results["uvw_candidates"] = list(exc.candidates)
             else:
+                # the window check first: it bounds the atom count
+                m = chain.family.n_atoms()
+                chk = twomode.hc_truncation_check(blk) if m else None
                 meas = chain.measure()
                 results["uvw"] = dict(vars(twomode.uvw_params(K, a0, b0)))
                 results["atoms"] = [{"location": loc, "weight": w}
                                     for loc, w in meas.atoms]
                 results["continuum"] = list(meas.continuous.support)
-                m = len(meas.atoms)
                 if m:
-                    try:
-                        chk = twomode.hc_truncation_check(blk)
-                    except ValueError as exc:
-                        raise ValueError(f"--n-levels {n} is too small: {exc}") from None
                     diagnostics["truncation_top"] = chk.top_full.tolist()
                     diagnostics["richardson"] = chk.extrapolated.tolist()
                     diagnostics["agreement"] = chk.agreement
                     gap = chain.pair(chk.extrapolated, m) - meas.atom_locations()
                     results["oracle_delta"] = float(np.abs(gap).max())
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    payload = {"config": {"command": "spectrum", **cfg}, "version": __version__,
-               "results": results, "diagnostics": diagnostics}
-    rows = None
-    if fmt == "csv":
-        rows = [(k, json.dumps(v, sort_keys=True, default=_json_default), "")
-                for k, v in results.items()]
-    _emit(payload, fmt, args.out, rows, ("key", "value", ""))
+    _emit({"command": "spectrum", **given}, results, diagnostics, cfg["format"], out)
     return 0
 
 
-def cmd_evolve(args) -> int:
-    cfg = _config(args)
-    name = cfg.get("preset", "HIV")
-    n = int(cfg.get("n_per_mode", 48))
-    try:
-        pm = evolution.preset(name, n)
-    except ValueError as exc:
-        raise ValueError(f"--preset {name} --n-per-mode {n}: {exc}") from None
-    tail = float(cfg.get("tail_tol", math.inf))
-    model = evolution.FullModel(pm.mapping,
-                                (float(cfg.get("omega0", 1.0)),
-                                 float(cfg.get("omega1", 1.0))),
-                                tail_tol=tail)
-    state = cfg.get("state")
-    if state is None:
+def cmd_evolve(cfg: dict, given: dict, out) -> int:
+    pm = evolution.preset(cfg["preset"], cfg["n_per_mode"])
+    model = evolution.FullModel(pm.mapping, (cfg["omega0"], cfg["omega1"]),
+                                tail_tol=cfg["tail_tol"])
+    if cfg["state"] is None:
         # (2, 3), each occupation n rounded down into its mode's sector r mod l
         m = pm.mapping
         ls = (m.reps.rep0.l, m.reps.rep1.l)
-        state = ",".join(str(n - (n - r) % l) for n, l, r in zip((2, 3), ls, m.sector))
-    try:
-        psi0 = evolution.basis_state(model, tuple(int(x) for x in str(state).split(",")))
-    except ValueError as exc:
-        raise ValueError(f"--state {state!r} is not a basis state: {exc}") from None
-    times = _parse_times(cfg.get("times", "0:10:21"))
-    series = evolution.run_series(model, psi0, times)
-    rows = []
-    for t, rec, err in zip(series.times, series.records, series.norm_errors):
-        rows.append((t, rec.means[0], rec.variances[0], rec.fanos[0],
-                     rec.means[1], rec.variances[1], rec.fanos[1], err))
+        occupations = tuple(n - (n - r) % l for n, l, r in zip((2, 3), ls, m.sector))
+    else:
+        occupations = tuple(map(int, _items(cfg["state"])))
+    psi0 = evolution.basis_state(model, occupations)
+    series = evolution.run_series(model, psi0, _parse_times(cfg["times"]))
+    rows = [(t, r.means[0], r.variances[0], r.fanos[0], r.means[1], r.variances[1],
+             r.fanos[1], err) for t, r, err in zip(series.times, series.records,
+                                                   series.norm_errors)]
     header = ("t", "mean_n0", "var_n0", "fano_n0",
               "mean_n1", "var_n1", "fano_n1", "norm_error")
-    payload = {"config": {"command": "evolve", **cfg}, "version": __version__,
-               "results": [dict(zip(header, row)) for row in rows],
-               "diagnostics": {"max_norm_error": max(series.norm_errors)}}
-    _emit(payload, cfg.get("format", "csv"), args.out, rows, header)
+    _emit({"command": "evolve", **given}, [dict(zip(header, row)) for row in rows],
+          {"max_norm_error": max(series.norm_errors)}, cfg["format"], out, rows, header)
     return 0
 
 
-def _parse_times(arg) -> list[float]:
-    """The evolve time grid: a list, "lo:hi:num" (num evenly spaced times)
-    or comma-separated times.  A grid must hold at least one time."""
-    try:
-        if isinstance(arg, (list, tuple)):
-            times = [float(t) for t in arg]
-        elif ":" in str(arg):
-            lo, hi, num = str(arg).split(":")
-            times = np.linspace(float(lo), float(hi), max(int(num), 0)).tolist()
-        else:
-            times = [float(t) for t in str(arg).split(",")]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"--times {arg!r} is not a time grid: {exc}") from None
-    if not times:
-        raise ValueError(f"--times {arg!r} holds no times; give at least one")
-    return times
-
-
-def cmd_coherent(args) -> int:
-    cfg = _config(args)
-    zeta = complex(float(cfg.get("zeta_re", 1.0)), float(cfg.get("zeta_im", 0.0)))
-    al = _positive("--alpha0", float(cfg.get("alpha0", 1.0)))
-    n = _at_least("--n-levels", int(cfg.get("n_levels", 80)), 2)
-    k_max = _at_least("--k-max", int(cfg.get("k_max", 6)), 0)
+def cmd_coherent(cfg: dict, given: dict, out) -> int:
+    zeta = complex(cfg["zeta_re"], cfg["zeta_im"])
+    al, n, k_max = cfg["alpha0"], cfg["n_levels"], cfg["k_max"]
+    # the measure first: its alpha0 range is the narrowest
+    meas = coherent.radial_measure(al, k_checked=k_max)
     state = coherent.coherent_amplitudes(zeta, al, n)
-    sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
-    _, am, _ = rep.sector_matrices(sector)
+    _, am, _ = rep.sector_matrices(rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n))
     resid = float(np.linalg.norm(am @ state.amplitudes - zeta * state.amplitudes)
                   / state.norm())
     norm2 = state.norm() ** 2
     kern = coherent.kernel(abs(zeta) ** 2, al)
-    try:
-        meas = coherent.radial_measure(al, k_checked=k_max)
-    except ValueError as exc:
-        raise ValueError(f"--k-max {k_max} is too large: {exc}") from None
     moments = [{"k": k, "value": meas.moment(k), "target": meas.target_moment(k),
                 "rel_error": meas.moment_error(k)}
                for k in range(k_max + 1)]
@@ -299,83 +327,54 @@ def cmd_coherent(args) -> int:
         "kernel_identity_error": float(abs(norm2 - kern)),
         "moments": moments,
     }
-    payload = {"config": {"command": "coherent", **cfg}, "version": __version__,
-               "results": results, "diagnostics": {}}
-    rows = [("eigenstate_residual", resid, ""), ("norm_sq", norm2, ""),
-            ("kernel_identity_error", float(abs(norm2 - kern)), "")]
+    rows = [(k, results[k], "") for k in ("eigenstate_residual", "norm_sq",
+                                          "kernel_identity_error")]
     rows += [("moment_rel_error_k%d" % m["k"], m["rel_error"], "") for m in moments]
-    _emit(payload, cfg.get("format", "json"), args.out, rows, ("key", "value", ""))
+    _emit({"command": "coherent", **given}, results, {}, cfg["format"], out, rows)
     return 0
+
+
+_COMMANDS = {
+    "validate": (cmd_validate, "run the cross-module invariant suite"),
+    "spectrum": (cmd_spectrum, "closed-form spectra with oracle deltas"),
+    "evolve": (cmd_evolve, "observable series under a preset"),
+    "coherent": (cmd_coherent, "coherent-state diagnostics"),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The tree of ``_FLAGS``: each flag stores its string (--quick: True) under its key."""
     p = argparse.ArgumentParser(prog="multiboson",
                                 description="cluster-model spectra and evolution")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("validate", help="run the cross-module invariant suite")
-    pv.add_argument("--quick", action="store_const", const=True)
-
-    ps = sub.add_parser("spectrum", help="closed-form spectra with oracle deltas")
-    ps.add_argument("--model", choices=("onemode", "two-d", "two-c"))
-    ps.add_argument("--mu", type=float)
-    ps.add_argument("--nu", type=float)
-    ps.add_argument("--alpha0-table", dest="alpha0_table")
-    ps.add_argument("--l", type=int)
-    ps.add_argument("--r", type=int)
-    ps.add_argument("--n-levels", dest="n_levels", type=int)
-    ps.add_argument("--count", type=int)
-    ps.add_argument("--K", type=int)
-    ps.add_argument("--alpha0", type=float)
-    ps.add_argument("--beta0", type=float)
-
-    pe = sub.add_parser("evolve", help="observable series under a preset")
-    pe.add_argument("--preset", choices=("HI", "HII", "HIII", "HIV"))
-    pe.add_argument("--n-per-mode", dest="n_per_mode", type=int)
-    pe.add_argument("--omega0", type=float)
-    pe.add_argument("--omega1", type=float)
-    pe.add_argument("--state")
-    pe.add_argument("--times")
-    pe.add_argument("--tail-tol", dest="tail_tol", type=float)
-
-    pc = sub.add_parser("coherent", help="coherent-state diagnostics")
-    pc.add_argument("--zeta-re", dest="zeta_re", type=float)
-    pc.add_argument("--zeta-im", dest="zeta_im", type=float)
-    pc.add_argument("--alpha0", type=float)
-    pc.add_argument("--n-levels", dest="n_levels", type=int)
-    pc.add_argument("--k-max", dest="k_max", type=int)
-
-    for sp in (pv, ps, pe, pc):
+    for command, (_, text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for key in _KEYS[command]:
+            if _FLAGS[key][1] is _SWITCH:
+                sp.add_argument(_flag(key), dest=key, action="store_const", const=True)
+            else:
+                sp.add_argument(_flag(key), dest=key)
         sp.add_argument("--config")
         sp.add_argument("--out")
-    for sp in (ps, pe, pc):
-        sp.add_argument("--format", choices=("json", "csv"))
     return p
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "coherent": cmd_coherent,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    given = {}
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        cfg, given = _config(args)
+        return _COMMANDS[args.command][0](cfg, given, args.out)
+    except ParameterError as exc:
+        print(f"error: {_flags(exc.names, args, given)}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except Exception as exc:  # numerical failures
-        print(f"failure: {exc}", file=sys.stderr)
+    except _FAILURES as exc:
+        print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return FAILURE
 
 

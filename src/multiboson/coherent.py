@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, kv
 
-from .errors import NumericalFailureError
-from .orthopoly import _integrate, _where_positive, hyp0f1, ln_pochhammer
+from .errors import NumericalFailureError, ParameterError
+from .orthopoly import LN_FLOAT_MAX, _integrate, _where_positive, hyp0f1, ln_pochhammer
 from .rep import StateVector
 
 __all__ = [
-    "CoherentState",
     "coherent_amplitudes",
     "kernel",
     "RadialMeasure",
@@ -45,63 +44,26 @@ __all__ = [
 ]
 
 TAIL_EPS = 1e-16
-# ln of the largest float64: a moment target k! (alpha0)_k above it overflows
-_LN_FLOAT_MAX = math.log(np.finfo(float).max)
-
-
-def _amp_array(zeta: complex, alpha0: float, n: int) -> np.ndarray:
-    # zeta^k / sqrt(k! (alpha0)_k), the k! (alpha0)_k factor in log space
-    k = np.arange(n)
-    lg = np.array([0.5 * (gammaln(j + 1) + ln_pochhammer(alpha0, j))
-                   for j in range(n)])
-    return np.asarray(zeta, dtype=complex) ** k * np.exp(-lg)
-
-
-@dataclass(frozen=True)
-class CoherentState:
-    """Eigenvector data of the lowering generator at eigenvalue zeta.
-
-    The truncation must swallow the amplitude tail: the N-th squared term
-    |zeta|^{2N} / (N! (alpha0)_N) has to stay below 1e-16 of the accumulated
-    squared norm.
-    """
-
-    zeta: complex
-    alpha0: float
-    n: int
-
-    def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        amps = _amp_array(self.zeta, self.alpha0, self.n + 1)
-        norm2 = float(np.sum(np.abs(amps[:-1]) ** 2))
-        if abs(amps[-1]) ** 2 > TAIL_EPS * norm2:
-            raise ValueError(
-                f"truncation {self.n} too small for |zeta| = {abs(self.zeta)}"
-            )
-
-    def state(self) -> StateVector:
-        return StateVector(_amp_array(self.zeta, self.alpha0, self.n))
-
-
-def required_levels(zeta: complex, alpha0: float) -> int:
-    """Smallest truncation meeting the tail criterion."""
-    n = 8
-    while n < 100_000:
-        amps = _amp_array(zeta, alpha0, n + 1)
-        if abs(amps[-1]) ** 2 <= TAIL_EPS * float(np.sum(np.abs(amps[:-1]) ** 2)):
-            return n
-        n *= 2
-    raise NumericalFailureError(f"no adequate truncation for zeta = {zeta}")
 
 
 def coherent_amplitudes(zeta: complex, alpha0: float, n: int) -> StateVector:
-    """Unnormalized amplitudes zeta^k / sqrt(k! (alpha0)_k), k < n."""
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
-    return StateVector(_amp_array(zeta, alpha0, n))
+    """Unnormalized amplitudes zeta^k / sqrt(k! (alpha0)_k), k < n.
+
+    The truncation must hold the amplitude tail: the n-th squared term
+    |zeta|^{2n} / (n! (alpha0)_n) has to stay below 1e-16 of the finite
+    squared norm of the first n, else ParameterError names n and zeta.
+    """
+    if not (math.isfinite(alpha0) and alpha0 > 0 and n >= 1):
+        raise ParameterError(("alpha0", "n"), "need 0 < alpha0 < inf and n >= 1")
+    # the k! (alpha0)_k factor in log space; an amplitude past the double
+    # range fails the criterion
+    lg = np.array([0.5 * (gammaln(j + 1) + ln_pochhammer(alpha0, j)) for j in range(n + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.asarray(zeta, dtype=complex) ** np.arange(n + 1) * np.exp(-lg)
+        norm2 = float(np.sum(np.abs(amps[:-1]) ** 2))
+    if not abs(amps[-1]) ** 2 <= TAIL_EPS * norm2 < math.inf:
+        raise ParameterError(("n", "zeta"), f"{n} levels do not hold |zeta| = {abs(zeta)}")
+    return StateVector(amps[:-1])
 
 
 def kernel(z: complex, alpha0: float) -> complex:
@@ -115,19 +77,21 @@ class RadialMeasure:
 
     The moments k = 0..``k_checked`` are computed once, at construction, and
     checked against the moment identity; ``moment`` and ``moment_error``
-    read them back without a new quadrature.  An order whose target overflows
-    float64 raises ``ValueError``, before any quadrature.
+    read them back without a new quadrature.  ParameterError names alpha0
+    unless alpha0 - 1 is above -1 in floats and Gamma(alpha0), which the
+    weight divides by, is finite (alpha0 < 171.6), and k_checked when it is
+    negative or its target overflows float64, before any quadrature.
     """
 
     alpha0: float
     k_checked: int = 8
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if not (self.alpha0 + 1.0 > 1.0 and gammaln(self.alpha0) < LN_FLOAT_MAX):
+            raise ParameterError(("alpha0",), f"{self.alpha0} outside (1.2e-16, 171.6)")
         if self.k_checked < 0:
-            raise ValueError(f"k_checked must be >= 0, got {self.k_checked}")
-        self._check_order(self.k_checked)
+            raise ParameterError(("k_checked",), f"k_checked {self.k_checked} below 0")
+        self._check_order(self.k_checked, "k_checked")
         # the dataclass is frozen
         object.__setattr__(self, "_moments", tuple(
             self._moment_vector(self.weight, self.k_checked).tolist()))
@@ -188,18 +152,18 @@ class RadialMeasure:
         """k! (alpha0)_k."""
         return math.exp(self._check_order(k))
 
-    def _check_order(self, k: int) -> float:
-        """ln(k! (alpha0)_k), or ValueError when k! (alpha0)_k overflows
-        float64.  The logarithm rises from k = 1 on, so the admissible
-        orders are 0..top."""
+    def _check_order(self, k: int, name: str = "k") -> float:
+        """ln(k! (alpha0)_k), or ParameterError naming the order's parameter
+        when k! (alpha0)_k overflows float64.  The logarithm rises from k = 1
+        on, so the admissible orders are 0..top."""
         def ln_target(j):
             return gammaln(j + 1) + ln_pochhammer(self.alpha0, j)
         ln = ln_target(k)
-        if ln > _LN_FLOAT_MAX:
-            top = next(j for j in itertools.count(1) if ln_target(j) > _LN_FLOAT_MAX) - 1
-            raise ValueError(f"moment order {k} overflows float64 at alpha0 = "
-                             f"{self.alpha0}: k! (alpha0)_k exceeds 1.8e308; the "
-                             f"largest admissible order is {top}")
+        if ln > LN_FLOAT_MAX:
+            top = next(j for j in itertools.count(1) if ln_target(j) > LN_FLOAT_MAX) - 1
+            raise ParameterError((name,), f"moment order {k} overflows float64 at "
+                                 f"alpha0 = {self.alpha0}: k! (alpha0)_k exceeds "
+                                 f"1.8e308; the largest admissible order is {top}")
         return ln
 
     def moment_error(self, k: int) -> float:

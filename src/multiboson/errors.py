@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = [
+    "ParameterError",
     "NumericalFailureError",
     "TruncationOverflowError",
     "UnsupportedElementError",
@@ -8,6 +9,16 @@ __all__ = [
     "BoundaryAmbiguityError",
     "NoBoundStateError",
 ]
+
+
+class ParameterError(ValueError):
+    """A value outside the domain of the API parameters ``names``, rejected
+    where it enters: a public constructor or entry point names the
+    parameters that together put the value out of range."""
+
+    def __init__(self, names, message: str):
+        super().__init__(message)
+        self.names = tuple(names)
 
 
 class NumericalFailureError(RuntimeError):

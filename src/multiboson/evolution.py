@@ -56,7 +56,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import NumericalFailureError, TruncationOverflowError
+from .errors import NumericalFailureError, ParameterError, TruncationOverflowError
 from .jacobi import JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
@@ -95,7 +95,7 @@ class CanonicalInteraction:
         if self.kind not in CANONICAL_TWISTS:
             raise ValueError(f"kind must be 'D' or 'C', got {self.kind!r}")
         if self.n_per_mode < 2:
-            raise ValueError("need n_per_mode >= 2")
+            raise ParameterError(("n_per_mode",), "need n_per_mode >= 2")
 
     def alpha0(self) -> float:
         return self.reps.rep0.alpha0_init[self.sector[0]]
@@ -123,7 +123,8 @@ class FullModel:
     ``tail_tol`` bounds the evolved state's tail fraction at every time: the
     norm-squared share of the positions where some mode's window index k
     is at least ceil(0.9 n), n the levels per mode (k1 counts as well as
-    k0).  It is the package's only tail monitor.
+    k0).  It is the package's only tail monitor, and must be positive, not
+    NaN; inf switches it off.  Every frequency must be finite.
     """
 
     interaction: object
@@ -133,8 +134,10 @@ class FullModel:
 
     def __post_init__(self):
         n_modes = len(_layout(self)[0])
-        if len(self.omega) != n_modes:
-            raise ValueError(f"need {n_modes} frequencies, got {len(self.omega)}")
+        if len(self.omega) != n_modes or not all(map(math.isfinite, self.omega)):
+            raise ParameterError(("omega",), f"need {n_modes} finite frequencies")
+        if not self.tail_tol > 0:
+            raise ParameterError(("tail_tol",), f"must be > 0, got {self.tail_tol}")
         generic = isinstance(self.interaction, TwoModeHamiltonian)
         if generic and self.n_per_mode is None:
             raise ValueError("a generic two-mode interaction needs n_per_mode")
@@ -420,9 +423,11 @@ def run_series(model: FullModel, psi0: StateVector, t_grid) -> ObservableSeries:
     phases are not formed, since no occupation observable sees them.  The
     tail of every time is checked in one pass, and every record comes from
     one ``observables`` call on the pair: certified exact sums over the
-    block positions.
+    block positions.  Every time must be finite.
     """
     times = np.asarray(t_grid, dtype=float).reshape(-1)
+    if not np.isfinite(times).all():
+        raise ParameterError(("t_grid",), "every time must be finite")
     # a unit-norm state is evolved as it is: dividing by 1.0 changes no bit,
     # and skipping it spares a copy of the whole basis
     psi = psi0.amplitudes if psi0.norm() == 1.0 else psi0.normalized().amplitudes
@@ -465,17 +470,18 @@ def _jacobi_form(op: JacobiOperator, x: np.ndarray) -> float:
 
 def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
     """Fock basis state |n0[, n1]> as a StateVector over the model's basis;
-    ValueError unless each mode's occupation n is in its sector and window."""
+    ParameterError unless each mode's occupation n is in its sector and window."""
     ls, rs, n = _layout(model)
     occupations = tuple(occupations)
     if len(occupations) != len(ls):
-        raise ValueError(f"need {len(ls)} occupation(s), one per mode, got {occupations}")
+        raise ParameterError(("occupations",), f"need one per mode, got {occupations}")
     if any(occ % l != r for occ, l, r in zip(occupations, ls, rs)):
-        raise ValueError(f"occupations {occupations} not in sector {rs} (l = {ls})")
+        raise ParameterError(("occupations",), f"{occupations} not in sector {rs} (l = {ls})")
     ks = tuple(occ // l for occ, l in zip(occupations, ls))
     if not all(0 <= k < n for k in ks):
-        raise ValueError(f"occupations {occupations} outside the window: each "
-                         f"n // l must be in 0..{n - 1}")
+        window = "n_levels" if len(ls) == 1 else "n_per_mode"
+        raise ParameterError(("occupations", window), f"{occupations} outside the "
+                             f"window: each n // l must be in 0..{n - 1}")
     amps = np.zeros(n ** len(ks), dtype=complex)
     amps[np.ravel_multi_index(ks, (n,) * len(ks))] = 1.0
     return StateVector(amps, sector=model.interaction.sector)
@@ -549,18 +555,18 @@ def preset(name: str, n_per_mode: int) -> PresetModel:
     Every one is an affine image of a canonical D- or C-form on cluster
     representations; the returned mapping reproduces the matrix entrywise.
     Only the mapping is built here; the matrix is assembled when first read
-    (``PresetModel.matrix``).  Raises ``ValueError`` for an unknown name or
+    (``PresetModel.matrix``).  Raises ``ParameterError`` for an unknown name or
     a cutoff whose window holds fewer than two cluster states: below 3 (HI,
     HII, HIII) or 2 (HIV).
     """
     if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; use HI, HII, HIII or HIV")
+        raise ParameterError(("name",), f"unknown preset {name!r}; use HI, HII, HIII or HIV")
     kind, (l0, l1), scale = _PRESETS[name]
     l = max(l0, l1)
     # ceil(n / l) >= 2 holds from n = l + 1 on
     if n_per_mode < l + 1:
-        raise ValueError(f"preset {name} needs n_per_mode >= {l + 1}, "
-                         f"got {n_per_mode}")
+        raise ParameterError(("n_per_mode",), f"preset {name} needs n_per_mode >= "
+                             f"{l + 1}, got {n_per_mode}")
     reps = TwoModeRep(_CLUSTER_REPS[l0], _CLUSTER_REPS[l1])
     mapping = CanonicalInteraction(kind, reps, (0, 0), -(-n_per_mode // l),
                                    scale=scale, offset=-0.5)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationOverflowError, UnsupportedCaseError
+from .errors import ParameterError, TruncationOverflowError, UnsupportedCaseError
 from .jacobi import Chain, JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .orthopoly import Laguerre, Meixner, MeixnerPollaczek
 from .rep import OneModeSector, StateVector
@@ -57,13 +57,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OneModeHamiltonian:
+    """H on a truncated sector; ParameterError as for ``classify``, or when
+    |a_k| + 2 |b_k| of the last level overflows."""
+
     mu: float
     nu: float
     sector: OneModeSector
 
     def __post_init__(self):
-        if self.mu == 0 and self.nu == 0:
-            raise ValueError("label pair (0, 0) is excluded")
+        classify(self.mu, self.nu, self.sector.alpha0)
+        op, k = jacobi(self), self.sector.n_levels - 1.0
+        if not abs(op.diag(k)) + 2.0 * abs(op.offdiag(k)) < math.inf:
+            raise ParameterError(("mu", "nu", "alpha0", "n_levels"), "the Jacobi "
+                                 "coefficients overflow float64 at the truncation")
 
 
 def jacobi(h: OneModeHamiltonian) -> JacobiOperator:
@@ -79,18 +85,26 @@ def jacobi(h: OneModeHamiltonian) -> JacobiOperator:
 
 
 def classify(mu: float, nu: float, alpha0: float) -> Chain:
-    """The class of (mu, nu) as its chain record (module docstring)."""
-    if mu == 0 and nu == 0:
-        raise ValueError("label pair (0, 0) is excluded")
+    """The class of (mu, nu) as its chain record (module docstring).
+    ParameterError names alpha0 unless it is finite with alpha0 - 1 above
+    -1 in floats, and mu and nu when they are not finite, are (0, 0), or
+    round their family out of its domain (mu nu past the double range,
+    Meixner c to 1, phi to 0 or pi)."""
+    if not (math.isfinite(mu) and math.isfinite(nu)) or mu == 0 and nu == 0:
+        raise ParameterError(("mu", "nu"), f"labels ({mu}, {nu}) not finite or both 0")
+    if not (math.isfinite(alpha0) and alpha0 - 1.0 > -1.0):
+        raise ParameterError(("alpha0",), f"alpha0 {alpha0} not finite or rounds to 0")
     if mu == nu:
         return _discrete(None, mu, 1.0, alpha0, 9)
     if nu == 0:
         return Chain(Laguerre(alpha0 - 1.0), mu / 2.0, index=1)
     if mu == 0:
         return Chain(Laguerre(alpha0 - 1.0), nu / 2.0, offdiag_sign=-1.0, index=2)
-    if mu * nu < 0:
+    if (mu > 0) != (nu > 0):
         phi = math.acos(-(mu + nu) / (mu - nu))
         s = 2.0 * math.sqrt(-mu * nu)
+        if not (0 < phi < math.pi and 0 < s < math.inf):
+            raise ParameterError(("mu", "nu"), f"labels ({mu}, {nu}) round phi or the scale")
         if mu > 0:
             return Chain(MeixnerPollaczek(alpha0 / 2.0, phi), s, index=3)
         return Chain(MeixnerPollaczek(alpha0 / 2.0, phi), -s, index=4)
@@ -98,10 +112,13 @@ def classify(mu: float, nu: float, alpha0: float) -> Chain:
     if mu > 0:
         c = (mu + nu - root) / (mu + nu + root)
         sign, idx = (1.0, 5) if mu > nu else (-1.0, 7)
-        return _discrete(Meixner(alpha0, c), math.sqrt(mu * nu), sign, alpha0, idx)
-    c = (mu + nu + root) / (mu + nu - root)
-    sign, idx = (1.0, 6) if mu < nu else (-1.0, 8)
-    return _discrete(Meixner(alpha0, c), -math.sqrt(mu * nu), sign, alpha0, idx)
+    else:
+        c = (mu + nu + root) / (mu + nu - root)
+        sign, idx = (1.0, 6) if mu < nu else (-1.0, 8)
+    if not 0 < c < 1:
+        raise ParameterError(("mu", "nu"), f"labels ({mu}, {nu}) round Meixner c to {c}")
+    scale = math.sqrt(mu * nu)
+    return _discrete(Meixner(alpha0, c), scale if mu > 0 else -scale, sign, alpha0, idx)
 
 
 def _discrete(family, scale: float, sign: float, alpha0: float, index: int) -> Chain:
@@ -131,7 +148,9 @@ def eigenvectors_discrete(h: OneModeHamiltonian, n: int) -> StateVector:
 def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     """Eigenvectors, energies and coefficients of the leading closed-form
     eigenpairs whose coefficients leave a directly summed tail of at most
-    1e-15 of |psi|^2, out of the first 4N."""
+    eps^2 |psi|^2 (eps the float64 epsilon), out of the first 4N: the
+    dropped coefficients are below eps |psi| together, so the expansion
+    returns psi at t = 0 to roundoff."""
     size = psi.size
     nz = np.flatnonzero(psi)
     rows = int(nz[-1]) + 1 if nz.size else 1
@@ -140,7 +159,7 @@ def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     coeffs = spectral_coeffs(chain.eigenvectors(op, rows, cap), psi[:rows])
     tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
     total = float(np.vdot(psi, psi).real)
-    done = np.flatnonzero(tail <= 1e-15 * total)
+    done = np.flatnonzero(tail <= np.finfo(float).eps ** 2 * total)
     if done.size == 0:
         raise TruncationOverflowError(
             f"eigen-expansion tail {tail[-1] / total:.2e} after {cap} terms; "
@@ -162,7 +181,9 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     project psi and apply the phases in real arithmetic against the real
     eigenvectors (``jacobi.spectral_coeffs`` and ``spectral_apply`` at -t),
     so no complex copy of an eigenvector matrix is made.  The closed-form
-    expansion raises TruncationOverflowError when 4N terms do not hold psi;
+    expansion keeps every eigenpair until the coefficient tail is below
+    eps^2 |psi|^2, so it returns psi at t = 0 to roundoff, and raises
+    TruncationOverflowError when 4N terms do not hold psi;
     the truncation tail of the evolved state is left to
     ``evolution.run_series`` and ``evolve_full``.
     """

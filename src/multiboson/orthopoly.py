@@ -38,7 +38,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import betaln, gammaln, kv, loggamma
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, ParameterError
 
 __all__ = [
     "ln_gamma",
@@ -233,6 +233,16 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 # families
 
+LN_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _exp(ln: float, names, what: str) -> float:
+    """e^ln, or ParameterError naming the family parameters ``names``."""
+    if not ln < LN_FLOAT_MAX:
+        raise ParameterError(names, f"the {what} e^{ln:.6g} overflows float64")
+    return math.exp(ln)
+
+
 @dataclass(frozen=True)
 class Laguerre:
     """Laguerre-class family, density x^alpha e^-x on the half line."""
@@ -255,7 +265,7 @@ class Laguerre:
         dens = lambda x: _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
         return SpectralMeasure(
             continuous=ContinuousPart((0.0, math.inf), dens),
-            total_mass_closed=math.exp(gammaln(al + 1)),
+            total_mass_closed=_exp(gammaln(al + 1), ("alpha",), "Laguerre mass"),
         )
 
 
@@ -296,9 +306,16 @@ class Meixner:
         return max(40, int(math.ceil(-42.0 / math.log(self.c))) + 10)
 
     def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
+        """ParameterError names beta and c when the mass (1 - c)^-beta, which
+        bounds every weight, nears overflow, and n_atoms when a weight is 0."""
         if n_atoms is None:
             n_atoms = self.default_n_atoms()
+        if not -self.beta * math.log1p(-self.c) < LN_FLOAT_MAX - 1.0:
+            raise ParameterError(("beta", "c"), f"the Meixner mass (1 - c)^-beta "
+                                 f"overflows float64 at beta = {self.beta}, c = {self.c}")
         atoms = tuple((2.0 * n + self.beta, self.atom_weight(n)) for n in range(n_atoms))
+        if atoms and atoms[-1][1] == 0.0:   # unimodal weights underflow at the top
+            raise ParameterError(("n_atoms",), f"atom {n_atoms - 1}'s weight underflows")
         return SpectralMeasure(atoms=atoms,
                                total_mass_closed=(1 - self.c) ** (-self.beta))
 
@@ -328,7 +345,8 @@ class MeixnerPollaczek:
         lam, phi = self.lam, self.phi
         dens = lambda x: (np.exp((2 * phi - math.pi) * x)
                           * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
-        mass = 2 * math.pi * math.exp(gammaln(2 * lam)) / (2 * math.sin(phi)) ** (2 * lam)
+        gam = _exp(gammaln(2 * lam), ("lam",), "Meixner-Pollaczek mass factor Gamma(2 lam) =")
+        mass = 2 * math.pi * gam / (2 * math.sin(phi)) ** (2 * lam)
         return SpectralMeasure(continuous=ContinuousPart((-math.inf, math.inf), dens),
                                total_mass_closed=mass)
 
@@ -430,8 +448,8 @@ class ContinuousDualHahn:
 
     def atom_weight(self, n: int) -> float:
         u, v, w = self.u, self.v, self.w
-        pref = math.exp(gammaln(u + v) + gammaln(u + w) + gammaln(v - u)
-                        + gammaln(w - u) - gammaln(-2 * u))
+        pref = _exp(gammaln(u + v) + gammaln(u + w) + gammaln(v - u) + gammaln(w - u)
+                    - gammaln(-2 * u), ("u", "v", "w"), "atom weight prefactor")
         num = den = 1.0
         for j in range(n):
             num *= (2 * u + j) * (u + 1 + j) * (u + v + j) * (u + w + j)
@@ -441,11 +459,14 @@ class ContinuousDualHahn:
     def measure(self) -> SpectralMeasure:
         atoms = tuple(((self.u + n) ** 2, self.atom_weight(n))
                       for n in range(self.n_atoms()))
+        if not all(0 < w < math.inf for _, w in atoms):
+            raise ParameterError(("u", "v", "w"), "atom weights leave the double "
+                                 f"range at u = {self.u}, v = {self.v}, w = {self.w}")
         dens = lambda x: _where_positive(
             -np.asarray(x, dtype=float),
             lambda y2: self.density_y(np.sqrt(y2)) / (2 * np.sqrt(y2)))
-        mass = math.exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
-                        + gammaln(self.v + self.w))
+        mass = _exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
+                    + gammaln(self.v + self.w), ("u", "v", "w"), "mass")
         return SpectralMeasure(atoms=atoms,
                                continuous=ContinuousPart((-math.inf, 0.0), dens),
                                total_mass_closed=mass)

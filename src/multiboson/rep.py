@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ParameterError
 from .orthopoly import pochhammer
 
 __all__ = [
@@ -51,15 +52,12 @@ class MultibosonRep:
 
     def __post_init__(self):
         if self.l < 1:
-            raise ValueError(f"cluster size must be >= 1, got {self.l}")
+            raise ParameterError(("l",), f"cluster size must be >= 1, got {self.l}")
         object.__setattr__(self, "alpha0_init", tuple(float(a) for a in self.alpha0_init))
         if len(self.alpha0_init) != self.l:
-            raise ValueError(
-                f"need {self.l} initial constants, got {len(self.alpha0_init)}"
-            )
+            raise ParameterError(("l", "alpha0_init"), f"need {self.l} alpha0 constants")
         if not all(math.isfinite(a) and a > 0 for a in self.alpha0_init):
-            raise ValueError(f"alpha0 constants must be positive and finite: "
-                             f"{self.alpha0_init}")
+            raise ParameterError(("alpha0_init",), f"{self.alpha0_init} not positive, finite")
 
 
 def alpha0(rep: MultibosonRep, n: int) -> float:
@@ -86,9 +84,9 @@ class OneModeSector:
 
     def __post_init__(self):
         if not 0 <= self.r < self.rep.l:
-            raise ValueError(f"sector index {self.r} outside [0, {self.rep.l})")
+            raise ParameterError(("r",), f"sector index {self.r} outside [0, {self.rep.l})")
         if self.n_levels < 2:
-            raise ValueError(f"need n_levels >= 2, got {self.n_levels}")
+            raise ParameterError(("n_levels",), f"need n_levels >= 2, got {self.n_levels}")
 
     @property
     def alpha0(self) -> float:

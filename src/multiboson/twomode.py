@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BoundaryAmbiguityError, NoBoundStateError
+from .errors import BoundaryAmbiguityError, NoBoundStateError, ParameterError
 from .jacobi import Chain, JacobiOperator, oracle_eigs
 from .orthopoly import ContinuousDualHahn, DualHahn, pochhammer
 from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
@@ -168,6 +168,18 @@ def canonical_matrix(kind: str, reps: TwoModeRep, sector: tuple[int, int],
     return build_h_matrix(h, n_per_mode)
 
 
+def _check_labels(alpha0: float, beta0: float, levels: int, names: tuple):
+    """ParameterError unless alpha0 and beta0 are finite with alpha0 - 1 and
+    beta0 - 1 above -1 in floats, and the coefficients to level ``levels``
+    (set also by ``names``) bounded by 2 (2 levels + alpha0 + beta0)^2."""
+    for name, x in (("alpha0", alpha0), ("beta0", beta0)):
+        if not (math.isfinite(x) and x - 1.0 > -1.0):
+            raise ParameterError((name,), f"{name} {x} not finite or rounds to 0")
+    top = 2.0 * levels + alpha0 + beta0    # top * top: no OverflowError
+    if not 2.0 * top * top < math.inf:
+        raise ParameterError(("alpha0", "beta0") + names, "block coefficients overflow")
+
+
 @dataclass(frozen=True)
 class DBlock:
     """Finite invariant block of the D-form: K+1 states |k, K-k>."""
@@ -178,9 +190,8 @@ class DBlock:
 
     def __post_init__(self):
         if self.K < 0:
-            raise ValueError(f"D-blocks need K >= 0, got {self.K}")
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("alpha0 and beta0 must be positive")
+            raise ParameterError(("K",), f"D-blocks need K >= 0, got {self.K}")
+        _check_labels(self.alpha0, self.beta0, self.K, ("K",))
 
     def basis(self) -> list[tuple[int, int]]:
         return [(k, self.K - k) for k in range(self.K + 1)]
@@ -196,10 +207,10 @@ class CBlock:
     n_levels: int = 4000
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("alpha0 and beta0 must be positive")
         if self.n_levels < 2:
-            raise ValueError(f"need n_levels >= 2, got {self.n_levels}")
+            raise ParameterError(("n_levels",), f"need n_levels >= 2, got {self.n_levels}")
+        _check_labels(self.alpha0, self.beta0, abs(self.K) + self.n_levels,
+                      ("n_levels", "K"))
 
     def basis(self) -> list[tuple[int, int]]:
         if self.K >= 0:
@@ -262,10 +273,9 @@ class UVWParams:
     branch: str
 
     def __post_init__(self):
-        if self.v <= 0 or self.w <= 0 or self.u + self.v <= 0 or self.u + self.w <= 0:
-            raise ValueError(
-                f"inadmissible parameters u={self.u}, v={self.v}, w={self.w}"
-            )
+        if not (self.v > 0 and self.w > 0 and self.u + self.v > 0 and self.u + self.w > 0):
+            raise ParameterError(("u", "v", "w"), f"inadmissible parameters "
+                                 f"u={self.u}, v={self.v}, w={self.w}")
 
 
 def uvw_params(K: int, alpha0: float, beta0: float) -> UVWParams:
@@ -349,8 +359,9 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
     Only the highest ``count`` eigenvalues, the bound states plus the
     continuum edge, of the truncations at n_levels, n_levels // 2 and
     n_levels // 4 are computed; bisection costs O(n_levels) per step for each
-    of them, not for the whole spectrum.  Raises ``ValueError`` when the
-    quarter truncation has fewer than ``count`` levels.
+    of them, not for the whole spectrum.  Raises ``ParameterError`` naming
+    n_levels and the block labels when the quarter truncation has fewer than
+    ``count`` levels.
 
     Convergence in n_levels is slow (the bound-state tails are polynomial),
     so the raw top eigenvalues are reported together with the extrapolated
@@ -362,8 +373,9 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
     count = n_bound + 1
     n = block.n_levels
     if n // 4 < count:
-        raise ValueError(f"n_levels // 4 = {n // 4} is below count = {count}: "
-                         "the quarter truncation cannot hold the window")
+        raise ParameterError(("n_levels", "K", "alpha0", "beta0"), f"n_levels // 4 = "
+                             f"{n // 4} is below count = {count}, the block's bound "
+                             "states and edge: the quarter truncation cannot hold them")
     op = hc_block_jacobi(block)
     full, half, quarter = (oracle_eigs(op, count=count, n=m, top=chain.pairs_top)
                            for m in (n, n // 2, n // 4))

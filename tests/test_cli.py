@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multiboson.cli import _KNOWN_KEYS, build_parser, main
+from multiboson.cli import _FLAGS, build_parser, main
 
 # reference ``spectrum`` output, byte for byte, keyed "<model> <format>"
 GOLDEN = json.loads((Path(__file__).parent / "data" / "spectrum_golden.json").read_text())
@@ -147,6 +147,22 @@ def test_spectrum_count_zero_usage_error(capsys):
       "--count", "100000000"], "--count"),
     (["spectrum", "--model", "onemode", "--mu", "4", "--nu", "1", "--n-levels", "1000",
       "--count", "400"], "--count"),
+    # values the library rounds out of its domain: Meixner c to 1, phi to pi,
+    # the D-block's dual Hahn gamma to -1, and a C-block whose 500000 bound
+    # states no window holds
+    (["spectrum", "--mu", "1e300", "--nu", "2"], "--mu"),
+    (["spectrum", "--mu=-1", "--nu", "1e-300"], "--nu"),
+    (["spectrum", "--model", "two-d", "--alpha0", "1e-300"], "--alpha0"),
+    (["spectrum", "--model", "two-c", "--alpha0", "1e6"], "--alpha0"),
+    # the tail tolerance may be inf, not 0, negative or NaN; every time finite
+    (["evolve", "--tail-tol", "0"], "--tail-tol"),
+    (["evolve", "--tail-tol=-1"], "--tail-tol"),
+    (["evolve", "--tail-tol", "nan"], "--tail-tol"),
+    (["evolve", "--times", "0,nan"], "--times"),
+    (["evolve", "--times", "0:inf:3"], "--times"),
+    # amplitudes past the double range fail the truncation criterion
+    (["coherent", "--zeta-re", "1e300"], "--zeta-re"),
+    (["coherent", "--zeta-re", "4", "--n-levels", "8"], "--n-levels"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)
@@ -163,14 +179,17 @@ def test_spectrum_output_matches_golden(capsys, model, fmt):
 
 
 def test_each_subcommand_takes_exactly_its_config_keys(capsys):
-    # every flag is a config key and every config key a flag, so no flag is
-    # parsed and then ignored
+    # the parser holds exactly the flags of the table, each under its config
+    # key and with its name, so no flag is parsed and then ignored
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(_KNOWN_KEYS)
+    assert set(sub.choices) == {c for commands, _, _ in _FLAGS.values() for c in commands}
     for command, parser in sub.choices.items():
+        keys = {key for key, (commands, _, _) in _FLAGS.items() if command in commands}
         dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
-        assert dests - {"command", "config", "out"} == _KNOWN_KEYS[command]
+        assert dests - {"command", "config", "out"} == keys
+        for key in keys:
+            assert parser._option_string_actions["--" + key.replace("_", "-")].dest == key
     code, _, err = _run(capsys, "validate", "--format", "csv")
     assert code == 2 and "--format" in err
 
@@ -323,6 +342,20 @@ def test_malformed_config_usage_error(capsys, tmp_path):
     code, _, err = _run(capsys, "spectrum", "--config", str(unknown))
     assert code == 2
     assert "unknown config keys" in err
+    # config values go through the converters of their flags
+    typed = tmp_path / "typed.json"
+    for value, flag in (("x", "--count"), (2.5, "--count"), (True, "--count")):
+        typed.write_text(json.dumps({"model": "onemode", "mu": 4.0, "nu": 1.0,
+                                     "count": value}))
+        code, _, err = _run(capsys, "spectrum", "--config", str(typed))
+        assert code == 2 and flag in err
+
+
+def test_failure_names_its_error_type(capsys):
+    # a tail tolerance below the state's own tail at t = 0 is a numerical
+    # failure, exit 1, reported under its type from multiboson.errors
+    code, _, err = _run(capsys, "evolve", "--tail-tol", "1e-300")
+    assert code == 1 and err.startswith("failure: TruncationOverflowError: ")
 
 
 def test_usage_error_exit_code(capsys):

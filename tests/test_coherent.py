@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from multiboson import coherent as ch
 from multiboson import rep
+from multiboson.errors import ParameterError
 from multiboson.orthopoly import hyp0f1
 
 
@@ -42,10 +43,14 @@ def test_kernel_identities():
 
 
 def test_coherent_state_truncation_invariant():
-    ch.CoherentState(2.0, 0.5, 64)
-    with pytest.raises(ValueError):
-        ch.CoherentState(4.0, 0.5, 8)
-    assert ch.required_levels(2.0, 0.5) <= 64
+    # the n-th squared term must stay below 1e-16 of the squared norm: 64
+    # levels hold |zeta| = 2 at alpha0 = 0.5, 8 levels do not hold |zeta| = 4,
+    # and an amplitude past the double range fails the same test
+    ch.coherent_amplitudes(2.0, 0.5, 64)
+    for zeta, n in ((4.0, 8), (1e300, 2), (complex(math.inf, 0.0), 80)):
+        with pytest.raises(ParameterError) as err:
+            ch.coherent_amplitudes(zeta, 0.5, n)
+        assert err.value.names == ("n", "zeta")
 
 
 def test_eigenstate_of_lowering_generator():

@@ -253,7 +253,12 @@ def _evolve_against_oracle(mu, nu, k0, t):
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
 def test_evolve_discrete_from_mid_window(mu, nu, case):
     assert om.classify(mu, nu, 1.3).index == case
-    assert _evolve_against_oracle(mu, nu, 200, 0.5) <= 1e-8
+    assert _evolve_against_oracle(mu, nu, 200, 0.5) <= 1e-13
+    # the closed-form expansion returns the state at t = 0 to roundoff
+    for k0 in (0, 4, 200, 600):
+        model, psi0 = _basis_model(mu, nu, k0, math.inf)
+        out = om.evolve(model.interaction, psi0.amplitudes, 0.0)
+        assert np.abs(out - psi0.amplitudes).max() <= 1e-12
     # by t = 2 the state has spread to the truncation edge: the tail monitor
     # of evolve_full, exp(-i H t) at omega 0, raises at t = -2
     model, psi0 = _basis_model(mu, nu, 200, 1e-8)
@@ -264,7 +269,7 @@ def test_evolve_discrete_from_mid_window(mu, nu, case):
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
 def test_evolve_discrete_from_low_state(mu, nu, case):
     for t in (0.5, 2.0):
-        assert _evolve_against_oracle(mu, nu, 4, t) <= 1e-8
+        assert _evolve_against_oracle(mu, nu, 4, t) <= 5e-14
 
 
 def test_evolve_continuous_case_unitary():
