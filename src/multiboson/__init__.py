@@ -18,9 +18,9 @@ from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
                         gram_matrix, hyp0f1, hyp3f2_terminating, ln_gamma)
 from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
                      oracle_eigh, oracle_eigs)
-from .rep import (MultibosonRep, OneModeSector, StateVector, alpha0,
-                  alpha_minus, build_generators_full, casimir_value, residue,
-                  sector_coeffs, sector_matrices, series_class)
+from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
+                  build_generators_full, casimir_value, residue, sector_coeffs,
+                  sector_matrices, series_class)
 from .bogoliubov import (GeneratorAction, GroupElement, act_on_labels,
                          action_matrix, implementer, inverse, meixner_c,
                          multiply, orbit_invariant)

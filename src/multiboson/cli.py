@@ -313,9 +313,9 @@ def cmd_coherent(cfg: dict, given: dict, out) -> int:
     meas = coherent.radial_measure(al, k_checked=k_max)
     state = coherent.coherent_amplitudes(zeta, al, n)
     _, am, _ = rep.sector_matrices(rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n))
-    resid = float(np.linalg.norm(am @ state.amplitudes - zeta * state.amplitudes)
-                  / state.norm())
-    norm2 = state.norm() ** 2
+    norm = float(np.linalg.norm(state))
+    resid = float(np.linalg.norm(am @ state - zeta * state) / norm)
+    norm2 = norm ** 2
     kern = coherent.kernel(abs(zeta) ** 2, al)
     moments = [{"k": k, "value": meas.moment(k), "target": meas.target_moment(k),
                 "rel_error": meas.moment_error(k)}

@@ -30,7 +30,6 @@ from scipy.special import gammaln, kv
 
 from .errors import NumericalFailureError, ParameterError
 from .orthopoly import LN_FLOAT_MAX, _integrate, _where_positive, hyp0f1, ln_pochhammer
-from .rep import StateVector
 
 __all__ = [
     "coherent_amplitudes",
@@ -46,8 +45,8 @@ __all__ = [
 TAIL_EPS = 1e-16
 
 
-def coherent_amplitudes(zeta: complex, alpha0: float, n: int) -> StateVector:
-    """Unnormalized amplitudes zeta^k / sqrt(k! (alpha0)_k), k < n.
+def coherent_amplitudes(zeta: complex, alpha0: float, n: int) -> np.ndarray:
+    """Unnormalized complex amplitudes zeta^k / sqrt(k! (alpha0)_k), k < n.
 
     The truncation must hold the amplitude tail: the n-th squared term
     |zeta|^{2n} / (n! (alpha0)_n) has to stay below 1e-16 of the finite
@@ -63,7 +62,7 @@ def coherent_amplitudes(zeta: complex, alpha0: float, n: int) -> StateVector:
         norm2 = float(np.sum(np.abs(amps[:-1]) ** 2))
     if not abs(amps[-1]) ** 2 <= TAIL_EPS * norm2 < math.inf:
         raise ParameterError(("n", "zeta"), f"{n} levels do not hold |zeta| = {abs(zeta)}")
-    return StateVector(amps[:-1])
+    return amps[:-1]
 
 
 def kernel(z: complex, alpha0: float) -> complex:

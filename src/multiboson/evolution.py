@@ -26,7 +26,13 @@ there, one row per time (``InteractionEvolver.apply``).  A one-mode or a
 generic interaction is one block over the whole basis; a canonical state
 lives on a few charge blocks of at most n positions each, out of n^2.  The
 tail check and the observables read only those positions, and only
-``evolve_full`` scatters the pair into a full ``StateVector``.
+``evolve_full`` scatters the pair into a full amplitude array.
+
+A state is a 1-d array of amplitudes over the model's whole flattened
+basis, n^modes entries.  ``run_series``, ``evolve_full``,
+``interaction_energy`` and the dense form of ``observables`` check it where
+it enters (``_checked_state``): the right length, and 0 < |psi| < inf, so
+every entry is finite and some entry nonzero.
 
 H0 is diagonal in the Fock basis, so its phases change no |amplitude|: the
 occupation observables of ``run_series`` and the tail check are taken from
@@ -60,7 +66,7 @@ from .errors import NumericalFailureError, ParameterError, TruncationOverflowErr
 from .jacobi import JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
-from .rep import MultibosonRep, StateVector
+from .rep import MultibosonRep
 from .twomode import (CANONICAL_TWISTS, CBlock, DBlock, TwoModeHamiltonian,
                       TwoModeRep, _kron_sum, build_h_matrix, canonical_matrix,
                       hd_block_jacobi, hc_block_jacobi)
@@ -301,15 +307,36 @@ def _tail_mask(model: FullModel, cols: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce([k >= cut for k in np.unravel_index(cols, (n,) * len(ls))])
 
 
-def evolve_full(model: FullModel, psi0: StateVector, t: float) -> StateVector:
+def _checked_state(model: FullModel, psi, name: str) -> tuple[np.ndarray, float]:
+    """psi as a complex amplitude array over the model's basis, and its norm;
+    ParameterError naming ``name`` unless psi is 1-d with n^modes entries and
+    0 < |psi| < inf (every entry finite, some entry nonzero)."""
+    ls, _, n = _layout(model)
+    amps = np.asarray(psi, dtype=complex)
+    if amps.shape != (n ** len(ls),):
+        raise ParameterError((name,), f"need a 1-d state of {n ** len(ls)} amplitudes "
+                             f"for this model's window, got shape {amps.shape}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if not 0.0 < norm < math.inf:
+        raise ParameterError((name,), f"need 0 < |{name}| < inf, got {norm}")
+    return amps, norm
+
+
+def evolve_full(model: FullModel, psi0, t: float) -> np.ndarray:
     """psi(t) = exp(-i H0 t) exp(-i H t) psi0, with tail monitoring: the
     interaction factor as in ``run_series``, then the free phases at the
-    occupied positions, scattered into a full StateVector."""
-    indices, amps = _evolve_grid(model, psi0.amplitudes, np.array([float(t)]))
+    occupied positions, scattered into a full complex amplitude array.  The
+    time t must be finite."""
+    amps0, _ = _checked_state(model, psi0, "psi0")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ParameterError(("t",), f"the time must be finite, got {t}")
+    indices, amps = _evolve_grid(model, amps0, np.array([t]))
     total = sum(w * n for w, n in zip(model.omega, model.occupations(indices)))
-    out = np.zeros(psi0.amplitudes.size, dtype=complex)
-    out[indices] = amps[0] * np.exp(-1j * float(t) * total)
-    return StateVector(out, sector=psi0.sector)
+    out = np.zeros(amps0.size, dtype=complex)
+    out[indices] = amps[0] * np.exp(-1j * t * total)
+    return out
 
 
 @dataclass(frozen=True)
@@ -320,26 +347,25 @@ class ObservableRecord:
     norm: float
 
 
-def observables(psi: StateVector | tuple[np.ndarray, np.ndarray],
+def observables(psi: np.ndarray | tuple[np.ndarray, np.ndarray],
                 model: FullModel) -> ObservableRecord | list[ObservableRecord]:
     """Mean occupations, variances and Fano factors per mode.
 
-    ``psi`` is a StateVector (one record, read at its nonzero positions) or
-    the pair (indices, amplitudes) of ``InteractionEvolver.apply``: one
-    record for (m,) amplitudes, a list of records, one per row, for
-    (n_times, m).  Only the positions ``indices`` are read
-    (``FullModel.occupations(indices)``).  Each row's norm and its first
-    and second occupation moments per mode are exactly rounded sums, bit
-    for bit ``math.fsum``, of p = |amplitudes|^2 times 1, n_i and n_i^2,
-    all taken in one ``_exact_sums`` call.
+    ``psi`` is a state over the model's whole basis (one record, read at its
+    nonzero positions; checked as in ``run_series``) or the pair (indices,
+    amplitudes) of ``InteractionEvolver.apply``: one record for (m,)
+    amplitudes, a list of records, one per row, for (n_times, m).  Only the
+    positions ``indices`` are read (``FullModel.occupations(indices)``).
+    Each row's norm and its first and second occupation moments per mode are
+    exactly rounded sums, bit for bit ``math.fsum``, of p = |amplitudes|^2
+    times 1, n_i and n_i^2, all taken in one ``_exact_sums`` call.
     """
-    if isinstance(psi, StateVector):
-        indices = np.flatnonzero(psi.amplitudes)
-        amps = psi.amplitudes[indices]
-    elif isinstance(psi, tuple):
+    if isinstance(psi, tuple):
         indices, amps = psi
     else:
-        raise TypeError("psi must be a StateVector or an (indices, amplitudes) pair")
+        dense, _ = _checked_state(model, psi, "psi")
+        indices = np.flatnonzero(dense)
+        amps = dense[indices]
     single = np.ndim(amps) == 1
     p = np.abs(np.atleast_2d(amps)) ** 2
     if p.ndim != 2:
@@ -412,7 +438,7 @@ class ObservableSeries:
     norm_errors: list[float] = field(default_factory=list)
 
 
-def run_series(model: FullModel, psi0: StateVector, t_grid) -> ObservableSeries:
+def run_series(model: FullModel, psi0, t_grid) -> ObservableSeries:
     """Observables along a time grid.
 
     The normalized psi0 is evolved to every time at once: one spectral solve
@@ -423,20 +449,22 @@ def run_series(model: FullModel, psi0: StateVector, t_grid) -> ObservableSeries:
     phases are not formed, since no occupation observable sees them.  The
     tail of every time is checked in one pass, and every record comes from
     one ``observables`` call on the pair: certified exact sums over the
-    block positions.  Every time must be finite.
+    block positions.  The grid must hold at least one time, every one
+    finite.
     """
+    amps, norm = _checked_state(model, psi0, "psi0")
     times = np.asarray(t_grid, dtype=float).reshape(-1)
-    if not np.isfinite(times).all():
-        raise ParameterError(("t_grid",), "every time must be finite")
+    if times.size == 0 or not np.isfinite(times).all():
+        raise ParameterError(("t_grid",), "need at least one time, every time finite")
     # a unit-norm state is evolved as it is: dividing by 1.0 changes no bit,
     # and skipping it spares a copy of the whole basis
-    psi = psi0.amplitudes if psi0.norm() == 1.0 else psi0.normalized().amplitudes
+    psi = amps if norm == 1.0 else amps / norm
     records = observables(_evolve_grid(model, psi, times), model)
     return ObservableSeries(times.tolist(), records,
                             [abs(rec.norm - 1.0) for rec in records])
 
 
-def interaction_energy(model: FullModel, psi: StateVector) -> float:
+def interaction_energy(model: FullModel, psi) -> float:
     """<psi| H |psi> / <psi|psi> for the interaction factor (per the stripped
     state exp(+i H0 t) psi(t), this is conserved along any run).
 
@@ -447,7 +475,7 @@ def interaction_energy(model: FullModel, psi: StateVector) -> float:
     sparse matrix (``twomode._kron_sum``), never made dense.
     """
     h = model.interaction
-    amps = np.asarray(psi.amplitudes, dtype=complex)
+    amps, _ = _checked_state(model, psi, "psi")
     norm2 = np.vdot(amps, amps).real
     if isinstance(h, OneModeHamiltonian):
         energy = _jacobi_form(onemode_jacobi(h), amps)
@@ -468,9 +496,10 @@ def _jacobi_form(op: JacobiOperator, x: np.ndarray) -> float:
     return float(d @ (np.abs(x) ** 2) + 2.0 * (e @ (x[:-1].conj() * x[1:]).real))
 
 
-def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
-    """Fock basis state |n0[, n1]> as a StateVector over the model's basis;
-    ParameterError unless each mode's occupation n is in its sector and window."""
+def basis_state(model: FullModel, occupations: tuple[int, ...]) -> np.ndarray:
+    """Fock basis state |n0[, n1]> as a complex amplitude array over the
+    model's basis; ParameterError unless each mode's occupation n is in its
+    sector and window."""
     ls, rs, n = _layout(model)
     occupations = tuple(occupations)
     if len(occupations) != len(ls):
@@ -484,7 +513,7 @@ def basis_state(model: FullModel, occupations: tuple[int, ...]) -> StateVector:
                              f"window: each n // l must be in 0..{n - 1}")
     amps = np.zeros(n ** len(ks), dtype=complex)
     amps[np.ravel_multi_index(ks, (n,) * len(ks))] = 1.0
-    return StateVector(amps, sector=model.interaction.sector)
+    return amps
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ParameterError, TruncationOverflowError, UnsupportedCaseError
 from .jacobi import Chain, JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .orthopoly import Laguerre, Meixner, MeixnerPollaczek
-from .rep import OneModeSector, StateVector
+from .rep import OneModeSector
 
 __all__ = [
     "OneModeHamiltonian",
@@ -127,11 +127,11 @@ def _discrete(family, scale: float, sign: float, alpha0: float, index: int) -> C
                  atom_stream=lambda n: scale * (2.0 * n + alpha0))
 
 
-def eigenvectors_discrete(h: OneModeHamiltonian, n: int) -> StateVector:
-    """Normalized eigenvector of H at the closed-form nth eigenvalue, from
-    the chain's kernel (``Chain.eigenvectors``): column n of the Meixner
-    kernel, exact for the untruncated chain, or a unit vector in class 9,
-    normalized over the truncation."""
+def eigenvectors_discrete(h: OneModeHamiltonian, n: int) -> np.ndarray:
+    """Normalized real eigenvector of H at the closed-form nth eigenvalue,
+    from the chain's kernel (``Chain.eigenvectors``): column n of the
+    Meixner kernel, exact for the untruncated chain, or a unit vector in
+    class 9, normalized over the truncation."""
     chain = classify(h.mu, h.nu, h.sector.alpha0)
     if chain.atom_stream is None:
         raise UnsupportedCaseError(
@@ -142,7 +142,7 @@ def eigenvectors_discrete(h: OneModeHamiltonian, n: int) -> StateVector:
     if chain.family is None and n >= size:
         raise ValueError(f"level {n} outside truncation {size}")
     vec = chain.eigenvectors(jacobi(h), size, n + 1)[:, n]
-    return StateVector(vec / np.linalg.norm(vec), sector=h.sector)
+    return vec / np.linalg.norm(vec)
 
 
 def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):

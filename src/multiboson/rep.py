@@ -7,13 +7,16 @@ A cluster size l and l positive constants alpha0(r) determine operators
 with [A-, A+] = A0 and [A0, A+-] = +-2 A+-.  The Fock space splits into l
 sectors H_r spanned by |k l + r>, on which the triple acts as a weighted
 shift with coefficients depending only on k and alpha0(r).
+
+A state is a plain 1-d numpy array of amplitudes over a truncated sector
+basis (or the flattened product basis of two sectors); the evolution entry
+points check it against their model's window where it enters.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 from .orthopoly import pochhammer
@@ -21,7 +24,6 @@ from .orthopoly import pochhammer
 __all__ = [
     "MultibosonRep",
     "OneModeSector",
-    "StateVector",
     "residue",
     "alpha0",
     "alpha_minus",
@@ -31,8 +33,6 @@ __all__ = [
     "casimir_value",
     "series_class",
 ]
-
-DENSE_LIMIT = 512
 
 
 def residue(n: int, l: int) -> int:
@@ -122,10 +122,8 @@ def sector_matrices(sector: OneModeSector):
 
 
 def build_generators_full(rep: MultibosonRep, n: int):
-    """(A0, A-, A+) on Fock levels 0..n-1 from the global coefficient functions.
-
-    Dense ndarrays up to DENSE_LIMIT levels, banded sparse above; both paths
-    fill in bit-identical coefficient values.  A+ is the transpose of A-.
+    """Dense (A0, A-, A+) on Fock levels 0..n-1 from the global coefficient
+    functions.  A+ is the transpose of A-.
     """
     if n <= rep.l:
         raise ValueError(f"need n > l = {rep.l}, got {n}")
@@ -134,13 +132,9 @@ def build_generators_full(rep: MultibosonRep, n: int):
         [alpha_minus(rep, m) * math.sqrt(pochhammer(m + 1.0, rep.l))
          for m in range(n - rep.l)]
     )
-    if n <= DENSE_LIMIT:
-        a0 = np.diag(d)
-        am = np.diag(upper, rep.l)
-        return a0, am, am.T.copy()
-    a0 = sp.diags_array([d], offsets=[0], format="dia")
-    am = sp.diags_array([upper], offsets=[rep.l], format="dia")
-    return a0, am, am.T
+    a0 = np.diag(d)
+    am = np.diag(upper, rep.l)
+    return a0, am, am.T.copy()
 
 
 def casimir_value(rep: MultibosonRep, r: int) -> float:
@@ -157,33 +151,3 @@ def series_class(rep: MultibosonRep, r: int) -> str:
     if a >= 2 and float(a).is_integer():
         return "discrete"
     return "other"
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes over a truncated basis.
-
-    ``sector`` is free-form metadata (a OneModeSector, a block record, ...).
-    """
-
-    amplitudes: np.ndarray
-    sector: object = None
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1 or self.amplitudes.size == 0:
-            raise ValueError("amplitudes must be a nonempty 1-d array")
-        if not np.isfinite(self.amplitudes).all():
-            raise ValueError("amplitudes must be finite")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / nrm, self.sector)
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))

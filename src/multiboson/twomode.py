@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from .errors import BoundaryAmbiguityError, NoBoundStateError, ParameterError
 from .jacobi import Chain, JacobiOperator, oracle_eigs
 from .orthopoly import ContinuousDualHahn, DualHahn, pochhammer
-from .rep import MultibosonRep, OneModeSector, StateVector, sector_matrices
+from .rep import MultibosonRep, OneModeSector, sector_matrices
 from .bogoliubov import GroupElement
 
 __all__ = [
@@ -236,16 +236,16 @@ def hd_chain(block: DBlock) -> Chain:
                  atom_stream=lambda n: n * (n + a0 + b0 - 1.0) + 0.5 * a0 * b0)
 
 
-def hd_eigenvectors(block: DBlock, n: int) -> StateVector:
-    """Normalized eigenvector of the D-block at the nth closed-form eigenvalue:
-    column n of the whole block's inverse-iteration eigenvectors
+def hd_eigenvectors(block: DBlock, n: int) -> np.ndarray:
+    """Normalized real eigenvector of the D-block at the nth closed-form
+    eigenvalue: column n of the whole block's inverse-iteration eigenvectors
     (``Chain.eigenvectors``), orthogonal to roundoff; component 0 positive,
     except where its exact value is below roundoff (seen at K 300): there
     the sign is noise, and the column is right only up to sign."""
     if not 0 <= n <= block.K:
         raise ValueError(f"n must be in [0, {block.K}], got {n}")
     vecs = hd_chain(block).eigenvectors(hd_block_jacobi(block), block.K + 1, n + 1)
-    return StateVector(vecs[:, n].astype(complex), sector=block)
+    return vecs[:, n]
 
 
 def hc_block_jacobi(block: CBlock) -> JacobiOperator:
@@ -321,8 +321,8 @@ def hc_chain(block: CBlock) -> Chain:
                  atom_stream=lambda n: np.float_power(p.u + n, 2.0) - s)
 
 
-def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
-    """Truncated normalized bound-state vector number n (requires u + n < 0),
+def hc_eigenvectors_discrete(block: CBlock, n: int) -> np.ndarray:
+    """Truncated normalized real bound-state vector number n (requires u + n < 0),
     from the forward sweep of ``Chain.eigenvectors``, stable as the solution
     dichotomy is polynomial, not exponential; the components decay only
     algebraically, so the vector converges slowly in n_levels."""
@@ -332,7 +332,7 @@ def hc_eigenvectors_discrete(block: CBlock, n: int) -> StateVector:
             f"u + n = {chain.family.u + n} >= 0: no bound state with index {n}")
     op = hc_block_jacobi(block)
     vec = chain.eigenvectors(op, op.size, n + 1)[:, n]
-    return StateVector((vec / np.linalg.norm(vec)).astype(complex), sector=block)
+    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)

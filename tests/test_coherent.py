@@ -15,11 +15,11 @@ from multiboson.orthopoly import hyp0f1
 
 
 def test_amplitudes_vacuum_and_profiles():
-    v = ch.coherent_amplitudes(0.0, 1.3, 12).amplitudes
+    v = ch.coherent_amplitudes(0.0, 1.3, 12)
     assert np.allclose(v, np.eye(12)[0])
     # (1)_k = k!: amplitudes zeta^k / k!
     z = 0.7 + 0.2j
-    v = ch.coherent_amplitudes(z, 1.0, 20).amplitudes
+    v = ch.coherent_amplitudes(z, 1.0, 20)
     expected = np.array([z ** k / math.factorial(k) for k in range(20)])
     assert np.abs(v - expected).max() <= 1e-13
 
@@ -28,7 +28,7 @@ def test_norm_squared_is_kernel_diagonal():
     for z in (0.5, 1.5 - 0.3j):
         for al in (0.3, 1.0, 2.7):
             v = ch.coherent_amplitudes(z, al, 90)
-            assert v.norm() ** 2 == pytest.approx(
+            assert np.linalg.norm(v) ** 2 == pytest.approx(
                 hyp0f1(al, abs(z) ** 2), rel=1e-12)
 
 
@@ -38,7 +38,7 @@ def test_kernel_identities():
     eta, zeta, al = 0.8 + 0.1j, -0.4 + 0.9j, 0.7
     a = ch.coherent_amplitudes(eta, al, 90)
     b = ch.coherent_amplitudes(zeta, al, 90)
-    assert a.inner(b) == pytest.approx(ch.kernel(eta.conjugate() * zeta, al),
+    assert np.vdot(a, b) == pytest.approx(ch.kernel(eta.conjugate() * zeta, al),
                                        rel=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_eigenstate_of_lowering_generator():
         s = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, 70)
         _, am, _ = rep.sector_matrices(s)
         for z in (0.1, 1.0 + 0.5j, 2.0):
-            v = ch.coherent_amplitudes(z, al, 70).amplitudes
+            v = ch.coherent_amplitudes(z, al, 70)
             resid = np.linalg.norm(am @ v - z * v) / np.linalg.norm(v)
             assert resid <= 1e-8
 
@@ -189,7 +189,7 @@ def test_holo_fock_equivalence():
     al = 0.9
     s = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, 31)
     diag, lowering, raising = rep.sector_coeffs(s)
-    basis = ch.coherent_amplitudes(1.0, al, 31).amplitudes.real  # 1/sqrt(k!(al)_k)
+    basis = ch.coherent_amplitudes(1.0, al, 31).real  # 1/sqrt(k!(al)_k)
     for k in range(1, 30):
         c = np.zeros(k + 1, dtype=complex)
         c[k] = basis[k]

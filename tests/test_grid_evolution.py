@@ -27,7 +27,7 @@ from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
 from multiboson.bogoliubov import GroupElement
-from multiboson.errors import NumericalFailureError, TruncationOverflowError
+from multiboson.errors import NumericalFailureError, ParameterError, TruncationOverflowError
 
 R0 = rep.MultibosonRep(1, (0.7,))
 R1 = rep.MultibosonRep(2, (0.5, 1.5))
@@ -65,9 +65,9 @@ def _generic_model(n=8):
 
 def _state(model, cells):
     """Normalized superposition of the basis states (k0[, k1]) of the window."""
-    amps = sum((0.6 + 0.3j * i) * ev.basis_state(model, _occupation(c)).amplitudes
+    amps = sum((0.6 + 0.3j * i) * ev.basis_state(model, _occupation(c))
                for i, c in enumerate(cells))
-    return rep.StateVector(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def _occupation(cell):
@@ -117,7 +117,7 @@ def test_run_series_matches_per_time_evolve_full(name, make):
 @pytest.mark.parametrize("name, make", CASES, ids=IDS)
 def test_grid_apply_matches_scalar_apply(name, make):
     model, cells = make()
-    psi0 = _state(model, cells).amplitudes
+    psi0 = _state(model, cells)
     evolver = ev.InteractionEvolver(model)
     times = np.array([0.0, 0.4, -1.1, 2.0])
     grid = _dense(evolver.apply(psi0, times), psi0.size)
@@ -144,7 +144,7 @@ def test_unoccupied_blocks_stay_exactly_zero(kind, which):
     cells = CANONICAL_STATES[kind][which]
     psi0 = _state(model, cells)
     occupied = _occupied(kind, n, cells)
-    grid = _dense(ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 3.0, 11)),
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0, np.linspace(0.0, 3.0, 11)),
                   n * n)
     assert np.all(grid[:, ~occupied] == 0.0)
     assert np.all(np.abs(grid[1:, occupied]).sum(axis=1) > 0.0)
@@ -159,10 +159,10 @@ def test_apply_returns_the_occupied_block_positions(kind, which):
     psi0 = _state(model, cells)
     occupied = _occupied(kind, n, cells)
     evolver = ev.InteractionEvolver(model)
-    indices, amps = evolver.apply(psi0.amplitudes, np.linspace(0.0, 3.0, 11))
+    indices, amps = evolver.apply(psi0, np.linspace(0.0, 3.0, 11))
     assert np.array_equal(indices, np.flatnonzero(occupied))
     assert amps.shape == (11, indices.size)
-    one, amp = evolver.apply(psi0.amplitudes, 0.5)
+    one, amp = evolver.apply(psi0, 0.5)
     assert np.array_equal(one, indices) and amp.shape == (indices.size,)
 
 
@@ -233,7 +233,7 @@ def test_spectral_solves_do_not_grow_with_the_grid(monkeypatch, name, make):
 def test_one_apply_solves_only_the_occupied_blocks(monkeypatch, name, make, solver, n_solves):
     # nothing is solved when the evolver is built, only in apply
     model, cells = make()
-    psi0 = _state(model, cells).amplitudes
+    psi0 = _state(model, cells)
     calls = _count(monkeypatch, *solver)
     evolver = ev.InteractionEvolver(model)
     assert calls == []
@@ -258,7 +258,7 @@ def test_onemode_evolve_grid_returns_one_state_per_time(case):
 def test_onemode_apply_is_onemode_evolve_backwards(case):
     # apply's one-mode amplitudes are onemode.evolve's at -t, bit for bit
     model = _onemode_model(case)
-    psi0 = _state(model, [(3,), (5,)]).amplitudes
+    psi0 = _state(model, [(3,), (5,)])
     times = np.linspace(-1.0, 2.0, 7)
     indices, amps = ev.InteractionEvolver(model).apply(psi0, times)
     assert np.array_equal(indices, np.arange(psi0.size))
@@ -303,13 +303,13 @@ def test_generic_evolve_full_matches_expm(t):
     out = ev.evolve_full(model, psi0, t)
     h = tm.build_h_matrix(model.interaction, model.n_per_mode)
     total = sum(w * n for w, n in zip(model.omega, model.occupations()))
-    ref = np.exp(-1j * t * total) * (scipy.linalg.expm(-1j * t * h) @ psi0.amplitudes)
-    assert np.abs(out.amplitudes - ref).max() <= 1e-12
+    ref = np.exp(-1j * t * total) * (scipy.linalg.expm(-1j * t * h) @ psi0)
+    assert np.abs(out - ref).max() <= 1e-12
 
 
 def test_time_grid_must_be_one_dimensional():
     model = _canonical_model("D")
-    psi0 = _state(model, [(1, 1)]).amplitudes
+    psi0 = _state(model, [(1, 1)])
     with pytest.raises(ValueError):
         ev.InteractionEvolver(model).apply(psi0, np.zeros((2, 2)))
 
@@ -323,21 +323,22 @@ def _records_equal(a, b):
 def test_batched_observables_equal_per_state_observables(name, make):
     model, cells = make()
     psi0 = _state(model, cells)
-    pair = ev.InteractionEvolver(model).apply(psi0.amplitudes, np.linspace(0.0, 1.5, 7))
+    pair = ev.InteractionEvolver(model).apply(psi0, np.linspace(0.0, 1.5, 7))
     records = ev.observables(pair, model)
-    grid = _dense(pair, psi0.amplitudes.size)
+    grid = _dense(pair, psi0.size)
     assert len(records) == len(grid)
     for row, rec in zip(grid, records):
-        assert _records_equal(rec, ev.observables(rep.StateVector(row), model))
+        assert _records_equal(rec, ev.observables(row, model))
 
 
 def test_observables_rejects_a_dense_grid():
     # a dense (n_times, dim) array is not a pair: its two rows must not be
-    # read as (indices, amplitudes)
+    # read as (indices, amplitudes), and it is not a 1-d state either
     model = _canonical_model("D")
     grid = np.ones((2, 24 * 24), dtype=complex)
-    with pytest.raises(TypeError):
+    with pytest.raises(ParameterError) as exc:
         ev.observables(grid, model)
+    assert exc.value.names == ("psi",)
 
 
 @pytest.mark.parametrize("name, make", CASES, ids=IDS)
@@ -357,8 +358,8 @@ def test_run_series_matches_exact_sums_over_the_full_basis(name, make):
     psi0 = _state(model, cells)
     times = np.linspace(0.0, 1.5, 7)
     series = ev.run_series(model, psi0, times)
-    grid = _dense(ev.InteractionEvolver(model).apply(psi0.normalized().amplitudes, times),
-                  psi0.amplitudes.size)
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0 / np.linalg.norm(psi0), times),
+                  psi0.size)
     occs = [occ.astype(float) for occ in model.occupations()]
     for row, rec in zip(np.abs(grid) ** 2, series.records):
         total = math.fsum(row.tolist())
@@ -390,7 +391,7 @@ def test_observables_on_a_tie_equal_fsum(monkeypatch, wide):
     total = math.fsum(p)
     assert total == 1.0 + 2.0**-52
     n = model.occupations(np.arange(4))[0].astype(float).tolist()
-    rec = ev.observables(rep.StateVector(amps), model)
+    rec = ev.observables(amps, model)
     assert rec.norm == math.sqrt(total)
     assert rec.means == (math.fsum(x * k for x, k in zip(p, n)) / total,)
 
@@ -406,8 +407,8 @@ def test_records_without_extended_precision_equal_fsum(monkeypatch, name, make):
     monkeypatch.setattr(ev, "_WIDE", np.float64)
     narrow = ev.run_series(model, psi0, times)
     assert all(_records_equal(a, b) for a, b in zip(series.records, narrow.records))
-    grid = _dense(ev.InteractionEvolver(model).apply(psi0.normalized().amplitudes, times),
-                  psi0.amplitudes.size)
+    grid = _dense(ev.InteractionEvolver(model).apply(psi0 / np.linalg.norm(psi0), times),
+                  psi0.size)
     occs = [occ.astype(float) for occ in model.occupations()]
     for row, rec in zip(np.abs(grid) ** 2, narrow.records):
         total = math.fsum(row.tolist())

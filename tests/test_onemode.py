@@ -111,17 +111,17 @@ def test_spectrum_case9_diagonal():
 
 def test_eigenvectors_case9_basis():
     v = om.eigenvectors_discrete(om.OneModeHamiltonian(1.0, 1.0, _sector(1.0, 10)), 3)
-    assert np.allclose(v.amplitudes, np.eye(10)[3])
+    assert np.allclose(v, np.eye(10)[3])
 
 
 def test_eigenvectors_case5_oracle_overlap():
     h = _h(4.0, 1.0, alpha0=1.0, n=100)
     w, vecs = oracle_eigh(om.jacobi(h))
     for n in range(5):
-        v = om.eigenvectors_discrete(h, n).amplitudes.real
+        v = om.eigenvectors_discrete(h, n)
         assert abs(float(vecs[:, n] @ v)) >= 1.0 - 1e-8
     # geometric profile of the ground eigenvector (c = 1/9 decay)
-    v0 = np.abs(om.eigenvectors_discrete(h, 0).amplitudes.real)
+    v0 = np.abs(om.eigenvectors_discrete(h, 0))
     ratios = v0[1:10] / v0[:9]
     assert np.all(ratios < 0.5)
 
@@ -131,8 +131,8 @@ def test_eigenvectors_case7_alternating_signs():
     # alternating sign decoration
     h5 = _h(4.0, 1.0, n=80)
     h7 = _h(1.0, 4.0, n=80)
-    v5 = om.eigenvectors_discrete(h5, 2).amplitudes.real
-    v7 = om.eigenvectors_discrete(h7, 2).amplitudes.real
+    v5 = om.eigenvectors_discrete(h5, 2)
+    v7 = om.eigenvectors_discrete(h7, 2)
     signs = (-1.0) ** np.arange(80)
     assert np.allclose(np.abs(v5), np.abs(v7), atol=1e-12)
     aligned = v7 * signs
@@ -148,7 +148,7 @@ def test_eigenvectors_discrete_match_larger_oracle_past_window():
     _, ref = eigh_tridiagonal(big.diag_array(), big.offdiag_array(),
                               select="i", select_range=(636, 643))
     for i, n in enumerate(range(636, 644)):
-        v = om.eigenvectors_discrete(h, n).amplitudes.real
+        v = om.eigenvectors_discrete(h, n)
         assert np.abs(v).max() > 0.0
         r = ref[:800, i] / np.linalg.norm(ref[:800, i])
         assert np.abs(v - np.copysign(1.0, r @ v) * r).max() <= 1e-12
@@ -245,7 +245,7 @@ def _basis_model(mu, nu, k0, tail_tol):
 def _evolve_against_oracle(mu, nu, k0, t):
     model, psi0 = _basis_model(mu, nu, k0, math.inf)
     h = model.interaction
-    out = om.evolve(h, psi0.amplitudes, t)
+    out = om.evolve(h, psi0, t)
     w, v = oracle_eigh(om.jacobi(h))
     return np.abs(out - v @ (np.exp(1j * t * w) * v[k0])).max()
 
@@ -257,8 +257,8 @@ def test_evolve_discrete_from_mid_window(mu, nu, case):
     # the closed-form expansion returns the state at t = 0 to roundoff
     for k0 in (0, 4, 200, 600):
         model, psi0 = _basis_model(mu, nu, k0, math.inf)
-        out = om.evolve(model.interaction, psi0.amplitudes, 0.0)
-        assert np.abs(out - psi0.amplitudes).max() <= 1e-12
+        out = om.evolve(model.interaction, psi0, 0.0)
+        assert np.abs(out - psi0).max() <= 1e-12
     # by t = 2 the state has spread to the truncation edge: the tail monitor
     # of evolve_full, exp(-i H t) at omega 0, raises at t = -2
     model, psi0 = _basis_model(mu, nu, 200, 1e-8)
