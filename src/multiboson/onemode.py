@@ -185,10 +185,14 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     eps^2 |psi|^2, so it returns psi at t = 0 to roundoff, and raises
     TruncationOverflowError when 4N terms do not hold psi;
     the truncation tail of the evolved state is left to
-    ``evolution.run_series`` and ``evolve_full``.
+    ``evolution.run_series`` and ``evolve_full``.  ParameterError unless psi
+    is 1-d with one amplitude per level of the sector's window.
     """
     psi = np.asarray(psi, dtype=complex)
-    size = psi.size
+    size = h.sector.n_levels
+    if psi.shape != (size,):
+        raise ParameterError(("psi",), f"need a 1-d state of {size} amplitudes for "
+                             f"the sector's window, got shape {psi.shape}")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-d array of times")

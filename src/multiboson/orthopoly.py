@@ -81,18 +81,39 @@ def gamma_abs_sq(a: float, b: float) -> float:
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1)."""
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1), elementwise over an array a."""
     out = 1.0
     for j in range(k):
         out *= a + j
     return out
 
 
+def _stirling_tail(x: float) -> float:
+    """log Gamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= 64, by
+    its asymptotic series to x^-5 (the next term is below 2e-16)."""
+    r = 1.0 / (x * x)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r / 1260.0)) / x
+
+
 def ln_pochhammer(a: float, k: int) -> float:
-    """log (a)_k for a > 0, stable for large k."""
-    if a <= 0:
-        raise ValueError(f"ln_pochhammer requires a > 0, got {a}")
-    return float(gammaln(a + k) - gammaln(a))
+    """log (a)_k for finite a > 0 and an integer k >= 0, within
+    2 eps max(1, k) max(1, |log (a)_k|), at O(1) cost but for k < a < 64.
+
+    For k >= a, log Gamma(a + k) - log Gamma(a) loses nothing: the result
+    is of the size of the larger log-Gamma.  For k < a < 64 it is the log of
+    the product (a)_k (fewer than 64 factors below 128, so no overflow).
+    For k < a from 64 on, the log-Gammas nearly cancel (at a 1e16 they keep
+    no digit), so the Stirling series is differenced analytically:
+    k log a + (a + k - 1/2) log1p(k/a) - k plus the difference of the series
+    tails, with no term much larger than the result."""
+    if not 0 < a < math.inf:
+        raise ValueError(f"ln_pochhammer requires finite a > 0, got {a}")
+    if k >= a:
+        return float(gammaln(a + k) - gammaln(a))
+    if a < 64.0:
+        return math.log(pochhammer(a, k))
+    return (k * math.log(a) + (a + k - 0.5) * math.log1p(k / a) - k
+            + (_stirling_tail(a + k) - _stirling_tail(a)))
 
 
 def hyp0f1(b: float, z: complex) -> complex:
@@ -396,9 +417,25 @@ class DualHahn:
                       + gammaln(a0 + n) - gammaln(a0) - gammaln(b0 + n) + gammaln(b0))
 
     def measure(self) -> SpectralMeasure:
+        """ParameterError names K when an atom weight is below the double
+        range (the top atoms from K near 550 at gamma, delta of order 1),
+        with the largest K whose weights all stay in it, found by bisection
+        over K: the smallest weight, the top atom's, falls as K grows."""
         g, d, K = self.gamma, self.delta, self.kmax
         n = np.arange(K + 1)
-        atoms = tuple(zip((n * (n + g + d + 1.0)).tolist(), self.atom_weight(n).tolist()))
+        w = self.atom_weight(n)
+        if not (w > 0).all():
+            good, bad = 0, K
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                if (DualHahn(g, d, mid).atom_weight(np.arange(mid + 1)) > 0).all():
+                    good = mid
+                else:
+                    bad = mid
+            raise ParameterError(("K",), f"the weights of DualHahn({g}, {d}, K) underflow "
+                                 f"float64 at K = {K} from atom {int(np.argmin(w > 0))} on; "
+                                 f"K <= {good} keeps every weight positive")
+        atoms = tuple(zip((n * (n + g + d + 1.0)).tolist(), w.tolist()))
         # closed-form mass 1 / C(delta + K, K)
         mass = math.exp(gammaln(d + 1) + gammaln(K + 1) - gammaln(d + 1 + K))
         return SpectralMeasure(atoms=atoms, total_mass_closed=mass)

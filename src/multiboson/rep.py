@@ -60,18 +60,20 @@ class MultibosonRep:
             raise ParameterError(("alpha0_init",), f"{self.alpha0_init} not positive, finite")
 
 
-def alpha0(rep: MultibosonRep, n: int) -> float:
-    """A0 eigenvalue on Fock level n: 2 floor(n/l) + alpha0(n mod l)."""
-    return 2.0 * (n // rep.l) + rep.alpha0_init[n % rep.l]
+def alpha0(rep: MultibosonRep, n):
+    """A0 eigenvalue on Fock level n: 2 floor(n/l) + alpha0(n mod l),
+    elementwise over an integer array n."""
+    return 2.0 * (n // rep.l) + np.take(rep.alpha0_init, n % rep.l)
 
 
-def alpha_minus(rep: MultibosonRep, n: int) -> float:
-    """Shift coefficient sqrt((floor(n/l) + alpha0(n mod l)) (floor(n/l) + 1) / (n+1)_l).
+def alpha_minus(rep: MultibosonRep, n):
+    """Shift coefficient sqrt((floor(n/l) + alpha0(n mod l)) (floor(n/l) + 1) / (n+1)_l),
+    elementwise over an integer array n.
 
     Positive by construction; solves the defining difference equations."""
     m = n // rep.l
-    a = rep.alpha0_init[n % rep.l]
-    return math.sqrt((m + a) * (m + 1.0) / pochhammer(n + 1.0, rep.l))
+    a = np.take(rep.alpha0_init, n % rep.l)
+    return np.sqrt((m + a) * (m + 1.0) / pochhammer(n + 1.0, rep.l))
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,9 @@ def build_generators_full(rep: MultibosonRep, n: int):
     """
     if n <= rep.l:
         raise ValueError(f"need n > l = {rep.l}, got {n}")
-    d = np.array([alpha0(rep, m) for m in range(n)])
-    upper = np.array(
-        [alpha_minus(rep, m) * math.sqrt(pochhammer(m + 1.0, rep.l))
-         for m in range(n - rep.l)]
-    )
-    a0 = np.diag(d)
+    m = np.arange(n - rep.l)
+    upper = alpha_minus(rep, m) * np.sqrt(pochhammer(m + 1.0, rep.l))
+    a0 = np.diag(alpha0(rep, np.arange(n)))
     am = np.diag(upper, rep.l)
     return a0, am, am.T.copy()
 

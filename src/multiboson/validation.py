@@ -5,13 +5,20 @@ time of the section of ``run_all`` that produced it; a check passes when
 the deviation is within the tolerance.  The suite doubles as the
 machine-readable face of the test suite's acceptance criteria: every
 closed form is held against an independent matrix oracle.
+
+No check forms an n^2 x n^2 array at a preset's cutoff.  The HIV preset is
+held to its canonical C-form on CSR entries at cutoff 40; the dense
+``twomode.canonical_matrix`` is built only at n_per_mode 12, where it is the
+oracle for the charge blocks that evolution solves (both folded into
+``evolution.hiv_framework_equality``).
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from time import perf_counter
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bogoliubov, coherent, evolution, onemode, orthopoly, rep, twomode
 from .jacobi import JacobiOperator, oracle_eigh, oracle_eigs
@@ -74,17 +81,14 @@ def _commutator_residual(l: int, table: tuple[float, ...], n: int) -> float:
 
 def _difference_eq_residual(l: int, table: tuple[float, ...], n_max: int) -> float:
     r = rep.MultibosonRep(l, table)
-    dev = 0.0
-    for n in range(n_max + 1):
-        a2 = orthopoly.pochhammer(n + 1.0, l) * rep.alpha_minus(r, n) ** 2
-        if n >= l:
-            prev = orthopoly.pochhammer(n - l + 1.0, l) * rep.alpha_minus(r, n - l) ** 2
-            dev = max(dev, abs(a2 - prev - rep.alpha0(r, n)) / max(1.0, rep.alpha0(r, n)))
-            dev = max(dev, abs((rep.alpha0(r, n) - rep.alpha0(r, n - l) - 2.0)
-                               * rep.alpha_minus(r, n - l)))
-        else:
-            dev = max(dev, abs(a2 - rep.alpha0(r, n)) / max(1.0, rep.alpha0(r, n)))
-    return dev
+    n = np.arange(n_max + 1)
+    a0 = rep.alpha0(r, n)
+    am = rep.alpha_minus(r, n)
+    a2 = orthopoly.pochhammer(n + 1.0, l) * am ** 2
+    prev = np.zeros(n.size)
+    prev[l:] = orthopoly.pochhammer(n[:-l] + 1.0, l) * am[:-l] ** 2
+    dev = np.abs(a2 - prev - a0) / np.maximum(1.0, a0)
+    return float(max(dev.max(), np.abs((a0[l:] - a0[:-l] - 2.0) * am[:-l]).max()))
 
 
 def _casimir_residual(l: int, table: tuple[float, ...], n: int) -> float:
@@ -150,15 +154,54 @@ def _printed_hd_block_jacobi(block: twomode.DBlock) -> JacobiOperator:
 
 
 def _hiv_framework_deviation(n: int) -> float:
-    """Largest entry of |preset - mapping| for HIV at cutoff n: the preset's
-    CSR entries are subtracted in place from the dense canonical-form
-    matrix, so one dense n^2 x n^2 array is formed."""
+    """Largest entry of |preset - mapping| for HIV at cutoff n, on CSR
+    entries: the canonical form at the mapping's twists comes from the one
+    assembler (``twomode._kron_sum``), is scaled, offset on its diagonal,
+    and the preset's CSR is subtracted.  Each entry is the float arithmetic
+    of the dense scale * canonical_matrix + offset * Id - preset, and no
+    n^2 x n^2 array is formed."""
     pm = evolution.preset("HIV", n)
-    dev = pm.mapping.matrix()
-    x = pm.csr.tocoo()
-    # a CSR sum holds each coordinate once, so every entry is subtracted once
-    dev[x.row, x.col] -= x.data
-    return float(np.abs(dev, out=dev).max())
+    m = pm.mapping
+    h = twomode.TwoModeHamiltonian(m.reps, *twomode.CANONICAL_TWISTS[m.kind], m.sector)
+    canon = twomode._kron_sum(h, m.n_per_mode) * m.scale
+    dev = canon + sp.identity(canon.shape[0], format="csr") * m.offset - pm.csr
+    return float(abs(dev).max())
+
+
+def _charge_block_gap(ci: evolution.CanonicalInteraction, m: np.ndarray) -> float:
+    """Largest gap, relative to its largest entry, between the dense
+    canonical matrix m of ``ci`` and the Manley-Rowe charge blocks that
+    evolution solves: both scaled and offset as ``InteractionEvolver.apply``
+    does, each block against scale * J + offset, J its Jacobi operator
+    (``evolution._charge_block_operator``); inf when an entry between two
+    blocks is not exactly 0."""
+    size = m.shape[0]
+    q = evolution._charges(ci, np.arange(size))
+    if m[q[:, None] != q[None, :]].any():
+        return math.inf
+    got = ci.scale * m
+    got[np.diag_indices(size)] += ci.offset
+    want = np.zeros_like(got)
+    for charge in np.unique(q).tolist():
+        idx = evolution._charge_block_indices(ci, charge)
+        op = evolution._charge_block_operator(ci, charge, idx.size)
+        e = ci.scale * op.offdiag_array(idx.size)
+        want[idx, idx] = ci.scale * op.diag_array(idx.size) + ci.offset
+        want[idx[:-1], idx[1:]] = e
+        want[idx[1:], idx[:-1]] = e
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def _canonical_block_deviation(n: int) -> float:
+    """Worst ``_charge_block_gap`` of the four presets' canonical
+    interactions (two D-forms, two C-forms) at n_per_mode n.  The dense
+    ``twomode.canonical_matrix`` is built only here, so n stays small."""
+    worst = 0.0
+    for name in ("HI", "HII", "HIII", "HIV"):
+        ci = replace(evolution.preset(name, n).mapping, n_per_mode=n)
+        m = twomode.canonical_matrix(ci.kind, ci.reps, ci.sector, n)
+        worst = max(worst, _charge_block_gap(ci, m))
+    return worst
 
 
 def run_all(quick: bool = False):
@@ -359,8 +402,11 @@ def run_all(quick: bool = False):
     timer.lap()
 
     # preset equivalence and conservation laws
+    # HIV against its canonical form on CSR entries at cutoff 40, and the
+    # canonical forms against their charge blocks on dense n 12 matrices
     out.append(_check("evolution.hiv_framework_equality",
-                      _hiv_framework_deviation(40), 1e-12))
+                      max(_hiv_framework_deviation(40), _canonical_block_deviation(12)),
+                      1e-12))
     n = 24 if quick else 48
     pm = evolution.preset("HIV", n)
     model = evolution.FullModel(pm.mapping, (1.0, 1.0), tail_tol=math.inf)

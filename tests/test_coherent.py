@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,17 @@ def test_eigenstate_of_lowering_generator():
             v = ch.coherent_amplitudes(z, al, 70)
             resid = np.linalg.norm(am @ v - z * v) / np.linalg.norm(v)
             assert resid <= 1e-8
+
+
+@pytest.mark.parametrize("al", [1e10, 1e16, 1e300])
+def test_amplitudes_at_large_alpha0(al):
+    # zeta^k / sqrt(k! (alpha0)_k): at alpha0 1e16 the log-Gamma difference
+    # once gave |amplitude 1| = 4.0 instead of 4e-8
+    amps = ch.coherent_amplitudes(4j, al, 40)
+    want = [float(4 ** k / mpmath.sqrt(mpmath.factorial(k)
+                                       * mpmath.fprod(mpmath.mpf(al) + i for i in range(k))))
+            for k in range(6)]
+    assert np.abs(amps[:6]) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_radial_measure_moments():

@@ -398,6 +398,19 @@ def test_short_state_in_a_onemode_window_is_refused():
     assert exc.value.names == ("psi0",)
 
 
+@pytest.mark.parametrize("nu", [0.5, -0.5])
+@pytest.mark.parametrize("state", [_unit(50), _unit(150), _unit(100).reshape(10, 10)],
+                         ids=["short", "long", "two-d"])
+def test_onemode_evolve_takes_the_sector_window(nu, state):
+    # a 50- or 150-entry state once evolved in a 50- or 150-level window of
+    # the 100-level sector and returned unit-norm rows
+    h = om.OneModeHamiltonian(2.0, nu, rep.OneModeSector(rep.MultibosonRep(1, (1.3,)), 0, 100))
+    with pytest.raises(ParameterError, match="100 amplitudes") as exc:
+        om.evolve(h, state, [0.0, 1.0])
+    assert exc.value.names == ("psi",)
+    assert om.evolve(h, _unit(100), [0.0, 1.0]).shape == (2, 100)
+
+
 @pytest.mark.parametrize("size", [100, 10])
 def test_wrong_length_state_in_a_preset_is_refused(size):
     # HIV at cutoff 8 has 64 positions: 100 amplitudes once returned numbers,

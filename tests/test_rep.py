@@ -101,6 +101,20 @@ def test_full_generators_entries():
         assert am2[k, k + 2] == pytest.approx(0.5 * math.sqrt((k + 1) * (k + 2)))
 
 
+@pytest.mark.parametrize("table", [(0.7,), (0.5, 1.5), (0.3, 1.0, 2.2)])
+def test_coefficients_take_level_arrays(table):
+    # an integer level array gives, bit for bit, the per-level values, and
+    # those the scalar formulas with math.sqrt
+    r = rep.MultibosonRep(len(table), table)
+    n = np.arange(600)
+    a0, am = rep.alpha0(r, n), rep.alpha_minus(r, n)
+    l = r.l
+    for m in range(600):
+        assert a0[m] == rep.alpha0(r, m) == 2.0 * (m // l) + table[m % l]
+        assert am[m] == rep.alpha_minus(r, m) == math.sqrt(
+            (m // l + table[m % l]) * (m // l + 1.0) / pochhammer(m + 1.0, l))
+
+
 def test_banded_and_dense_identical():
     r = rep.MultibosonRep(3, (0.3, 1.0, 2.2))
     n = 540
