@@ -110,8 +110,6 @@ _FLAGS = {
     "beta0": (("spectrum",), _POSITIVE, 1.0),
     "preset": (("evolve",), _choice("HI", "HII", "HIII", "HIV"), "HIV"),
     "n_per_mode": (("evolve",), _number(int, 1), 48),
-    "omega0": (("evolve",), _REAL, 1.0),
-    "omega1": (("evolve",), _REAL, 1.0),
     "state": (("evolve",), _as_written(lambda raw: [_number(int)(x) for x in _items(raw)]),
               None),
     "times": (("evolve",), _as_written(_parse_times), "0:10:21"),
@@ -131,7 +129,7 @@ _API_KEYS = {"n": ("n_levels",), "n_atoms": ("count",), "k_checked": ("k_max",),
              "alpha0_init": ("alpha0_table",), "beta": ("alpha0_table",),
              "alpha": ("alpha0_table",), "lam": ("alpha0_table",), "c": ("mu", "nu"),
              "phi": ("mu", "nu"), "name": ("preset",), "t_grid": ("times",),
-             "occupations": ("state",), "omega": ("omega0", "omega1"),
+             "occupations": ("state",),
              **dict.fromkeys("uvw", ("alpha0", "beta0", "K"))}
 
 
@@ -285,8 +283,8 @@ def cmd_spectrum(cfg: dict, given: dict, out) -> int:
 
 def cmd_evolve(cfg: dict, given: dict, out) -> int:
     pm = evolution.preset(cfg["preset"], cfg["n_per_mode"])
-    model = evolution.FullModel(pm.mapping, (cfg["omega0"], cfg["omega1"]),
-                                tail_tol=cfg["tail_tol"])
+    # the printed occupation moments and norms do not see the free phases
+    model = evolution.FullModel(pm.mapping, (1.0, 1.0), tail_tol=cfg["tail_tol"])
     if cfg["state"] is None:
         # (2, 3), each occupation n rounded down into its mode's sector r mod l
         m = pm.mapping

@@ -12,9 +12,12 @@ canonical interaction, and one divide-and-conquer eigendecomposition
 of the whole truncated matrix of a generic two-mode interaction with no
 aligned block structure.  A canonical interaction is split into its
 Manley-Rowe charge blocks, and only the blocks in which the state has
-amplitude are solved; the others stay exactly zero.  (The closed-form D-block eigenpairs,
-``twomode.hd_chain`` and ``hd_eigenvectors``, agree with the LAPACK ones
-to roundoff up to sign, and are tested against them.)  Every route applies its
+amplitude are solved; the others stay exactly zero.  The canonical blocks
+come from ``twomode``: ``twomode.charges`` labels each window position and
+``twomode.window_block`` gives a block's positions and Jacobi operator.
+(The closed-form D-block eigenpairs, ``twomode.hd_chain`` and
+``hd_eigenvectors``, agree with the LAPACK ones to roundoff up to sign, and
+are tested against them.)  Every route applies its
 eigenpairs through one real-arithmetic spectral apply,
 ``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``: the eigenvectors
 are real, so the projection and the grid product are real products against
@@ -67,9 +70,8 @@ from .jacobi import JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep
-from .twomode import (CANONICAL_TWISTS, CBlock, DBlock, TwoModeHamiltonian,
-                      TwoModeRep, _kron_sum, build_h_matrix, canonical_matrix,
-                      hd_block_jacobi, hc_block_jacobi)
+from .twomode import (CANONICAL_TWISTS, TwoModeHamiltonian, TwoModeRep, _kron_sum,
+                      build_h_matrix, charges, window_block)
 
 __all__ = [
     "CanonicalInteraction",
@@ -108,12 +110,6 @@ class CanonicalInteraction:
 
     def beta0(self) -> float:
         return self.reps.rep1.alpha0_init[self.sector[1]]
-
-    def matrix(self) -> np.ndarray:
-        m = canonical_matrix(self.kind, self.reps, self.sector, self.n_per_mode)
-        m *= self.scale
-        m[np.diag_indices_from(m)] += self.offset
-        return m
 
 
 @dataclass(frozen=True)
@@ -239,42 +235,12 @@ def _generic_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalFailureError(f"dense symmetric eigensolve failed: {exc}") from exc
 
 
-def _charges(h: CanonicalInteraction, positions: np.ndarray) -> np.ndarray:
-    """Manley-Rowe charge k0 + k1 (D-form) or k0 - k1 (C-form) of each
-    flattened position."""
-    k0, k1 = np.divmod(positions, h.n_per_mode)
-    return k0 + k1 if h.kind == "D" else k0 - k1
-
-
 def _occupied_charge_blocks(h: CanonicalInteraction, psi: np.ndarray):
     """(indices, Jacobi operator) of each charge block where psi is nonzero,
-    in ascending charge."""
-    for q in np.unique(_charges(h, np.flatnonzero(psi))).tolist():
-        idx = _charge_block_indices(h, q)
-        yield idx, _charge_block_operator(h, q, idx.size)
-
-
-def _charge_block_indices(h: CanonicalInteraction, q: int) -> np.ndarray:
-    """Flattened positions k0 n + k1 of the charge-q block, ascending in k0."""
+    in ascending charge, as ``twomode.window_block`` gives them."""
     n = h.n_per_mode
-    if h.kind == "D":
-        k0 = np.arange(max(0, q - n + 1), min(q, n - 1) + 1)
-        return k0 * n + q - k0
-    k0 = np.arange(max(0, q), min(n - 1, n - 1 + q) + 1)
-    return k0 * n + k0 - q
-
-
-def _charge_block_operator(h: CanonicalInteraction, q: int, m: int) -> JacobiOperator:
-    """Tridiagonal restriction of the canonical interaction to the window's
-    m states of the charge-q block: a view of the whole block's Jacobi
-    operator from its level base on, where a D-block cut by the window
-    starts (k0 = q - n + 1) and 0 for a C-block."""
-    a0, b0 = h.alpha0(), h.beta0()
-    if h.kind == "C":
-        base, full = 0, hc_block_jacobi(CBlock(q, a0, b0))
-    else:
-        base, full = max(0, q - h.n_per_mode + 1), hd_block_jacobi(DBlock(q, a0, b0))
-    return JacobiOperator(lambda j: full.diag(base + j), lambda j: full.offdiag(base + j), m)
+    for q in np.unique(charges(h.kind, n, np.flatnonzero(psi))).tolist():
+        yield window_block(h.kind, q, h.alpha0(), h.beta0(), n)
 
 
 def _evolve_grid(model: FullModel, psi0: np.ndarray,

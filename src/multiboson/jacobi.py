@@ -139,13 +139,12 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     return w
 
 
-def oracle_eigh(op: JacobiOperator, n: int | None = None):
-    """Full eigendecomposition (w, V) of the truncated operator."""
-    n = op.size if n is None else n
-    if n == 1:
-        return op.diag_array(1), np.ones((1, 1))
+def oracle_eigh(op: JacobiOperator):
+    """Full eigendecomposition (w, V) of the operator at its size."""
+    if op.size == 1:
+        return op.diag_array(), np.ones((1, 1))
     try:
-        return eigh_tridiagonal(op.diag_array(n), op.offdiag_array(n))
+        return eigh_tridiagonal(op.diag_array(), op.offdiag_array())
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
 

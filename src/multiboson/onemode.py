@@ -67,7 +67,9 @@ class OneModeHamiltonian:
     def __post_init__(self):
         classify(self.mu, self.nu, self.sector.alpha0)
         op, k = jacobi(self), self.sector.n_levels - 1.0
-        if not abs(op.diag(k)) + 2.0 * abs(op.offdiag(k)) < math.inf:
+        with np.errstate(over="ignore", invalid="ignore"):    # inf or nan fails below
+            bound = abs(op.diag(k)) + 2.0 * abs(op.offdiag(k))
+        if not bound < math.inf:
             raise ParameterError(("mu", "nu", "alpha0", "n_levels"), "the Jacobi "
                                  "coefficients overflow float64 at the truncation")
 
@@ -203,6 +205,6 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     elif chain.atom_stream is not None:
         out = spectral_apply(*_expand_discrete(h, chain, psi), -ts)
     else:
-        energies, vecs = oracle_eigh(jacobi(h), n=size)
+        energies, vecs = oracle_eigh(jacobi(h))
         out = spectral_apply(vecs, energies, spectral_coeffs(vecs, psi), -ts)
     return out[0] if times.ndim == 0 else out

@@ -18,8 +18,16 @@ The conserved combination D0 = A0 +- B0 splits each sector into blocks:
   whose matrix elements match the block coefficients below; the pair
   A+ B+ + A- B- does not commute with A0 + B0.
 * C-form (``canonical_matrix('C')``, H at ``CANONICAL_TWISTS['C']``):
-  -[(1/2) A0 B0 + A+ B+ + A- B-] on semi-infinite blocks |K+k, k> (K >= 0)
-  or |k, k-K> (K < 0).
+  -[(1/2) A0 B0 + A+ B+ + A- B-] on semi-infinite blocks |s0 + k, s1 + k>,
+  k >= 0, with offsets (s0, s1) = (max(K, 0), max(-K, 0)): the one rule
+  behind ``CBlock.basis``, ``hc_block_jacobi`` and ``uvw_params``.
+
+The window rule: in an n x n window flattened as k0 n + k1, ``charges``
+labels a position k0 + k1 (D) or k0 - k1 (C), and ``window_block`` gives the
+charge-q block's positions, ascending in k0, and its Jacobi operator viewed
+from the block level where the window's part starts: q - n + 1 for a D-block
+the window cuts (q >= n), else 0.  The corner blocks hold one state (D:
+q = 0 and 2n - 2; C: |q| = n - 1).
 
 D-block coefficients, derived from the operator:
 
@@ -58,6 +66,8 @@ __all__ = [
     "hd_chain",
     "hd_eigenvectors",
     "hc_block_jacobi",
+    "charges",
+    "window_block",
     "hc_chain",
     "uvw_params",
     "continuum_shift",
@@ -213,9 +223,13 @@ class CBlock:
                       ("n_levels", "K"))
 
     def basis(self) -> list[tuple[int, int]]:
-        if self.K >= 0:
-            return [(self.K + k, k) for k in range(self.n_levels)]
-        return [(k, k - self.K) for k in range(self.n_levels)]
+        s0, s1 = _offsets(self.K)
+        return [(s0 + k, s1 + k) for k in range(self.n_levels)]
+
+
+def _offsets(K: int) -> tuple[int, int]:
+    """(s0, s1) of the C-block of label K, whose states are |s0 + k, s1 + k>."""
+    return max(K, 0), max(-K, 0)
 
 
 def hd_block_jacobi(block: DBlock) -> JacobiOperator:
@@ -249,18 +263,38 @@ def hd_eigenvectors(block: DBlock, n: int) -> np.ndarray:
 
 
 def hc_block_jacobi(block: CBlock) -> JacobiOperator:
-    a0, b0, K = block.alpha0, block.beta0, block.K
-    if K >= 0:
-        def diag(k):
-            return -0.5 * (2.0 * (K + k) + a0) * (2.0 * k + b0)
-        def offdiag(k):
-            return -np.sqrt((K + k + a0) * (K + k + 1.0) * (k + b0) * (k + 1.0))
-    else:
-        def diag(k):
-            return -0.5 * (2.0 * k + a0) * (2.0 * (k - K) + b0)
-        def offdiag(k):
-            return -np.sqrt((k + a0) * (k + 1.0) * (k - K + b0) * (k - K + 1.0))
+    a0, b0 = block.alpha0, block.beta0
+    s0, s1 = _offsets(block.K)
+    def diag(k):
+        return -0.5 * (2.0 * (s0 + k) + a0) * (2.0 * (s1 + k) + b0)
+    def offdiag(k):
+        return -np.sqrt((s0 + k + a0) * (s0 + k + 1.0) * (s1 + k + b0) * (s1 + k + 1.0))
     return JacobiOperator(diag, offdiag, block.n_levels)
+
+
+def charges(kind: str, n: int, positions: np.ndarray) -> np.ndarray:
+    """Manley-Rowe charge k0 + k1 (D-form) or k0 - k1 (C-form) of each
+    flattened position k0 n + k1 of an n x n window."""
+    k0, k1 = np.divmod(positions, n)
+    return k0 + k1 if kind == "D" else k0 - k1
+
+
+def window_block(kind: str, q: int, alpha0: float, beta0: float,
+                 n: int) -> tuple[np.ndarray, JacobiOperator]:
+    """Flattened positions and Jacobi operator of the charge-q block of the
+    D- or C-form in an n x n window, by the window rule (module docstring)."""
+    if kind == "D":
+        base, full = max(0, q - n + 1), hd_block_jacobi(DBlock(q, alpha0, beta0))
+        k0 = np.arange(base, min(q, n - 1) + 1)
+        k1 = q - k0
+    else:
+        base, full = 0, hc_block_jacobi(CBlock(q, alpha0, beta0))
+        s0, s1 = _offsets(q)
+        k = np.arange(n - s0 - s1)
+        k0, k1 = s0 + k, s1 + k
+    op = JacobiOperator(lambda j: full.diag(base + j), lambda j: full.offdiag(base + j),
+                        k0.size)
+    return k0 * n + k1, op
 
 
 @dataclass(frozen=True)
@@ -287,10 +321,10 @@ def uvw_params(K: int, alpha0: float, beta0: float) -> UVWParams:
     """
     d = beta0 - alpha0
     half_sum = 0.5 * (alpha0 + beta0 - 1.0)
-    if K >= 0:
-        p, q, edges = 0.5 * (d + 1.0), K + 0.5 * (1.0 - d), (-1.0, 2.0 * K + 1.0)
-    else:
-        p, q, edges = -K + 0.5 * (d + 1.0), 0.5 * (1.0 - d), (2.0 * K - 1.0, 1.0)
+    s0, s1 = _offsets(K)
+    p, q = s1 + 0.5 * (d + 1.0), s0 + 0.5 * (1.0 - d)
+    # the branch edges are where p or q is 0
+    edges = (-1.0 - 2.0 * s1, 1.0 + 2.0 * s0)
     triples = {"low": (p, q, half_sum), "middle": (half_sum, p, q),
                "high": (q, half_sum, p)}
     # candidates at an exact boundary are degenerate (a parameter hits 0),

@@ -153,18 +153,21 @@ def _printed_hd_block_jacobi(block: twomode.DBlock) -> JacobiOperator:
                           K + 1)
 
 
-def _hiv_framework_deviation(n: int) -> float:
-    """Largest entry of |preset - mapping| for HIV at cutoff n, on CSR
-    entries: the canonical form at the mapping's twists comes from the one
-    assembler (``twomode._kron_sum``), is scaled, offset on its diagonal,
-    and the preset's CSR is subtracted.  Each entry is the float arithmetic
-    of the dense scale * canonical_matrix + offset * Id - preset, and no
-    n^2 x n^2 array is formed."""
-    pm = evolution.preset("HIV", n)
+def _framework_deviation(name: str, n: int) -> float:
+    """Largest entry of |preset - mapping| for the preset ``name`` at cutoff
+    n, on CSR entries: the canonical form at the mapping's twists comes from
+    the one assembler (``twomode._kron_sum``), is scaled, offset on its
+    diagonal, and the preset's CSR at the mapping's occupations is subtracted.
+    Each entry is the float arithmetic of the dense scale * canonical_matrix
+    + offset * Id - preset, and no n^2 x n^2 array is formed."""
+    pm = evolution.preset(name, n)
     m = pm.mapping
     h = twomode.TwoModeHamiltonian(m.reps, *twomode.CANONICAL_TWISTS[m.kind], m.sector)
     canon = twomode._kron_sum(h, m.n_per_mode) * m.scale
-    dev = canon + sp.identity(canon.shape[0], format="csr") * m.offset - pm.csr
+    n0, n1 = evolution.FullModel(m, (1.0, 1.0)).occupations()
+    window = n0 * n + n1
+    dev = (canon + sp.identity(canon.shape[0], format="csr") * m.offset
+           - pm.csr[window][:, window])
     return float(abs(dev).max())
 
 
@@ -173,22 +176,18 @@ def _charge_block_gap(ci: evolution.CanonicalInteraction, m: np.ndarray) -> floa
     canonical matrix m of ``ci`` and the Manley-Rowe charge blocks that
     evolution solves: both scaled and offset as ``InteractionEvolver.apply``
     does, each block against scale * J + offset, J its Jacobi operator
-    (``evolution._charge_block_operator``); inf when an entry between two
-    blocks is not exactly 0."""
-    size = m.shape[0]
-    q = evolution._charges(ci, np.arange(size))
+    (``twomode.window_block``); inf when an entry between two blocks is not
+    exactly 0."""
+    size, n = m.shape[0], ci.n_per_mode
+    q = twomode.charges(ci.kind, n, np.arange(size))
     if m[q[:, None] != q[None, :]].any():
         return math.inf
     got = ci.scale * m
     got[np.diag_indices(size)] += ci.offset
     want = np.zeros_like(got)
     for charge in np.unique(q).tolist():
-        idx = evolution._charge_block_indices(ci, charge)
-        op = evolution._charge_block_operator(ci, charge, idx.size)
-        e = ci.scale * op.offdiag_array(idx.size)
-        want[idx, idx] = ci.scale * op.diag_array(idx.size) + ci.offset
-        want[idx[:-1], idx[1:]] = e
-        want[idx[1:], idx[:-1]] = e
+        idx, op = twomode.window_block(ci.kind, charge, ci.alpha0(), ci.beta0(), n)
+        want[np.ix_(idx, idx)] = ci.scale * op.dense() + ci.offset * np.eye(idx.size)
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
@@ -405,7 +404,7 @@ def run_all(quick: bool = False):
     # HIV against its canonical form on CSR entries at cutoff 40, and the
     # canonical forms against their charge blocks on dense n 12 matrices
     out.append(_check("evolution.hiv_framework_equality",
-                      max(_hiv_framework_deviation(40), _canonical_block_deviation(12)),
+                      max(_framework_deviation("HIV", 40), _canonical_block_deviation(12)),
                       1e-12))
     n = 24 if quick else 48
     pm = evolution.preset("HIV", n)

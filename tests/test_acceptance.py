@@ -18,6 +18,7 @@ from multiboson import onemode as om
 from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
+from multiboson import validation
 from multiboson.cli import main as cli_main
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 
@@ -264,8 +265,7 @@ def test_criterion_10_su11_flow():
 
 
 def test_criterion_11_presets():
-    pm = ev.preset("HIV", 40)
-    eq_dev = np.abs(pm.matrix - pm.mapping.matrix()).max()
+    eq_dev = validation._framework_deviation("HIV", 40)
     model = ev.FullModel(ev.preset("HIV", 48).mapping, (1.0, 1.0),
                          tail_tol=math.inf)
     psi0 = ev.basis_state(model, (2, 3))

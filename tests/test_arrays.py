@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiboson import bogoliubov as bg
-from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import orthopoly as op
 from multiboson import rep
@@ -32,11 +31,6 @@ def _sector(n, alpha0=1.3):
     return rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, max(n, 2))
 
 
-def _canonical(kind, n_per_mode):
-    reps = tm.TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(1, (1.9,)))
-    return ev.CanonicalInteraction(kind, reps, (0, 0), n_per_mode)
-
-
 def _operators(n):
     """Every Jacobi-operator constructor, each covering at least n levels."""
     ops = {}
@@ -48,8 +42,9 @@ def _operators(n):
     ops["hd-printed"] = validation._printed_hd_block_jacobi(tm.DBlock(n - 1, 0.7, 1.9))
     for K in (3, 0, -4):
         ops[f"hc(K={K})"] = tm.hc_block_jacobi(tm.CBlock(K, 0.7, 1.9, max(n, 2)))
-    ops["charge-C"] = ev._charge_block_operator(_canonical("C", 600), 7, n)
-    ops["charge-D-cut"] = ev._charge_block_operator(_canonical("D", 600), 1199 - n, n)
+    # a C-block of 593 states and a D-block cut to its last n of 1200 - n
+    ops["charge-C"] = tm.window_block("C", 7, 0.7, 1.9, 600)[1]
+    ops["charge-D-cut"] = tm.window_block("D", 1199 - n, 0.7, 1.9, 600)[1]
     return ops
 
 

@@ -1,9 +1,8 @@
 """Two-mode matrices and their assembly.
 
-``canonical_matrix``, ``CanonicalInteraction.matrix`` and ``build_h_matrix``
-write the nonzero entries of the Kronecker expansion, read off the per-mode
-coefficient diagonals, into one zero dense array, and ``twomode._kron_sum``
-stores the same entries as CSR.  ``preset`` sums sparse Kronecker products
+``canonical_matrix`` and ``build_h_matrix`` write the nonzero entries of the
+Kronecker expansion, read off the per-mode coefficient diagonals, into one
+zero dense array, and ``twomode._kron_sum`` stores the same entries as CSR.  ``preset`` sums sparse Kronecker products
 of raw ladder matrices and densifies once.  Every entry must equal the dense
 ``np.kron`` expression below (zeros may differ in sign); the two-mode
 builders must also equal, bit for bit and zero signs included, the CSR sum
@@ -56,11 +55,6 @@ def _ref_canonical(kind, reps, sector, n):
     if kind == "D":
         return 0.5 * k(a0, b0) + k(ap, bm) + k(am, bp)
     return -(0.5 * k(a0, b0) + k(ap, bp) + k(am, bm))
-
-
-def _ref_interaction(ci):
-    return (ci.scale * _ref_canonical(ci.kind, ci.reps, ci.sector, ci.n_per_mode)
-            + ci.offset * np.eye(ci.n_per_mode ** 2))
 
 
 def _ref_build_h(h, n):
@@ -133,10 +127,6 @@ def test_canonical_matrices_match_dense_kron(l):
         for kind in ("D", "C"):
             _assert_same(tm.canonical_matrix(kind, reps, sector, n),
                          _ref_canonical(kind, reps, sector, n))
-            scale, offset = rng.uniform(0.5, 3.0, 2) * rng.choice((-1, 1), 2)
-            ci = ev.CanonicalInteraction(kind, reps, sector, n,
-                                         scale=float(scale), offset=float(offset))
-            _assert_same(ci.matrix(), _ref_interaction(ci))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -185,12 +175,6 @@ def test_assembly_is_bit_identical_to_the_kron_sum():
             twists = tm.TwoModeHamiltonian(reps, *tm.CANONICAL_TWISTS[kind], sector)
             canonical = _ref_kron_sum(twists, n).toarray()
             _assert_bits(tm.canonical_matrix(kind, reps, sector, n), canonical)
-            scale, offset = rng.uniform(0.5, 3.0, 2) * rng.choice((-1, 1), 2)
-            ci = ev.CanonicalInteraction(kind, reps, sector, n,
-                                         scale=float(scale), offset=float(offset))
-            canonical *= ci.scale
-            canonical[np.diag_indices_from(canonical)] += ci.offset
-            _assert_bits(ci.matrix(), canonical)
     assert len(signs) == 4  # every sign of a and of sigma was drawn
     assert equal_moduli >= 20
 
@@ -234,12 +218,6 @@ def test_preset_mapping_allocates_no_matrix(name):
         tracemalloc.stop()
     assert mapping.n_per_mode in (48, 96)
     assert peak < 5 * 2 ** 20
-
-
-def test_canonical_interaction_peak_memory_is_one_result():
-    reps = tm.TwoModeRep(MultibosonRep(2, (0.5, 1.5)), MultibosonRep(1, (1.0,)))
-    ci = ev.CanonicalInteraction("D", reps, (1, 0), 64, scale=2.0, offset=-0.5)
-    assert _peak_ratio(ci.matrix) <= 1.1
 
 
 def test_build_h_matrix_peak_memory_is_one_result():

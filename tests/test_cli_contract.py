@@ -64,7 +64,6 @@ FLAGS = {
     "evolve": {
         "preset": st.sampled_from(("HI", "HII", "HIII", "HIV", "bogus")),
         "n_per_mode": _ints(2, 3, 8, 16),
-        "omega0": REALS, "omega1": REALS,
         "state": st.sampled_from(("2,3", "2,2", "1,1", "0,0", "-1,3", "2", "200,3",
                                   "x,1", "1e300,1")),
         "times": _grid(),

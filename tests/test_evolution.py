@@ -10,6 +10,7 @@ from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
+from multiboson import validation
 from multiboson.errors import ParameterError, TruncationOverflowError
 from multiboson.orthopoly import hyp0f1
 from multiboson.twomode import TwoModeHamiltonian, TwoModeRep
@@ -17,8 +18,8 @@ from multiboson.bogoliubov import GroupElement
 
 
 def test_preset_hiv_framework_equality():
-    pm = ev.preset("HIV", 40)
-    assert np.abs(pm.matrix - pm.mapping.matrix()).max() <= 1e-12
+    # on CSR entries: the preset against scale * canonical C-form + offset
+    assert validation._framework_deviation("HIV", 40) <= 1e-12
     # diagonal identity: (1/2)(2 n0 + 1)(2 n1 + 1) = 2 n0 n1 + n0 + n1 + 1/2
     for n0, n1 in ((0, 0), (3, 5), (7, 2)):
         assert 0.5 * (2 * n0 + 1) * (2 * n1 + 1) == pytest.approx(
@@ -27,21 +28,13 @@ def test_preset_hiv_framework_equality():
 
 def test_preset_hiii_framework_equality():
     # mode 1 carries two-boson clusters: the framework matrix lives on the
-    # even-occupation sector, compare on the embedded window
-    n = 24
-    pm = ev.preset("HIII", n)
-    nc = pm.mapping.n_per_mode
-    sub = np.array([n0 * n + 2 * k1 for n0 in range(nc) for k1 in range(nc)])
-    assert np.abs(pm.matrix[np.ix_(sub, sub)] - pm.mapping.matrix()).max() <= 1e-12
+    # even-occupation sector, compared on the embedded window
+    assert validation._framework_deviation("HIII", 24) <= 1e-12
 
 
 def test_preset_hi_hii_framework_equality_even_sector():
-    n = 24
     for name in ("HI", "HII"):
-        pm = ev.preset(name, n)
-        nc = pm.mapping.n_per_mode
-        sub = np.array([2 * k0 * n + 2 * k1 for k0 in range(nc) for k1 in range(nc)])
-        assert np.abs(pm.matrix[np.ix_(sub, sub)] - pm.mapping.matrix()).max() <= 1e-12
+        assert validation._framework_deviation(name, 24) <= 1e-12
 
 
 def test_preset_hii_symmetric():
@@ -205,16 +198,15 @@ def test_dform_run_series_conserves_high_charge_blocks(q):
 @pytest.mark.parametrize("kind", ["D", "C"])
 def test_charge_block_indices_match_sorted_partition(kind):
     n = 7
-    r1 = rep.MultibosonRep(1, (1.0,))
-    h = ev.CanonicalInteraction(kind, TwoModeRep(r1, r1), (0, 0), n)
     k0, k1 = np.divmod(np.arange(n * n), n)
     charge = k0 + k1 if kind == "D" else k0 - k1
     # a stable sort keeps each block in ascending flattened index, i.e. k0
     order = np.argsort(charge, kind="stable")
     qs, starts = np.unique(charge[order], return_index=True)
     for q, ref in zip(qs.tolist(), np.split(order, starts[1:])):
-        assert np.array_equal(ev._charge_block_indices(h, q), ref)
-        assert np.array_equal(ev._charges(h, ref), np.full(ref.size, q))
+        idx, op = tm.window_block(kind, q, 1.0, 1.0, n)
+        assert np.array_equal(idx, ref) and op.size == ref.size
+        assert np.array_equal(tm.charges(kind, n, ref), np.full(ref.size, q))
 
 
 def test_interaction_energy_conserved():
@@ -266,7 +258,9 @@ def test_canonical_interaction_energy_matches_dense(kind):
     h = ev.CanonicalInteraction(kind, reps, (0, 1), 28, scale=1.3, offset=-0.4)
     model = ev.FullModel(h, (1.0, 0.7), tail_tol=math.inf)
     psi = _superposition(28 * 28, np.random.default_rng(11))
-    ref = np.vdot(psi, h.matrix() @ psi).real / np.vdot(psi, psi).real
+    twists = TwoModeHamiltonian(reps, *tm.CANONICAL_TWISTS[kind], (0, 1))
+    h_psi = h.scale * (tm._kron_sum(twists, 28) @ psi) + h.offset * psi
+    ref = np.vdot(psi, h_psi).real / np.vdot(psi, psi).real
     assert abs(ev.interaction_energy(model, psi) - ref) <= 1e-12 * abs(ref)
 
 
@@ -283,7 +277,9 @@ def test_interaction_energy_conserved_without_a_dense_matrix(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("dense n^2 x n^2 matrix built")
 
-    monkeypatch.setattr(ev, "canonical_matrix", dense)
+    monkeypatch.setattr(tm, "canonical_matrix", dense)
+    monkeypatch.setattr(tm, "build_h_matrix", dense)
+    monkeypatch.setattr(ev, "build_h_matrix", dense)
     model = _hiv_model(n=300)
     psi0 = ev.basis_state(model, (2, 3))
     e0 = ev.interaction_energy(model, psi0)

@@ -129,7 +129,7 @@ def test_oracle_eigs_rejects_empty_window(count):
 def test_spectral_apply_matches_complex_product(kind, n, t):
     # the complex-by-real products the real-arithmetic helpers replace, at a
     # psi with a nonzero imaginary part; measured worst 0.78 eps |psi|
-    w, v = oracle_eigh(_operator(kind, n), n)
+    w, v = oracle_eigh(_operator(kind, n))
     rng = np.random.default_rng(n)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ts = np.atleast_1d(t)

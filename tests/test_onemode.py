@@ -11,7 +11,7 @@ from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson.bogoliubov import GroupElement, act_on_labels
-from multiboson.errors import TruncationOverflowError, UnsupportedCaseError
+from multiboson.errors import ParameterError, TruncationOverflowError, UnsupportedCaseError
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.orthopoly import poly_table
 
@@ -291,3 +291,13 @@ def test_evolve_tail_overflow():
         ev.evolve_full(model, bad, -0.1)
     with pytest.raises(TruncationOverflowError, match="at t = 0.0"):
         ev.run_series(model, bad, [0.0, 0.1])
+
+
+@pytest.mark.parametrize("mu, nu, alpha0", [(0.0, 1e300, 1e300), (1.0, 1.0, 1e308)])
+def test_overflowing_coefficients_raise_without_a_warning(mu, nu, alpha0):
+    # b_k overflows to inf, or to 0 * inf = nan when mu = nu; the check
+    # raises ParameterError and numpy warns of nothing (warnings are errors
+    # under this suite)
+    sec = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, 100)
+    with pytest.raises(ParameterError, match="overflow"):
+        om.OneModeHamiltonian(mu, nu, sec)

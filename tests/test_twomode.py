@@ -100,6 +100,99 @@ def test_d0_block_invariance():
         assert np.abs(comm[np.ix_(interior, interior)]).max() <= 1e-10
 
 
+@pytest.mark.parametrize("kind", ["D", "C"])
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_window_blocks_partition_the_window(kind, n):
+    # mode 1 a two-boson cluster in its odd sector, so beta0 = 1.5
+    reps = tm.TwoModeRep(MultibosonRep(1, (0.7,)), MultibosonRep(2, (0.5, 1.5)))
+    m = tm.canonical_matrix(kind, reps, (0, 1), n)
+    qs = np.unique(tm.charges(kind, n, np.arange(n * n))).tolist()
+    assert qs == (list(range(2 * n - 1)) if kind == "D" else list(range(1 - n, n)))
+    seen, sizes = [], {}
+    for q in qs:
+        idx, op = tm.window_block(kind, q, 0.7, 1.5, n)
+        assert np.all(np.diff(idx) > 0) and op.size == idx.size
+        assert np.array_equal(tm.charges(kind, n, idx), np.full(idx.size, q))
+        seen.append(idx)
+        sizes[q] = idx.size
+        # the diagonal is the canonical matrix's bit for bit; an off-diagonal
+        # entry is a square root of a product there and a product of square
+        # roots here, a relative 1.5 eps apart at n 40
+        block = m[np.ix_(idx, idx)]
+        assert np.array_equal(np.diagonal(block), op.diag_array())
+        ref = op.dense()
+        assert np.array_equal(block != 0, ref != 0)
+        off = ref != 0
+        assert np.all(np.abs(block - ref)[off] <= 2 * np.finfo(float).eps * np.abs(ref[off]))
+    together = np.concatenate(seen)
+    assert np.array_equal(np.sort(together), np.arange(n * n))
+    # one-state blocks at the window's corners; the D-blocks q >= n are cut
+    # by the window to their last 2n - 1 - q states
+    if kind == "D":
+        assert sizes[0] == sizes[2 * n - 2] == 1
+        assert all(sizes[q] == (q + 1 if q < n else 2 * n - 1 - q) for q in qs)
+    else:
+        assert sizes[n - 1] == sizes[1 - n] == 1
+        assert all(sizes[q] == n - abs(q) for q in qs)
+
+
+def _two_branch_hc(K, a0, b0):
+    """hc_block_jacobi's streams as written before the (s0, s1) offsets,
+    one branch per sign of K."""
+    if K >= 0:
+        return (lambda k: -0.5 * (2.0 * (K + k) + a0) * (2.0 * k + b0),
+                lambda k: -np.sqrt((K + k + a0) * (K + k + 1.0) * (k + b0) * (k + 1.0)))
+    return (lambda k: -0.5 * (2.0 * k + a0) * (2.0 * (k - K) + b0),
+            lambda k: -np.sqrt((k + a0) * (k + 1.0) * (k - K + b0) * (k - K + 1.0)))
+
+
+def _two_branch_uvw(K, a0, b0):
+    """(p, q, edges) of uvw_params as written before the (s0, s1) offsets."""
+    d = b0 - a0
+    if K >= 0:
+        return 0.5 * (d + 1.0), K + 0.5 * (1.0 - d), (-1.0, 2.0 * K + 1.0)
+    return -K + 0.5 * (d + 1.0), 0.5 * (1.0 - d), (2.0 * K - 1.0, 1.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def test_c_block_offsets_match_the_two_branch_formulas():
+    rng = np.random.default_rng(26)
+    k = np.arange(60, dtype=float)
+    for K in range(-40, 41):
+        draws = [tuple(rng.uniform(0.05, 6.0, 2)) for _ in range(3)]
+        # both branch edges hit exactly
+        draws += [(2.0 * max(-K, 0) + 3.0, 2.0), (0.5, 2.0 * max(K, 0) + 1.5)]
+        for a0, b0 in draws:
+            blk = tm.CBlock(K, a0, b0, n_levels=60)
+            op = tm.hc_block_jacobi(blk)
+            diag, offdiag = _two_branch_hc(K, a0, b0)
+            assert _bits(op.diag_array()) == _bits(diag(k))
+            assert _bits(op.offdiag_array()) == _bits(offdiag(k[:-1]))
+            assert _bits([op.diag(3.0), op.offdiag(3.0)]) == _bits([diag(3.0), offdiag(3.0)])
+            start = (K, 0) if K >= 0 else (0, -K)
+            assert blk.basis() == [(start[0] + j, start[1] + j) for j in range(60)]
+            p, q, edges = _two_branch_uvw(K, a0, b0)
+            half_sum = 0.5 * (a0 + b0 - 1.0)
+            triples = {"low": (p, q, half_sum), "middle": (half_sum, p, q),
+                       "high": (q, half_sum, p)}
+            d = b0 - a0
+            if d in edges:
+                with pytest.raises(BoundaryAmbiguityError) as exc:
+                    tm.uvw_params(K, a0, b0)
+                pair = ("low", "middle") if d == edges[0] else ("middle", "high")
+                assert [(c["branch"], _bits([c["u"], c["v"], c["w"]]))
+                        for c in exc.value.candidates] == [
+                    (b, _bits(triples[b])) for b in pair]
+                continue
+            got = tm.uvw_params(K, a0, b0)
+            branch = "low" if d < edges[0] else "middle" if d < edges[1] else "high"
+            assert got.branch == branch
+            assert _bits([got.u, got.v, got.w]) == _bits(triples[branch])
+
+
 def _printed_hd_block_jacobi(blk):
     """The D-block with the erratum's (K-k+beta0) in the last off-diagonal
     factor instead of the operator's (K-k+beta0-1)."""

@@ -48,9 +48,13 @@ def test_implementer_grid_builds_each_distinct_block_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [12, 40])
 def test_hiv_framework_deviation_is_bit_identical(n):
+    # the dense comparison the CSR one replaced
     pm = evolution.preset("HIV", n)
-    old = np.abs(pm.matrix - pm.mapping.matrix()).max()
-    new = validation._hiv_framework_deviation(n)
+    m = pm.mapping
+    canon = twomode.canonical_matrix(m.kind, m.reps, m.sector, m.n_per_mode) * m.scale
+    canon[np.diag_indices_from(canon)] += m.offset
+    old = np.abs(pm.matrix - canon).max()
+    new = validation._framework_deviation("HIV", n)
     assert np.float64(new).view(np.int64) == np.float64(old).view(np.int64)
 
 
@@ -59,7 +63,7 @@ def test_hiv_framework_deviation_forms_no_dense_array():
     # CSR one stays below 1 MiB
     tracemalloc.start()
     try:
-        validation._hiv_framework_deviation(40)
+        validation._framework_deviation("HIV", 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -82,7 +86,7 @@ def test_hiv_framework_equality_keeps_the_csr_deviation():
     # the charge-block oracle folded into the check sits far below the n 40
     # deviation, which the report keeps bit for bit
     assert validation._canonical_block_deviation(12) <= 1e-16
-    dev = validation._hiv_framework_deviation(40)
+    dev = validation._framework_deviation("HIV", 40)
     check = {r.name: r for r in validation.run_all(quick=True)}["evolution.hiv_framework_equality"]
     assert np.float64(check.deviation).view(np.int64) == np.float64(dev).view(np.int64)
 
