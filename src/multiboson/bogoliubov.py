@@ -16,10 +16,13 @@ Column phase convention: the undecorated kernel column starts positive
 global sign) under which U X U* reproduces the generator action.
 
 The column-normalized kernel block depends on the element only through
-c, so (a, +1) and (a, -1), and a and 1/a, share it.  ``implementer``
-takes the block from a one-entry memo keyed by (alpha0, c, n) and
-decorates a copy: consecutive elements with the same block build it once,
-and the memo holds a single read-only block (460 KB at n = 240).
+c, so (a, +1) and (a, -1) share it, and so do a and 1/a: ``meixner_c``
+computes c from max(a, 1/a), which is the same float for both whenever
+1/(1/a) rounds back to a.  ``implementer`` takes the block from a one-entry
+memo keyed by (alpha0, c, n) and decorates a copy: consecutive elements with
+the same block build it once, and the memo holds a single read-only block
+(460 KB at n = 240).  A full ``validate`` walks a in the order 1/3, 3, 1/2,
+2 for each of three alpha0, so it builds 6 blocks for its 24 elements.
 """
 
 import functools
@@ -128,8 +131,11 @@ def orbit_invariant(mu: float, nu: float) -> float:
 
 
 def meixner_c(a: float) -> float:
-    """c = ((a - 1) / (a + 1))^2 of the eigenbasis family attached to a > 0."""
-    return ((a - 1.0) / (a + 1.0)) ** 2
+    """c = ((b - 1) / (b + 1))^2, b = max(a, 1/a), of the eigenbasis family
+    attached to a > 0.  Taking b >= 1 gives a and 1/a the same c bit for bit
+    whenever 1/(1/a) rounds back to a (1/3 and 3 both give 0.25)."""
+    b = max(a, 1.0 / a)
+    return ((b - 1.0) / (b + 1.0)) ** 2
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,9 @@ def implementer(g: GroupElement, alpha0: float,
     is the Meixner(alpha0, c) Jacobi operator, so column m is column m of
     the Meixner kernel ``atom_eigenvector`` (the eigenvector at the exact
     eigenvalue 2m + alpha0), ell^2-normalized over the window and then
-    sign-decorated.
+    sign-decorated.  Both sigma, and a and 1/a (when 1/(1/a) == a), give the
+    same block up to those signs, so called in such pairs (as ``validate``
+    does: 6 blocks for its 24 elements) it builds each block once.
     """
     if g.a <= 0:
         raise UnsupportedElementError(

@@ -310,9 +310,9 @@ def cmd_coherent(cfg: dict, given: dict, out) -> int:
     # the measure first: its alpha0 range is the narrowest
     meas = coherent.radial_measure(al, k_checked=k_max)
     state = coherent.coherent_amplitudes(zeta, al, n)
-    _, am, _ = rep.sector_matrices(rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n))
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
     norm = float(np.linalg.norm(state))
-    resid = float(np.linalg.norm(am @ state - zeta * state) / norm)
+    resid = float(np.linalg.norm(rep.apply_lowering(sector, state) - zeta * state) / norm)
     norm2 = norm ** 2
     kern = coherent.kernel(abs(zeta) ** 2, al)
     moments = [{"k": k, "value": meas.moment(k), "target": meas.target_moment(k),

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, kv
+from scipy.special import gammaln, kv, kve
 
 from .errors import NumericalFailureError, ParameterError
 from .orthopoly import LN_FLOAT_MAX, _integrate, _where_positive, hyp0f1, ln_pochhammer
@@ -65,6 +65,34 @@ def coherent_amplitudes(zeta: complex, alpha0: float, n: int) -> np.ndarray:
     return amps[:-1]
 
 
+def _ln_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
+    """ln K_nu(x) over an array x > 0: ln kve(nu, x) - x where the scaled
+    kve is finite, else the small-argument series
+
+        K_nu(x) = 1/2 sum_k (-1)^k Gamma(nu - k) / k! (x/2)^(2k - nu)
+
+    of |nu| (K_-nu = K_nu) in log space, summed over k < |nu| until a term
+    drops below 1e-17 of the sum.  kve overflows only where (x/2)^2 is far
+    below |nu|, so the terms fall fast; the dropped part of K there, of
+    relative order (x/2)^(2|nu|) / Gamma(|nu|)^2, is below 1e-600."""
+    nu = abs(nu)
+    scaled = kve(nu, x)
+    out = np.empty(x.shape)
+    fin = np.isfinite(scaled)
+    out[fin] = np.log(scaled[fin]) - x[fin]
+    if not fin.all():
+        h = 0.5 * x[~fin]
+        term = np.ones(h.shape)
+        total = np.ones(h.shape)
+        k = 1
+        while k < nu and (np.abs(term) > 1e-17 * np.abs(total)).any():
+            term *= -h * h / (k * (nu - k))
+            total += term
+            k += 1
+        out[~fin] = math.log(0.5) + gammaln(nu) - nu * np.log(h) + np.log(total)
+    return out
+
+
 def kernel(z: complex, alpha0: float) -> complex:
     """Reproducing kernel 0F1(; alpha0; z) evaluated at z = conj(eta) zeta."""
     return hyp0f1(alpha0, z)
@@ -101,11 +129,26 @@ class RadialMeasure:
             )
 
     def weight(self, rho):
-        """w(rho), elementwise over a scalar or an array; 0 for rho <= 0."""
+        """w(rho), elementwise over a scalar or an array; 0 for rho <= 0.
+
+        Where the direct product rho^(alpha0 - 1) K(2 rho) is not finite
+        (0 * inf near rho = 0 from alpha0 near 60 on, inf * tiny far out),
+        or pi Gamma(alpha0) overflows (alpha0 above 171.1), w is evaluated
+        in log space with ``_ln_bessel_k``."""
         a = self.alpha0
-        return _where_positive(rho, lambda r: (
-            2.0 * r ** (a - 1.0) * kv(a - 1.0, 2.0 * r)
-            / (math.pi * math.exp(gammaln(a)))))
+        log_everywhere = not math.isfinite(math.pi * math.exp(gammaln(a)))
+
+        def w(r):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (2.0 * r ** (a - 1.0) * kv(a - 1.0, 2.0 * r)
+                       / (math.pi * math.exp(gammaln(a))))
+            bad = ~np.isfinite(out) | log_everywhere
+            if bad.any():
+                rb = r[bad]
+                out[bad] = np.exp(math.log(2.0 / math.pi) - gammaln(a)
+                                  + (a - 1.0) * np.log(rb) + _ln_bessel_k(a - 1.0, 2.0 * rb))
+            return out
+        return _where_positive(rho, w)
 
     def reference_weight(self, rho):
         """Weight with both indices raised; fails the moment identity."""

@@ -28,7 +28,9 @@ __all__ = [
     "alpha0",
     "alpha_minus",
     "sector_coeffs",
+    "apply_lowering",
     "sector_matrices",
+    "generator_weights",
     "build_generators_full",
     "casimir_value",
     "series_class",
@@ -113,6 +115,16 @@ def sector_coeffs(sector: OneModeSector):
     return diag, lowering, raising
 
 
+def apply_lowering(sector: OneModeSector, psi: np.ndarray) -> np.ndarray:
+    """A- psi for amplitudes psi over the sector's n_levels basis states, as
+    the weighted shift (A- psi)_k = sqrt((k + 1)(k + a)) psi_{k+1}; the top
+    entry is 0, its partner lying outside the window."""
+    _, lowering, _ = sector_coeffs(sector)
+    out = np.zeros_like(psi)
+    out[:-1] = lowering(np.arange(1.0, sector.n_levels)) * psi[1:]
+    return out
+
+
 def sector_matrices(sector: OneModeSector):
     """Dense (A0, A-, A+) on the truncated sector basis."""
     n = sector.n_levels
@@ -123,17 +135,23 @@ def sector_matrices(sector: OneModeSector):
     return a0, am, am.T.copy()
 
 
-def build_generators_full(rep: MultibosonRep, n: int):
-    """Dense (A0, A-, A+) on Fock levels 0..n-1 from the global coefficient
-    functions.  A+ is the transpose of A-.
-    """
+def generator_weights(rep: MultibosonRep, n: int):
+    """(diagonal, upper) weights of the generators on Fock levels 0..n-1:
+    A0 = diag(diagonal), A- carries upper[m] = alpha_minus(m) sqrt((m+1)_l) at
+    (m, m + l) for m < n - l, and A+ is its transpose."""
     if n <= rep.l:
         raise ValueError(f"need n > l = {rep.l}, got {n}")
     m = np.arange(n - rep.l)
-    upper = alpha_minus(rep, m) * np.sqrt(pochhammer(m + 1.0, rep.l))
-    a0 = np.diag(alpha0(rep, np.arange(n)))
+    return alpha0(rep, np.arange(n)), alpha_minus(rep, m) * np.sqrt(pochhammer(m + 1.0, rep.l))
+
+
+def build_generators_full(rep: MultibosonRep, n: int):
+    """Dense (A0, A-, A+) on Fock levels 0..n-1 from ``generator_weights``.
+    A+ is the transpose of A-.
+    """
+    diagonal, upper = generator_weights(rep, n)
     am = np.diag(upper, rep.l)
-    return a0, am, am.T.copy()
+    return np.diag(diagonal), am, am.T.copy()
 
 
 def casimir_value(rep: MultibosonRep, r: int) -> float:

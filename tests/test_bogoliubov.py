@@ -149,12 +149,22 @@ def test_implementer_sign_products_equal_power_form(n):
     # the flip at a = 1; bit for bit, signed zeros included
     bg._meixner_block.cache_clear()
     for alpha0 in (0.5, 1.0, 2.7):
-        for a in (1 / 3, 0.5, 1.0, 2.0, 3.0):
+        for a in (1 / 3, 3.0, 0.5, 2.0, 1.0):
             for sigma in (1, -1):
                 g = bg.GroupElement(a, sigma)
                 got = bg.implementer(g, alpha0, n)[0]
                 ref = _power_form_implementer(g, alpha0, n)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-300, 1e300))
+def test_meixner_c_is_shared_by_a_and_its_inverse(a):
+    # b = max(a, 1/a) is the same float for a and 1/a whenever 1/(1/a)
+    # rounds back to a (always for a < 1; 1/3 -> 3 -> 1/3 exactly)
+    if 1.0 / (1.0 / a) == a:
+        assert bg.meixner_c(a) == bg.meixner_c(1.0 / a)
+    assert bg.meixner_c(1 / 3) == bg.meixner_c(3.0) == 0.25
 
 
 def test_implementer_returns_a_private_copy():

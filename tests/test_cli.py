@@ -374,3 +374,13 @@ def test_coherent_subcommand(capsys, tmp_path):
     assert res["eigenstate_residual"] <= 1e-8
     assert res["kernel_identity_error"] <= 1e-10
     assert max(m["rel_error"] for m in res["moments"]) <= 1e-6
+
+
+@pytest.mark.parametrize("al", ["60", "171.5"])
+def test_coherent_subcommand_at_large_alpha0(capsys, al):
+    # the admitted alpha0 range reaches 171.6; from alpha0 near 60 on the
+    # direct product rho^(alpha0 - 1) K(2 rho) is 0 * inf near rho = 0
+    code, out, err = _run(capsys, "coherent", "--alpha0", al, "--format", "json")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert max(m["rel_error"] for m in res["moments"]) <= 1e-12

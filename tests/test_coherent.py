@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, kv
 
 from multiboson import coherent as ch
 from multiboson import rep
@@ -125,6 +126,33 @@ def test_radial_weights_take_arrays_elementwise():
         assert got.shape == rho.shape and got[0] == got[1] == 0.0
         assert np.array_equal(got, [w(r) for r in rho])
         assert isinstance(w(0.3), float) and w(-2.0) == 0.0
+
+
+@pytest.mark.parametrize("al", [60.0, 100.0, 150.0, 171.5])
+def test_radial_measure_at_large_alpha0(al):
+    # the direct product is 0 * inf near rho = 0 from alpha0 near 60 on, and
+    # pi Gamma(alpha0) overflows above 171.1; the weight holds the moment
+    # identity there with no warning (warnings are errors here)
+    m = ch.radial_measure(al, k_checked=6)
+    assert max(m.moment_error(k) for k in range(7)) <= 1e-12
+    # against mpmath, on both sides of the switch to log space
+    rho = np.array([1e-3, 0.1, 1.0, 0.25 * al, 0.5 * al, al, 2.0 * al])
+    with mpmath.workdps(40):
+        want = [float(2 * mpmath.mpf(r) ** (al - 1) * mpmath.besselk(al - 1, 2 * r)
+                      / (mpmath.pi * mpmath.gamma(al))) for r in rho]
+    assert m.weight(rho) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("al", [0.05, 0.3, 1.0, 2.7, 30.0])
+def test_radial_weight_is_the_direct_product_where_that_is_finite(al):
+    m = ch.radial_measure(al, k_checked=2)
+    rho = np.geomspace(1e-6, 200.0, 400)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = (2.0 * rho ** (al - 1.0) * kv(al - 1.0, 2.0 * rho)
+                  / (math.pi * math.exp(gammaln(al))))
+    fin = np.isfinite(direct)
+    assert fin.sum() > 300
+    assert np.array_equal(m.weight(rho)[fin], direct[fin])
 
 
 def test_radial_measure_rejects_negative_k_checked():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multiboson import bogoliubov, evolution, twomode, validation
+from multiboson import bogoliubov, evolution, rep, twomode, validation
 
 # (name, tolerance) of every run_all check, in order
 GOLDEN = json.loads((Path(__file__).parent / "data" / "validate_checks.json").read_text())
@@ -28,8 +28,8 @@ def test_run_all_checks_match_golden(mode):
 
 
 def test_implementer_grid_builds_each_distinct_block_once(monkeypatch):
-    # 24 grid elements share 9 (alpha0, c) blocks: c does not depend on
-    # sigma, and a = 1/2 and a = 2 give the same c
+    # 24 grid elements share 6 (alpha0, c) blocks: c does not depend on
+    # sigma, a and 1/a give the same c, and the grid takes a and 1/a in turn
     calls = []
     kernel = bogoliubov.atom_eigenvector
     monkeypatch.setattr(bogoliubov, "atom_eigenvector",
@@ -39,11 +39,93 @@ def test_implementer_grid_builds_each_distinct_block_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     validation.run_all()
-    assert len(calls) == 9
+    assert len(calls) == 6
     # the memo holds one block, and a run's first block is not its last, so
-    # a second run rebuilds all nine
+    # a second run rebuilds all six
     validation.run_all()
-    assert len(calls) == 18
+    assert len(calls) == 12
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+def _dense_commutator_residual(l, table, n):
+    """The dense matrix products that the weighted shifts replace."""
+    r = rep.MultibosonRep(l, table)
+    a0, am, ap = rep.build_generators_full(r, n)
+    interior = n - 2 * l
+    dev = 0.0
+    for lhs, rhs in ((am @ ap - ap @ am, a0), (a0 @ am - am @ a0, -2 * am),
+                     (a0 @ ap - ap @ a0, 2 * ap)):
+        dev = max(dev, np.abs((lhs - rhs)[:interior, :interior]).max())
+    return dev
+
+
+def _dense_casimir_residual(l, table, n):
+    r = rep.MultibosonRep(l, table)
+    a0, am, ap = rep.build_generators_full(r, n)
+    cas = 0.5 * a0 @ a0 - am @ ap - ap @ am
+    interior = n - 2 * l
+    return np.abs(cas[:interior, :interior]
+                  - np.diag([rep.casimir_value(r, m % l) for m in range(interior)])).max()
+
+
+@pytest.mark.parametrize("n", [64, 100, 240])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_shift_residuals_equal_the_dense_products(l, n):
+    rng = np.random.default_rng(1000 * l + n)
+    for _ in range(4):
+        table = tuple(rng.uniform(0.2, 3.0, size=l))
+        assert (_bits(validation._commutator_residual(l, table, n))
+                == _bits(_dense_commutator_residual(l, table, n)))
+        assert (_bits(validation._casimir_residual(l, table, n))
+                == _bits(_dense_casimir_residual(l, table, n)))
+
+
+@pytest.mark.parametrize("n", [64, 100, 240])
+def test_shift_conjugation_image_equals_the_dense_products(n):
+    # U X and U X U^T - (m0 A0 + m1 A- + m2 A+) on the interior block, for
+    # an implementer and a random row block, against the dense sector
+    # matrices
+    rng = np.random.default_rng(n)
+    for al, a, sg in ((rng.uniform(0.2, 3.0), 1 / 3, 1), (rng.uniform(0.2, 3.0), 2.0, -1),
+                      (rng.uniform(0.2, 3.0), None, 1)):
+        sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
+        xs = rep.sector_matrices(sector)
+        diag, lowering, _ = rep.sector_coeffs(sector)
+        k = np.arange(n, dtype=float)
+        d, b = diag(k), lowering(k[1:])
+        if a is None:
+            ui, m = rng.standard_normal((n // 3, n)), rng.standard_normal((3, 3))
+        else:
+            g = bogoliubov.GroupElement(a, sg)
+            u, info = bogoliubov.implementer(g, al, n)
+            ui, m = u[:info.interior_rows], bogoliubov.action_matrix(g).matrix
+        ii = ui.shape[0]
+        block = [x[:ii, :ii] for x in xs]
+        for i, ux in enumerate(validation._times_generators(ui, d, b)):
+            want = ui @ xs[i]
+            assert np.array_equal(ux.view(np.int64), want.view(np.int64))
+            img = m[i, 0] * block[0] + m[i, 1] * block[1] + m[i, 2] * block[2]
+            dense = np.abs(want @ ui.T - img).max()
+            assert _bits(validation._tridiagonal_gap(ux @ ui.T, m[i], d, b)) == _bits(dense)
+
+
+@pytest.mark.parametrize("n", [64, 100, 240])
+def test_apply_lowering_equals_the_dense_product(n):
+    rng = np.random.default_rng(n)
+    for al in rng.uniform(0.2, 3.0, size=3):
+        sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
+        _, am, _ = rep.sector_matrices(sector)
+        for psi in (rng.standard_normal(n),
+                    rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            got, want = rep.apply_lowering(sector, psi), am @ psi
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            z = complex(*rng.standard_normal(2))
+            assert (_bits(np.linalg.norm(got - z * psi))
+                    == _bits(np.linalg.norm(want - z * psi)))
 
 
 @pytest.mark.parametrize("n", [12, 40])
@@ -71,7 +153,8 @@ def test_hiv_framework_deviation_forms_no_dense_array():
 
 
 def test_run_all_forms_no_dense_preset():
-    # 22.4 MiB while the HIV check was dense; 4.7 MiB on CSR entries
+    # 22.4 MiB while the HIV check was dense; 4.7 MiB on CSR entries; 2.15
+    # MiB with the generators applied as weighted shifts (bound: plus 50 %)
     validation.run_all(quick=True)
     tracemalloc.start()
     try:
@@ -79,7 +162,7 @@ def test_run_all_forms_no_dense_preset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert peak <= 1.5 * 2.15 * 2 ** 20
 
 
 def test_hiv_framework_equality_keeps_the_csr_deviation():
