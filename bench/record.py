@@ -7,13 +7,15 @@ Usage (from the repository root):
     python3 bench/record.py --tree parent --src /path/to/other/checkout/src --out BENCH.json
 
 Every case runs in this process, with BLAS pinned to one thread: one warm-up
-call, ``--repeats`` untraced calls (their median wall time is ``seconds``)
+call, ``REPEATS`` untraced calls (their median wall time is ``seconds``)
 and one more call under tracemalloc (its peak of traced bytes, numpy buffers
 included, is ``peak_bytes``).  A row is
 
     {tree, case, layer, size, seconds, peak_bytes, accuracy}
 
-and ``accuracy`` is the case's own error figure (lower is better), described
+where ``size`` is the case's problem size (n_levels, cutoff or block order
+n; null for validate sections and the whole-validate cases) and
+``accuracy`` is the case's own error figure (lower is better), described
 under "accuracy" in the output file.  Rows of the same tree already in
 ``--out`` are replaced; rows of other trees are kept, so two trees (say a
 change and its parent) can be recorded into one file and compared row by row.
@@ -42,6 +44,7 @@ import tracemalloc
 
 import numpy as np
 
+REPEATS = 5
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # what each case's accuracy figure is, by case name (validate sections by prefix)
@@ -63,16 +66,15 @@ def parse_args(argv=None):
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="directory holding the multiboson package (default: this checkout's)")
     p.add_argument("--out", required=True, help="JSON file to write the rows into")
-    p.add_argument("--repeats", type=int, default=5)
     return p.parse_args(argv)
 
 
-def measure(fn, repeats):
-    """(median seconds of ``repeats`` calls, traced peak bytes, accuracy)
+def measure(fn):
+    """(median seconds of ``REPEATS`` calls, traced peak bytes, accuracy)
     after one warm-up call; fn returns the accuracy figure."""
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -144,12 +146,15 @@ def layer_cases(bg):
     yield "implementer grid", "bogoliubov.implementer", 240, grid
 
 
-def section_rows(validation, tree, repeats):
+def section_rows(validation, tree):
     """One row per section of ``validation.run_all`` (full): the median of
     its section times, and the traced peak during the section (read and
-    reset at each lap, so it counts what earlier sections still hold)."""
+    reset at each lap, so it counts what earlier sections still hold).
+    The sections are read off ``validation._SectionTimer``: its ``lap`` is
+    wrapped for one traced run, and ``done`` counts the checks stamped so
+    far, so this function follows that class if it changes."""
     validation.run_all()
-    runs = [validation.run_all() for _ in range(repeats)]
+    runs = [validation.run_all() for _ in range(REPEATS)]
     sections, peaks = [], []
     lap = validation._SectionTimer.lap
 
@@ -168,7 +173,7 @@ def section_rows(validation, tree, repeats):
         tracemalloc.stop()
         validation._SectionTimer.lap = lap
     return [{"tree": tree, "case": f"validate section {traced[idx[0]].name}",
-             "layer": "validation.run_all", "size": len(idx),
+             "layer": "validation.run_all", "size": None,
              "seconds": statistics.median(run[idx[0]].seconds for run in runs),
              "peak_bytes": peak,
              "accuracy": max(traced[i].deviation / traced[i].tolerance for i in idx)}
@@ -182,11 +187,11 @@ def main(argv=None):
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for case, layer, size, fn in (*cli_cases(cli, tmp), *layer_cases(bogoliubov)):
-            seconds, peak, accuracy = measure(fn, args.repeats)
+            seconds, peak, accuracy = measure(fn)
             rows.append({"tree": args.tree, "case": case, "layer": layer, "size": size,
                          "seconds": seconds, "peak_bytes": peak, "accuracy": accuracy})
             print(json.dumps(rows[-1]), file=sys.stderr)
-    rows += section_rows(validation, args.tree, args.repeats)
+    rows += section_rows(validation, args.tree)
     record = {"about": __doc__.split("\n\n")[0], "accuracy": ACCURACY, "rows": []}
     if os.path.exists(args.out):
         with open(args.out) as f:

@@ -19,9 +19,8 @@ from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
 from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
                      oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
-                  apply_lowering, build_generators_full, casimir_value,
-                  generator_weights, residue, sector_coeffs, sector_matrices,
-                  series_class)
+                  build_generators_full, casimir_value, residue, sector_coeffs,
+                  sector_matrices, series_class)
 from .bogoliubov import (GeneratorAction, GroupElement, act_on_labels,
                          action_matrix, implementer, inverse, meixner_c,
                          multiply, orbit_invariant)

@@ -28,9 +28,7 @@ __all__ = [
     "alpha0",
     "alpha_minus",
     "sector_coeffs",
-    "apply_lowering",
     "sector_matrices",
-    "generator_weights",
     "build_generators_full",
     "casimir_value",
     "series_class",
