@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 from .errors import (BoundaryAmbiguityError, NoBoundStateError,
                      NumericalFailureError, ParameterError, TruncationOverflowError,
                      UnsupportedCaseError, UnsupportedElementError)
-from .orthopoly import (ContinuousDualHahn, ContinuousPart, DualHahn, Laguerre,
-                        Meixner, MeixnerPollaczek, PolyFamily, SpectralMeasure,
-                        bessel_k, eval_orthonormal, gamma_abs_sq, gram_check,
-                        gram_matrix, hyp0f1, hyp3f2_terminating, ln_gamma)
+from .orthopoly import (ContinuousDualHahn, DualHahn, Laguerre, Meixner,
+                        MeixnerPollaczek, PolyFamily, SpectralMeasure, bessel_k,
+                        eval_orthonormal, gamma_abs_sq, gram_check, gram_matrix,
+                        hyp0f1, hyp3f2_terminating, ln_gamma)
 from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
                      oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,

@@ -216,6 +216,11 @@ def cmd_validate(cfg: dict, given: dict, out) -> int:
     return 0 if all(r.passed for r in results) else FAILURE
 
 
+def _atom_rows(meas) -> list:
+    return [{"location": x, "weight": w}
+            for x, w in zip(meas.locations.tolist(), meas.weights.tolist())]
+
+
 def cmd_spectrum(cfg: dict, given: dict, out) -> int:
     model, count = cfg["model"], cfg["count"]
     results, diagnostics = {}, {}
@@ -238,14 +243,13 @@ def cmd_spectrum(cfg: dict, given: dict, out) -> int:
         results["family"] = type(chain.family).__name__ if chain.family else "diagonal"
         results["family_params"] = dict(vars(chain.family)) if chain.family else {}
         results["scale"] = chain.scale
-        results["atoms"] = [{"location": loc, "weight": w}
-                            for loc, w in meas.atoms]
-        if meas.continuous is not None:
-            results["continuum"] = list(meas.continuous.support)
+        results["atoms"] = _atom_rows(meas)
+        if meas.support is not None:
+            results["continuum"] = list(meas.support)
         else:
             m = min(count, 5)
             w = oracle_eigs(onemode.jacobi(h), count=m, top=chain.pairs_top)
-            gap = meas.atom_locations()[:m] - chain.pair(w, m)
+            gap = meas.locations[:m] - chain.pair(w, m)
             results["oracle_delta"] = float(np.abs(gap).max())
     else:
         a0, b0, K = cfg["alpha0"], cfg["beta0"], cfg["K"]
@@ -268,14 +272,13 @@ def cmd_spectrum(cfg: dict, given: dict, out) -> int:
                 chk = twomode.hc_truncation_check(blk) if m else None
                 meas = chain.measure()
                 results["uvw"] = dict(vars(twomode.uvw_params(K, a0, b0)))
-                results["atoms"] = [{"location": loc, "weight": w}
-                                    for loc, w in meas.atoms]
-                results["continuum"] = list(meas.continuous.support)
+                results["atoms"] = _atom_rows(meas)
+                results["continuum"] = list(meas.support)
                 if m:
                     diagnostics["truncation_top"] = chk.top_full.tolist()
                     diagnostics["richardson"] = chk.extrapolated.tolist()
                     diagnostics["agreement"] = chk.agreement
-                    gap = chain.pair(chk.extrapolated, m) - meas.atom_locations()
+                    gap = chain.pair(chk.extrapolated, m) - meas.locations
                     results["oracle_delta"] = float(np.abs(gap).max())
     _emit({"command": "spectrum", **given}, results, diagnostics, cfg["format"], out)
     return 0

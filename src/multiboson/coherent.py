@@ -129,32 +129,33 @@ class RadialMeasure:
             )
 
     def weight(self, rho):
-        """w(rho), elementwise over a scalar or an array; 0 for rho <= 0.
-
-        Where the direct product rho^(alpha0 - 1) K(2 rho) is not finite
-        (0 * inf near rho = 0 from alpha0 near 60 on, inf * tiny far out),
-        or pi Gamma(alpha0) overflows (alpha0 above 171.1), w is evaluated
-        in log space with ``_ln_bessel_k``."""
-        a = self.alpha0
-        log_everywhere = not math.isfinite(math.pi * math.exp(gammaln(a)))
-
-        def w(r):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = (2.0 * r ** (a - 1.0) * kv(a - 1.0, 2.0 * r)
-                       / (math.pi * math.exp(gammaln(a))))
-            bad = ~np.isfinite(out) | log_everywhere
-            if bad.any():
-                rb = r[bad]
-                out[bad] = np.exp(math.log(2.0 / math.pi) - gammaln(a)
-                                  + (a - 1.0) * np.log(rb) + _ln_bessel_k(a - 1.0, 2.0 * rb))
-            return out
-        return _where_positive(rho, w)
+        """w(rho) = 2 rho^(alpha0 - 1) K_(alpha0 - 1)(2 rho) / (pi Gamma(alpha0)),
+        elementwise over a scalar or an array; 0 for rho <= 0."""
+        return _where_positive(rho, lambda r: self._bessel_weight(r, 2.0, self.alpha0 - 1.0))
 
     def reference_weight(self, rho):
-        """Weight with both indices raised; fails the moment identity."""
+        """Weight with both indices raised,
+        rho^alpha0 K_alpha0(2 rho) / (2 pi Gamma(alpha0)); fails the moment
+        identity."""
+        return _where_positive(rho, lambda r: self._bessel_weight(r, 0.5, self.alpha0))
+
+    def _bessel_weight(self, r: np.ndarray, num: float, nu: float) -> np.ndarray:
+        """num r^nu K_nu(2r) / (pi Gamma(alpha0)) over an array r > 0.
+
+        Where the direct product is not finite (0 * inf near r = 0 from nu
+        near 60 on, inf * tiny far out), or pi Gamma(alpha0) overflows
+        (alpha0 above 171.1), it is evaluated in log space with
+        ``_ln_bessel_k``."""
         a = self.alpha0
-        return _where_positive(rho, lambda r: (
-            r ** a * kv(a, 2.0 * r) / (2.0 * math.pi * math.exp(gammaln(a)))))
+        den = math.pi * math.exp(gammaln(a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = num * r ** nu * kv(nu, 2.0 * r) / den
+        bad = ~np.isfinite(out) | (not math.isfinite(den))
+        if bad.any():
+            rb = r[bad]
+            out[bad] = np.exp(math.log(num / math.pi) - gammaln(a)
+                              + nu * np.log(rb) + _ln_bessel_k(nu, 2.0 * rb))
+        return out
 
     def moment(self, k: int, weight=None) -> float:
         """integral rho^{2k} w(rho) 2 pi rho drho by quadrature of the moments

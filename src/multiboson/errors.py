@@ -28,10 +28,6 @@ class NumericalFailureError(RuntimeError):
 class TruncationOverflowError(RuntimeError):
     """Amplitudes leaked into the truncation tail; retry with a larger cutoff."""
 
-    def __init__(self, message: str, advised_n: int | None = None):
-        super().__init__(message)
-        self.advised_n = advised_n
-
 
 class UnsupportedElementError(ValueError):
     """Group element outside the unitarily implementable subgroup."""

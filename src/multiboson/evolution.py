@@ -260,8 +260,7 @@ def _evolve_grid(model: FullModel, psi0: np.ndarray,
         i = int(over[0])
         raise TruncationOverflowError(
             f"tail fraction {fractions[i]:.2e} exceeds "
-            f"{model.tail_tol:.2e} at t = {times[i].item()}; increase the truncation",
-            advised_n=None)
+            f"{model.tail_tol:.2e} at t = {times[i].item()}; increase the truncation")
     return indices, amps
 
 

@@ -110,18 +110,19 @@ def _stream(coeff: Callable[[np.ndarray], np.ndarray], k: np.ndarray) -> np.ndar
 
 
 def oracle_eigs(op: JacobiOperator, count: int | None = None,
-                n: int | None = None, top: bool = False) -> np.ndarray:
-    """Index window of the truncated operator's eigenvalues, ascending.
+                top: bool = False) -> np.ndarray:
+    """Index window of the operator's eigenvalues at its size, ascending.
 
     The window is the lowest ``count`` eigenvalues, or the highest ``count``
-    when ``top`` is true; ``count=None`` (or ``count >= n``) asks for the
-    whole spectrum.  Bisection costs O(n) per step for each eigenvalue in
+    when ``top`` is true; ``count=None`` (or ``count >= op.size``) asks for
+    the whole spectrum.  A smaller truncation is ``dataclasses.replace(op,
+    size=m)``.  Bisection costs O(n) per step for each eigenvalue in
     the window, so a few extremal eigenvalues of a large truncation are
     cheap and the full spectrum is not.
 
     Independent of any closed form: straight LAPACK tridiagonal solve.
     """
-    n = op.size if n is None else n
+    n = op.size
     if count is None:
         count = n
     elif count < 1:
@@ -130,8 +131,8 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     lo = n - count if top else 0
     try:
         if n == 1:
-            return op.diag_array(1)
-        w = eigh_tridiagonal(op.diag_array(n), op.offdiag_array(n),
+            return op.diag_array()
+        w = eigh_tridiagonal(op.diag_array(), op.offdiag_array(),
                              eigvals_only=True, select="i",
                              select_range=(lo, lo + count - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -354,7 +355,7 @@ class Chain:
         a diagonal chain's first ``n_atoms`` atoms at unit weight."""
         fam = self.family
         if fam is None:
-            return SpectralMeasure(tuple((x, 1.0) for x in self.atoms(n_atoms).tolist()))
+            return SpectralMeasure(self.atoms(n_atoms), np.ones(n_atoms))
         meas = fam.measure(n_atoms=n_atoms) if isinstance(fam, Meixner) else fam.measure()
         return meas.mapped(shift=self.shift, scale=self.scale)
 

@@ -165,8 +165,7 @@ def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     if done.size == 0:
         raise TruncationOverflowError(
             f"eigen-expansion tail {tail[-1] / total:.2e} after {cap} terms; "
-            f"state reaches the truncation edge", advised_n=2 * size,
-        )
+            f"state reaches the truncation edge")
     m = int(done[0])
     return chain.eigenvectors(op, size, m), chain.atoms(m), coeffs[:m]
 

@@ -2,9 +2,11 @@
 
 Every family is a frozen parameter record that knows its orthonormal
 three-term recurrence (positive off-diagonal convention, P_0 = 1) and its
-orthogonality measure.  ``recurrence(k)`` takes a scalar or a float
-k-array and returns (a_k, b_k) elementwise.  Measures are kept in the
-family's natural variable; callers map to physical variables with
+orthogonality measure, a :class:`SpectralMeasure`: atom locations and
+weights as two float arrays plus, for a continuum, its support interval and
+density.  ``recurrence(k)`` takes a scalar or a float k-array and returns
+(a_k, b_k) elementwise.  Measures are kept in the family's natural
+variable; callers map to physical variables with
 :meth:`SpectralMeasure.mapped`.
 
 Natural variables and stored (unnormalized) measures:
@@ -18,7 +20,11 @@ Natural variables and stored (unnormalized) measures:
 
 Every family gives its total mass in closed form, and
 :meth:`SpectralMeasure.normalized` divides by it.  Densities are
-elementwise functions of a scalar or an array.
+elementwise functions of a scalar or an array.  Each atom weight comes
+from its family's scalar formula, one atom at a time (``DualHahn``: one
+array expression), so a weight does not depend on how many atoms are
+asked for; :func:`gram_matrix` takes its Meixner atoms from
+``Meixner.measure`` too.
 
 One routine, :func:`_integrate`, does every quadrature of the package: the
 continuous parts in :func:`gram_check` and the moments of
@@ -32,11 +38,12 @@ finds the finite ends of an infinite support itself.
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
 from scipy.special import betaln, gammaln, kv, loggamma
+from scipy.special import hyp0f1 as _hyp0f1
 
 from .errors import NumericalFailureError, ParameterError
 
@@ -48,7 +55,6 @@ __all__ = [
     "hyp0f1",
     "hyp3f2_terminating",
     "bessel_k",
-    "ContinuousPart",
     "SpectralMeasure",
     "Laguerre",
     "Meixner",
@@ -117,26 +123,13 @@ def ln_pochhammer(a: float, k: int) -> float:
 
 
 def hyp0f1(b: float, z: complex) -> complex:
-    """0F1(; b; z) by direct series, summed until the relative tail is < 1e-15."""
+    """0F1(; b; z) for b > 0 by ``scipy.special.hyp0f1``: a float for a real
+    z, a complex for a complex z."""
     if b <= 0:
         raise ValueError(f"hyp0f1 requires b > 0, got {b}")
-    term = complex(z) * 0 + 1.0
-    total = term
-    small = 0
-    for k in range(100_000):
-        term = term * z / ((k + 1.0) * (b + k))
-        total += term
-        if abs(term) < 1e-15 * abs(total):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise NumericalFailureError(f"hyp0f1 series did not converge for b={b}, z={z}")
     if isinstance(z, complex):
-        return total
-    return total.real
+        return complex(_hyp0f1(b, z))
+    return float(_hyp0f1(b, z))
 
 
 def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:
@@ -181,74 +174,65 @@ def _where_positive(x, fn):
 
 
 @dataclass(frozen=True)
-class ContinuousPart:
-    """Absolutely continuous piece: support interval and density, an
-    elementwise function of a scalar or an array."""
-
-    support: tuple[float, float]
-    density: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class SpectralMeasure:
-    """Discrete atoms plus an optional continuous density.
+    """Atoms at ``locations`` with positive ``weights`` (float arrays of one
+    length, empty for a purely continuous measure) plus a density on the
+    interval ``support``, an elementwise function of a scalar or an array;
+    ``support`` and ``density`` are None for a purely atomic measure.
 
-    A measure with a continuous part carries its total mass in closed form.
-    The affine map from a family's natural variable to a physical one is
+    A measure with a density carries its total mass in closed form.  The
+    affine map from a family's natural variable to a physical one is
     recorded once, on ``jacobi.Chain``.
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    continuous: ContinuousPart | None = None
+    locations: np.ndarray = field(default_factory=lambda: np.empty(0))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    support: tuple[float, float] | None = None
+    density: Callable[[np.ndarray], np.ndarray] | None = None
     total_mass_closed: float | None = None
 
     def __post_init__(self):
-        if self.continuous is not None and self.total_mass_closed is None:
+        # the dataclass is frozen
+        object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        if self.locations.shape != self.weights.shape or self.weights.ndim != 1:
+            raise ValueError("locations and weights must be 1-d arrays of one length")
+        if (self.support is None) != (self.density is None):
+            raise ValueError("a continuous part needs both support and density")
+        if self.density is not None and self.total_mass_closed is None:
             raise ValueError("a continuous part needs total_mass_closed")
-        for loc, w in self.atoms:
-            if w <= 0:
-                raise ValueError(f"atom weight must be positive, got {w} at {loc}")
-
-    def atom_locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.atoms], dtype=float)
-
-    def atom_weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
-
-    def atom_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
+        bad = np.flatnonzero(self.weights <= 0)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"atom weight must be positive, got {self.weights[i]} "
+                             f"at {self.locations[i]}")
 
     def total_mass(self) -> float:
-        """Closed-form total mass when known, else the atom mass."""
+        """Closed-form total mass when known, else the atom weights summed
+        in order."""
         if self.total_mass_closed is not None:
             return self.total_mass_closed
-        return self.atom_mass()
+        return float(sum(self.weights.tolist()))
 
     def normalized(self) -> "SpectralMeasure":
         """Rescale weights and density so the total mass is 1."""
         m = self.total_mass()
-        atoms = tuple((loc, w / m) for loc, w in self.atoms)
-        cont = self.continuous
-        if cont is not None:
-            d = cont.density
-            cont = ContinuousPart(cont.support, lambda x, _d=d, _m=m: _d(x) / _m)
-        return SpectralMeasure(atoms, cont, None if self.total_mass_closed is None else 1.0)
+        d = self.density
+        if d is not None:
+            d = lambda x, _d=d, _m=m: _d(x) / _m
+        return SpectralMeasure(self.locations, self.weights / m, self.support, d,
+                               None if self.total_mass_closed is None else 1.0)
 
     def mapped(self, shift: float = 0.0, scale: float = 1.0) -> "SpectralMeasure":
         """Pushforward under x -> scale * x + shift (mass preserved)."""
         if scale == 0:
             raise ValueError("scale must be nonzero")
-        atoms = tuple((scale * loc + shift, w) for loc, w in self.atoms)
-        cont = self.continuous
-        if cont is not None:
-            a, b = (scale * s + shift for s in cont.support)
-            lo, hi = (a, b) if a <= b else (b, a)
-            d = cont.density
-            cont = ContinuousPart(
-                (lo, hi),
-                lambda x, _d=d, _s=scale, _t=shift: _d((x - _t) / _s) / abs(_s),
-            )
-        return SpectralMeasure(atoms, cont, self.total_mass_closed)
+        support, d = self.support, self.density
+        if d is not None:
+            support = tuple(sorted(scale * s + shift for s in support))
+            d = lambda x, _d=d, _s=scale, _t=shift: _d((x - _t) / _s) / abs(_s)
+        return SpectralMeasure(scale * self.locations + shift, self.weights, support, d,
+                               self.total_mass_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +269,7 @@ class Laguerre:
         al = self.alpha
         dens = lambda x: _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
         return SpectralMeasure(
-            continuous=ContinuousPart((0.0, math.inf), dens),
+            support=(0.0, math.inf), density=dens,
             total_mass_closed=_exp(gammaln(al + 1), ("alpha",), "Laguerre mass"),
         )
 
@@ -334,10 +318,10 @@ class Meixner:
         if not -self.beta * math.log1p(-self.c) < LN_FLOAT_MAX - 1.0:
             raise ParameterError(("beta", "c"), f"the Meixner mass (1 - c)^-beta "
                                  f"overflows float64 at beta = {self.beta}, c = {self.c}")
-        atoms = tuple((2.0 * n + self.beta, self.atom_weight(n)) for n in range(n_atoms))
-        if atoms and atoms[-1][1] == 0.0:   # unimodal weights underflow at the top
+        w = np.array([self.atom_weight(n) for n in range(n_atoms)])
+        if n_atoms and w[-1] == 0.0:   # unimodal weights underflow at the top
             raise ParameterError(("n_atoms",), f"atom {n_atoms - 1}'s weight underflows")
-        return SpectralMeasure(atoms=atoms,
+        return SpectralMeasure(2.0 * np.arange(n_atoms) + self.beta, w,
                                total_mass_closed=(1 - self.c) ** (-self.beta))
 
 
@@ -368,7 +352,7 @@ class MeixnerPollaczek:
                           * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
         gam = _exp(gammaln(2 * lam), ("lam",), "Meixner-Pollaczek mass factor Gamma(2 lam) =")
         mass = 2 * math.pi * gam / (2 * math.sin(phi)) ** (2 * lam)
-        return SpectralMeasure(continuous=ContinuousPart((-math.inf, math.inf), dens),
+        return SpectralMeasure(support=(-math.inf, math.inf), density=dens,
                                total_mass_closed=mass)
 
 
@@ -435,10 +419,9 @@ class DualHahn:
             raise ParameterError(("K",), f"the weights of DualHahn({g}, {d}, K) underflow "
                                  f"float64 at K = {K} from atom {int(np.argmin(w > 0))} on; "
                                  f"K <= {good} keeps every weight positive")
-        atoms = tuple(zip((n * (n + g + d + 1.0)).tolist(), w.tolist()))
         # closed-form mass 1 / C(delta + K, K)
         mass = math.exp(gammaln(d + 1) + gammaln(K + 1) - gammaln(d + 1 + K))
-        return SpectralMeasure(atoms=atoms, total_mass_closed=mass)
+        return SpectralMeasure(n * (n + g + d + 1.0), w, total_mass_closed=mass)
 
 
 @dataclass(frozen=True)
@@ -494,9 +477,9 @@ class ContinuousDualHahn:
         return pref * num / den * (-1.0) ** n
 
     def measure(self) -> SpectralMeasure:
-        atoms = tuple(((self.u + n) ** 2, self.atom_weight(n))
-                      for n in range(self.n_atoms()))
-        if not all(0 < w < math.inf for _, w in atoms):
+        n = range(self.n_atoms())
+        w = np.array([self.atom_weight(k) for k in n])
+        if not ((0 < w) & (w < math.inf)).all():
             raise ParameterError(("u", "v", "w"), "atom weights leave the double "
                                  f"range at u = {self.u}, v = {self.v}, w = {self.w}")
         dens = lambda x: _where_positive(
@@ -504,9 +487,8 @@ class ContinuousDualHahn:
             lambda y2: self.density_y(np.sqrt(y2)) / (2 * np.sqrt(y2)))
         mass = _exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
                     + gammaln(self.v + self.w), ("u", "v", "w"), "mass")
-        return SpectralMeasure(atoms=atoms,
-                               continuous=ContinuousPart((-math.inf, 0.0), dens),
-                               total_mass_closed=mass)
+        return SpectralMeasure(np.array([(self.u + k) ** 2 for k in n]), w,
+                               (-math.inf, 0.0), dens, mass)
 
 
 PolyFamily = Union[Laguerre, Meixner, MeixnerPollaczek, DualHahn, ContinuousDualHahn]
@@ -709,22 +691,23 @@ def _breakpoints(lo, hi):
     return sorted(pts)
 
 
-def _gram_atoms(family: PolyFamily, n_max: int):
-    """Atom list covering the discrete part to relative tail 1e-20 under
-    polynomial factors of degree <= 2 n_max."""
-    if isinstance(family, (DualHahn, ContinuousDualHahn)):
-        return list(family.measure().normalized().atoms)
-    if isinstance(family, Meixner):
-        mass = family.measure(n_atoms=1).total_mass()
-        atoms = []
-        for n in range(100_001):
-            x = 2.0 * n + family.beta
-            w = family.atom_weight(n) / mass
-            atoms.append((x, w))
-            if n > 4 * n_max and w * max(1.0, x) ** (2 * n_max) < 1e-20:
-                return atoms
-        raise NumericalFailureError("Meixner atom tail did not close")
-    return []
+def _gram_measure(family: PolyFamily, n_max: int) -> SpectralMeasure:
+    """The family's normalized measure, Meixner's atoms cut at the first
+    n > 4 n_max with w_n max(1, x_n)^(2 n_max) < 1e-20 (relative tail 1e-20
+    under polynomial factors of degree <= 2 n_max); the atom count asked of
+    ``Meixner.measure`` doubles until the cut lies inside it."""
+    if not isinstance(family, Meixner):
+        return family.measure().normalized()
+    n_atoms = max(family.default_n_atoms(), 4 * n_max + 2)
+    while True:
+        meas = family.measure(n_atoms).normalized()
+        x, w = meas.locations, meas.weights
+        small = w * np.maximum(1.0, x) ** (2 * n_max) < 1e-20
+        small[:4 * n_max + 1] = False
+        if small.any():
+            cut = int(np.argmax(small)) + 1
+            return replace(meas, locations=x[:cut], weights=w[:cut])
+        n_atoms *= 2
 
 
 def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
@@ -740,11 +723,10 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
     if family.nmax is not None:
         n_max = min(n_max, family.nmax)
     G = np.zeros((n_max + 1, n_max + 1))
-    atoms = _gram_atoms(family, n_max)
-    if atoms:
-        x, w = np.array(atoms).T
-        p = poly_table(family, n_max, x)
-        G += (p * w) @ p.T
+    meas = _gram_measure(family, n_max)
+    if meas.locations.size:
+        p = poly_table(family, n_max, meas.locations)
+        G += (p * meas.weights) @ p.T
     upper = np.triu_indices(n_max + 1)
 
     def products(x):
@@ -755,19 +737,13 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
     if isinstance(family, Laguerre):
         # substitute x = t^2: the Jacobian 2t cancels the x^alpha endpoint
         # singularity for alpha = -1/2 and softens it for any alpha > -1
-        dens = family.measure().normalized().continuous.density
-
         def f(t):
-            return (2.0 * t * dens(t * t))[:, None] * products(t * t)
+            return (2.0 * t * meas.density(t * t))[:, None] * products(t * t)
         vals = _integrate(f, 0.0, math.inf)
     elif isinstance(family, MeixnerPollaczek):
-        meas = family.measure().normalized()
-        lo, hi = meas.continuous.support
-        dens = meas.continuous.density
-
         def f(x):
-            return dens(x)[:, None] * products(x)
-        vals = _integrate(f, lo, hi)
+            return meas.density(x)[:, None] * products(x)
+        vals = _integrate(f, *meas.support)
     elif isinstance(family, ContinuousDualHahn):
         # substitute x = -y^2: the 1/(2y) density factor cancels the
         # Jacobian, leaving the smooth integrand density_y * P_i * P_j

@@ -42,7 +42,7 @@ Its miss is pinned by the ``twomode.hd.regression_pin_gap`` check of
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -411,7 +411,7 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
                              f"{n // 4} is below count = {count}, the block's bound "
                              "states and edge: the quarter truncation cannot hold them")
     op = hc_block_jacobi(block)
-    full, half, quarter = (oracle_eigs(op, count=count, n=m, top=chain.pairs_top)
+    full, half, quarter = (oracle_eigs(replace(op, size=m), count=count, top=chain.pairs_top)
                            for m in (n, n // 2, n // 4))
     den = full - half
     rate = np.divide(half - quarter, den, out=np.zeros(count), where=den != 0)

@@ -186,7 +186,7 @@ def _chain_mapping_deviation() -> float:
         a, b = chain.recurrence(np.arange(op.size, dtype=float))
         pairs = [(op.diag_array(), a), (op.offdiag_array(), b[:op.size - 1])]
         if chain.atom_stream is not None:
-            mapped = chain.measure(n_atoms).atom_locations()
+            mapped = chain.measure(n_atoms).locations
             pairs.append((chain.atoms(mapped.size), mapped))
         for x, y in pairs:
             scale = max(np.abs(x).max(initial=0.0), 1e-300)

@@ -101,7 +101,7 @@ def test_criterion_03_case9_diagonal():
     dev = 0.0
     for mu in (1.5, -3.0):
         h = om.OneModeHamiltonian(mu, mu, sec)
-        atoms = om.classify(mu, mu, 0.7).measure(64).atom_locations()
+        atoms = om.classify(mu, mu, 0.7).measure(64).locations
         expected = mu * (2 * np.arange(64) + 0.7)
         dev = max(dev, np.abs(atoms - expected).max())
         dev = max(dev, np.abs(oracle_eigs(om.jacobi(h)) - np.sort(expected)).max())

@@ -1,6 +1,7 @@
 """Coherent states, radial measure, holomorphic picture, disc flow."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -197,6 +198,15 @@ def test_radial_measure_reference_weight_fails_moments():
         expected = [(al + k) / 4.0 for k in range(5)]
         assert ratios == pytest.approx(expected, rel=1e-7)
         assert abs(ratios[4] - ratios[0]) > 0.9  # no constant rescaling
+    # from alpha0 near 60 the direct product rho^alpha0 K_alpha0(2 rho) is
+    # 0 * inf near rho = 0; the log-space path of the shipped weight holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for al in (60.0, 100.0, 150.0):
+            m = ch.radial_measure(al, k_checked=2)
+            ratios = [m.moment(k, weight=m.reference_weight) / m.target_moment(k)
+                      for k in range(3)]
+            assert ratios == pytest.approx([(al + k) / 4.0 for k in range(3)], rel=1e-12)
 
 
 def test_holo_apply_actions():

@@ -84,29 +84,31 @@ def test_classify_respects_label_transport():
 def test_spectrum_case5_atoms():
     chain = om.classify(4.0, 1.0, 1.0)
     meas = chain.measure(n_atoms=5)
-    assert np.allclose(meas.atom_locations(), [2.0, 6.0, 10.0, 14.0, 18.0])
+    assert np.allclose(meas.locations, [2.0, 6.0, 10.0, 14.0, 18.0])
     # the atom formula equals the mapped Meixner atoms bit for bit
-    assert np.array_equal(chain.atoms(5), meas.atom_locations())
+    assert np.array_equal(chain.atoms(5), meas.locations)
 
 
 def test_spectrum_case1_halfline():
     meas = om.classify(1.0, 0.0, 1.0).measure()
-    assert meas.atoms == ()
-    assert meas.continuous.support == (0.0, math.inf)
+    assert meas.locations.size == meas.weights.size == 0
+    assert meas.support == (0.0, math.inf)
     # density of the mapped measure: 2 (2x)^(alpha0-1) e^(-2x) for mu = 1
     for x in (0.3, 1.0, 2.5):
         expected = 2.0 * (2 * x) ** 0.0 * math.exp(-2 * x)
-        assert meas.continuous.density(x) == pytest.approx(expected, rel=1e-12)
+        assert meas.density(x) == pytest.approx(expected, rel=1e-12)
     neg = om.classify(-2.0, 0.0, 1.0).measure()
-    assert neg.continuous.support == (-math.inf, 0.0)
+    assert neg.support == (-math.inf, 0.0)
 
 
 def test_spectrum_case9_diagonal():
     # spectrum mu (2k + alpha0) = -6 (k + 1) here
     meas = om.classify(-3.0, -3.0, 2.0).measure(40)
     expected = [-3.0 * (2 * k + 2.0) for k in range(40)]
-    assert np.allclose(meas.atom_locations(), expected)
-    assert meas.atom_locations()[0] == -6.0 and meas.atom_locations()[1] == -12.0
+    assert np.allclose(meas.locations, expected)
+    assert meas.locations[0] == -6.0 and meas.locations[1] == -12.0
+    assert np.array_equal(meas.weights, np.ones(40))
+    assert meas.support is None and meas.density is None
 
 
 def test_eigenvectors_case9_basis():

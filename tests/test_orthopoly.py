@@ -90,6 +90,25 @@ def test_hyp0f1_direct_summation_oracle():
     assert op.hyp0f1(2.0, 4.0) == pytest.approx(4.87973257685222495, rel=1e-13)
 
 
+def test_hyp0f1_against_mpmath_samples():
+    # 0F1 at 40 digits on seeded draws: b in (0.05, 20), z real in [0, 50)
+    # or complex with |Re z|, |Im z| < 30
+    rng = np.random.default_rng(20260)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i in range(120):
+            b = float(rng.uniform(0.05, 20.0))
+            if i % 2:
+                z = complex(*rng.uniform(-30.0, 30.0, size=2))
+            else:
+                z = float(rng.uniform(0.0, 50.0))
+            ref = complex(mpmath.hyp0f1(b, z))
+            got = op.hyp0f1(b, z)
+            assert isinstance(got, complex if i % 2 else float)
+            worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
 def test_hyp0f1_complex_and_domain():
     z = 1.0 + 2.0j
     val = op.hyp0f1(1.5, z)
@@ -187,8 +206,8 @@ def test_meixner_degree_one_by_hand():
 def test_dual_hahn_two_point_gram_by_hand():
     fam = op.DualHahn(0.0, 0.0, 1)
     meas = fam.measure().normalized()
-    locs = meas.atom_locations()
-    ws = meas.atom_weights()
+    locs = meas.locations
+    ws = meas.weights
     assert np.allclose(locs, [0.0, 2.0])
     assert np.allclose(ws, [0.5, 0.5])
     p1 = [op.eval_orthonormal(fam, 1, x) for x in locs]
@@ -242,7 +261,7 @@ def test_dual_hahn_weights_past_the_product_range(gamma, delta, K):
     assert abs(math.fsum(w) / mass - 1.0) <= 8 * eps * K
     if K < 800:
         assert (w > 0).all()
-        assert len(fam.measure().atoms) == K + 1
+        assert len(fam.measure().locations) == K + 1
     else:
         # the top atoms weigh about 1e-480, below the double range: they
         # round to 0, past the first half of the block
@@ -258,7 +277,7 @@ def test_dual_hahn_measure_names_the_largest_working_K(gamma, delta):
     with pytest.raises(ParameterError) as exc:
         op.DualHahn(gamma, delta, 1000).measure()
     good = int(re.search(r"K <= (\d+)", str(exc.value)).group(1))
-    assert len(op.DualHahn(gamma, delta, good).measure().atoms) == good + 1
+    assert len(op.DualHahn(gamma, delta, good).measure().weights) == good + 1
     with pytest.raises(ParameterError, match=f"K <= {good} keeps"):
         op.DualHahn(gamma, delta, good + 1).measure()
 
@@ -271,38 +290,43 @@ def test_dual_hahn_degree_overflow():
 def test_meixner_measure_normalization():
     fam = op.Meixner(0.7, 1.0 / 9.0)
     printed = fam.measure()
-    assert printed.atom_weights()[0] == pytest.approx(1.0)  # (beta)_0 c^0 / 0!
+    assert printed.weights[0] == pytest.approx(1.0)  # (beta)_0 c^0 / 0!
     assert printed.total_mass() == pytest.approx((1 - 1 / 9.0) ** (-0.7), rel=1e-12)
     normalized = fam.measure().normalized()
-    assert normalized.atom_mass() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(normalized.atom_locations()[:3], [0.7, 2.7, 4.7])
+    assert math.fsum(normalized.weights) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(normalized.locations[:3], [0.7, 2.7, 4.7])
+    # each weight is its scalar formula over the closed-form mass
+    assert normalized.weights.tolist() == [fam.atom_weight(n) / printed.total_mass()
+                                           for n in range(len(printed.weights))]
 
 
 def test_cdh_atom_count():
     assert op.ContinuousDualHahn(-0.2, 0.5, 0.5).n_atoms() == 1
     assert op.ContinuousDualHahn(-1.3, 2.0, 1.7).n_atoms() == 2
     assert op.ContinuousDualHahn(0.5, 0.5, 1.0).n_atoms() == 0
-    atoms = op.ContinuousDualHahn(-1.3, 2.0, 1.7).measure().atoms
-    assert [a[0] for a in atoms] == pytest.approx([1.69, 0.09])
+    locs = op.ContinuousDualHahn(-1.3, 2.0, 1.7).measure().locations
+    assert locs.tolist() == pytest.approx([1.69, 0.09])
 
 
 def test_measure_mapped_affine():
     fam = op.Meixner(1.0, 0.25)
     meas = fam.measure(n_atoms=5).mapped(shift=1.0, scale=-2.0)
-    assert meas.atom_locations()[0] == pytest.approx(-2.0 * 1.0 + 1.0)
+    assert meas.locations[0] == pytest.approx(-2.0 * 1.0 + 1.0)
     lag = op.Laguerre(0.5).measure().mapped(scale=0.5)
-    lo, hi = lag.continuous.support
+    lo, hi = lag.support
     assert lo == 0.0 and math.isinf(hi)
     # pushforward density: mass on a window is preserved
     raw = op.Laguerre(0.5).measure()
-    m1 = quad(raw.continuous.density, 0, 2, limit=200)[0]
-    m2 = quad(lag.continuous.density, 0, 1, limit=200)[0]
+    m1 = quad(raw.density, 0, 2, limit=200)[0]
+    m2 = quad(lag.density, 0, 1, limit=200)[0]
     assert m1 == pytest.approx(m2, rel=1e-9)
 
 
 def test_spectral_measure_invariants():
     with pytest.raises(ValueError):
-        op.SpectralMeasure(atoms=((0.0, -1.0),))
+        op.SpectralMeasure(locations=[0.0], weights=[-1.0])
+    with pytest.raises(ValueError):
+        op.SpectralMeasure(locations=[0.0, 1.0], weights=[1.0])
     with pytest.raises(ValueError):
         op.SpectralMeasure().mapped(scale=0.0)
 
@@ -351,6 +375,23 @@ def test_gram_quadrature_accuracy_pinned(fam, n):
 ])
 def test_gram_wider_parameters(fam, n):
     assert op.gram_check(fam, n) <= 1e-7
+
+
+@pytest.mark.parametrize("beta, c, n_max", [(1.0, 1.0 / 9.0, 8), (2.7, 0.25, 10),
+                                            (2.7, 0.9, 10), (0.4, 0.97, 3)])
+def test_gram_meixner_atoms_cut_by_the_tail_rule(beta, c, n_max):
+    # the atoms gram_matrix integrates against: the first atoms of
+    # Meixner.measure, through the first n > 4 n_max with
+    # w_n max(1, x_n)^(2 n_max) < 1e-20, found here one atom at a time
+    fam = op.Meixner(beta, c)
+    mass = (1 - c) ** (-beta)
+    n = 0
+    while not (n > 4 * n_max and fam.atom_weight(n) / mass
+               * max(1.0, 2.0 * n + beta) ** (2 * n_max) < 1e-20):
+        n += 1
+    meas = op._gram_measure(fam, n_max)
+    assert meas.weights.tolist() == [fam.atom_weight(k) / mass for k in range(n + 1)]
+    assert meas.locations.tolist() == [2.0 * k + beta for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +448,7 @@ def test_integrate_error_gate_raises(f, lo, hi):
 def test_integrate_matches_closed_form_moments():
     # Laguerre moments int_0^inf x^k x^alpha e^-x dx = Gamma(k + alpha + 1)
     al = 1.7
-    f = lambda x: np.stack([op.Laguerre(al).measure().continuous.density(x) * x ** k
+    f = lambda x: np.stack([op.Laguerre(al).measure().density(x) * x ** k
                             for k in range(6)], axis=1)
     got = op._integrate(f, 0.0, math.inf)
     ref = np.array([math.gamma(k + al + 1) for k in range(6)])
@@ -426,7 +467,7 @@ def test_densities_take_arrays_elementwise():
     for meas in (op.Laguerre(-0.5).measure().normalized(),
                  op.MeixnerPollaczek(0.75, 1.0).measure(),
                  op.ContinuousDualHahn(-0.2, 0.5, 0.5).measure().mapped(shift=1.0)):
-        dens = meas.continuous.density
+        dens = meas.density
         got = dens(xs)
         assert got.shape == xs.shape
         assert np.allclose(got, [dens(x) for x in xs], rtol=1e-15, atol=0.0)
@@ -435,16 +476,18 @@ def test_densities_take_arrays_elementwise():
     assert np.allclose(cdh.density_y(ys), [cdh.density_y(y) for y in ys],
                        rtol=1e-15, atol=0.0)
     # |Gamma(1/2 + i)|^2 = pi / cosh(pi), the scalar special function
-    mp = op.MeixnerPollaczek(0.5, math.pi / 2).measure().continuous.density
+    mp = op.MeixnerPollaczek(0.5, math.pi / 2).measure().density
     assert mp(1.0) == pytest.approx(op.gamma_abs_sq(0.5, 1.0), rel=1e-13)
 
 
 def test_continuous_measure_needs_closed_mass():
-    part = op.Laguerre(0.0).measure().continuous
+    lag = op.Laguerre(0.0).measure()
     with pytest.raises(ValueError):
-        op.SpectralMeasure(continuous=part)
+        op.SpectralMeasure(support=lag.support, density=lag.density)
+    with pytest.raises(ValueError):   # a support needs its density
+        op.SpectralMeasure(support=lag.support, total_mass_closed=1.0)
     # atoms alone sum to their mass
-    assert op.SpectralMeasure(atoms=((1.0, 0.25), (2.0, 0.5))).total_mass() == 0.75
+    assert op.SpectralMeasure(locations=[1.0, 2.0], weights=[0.25, 0.5]).total_mass() == 0.75
 
 
 def _quad_vec_gram(fam, n):
@@ -457,10 +500,11 @@ def _quad_vec_gram(fam, n):
         meas = fam.measure(n_atoms=250).normalized()
     else:
         meas = fam.measure().normalized()
-    G = sum((w * outer(x) for x, w in meas.atoms), np.zeros((n + 1, n + 1)))
-    if meas.continuous is None:
+    G = sum((w * outer(x) for x, w in zip(meas.locations, meas.weights)),
+            np.zeros((n + 1, n + 1)))
+    if meas.density is None:
         return G
-    dens = meas.continuous.density
+    dens = meas.density
     if isinstance(fam, op.Laguerre):
         g = lambda t: 2.0 * t * float(dens(t * t)) * outer(t * t)
         lo, hi = 0.0, 16.0
@@ -503,7 +547,7 @@ def test_dual_hahn_atoms_match_jacobi_eigenvalues():
         d = np.array([fam.recurrence(k)[0] for k in range(K + 1)])
         e = np.array([fam.recurrence(k)[1] for k in range(K)])
         w = eigh_tridiagonal(d, e, eigvals_only=True) if K else d
-        locs = np.sort(fam.measure().atom_locations())
+        locs = np.sort(fam.measure().locations)
         assert np.abs(np.sort(w) - locs).max() <= 1e-10
 
 

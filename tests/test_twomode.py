@@ -389,17 +389,17 @@ def test_hc_spectrum_bound_state():
     blk = tm.CBlock(0, 0.3, 0.3, n_levels=100)
     assert tm.continuum_shift(0.3, 0.3) == pytest.approx(-0.005)
     meas = tm.hc_chain(blk).measure()
-    assert meas.continuous.support == (-math.inf, pytest.approx(0.005))
-    assert len(meas.atoms) == 1
-    assert meas.atoms[0][0] == pytest.approx(0.045)
+    assert meas.support == (-math.inf, pytest.approx(0.005))
+    assert len(meas.locations) == 1
+    assert meas.locations[0] == pytest.approx(0.045)
     # atoms always sit above the continuum edge
-    assert meas.atoms[0][0] > meas.continuous.support[1]
+    assert meas.locations[0] > meas.support[1]
 
 
 def test_hc_spectrum_no_atoms():
     blk = tm.CBlock(1, 1.0, 1.0, n_levels=50)
     meas = tm.hc_chain(blk).measure()
-    assert meas.atoms == ()
+    assert meas.locations.size == meas.weights.size == 0
 
 
 def test_hc_eigenvector_truncation_oracle():
