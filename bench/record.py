@@ -23,7 +23,9 @@ change and its parent) can be recorded into one file and compared row by row.
 Cases: the CLI commands ``validate --quick``, ``validate``, ``spectrum
 --model two-c`` at n_levels 4000 and ``evolve --preset HIV`` at cutoffs 48
 and 96; the Meixner block of the implementer at n 240; the implementer grid
-of ``validate``; and each section of ``validation.run_all``.
+of ``validate``; and each section of the validate suite, as the table
+``validation.SECTIONS`` yields them through ``validation.run_sections``, so
+only trees that have that table can be recorded.
 """
 
 import os
@@ -147,37 +149,26 @@ def layer_cases(bg):
 
 
 def section_rows(validation, tree):
-    """One row per section of ``validation.run_all`` (full): the median of
-    its section times, and the traced peak during the section (read and
-    reset at each lap, so it counts what earlier sections still hold).
-    The sections are read off ``validation._SectionTimer``: its ``lap`` is
-    wrapped for one traced run, and ``done`` counts the checks stamped so
-    far, so this function follows that class if it changes."""
+    """One row per section of ``validation.run_sections`` (full): the median
+    of its section times, and the traced peak during the section (read and
+    reset as each section's checks arrive, so it counts what earlier
+    sections' results still hold)."""
     validation.run_all()
-    runs = [validation.run_all() for _ in range(REPEATS)]
-    sections, peaks = [], []
-    lap = validation._SectionTimer.lap
-
-    def traced_lap(self):
-        start = self.done
-        lap(self)
-        sections.append(range(start, self.done))
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-
-    validation._SectionTimer.lap = traced_lap
+    runs = [list(validation.run_sections()) for _ in range(REPEATS)]
+    rows = []
     tracemalloc.start()
     try:
-        traced = validation.run_all()
+        for i, checks in enumerate(validation.run_sections()):
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rows.append({"tree": tree, "case": f"validate section {checks[0].name}",
+                         "layer": "validation.run_all", "size": None,
+                         "seconds": statistics.median(run[i][0].seconds for run in runs),
+                         "peak_bytes": peak,
+                         "accuracy": max(c.deviation / c.tolerance for c in checks)})
     finally:
         tracemalloc.stop()
-        validation._SectionTimer.lap = lap
-    return [{"tree": tree, "case": f"validate section {traced[idx[0]].name}",
-             "layer": "validation.run_all", "size": None,
-             "seconds": statistics.median(run[idx[0]].seconds for run in runs),
-             "peak_bytes": peak,
-             "accuracy": max(traced[i].deviation / traced[i].tolerance for i in idx)}
-            for idx, peak in zip(sections, peaks)]
+    return rows
 
 
 def main(argv=None):

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, ParameterError
 from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
                         SpectralMeasure, poly_table)
 
@@ -352,9 +352,12 @@ class Chain:
 
     def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
         """The family's measure mapped, with ``n_atoms`` atoms for Meixner;
-        a diagonal chain's first ``n_atoms`` atoms at unit weight."""
+        a diagonal chain's first ``n_atoms`` atoms at unit weight (it has no
+        default count)."""
         fam = self.family
         if fam is None:
+            if n_atoms is None:
+                raise ParameterError(("n_atoms",), "a diagonal chain needs an atom count")
             return SpectralMeasure(self.atoms(n_atoms), np.ones(n_atoms))
         meas = fam.measure(n_atoms=n_atoms) if isinstance(fam, Meixner) else fam.measure()
         return meas.mapped(shift=self.shift, scale=self.scale)

@@ -253,7 +253,6 @@ class Laguerre:
     """Laguerre-class family, density x^alpha e^-x on the half line."""
 
     alpha: float
-    tag = "laguerre"
     nmax = None
 
     def __post_init__(self):
@@ -285,7 +284,6 @@ class Meixner:
 
     beta: float
     c: float
-    tag = "meixner"
     nmax = None
 
     def __post_init__(self):
@@ -331,7 +329,6 @@ class MeixnerPollaczek:
 
     lam: float
     phi: float
-    tag = "meixner_pollaczek"
     nmax = None
 
     def __post_init__(self):
@@ -363,7 +360,6 @@ class DualHahn:
     gamma: float
     delta: float
     kmax: int
-    tag = "dual_hahn"
 
     def __post_init__(self):
         if self.gamma <= -1 or self.delta <= -1:
@@ -436,7 +432,6 @@ class ContinuousDualHahn:
     u: float
     v: float
     w: float
-    tag = "continuous_dual_hahn"
     nmax = None
 
     def __post_init__(self):

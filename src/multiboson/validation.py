@@ -1,10 +1,15 @@
 """Cross-module invariant suite behind the ``validate`` CLI command.
 
 Each check returns a measured deviation and its tolerance, and the wall
-time of the section of ``run_all`` that produced it; a check passes when
-the deviation is within the tolerance.  The suite doubles as the
-machine-readable face of the test suite's acceptance criteria: every
-closed form is held against an independent matrix oracle.
+time of the section that produced it; a check passes when the deviation is
+within the tolerance.  The suite doubles as the machine-readable face of the
+test suite's acceptance criteria: every closed form is held against an
+independent matrix oracle.
+
+A check lives in one section function, and the table ``SECTIONS`` runs them
+in one loop (``run_sections``): the table's order is both the order of the
+report and the order in which the sections draw from the suite's one seeded
+generator.
 
 The ladder generators enter as weighted shifts, not dense matrices: A0 is
 diagonal and A-, A+ each sit on one off-diagonal, so the commutator and
@@ -32,7 +37,7 @@ import scipy.sparse as sp
 from . import bogoliubov, coherent, evolution, onemode, orthopoly, rep, twomode
 from .jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 
-__all__ = ["CheckResult", "run_all", "format_report"]
+__all__ = ["CheckResult", "SECTIONS", "run_sections", "run_all", "format_report"]
 
 
 @dataclass
@@ -42,7 +47,7 @@ class CheckResult:
     tolerance: float
     passed: bool
     note: str = ""
-    seconds: float = 0.0   # wall time of the run_all section behind the check
+    seconds: float = 0.0   # wall time of the section behind the check
 
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
@@ -56,22 +61,6 @@ class CheckResult:
 def _check(name, deviation, tolerance, note=""):
     return CheckResult(name, float(deviation), float(tolerance),
                        bool(deviation <= tolerance), note)
-
-
-class _SectionTimer:
-    """Stamps each check with the wall time of its ``run_all`` section: a
-    section ends at a ``lap`` call and begins at the previous one."""
-
-    def __init__(self, results: list[CheckResult]):
-        self.results = results
-        self.done = 0
-        self.start = perf_counter()
-
-    def lap(self):
-        now = perf_counter()
-        for r in self.results[self.done:]:
-            r.seconds = now - self.start
-        self.done, self.start = len(self.results), now
 
 
 def _shift_squares(l: int, table: tuple[float, ...], n: int):
@@ -151,49 +140,6 @@ def _tridiagonal_gap(p: np.ndarray, coeffs: np.ndarray, d: np.ndarray,
     return np.abs(p).max()
 
 
-def _hd_closed_vs_oracle() -> float:
-    worst = 0.0
-    for K in range(7):
-        for a0 in (0.5, 1.0, 2.7):
-            for b0 in (0.5, 1.0, 2.7):
-                blk = twomode.DBlock(K, a0, b0)
-                w = oracle_eigs(twomode.hd_block_jacobi(blk))
-                worst = max(worst, np.abs(w - twomode.hd_chain(blk).atoms(blk.K + 1)).max())
-    return worst
-
-
-def _chain_mapping_deviation() -> float:
-    """Largest gap, relative to its list's largest entry, between operators'
-    coefficient streams (200 levels) and atom formulas and their chains'
-    mapped families: one-mode labels of all nine classes, C-blocks on every
-    uvw_params branch (two low ones: u < -1, -1 < u < 0), D-blocks to K 200."""
-    labels = ((2.0, 0.0), (-1.5, 0.0), (0.0, 1.3), (1.3, -0.7), (-1.1, 2.2), (4.0, 1.0),
-              (-4.0, -1.5), (0.7, 2.5), (-0.5, -3.0), (1.5, 1.5), (-2.0, -2.0))
-    ops = [(onemode.jacobi(onemode.OneModeHamiltonian(
-               mu, nu, rep.OneModeSector(rep.MultibosonRep(1, (a0,)), 0, 200))),
-            onemode.classify(mu, nu, a0), 40)
-           for (mu, nu), a0 in zip(labels, (0.4, 1.3, 2.7) * 4)]
-    for K, a0, b0 in ((0, 4.5, 0.5), (1, 2.6, 0.6), (-1, 3.5, 0.2), (0, 0.3, 0.3),
-                      (-2, 0.7, 0.9), (0, 0.5, 2.0), (-1, 0.5, 2.0)):
-        blk = twomode.CBlock(K, a0, b0, n_levels=200)
-        ops.append((twomode.hc_block_jacobi(blk), twomode.hc_chain(blk), None))
-    for K, a0, b0 in ((0, 0.7, 1.9), (1, 2.3, 0.4), (7, 1.3, 0.7), (60, 0.5, 2.7),
-                      (200, 2.3, 0.4), (200, 0.4, 0.9)):
-        blk = twomode.DBlock(K, a0, b0)
-        ops.append((twomode.hd_block_jacobi(blk), twomode.hd_chain(blk), None))
-    worst = 0.0
-    for op, chain, n_atoms in ops:
-        a, b = chain.recurrence(np.arange(op.size, dtype=float))
-        pairs = [(op.diag_array(), a), (op.offdiag_array(), b[:op.size - 1])]
-        if chain.atom_stream is not None:
-            mapped = chain.measure(n_atoms).locations
-            pairs.append((chain.atoms(mapped.size), mapped))
-        for x, y in pairs:
-            scale = max(np.abs(x).max(initial=0.0), 1e-300)
-            worst = max(worst, np.abs(x - y).max(initial=0.0) / scale)
-    return worst
-
-
 def _printed_hd_block_jacobi(block: twomode.DBlock) -> JacobiOperator:
     """The D-block with the erratum's (K-k+beta0) in the last off-diagonal
     factor instead of (K-k+beta0-1) (see the ``twomode`` docstring)."""
@@ -253,13 +199,9 @@ def _canonical_block_deviation(n: int) -> float:
     return worst
 
 
-def run_all(quick: bool = False):
-    """Run the invariant suite; returns a list of CheckResult."""
-    rng = np.random.default_rng(20240817)
-    out = []
-    timer = _SectionTimer(out)
-
-    # ladder algebra and Casimir
+def _ladder_algebra(rng, quick):
+    """The sl(2) commutators, difference equations and Casimir scalar of
+    random alpha0 tables at l = 1, 2, 3."""
     dev_c = dev_d = dev_cas = 0.0
     for l in (1, 2, 3):
         for _ in range(1 if quick else 3):
@@ -267,12 +209,13 @@ def run_all(quick: bool = False):
             dev_c = max(dev_c, _commutator_residual(l, table, 64))
             dev_d = max(dev_d, _difference_eq_residual(l, table, 100))
             dev_cas = max(dev_cas, _casimir_residual(l, table, 64))
-    out.append(_check("rep.commutators.interior", dev_c, 1e-10))
-    out.append(_check("rep.difference_equations", dev_d, 1e-10))
-    out.append(_check("rep.casimir.sector_scalar", dev_cas, 1e-10))
-    timer.lap()
+    return [_check("rep.commutators.interior", dev_c, 1e-10),
+            _check("rep.difference_equations", dev_d, 1e-10),
+            _check("rep.casimir.sector_scalar", dev_cas, 1e-10)]
 
-    # Casimir invariance under random generator actions
+
+def _casimir_invariance(rng, quick):
+    """The Casimir under random generator actions, on the dense generators."""
     r1 = rep.MultibosonRep(1, (1.3,))
     a0m, amm, apm = rep.build_generators_full(r1, 64)
     worst = 0.0
@@ -287,10 +230,11 @@ def run_all(quick: bool = False):
         interior = 64 - 4
         worst = max(worst, np.abs(cas[:interior, :interior]
                                   - rep.casimir_value(r1, 0) * np.eye(interior)).max())
-    out.append(_check("bogoliubov.casimir_invariance", worst, 1e-9))
-    timer.lap()
+    return [_check("bogoliubov.casimir_invariance", worst, 1e-9)]
 
-    # group homomorphism and structure constants
+
+def _group_law(rng, quick):
+    """The group homomorphism and the structure constants."""
     f = bogoliubov.structure_constants()
     dev_h = dev_s = 0.0
     for _ in range(50):
@@ -305,12 +249,13 @@ def run_all(quick: bool = False):
         lhs = np.einsum("ip,jq,pqr->ijr", mg, mg, f)
         rhs = np.einsum("ijk,kr->ijr", f, mg)
         dev_s = max(dev_s, np.abs(lhs - rhs).max())
-    out.append(_check("bogoliubov.homomorphism", dev_h, 1e-12))
-    out.append(_check("bogoliubov.structure_constants", dev_s, 1e-12))
-    timer.lap()
+    return [_check("bogoliubov.homomorphism", dev_h, 1e-12),
+            _check("bogoliubov.structure_constants", dev_s, 1e-12)]
 
-    # implementing unitaries: a and 1/a, and both sigma, share a Meixner block
-    # (one per (alpha0, c)), taken in turn from the one-entry memo
+
+def _implementers(rng, quick):
+    """Implementing unitaries: a and 1/a, and both sigma, share a Meixner
+    block (one per (alpha0, c)), taken in turn from the one-entry memo."""
     n = 160 if quick else 240
     dev_u = dev_cj = 0.0
     grid_a = (0.5, 2.0) if quick else (1 / 3, 3.0, 0.5, 2.0)
@@ -333,24 +278,25 @@ def run_all(quick: bool = False):
                 ui = u[:ii]
                 for i, ux in enumerate(_times_generators(ui, d, b)):
                     dev_cj = max(dev_cj, _tridiagonal_gap(ux @ ui.T, m[i], d, b))
-    out.append(_check("bogoliubov.implementer_unitarity", dev_u, 1e-8))
-    out.append(_check("bogoliubov.implementer_conjugation", dev_cj, 1e-7))
-    timer.lap()
+    return [_check("bogoliubov.implementer_unitarity", dev_u, 1e-8),
+            _check("bogoliubov.implementer_conjugation", dev_cj, 1e-7)]
 
-    # one-mode diagonal case
+
+def _onemode_diagonal(rng, quick):
+    """The one-mode diagonal case (class 9)."""
     atoms = onemode.classify(-3.0, -3.0, 2.0).atoms(40)
     expected = -3.0 * (2 * np.arange(40) + 2.0)
-    out.append(_check("onemode.case9.diagonal_spectrum",
-                      np.abs(atoms - expected).max(), 1e-12))
-    timer.lap()
+    return [_check("onemode.case9.diagonal_spectrum",
+                   np.abs(atoms - expected).max(), 1e-12)]
 
-    # one-mode Meixner case vs oracle
+
+def _onemode_meixner(rng, quick):
+    """The one-mode Meixner case (class 5) against the oracle."""
     sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
     h5 = onemode.OneModeHamiltonian(4.0, 1.0, sec)
     chain = onemode.classify(4.0, 1.0, sec.alpha0)
     w = oracle_eigs(onemode.jacobi(h5), count=5, top=chain.pairs_top)
-    out.append(_check("onemode.case5.eigenvalues",
-                      np.abs(chain.pair(w, 5) - chain.atoms(5)).max(), 1e-8))
+    dev_w = np.abs(chain.pair(w, 5) - chain.atoms(5)).max()
     _, vecs = oracle_eigh(onemode.jacobi(h5))
     # the closed-form columns side by side: each overlap reads a strided
     # column, so BLAS sums it in one fixed order
@@ -358,68 +304,109 @@ def run_all(quick: bool = False):
     worst = 0.0
     for m in range(5):
         worst = max(worst, 1.0 - abs(float(np.dot(closed[:, m], vecs[:, m]))))
-    out.append(_check("onemode.case5.eigenvector_overlap", worst, 1e-8))
-    timer.lap()
+    return [_check("onemode.case5.eigenvalues", dev_w, 1e-8),
+            _check("onemode.case5.eigenvector_overlap", worst, 1e-8)]
 
-    # finite two-mode blocks: closed form vs oracle, and the erratum's
-    # shifted off-diagonal still missing the closed form (regression pin)
-    out.append(_check("twomode.hd.closed_vs_oracle", _hd_closed_vs_oracle(), 1e-9))
+
+def _hd_spectra(rng, quick):
+    """Finite two-mode blocks: closed form vs oracle, and the erratum's
+    shifted off-diagonal still missing the closed form (regression pin)."""
+    worst = 0.0
+    for K in range(7):
+        for a0 in (0.5, 1.0, 2.7):
+            for b0 in (0.5, 1.0, 2.7):
+                blk = twomode.DBlock(K, a0, b0)
+                w = oracle_eigs(twomode.hd_block_jacobi(blk))
+                worst = max(worst, np.abs(w - twomode.hd_chain(blk).atoms(blk.K + 1)).max())
     blk = twomode.DBlock(1, 1.0, 1.0)
     w_printed = oracle_eigs(_printed_hd_block_jacobi(blk))
     gap = np.abs(w_printed - twomode.hd_chain(blk).atoms(blk.K + 1)).max()
-    out.append(_check("twomode.hd.regression_pin_gap",
-                      0.1, gap,
-                      note="shifted b_k variant must stay wrong by >= 0.1"))
-    timer.lap()
+    return [_check("twomode.hd.closed_vs_oracle", worst, 1e-9),
+            _check("twomode.hd.regression_pin_gap", 0.1, gap,
+                   note="shifted b_k variant must stay wrong by >= 0.1")]
 
-    # dual Hahn eigenvector overlaps
+
+def _hd_eigenvectors(rng, quick):
+    """Dual Hahn eigenvector overlaps."""
     worst = 0.0
     blk = twomode.DBlock(3, 0.5, 2.7)
-    wv, vv = oracle_eigh(twomode.hd_block_jacobi(blk))
+    _, vv = oracle_eigh(twomode.hd_block_jacobi(blk))
     closed = np.column_stack([twomode.hd_eigenvectors(blk, m) for m in range(4)])
     for m in range(4):
         worst = max(worst, 1.0 - abs(float(np.dot(closed[:, m], vv[:, m]))))
-    out.append(_check("twomode.hd.eigenvector_overlap", worst, 1e-9))
-    timer.lap()
+    return [_check("twomode.hd.eigenvector_overlap", worst, 1e-9)]
 
-    # C-form bound state
+
+def _hc_bound_state(rng, quick):
+    """The C-form bound state."""
     nlev = 2000 if quick else 4000
     blk = twomode.CBlock(0, 0.3, 0.3, n_levels=nlev)
     p = twomode.uvw_params(0, 0.3, 0.3)
-    out.append(_check("twomode.hc.uvw",
-                      max(abs(p.u + 0.2), abs(p.v - 0.5), abs(p.w - 0.5)), 1e-14))
     chk = twomode.hc_truncation_check(blk)
-    out.append(_check("twomode.hc.bound_state_energy",
-                      abs(chk.extrapolated[-1] - 0.045), 1e-3,
-                      note=f"raw top at N={nlev}: {chk.top_full[-1]:.6f}"))
-    out.append(_check("twomode.hc.richardson_agreement", chk.agreement, 1e-3))
-    out.append(_check("twomode.hc.continuum_edge",
-                      float(chk.top_full[-2]), 0.005,
-                      note="second eigenvalue must stay below the continuum edge"))
-    timer.lap()
+    return [_check("twomode.hc.uvw",
+                   max(abs(p.u + 0.2), abs(p.v - 0.5), abs(p.w - 0.5)), 1e-14),
+            _check("twomode.hc.bound_state_energy",
+                   abs(chk.extrapolated[-1] - 0.045), 1e-3,
+                   note=f"raw top at N={nlev}: {chk.top_full[-1]:.6f}"),
+            _check("twomode.hc.richardson_agreement", chk.agreement, 1e-3),
+            _check("twomode.hc.continuum_edge",
+                   float(chk.top_full[-2]), 0.005,
+                   note="second eigenvalue must stay below the continuum edge")]
 
-    # orthonormality suites
+
+def _gram(rng, quick):
+    """Orthonormality of the discrete and continuous families."""
     dev_d = max(orthopoly.gram_check(orthopoly.DualHahn(0.0, 0.0, 3), 3),
                 orthopoly.gram_check(orthopoly.Meixner(1.0, 1.0 / 9.0), 8))
-    out.append(_check("orthopoly.gram.discrete", dev_d, 1e-10))
     dev_cont = max(orthopoly.gram_check(orthopoly.Laguerre(-0.5), 10),
                    orthopoly.gram_check(orthopoly.MeixnerPollaczek(0.75, math.pi / 2), 6))
     if not quick:
         dev_cont = max(dev_cont,
                        orthopoly.gram_check(orthopoly.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
                        orthopoly.gram_check(orthopoly.ContinuousDualHahn(0.5, 0.5, 1.0), 8))
-    out.append(_check("orthopoly.gram.continuous", dev_cont, 1e-7))
-    timer.lap()
+    return [_check("orthopoly.gram.discrete", dev_d, 1e-10),
+            _check("orthopoly.gram.continuous", dev_cont, 1e-7)]
 
-    # every operator against its chain's mapped family (jacobi.Chain); c and
-    # phi of the one-mode families lose digits near the diagonal and the axes
-    # (4e6 eps at labels 1e-3 from the diagonal), so the bound is 1e-10
-    out.append(_check("jacobi.chain.mapped_family", _chain_mapping_deviation(), 1e-10,
-                      note="streams and atoms relative to their largest entry"))
-    timer.lap()
 
-    # coherent states
+def _mapped_families(rng, quick):
+    """The largest gap, relative to its list's largest entry, between
+    operators' coefficient streams (200 levels) and atom formulas and their
+    chains' mapped families (``jacobi.Chain``): one-mode labels of all nine
+    classes, C-blocks on every uvw_params branch (two low ones: u < -1,
+    -1 < u < 0), D-blocks to K 200.  c and phi of the one-mode families lose
+    digits near the diagonal and the axes (4e6 eps at labels 1e-3 from the
+    diagonal), so the bound is 1e-10."""
+    labels = ((2.0, 0.0), (-1.5, 0.0), (0.0, 1.3), (1.3, -0.7), (-1.1, 2.2), (4.0, 1.0),
+              (-4.0, -1.5), (0.7, 2.5), (-0.5, -3.0), (1.5, 1.5), (-2.0, -2.0))
+    ops = [(onemode.jacobi(onemode.OneModeHamiltonian(
+               mu, nu, rep.OneModeSector(rep.MultibosonRep(1, (a0,)), 0, 200))),
+            onemode.classify(mu, nu, a0), 40)
+           for (mu, nu), a0 in zip(labels, (0.4, 1.3, 2.7) * 4)]
+    for K, a0, b0 in ((0, 4.5, 0.5), (1, 2.6, 0.6), (-1, 3.5, 0.2), (0, 0.3, 0.3),
+                      (-2, 0.7, 0.9), (0, 0.5, 2.0), (-1, 0.5, 2.0)):
+        blk = twomode.CBlock(K, a0, b0, n_levels=200)
+        ops.append((twomode.hc_block_jacobi(blk), twomode.hc_chain(blk), None))
+    for K, a0, b0 in ((0, 0.7, 1.9), (1, 2.3, 0.4), (7, 1.3, 0.7), (60, 0.5, 2.7),
+                      (200, 2.3, 0.4), (200, 0.4, 0.9)):
+        blk = twomode.DBlock(K, a0, b0)
+        ops.append((twomode.hd_block_jacobi(blk), twomode.hd_chain(blk), None))
     worst = 0.0
+    for op, chain, n_atoms in ops:
+        a, b = chain.recurrence(np.arange(op.size, dtype=float))
+        pairs = [(op.diag_array(), a), (op.offdiag_array(), b[:op.size - 1])]
+        if chain.atom_stream is not None:
+            mapped = chain.measure(n_atoms).locations
+            pairs.append((chain.atoms(mapped.size), mapped))
+        for x, y in pairs:
+            scale = max(np.abs(x).max(initial=0.0), 1e-300)
+            worst = max(worst, np.abs(x - y).max(initial=0.0) / scale)
+    return [_check("jacobi.chain.mapped_family", worst, 1e-10,
+                   note="streams and atoms relative to their largest entry")]
+
+
+def _coherent_states(rng, quick):
+    """Coherent states: the eigenstate residual and the radial moments."""
+    dev_r = dev_m = 0.0
     for al in (0.3, 1.0, 2.7):
         s = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, 80)
         for z in (0.5, 2.0, 1.0 + 1.0j):
@@ -427,17 +414,17 @@ def run_all(quick: bool = False):
                 continue
             cs = coherent.coherent_amplitudes(z, al, 80)
             resid = np.linalg.norm(rep.apply_lowering(s, cs) - z * cs) / np.linalg.norm(cs)
-            worst = max(worst, resid)
-    out.append(_check("coherent.eigenstate_residual", worst, 1e-8))
-    worst = 0.0
+            dev_r = max(dev_r, resid)
     for al in (0.3, 1.0, 2.7):
         m = coherent.radial_measure(al, k_checked=4 if quick else 10)
-        worst = max(worst, max(m.moment_error(k)
+        dev_m = max(dev_m, max(m.moment_error(k)
                                for k in range(5 if quick else 11)))
-    out.append(_check("coherent.measure_moments", worst, 1e-6))
-    timer.lap()
+    return [_check("coherent.eigenstate_residual", dev_r, 1e-8),
+            _check("coherent.measure_moments", dev_m, 1e-6)]
 
-    # disc-model flow
+
+def _disc_flow(rng, quick):
+    """The disc-model SU(1,1) flow."""
     worst_det = worst_law = 0.0
     for mu, nu in ((4.0, 1.0), (1.0, -1.0), (2.0, 0.0), (3.0, 3.0)):
         for t, s in ((0.3, 0.9), (1.1, -0.4)):
@@ -447,16 +434,15 @@ def run_all(quick: bool = False):
             prod = gt.multiply(gs)
             worst_det = max(worst_det, abs(gt.det() - 1.0))
             worst_law = max(worst_law, abs(prod.a - gts.a), abs(prod.b - gts.b))
-    out.append(_check("coherent.su11_determinant", worst_det, 1e-12))
-    out.append(_check("coherent.su11_group_law", worst_law, 1e-10))
-    timer.lap()
+    return [_check("coherent.su11_determinant", worst_det, 1e-12),
+            _check("coherent.su11_group_law", worst_law, 1e-10)]
 
-    # preset equivalence and conservation laws
-    # HIV against its canonical form on CSR entries at cutoff 40, and the
-    # canonical forms against their charge blocks on dense n 12 matrices
-    out.append(_check("evolution.hiv_framework_equality",
-                      max(_framework_deviation("HIV", 40), _canonical_block_deviation(12)),
-                      1e-12))
+
+def _presets(rng, quick):
+    """Preset equivalence and conservation laws: HIV against its canonical
+    form on CSR entries at cutoff 40, and the canonical forms against their
+    charge blocks on dense n 12 matrices."""
+    dev_f = max(_framework_deviation("HIV", 40), _canonical_block_deviation(12))
     n = 24 if quick else 48
     pm = evolution.preset("HIV", n)
     model = evolution.FullModel(pm.mapping, (1.0, 1.0), tail_tol=math.inf)
@@ -464,12 +450,31 @@ def run_all(quick: bool = False):
     ts = np.linspace(0.0, 10.0, 9 if quick else 21)
     series = evolution.run_series(model, psi0, ts)
     mr = [r.means[0] - r.means[1] for r in series.records]
-    out.append(_check("evolution.hiv_manley_rowe_drift",
-                      max(abs(v + 1.0) for v in mr), 1e-8))
-    out.append(_check("evolution.norm_drift", max(series.norm_errors), 1e-10))
+    return [_check("evolution.hiv_framework_equality", dev_f, 1e-12),
+            _check("evolution.hiv_manley_rowe_drift", max(abs(v + 1.0) for v in mr), 1e-8),
+            _check("evolution.norm_drift", max(series.norm_errors), 1e-10)]
 
-    timer.lap()
-    return out
+
+SECTIONS = (_ladder_algebra, _casimir_invariance, _group_law, _implementers,
+            _onemode_diagonal, _onemode_meixner, _hd_spectra, _hd_eigenvectors,
+            _hc_bound_state, _gram, _mapped_families, _coherent_states, _disc_flow,
+            _presets)
+
+
+def run_sections(quick: bool = False):
+    """Run ``SECTIONS`` in order, yielding each section's checks stamped
+    with the section's wall time."""
+    rng = np.random.default_rng(20240817)
+    for section in SECTIONS:
+        start = perf_counter()
+        checks = section(rng, quick)
+        seconds = perf_counter() - start
+        yield [replace(c, seconds=seconds) for c in checks]
+
+
+def run_all(quick: bool = False):
+    """Run the invariant suite; returns a list of CheckResult."""
+    return [c for checks in run_sections(quick) for c in checks]
 
 
 def format_report(results) -> str:

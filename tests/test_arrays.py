@@ -9,6 +9,7 @@ sweep that rescales after every row.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,7 +82,12 @@ FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.tag)
+def _family_id(family):
+    """The class name in snake case: MeixnerPollaczek -> meixner_pollaczek."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(family).__name__).lower()
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
 def test_recurrence_arrays_match_scalar_calls(family):
     k = np.arange(12, dtype=float)
     a, b = family.recurrence(k)
@@ -90,7 +96,7 @@ def test_recurrence_arrays_match_scalar_calls(family):
         assert a[j] == aj and b[j] == bj
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.tag)
+@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
 def test_poly_table_over_x_matches_scalar_calls(family):
     n_max = family.nmax if family.nmax is not None else 11
     x = np.linspace(-9.0, 14.0, 47)

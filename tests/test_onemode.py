@@ -111,6 +111,18 @@ def test_spectrum_case9_diagonal():
     assert meas.support is None and meas.density is None
 
 
+def test_case9_measure_needs_an_atom_count():
+    # a diagonal chain has no default count: a typed error naming n_atoms
+    # (--count on the CLI), and measure(3) as before
+    chain = om.classify(1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError) as exc:
+        chain.measure()
+    assert exc.value.names == ("n_atoms",)
+    meas = chain.measure(3)
+    assert np.array_equal(meas.locations, [1.0, 3.0, 5.0])
+    assert np.array_equal(meas.weights, np.ones(3))
+
+
 def test_eigenvectors_case9_basis():
     v = om.eigenvectors_discrete(om.OneModeHamiltonian(1.0, 1.0, _sector(1.0, 10)), 3)
     assert np.allclose(v, np.eye(10)[3])

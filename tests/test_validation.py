@@ -27,6 +27,31 @@ def test_run_all_checks_match_golden(mode):
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("quick", [False, True])
+def test_run_all_is_the_sections_concatenated(quick):
+    sections = list(validation.run_sections(quick))
+    flat = [c for checks in sections for c in checks]
+    results = validation.run_all(quick)
+    assert ([(r.name, r.tolerance, r.note, r.passed) for r in results]
+            == [(c.name, c.tolerance, c.note, c.passed) for c in flat])
+    assert [_bits(r.deviation) for r in results] == [_bits(c.deviation) for c in flat]
+    # each section stamps its one wall time on all its checks
+    for checks in sections:
+        assert len({c.seconds for c in checks}) == 1 and checks[0].seconds > 0.0
+
+
+def test_sections_are_the_recorded_table():
+    # the 14 sections whose first checks name the section rows of the
+    # checked-in bench record
+    record = json.loads((Path(__file__).parents[1] / "BENCH_27.json").read_text())
+    cases = [r["case"] for r in record["rows"]
+             if r["tree"] == "change" and r["case"].startswith("validate section ")]
+    sections = list(validation.run_sections(quick=True))
+    assert len(validation.SECTIONS) == len(sections) == 14
+    assert all(sections)
+    assert [f"validate section {checks[0].name}" for checks in sections] == cases
+
+
 def test_implementer_grid_builds_each_distinct_block_once(monkeypatch):
     # 24 grid elements share 6 (alpha0, c) blocks: c does not depend on
     # sigma, a and 1/a give the same c, and the grid takes a and 1/a in turn
