@@ -13,14 +13,13 @@ from .errors import (BoundaryAmbiguityError, NoBoundStateError,
                      NumericalFailureError, ParameterError, TruncationOverflowError,
                      UnsupportedCaseError, UnsupportedElementError)
 from .orthopoly import (ContinuousDualHahn, DualHahn, Laguerre, Meixner,
-                        MeixnerPollaczek, PolyFamily, SpectralMeasure, bessel_k,
-                        eval_orthonormal, gamma_abs_sq, gram_check, gram_matrix,
-                        hyp0f1, hyp3f2_terminating, ln_gamma)
+                        MeixnerPollaczek, PolyFamily, SpectralMeasure, gram_check,
+                        gram_matrix, hyp0f1, hyp3f2_terminating)
 from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
                      oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
                   build_generators_full, casimir_value, residue, sector_coeffs,
-                  sector_matrices, series_class)
+                  sector_matrices)
 from .bogoliubov import (GeneratorAction, GroupElement, act_on_labels,
                          action_matrix, implementer, inverse, meixner_c,
                          multiply, orbit_invariant)

@@ -23,7 +23,8 @@ the factor (alpha0 + k)/4, so no constant rescale can repair it.
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.special import gammaln, kv, kve
@@ -241,17 +242,37 @@ def holo_apply(which: str, coeffs, alpha0: float) -> np.ndarray:
     raise ValueError(f"which must be 'A0', 'Aplus' or 'Aminus', got {which!r}")
 
 
+# |det - 1| of a rounded element, in units of eps times the size its entries
+# were rounded at; measured at most 4.0 over su11_flow draws (classes 3 and 4
+# up to omega t = 300, every class at |mu|, |nu| <= 3) and 5.7 over products
+DET_C = 16.0
+
+
+def _size(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, inf (not OverflowError) past the double range."""
+    return abs(a) * abs(a) + abs(b) * abs(b)
+
+
 @dataclass(frozen=True)
 class SU11Element:
-    """Matrix [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1."""
+    """Matrix [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1 to
+    rounding: |det - 1| <= DET_C eps size, where ``size`` is the
+    |a|^2 + |b|^2 the entries were rounded at, the element's own by default.
+    Both entries grow like e^(omega t) on a hyperbolic flow, so no absolute
+    bound holds.  ``multiply`` passes the product of the factors' sizes: a
+    product that cancels (g(t) g(s), s near -t) keeps the factors' rounding,
+    not its own."""
 
     a: complex
     b: complex
+    size: InitVar[float | None] = None
 
-    def __post_init__(self):
-        det = abs(self.a) ** 2 - abs(self.b) ** 2
-        if abs(det - 1.0) > 1e-9:
-            raise ValueError(f"determinant {det} too far from 1")
+    def __post_init__(self, size):
+        size = _size(self.a, self.b) if size is None else size
+        if not (math.isfinite(size)
+                and abs(self.det() - 1.0) <= DET_C * sys.float_info.epsilon * size):
+            raise ValueError(f"({self.a}, {self.b}): |a|^2 - |b|^2 is not 1 within "
+                             f"{DET_C:g} eps (|a|^2 + |b|^2)")
 
     def det(self) -> float:
         return abs(self.a) ** 2 - abs(self.b) ** 2
@@ -259,7 +280,7 @@ class SU11Element:
     def multiply(self, other: "SU11Element") -> "SU11Element":
         a = self.a * other.a + self.b * other.b.conjugate()
         b = self.a * other.b + self.b * other.a.conjugate()
-        return SU11Element(a, b)
+        return SU11Element(a, b, _size(self.a, self.b) * _size(other.a, other.b))
 
 
 def su11_flow(mu: float, nu: float, t: float) -> SU11Element:
@@ -267,7 +288,9 @@ def su11_flow(mu: float, nu: float, t: float) -> SU11Element:
 
     a(t) = cos(sqrt(mu nu) t) + i (mu+nu)/2 * sinc,  b(t) = i (nu-mu)/2 * sinc,
     where sinc = sin(sqrt(mu nu) t)/sqrt(mu nu) continues to sinh/x for
-    mu nu < 0 and to t at mu nu = 0.
+    mu nu < 0 and to t at mu nu = 0.  ParameterError names mu, nu and t
+    where |a|^2 + |b|^2 passes the double range (a hyperbolic flow near
+    omega |t| = 355 for labels of order 1).
     """
     if mu == 0 and nu == 0:
         raise ValueError("label pair (0, 0) is excluded")
@@ -278,13 +301,19 @@ def su11_flow(mu: float, nu: float, t: float) -> SU11Element:
         sinc_t = math.sin(om * t) / om
     elif p < 0:
         om = math.sqrt(-p)
-        cos_t = math.cosh(om * t)
-        sinc_t = math.sinh(om * t) / om
+        try:
+            cos_t = math.cosh(om * t)
+            sinc_t = math.sinh(om * t) / om
+        except OverflowError:
+            cos_t = sinc_t = math.inf
     else:
         cos_t = 1.0
         sinc_t = t
     a = complex(cos_t, 0.5 * (mu + nu) * sinc_t)
     b = complex(0.0, 0.5 * (nu - mu) * sinc_t)
+    if not math.isfinite(_size(a, b)):
+        raise ParameterError(("mu", "nu", "t"), f"|a|^2 + |b|^2 of the flow at "
+                             f"mu={mu}, nu={nu}, t={t} passes the double range")
     return SU11Element(a, b)
 
 

@@ -379,9 +379,9 @@ class Chain:
         atoms: unit columns (diagonal); the Meixner kernel
         ``atom_eigenvector``, row k times (-1)^k if offdiag_sign < 0;
         ``block_eigenvectors`` of the whole finite block (dual Hahn); the
-        forward sweep ``poly_table`` of ``op`` (continuous dual Hahn bound
-        states, which decay only algebraically; p_0 = 1, not normalized),
-        one sweep per atom, since a scalar point steps in Python floats."""
+        forward sweep ``poly_table`` of ``op`` at every atom at once
+        (continuous dual Hahn bound states, which decay only algebraically;
+        p_0 = 1, not normalized)."""
         fam = self.family
         if fam is None:
             return np.eye(n_rows, n_cols)
@@ -392,8 +392,7 @@ class Chain:
             return u
         if isinstance(fam, DualHahn):
             return block_eigenvectors(op, self.atoms(op.size))[:n_rows, :n_cols]
-        return np.stack([poly_table(op, n_rows - 1, x)
-                         for x in self.atoms(n_cols).tolist()], axis=1)
+        return poly_table(op, n_rows - 1, self.atoms(n_cols))
 
 
 def _times_real(z: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -1,5 +1,11 @@
 """Special functions and the five orthogonal-polynomial families.
 
+The special functions are the few the package needs beyond
+``scipy.special``, which it calls directly for log-Gamma and Bessel K: the
+rising factorial and its logarithm, 0F1 with a checked domain, and the
+terminating 3F2, the independent reference for the D-block eigenvectors.
+:func:`poly_table` is the one forward three-term sweep.
+
 Every family is a frozen parameter record that knows its orthonormal
 three-term recurrence (positive off-diagonal convention, P_0 = 1) and its
 orthogonality measure, a :class:`SpectralMeasure`: atom locations and
@@ -42,19 +48,16 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import betaln, gammaln, kv, loggamma
+from scipy.special import betaln, gammaln, loggamma
 from scipy.special import hyp0f1 as _hyp0f1
 
 from .errors import NumericalFailureError, ParameterError
 
 __all__ = [
-    "ln_gamma",
-    "gamma_abs_sq",
     "pochhammer",
     "ln_pochhammer",
     "hyp0f1",
     "hyp3f2_terminating",
-    "bessel_k",
     "SpectralMeasure",
     "Laguerre",
     "Meixner",
@@ -62,7 +65,6 @@ __all__ = [
     "DualHahn",
     "ContinuousDualHahn",
     "PolyFamily",
-    "eval_orthonormal",
     "poly_table",
     "gram_matrix",
     "gram_check",
@@ -71,20 +73,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # special functions
-
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
-
-
-def gamma_abs_sq(a: float, b: float) -> float:
-    """|Gamma(a + i b)|^2 for a > 0."""
-    if a <= 0:
-        raise ValueError(f"gamma_abs_sq requires a > 0, got {a}")
-    return math.exp(2.0 * loggamma(complex(a, b)).real)
-
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), elementwise over an array a."""
@@ -151,13 +139,6 @@ def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:
         term *= (-n + k) * (b + k) * (c + k) / (dk * ek * (k + 1.0))
         total += term
     return total
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0."""
-    if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    return float(kv(nu, x))
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +473,11 @@ PolyFamily = Union[Laguerre, Meixner, MeixnerPollaczek, DualHahn, ContinuousDual
 # ---------------------------------------------------------------------------
 # evaluation and orthonormality checks
 
-def eval_orthonormal(family: PolyFamily, n: int, x: float | np.ndarray):
-    """Value at x of the orthonormal degree-n member: row n of
-    :func:`poly_table`."""
-    if family.nmax is not None and n > family.nmax:
-        raise ValueError(f"degree {n} exceeds family size {family.nmax}")
-    return poly_table(family, n, x)[n]
-
-
 def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndarray:
     """Values P_0(x), ..., P_{n_max}(x) in one forward recurrence sweep,
     the package's only one, for a family or a ``jacobi.JacobiOperator``.
 
-    ``x`` is a scalar or an array; the result has shape
+    ``x`` is an array (a scalar is the 0-d case); the result has shape
     ``(n_max + 1,) + x.shape``, row n holding P_n at every point.  The
     coefficients a_0..a_{n_max-1}, b_0..b_{n_max-1} come from one
     vectorized ``recurrence`` call, and every entry is bit-identical to the
@@ -516,7 +489,6 @@ def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndar
     x = np.asarray(x, dtype=float)
     a, b = (c.tolist() for c in family.recurrence(np.arange(n_max, dtype=float)))
     out = np.empty((n_max + 1,) + x.shape)
-    x = x.tolist() if x.ndim == 0 else x   # a float: same doubles, faster steps
     out[0] = prev = 1.0
     if n_max >= 1:
         out[1] = cur = (x - a[0]) / b[0]

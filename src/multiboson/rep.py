@@ -31,7 +31,6 @@ __all__ = [
     "sector_matrices",
     "build_generators_full",
     "casimir_value",
-    "series_class",
 ]
 
 
@@ -156,13 +155,3 @@ def casimir_value(rep: MultibosonRep, r: int) -> float:
     """Scalar of (1/2) A0^2 - A- A+ - A+ A- on the sector H_r."""
     a = rep.alpha0_init[r]
     return 0.5 * a * (a - 2.0)
-
-
-def series_class(rep: MultibosonRep, r: int) -> str:
-    """Unitary-series label of the sector: complementary, discrete, or other."""
-    a = rep.alpha0_init[r]
-    if 0 < a < 2:
-        return "complementary"
-    if a >= 2 and float(a).is_integer():
-        return "discrete"
-    return "other"

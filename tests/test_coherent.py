@@ -277,6 +277,45 @@ def test_su11_group_law_all_branches(mu, nu):
         assert abs(gt.det() - 1.0) <= 1e-12
 
 
+def _within_det_bound(g, size=None):
+    size = abs(g.a) ** 2 + abs(g.b) ** 2 if size is None else size
+    return abs(g.det() - 1.0) <= ch.DET_C * np.finfo(float).eps * size
+
+
+@pytest.mark.parametrize("mu,nu", [(1.0, -1.0), (0.9, -0.4), (3.0, -1e-3),
+                                   (-1.0, 1.0), (-2.0, 0.5), (-0.4, 0.9)])
+def test_su11_flow_hyperbolic_up_to_omega_t_300(mu, nu):
+    # classes 3 (mu > 0 > nu) and 4: |a|^2 and |b|^2 both grow like
+    # e^(2 omega t), so |det - 1| is bounded relative to their sum only;
+    # an absolute bound of 1e-9 already fails at (1, -1), t = 10
+    om = math.sqrt(-mu * nu)
+    for wt in np.linspace(-300.0, 300.0, 1201):
+        assert _within_det_bound(ch.su11_flow(mu, nu, wt / om)), wt
+
+
+@pytest.mark.parametrize("mu,nu,t", [(1.0, -1.0, 356.0), (1.0, -1.0, 1000.0),
+                                     (-2.0, 0.5, -400.0), (0.9, -0.4, 1e300)])
+def test_su11_flow_past_the_double_range_names_its_labels(mu, nu, t):
+    with pytest.raises(ParameterError) as info:
+        ch.su11_flow(mu, nu, t)
+    assert info.value.names == ("mu", "nu", "t")
+
+
+@pytest.mark.parametrize("mu,nu", [(1.0, -1.0), (-2.0, 1.5), (4.0, 1.0)])
+def test_su11_product_that_cancels(mu, nu):
+    # g(t) g(d - t) = g(d): the product's entries carry the rounding of the
+    # factors, far above its own |a|^2 + |b|^2 when t is large
+    om = math.sqrt(abs(mu * nu))
+    for wt in (3.0, 8.0, 15.0):
+        t, d = wt / om, 0.05
+        gt, gs = ch.su11_flow(mu, nu, t), ch.su11_flow(mu, nu, d - t)
+        prod, want = gt.multiply(gs), ch.su11_flow(mu, nu, d)
+        sizes = [abs(g.a) ** 2 + abs(g.b) ** 2 for g in (gt, gs)]
+        assert _within_det_bound(prod, sizes[0] * sizes[1])
+        tol = 4 * np.finfo(float).eps * math.sqrt(sizes[0] * sizes[1])
+        assert abs(prod.a - want.a) <= tol and abs(prod.b - want.b) <= tol
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-2, 2))
 def test_su11_determinant_property(mu, nu, t):

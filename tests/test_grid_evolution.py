@@ -166,6 +166,35 @@ def test_apply_returns_the_occupied_block_positions(kind, which):
     assert np.array_equal(one, indices) and amp.shape == (indices.size,)
 
 
+def test_relative_block_phases_keep_a_conserved_charge_raiser():
+    # A+ x 1 - 1 x A+ commutes with the D-form and maps charge q to q + 1, so
+    # its expectation pairs neighbouring blocks and is constant only if every
+    # block carries its true energy: +0.1 on the odd-charge energies moves it
+    # by 8e-4 to 2e-2, while A+ x 1 + 1 x A+ moves by 0.16 to 0.78 anyway
+    n = 30
+    r0, r1 = rep.MultibosonRep(1, (1.3,)), rep.MultibosonRep(1, (0.7,))
+    h = ev.CanonicalInteraction("D", tm.TwoModeRep(r0, r1), (0, 0), n)
+    k0, k1 = np.divmod(np.arange(n * n), n)
+    occupied = k0 + k1 <= 3
+    rng = np.random.default_rng(3)
+    psi0 = np.where(occupied, rng.normal(size=n * n) + 1j * rng.normal(size=n * n), 0.0)
+    psi0 /= np.linalg.norm(psi0)
+    raise0, raise1 = (rep.sector_matrices(rep.OneModeSector(r, 0, n))[2] for r in (r0, r1))
+    eye = np.eye(n)
+    conserved = np.kron(raise0, eye) - np.kron(eye, raise1)
+    moving = np.kron(raise0, eye) + np.kron(eye, raise1)
+    model = ev.FullModel(h, (1.0, 1.0), tail_tol=math.inf)
+    indices, amps = ev.InteractionEvolver(model).apply(psi0, np.array([0.05, 0.2, 1.0]))
+    psi = np.zeros((3, n * n), dtype=complex)
+    psi[:, indices] = amps
+    # rounding of unit-norm amplitudes, carried through the operator's norm
+    # on the occupied positions (sqrt 20)
+    bound = 16 * np.finfo(float).eps * np.linalg.norm(conserved[:, occupied], 2)
+    for row in psi:
+        assert abs(np.vdot(row, conserved @ row) - np.vdot(psi0, conserved @ psi0)) <= bound
+        assert abs(np.vdot(row, moving @ row) - np.vdot(psi0, moving @ psi0)) > 0.1
+
+
 @pytest.mark.parametrize("name, make", CASES, ids=IDS)
 def test_evolution_reads_occupations_at_block_positions_only(monkeypatch, name, make):
     model, cells = make()

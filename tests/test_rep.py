@@ -178,11 +178,3 @@ def test_casimir_matrix_interior_diagonal():
     interior = n - 2 * r.l
     expected = np.diag([rep.casimir_value(r, m % 2) for m in range(interior)])
     assert np.abs(cas[:interior, :interior] - expected).max() <= 1e-10
-
-
-def test_series_class():
-    assert rep.series_class(rep.MultibosonRep(1, (0.5,)), 0) == "complementary"
-    assert rep.series_class(rep.MultibosonRep(1, (3.0,)), 0) == "discrete"
-    assert rep.series_class(rep.MultibosonRep(1, (2.0,)), 0) == "discrete"
-    assert rep.series_class(rep.MultibosonRep(1, (2.5,)), 0) == "other"
-
