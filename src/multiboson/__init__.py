@@ -18,17 +18,15 @@ from .orthopoly import (ContinuousDualHahn, DualHahn, Laguerre, Meixner,
 from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
                      oracle_eigh, oracle_eigs)
 from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
-                  build_generators_full, casimir_value, residue, sector_coeffs,
+                  build_generators_full, casimir_value, sector_coeffs,
                   sector_matrices)
-from .bogoliubov import (GeneratorAction, GroupElement, act_on_labels,
-                         action_matrix, implementer, inverse, meixner_c,
-                         multiply, orbit_invariant)
+from .bogoliubov import (GroupElement, action_matrix, implementer, meixner_c,
+                         multiply)
 from .onemode import (OneModeHamiltonian, classify, eigenvectors_discrete,
                       evolve, jacobi)
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
-                      UVWParams, build_h_matrix, canonical_matrix,
-                      coupling_functions, hc_block_jacobi, hc_chain,
-                      hc_eigenvectors_discrete, hc_truncation_check,
+                      UVWParams, build_h_matrix, canonical_matrix, hc_block_jacobi,
+                      hc_chain, hc_eigenvectors_discrete, hc_truncation_check,
                       hd_block_jacobi, hd_chain, hd_eigenvectors, uvw_params)
 from .coherent import (SU11Element, coherent_amplitudes,
                        disc_eigenfunction, holo_apply, kernel, radial_measure,

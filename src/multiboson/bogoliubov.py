@@ -2,8 +2,12 @@
 
 The group is R^x semidirect Z_2 with product (a, s)(b, t) = (a b^s, s t).
 Each element acts linearly on (A0, A-, A+) preserving the commutation and
-adjointness relations; with rows-as-images convention the matrix map is a
-homomorphism: matrix(g h) = matrix(g) @ matrix(h).
+adjointness relations.  ``action_matrix`` returns that action as a plain 3x3
+array whose row i is the image of basis element i; with these rows as images
+the map is a homomorphism on the returned arrays:
+action_matrix(multiply(g, h)) == action_matrix(g) @ action_matrix(h).  The
+labels of H = ((mu+nu)/2) A0 + ((mu-nu)/2)(A- + A+) move with it: the row
+h = ((mu+nu)/2, (mu-nu)/2, (mu-nu)/2) becomes h @ action_matrix(g).
 
 Elements with a > 0 are implemented by unitaries whose columns are the
 eigenvectors of the transformed A0 at the exact eigenvalues 2n + alpha0:
@@ -31,19 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedElementError
+from .errors import ParameterError, UnsupportedElementError
 from .jacobi import atom_eigenvector
 from .orthopoly import Meixner
 
 __all__ = [
     "GroupElement",
-    "GeneratorAction",
-    "IDENTITY",
     "multiply",
-    "inverse",
     "action_matrix",
-    "act_on_labels",
-    "orbit_invariant",
     "meixner_c",
     "implementer",
     "ImplementerInfo",
@@ -53,7 +52,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element (a, sigma) with a != 0 and sigma in {-1, +1}."""
+    """Element (a, sigma) with a != 0 and sigma in {-1, +1}.  ParameterError
+    names a unless a, a * a and 1 / a are all finite, so that every entry
+    of ``action_matrix`` is finite."""
 
     a: float
     sigma: int
@@ -61,11 +62,11 @@ class GroupElement:
     def __post_init__(self):
         if self.a == 0:
             raise ValueError("a must be nonzero")
+        a = float(self.a)
+        if not (math.isfinite(a) and math.isfinite(a * a) and math.isfinite(1.0 / a)):
+            raise ParameterError(("a",), f"a = {self.a}: a, a * a and 1 / a must be finite")
         if self.sigma not in (-1, 1):
             raise ValueError(f"sigma must be +-1, got {self.sigma}")
-
-
-IDENTITY = GroupElement(1.0, 1)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -73,29 +74,9 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(g.a * h.a ** g.sigma, g.sigma * h.sigma)
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    """(a, s)^-1 = (a^-s, s)."""
-    return GroupElement(g.a ** (-g.sigma), g.sigma)
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorAction:
-    """3x3 matrix over the ordered basis (A0, A-, A+); row i holds the
-    expansion of the image of basis element i."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("generator action must be 3x3")
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise ValueError("generator action must be invertible")
-        object.__setattr__(self, "matrix", m)
-
-
-def action_matrix(g: GroupElement) -> GeneratorAction:
-    """Linear action of (a, sigma) on (A0, A-, A+).
+def action_matrix(g: GroupElement) -> np.ndarray:
+    """Linear action of (a, sigma) on (A0, A-, A+): the 3x3 array whose row i
+    holds the expansion of the image of basis element i.
 
     Note: at (a, sigma) = (-1, 1) this maps A0 -> -A0 and swaps A- -> -A+,
     A+ -> -A-; that is the unique structure-preserving extension (plain -1
@@ -107,27 +88,11 @@ def action_matrix(g: GroupElement) -> GeneratorAction:
     r = (1 - a * a) / (4 * a)
     sm = s * (1 - a) ** 2 / (4 * a)
     sp = s * (1 + a) ** 2 / (4 * a)
-    return GeneratorAction(np.array([
+    return np.array([
         [p, s * q, s * q],
         [r, sp, sm],
         [r, sm, sp],
-    ]))
-
-
-def act_on_labels(g: GroupElement, mu: float, nu: float) -> tuple[float, float]:
-    """Label transport: (a,+1): (mu, nu) -> (mu/a, a nu); (a,-1): -> (a nu, mu/a)."""
-    if mu == 0 and nu == 0:
-        raise ValueError("label pair (0, 0) is excluded")
-    if g.sigma == 1:
-        return mu / g.a, g.a * nu
-    return g.a * nu, mu / g.a
-
-
-def orbit_invariant(mu: float, nu: float) -> float:
-    """The group orbits are the hyperbola pairs {x y = const}: returns mu * nu."""
-    if mu == 0 and nu == 0:
-        raise ValueError("label pair (0, 0) is excluded")
-    return mu * nu
+    ])
 
 
 def meixner_c(a: float) -> float:

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import __version__, coherent, errors, evolution, onemode, rep, twomode, validation
 from .errors import BoundaryAmbiguityError, ParameterError
-from .jacobi import oracle_eigs
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -247,18 +246,14 @@ def cmd_spectrum(cfg: dict, given: dict, out) -> int:
         if meas.support is not None:
             results["continuum"] = list(meas.support)
         else:
-            m = min(count, 5)
-            w = oracle_eigs(onemode.jacobi(h), count=m, top=chain.pairs_top)
-            gap = meas.locations[:m] - chain.pair(w, m)
-            results["oracle_delta"] = float(np.abs(gap).max())
+            results["oracle_delta"] = chain.oracle_delta(onemode.jacobi(h), min(count, 5))
     else:
         a0, b0, K = cfg["alpha0"], cfg["beta0"], cfg["K"]
         if model == "two-d":
             blk = twomode.DBlock(K, a0, b0)
-            ev = twomode.hd_chain(blk).atoms(K + 1)
-            w = oracle_eigs(twomode.hd_block_jacobi(blk))
-            results["eigenvalues"] = ev.tolist()
-            results["oracle_delta"] = float(np.abs(ev - w).max())
+            chain = twomode.hd_chain(blk)
+            results["eigenvalues"] = chain.atoms(K + 1).tolist()
+            results["oracle_delta"] = chain.oracle_delta(twomode.hd_block_jacobi(blk))
         else:
             blk = twomode.CBlock(K, a0, b0, n_levels=cfg["n_levels"])
             try:

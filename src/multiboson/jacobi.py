@@ -374,6 +374,13 @@ class Chain:
         ``self.pairs_top`` that pair with the first k atoms, in atom order."""
         return window[::-1][:k] if self.pairs_top else window[:k]
 
+    def oracle_delta(self, op: JacobiOperator, count: int | None = None) -> float:
+        """max |atom - paired eigenvalue| over the first ``count`` atoms (all
+        ``op.size`` when None), against ``oracle_eigs`` of the truncation op."""
+        k = op.size if count is None else count
+        w = oracle_eigs(op, count, top=self.pairs_top)
+        return float(np.abs(self.atoms(k) - self.pair(w, k)).max())
+
     def eigenvectors(self, op: JacobiOperator, n_rows: int, n_cols: int) -> np.ndarray:
         """Rows k < n_rows of the eigenvectors of ``op`` at the first n_cols
         atoms: unit columns (diagonal); the Meixner kernel

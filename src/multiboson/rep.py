@@ -24,7 +24,6 @@ from .orthopoly import pochhammer
 __all__ = [
     "MultibosonRep",
     "OneModeSector",
-    "residue",
     "alpha0",
     "alpha_minus",
     "sector_coeffs",
@@ -32,13 +31,6 @@ __all__ = [
     "build_generators_full",
     "casimir_value",
 ]
-
-
-def residue(n: int, l: int) -> int:
-    """n mod l: the sector label of Fock level n."""
-    if l < 1:
-        raise ValueError(f"cluster size must be >= 1, got {l}")
-    return n % l
 
 
 @dataclass(frozen=True)

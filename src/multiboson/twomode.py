@@ -49,7 +49,7 @@ import scipy.sparse as sp
 
 from .errors import BoundaryAmbiguityError, NoBoundStateError, ParameterError
 from .jacobi import Chain, JacobiOperator, oracle_eigs
-from .orthopoly import ContinuousDualHahn, DualHahn, pochhammer
+from .orthopoly import ContinuousDualHahn, DualHahn
 from .rep import MultibosonRep, OneModeSector, sector_matrices
 from .bogoliubov import GroupElement
 
@@ -73,7 +73,6 @@ __all__ = [
     "continuum_shift",
     "hc_eigenvectors_discrete",
     "hc_truncation_check",
-    "coupling_functions",
 ]
 
 
@@ -422,45 +421,3 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
     return TruncationCheck(full, half, extrap, n_bound, agreement,
                            agreement <= 1e-3)
 
-
-def _ladder_up(n: int, l: int) -> float:
-    """<n + l| (a*)^l |n> = sqrt((n+1)...(n+l)), 1 at l = 0."""
-    return math.sqrt(pochhammer(n + 1.0, l))
-
-
-def coupling_functions(h: TwoModeHamiltonian, grid, n_per_mode: int | None = None):
-    """Intensity-dependent coupling samples read off the entries of the
-    sparse interaction matrix (no dense n_per_mode^2 x n_per_mode^2 array).
-
-    The interaction has the normal form
-
-        g00(n0, n1) + gpm(n0, n1) (a0*)^l0 a1^l1 + gm0(n0, n1) a0^l0
-        + g0m(n0, n1) a1^l1 + gmm(n0, n1) a0^l0 a1^l1 + h.c.
-
-    with every coefficient a function of the number operators standing to
-    the left of the ladder monomial.  Samples are returned at the bra
-    occupation: e.g. gmm[(n0, n1)] multiplies the transition
-    |n0 + l0, n1 + l1> -> |n0, n1>.  Grid points are physical occupation
-    pairs compatible with the sector.
-    """
-    l0, l1 = h.reps.rep0.l, h.reps.rep1.l
-    r0, r1 = h.sector
-    pts = list(grid)
-    for n0, n1 in pts:
-        if n0 % l0 != r0 or n1 % l1 != r1:
-            raise ValueError(f"grid point ({n0}, {n1}) not in sector {h.sector}")
-    if n_per_mode is None:
-        n_per_mode = max(max(n0 // l0, n1 // l1) for n0, n1 in pts) + 3
-    m = _kron_sum(h, n_per_mode)
-    # the level steps (dk0, dk1) from the bra to the ket of each term
-    steps = {"g00": (0, 0), "gpm": (-1, 1), "gm0": (1, 0), "g0m": (0, 1), "gmm": (1, 1)}
-    out = {key: {} for key in steps}
-    for n0, n1 in pts:
-        k0, k1 = n0 // l0, n1 // l1
-        for key, (d0, d1) in steps.items():
-            if 0 <= k0 + d0 < n_per_mode and 0 <= k1 + d1 < n_per_mode:
-                ladder = (_ladder_up(min(n0, n0 + d0 * l0), abs(d0) * l0)
-                          * _ladder_up(min(n1, n1 + d1 * l1), abs(d1) * l1))
-                out[key][(n0, n1)] = (m[k0 * n_per_mode + k1,
-                                        (k0 + d0) * n_per_mode + k1 + d1] / ladder)
-    return out

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bogoliubov, coherent, evolution, onemode, orthopoly, rep, twomode
-from .jacobi import JacobiOperator, oracle_eigh, oracle_eigs
+from .jacobi import JacobiOperator, oracle_eigh
 
 __all__ = ["CheckResult", "SECTIONS", "run_sections", "run_all", "format_report"]
 
@@ -222,7 +222,7 @@ def _casimir_invariance(rng, quick):
     for _ in range(10):
         g = bogoliubov.GroupElement(float(rng.uniform(0.5, 2.0) * rng.choice((-1, 1))),
                                     int(rng.choice((-1, 1))))
-        m = bogoliubov.action_matrix(g).matrix
+        m = bogoliubov.action_matrix(g)
         x0 = m[0, 0] * a0m + m[0, 1] * amm + m[0, 2] * apm
         xm = m[1, 0] * a0m + m[1, 1] * amm + m[1, 2] * apm
         xp = m[2, 0] * a0m + m[2, 1] * amm + m[2, 2] * apm
@@ -242,9 +242,9 @@ def _group_law(rng, quick):
                                     int(rng.choice((-1, 1))))
         h = bogoliubov.GroupElement(float(rng.uniform(0.3, 3.0) * rng.choice((-1, 1))),
                                     int(rng.choice((-1, 1))))
-        mg = bogoliubov.action_matrix(g).matrix
-        mh = bogoliubov.action_matrix(h).matrix
-        mgh = bogoliubov.action_matrix(bogoliubov.multiply(g, h)).matrix
+        mg = bogoliubov.action_matrix(g)
+        mh = bogoliubov.action_matrix(h)
+        mgh = bogoliubov.action_matrix(bogoliubov.multiply(g, h))
         dev_h = max(dev_h, np.abs(mgh - mg @ mh).max())
         lhs = np.einsum("ip,jq,pqr->ijr", mg, mg, f)
         rhs = np.einsum("ijk,kr->ijr", f, mg)
@@ -271,7 +271,7 @@ def _implementers(rng, quick):
                 u, info = bogoliubov.implementer(g, al, n)
                 nc = info.converged_cols
                 dev_u = max(dev_u, np.abs(u[:, :nc].T @ u[:, :nc] - np.eye(nc)).max())
-                m = bogoliubov.action_matrix(g).matrix
+                m = bogoliubov.action_matrix(g)
                 # only the interior block of U X U* is checked, so only
                 # its rows of U enter: ii n^2 work instead of n^3
                 ii = info.interior_rows
@@ -295,8 +295,7 @@ def _onemode_meixner(rng, quick):
     sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
     h5 = onemode.OneModeHamiltonian(4.0, 1.0, sec)
     chain = onemode.classify(4.0, 1.0, sec.alpha0)
-    w = oracle_eigs(onemode.jacobi(h5), count=5, top=chain.pairs_top)
-    dev_w = np.abs(chain.pair(w, 5) - chain.atoms(5)).max()
+    dev_w = chain.oracle_delta(onemode.jacobi(h5), 5)
     _, vecs = oracle_eigh(onemode.jacobi(h5))
     # the closed-form columns side by side: each overlap reads a strided
     # column, so BLAS sums it in one fixed order
@@ -311,16 +310,11 @@ def _onemode_meixner(rng, quick):
 def _hd_spectra(rng, quick):
     """Finite two-mode blocks: closed form vs oracle, and the erratum's
     shifted off-diagonal still missing the closed form (regression pin)."""
-    worst = 0.0
-    for K in range(7):
-        for a0 in (0.5, 1.0, 2.7):
-            for b0 in (0.5, 1.0, 2.7):
-                blk = twomode.DBlock(K, a0, b0)
-                w = oracle_eigs(twomode.hd_block_jacobi(blk))
-                worst = max(worst, np.abs(w - twomode.hd_chain(blk).atoms(blk.K + 1)).max())
+    blocks = [twomode.DBlock(K, a0, b0) for K in range(7)
+              for a0 in (0.5, 1.0, 2.7) for b0 in (0.5, 1.0, 2.7)]
+    worst = max(twomode.hd_chain(b).oracle_delta(twomode.hd_block_jacobi(b)) for b in blocks)
     blk = twomode.DBlock(1, 1.0, 1.0)
-    w_printed = oracle_eigs(_printed_hd_block_jacobi(blk))
-    gap = np.abs(w_printed - twomode.hd_chain(blk).atoms(blk.K + 1)).max()
+    gap = twomode.hd_chain(blk).oracle_delta(_printed_hd_block_jacobi(blk))
     return [_check("twomode.hd.closed_vs_oracle", worst, 1e-9),
             _check("twomode.hd.regression_pin_gap", 0.1, gap,
                    note="shifted b_k variant must stay wrong by >= 0.1")]

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from multiboson import bogoliubov as bg
 from multiboson import onemode as om
 from multiboson import rep
-from multiboson.errors import UnsupportedElementError
+from multiboson import twomode as tm
+from multiboson.errors import ParameterError, UnsupportedElementError
 from multiboson.jacobi import atom_eigenvector, oracle_eigh, oracle_eigs
 from multiboson.orthopoly import Meixner
 
@@ -36,16 +37,18 @@ def test_multiply():
     g = bg.multiply(bg.GroupElement(2.0, -1), bg.GroupElement(3.0, 1))
     assert g == bg.GroupElement(2.0 / 3.0, -1)
     h = bg.GroupElement(1.7, -1)
-    assert bg.multiply(bg.IDENTITY, h) == h
+    assert bg.multiply(bg.GroupElement(1.0, 1), h) == h
 
 
 @settings(max_examples=60, deadline=None)
 @given(elements)
 def test_inverse(g):
-    gi = bg.inverse(g)
-    prod = bg.multiply(g, gi)
-    assert prod.sigma == 1
-    assert prod.a == pytest.approx(1.0, rel=1e-12)
+    # (a, s)^-1 = (a^-s, s), on both sides
+    gi = bg.GroupElement(g.a ** -g.sigma, g.sigma)
+    for prod in (bg.multiply(g, gi), bg.multiply(gi, g)):
+        assert prod.sigma == 1
+        assert prod.a == pytest.approx(1.0, rel=1e-12)
+    assert np.abs(bg.action_matrix(g) @ bg.action_matrix(gi) - np.eye(3)).max() <= 1e-12
 
 
 def test_element_validation():
@@ -55,9 +58,38 @@ def test_element_validation():
         bg.GroupElement(1.0, 2)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1.4e154, -1.4e154, 1e-309])
+def test_element_rejects_a_it_cannot_represent(a):
+    # a * a or 1 / a past the double range: action_matrix would overflow
+    # or fill with inf and nan
+    with pytest.raises(ParameterError) as exc:
+        bg.GroupElement(a, 1)
+    assert exc.value.names == ("a",)
+
+
+@pytest.mark.parametrize("a", [1e9, 1e-300, 1.3e154, -1.3e154])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_action_matrix_finite_at_extreme_a(a, sigma):
+    # the exact determinant is +-1, but a computed one cancels at these a
+    m = bg.action_matrix(bg.GroupElement(a, sigma))
+    assert m.shape == (3, 3) and np.isfinite(m).all()
+    # A0 -> (a + 1/a)/2 A0 + sigma (1/a - a)/2 (A- + A+)
+    p, q = (a + 1 / a) / 2, sigma * (1 / a - a) / 2
+    assert m[0] == pytest.approx([p, q, q], rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [1e9, 1e-300])
+def test_build_h_matrix_at_extreme_a(a):
+    reps = tm.TwoModeRep(rep.MultibosonRep(1, (1.0,)), rep.MultibosonRep(1, (1.0,)))
+    h = tm.TwoModeHamiltonian(reps, bg.GroupElement(a, 1), bg.GroupElement(1.0, 1), (0, 0))
+    m = tm.build_h_matrix(h, 4)
+    assert np.isfinite(m).all() and np.abs(m - m.T).max() == 0.0
+    assert np.abs(m).max() > 1e8
+
+
 def test_action_matrix_identity_and_sample():
-    assert np.allclose(bg.action_matrix(bg.IDENTITY).matrix, np.eye(3))
-    m = bg.action_matrix(bg.GroupElement(2.0, 1)).matrix
+    assert np.array_equal(bg.action_matrix(bg.GroupElement(1.0, 1)), np.eye(3))
+    m = bg.action_matrix(bg.GroupElement(2.0, 1))
     assert np.allclose(m[0], [1.25, -0.75, -0.75])
 
 
@@ -65,7 +97,7 @@ def test_action_matrix_central_flip():
     # the structure-preserving action at (-1, 1): A0 -> -A0, A- -> -A+,
     # A+ -> -A-.  (A plain sign flip of all three generators would violate
     # [A-, A+] = A0 and is not in the group.)
-    m = bg.action_matrix(bg.GroupElement(-1.0, 1)).matrix
+    m = bg.action_matrix(bg.GroupElement(-1.0, 1))
     expected = -np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
     assert np.allclose(m, expected)
     f = bg.structure_constants()
@@ -78,46 +110,44 @@ def test_action_matrix_central_flip():
 @settings(max_examples=50, deadline=None)
 @given(elements, elements)
 def test_homomorphism(g, h):
-    mg = bg.action_matrix(g).matrix
-    mh = bg.action_matrix(h).matrix
-    mgh = bg.action_matrix(bg.multiply(g, h)).matrix
+    mg = bg.action_matrix(g)
+    mh = bg.action_matrix(h)
+    mgh = bg.action_matrix(bg.multiply(g, h))
     assert np.abs(mgh - mg @ mh).max() <= 1e-12 * max(1.0, np.abs(mgh).max())
 
 
 @settings(max_examples=50, deadline=None)
 @given(elements)
 def test_structure_preservation(g):
-    m = bg.action_matrix(g).matrix
+    m = bg.action_matrix(g)
     f = bg.structure_constants()
     lhs = np.einsum("ip,jq,pqr->ijr", m, m, f)
     rhs = np.einsum("ijk,kr->ijr", f, m)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(m).max() ** 2)
 
 
+def _labels(g, mu, nu):
+    """(mu, nu) carried by g: the row ((mu+nu)/2, (mu-nu)/2, (mu-nu)/2) of
+    H = ((mu+nu)/2) A0 + ((mu-nu)/2)(A- + A+) times action_matrix(g)."""
+    p, q, q2 = np.array([(mu + nu) / 2, (mu - nu) / 2, (mu - nu) / 2]) @ bg.action_matrix(g)
+    assert q2 == pytest.approx(q, rel=1e-12, abs=1e-12 * (abs(mu) + abs(nu)))
+    return p + q, p - q
+
+
 def test_act_on_labels():
-    assert bg.act_on_labels(bg.GroupElement(2.0, 1), 4.0, 1.0) == (2.0, 2.0)
-    assert bg.act_on_labels(bg.IDENTITY, 0.3, -0.7) == (0.3, -0.7)
-    mu, nu = bg.act_on_labels(bg.GroupElement(3.0, -1), 4.0, 1.0)
-    assert (mu, nu) == pytest.approx((3.0, 4.0 / 3.0))
-    with pytest.raises(ValueError):
-        bg.act_on_labels(bg.IDENTITY, 0.0, 0.0)
-
-
-def test_orbit_invariant():
-    assert bg.orbit_invariant(4.0, 1.0) == 4.0
-    assert bg.orbit_invariant(1.0, 0.0) == 0.0
-    assert bg.orbit_invariant(1.0, -1.0) == -1.0
-    with pytest.raises(ValueError):
-        bg.orbit_invariant(0.0, 0.0)
+    # (a, +1): (mu, nu) -> (mu/a, a nu); (a, -1): (mu, nu) -> (a nu, mu/a)
+    assert _labels(bg.GroupElement(2.0, 1), 4.0, 1.0) == (2.0, 2.0)
+    assert _labels(bg.GroupElement(1.0, 1), 0.375, -0.75) == (0.375, -0.75)
+    assert _labels(bg.GroupElement(3.0, -1), 4.0, 1.0) == pytest.approx((3.0, 4.0 / 3.0))
 
 
 @settings(max_examples=50, deadline=None)
 @given(elements, st.floats(-3, 3), st.floats(-3, 3))
 def test_label_action_preserves_orbit(g, mu, nu):
-    if mu == 0 and nu == 0:
-        return
-    mu2, nu2 = bg.act_on_labels(g, mu, nu)
-    assert mu2 * nu2 == pytest.approx(mu * nu, rel=1e-12, abs=1e-12)
+    # the orbits are the hyperbolas mu nu = const
+    mu2, nu2 = _labels(g, mu, nu)
+    scale = (abs(mu) + abs(nu)) ** 2 * max(abs(g.a), 1 / abs(g.a)) ** 2
+    assert abs(mu2 * nu2 - mu * nu) <= 1e-14 * scale
 
 
 def test_implementer_trivial_elements():
@@ -245,7 +275,7 @@ def test_implementer_conjugation(a, sigma, alpha0):
     u, info = bg.implementer(g, alpha0, n)
     s = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
     a0m, amm, apm = rep.sector_matrices(s)
-    m = bg.action_matrix(g).matrix
+    m = bg.action_matrix(g)
     ii = info.interior_rows
     for i, x in enumerate((a0m, amm, apm)):
         img = m[i, 0] * a0m + m[i, 1] * amm + m[i, 2] * apm

@@ -113,10 +113,20 @@ def test_closed_form_atoms_pair_with_the_window(name):
     atoms = chain.atoms(count)
     tol = 0.1 if name.startswith("hc") else 1e-9 * max(1.0, np.abs(atoms).max())
     w = oracle_eigs(op, count=count, top=chain.pairs_top)
-    assert np.abs(atoms - chain.pair(w, count)).max() <= tol
+    delta = np.abs(atoms - chain.pair(w, count)).max()
+    assert chain.oracle_delta(op, count) == delta <= tol
     # the other end of the window misses, so a flipped rule fails here
     other = oracle_eigs(op, count=count, top=not chain.pairs_top)
     assert np.abs(np.sort(atoms) - other).max() > tol
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 30])
+def test_oracle_delta_defaults_to_every_level(K):
+    blk = tm.DBlock(K, 0.5, 2.7)
+    op, chain = tm.hd_block_jacobi(blk), tm.hd_chain(blk)
+    delta = chain.oracle_delta(op)
+    assert type(delta) is float
+    assert delta == np.abs(chain.atoms(K + 1) - oracle_eigs(op)).max() <= 1e-9 * (K + 3) ** 2
 
 
 @pytest.mark.parametrize("count", [0, -1])

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import rep
-from multiboson.bogoliubov import GroupElement, act_on_labels
+from multiboson.bogoliubov import GroupElement, action_matrix
 from multiboson.errors import ParameterError, TruncationOverflowError, UnsupportedCaseError
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.orthopoly import poly_table
@@ -23,6 +23,13 @@ def _sector(alpha0=1.0, n=100, l=1, r=0):
 
 def _h(mu, nu, alpha0=1.0, n=100):
     return om.OneModeHamiltonian(mu, nu, _sector(alpha0, n))
+
+
+def _transported(g, mu, nu):
+    """(mu, nu) carried by g: the coefficients h = ((mu+nu)/2, (mu-nu)/2,
+    (mu-nu)/2) of H over (A0, A-, A+) move as h @ action_matrix(g)."""
+    p, q, _ = np.array([(mu + nu) / 2, (mu - nu) / 2, (mu - nu) / 2]) @ action_matrix(g)
+    return p + q, p - q
 
 
 def test_jacobi_coefficients():
@@ -74,11 +81,11 @@ def test_classify_respects_label_transport():
         g = GroupElement(a, 1)
         for mu, nu in labels:
             before = group(mu, nu)
-            mu2, nu2 = act_on_labels(g, mu, nu)
+            mu2, nu2 = _transported(g, mu, nu)
             assert om.classify(mu2, nu2, 1.0).index in before, (mu, nu, a)
     # the diagonal-crossing transport pinned explicitly
     assert om.classify(4.0, 1.0, 1.0).index == 5
-    assert om.classify(*act_on_labels(GroupElement(2.0, 1), 4.0, 1.0), 1.0).index == 9
+    assert om.classify(*_transported(GroupElement(2.0, 1), 4.0, 1.0), 1.0).index == 9
 
 
 def test_spectrum_case5_atoms():
@@ -200,7 +207,7 @@ def test_orbit_reduction_spectra_agree():
     base = om.OneModeHamiltonian(4.0, 1.0, sec)
     w_base = oracle_eigs(om.jacobi(base), count=5)
     for a in (0.5, 1.7):
-        mu2, nu2 = act_on_labels(GroupElement(a, 1), 4.0, 1.0)
+        mu2, nu2 = _transported(GroupElement(a, 1), 4.0, 1.0)
         w = oracle_eigs(om.jacobi(om.OneModeHamiltonian(mu2, nu2, sec)), count=5)
         assert np.abs(w - w_base).max() <= 1e-5
 

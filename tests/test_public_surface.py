@@ -21,13 +21,7 @@ import multiboson
 SRC = Path(multiboson.__file__).parent
 
 UNREAD = {
-    "twomode.coupling_functions": "item 19",
     "twomode.hc_eigenvectors_discrete": "items 5 and 12",
-    "bogoliubov.act_on_labels": "item 19",
-    "bogoliubov.orbit_invariant": "item 19",
-    "bogoliubov.IDENTITY": "item 19",
-    "bogoliubov.inverse": "item 19",
-    "rep.residue": "item 19",
     "coherent.holo_apply": "item 15",
     "coherent.disc_eigenfunction": "item 15",
     "orthopoly.hyp3f2_terminating": "item 12",

@@ -11,14 +11,6 @@ from multiboson import rep
 from multiboson.orthopoly import pochhammer
 
 
-def test_residue():
-    assert rep.residue(7, 3) == 1
-    assert rep.residue(0, 5) == 0
-    assert rep.residue(9, 2) == 1  # 4*2 + 1
-    with pytest.raises(ValueError):
-        rep.residue(3, 0)
-
-
 def test_rep_validation():
     with pytest.raises(ValueError):
         rep.MultibosonRep(2, (1.0,))

@@ -446,56 +446,6 @@ def test_hc_truncation_check_rejects_short_quarter(n_levels):
         tm.hc_truncation_check(tm.CBlock(0, 0.3, 0.3, n_levels=n_levels))
 
 
-def test_coupling_functions_diagonal_and_hiv():
-    # the C-pattern with unit single-boson clusters carries the pair
-    # couplings of the fourth preset up to overall sign
-    reps = tm.TwoModeRep(R1, R1)
-    h = tm.TwoModeHamiltonian(reps, GroupElement(1.0, -1), GroupElement(-1.0, 1), (0, 0))
-    grid = [(n0, n1) for n0 in range(3) for n1 in range(3)]
-    g = tm.coupling_functions(h, grid)
-    m = tm.build_h_matrix(h, 6)
-    for n0, n1 in grid:
-        assert g["g00"][(n0, n1)] == pytest.approx(m[n0 * 6 + n1, n0 * 6 + n1])
-        # pair term of the canonical C matrix: -sqrt((n0+1)(n1+1)) at g--
-        assert g["gmm"][(n0, n1)] == pytest.approx(
-            -math.sqrt((n0 + 1.0) * (n1 + 1.0)), rel=1e-12)
-        if n0 >= 1:  # conversion sample needs one cluster to step down
-            assert g["gpm"][(n0, n1)] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_coupling_functions_gmm_vanishes_when_a_equals_b():
-    h = _two(g=(1.3, 1), h=(1.3, 1))
-    g = tm.coupling_functions(h, [(0, 0), (1, 1)])
-    for key in ((0, 0), (1, 1)):
-        assert g["gmm"][key] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_coupling_functions_sector_validation():
-    reps = tm.TwoModeRep(MultibosonRep(2, (0.5, 1.5)), R1)
-    h = tm.TwoModeHamiltonian(reps, GroupElement(1.0, -1), GroupElement(1.0, 1), (0, 0))
-    with pytest.raises(ValueError):
-        tm.coupling_functions(h, [(1, 0)])  # n0 odd, sector r0 = 0
-
-
-def test_coupling_functions_never_builds_the_dense_matrix(monkeypatch):
-    reps = tm.TwoModeRep(MultibosonRep(2, (0.5, 1.5)), R1)
-    h = tm.TwoModeHamiltonian(reps, GroupElement(1.3, -1), GroupElement(-0.6, 1), (1, 0))
-    m = tm.build_h_matrix(h, 6)
-
-    def dense(*args, **kwargs):
-        raise AssertionError("dense n^2 x n^2 matrix built")
-
-    monkeypatch.setattr(tm, "build_h_matrix", dense)
-    grid = [(2 * k0 + 1, n1) for k0 in range(3) for n1 in range(3)]
-    g = tm.coupling_functions(h, grid, n_per_mode=6)
-    for n0, n1 in grid:
-        # |k0, n1> sits at k0 * 6 + n1, and a0^2 a1 steps to k0 + 1, n1 + 1
-        i = (n0 // 2) * 6 + n1
-        assert g["g00"][(n0, n1)] == m[i, i]
-        assert g["gmm"][(n0, n1)] == m[i, i + 7] / (tm._ladder_up(n0, 2)
-                                                     * tm._ladder_up(n1, 1))
-
-
 def test_cdh_gram_for_block_parameters():
     # three parameter triples spanning the bound-state and pure-continuum regimes
     for K, a0, b0 in ((0, 0.3, 0.3), (1, 1.0, 1.0), (0, 0.5, 3.2)):

@@ -126,7 +126,7 @@ def test_shift_conjugation_image_equals_the_dense_products(n):
         else:
             g = bogoliubov.GroupElement(a, sg)
             u, info = bogoliubov.implementer(g, al, n)
-            ui, m = u[:info.interior_rows], bogoliubov.action_matrix(g).matrix
+            ui, m = u[:info.interior_rows], bogoliubov.action_matrix(g)
         ii = ui.shape[0]
         block = [x[:ii, :ii] for x in xs]
         for i, ux in enumerate(validation._times_generators(ui, d, b)):
