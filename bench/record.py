@@ -16,14 +16,21 @@ included, is ``peak_bytes``).  A row is
 where ``size`` is the case's problem size (n_levels, cutoff or block order
 n; null for validate sections and the whole-validate cases) and
 ``accuracy`` is the case's own error figure (lower is better), described
-under "accuracy" in the output file.  Rows of the same tree already in
+under "accuracy" in the output file.  Oracle-window rows also carry
+``path``: "certified windows" or "index window", the route
+``jacobi.oracle_eigs`` took (a tree without certified windows always takes
+the index window).  Rows of the same tree already in
 ``--out`` are replaced; rows of other trees are kept, so two trees (say a
 change and its parent) can be recorded into one file and compared row by row.
 
 Cases: the CLI commands ``validate --quick``, ``validate``, ``spectrum
 --model two-c`` at n_levels 4000 and ``evolve --preset HIV`` at cutoffs 48
 and 96; the Meixner block of the implementer at n 240; the implementer grid
-of ``validate``; and each section of the validate suite, as the table
+of ``validate``; the oracle windows ``jacobi.oracle_eigs`` takes for the
+atoms of one-mode class 5 (bottom) and class 6 (top) at n_levels 500, 2000
+and 4000 with count 5, and for the 4000-level C-block of ``spectrum --model
+two-c`` (top, the window ``hc_truncation_check`` takes at full size, which
+is never seeded); and each section of the validate suite, as the table
 ``validation.SECTIONS`` yields them through ``validation.run_sections``, so
 only trees that have that table can be recorded.
 """
@@ -36,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import statistics
@@ -59,7 +67,10 @@ ACCURACY = {
     "implementer grid": "largest entry of |U^T U - I| on the converged columns, "
                         "over the grid",
     "validate section": "largest deviation / tolerance over the section's checks",
+    "oracle window": "largest |closed-form atom - paired eigenvalue| over the window's "
+                     "atoms (the C-block's bound state; its continuum edge has no atom)",
 }
+ORACLE_COUNT = 5
 
 
 def parse_args(argv=None):
@@ -148,6 +159,34 @@ def layer_cases(bg):
     yield "implementer grid", "bogoliubov.implementer", 240, grid
 
 
+def oracle_cases(jacobi, onemode, rep, twomode):
+    """(case, size, path, fn) for each oracle window; fn returns the
+    window's largest distance to its closed-form atoms."""
+    def window(op, chain, count, n_atoms):
+        top = chain.pairs_top
+        certified = getattr(jacobi, "_certified_windows", None)
+        seeded = certified is not None and certified(
+            op.diag_array(), op.offdiag_array(), count, top) is not None
+
+        def fn():
+            w = jacobi.oracle_eigs(op, count, top=top)
+            return float(np.abs(chain.atoms(n_atoms) - chain.pair(w, n_atoms)).max())
+        return ("certified windows" if seeded else "index window"), fn
+
+    for case, mu, nu in (("class 5 bottom", 4.0, 1.0), ("class 6 top", -4.0, -1.0)):
+        for n in (500, 2000, 4000):
+            sector = rep.OneModeSector(rep.MultibosonRep(1, (1.3,)), 0, n)
+            op = onemode.jacobi(onemode.OneModeHamiltonian(mu, nu, sector))
+            chain = onemode.classify(mu, nu, 1.3)
+            yield (f"oracle window {case}", n,
+                   *window(op, chain, ORACLE_COUNT, ORACLE_COUNT))
+    blk = twomode.CBlock(0, 0.3, 0.3, n_levels=4000)
+    chain = twomode.hc_chain(blk)
+    n_atoms = chain.family.n_atoms()
+    yield ("oracle window C-block top", 4000,
+           *window(twomode.hc_block_jacobi(blk), chain, n_atoms + 1, n_atoms))
+
+
 def section_rows(validation, tree):
     """One row per section of ``validation.run_sections`` (full): the median
     of its section times, and the traced peak during the section (read and
@@ -174,7 +213,9 @@ def section_rows(validation, tree):
 def main(argv=None):
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from multiboson import bogoliubov, cli, validation
+    from multiboson import bogoliubov, cli, onemode, rep, twomode, validation
+    # the module: older trees bind the package attribute to onemode.jacobi
+    jacobi = importlib.import_module("multiboson.jacobi")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for case, layer, size, fn in (*cli_cases(cli, tmp), *layer_cases(bogoliubov)):
@@ -182,6 +223,12 @@ def main(argv=None):
             rows.append({"tree": args.tree, "case": case, "layer": layer, "size": size,
                          "seconds": seconds, "peak_bytes": peak, "accuracy": accuracy})
             print(json.dumps(rows[-1]), file=sys.stderr)
+    for case, size, path, fn in oracle_cases(jacobi, onemode, rep, twomode):
+        seconds, peak, accuracy = measure(fn)
+        rows.append({"tree": args.tree, "case": case, "layer": "jacobi.oracle_eigs",
+                     "size": size, "seconds": seconds, "peak_bytes": peak,
+                     "accuracy": accuracy, "path": path})
+        print(json.dumps(rows[-1]), file=sys.stderr)
     rows += section_rows(validation, args.tree)
     record = {"about": __doc__.split("\n\n")[0], "accuracy": ACCURACY, "rows": []}
     if os.path.exists(args.out):

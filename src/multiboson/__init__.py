@@ -22,8 +22,7 @@ from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
                   sector_matrices)
 from .bogoliubov import (GroupElement, action_matrix, implementer, meixner_c,
                          multiply)
-from .onemode import (OneModeHamiltonian, classify, eigenvectors_discrete,
-                      evolve, jacobi)
+from .onemode import OneModeHamiltonian, classify, eigenvectors_discrete, evolve
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
                       UVWParams, build_h_matrix, canonical_matrix, hc_block_jacobi,
                       hc_chain, hc_eigenvectors_discrete, hc_truncation_check,

@@ -85,10 +85,6 @@ class OneModeSector:
     def alpha0(self) -> float:
         return self.rep.alpha0_init[self.r]
 
-    def occupation(self, k: int) -> int:
-        """Physical Fock level of sector basis state |k>_r."""
-        return k * self.rep.l + self.r
-
 
 def sector_coeffs(sector: OneModeSector):
     """(diagonal, lowering, raising) coefficient streams on sector basis |k>_r,

@@ -125,11 +125,17 @@ def _entries(h: TwoModeHamiltonian, n_per_mode: int):
     a, s = h.g.a, h.g.sigma
     b, t = h.h.a, h.h.sigma
     ab4 = 4 * a * b
-    terms = (((a * a + b * b) / ab4, ["00"]),
-             (-s * t * (a - b) ** 2 / ab4, ["++", "--"]),
-             (-s * (a * a - b * b) / ab4, ["+0", "-0"]),
-             (t * (a * a - b * b) / ab4, ["0-", "0+"]),
-             (-s * t * (a + b) ** 2 / ab4, ["+-", "-+"]))
+    try:
+        terms = (((a * a + b * b) / ab4, ["00"]),
+                 (-s * t * (a - b) ** 2 / ab4, ["++", "--"]),
+                 (-s * (a * a - b * b) / ab4, ["+0", "-0"]),
+                 (t * (a * a - b * b) / ab4, ["0-", "0+"]),
+                 (-s * t * (a + b) ** 2 / ab4, ["+-", "-+"]))
+    except (OverflowError, ZeroDivisionError):
+        terms = None
+    if terms is None or not all(math.isfinite(c) for c, _ in terms):
+        raise ParameterError(("g", "h"), f"group elements a = {a!r} and b = {b!r} give "
+                             "a Kronecker expansion coefficient past the double range")
     for c, pairs in terms:
         if c == 0:
             continue

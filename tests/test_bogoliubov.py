@@ -87,6 +87,17 @@ def test_build_h_matrix_at_extreme_a(a):
     assert np.abs(m).max() > 1e8
 
 
+@pytest.mark.parametrize("a, b", [(1.3e154, -1.3e154), (1e-300, 1e-300)])
+def test_build_h_matrix_rejects_pairs_past_the_double_range(a, b):
+    # each element is valid alone; the pair's expansion coefficients are
+    # not finite ((a - b)^2 overflows, or 4 a b underflows to zero)
+    reps = tm.TwoModeRep(rep.MultibosonRep(1, (1.0,)), rep.MultibosonRep(1, (1.0,)))
+    h = tm.TwoModeHamiltonian(reps, bg.GroupElement(a, 1), bg.GroupElement(b, 1), (0, 0))
+    with pytest.raises(ParameterError) as exc:
+        tm.build_h_matrix(h, 3)
+    assert exc.value.names == ("g", "h")
+
+
 def test_action_matrix_identity_and_sample():
     assert np.array_equal(bg.action_matrix(bg.GroupElement(1.0, 1)), np.eye(3))
     m = bg.action_matrix(bg.GroupElement(2.0, 1))

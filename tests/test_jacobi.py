@@ -1,5 +1,6 @@
-"""Index windows of the tridiagonal oracle against the full-range solve, and
-the real-arithmetic spectral apply against the complex product it replaces."""
+"""Index windows of the tridiagonal oracle against the full-range solve, its
+certified narrow windows and their fallback, and the real-arithmetic
+spectral apply against the complex product it replaces."""
 
 import dataclasses
 import functools
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from multiboson import jacobi
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
@@ -133,6 +135,65 @@ def test_oracle_delta_defaults_to_every_level(K):
 def test_oracle_eigs_rejects_empty_window(count):
     with pytest.raises(ValueError, match="count"):
         oracle_eigs(_operator("hd", 10), count=count)
+
+
+def _onemode_operator(mu, nu, n):
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, n)
+    return om.jacobi(om.OneModeHamiltonian(mu, nu, sector))
+
+
+# (mu, nu) of the discrete classes 5-9 at alpha0 1: classes 5-8 share |a_k|
+# and |b_k| with the class-6 operator of _operator("onemode", n), so its
+# full-range reference serves all four (negated and reversed for 5 and 7);
+# class 9 is diagonal, its eigenvalues exactly its sorted diagonal
+DISCRETE = {"class5": (4.0, 1.0), "class6": (-4.0, -1.0), "class7": (1.0, 4.0),
+            "class8": (-1.0, -4.0), "class9-pos": (1.5, 1.5), "class9-neg": (-1.5, -1.5)}
+
+
+@pytest.mark.parametrize("name", sorted(DISCRETE))
+@pytest.mark.parametrize("top", [False, True], ids=["bottom", "top"])
+@pytest.mark.parametrize("n", [300, 1000, 4000])
+def test_certified_windows_match_full_range(name, top, n):
+    # the pairing end of classes 5-8 takes the certified windows from 1000
+    # levels on, the far end and class 9 the index window; both are held to
+    # full-range bisection at the bound of test_window_matches_full_range
+    mu, nu = DISCRETE[name]
+    op = _onemode_operator(mu, nu, n)
+    d, e = op.diag_array(), op.offdiag_array()
+    if name.startswith("class9"):
+        ref, norm = np.sort(d), np.abs(d).max()
+    else:
+        ref, norm = _reference("onemode", n)
+        if name in ("class5", "class7"):
+            ref = -ref[::-1]
+    count = 5
+    w = oracle_eigs(op, count=count, top=top)
+    assert np.abs(w - (ref[n - count:] if top else ref[:count])).max() <= 2.0 * EPS * norm
+    seeded = jacobi._seeds(d, e, count, top) is not None
+    pairing = not name.startswith("class9") and top == om.classify(mu, nu, 1.0).pairs_top
+    assert seeded == pairing or (pairing and n < 1000)
+
+
+@pytest.mark.parametrize("name", ["class5", "class6"])
+def test_certificate_miss_falls_back_to_the_index_window(monkeypatch, name):
+    # seeds moved by ten windows (of width 2 delta) miss every eigenvalue:
+    # the Sturm counts refuse them and the one index-window call answers
+    mu, nu = DISCRETE[name]
+    op = _onemode_operator(mu, nu, 1000)
+    top = om.classify(mu, nu, 1.0).pairs_top
+    d, e = op.diag_array(), op.offdiag_array()
+    lo = 995 if top else 0
+    index = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(lo, lo + 4))
+    delta = jacobi._WINDOW * EPS * (np.abs(d).max() + 2.0 * np.abs(e).max())
+    seeds, moved = jacobi._seeds, []
+
+    def shifted(*args):
+        moved.append(seeds(*args))
+        return moved[-1] + 20.0 * delta
+
+    monkeypatch.setattr(jacobi, "_seeds", shifted)
+    assert np.array_equal(oracle_eigs(op, count=5, top=top), index)
+    assert len(moved) == 1 and moved[0] is not None
 
 
 @pytest.mark.parametrize("kind", ["hc", "onemode"])
