@@ -14,7 +14,8 @@ included, is ``peak_bytes``).  A row is
     {tree, case, layer, size, seconds, peak_bytes, accuracy}
 
 where ``size`` is the case's problem size (n_levels, cutoff or block order
-n; null for validate sections and the whole-validate cases) and
+n, K + 1 for a D-block; null for validate sections and the whole-validate
+cases) and
 ``accuracy`` is the case's own error figure (lower is better), described
 under "accuracy" in the output file.  Oracle-window rows also carry
 ``path``: "certified windows" or "index window", the route
@@ -30,9 +31,17 @@ of ``validate``; the oracle windows ``jacobi.oracle_eigs`` takes for the
 atoms of one-mode class 5 (bottom) and class 6 (top) at n_levels 500, 2000
 and 4000 with count 5, and for the 4000-level C-block of ``spectrum --model
 two-c`` (top, the window ``hc_truncation_check`` takes at full size, which
-is never seeded); and each section of the validate suite, as the table
-``validation.SECTIONS`` yields them through ``validation.run_sections``, so
-only trees that have that table can be recorded.
+is never seeded); the whole eigenvector matrix of a D-block at K 500 and
+2000 (``hd_chain(block).eigenvectors``); and each section of the validate
+suite, as the table ``validation.SECTIONS`` yields them through
+``validation.run_sections``, so only trees that have that table can be
+recorded.
+
+Rows whose code a change did not touch have moved by 0.74-1.56x between
+two trees recorded one after the other on a 2-vCPU x86_64 VM, so only a
+change well outside that range reads from them, such as the D-block row at
+K 2000 on that VM: 9.6 s by inverse iteration, 0.43 s as the oracle's
+columns.
 """
 
 import os
@@ -69,6 +78,9 @@ ACCURACY = {
     "validate section": "largest deviation / tolerance over the section's checks",
     "oracle window": "largest |closed-form atom - paired eigenvalue| over the window's "
                      "atoms (the C-block's bound state; its continuum edge has no atom)",
+    "D-block eigenvectors": "max(largest entry of |V^T V - I|, largest |J v_n - E_n v_n| "
+                            "/ max |E_n|), E_n the closed-form energies; the error is "
+                            "computed once, outside the timed calls",
 }
 ORACLE_COUNT = 5
 
@@ -187,6 +199,28 @@ def oracle_cases(jacobi, onemode, rep, twomode):
            *window(twomode.hc_block_jacobi(blk), chain, n_atoms + 1, n_atoms))
 
 
+def dblock_rows(twomode, tree):
+    """One row per D-block size: the timed call is the block's whole
+    eigenvector matrix, and its error is taken afterwards from the traced
+    call's result (V^T V alone costs more than the solve at K 2000)."""
+    rows = []
+    for K in (500, 2000):
+        blk = twomode.DBlock(K, 0.5, 2.7)
+        op, chain = twomode.hd_block_jacobi(blk), twomode.hd_chain(blk)
+        seconds, peak, v = measure(lambda: chain.eigenvectors(op, K + 1, K + 1))
+        d, e, energies = op.diag_array(), op.offdiag_array()[:, None], chain.atoms(K + 1)
+        jv = d[:, None] * v
+        jv[:-1] += e * v[1:]
+        jv[1:] += e * v[:-1]
+        residual = np.linalg.norm(jv - v * energies, axis=0).max() / np.abs(energies).max()
+        rows.append({"tree": tree, "case": "D-block eigenvectors",
+                     "layer": "jacobi.Chain.eigenvectors", "size": K + 1,
+                     "seconds": seconds, "peak_bytes": peak,
+                     "accuracy": max(_gram_error(v, K + 1), float(residual))})
+        print(json.dumps(rows[-1]), file=sys.stderr)
+    return rows
+
+
 def section_rows(validation, tree):
     """One row per section of ``validation.run_sections`` (full): the median
     of its section times, and the traced peak during the section (read and
@@ -229,6 +263,7 @@ def main(argv=None):
                      "size": size, "seconds": seconds, "peak_bytes": peak,
                      "accuracy": accuracy, "path": path})
         print(json.dumps(rows[-1]), file=sys.stderr)
+    rows += dblock_rows(twomode, args.tree)
     rows += section_rows(validation, args.tree)
     record = {"about": __doc__.split("\n\n")[0], "accuracy": ACCURACY, "rows": []}
     if os.path.exists(args.out):

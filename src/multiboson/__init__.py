@@ -15,8 +15,7 @@ from .errors import (BoundaryAmbiguityError, NoBoundStateError,
 from .orthopoly import (ContinuousDualHahn, DualHahn, Laguerre, Meixner,
                         MeixnerPollaczek, PolyFamily, SpectralMeasure, gram_check,
                         gram_matrix, hyp0f1, hyp3f2_terminating)
-from .jacobi import (Chain, JacobiOperator, atom_eigenvector, block_eigenvectors,
-                     oracle_eigh, oracle_eigs)
+from .jacobi import Chain, JacobiOperator, atom_eigenvector, oracle_eigh, oracle_eigs
 from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
                   build_generators_full, casimir_value, sector_coeffs,
                   sector_matrices)

@@ -15,9 +15,10 @@ Manley-Rowe charge blocks, and only the blocks in which the state has
 amplitude are solved; the others stay exactly zero.  The canonical blocks
 come from ``twomode``: ``twomode.charges`` labels each window position and
 ``twomode.window_block`` gives a block's positions and Jacobi operator.
-(The closed-form D-block eigenpairs, ``twomode.hd_chain`` and
-``hd_eigenvectors``, agree with the LAPACK ones to roundoff up to sign, and
-are tested against them.)  Every route applies its
+(A whole D-block's eigenpairs are the same LAPACK solve: ``twomode.hd_chain``
+pairs its closed-form energies with the oracle's columns, and
+``hd_eigenvectors`` returns them signed; ``validate`` holds them to the
+terminating-3F2 closed form.)  Every route applies its
 eigenpairs through one real-arithmetic spectral apply,
 ``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``: the eigenvectors
 are real, so the projection and the grid product are real products against

@@ -6,19 +6,19 @@ k-array: ``diag(k)`` and ``offdiag(k)`` return the coefficients at every
 index of ``k`` in one numpy expression (a scalar ``k`` is the 0-d case), so
 building a truncation is one vectorized call and never a Python loop.
 
-Three routes to eigenpairs coexist, one per job: ``oracle_eigs`` /
+Two routes to eigenpairs coexist, one per job: ``oracle_eigs`` /
 ``oracle_eigh`` call LAPACK's tridiagonal solvers (the verification
-oracle); the Meixner kernel ``atom_eigenvector`` builds the exact block
-sqrt(w_j) P_k(x_j) of orthonormal Meixner functions, the eigenvectors of an
-untruncated Meixner chain at its atoms, from a forward sweep and the
-family's self-duality; and inverse iteration ``block_eigenvectors`` (LAPACK
-``dstein``) turns closed-form eigenvalues of the truncation itself into its
-eigenvectors, where forward recurrence is unstable (Gautschi, SIAM Rev. 9,
-1967).  Atoms whose tail decays only algebraically take the plain forward
-sweep ``orthopoly.poly_table`` over ``JacobiOperator.recurrence``.  A
-``Chain`` reads an operator as an affine image of an ``orthopoly`` family
-and picks its route; it also holds the one rule, ``Chain.pairs_top``, for
-which end of a truncated spectrum closed-form atoms pair with.
+oracle, which also gives the eigenvectors of a finite dual Hahn block,
+where forward recurrence at the closed-form eigenvalues is unstable:
+Gautschi, SIAM Rev. 9, 1967); and the Meixner kernel ``atom_eigenvector``
+builds the exact block sqrt(w_j) P_k(x_j) of orthonormal Meixner functions,
+the eigenvectors of an untruncated Meixner chain at its atoms, from a
+forward sweep and the family's self-duality.  Atoms whose tail decays only
+algebraically take the plain forward sweep ``orthopoly.poly_table`` over
+``JacobiOperator.recurrence``.  A ``Chain`` reads an operator as an affine
+image of an ``orthopoly`` family and picks its route; it also holds the one
+rule, ``Chain.pairs_top``, for which end of a truncated spectrum
+closed-form atoms pair with.
 
 The Meixner kernel is the one place that tracks binary exponents.  Its
 entries span far more than the double range (row 0 falls like c^(j/2)), so
@@ -63,15 +63,14 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dstebz
 
 from .errors import NumericalFailureError, ParameterError
 from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
                         SpectralMeasure, poly_table)
 
 __all__ = ["JacobiOperator", "Chain", "oracle_eigs", "oracle_eigh",
-           "block_eigenvectors", "atom_eigenvector", "spectral_coeffs",
-           "spectral_apply"]
+           "atom_eigenvector", "spectral_coeffs", "spectral_apply"]
 
 
 @dataclass(frozen=True)
@@ -269,29 +268,6 @@ def oracle_eigh(op: JacobiOperator):
         return eigh_tridiagonal(op.diag_array(), op.offdiag_array())
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
-
-
-def block_eigenvectors(op: JacobiOperator, w: np.ndarray) -> np.ndarray:
-    """Eigenvectors of the truncated operator at its ascending eigenvalues w
-    (accurate eigenvalues of the truncation) by inverse iteration, LAPACK
-    ``dstein``: one column per eigenvalue, signed so that component 0 is
-    positive as with p_0 = 1 (an unreduced Jacobi matrix has no eigenvector
-    with a zero first component).  Where the exact component 0 lies below
-    roundoff (about 1 column in 7 of a D-block at K 300), the computed one
-    is rounding noise and so is the sign: the columns are right only up to
-    sign there.  Raises NumericalFailureError when LAPACK reports a
-    failure."""
-    n = op.size
-    w = np.asarray(w, dtype=float)
-    if n == 1:
-        return np.ones((1, w.size))
-    iblock = np.ones(n, dtype=np.int32)
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    z, info = dstein(op.diag_array(), op.offdiag_array(), w, iblock, isplit)
-    if info != 0:
-        raise NumericalFailureError(f"inverse iteration failed: dstein info = {info}")
-    return z * np.copysign(1.0, z[0])
 
 
 # Largest binary exponent a rescaled value may reach inside one block: the
@@ -505,11 +481,13 @@ class Chain:
     def eigenvectors(self, op: JacobiOperator, n_rows: int, n_cols: int) -> np.ndarray:
         """Rows k < n_rows of the eigenvectors of ``op`` at the first n_cols
         atoms: unit columns (diagonal); the Meixner kernel
-        ``atom_eigenvector``, row k times (-1)^k if offdiag_sign < 0;
-        ``block_eigenvectors`` of the whole finite block (dual Hahn); the
-        forward sweep ``poly_table`` of ``op`` at every atom at once
-        (continuous dual Hahn bound states, which decay only algebraically;
-        p_0 = 1, not normalized)."""
+        ``atom_eigenvector``, row k times (-1)^k if offdiag_sign < 0; the
+        ascending columns of ``oracle_eigh`` of the whole finite block (dual
+        Hahn) in atom order by ``pairs_top``, signed by component 0 as p_0 = 1
+        (right only up to sign where that component is below roundoff, about
+        1 column in 7 at K 300); the forward sweep ``poly_table`` of ``op`` at
+        every atom at once (continuous dual Hahn bound states, which decay
+        only algebraically; p_0 = 1, not normalized)."""
         fam = self.family
         if fam is None:
             return np.eye(n_rows, n_cols)
@@ -519,7 +497,9 @@ class Chain:
                 u[1::2] *= -1.0
             return u
         if isinstance(fam, DualHahn):
-            return block_eigenvectors(op, self.atoms(op.size))[:n_rows, :n_cols]
+            v = oracle_eigh(op)[1]
+            v = (v[:, ::-1] if self.pairs_top else v)[:, :n_cols]
+            return v[:n_rows] * np.copysign(1.0, v[0])
         return poly_table(op, n_rows - 1, self.atoms(n_cols))
 
 

@@ -34,6 +34,10 @@ D-block coefficients, derived from the operator:
     a_k = (1/2)(2k + alpha0)(2(K-k) + beta0),
     b_k = sqrt((k+1)(k+alpha0)(K-k)(K-k+beta0-1)).
 
+Its eigenvectors are dual Hahn functions, terminating 3F2 sums (Koekoek,
+Lesky & Swarttouw, 2010, section 9.6); ``hd_eigenvectors`` takes the LAPACK
+oracle's columns, which ``validate`` holds to that closed form, sign included.
+
 Erratum: a variant with (K-k+beta0) in the last factor circulates in
 derivations of these block coefficients; it does not reproduce the
 closed-form spectrum E_n = n(n + alpha0 + beta0 - 1) + alpha0 beta0 / 2.
@@ -122,19 +126,22 @@ def _entries(h: TwoModeHamiltonian, n_per_mode: int):
         return {"0": (k, 0, np.diagonal(a0)), "-": (k[:-1], 1, e), "+": (k[1:], -1, e)}
 
     x, y = (mode(rep, r) for rep, r in zip((h.reps.rep0, h.reps.rep1), h.sector))
-    a, s = h.g.a, h.g.sigma
-    b, t = h.h.a, h.h.sigma
-    ab4 = 4 * a * b
+    s, t = h.g.sigma, h.h.sigma
+    # ratios of degree-2 forms: an exact power of two near max(|a|, |b|)
+    # keeps them in range, and squares as products (not libm pow) move no bit
+    unit = 2.0 ** round(math.log2(max(abs(h.g.a), abs(h.h.a))))
+    a, b = h.g.a / unit, h.h.a / unit
+    ab4, dif, tot = 4 * a * b, a - b, a + b
     try:
         terms = (((a * a + b * b) / ab4, ["00"]),
-                 (-s * t * (a - b) ** 2 / ab4, ["++", "--"]),
+                 (-s * t * (dif * dif) / ab4, ["++", "--"]),
                  (-s * (a * a - b * b) / ab4, ["+0", "-0"]),
                  (t * (a * a - b * b) / ab4, ["0-", "0+"]),
-                 (-s * t * (a + b) ** 2 / ab4, ["+-", "-+"]))
-    except (OverflowError, ZeroDivisionError):
+                 (-s * t * (tot * tot) / ab4, ["+-", "-+"]))
+    except ZeroDivisionError:
         terms = None
     if terms is None or not all(math.isfinite(c) for c, _ in terms):
-        raise ParameterError(("g", "h"), f"group elements a = {a!r} and b = {b!r} give "
+        raise ParameterError(("g", "h"), f"group elements a = {h.g.a!r} and b = {h.h.a!r} give "
                              "a Kronecker expansion coefficient past the double range")
     for c, pairs in terms:
         if c == 0:
@@ -257,7 +264,7 @@ def hd_chain(block: DBlock) -> Chain:
 
 def hd_eigenvectors(block: DBlock, n: int) -> np.ndarray:
     """Normalized real eigenvector of the D-block at the nth closed-form
-    eigenvalue: column n of the whole block's inverse-iteration eigenvectors
+    eigenvalue: column n of the LAPACK eigendecomposition of the whole block
     (``Chain.eigenvectors``), orthogonal to roundoff; component 0 positive,
     except where its exact value is below roundoff (seen at K 300): there
     the sign is noise, and the column is right only up to sign."""

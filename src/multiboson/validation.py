@@ -321,13 +321,24 @@ def _hd_spectra(rng, quick):
 
 
 def _hd_eigenvectors(rng, quick):
-    """Dual Hahn eigenvector overlaps."""
+    """D-block eigenvectors, sign included: the signed overlap 1 - <c_n, v_n>
+    of the columns v_n of ``Chain.eigenvectors`` (``hd_eigenvectors``, one
+    solve per block) with the normalized dual Hahn columns c_n, terminating
+    3F2 sums, over the labels of ``_hd_spectra`` at K 3 and 6."""
     worst = 0.0
-    blk = twomode.DBlock(3, 0.5, 2.7)
-    _, vv = oracle_eigh(twomode.hd_block_jacobi(blk))
-    closed = np.column_stack([twomode.hd_eigenvectors(blk, m) for m in range(4)])
-    for m in range(4):
-        worst = max(worst, 1.0 - abs(float(np.dot(closed[:, m], vv[:, m]))))
+    for K in (3, 6):
+        for a0 in (0.5, 1.0, 2.7):
+            for b0 in (0.5, 1.0, 2.7):
+                blk = twomode.DBlock(K, a0, b0)
+                c = np.array([[(-1.0) ** k * math.sqrt(
+                    orthopoly.pochhammer(a0, k) * orthopoly.pochhammer(b0, K - k)
+                    / (math.factorial(k) * math.factorial(K - k)))
+                    * orthopoly.hyp3f2_terminating(k, -n, n + a0 + b0 - 1.0, a0, -float(K))
+                    for n in range(K + 1)] for k in range(K + 1)])
+                c /= np.linalg.norm(c, axis=0)
+                v = twomode.hd_chain(blk).eigenvectors(twomode.hd_block_jacobi(blk),
+                                                       K + 1, K + 1)
+                worst = max(worst, 1.0 - float((c * v).sum(axis=0).min()))
     return [_check("twomode.hd.eigenvector_overlap", worst, 1e-9)]
 
 

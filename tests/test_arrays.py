@@ -23,7 +23,7 @@ from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
 from multiboson import validation
-from multiboson.jacobi import JacobiOperator, atom_eigenvector, block_eigenvectors
+from multiboson.jacobi import JacobiOperator, atom_eigenvector
 
 SIZES = [1, 2, 500]
 
@@ -234,4 +234,4 @@ def test_atom_eigenvector_single_level():
     assert row.shape == (1, 3) and row[0, 0] == 0.75 ** 0.75
     jop = JacobiOperator(lambda k: 1.0, lambda k: 0.0, 1)
     assert np.array_equal(op.poly_table(jop, jop.size - 1, 1.0), np.ones(1))
-    assert np.array_equal(block_eigenvectors(jop, np.array([1.0])), np.ones((1, 1)))
+    assert np.array_equal(tm.hd_eigenvectors(tm.DBlock(0, 1.5, 0.25), 0), np.ones(1))

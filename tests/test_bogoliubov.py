@@ -87,12 +87,23 @@ def test_build_h_matrix_at_extreme_a(a):
     assert np.abs(m).max() > 1e8
 
 
-@pytest.mark.parametrize("a, b", [(1.3e154, -1.3e154), (1e-300, 1e-300)])
+@pytest.mark.parametrize("a, b", [(1.3e154, -1.3e154), (-1.3e154, 1.3e154),
+                                  (1e-300, 1e-300), (6e-309, 6e-309)])
 def test_build_h_matrix_rejects_pairs_past_the_double_range(a, b):
-    # each element is valid alone; the pair's expansion coefficients are
-    # not finite ((a - b)^2 overflows, or 4 a b underflows to zero)
+    # each element is valid alone, and so is the pair: its exact expansion
+    # coefficients are finite ((a^2 + b^2) / (4ab) is +-1/2, the others 0
+    # or +-1) although (a - b)^2 overflows or 4ab underflows unscaled
     reps = tm.TwoModeRep(rep.MultibosonRep(1, (1.0,)), rep.MultibosonRep(1, (1.0,)))
-    h = tm.TwoModeHamiltonian(reps, bg.GroupElement(a, 1), bg.GroupElement(b, 1), (0, 0))
+    for s, t in ((1, 1), (-1, 1), (1, -1)):
+        h = tm.TwoModeHamiltonian(reps, bg.GroupElement(a, s), bg.GroupElement(b, t), (0, 0))
+        m = tm.build_h_matrix(h, 3)
+        assert np.all(np.isfinite(m)) and np.array_equal(m, m.T)
+        unit = tm.TwoModeHamiltonian(reps, bg.GroupElement(math.copysign(1.0, a), s),
+                                     bg.GroupElement(math.copysign(1.0, b), t), (0, 0))
+        assert np.array_equal(m, tm.build_h_matrix(unit, 3))
+    # a pair whose exact coefficient (a^2 + b^2) / (4ab) overflows
+    h = tm.TwoModeHamiltonian(reps, bg.GroupElement(1e-300, 1), bg.GroupElement(1.3e154, 1),
+                              (0, 0))
     with pytest.raises(ParameterError) as exc:
         tm.build_h_matrix(h, 3)
     assert exc.value.names == ("g", "h")

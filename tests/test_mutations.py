@@ -17,7 +17,7 @@ import pytest
 
 from multiboson import evolution, twomode, validation
 from multiboson.jacobi import Chain
-from multiboson.orthopoly import Meixner
+from multiboson.orthopoly import DualHahn, Meixner
 
 
 def _odd_charge_block_energies(monkeypatch):
@@ -71,6 +71,19 @@ def _meixner_row_sign(monkeypatch):
     monkeypatch.setattr(Chain, "eigenvectors", unflipped)
 
 
+def _dual_hahn_column_sign(monkeypatch):
+    """Odd-n D-block eigenvector columns negated."""
+    eigenvectors = Chain.eigenvectors
+
+    def flipped(self, op, n_rows, n_cols):
+        u = eigenvectors(self, op, n_rows, n_cols)
+        if isinstance(self.family, DualHahn):
+            u[:, 1::2] *= -1.0
+        return u
+
+    monkeypatch.setattr(Chain, "eigenvectors", flipped)
+
+
 def _not_yet(item):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"item {item}")
 
@@ -83,6 +96,7 @@ ROWS = [
     pytest.param(_onemode_forward_time, id="onemode-forward-time", marks=_not_yet(18)),
     pytest.param(_free_phase_sign, id="free-phase-sign", marks=_not_yet(16)),
     pytest.param(_meixner_row_sign, id="meixner-row-sign", marks=_not_yet(18)),
+    pytest.param(_dual_hahn_column_sign, id="d-column-sign"),
 ]
 
 

@@ -22,9 +22,9 @@ SRC = Path(multiboson.__file__).parent
 
 UNREAD = {
     "twomode.hc_eigenvectors_discrete": "items 5 and 12",
+    "twomode.hd_eigenvectors": "item 14",
     "coherent.holo_apply": "item 15",
     "coherent.disc_eigenfunction": "item 15",
-    "orthopoly.hyp3f2_terminating": "item 12",
     "evolution.interaction_energy": "item 4",
     "evolution.evolve_full": "item 16",
 }

@@ -12,7 +12,7 @@ from multiboson import twomode as tm
 from multiboson import orthopoly as op
 from multiboson.bogoliubov import GroupElement
 from multiboson.errors import BoundaryAmbiguityError, NoBoundStateError
-from multiboson.jacobi import JacobiOperator, block_eigenvectors, oracle_eigh, oracle_eigs
+from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.rep import MultibosonRep
 
 
@@ -287,20 +287,32 @@ def test_hd_eigenvectors_match_terminating_hypergeometric(K, a0, b0):
                 k, -n, n + a0 + b0 - 1.0, a0, -float(K)))
         raw = np.array(raw)
         raw /= np.linalg.norm(raw)
-        v = tm.hd_eigenvectors(blk, n)
-        assert min(np.abs(raw - v).max(), np.abs(raw + v).max()) <= 1e-10
+        # component 0 of raw is positive, as hd_eigenvectors signs it
+        assert np.abs(raw - tm.hd_eigenvectors(blk, n)).max() <= 1e-10
+
+
+# residual bound of a D column against its closed-form energy, in units of
+# eps ||J||: measured worst 6.7 over 400 random blocks at K <= 150 and
+# blocks up to K 2000
+_HD_RESIDUAL = 16.0
 
 
 def _check_hd_basis_against_oracle(blk):
-    # the whole block in one kernel call; hd_eigenvectors returns its columns
+    # the whole block in one call; hd_eigenvectors returns its columns, the
+    # oracle's signed by component 0, and each column solves J v = E_n v at
+    # the closed-form energy E_n
     jop = tm.hd_block_jacobi(blk)
-    v = block_eigenvectors(jop, _hd_atoms(blk))
-    _, ref = oracle_eigh(jop)
-    assert 1.0 - np.abs((v * ref).sum(axis=0)).min() <= 1e-12
+    v = tm.hd_chain(blk).eigenvectors(jop, blk.K + 1, blk.K + 1)
+    energies = _hd_atoms(blk)
+    residual = np.linalg.norm(jop.dense() @ v - v * energies, axis=0)
+    assert residual.max() <= _HD_RESIDUAL * np.finfo(float).eps * np.abs(energies).max()
     assert np.abs(v.T @ v - np.eye(blk.K + 1)).max() <= 1e-13
     assert np.all(v[0] > 0)
+    _, ref = oracle_eigh(jop)
     for n in {0, blk.K // 2, blk.K}:
-        assert np.array_equal(tm.hd_eigenvectors(blk, n), v[:, n])
+        col = tm.hd_eigenvectors(blk, n)
+        assert np.array_equal(col, v[:, n])
+        assert np.array_equal(col, ref[:, n] * math.copysign(1.0, ref[0, n]))
 
 
 @pytest.mark.parametrize("a0,b0", [(0.5, 0.5), (0.1, 5.0), (2.7, 1.3)])
