@@ -21,11 +21,11 @@ from .rep import (MultibosonRep, OneModeSector, alpha0, alpha_minus,
                   sector_matrices)
 from .bogoliubov import (GroupElement, action_matrix, implementer, meixner_c,
                          multiply)
-from .onemode import OneModeHamiltonian, classify, eigenvectors_discrete, evolve
+from .onemode import OneModeHamiltonian, classify, evolve
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
                       UVWParams, build_h_matrix, canonical_matrix, hc_block_jacobi,
-                      hc_chain, hc_eigenvectors_discrete, hc_truncation_check,
-                      hd_block_jacobi, hd_chain, hd_eigenvectors, uvw_params)
+                      hc_chain, hc_truncation_check, hd_block_jacobi, hd_chain,
+                      uvw_params)
 from .coherent import (SU11Element, coherent_amplitudes,
                        disc_eigenfunction, holo_apply, kernel, radial_measure,
                        su11_flow)

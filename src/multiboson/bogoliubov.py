@@ -98,7 +98,10 @@ def action_matrix(g: GroupElement) -> np.ndarray:
 def meixner_c(a: float) -> float:
     """c = ((b - 1) / (b + 1))^2, b = max(a, 1/a), of the eigenbasis family
     attached to a > 0.  Taking b >= 1 gives a and 1/a the same c bit for bit
-    whenever 1/(1/a) rounds back to a (1/3 and 3 both give 0.25)."""
+    whenever 1/(1/a) rounds back to a (1/3 and 3 both give 0.25).
+    ParameterError names a unless a and 1/a are positive and finite."""
+    if not (0 < a < math.inf and 1.0 / a < math.inf):
+        raise ParameterError(("a",), f"a = {a}: a and 1 / a must be positive and finite")
     b = max(a, 1.0 / a)
     return ((b - 1.0) / (b + 1.0)) ** 2
 
@@ -140,7 +143,8 @@ def implementer(g: GroupElement, alpha0: float,
     orthonormal to 2.5e-15 while the full Gram misses the identity by 0.76.
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
-    which no unitary realizes.  The transformed A0,
+    which no unitary realizes.  ParameterError names g where max(a, 1/a)
+    passes about 9.2e15 (2^53), so that c rounds to 1.  The transformed A0,
 
         a_k = (a^-s + a^s)/2 (2k + alpha0),
         |b_k| = |a^-s - a^s|/2 sqrt((k + alpha0)(k + 1)),
@@ -160,6 +164,9 @@ def implementer(g: GroupElement, alpha0: float,
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     c = meixner_c(g.a)
+    if not c < 1.0:
+        raise ParameterError(("g",), f"a = {g.a} rounds the Meixner c to {c}: "
+                             "no eigenbasis family in float64")
     # (-1)^m as exact +-1 entries: the decoration only flips signs
     sign = np.where(np.arange(n) % 2 == 1, -1.0, 1.0)
     if g.a == 1.0:

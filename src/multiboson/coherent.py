@@ -289,21 +289,24 @@ def su11_flow(mu: float, nu: float, t: float) -> SU11Element:
     a(t) = cos(sqrt(mu nu) t) + i (mu+nu)/2 * sinc,  b(t) = i (nu-mu)/2 * sinc,
     where sinc = sin(sqrt(mu nu) t)/sqrt(mu nu) continues to sinh/x for
     mu nu < 0 and to t at mu nu = 0.  ParameterError names mu, nu and t
-    where |a|^2 + |b|^2 passes the double range (a hyperbolic flow near
-    omega |t| = 355 for labels of order 1).
+    where omega t, omega = sqrt|mu nu|, or |a|^2 + |b|^2 passes the double
+    range (a hyperbolic flow near omega |t| = 355 for labels of order 1).
     """
     if mu == 0 and nu == 0:
         raise ValueError("label pair (0, 0) is excluded")
     p = mu * nu
+    om = math.sqrt(abs(p))
+    wt = om * t
+    if not math.isfinite(wt):
+        raise ParameterError(("mu", "nu", "t"), f"omega t of the flow at mu={mu}, "
+                             f"nu={nu}, t={t} passes the double range")
     if p > 0:
-        om = math.sqrt(p)
-        cos_t = math.cos(om * t)
-        sinc_t = math.sin(om * t) / om
+        cos_t = math.cos(wt)
+        sinc_t = math.sin(wt) / om
     elif p < 0:
-        om = math.sqrt(-p)
         try:
-            cos_t = math.cosh(om * t)
-            sinc_t = math.sinh(om * t) / om
+            cos_t = math.cosh(wt)
+            sinc_t = math.sinh(wt) / om
         except OverflowError:
             cos_t = sinc_t = math.inf
     else:

@@ -16,8 +16,8 @@ amplitude are solved; the others stay exactly zero.  The canonical blocks
 come from ``twomode``: ``twomode.charges`` labels each window position and
 ``twomode.window_block`` gives a block's positions and Jacobi operator.
 (A whole D-block's eigenpairs are the same LAPACK solve: ``twomode.hd_chain``
-pairs its closed-form energies with the oracle's columns, and
-``hd_eigenvectors`` returns them signed; ``validate`` holds them to the
+pairs its closed-form energies with the oracle's columns, and its
+``Chain.eigenvectors`` returns them signed; ``validate`` holds them to the
 terminating-3F2 closed form.)  Every route applies its
 eigenpairs through one real-arithmetic spectral apply,
 ``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``: the eigenvectors

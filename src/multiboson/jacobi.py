@@ -65,7 +65,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
-from .errors import NumericalFailureError, ParameterError
+from .errors import (NoBoundStateError, NumericalFailureError, ParameterError,
+                     UnsupportedCaseError)
 from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
                         SpectralMeasure, poly_table)
 
@@ -480,16 +481,29 @@ class Chain:
 
     def eigenvectors(self, op: JacobiOperator, n_rows: int, n_cols: int) -> np.ndarray:
         """Rows k < n_rows of the eigenvectors of ``op`` at the first n_cols
-        atoms: unit columns (diagonal); the Meixner kernel
-        ``atom_eigenvector``, row k times (-1)^k if offdiag_sign < 0; the
-        ascending columns of ``oracle_eigh`` of the whole finite block (dual
-        Hahn) in atom order by ``pairs_top``, signed by component 0 as p_0 = 1
-        (right only up to sign where that component is below roundoff, about
-        1 column in 7 at K 300); the forward sweep ``poly_table`` of ``op`` at
-        every atom at once (continuous dual Hahn bound states, which decay
-        only algebraically; p_0 = 1, not normalized)."""
+        atoms, one column per atom: unit columns (diagonal); the Meixner
+        kernel ``atom_eigenvector``, exact for the untruncated chain, row k
+        times (-1)^k if offdiag_sign < 0; the ascending columns of
+        ``oracle_eigh`` of the whole finite block (dual Hahn) in atom order
+        by ``pairs_top``, signed by component 0 as p_0 = 1 (right only up to
+        sign where that component is below roundoff, about 1 column in 7 at
+        K 300); the forward sweep ``poly_table`` of ``op`` at every atom at
+        once (continuous dual Hahn bound states, which decay only
+        algebraically; p_0 = 1).  Meixner and continuous dual Hahn columns
+        are not normalized over the n_rows rows: a reader normalizes each.
+
+        Raises UnsupportedCaseError for a chain with a continuum and no atom
+        stream (one-mode classes 1-4); ParameterError naming n_rows and
+        n_cols for a diagonal request with n_cols > n_rows, or a dual Hahn
+        request past its K+1 rows or columns; NoBoundStateError for columns
+        past a continuous dual Hahn chain's ``n_atoms``."""
         fam = self.family
+        if self.atom_stream is None:
+            raise UnsupportedCaseError(f"class {self.index} has a continuous spectrum "
+                                       "and no atoms to take eigenvectors at")
         if fam is None:
+            if n_cols > n_rows:
+                raise ParameterError(("n_rows", "n_cols"), f"{n_cols} unit columns in {n_rows} rows")
             return np.eye(n_rows, n_cols)
         if isinstance(fam, Meixner):
             u = atom_eigenvector(fam, n_rows, n_cols)
@@ -497,9 +511,14 @@ class Chain:
                 u[1::2] *= -1.0
             return u
         if isinstance(fam, DualHahn):
+            if max(n_rows, n_cols) > fam.kmax + 1:
+                raise ParameterError(("n_rows", "n_cols"), f"{n_rows} x {n_cols} past the "
+                                     f"{fam.kmax + 1} levels of a dual Hahn block")
             v = oracle_eigh(op)[1]
             v = (v[:, ::-1] if self.pairs_top else v)[:, :n_cols]
             return v[:n_rows] * np.copysign(1.0, v[0])
+        if n_cols > fam.n_atoms():
+            raise NoBoundStateError(f"{n_cols} bound states asked, {fam.n_atoms()} exist")
         return poly_table(op, n_rows - 1, self.atoms(n_cols))
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationOverflowError, UnsupportedCaseError
+from .errors import ParameterError, TruncationOverflowError
 from .jacobi import Chain, JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .orthopoly import Laguerre, Meixner, MeixnerPollaczek
 from .rep import OneModeSector
@@ -50,7 +50,6 @@ __all__ = [
     "OneModeHamiltonian",
     "jacobi",
     "classify",
-    "eigenvectors_discrete",
     "evolve",
 ]
 
@@ -129,30 +128,15 @@ def _discrete(family, scale: float, sign: float, alpha0: float, index: int) -> C
                  atom_stream=lambda n: scale * (2.0 * n + alpha0))
 
 
-def eigenvectors_discrete(h: OneModeHamiltonian, n: int) -> np.ndarray:
-    """Normalized real eigenvector of H at the closed-form nth eigenvalue,
-    from the chain's kernel (``Chain.eigenvectors``): column n of the
-    Meixner kernel, exact for the untruncated chain, or a unit vector in
-    class 9, normalized over the truncation."""
-    chain = classify(h.mu, h.nu, h.sector.alpha0)
-    if chain.atom_stream is None:
-        raise UnsupportedCaseError(
-            f"case {chain.index} has continuous spectrum; evaluate the family "
-            "polynomials at spectral points instead"
-        )
-    size = h.sector.n_levels
-    if chain.family is None and n >= size:
-        raise ValueError(f"level {n} outside truncation {size}")
-    vec = chain.eigenvectors(jacobi(h), size, n + 1)[:, n]
-    return vec / np.linalg.norm(vec)
-
-
 def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     """Eigenvectors, energies and coefficients of the leading closed-form
     eigenpairs whose coefficients leave a directly summed tail of at most
     eps^2 |psi|^2 (eps the float64 epsilon), out of the first 4N: the
     dropped coefficients are below eps |psi| together, so the expansion
-    returns psi at t = 0 to roundoff."""
+    returns psi at t = 0 to roundoff.  TruncationOverflowError when no such
+    tail is left, or when the 4N hold less than (1 - sqrt(eps)) |psi|^2 of
+    the |psi|^2 all coefficients hold (Parseval: the kernel's columns are
+    complete and orthonormal over the untruncated chain)."""
     size = psi.size
     nz = np.flatnonzero(psi)
     rows = int(nz[-1]) + 1 if nz.size else 1
@@ -161,7 +145,12 @@ def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     coeffs = spectral_coeffs(chain.eigenvectors(op, rows, cap), psi[:rows])
     tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
     total = float(np.vdot(psi, psi).real)
-    done = np.flatnonzero(tail <= np.finfo(float).eps ** 2 * total)
+    eps = np.finfo(float).eps
+    if not total - tail[0] <= math.sqrt(eps) * total:
+        raise TruncationOverflowError(
+            f"the first {cap} eigen-expansion coefficients hold {tail[0] / total:.2e} "
+            f"of |psi|^2; the state spreads past them")
+    done = np.flatnonzero(tail <= eps ** 2 * total)
     if done.size == 0:
         raise TruncationOverflowError(
             f"eigen-expansion tail {tail[-1] / total:.2e} after {cap} terms; "

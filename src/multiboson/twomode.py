@@ -35,8 +35,10 @@ D-block coefficients, derived from the operator:
     b_k = sqrt((k+1)(k+alpha0)(K-k)(K-k+beta0-1)).
 
 Its eigenvectors are dual Hahn functions, terminating 3F2 sums (Koekoek,
-Lesky & Swarttouw, 2010, section 9.6); ``hd_eigenvectors`` takes the LAPACK
-oracle's columns, which ``validate`` holds to that closed form, sign included.
+Lesky & Swarttouw, 2010, section 9.6); ``hd_chain(block).eigenvectors``
+takes the LAPACK oracle's columns, which ``validate`` holds to that closed
+form, sign included.  A C-block's bound states are the columns of
+``hc_chain(block).eigenvectors``.
 
 Erratum: a variant with (K-k+beta0) in the last factor circulates in
 derivations of these block coefficients; it does not reproduce the
@@ -51,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BoundaryAmbiguityError, NoBoundStateError, ParameterError
+from .errors import BoundaryAmbiguityError, ParameterError
 from .jacobi import Chain, JacobiOperator, oracle_eigs
 from .orthopoly import ContinuousDualHahn, DualHahn
 from .rep import MultibosonRep, OneModeSector, sector_matrices
@@ -68,14 +70,12 @@ __all__ = [
     "canonical_matrix",
     "hd_block_jacobi",
     "hd_chain",
-    "hd_eigenvectors",
     "hc_block_jacobi",
     "charges",
     "window_block",
     "hc_chain",
     "uvw_params",
     "continuum_shift",
-    "hc_eigenvectors_discrete",
     "hc_truncation_check",
 ]
 
@@ -262,18 +262,6 @@ def hd_chain(block: DBlock) -> Chain:
                  atom_stream=lambda n: n * (n + a0 + b0 - 1.0) + 0.5 * a0 * b0)
 
 
-def hd_eigenvectors(block: DBlock, n: int) -> np.ndarray:
-    """Normalized real eigenvector of the D-block at the nth closed-form
-    eigenvalue: column n of the LAPACK eigendecomposition of the whole block
-    (``Chain.eigenvectors``), orthogonal to roundoff; component 0 positive,
-    except where its exact value is below roundoff (seen at K 300): there
-    the sign is noise, and the column is right only up to sign."""
-    if not 0 <= n <= block.K:
-        raise ValueError(f"n must be in [0, {block.K}], got {n}")
-    vecs = hd_chain(block).eigenvectors(hd_block_jacobi(block), block.K + 1, n + 1)
-    return vecs[:, n]
-
-
 def hc_block_jacobi(block: CBlock) -> JacobiOperator:
     a0, b0 = block.alpha0, block.beta0
     s0, s1 = _offsets(block.K)
@@ -365,20 +353,6 @@ def hc_chain(block: CBlock) -> Chain:
     # libm pow, as the family's measure squares its atoms
     return Chain(ContinuousDualHahn(p.u, p.v, p.w), 1.0, -s, offdiag_sign=-1.0,
                  atom_stream=lambda n: np.float_power(p.u + n, 2.0) - s)
-
-
-def hc_eigenvectors_discrete(block: CBlock, n: int) -> np.ndarray:
-    """Truncated normalized real bound-state vector number n (requires u + n < 0),
-    from the forward sweep of ``Chain.eigenvectors``, stable as the solution
-    dichotomy is polynomial, not exponential; the components decay only
-    algebraically, so the vector converges slowly in n_levels."""
-    chain = hc_chain(block)
-    if chain.family.u + n >= 0:
-        raise NoBoundStateError(
-            f"u + n = {chain.family.u + n} >= 0: no bound state with index {n}")
-    op = hc_block_jacobi(block)
-    vec = chain.eigenvectors(op, op.size, n + 1)[:, n]
-    return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)

@@ -294,12 +294,14 @@ def _onemode_meixner(rng, quick):
     """The one-mode Meixner case (class 5) against the oracle."""
     sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
     h5 = onemode.OneModeHamiltonian(4.0, 1.0, sec)
-    chain = onemode.classify(4.0, 1.0, sec.alpha0)
-    dev_w = chain.oracle_delta(onemode.jacobi(h5), 5)
-    _, vecs = oracle_eigh(onemode.jacobi(h5))
-    # the closed-form columns side by side: each overlap reads a strided
-    # column, so BLAS sums it in one fixed order
-    closed = np.column_stack([onemode.eigenvectors_discrete(h5, m) for m in range(5)])
+    chain, op = onemode.classify(4.0, 1.0, sec.alpha0), onemode.jacobi(h5)
+    dev_w = chain.oracle_delta(op, 5)
+    _, vecs = oracle_eigh(op)
+    # the five closed-form columns from one kernel call, each normalized
+    # by its own norm; each overlap reads a strided column, so BLAS sums it
+    # in one fixed order
+    raw = chain.eigenvectors(op, sec.n_levels, 5)
+    closed = np.column_stack([v / np.linalg.norm(v) for v in raw.T])
     worst = 0.0
     for m in range(5):
         worst = max(worst, 1.0 - abs(float(np.dot(closed[:, m], vecs[:, m]))))
@@ -322,9 +324,9 @@ def _hd_spectra(rng, quick):
 
 def _hd_eigenvectors(rng, quick):
     """D-block eigenvectors, sign included: the signed overlap 1 - <c_n, v_n>
-    of the columns v_n of ``Chain.eigenvectors`` (``hd_eigenvectors``, one
-    solve per block) with the normalized dual Hahn columns c_n, terminating
-    3F2 sums, over the labels of ``_hd_spectra`` at K 3 and 6."""
+    of the columns v_n of ``Chain.eigenvectors`` (one solve per block) with
+    the normalized dual Hahn columns c_n, terminating 3F2 sums, over the
+    labels of ``_hd_spectra`` at K 3 and 6."""
     worst = 0.0
     for K in (3, 6):
         for a0 in (0.5, 1.0, 2.7):

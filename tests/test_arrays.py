@@ -234,4 +234,6 @@ def test_atom_eigenvector_single_level():
     assert row.shape == (1, 3) and row[0, 0] == 0.75 ** 0.75
     jop = JacobiOperator(lambda k: 1.0, lambda k: 0.0, 1)
     assert np.array_equal(op.poly_table(jop, jop.size - 1, 1.0), np.ones(1))
-    assert np.array_equal(tm.hd_eigenvectors(tm.DBlock(0, 1.5, 0.25), 0), np.ones(1))
+    blk = tm.DBlock(0, 1.5, 0.25)
+    assert np.array_equal(tm.hd_chain(blk).eigenvectors(tm.hd_block_jacobi(blk), 1, 1)[:, 0],
+                          np.ones(1))

@@ -67,6 +67,22 @@ def test_element_rejects_a_it_cannot_represent(a):
     assert exc.value.names == ("a",)
 
 
+@pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf, 1e-309])
+def test_meixner_c_rejects_a_outside_its_domain(a):
+    # a <= 0 has no eigenbasis family; at a = 1e-309, 1 / a is infinite
+    with pytest.raises(ParameterError) as exc:
+        bg.meixner_c(a)
+    assert exc.value.names == ("a",)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e154])
+def test_implementer_rejects_a_that_rounds_c_to_one(a):
+    # a valid element whose Meixner c rounds to 1: no family to build from
+    with pytest.raises(ParameterError) as exc:
+        bg.implementer(bg.GroupElement(a, 1), 1.0, 8)
+    assert exc.value.names == ("g",)
+
+
 @pytest.mark.parametrize("a", [1e9, 1e-300, 1.3e154, -1.3e154])
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_action_matrix_finite_at_extreme_a(a, sigma):

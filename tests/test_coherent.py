@@ -294,7 +294,9 @@ def test_su11_flow_hyperbolic_up_to_omega_t_300(mu, nu):
 
 
 @pytest.mark.parametrize("mu,nu,t", [(1.0, -1.0, 356.0), (1.0, -1.0, 1000.0),
-                                     (-2.0, 0.5, -400.0), (0.9, -0.4, 1e300)])
+                                     (-2.0, 0.5, -400.0), (0.9, -0.4, 1e300),
+                                     # omega t itself past the double range
+                                     (1e300, 2.5, -1e300), (1e200, 1e200, 1e200)])
 def test_su11_flow_past_the_double_range_names_its_labels(mu, nu, t):
     with pytest.raises(ParameterError) as info:
         ch.su11_flow(mu, nu, t)

@@ -13,6 +13,7 @@ from multiboson import jacobi
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
+from multiboson.errors import NoBoundStateError, ParameterError, UnsupportedCaseError
 from multiboson.jacobi import oracle_eigh, oracle_eigs, spectral_apply, spectral_coeffs
 
 EPS = np.finfo(float).eps
@@ -213,3 +214,81 @@ def test_spectral_apply_matches_complex_product(kind, n, t):
     got = spectral_apply(v, w, coeffs, ts)
     assert got.shape == (ts.size, n)
     assert np.abs(got.reshape(ref.shape) - ref).max() <= tol
+
+
+def _onemode_chain(mu, nu, n, alpha0=1.0):
+    """(chain, operator) of the one-mode H at (mu, nu) on an n-level sector."""
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
+    return om.classify(mu, nu, alpha0), om.jacobi(om.OneModeHamiltonian(mu, nu, sector))
+
+
+def _hd(K, a0, b0):
+    blk = tm.DBlock(K, a0, b0)
+    return tm.hd_chain(blk), tm.hd_block_jacobi(blk)
+
+
+def _hc(K, a0, b0, n):
+    blk = tm.CBlock(K, a0, b0, n_levels=n)
+    return tm.hc_chain(blk), tm.hc_block_jacobi(blk)
+
+
+# requests Chain.eigenvectors cannot serve: (chain and operator, n_rows,
+# n_cols, error, the parameters it names)
+REFUSED = {
+    **{f"continuum-class{i}": (functools.partial(_onemode_chain, mu, nu, 20), 20, 3,
+                               UnsupportedCaseError, None)
+       for i, (mu, nu) in enumerate([(1.0, 0.0), (0.0, 1.0), (2.0, -1.0), (-2.0, 1.0)], 1)},
+    "hd-columns-past-K": (lambda: _hd(4, 1.3, 0.7), 5, 8, ParameterError, ("n_rows", "n_cols")),
+    "hd-rows-past-K": (lambda: _hd(4, 1.3, 0.7), 6, 5, ParameterError, ("n_rows", "n_cols")),
+    "hc-past-n-atoms": (lambda: _hc(0, 4.5, 0.5, 200), 200, 4, NoBoundStateError, None),
+    "diagonal-columns-past-rows": (lambda: _onemode_chain(2.0, 2.0, 50), 50, 60,
+                                   ParameterError, ("n_rows", "n_cols")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_eigenvectors_refuse_what_they_cannot_give(name):
+    # a continuum chain has no atoms to expand over, a dual Hahn block has
+    # K+1 columns, a C-block n_atoms bound states and a diagonal chain one
+    # unit column per row: each refusal is typed, not junk columns
+    make, n_rows, n_cols, error, names = REFUSED[name]
+    chain, op = make()
+    with pytest.raises(error) as exc:
+        chain.eigenvectors(op, n_rows, n_cols)
+    if names is not None:
+        assert exc.value.names == names
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+# one call for every column against column n of a call for n + 1 columns,
+# the request made per column before the one entry point; one-mode and
+# C-block columns normalized by their own norm, D-block columns as returned
+SERVED = {
+    **{f"onemode-class{i}": (functools.partial(_onemode_chain, mu, nu, 60), 60,
+                             range(60), _unit)
+       for i, (mu, nu) in zip(range(5, 10), [(4.0, 1.0), (-4.0, -1.0), (1.0, 4.0),
+                                              (-1.0, -4.0), (2.0, 2.0)])},
+    "onemode-class5-past-window": (lambda: _onemode_chain(2.0, 0.5, 800, 1.3), 800,
+                                   range(636, 644), _unit),
+    **{f"hd-K{K}-{a0}-{b0}": (functools.partial(_hd, K, a0, b0), K + 1, range(K + 1),
+                              None)
+       for K in range(7) for a0 in (0.5, 1.0, 2.7) for b0 in (0.5, 1.0, 2.7)},
+    "hd-K300": (lambda: _hd(300, 0.5, 0.7), 301, (0, 1, 43, 150, 299, 300), None),
+    "hc-low-two": (lambda: _hc(0, 4.5, 0.5, 200), 200, range(2), _unit),
+    "hc-low-one": (lambda: _hc(1, 2.6, 0.6, 400), 400, range(1), _unit),
+    "hc-middle": (lambda: _hc(0, 0.3, 0.3, 1000), 1000, range(1), _unit),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVED))
+def test_eigenvectors_columns_do_not_depend_on_n_cols(name):
+    make, n_rows, cols, norm = SERVED[name]
+    chain, op = make()
+    norm = norm or (lambda v: v)
+    every = chain.eigenvectors(op, n_rows, max(cols) + 1)
+    for n in cols:
+        alone = chain.eigenvectors(op, n_rows, n + 1)[:, n]
+        assert np.array_equal(norm(every[:, n]), norm(alone))

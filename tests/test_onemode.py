@@ -130,19 +130,27 @@ def test_case9_measure_needs_an_atom_count():
     assert np.array_equal(meas.weights, np.ones(3))
 
 
+def _columns(h, n_cols):
+    """The first n_cols closed-form eigenvectors of H over its sector, from
+    one ``Chain.eigenvectors`` call, each column normalized by its own norm."""
+    chain = om.classify(h.mu, h.nu, h.sector.alpha0)
+    raw = chain.eigenvectors(om.jacobi(h), h.sector.n_levels, n_cols)
+    return np.column_stack([v / np.linalg.norm(v) for v in raw.T])
+
+
 def test_eigenvectors_case9_basis():
-    v = om.eigenvectors_discrete(om.OneModeHamiltonian(1.0, 1.0, _sector(1.0, 10)), 3)
+    v = _columns(om.OneModeHamiltonian(1.0, 1.0, _sector(1.0, 10)), 4)[:, 3]
     assert np.allclose(v, np.eye(10)[3])
 
 
 def test_eigenvectors_case5_oracle_overlap():
     h = _h(4.0, 1.0, alpha0=1.0, n=100)
     w, vecs = oracle_eigh(om.jacobi(h))
+    cols = _columns(h, 5)
     for n in range(5):
-        v = om.eigenvectors_discrete(h, n)
-        assert abs(float(vecs[:, n] @ v)) >= 1.0 - 1e-8
+        assert abs(float(vecs[:, n] @ cols[:, n])) >= 1.0 - 1e-8
     # geometric profile of the ground eigenvector (c = 1/9 decay)
-    v0 = np.abs(om.eigenvectors_discrete(h, 0))
+    v0 = np.abs(cols[:, 0])
     ratios = v0[1:10] / v0[:9]
     assert np.all(ratios < 0.5)
 
@@ -152,8 +160,8 @@ def test_eigenvectors_case7_alternating_signs():
     # alternating sign decoration
     h5 = _h(4.0, 1.0, n=80)
     h7 = _h(1.0, 4.0, n=80)
-    v5 = om.eigenvectors_discrete(h5, 2)
-    v7 = om.eigenvectors_discrete(h7, 2)
+    v5 = _columns(h5, 3)[:, 2]
+    v7 = _columns(h7, 3)[:, 2]
     signs = (-1.0) ** np.arange(80)
     assert np.allclose(np.abs(v5), np.abs(v7), atol=1e-12)
     aligned = v7 * signs
@@ -168,8 +176,9 @@ def test_eigenvectors_discrete_match_larger_oracle_past_window():
     big = om.jacobi(_h(2.0, 0.5, alpha0=1.3, n=3200))
     _, ref = eigh_tridiagonal(big.diag_array(), big.offdiag_array(),
                               select="i", select_range=(636, 643))
+    cols = _columns(h, 644)
     for i, n in enumerate(range(636, 644)):
-        v = om.eigenvectors_discrete(h, n)
+        v = cols[:, n]
         assert np.abs(v).max() > 0.0
         r = ref[:800, i] / np.linalg.norm(ref[:800, i])
         assert np.abs(v - np.copysign(1.0, r @ v) * r).max() <= 1e-12
@@ -177,9 +186,9 @@ def test_eigenvectors_discrete_match_larger_oracle_past_window():
 
 def test_eigenvectors_continuous_case_rejected():
     with pytest.raises(UnsupportedCaseError):
-        om.eigenvectors_discrete(_h(1.0, 0.0), 0)
+        _columns(_h(1.0, 0.0), 1)
     with pytest.raises(UnsupportedCaseError):
-        om.eigenvectors_discrete(_h(1.0, -1.0), 0)
+        _columns(_h(1.0, -1.0), 1)
 
 
 def test_oracle_eigs_trivial():
@@ -285,6 +294,17 @@ def test_evolve_discrete_from_mid_window(mu, nu, case):
     model, psi0 = _basis_model(mu, nu, 200, 1e-8)
     with pytest.raises(TruncationOverflowError):
         ev.evolve_full(model, psi0, -2.0)
+
+
+@pytest.mark.parametrize("mu, nu, alpha0, t", [(7.0, 0.05, 200.0, 0.3),
+                                              (-1e6, -1.0, 1e6, 0.0)])
+def test_evolve_discrete_spread_past_4n_eigenpairs_raises(mu, nu, alpha0, t):
+    # the ground state of these chains spreads over eigenpairs far past the
+    # first 4N = 40 (Meixner c near 1 at a large alpha0): by Parseval those
+    # coefficients hold almost none of |psi|^2, and the expansion says so
+    psi = np.eye(10)[0].astype(complex)
+    with pytest.raises(TruncationOverflowError, match="spreads past"):
+        om.evolve(_h(mu, nu, alpha0=alpha0, n=10), psi, t)
 
 
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)

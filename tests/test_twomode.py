@@ -254,20 +254,33 @@ def test_hd_trace_sum_rule():
             assert tr == pytest.approx(_hd_atoms(blk).sum(), rel=1e-10)
 
 
+def _hd_columns(blk):
+    """Every column of the D-block's ``Chain.eigenvectors``, one solve."""
+    return tm.hd_chain(blk).eigenvectors(tm.hd_block_jacobi(blk), blk.K + 1, blk.K + 1)
+
+
+def _hc_bound_states(blk, n_cols):
+    """The first n_cols C-block bound states over the truncation, from one
+    ``Chain.eigenvectors`` call, each column normalized by its own norm."""
+    jop = tm.hc_block_jacobi(blk)
+    raw = tm.hc_chain(blk).eigenvectors(jop, jop.size, n_cols)
+    return np.column_stack([v / np.linalg.norm(v) for v in raw.T])
+
+
 def test_hd_eigenvectors():
-    assert np.allclose(tm.hd_eigenvectors(tm.DBlock(0, 1.0, 1.0), 0), [1.0])
+    assert np.allclose(_hd_columns(tm.DBlock(0, 1.0, 1.0))[:, 0], [1.0])
     blk = tm.DBlock(1, 1.0, 1.0)
-    v0 = tm.hd_eigenvectors(blk, 0)
+    v0 = _hd_columns(blk)[:, 0]
     w, vecs = oracle_eigh(tm.hd_block_jacobi(blk))
     assert abs(float(vecs[:, 0] @ v0)) >= 1.0 - 1e-12
     assert np.allclose(np.abs(v0), [1 / math.sqrt(2)] * 2)
     blk = tm.DBlock(3, 0.5, 2.7)
     w, vecs = oracle_eigh(tm.hd_block_jacobi(blk))
+    cols = _hd_columns(blk)
     for n in range(4):
-        v = tm.hd_eigenvectors(blk, n)
-        assert abs(float(vecs[:, n] @ v)) >= 1.0 - 1e-9
+        assert abs(float(vecs[:, n] @ cols[:, n])) >= 1.0 - 1e-9
     with pytest.raises(ValueError):
-        tm.hd_eigenvectors(blk, 4)
+        tm.hd_chain(blk).eigenvectors(tm.hd_block_jacobi(blk), 4, 5)
 
 
 @pytest.mark.parametrize("K,a0,b0", [(4, 1.3, 0.6), (6, 0.5, 2.7)])
@@ -277,6 +290,7 @@ def test_hd_eigenvectors_match_terminating_hypergeometric(K, a0, b0):
     #         * 3F2(-k, -n, n + a0 + b0 - 1; a0, -K; 1),
     # the weight consistent with the operator-derived block off-diagonal
     blk = tm.DBlock(K, a0, b0)
+    cols = _hd_columns(blk)
     for n in range(K + 1):
         raw = []
         for k in range(K + 1):
@@ -287,8 +301,8 @@ def test_hd_eigenvectors_match_terminating_hypergeometric(K, a0, b0):
                 k, -n, n + a0 + b0 - 1.0, a0, -float(K)))
         raw = np.array(raw)
         raw /= np.linalg.norm(raw)
-        # component 0 of raw is positive, as hd_eigenvectors signs it
-        assert np.abs(raw - tm.hd_eigenvectors(blk, n)).max() <= 1e-10
+        # component 0 of raw is positive, as Chain.eigenvectors signs it
+        assert np.abs(raw - cols[:, n]).max() <= 1e-10
 
 
 # residual bound of a D column against its closed-form energy, in units of
@@ -298,11 +312,10 @@ _HD_RESIDUAL = 16.0
 
 
 def _check_hd_basis_against_oracle(blk):
-    # the whole block in one call; hd_eigenvectors returns its columns, the
-    # oracle's signed by component 0, and each column solves J v = E_n v at
-    # the closed-form energy E_n
+    # the whole block in one call: the oracle's columns signed by component
+    # 0, each solving J v = E_n v at the closed-form energy E_n
     jop = tm.hd_block_jacobi(blk)
-    v = tm.hd_chain(blk).eigenvectors(jop, blk.K + 1, blk.K + 1)
+    v = _hd_columns(blk)
     energies = _hd_atoms(blk)
     residual = np.linalg.norm(jop.dense() @ v - v * energies, axis=0)
     assert residual.max() <= _HD_RESIDUAL * np.finfo(float).eps * np.abs(energies).max()
@@ -310,9 +323,7 @@ def _check_hd_basis_against_oracle(blk):
     assert np.all(v[0] > 0)
     _, ref = oracle_eigh(jop)
     for n in {0, blk.K // 2, blk.K}:
-        col = tm.hd_eigenvectors(blk, n)
-        assert np.array_equal(col, v[:, n])
-        assert np.array_equal(col, ref[:, n] * math.copysign(1.0, ref[0, n]))
+        assert np.array_equal(v[:, n], ref[:, n] * math.copysign(1.0, ref[0, n]))
 
 
 @pytest.mark.parametrize("a0,b0", [(0.5, 0.5), (0.1, 5.0), (2.7, 1.3)])
@@ -351,7 +362,7 @@ def test_hc_eigenvectors_discrete_is_forward_recurrence(K, a0, b0, n_levels):
     blk = tm.CBlock(K, a0, b0, n_levels=n_levels)
     p = tm.uvw_params(K, a0, b0)
     e = p.u ** 2 - tm.continuum_shift(a0, b0)
-    v = tm.hc_eigenvectors_discrete(blk, 0)
+    v = _hc_bound_states(blk, 1)[:, 0]
     assert np.array_equal(v, _forward_recurrence(tm.hc_block_jacobi(blk), e))
 
 
@@ -424,7 +435,7 @@ def test_hc_eigenvector_truncation_oracle():
 
     def deficit(n_levels):
         blk = tm.CBlock(0, 0.3, 0.3, n_levels=n_levels)
-        v = tm.hc_eigenvectors_discrete(blk, 0)
+        v = _hc_bound_states(blk, 1)[:, 0]
         jop = tm.hc_block_jacobi(blk)
         w, vec = eigh_tridiagonal(jop.diag_array(), jop.offdiag_array(),
                                   select="i", select_range=(n_levels - 1, n_levels - 1))
@@ -434,12 +445,12 @@ def test_hc_eigenvector_truncation_oracle():
     assert d4000 <= 5e-3
     assert d4000 < deficit(2000) < deficit(1000)
     blk = tm.CBlock(0, 0.3, 0.3, n_levels=4000)
-    v = tm.hc_eigenvectors_discrete(blk, 0)
+    v = _hc_bound_states(blk, 1)[:, 0]
     # magnitudes decay monotonically beyond some index
     mags = np.abs(v)
     assert np.all(np.diff(mags[10:500]) <= 1e-15)
     with pytest.raises(NoBoundStateError):
-        tm.hc_eigenvectors_discrete(blk, 1)
+        _hc_bound_states(blk, 2)
 
 
 def test_hc_truncation_check_richardson():
