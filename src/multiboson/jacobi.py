@@ -33,21 +33,20 @@ entries do not depend on where the blocks end.
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
 Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
 the window, so a caller should ask for exactly the eigenvalues it reads.
-A count-limited window of at least 300 levels first tries certified narrow
-windows.  Where an O(n) diagonal-dominance product over the coefficient
-arrays proves the window's eigenvectors negligible past row m <= n/4
-(one-mode classes 5-8 at the end their atoms pair with), the same index
-window of the leading m x m block gives one seed per eigenvalue; bisection
-on the whole matrix then refines each eigenvalue inside +-16 eps ||T|| of
-its seed, about 5 Sturm passes instead of about 53.  The result is
-returned only when Sturm counts show exactly one eigenvalue in each window
-and none below or between them (Cauchy interlacing and Sturm counts:
-Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  Every other
-request makes the one index-window call, with the same bits as always: the
-full range, windows below 300 levels, C-blocks (their bound states decay
-only algebraically), D-blocks and the far end of a one-mode chain
-(localized at the last rows), diagonal chains, and any failed certificate.
-No closed form enters the oracle.
+A count-limited window of at least 300 levels first tries a certified
+leading block.  Where an O(n) diagonal-dominance product over the
+coefficient arrays proves the window's eigenvectors negligible past row
+m <= n/4 (one-mode classes 5-8 at the end their atoms pair with), the same
+index window is bisected twice on m rows: on the leading block T_m, and on
+T_m with its last diagonal entry moved toward the window by a Schur-
+complement bound tau.  The two enclose the whole matrix's window (Haynsworth
+inertia additivity and Cauchy interlacing: ``_certified_windows``), so
+T_m's window is returned when they agree within the whole matrix's
+bisection tolerance.  Every other request makes the one index-window call,
+with the same bits as always: the full range, windows below 300 levels,
+C-blocks (their bound states decay only algebraically), D-blocks and the
+far end of a one-mode chain (localized at the last rows), diagonal chains,
+and any failed certificate.  No closed form enters the oracle.
 
 Every evolution goes through one real-arithmetic spectral apply: the
 eigenvectors V are real (orthogonal polynomials, the Meixner kernel or
@@ -125,17 +124,23 @@ def _stream(coeff: Callable[[np.ndarray], np.ndarray], k: np.ndarray) -> np.ndar
 
 
 # Smallest truncation whose count-limited windows try certified windows.
-# They win from about 150 levels on (1.7-1.9x at 150-250 levels on class-5
-# draws), but below 300 levels a window costs under 0.7 ms either way, and
-# the index window keeps the small truncations that validate and the CLI
-# default (100 levels) read bit for bit as before
+# Below 300 levels a window costs under 0.7 ms either way, and the index
+# window keeps the small truncations that validate and the CLI default
+# (100 levels) read bit for bit as before
 _SEED_MIN_N = 300
-# half-width of each certified window, in units of eps ||T||, above a
-# seed's error bound (eps ||T|| of bisection tolerance and a few eps ||T||
-# of Sturm-count rounding in the block, eps ||T|| of truncation); the
-# largest seed error measured on the spectra workload is 0.5 eps ||T||
-_WINDOW = 16.0
 _EPS = np.finfo(float).eps
+
+
+def _arrays(op: JacobiOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of the operator at its size; ParameterError naming the first
+    entry that is not finite, before any solve reads them."""
+    d, e = op.diag_array(), op.offdiag_array()
+    for name, a in (("diag", d), ("offdiag", e)):
+        if not np.isfinite(a).all():
+            k = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise ParameterError(("diag", "offdiag"),
+                                 f"{name} coefficient {k} is {a[k]}, not finite")
+    return d, e
 
 
 def oracle_eigs(op: JacobiOperator, count: int | None = None,
@@ -149,6 +154,7 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     the window, so a few extremal eigenvalues of a large truncation are
     cheap and the full spectrum is not.  A count-limited window of at least
     ``_SEED_MIN_N`` levels first tries ``_certified_windows``.
+    ParameterError names the first coefficient that is not finite.
 
     Independent of any closed form: straight LAPACK tridiagonal solve.
     """
@@ -159,10 +165,10 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
         raise ValueError(f"count must be >= 1, got {count}")
     count = min(count, n)
     lo = n - count if top else 0
+    d, e = _arrays(op)
+    if n == 1:
+        return d
     try:
-        if n == 1:
-            return op.diag_array()
-        d, e = op.diag_array(), op.offdiag_array()
         if count < n and n >= _SEED_MIN_N:
             w = _certified_windows(d, e, count, top)
             if w is not None:
@@ -174,26 +180,37 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     return w
 
 
-def _seeds(d: np.ndarray, e: np.ndarray, count: int, top: bool) -> np.ndarray | None:
-    """The ``count`` end eigenvalues (the lowest, or the highest with
-    ``top``) of a leading block of m <= n/4 rows, equal to those of the
-    whole matrix to within eps ||T||; None where no such block is found.
+def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
+                       top: bool) -> np.ndarray | None:
+    """The index window of ``oracle_eigs`` from a leading block of m <= n/4
+    rows, or None where no block is found or the certificate fails.
 
-    Read T as -T for a top window, so the window is a bottom one.  U, the
-    Gershgorin bound of the leading ``count`` rows, bounds every window
-    eigenvalue from above (Cauchy interlacing).  Past the last row K where
-    T - U is not strictly diagonally dominant, an eigenvector x with
-    eigenvalue at most U decays: |x_{j+1} / x_j| <= |e_j| / (d_{j+1} - U
-    - |e_{j+1}|) < 1 for j >= K, by the continued fraction of the ratios
-    from the last row up (Parlett, The Symmetric Eigenvalue Problem, SIAM
-    1998).  m is the first row at which the product of these bounds puts
-    |x_m|^2 below eps^2; then x[:m] leaves a residual |e_{m-1} x_m| <=
-    eps ||T|| in the block.  None, in O(1) from the first off-diagonal and
-    the last two rows: a diagonal chain (class 9), and chains whose last
-    rows are not dominant (C-blocks, whose bound states decay only
-    algebraically; D-blocks and the far end of a one-mode chain, localized
-    at the last rows).  None, in O(n): decay that starts or ends past n/4,
-    or a zero off-diagonal where it runs."""
+    Read T as t = -T for a top window, so the window is a bottom one.  U,
+    the Gershgorin bound of the leading ``count`` rows, bounds every window
+    eigenvalue (Cauchy interlacing).  Past the last row K where t - U is not
+    strictly diagonally dominant, an eigenvector with eigenvalue at most U
+    shrinks by |e_{j-1}| / (t_j - U - |e_j|) < 1 or more a row; m is the
+    first row where the product of these factors falls below eps.  None, in
+    O(1): a diagonal chain (class 9), or last two rows not dominant
+    (C-blocks, whose bound states decay only algebraically; D-blocks and the
+    far end of a one-mode chain).  None, in O(n): decay that starts or ends
+    past n/4, or a zero off-diagonal where it runs.
+
+    The enclosure.  For x <= U the rows t_R from m on are strictly dominant,
+    so t_R - x is positive definite, its backward pivots stay above
+    t_j - x - |e_j|, and its (0, 0) inverse entry is at most 1/(t_m - U -
+    |e_m|).  The Schur complement of t_R - x in t - x is t_m - x - g E, E
+    the last diagonal unit, 0 < g <= tau = e_{m-1}^2 / (t_m - U - |e_m|).
+    Haynsworth inertia additivity (Linear Algebra Appl. 1, 1968) at
+    x = lambda_i(t) <= U, and Cauchy interlacing (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998), give for every window index i
+
+        lambda_i(t_m - tau E) <= lambda_i(t) <= lambda_i(t_m).
+
+    LAPACK bisection (``dstebz``, RANGE='I') finds the window of both m x m
+    matrices with the whole matrix's ABSTOL, eps ||T||_inf, and t_m's window
+    is returned when the two agree within ABSTOL at every index: each result
+    is then within ABSTOL plus one bisection error of the whole matrix's."""
     n = d.size
     if not e[0]:                # a diagonal chain: O(1)
         return None
@@ -220,53 +237,28 @@ def _seeds(d: np.ndarray, e: np.ndarray, count: int, top: bool) -> np.ndarray | 
     if not small.size:
         return None
     m = k + 1 + int(small[0])
+    moved = d[:m].copy()
+    moved[-1] -= sign * e[m - 1] ** 2 / (t[m] - upper - ae[m])
+    abstol = _EPS * (np.abs(d) + side).max()
     first = m - count + 1 if top else 1      # LAPACK indices count from 1
-    found, w, _, _, info = dstebz(d[:m], e[:m - 1], 2, 0.0, 0.0, first, first + count - 1,
-                                  0.0, "E")
-    return w[:count] if info == 0 and found == count else None
-
-
-def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
-                       top: bool) -> np.ndarray | None:
-    """The index window of ``oracle_eigs`` from narrow value windows, or
-    None when the certificate fails.
-
-    Seeds are the same index window of the leading block ``_seeds``
-    picks; LAPACK bisection (``dstebz``, RANGE='V') then refines each
-    eigenvalue of the whole matrix inside (seed - delta, seed + delta],
-    delta = ``_WINDOW`` eps ||T||, about 5 Sturm passes each instead of
-    about 53.  The Sturm counts of the same calls certify the result: each
-    window holds exactly one eigenvalue, and the gaps between windows and
-    past the outer one (below the lowest window, or above the highest with
-    ``top``) hold none.  Every result is the midpoint of a bisection
-    interval narrower than 2 eps ||T||, as in the index window."""
-    seeds = _seeds(d, e, count, top)
-    if seeds is None:
-        return None
-    norm = np.abs(d).max() + 2.0 * np.abs(e).max()
-    delta = _WINDOW * _EPS * norm
-    # gap, window, gap, ..., window, gap: interval i is (edges[i], edges[i+1]]
-    # and holds i % 2 eigenvalues; the last gap (first with top) holds the
-    # rest of the spectrum and is not counted
-    edges = np.concatenate(([-2.0 * norm], np.column_stack((seeds - delta, seeds + delta)).ravel(),
-                            [2.0 * norm]))
-    if np.any(np.diff(edges) <= 0.0):
-        return None
     out = []
-    for i in range(1, 2 * count + 1) if top else range(2 * count):
-        found, w, _, _, info = dstebz(d, e, 1, edges[i], edges[i + 1], 0, 0, 0.0, "E")
-        if info != 0 or found != i % 2:
+    for dm in (d[:m], moved):
+        found, w, _, _, info = dstebz(dm, e[:m - 1], 2, 0.0, 0.0, first, first + count - 1,
+                                      abstol, "E")
+        if info != 0 or found != count:
             return None
-        out.extend(w[:found].tolist())
-    return np.array(out)
+        out.append(w[:count])
+    return out[0] if np.abs(out[0] - out[1]).max() <= abstol else None
 
 
 def oracle_eigh(op: JacobiOperator):
-    """Full eigendecomposition (w, V) of the operator at its size."""
+    """Full eigendecomposition (w, V) of the operator at its size;
+    ParameterError names the first coefficient that is not finite."""
+    d, e = _arrays(op)
     if op.size == 1:
-        return op.diag_array(), np.ones((1, 1))
+        return d, np.ones((1, 1))
     try:
-        return eigh_tridiagonal(op.diag_array(), op.offdiag_array())
+        return eigh_tridiagonal(d, e)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
 

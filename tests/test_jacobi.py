@@ -1,5 +1,5 @@
 """Index windows of the tridiagonal oracle against the full-range solve, its
-certified narrow windows and their fallback, and the real-arithmetic
+certified leading-block windows and their fallback, and the real-arithmetic
 spectral apply against the complex product it replaces."""
 
 import dataclasses
@@ -170,31 +170,122 @@ def test_certified_windows_match_full_range(name, top, n):
     count = 5
     w = oracle_eigs(op, count=count, top=top)
     assert np.abs(w - (ref[n - count:] if top else ref[:count])).max() <= 2.0 * EPS * norm
-    seeded = jacobi._seeds(d, e, count, top) is not None
+    seeded = jacobi._certified_windows(d, e, count, top) is not None
     pairing = not name.startswith("class9") and top == om.classify(mu, nu, 1.0).pairs_top
     assert seeded == pairing or (pairing and n < 1000)
 
 
+def _solves(monkeypatch):
+    """Record the (d, e) of every dstebz call the certificate makes."""
+    calls, dstebz = [], jacobi.dstebz
+
+    def recorded(d, e, *args):
+        calls.append((d.copy(), e.copy()))
+        return dstebz(d, e, *args)
+
+    monkeypatch.setattr(jacobi, "dstebz", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["class5", "class6"])
 def test_certificate_miss_falls_back_to_the_index_window(monkeypatch, name):
-    # seeds moved by ten windows (of width 2 delta) miss every eigenvalue:
-    # the Sturm counts refuse them and the one index-window call answers
+    # the leading block's window shifted by ten ABSTOLs disagrees with the
+    # moved block's: the certificate refuses it and the one index-window
+    # call answers
     mu, nu = DISCRETE[name]
     op = _onemode_operator(mu, nu, 1000)
     top = om.classify(mu, nu, 1.0).pairs_top
     d, e = op.diag_array(), op.offdiag_array()
     lo = 995 if top else 0
     index = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(lo, lo + 4))
-    delta = jacobi._WINDOW * EPS * (np.abs(d).max() + 2.0 * np.abs(e).max())
-    seeds, moved = jacobi._seeds, []
+    abstol = EPS * (np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0])).max()
+    dstebz, moved = jacobi.dstebz, []
 
     def shifted(*args):
-        moved.append(seeds(*args))
-        return moved[-1] + 20.0 * delta
+        found, w, *rest = dstebz(*args)
+        moved.append(not moved)
+        return (found, w + 10.0 * abstol * moved[-1], *rest)
 
-    monkeypatch.setattr(jacobi, "_seeds", shifted)
+    monkeypatch.setattr(jacobi, "dstebz", shifted)
     assert np.array_equal(oracle_eigs(op, count=5, top=top), index)
-    assert len(moved) == 1 and moved[0] is not None
+    assert moved == [True, False]
+
+
+def _discrete_draw(rng, cls):
+    """(mu, nu, alpha0) of one-mode class 5-8, magnitudes as the spectra
+    workload draws them."""
+    a, b = np.sort(rng.uniform(0.5, 4.0, size=2))
+    mu, nu = {5: (b, a), 6: (-b, -a), 7: (a, b), 8: (-a, -b)}[cls]
+    return float(mu), float(nu), float(rng.uniform(0.3, 3.0))
+
+
+@pytest.mark.parametrize("cls", [5, 6, 7, 8])
+@pytest.mark.parametrize("top", [False, True], ids=["bottom", "top"])
+def test_leading_block_encloses_the_window(monkeypatch, cls, top):
+    # lambda_i(T_m - tau E) <= lambda_i(T) <= lambda_i(T_m) at every window
+    # index, each side within the bisection bound of
+    # test_window_matches_full_range (lambda_i(T) from the whole matrix's
+    # index window, as bisection over the full range costs seconds at 2000
+    # levels); the far end declines before any solve
+    rng = np.random.default_rng([cls, top])
+    calls = _solves(monkeypatch)
+    for _ in range(3):
+        mu, nu, alpha0 = _discrete_draw(rng, cls)
+        n, count = int(rng.integers(300, 2001)), int(rng.integers(1, 9))
+        sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
+        op = om.jacobi(om.OneModeHamiltonian(mu, nu, sector))
+        d, e = op.diag_array(), op.offdiag_array()
+        calls.clear()
+        w = jacobi._certified_windows(d, e, count, top)
+        if top != om.classify(mu, nu, alpha0).pairs_top:
+            assert w is None and not calls
+            continue
+        assert w is not None and len(calls) == 2
+        (block, eb), (moved, _) = calls
+        m = block.size
+        assert 0 < m <= n // 4 and np.array_equal(block[:-1], moved[:-1])
+        assert (moved[-1] < block[-1]) != top
+        lo = m - count if top else 0
+        full = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                select_range=(n - count, n - 1) if top else (0, count - 1))
+        upper, lower = (eigh_tridiagonal(b, eb, eigvals_only=True, select="i",
+                                         select_range=(lo, lo + count - 1))
+                        for b in ((moved, block) if top else (block, moved)))
+        tol = 2.0 * EPS * (np.abs(d).max() + 2.0 * np.abs(e).max())
+        assert np.all(lower - tol <= full) and np.all(full <= upper + tol)
+        assert np.abs(w - full).max() <= tol
+
+
+def test_non_dominant_row_past_a_quarter_declines():
+    # one row at n/2 pulled into the window's range: the decay that the
+    # leading block needs would start past n/4, so the index window answers
+    op = _onemode_operator(-4.0, -1.0, 1000)
+    d, e = op.diag_array(), op.offdiag_array()
+    assert jacobi._certified_windows(d, e, 5, True) is not None
+    d[500] = d[:5].max()
+    assert jacobi._certified_windows(d, e, 5, True) is None
+    bad = jacobi.JacobiOperator(lambda k: d[k.astype(int)], op.offdiag, 1000)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(995, 999))
+    assert np.array_equal(oracle_eigs(bad, count=5, top=True), ref)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("row", [3, 350], ids=["head", "tail"])
+@pytest.mark.parametrize("which", ["diag", "offdiag"])
+@pytest.mark.parametrize("solve", ["window", "full", "eigh"])
+def test_non_finite_coefficients_raise_before_any_solve(value, row, which, solve):
+    # a leading-block solve would not read a tail row: every entry is
+    # checked first, with no RuntimeWarning on the way (pyproject makes
+    # RuntimeWarning an error)
+    op = _onemode_operator(-4.0, -1.0, 400)
+    stream = getattr(op, which)
+    bad = dataclasses.replace(op, **{which: lambda k: np.where(k == row, value, stream(k))})
+    call = {"window": lambda: oracle_eigs(bad, count=5, top=True),
+            "full": lambda: oracle_eigs(bad),
+            "eigh": lambda: oracle_eigh(bad)}[solve]
+    with pytest.raises(ParameterError, match=f"{which} coefficient {row} ") as info:
+        call()
+    assert info.value.names == ("diag", "offdiag")
 
 
 @pytest.mark.parametrize("kind", ["hc", "onemode"])
