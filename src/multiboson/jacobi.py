@@ -33,20 +33,21 @@ entries do not depend on where the blocks end.
 ``count`` eigenvalues, or the highest ``count`` with ``top=True``.  It uses
 Sturm-sequence bisection, which costs O(n) per step for each eigenvalue in
 the window, so a caller should ask for exactly the eigenvalues it reads.
-A count-limited window of at least 300 levels first tries a certified
-leading block.  Where an O(n) diagonal-dominance product over the
-coefficient arrays proves the window's eigenvectors negligible past row
+Every bisection is one LAPACK ``dstebz`` call (``_bisect``), ``oracle_eigh``
+one ``dstevd``.  A count-limited window first tries a certified leading
+block.  Where an O(n) diagonal-dominance product over the coefficient
+arrays proves the window's eigenvectors negligible past row
 m <= n/4 (one-mode classes 5-8 at the end their atoms pair with), the same
 index window is bisected twice on m rows: on the leading block T_m, and on
 T_m with its last diagonal entry moved toward the window by a Schur-
 complement bound tau.  The two enclose the whole matrix's window (Haynsworth
 inertia additivity and Cauchy interlacing: ``_certified_windows``), so
 T_m's window is returned when they agree within the whole matrix's
-bisection tolerance.  Every other request makes the one index-window call,
-with the same bits as always: the full range, windows below 300 levels,
-C-blocks (their bound states decay only algebraically), D-blocks and the
-far end of a one-mode chain (localized at the last rows), diagonal chains,
-and any failed certificate.  No closed form enters the oracle.
+bisection tolerance.  Every other request makes the one index-window call:
+the full range, windows of count >= n // 4 (all below 8 levels), C-blocks
+(their bound states decay only algebraically), D-blocks and the far end of
+a one-mode chain (localized at the last rows), diagonal chains, and any
+failed certificate.  No closed form enters the oracle.
 
 Every evolution goes through one real-arithmetic spectral apply: the
 eigenvectors V are real (orthogonal polynomials, the Meixner kernel or
@@ -61,8 +62,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstevd
 
 from .errors import (NoBoundStateError, NumericalFailureError, ParameterError,
                      UnsupportedCaseError)
@@ -120,14 +120,11 @@ class JacobiOperator:
 def _stream(coeff: Callable[[np.ndarray], np.ndarray], k: np.ndarray) -> np.ndarray:
     """Fresh float array of coeff at every index of the float k-array;
     constants are broadcast."""
-    return np.broadcast_to(coeff(k), k.shape).astype(float)
+    out = np.empty(k.shape)
+    out[...] = coeff(k)
+    return out
 
 
-# Smallest truncation whose count-limited windows try certified windows.
-# Below 300 levels a window costs under 0.7 ms either way, and the index
-# window keeps the small truncations that validate and the CLI default
-# (100 levels) read bit for bit as before
-_SEED_MIN_N = 300
 _EPS = np.finfo(float).eps
 
 
@@ -152,9 +149,9 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     the whole spectrum.  A smaller truncation is ``dataclasses.replace(op,
     size=m)``.  Bisection costs O(n) per step for each eigenvalue in
     the window, so a few extremal eigenvalues of a large truncation are
-    cheap and the full spectrum is not.  A count-limited window of at least
-    ``_SEED_MIN_N`` levels first tries ``_certified_windows``.
-    ParameterError names the first coefficient that is not finite.
+    cheap and the full spectrum is not.  The window first tries
+    ``_certified_windows``.  ParameterError names the first coefficient that
+    is not finite.
 
     Independent of any closed form: straight LAPACK tridiagonal solve.
     """
@@ -164,20 +161,24 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     elif count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     count = min(count, n)
-    lo = n - count if top else 0
     d, e = _arrays(op)
     if n == 1:
         return d
-    try:
-        if count < n and n >= _SEED_MIN_N:
-            w = _certified_windows(d, e, count, top)
-            if w is not None:
-                return w
-        w = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                             select_range=(lo, lo + count - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
+    w = _certified_windows(d, e, count, top)
+    if w is None:
+        w = _bisect(d, e, n - count if top else 0, count, 0.0)
+    if w is None:
+        raise NumericalFailureError(f"tridiagonal bisection failed on {count} of {n} levels")
     return w
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, lo: int, count: int,
+            abstol: float) -> np.ndarray | None:
+    """Eigenvalues lo, ..., lo + count - 1 (from 0, ascending) of (d, e) by
+    ``dstebz`` with RANGE='I' to ``abstol`` (0: LAPACK's default); None where
+    LAPACK reports a failure or finds fewer."""
+    found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, lo + 1, lo + count, abstol, "E")
+    return w[:count] if info == 0 and found == count else None
 
 
 def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
@@ -191,7 +192,8 @@ def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
     strictly diagonally dominant, an eigenvector with eigenvalue at most U
     shrinks by |e_{j-1}| / (t_j - U - |e_j|) < 1 or more a row; m is the
     first row where the product of these factors falls below eps.  None, in
-    O(1): a diagonal chain (class 9), or last two rows not dominant
+    O(1): count >= n // 4 (rows below count are never dominant), a diagonal
+    chain (class 9), or last two rows not dominant
     (C-blocks, whose bound states decay only algebraically; D-blocks and the
     far end of a one-mode chain).  None, in O(n): decay that starts or ends
     past n/4, or a zero off-diagonal where it runs.
@@ -212,7 +214,8 @@ def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
     is returned when the two agree within ABSTOL at every index: each result
     is then within ABSTOL plus one bisection error of the whole matrix's."""
     n = d.size
-    if not e[0]:                # a diagonal chain: O(1)
+    stop = n // 4
+    if count >= stop or not e[0]:       # O(1)
         return None
     sign = -1.0 if top else 1.0
     # U over the leading rows, then O(1): the last two rows must be dominant
@@ -229,7 +232,6 @@ def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
     margin = t - upper - side
     # rows below count are never dominant, since upper covers them
     k = int(np.flatnonzero(margin <= 0.0)[-1])
-    stop = n // 4
     if k + 2 > stop or not ae[k:stop - 1].all():
         return None
     decay = ae[k:stop - 1] / (margin[k + 1:stop] + ae[k:stop - 1])
@@ -240,27 +242,23 @@ def _certified_windows(d: np.ndarray, e: np.ndarray, count: int,
     moved = d[:m].copy()
     moved[-1] -= sign * e[m - 1] ** 2 / (t[m] - upper - ae[m])
     abstol = _EPS * (np.abs(d) + side).max()
-    first = m - count + 1 if top else 1      # LAPACK indices count from 1
-    out = []
-    for dm in (d[:m], moved):
-        found, w, _, _, info = dstebz(dm, e[:m - 1], 2, 0.0, 0.0, first, first + count - 1,
-                                      abstol, "E")
-        if info != 0 or found != count:
-            return None
-        out.append(w[:count])
-    return out[0] if np.abs(out[0] - out[1]).max() <= abstol else None
+    lo = m - count if top else 0
+    w, w_moved = (_bisect(dm, e[:m - 1], lo, count, abstol) for dm in (d[:m], moved))
+    if w is None or w_moved is None or np.abs(w - w_moved).max() > abstol:
+        return None
+    return w
 
 
 def oracle_eigh(op: JacobiOperator):
-    """Full eigendecomposition (w, V) of the operator at its size;
+    """Full eigendecomposition (w, V) of the operator at its size (``dstevd``);
     ParameterError names the first coefficient that is not finite."""
     d, e = _arrays(op)
     if op.size == 1:
         return d, np.ones((1, 1))
-    try:
-        return eigh_tridiagonal(d, e)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(f"tridiagonal eigensolve failed: {exc}") from exc
+    w, v, info = dstevd(d, e)
+    if info != 0:
+        raise NumericalFailureError(f"tridiagonal eigensolve failed: dstevd info {info}")
+    return w, v
 
 
 # Largest binary exponent a rescaled value may reach inside one block: the

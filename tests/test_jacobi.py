@@ -13,7 +13,8 @@ from multiboson import jacobi
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
-from multiboson.errors import NoBoundStateError, ParameterError, UnsupportedCaseError
+from multiboson.errors import (NoBoundStateError, NumericalFailureError, ParameterError,
+                               UnsupportedCaseError)
 from multiboson.jacobi import oracle_eigh, oracle_eigs, spectral_apply, spectral_coeffs
 
 EPS = np.finfo(float).eps
@@ -153,11 +154,12 @@ DISCRETE = {"class5": (4.0, 1.0), "class6": (-4.0, -1.0), "class7": (1.0, 4.0),
 
 @pytest.mark.parametrize("name", sorted(DISCRETE))
 @pytest.mark.parametrize("top", [False, True], ids=["bottom", "top"])
-@pytest.mark.parametrize("n", [300, 1000, 4000])
+@pytest.mark.parametrize("n", [8, 64, 150, 299, 300, 1000, 4000])
 def test_certified_windows_match_full_range(name, top, n):
     # the pairing end of classes 5-8 takes the certified windows from 1000
-    # levels on, the far end and class 9 the index window; both are held to
-    # full-range bisection at the bound of test_window_matches_full_range
+    # levels on (and may below), the far end and class 9 the index window;
+    # both are held to full-range bisection at the bound of
+    # test_window_matches_full_range
     mu, nu = DISCRETE[name]
     op = _onemode_operator(mu, nu, n)
     d, e = op.diag_array(), op.offdiag_array()
@@ -208,7 +210,67 @@ def test_certificate_miss_falls_back_to_the_index_window(monkeypatch, name):
 
     monkeypatch.setattr(jacobi, "dstebz", shifted)
     assert np.array_equal(oracle_eigs(op, count=5, top=top), index)
-    assert moved == [True, False]
+    # two leading-block solves, then the index window
+    assert moved == [True, False, False]
+
+
+@pytest.mark.parametrize("name", sorted(DISCRETE))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_small_truncations_take_the_index_window(name, n):
+    # below 8 levels no window has count < n // 4, so every request declines
+    # the certificate in O(1) and makes the one index-window call, bit for bit
+    op = _onemode_operator(*DISCRETE[name], n)
+    d, e = op.diag_array(), op.offdiag_array()
+    for count in range(1, n + 1):
+        for top in (False, True):
+            lo = n - count if top else 0
+            ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                   select_range=(lo, lo + count - 1))
+            assert jacobi._certified_windows(d, e, count, top) is None
+            assert np.array_equal(oracle_eigs(op, count=count, top=top), ref)
+
+
+@pytest.mark.parametrize("kind", ["index", "full"])
+@pytest.mark.parametrize("fault", ["info", "short"])
+def test_failed_bisection_raises(monkeypatch, kind, fault):
+    # a nonzero info or fewer eigenvalues than asked is a typed failure, on
+    # the index window (a D-block declines the certificate) and the full range
+    op = _operator("hd", 40)
+    w = np.zeros(40)
+    found, info = (5, 2) if fault == "info" else (4, 0)
+    monkeypatch.setattr(jacobi, "dstebz", lambda *args: (found, w, w, w, info))
+    with pytest.raises(NumericalFailureError, match="bisection failed"):
+        oracle_eigs(op, count=5 if kind == "index" else None)
+
+
+def test_failed_eigh_raises(monkeypatch):
+    w = np.zeros(7)
+    monkeypatch.setattr(jacobi, "dstevd", lambda d, e: (w, np.eye(7), 3))
+    with pytest.raises(NumericalFailureError, match="dstevd info 3"):
+        oracle_eigh(_operator("hd", 7))
+
+
+@pytest.mark.parametrize("fault", ["info", "short"])
+@pytest.mark.parametrize("solve", [0, 1])
+def test_failed_certificate_solve_falls_back_to_the_index_window(monkeypatch, fault, solve):
+    # either leading-block solve failing declines the certificate, and the
+    # index window answers bit for bit
+    op = _onemode_operator(-4.0, -1.0, 1000)
+    d, e = op.diag_array(), op.offdiag_array()
+    assert jacobi._certified_windows(d, e, 5, True) is not None
+    index = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(995, 999))
+    dstebz, calls = jacobi.dstebz, []
+
+    def failing(*args):
+        found, w, iblock, isplit, info = dstebz(*args)
+        calls.append(args[0].size)
+        if len(calls) == solve + 1:
+            found, info = (found, 1) if fault == "info" else (found - 1, 0)
+        return found, w, iblock, isplit, info
+
+    monkeypatch.setattr(jacobi, "dstebz", failing)
+    assert np.array_equal(oracle_eigs(op, count=5, top=True), index)
+    assert calls[-1] == 1000 and all(size < 250 for size in calls[:-1])
 
 
 def _discrete_draw(rng, cls):
