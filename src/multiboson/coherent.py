@@ -21,6 +21,7 @@ kept as ``reference_weight`` for comparison: its k-th moment overshoots by
 the factor (alpha0 + k)/4, so no constant rescale can repair it.
 """
 
+import cmath
 import itertools
 import math
 import sys
@@ -95,8 +96,18 @@ def _ln_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def kernel(z: complex, alpha0: float) -> complex:
-    """Reproducing kernel 0F1(; alpha0; z) evaluated at z = conj(eta) zeta."""
-    return hyp0f1(alpha0, z)
+    """Reproducing kernel 0F1(; alpha0; z) evaluated at z = conj(eta) zeta.
+
+    ParameterError names z unless it is finite, alpha0 unless
+    0 < alpha0 < inf, and both when the value leaves the double range."""
+    bad = [name for name, ok in (("z", cmath.isfinite(z)),
+                                 ("alpha0", math.isfinite(alpha0) and alpha0 > 0)) if not ok]
+    if bad:
+        raise ParameterError(bad, f"need finite z and 0 < alpha0 < inf, got {z}, {alpha0}")
+    value = hyp0f1(alpha0, z)
+    if not cmath.isfinite(value):
+        raise ParameterError(("z", "alpha0"), f"0F1(; {alpha0}; {z}) overflows float64")
+    return value
 
 
 @dataclass(frozen=True)

@@ -244,16 +244,24 @@ def _occupied_charge_blocks(h: CanonicalInteraction, psi: np.ndarray):
         yield window_block(h.kind, q, h.alpha0(), h.beta0(), n)
 
 
-def _evolve_grid(model: FullModel, psi0: np.ndarray,
-                 times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evolve_grid(model: FullModel, psi0: np.ndarray, times: np.ndarray,
+                 name: str) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i H t) psi0 at every time of a 1-d grid, as the pair (indices,
     (n_times, m) amplitudes) of ``InteractionEvolver.apply``, from one
     spectral solve of the blocks psi0 occupies; the free phases
-    exp(-i H0 t) are left out.  Raises TruncationOverflowError at the first
-    time whose tail fraction exceeds ``model.tail_tol``."""
-    indices, amps = InteractionEvolver(model).apply(psi0, times)
+    exp(-i H0 t) are left out.  Raises ParameterError naming the grid
+    parameter ``name`` at the first time whose state is not finite (an
+    energy times t past the double range makes its phase NaN), and
+    TruncationOverflowError at the first time whose tail fraction exceeds
+    ``model.tail_tol``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        indices, amps = InteractionEvolver(model).apply(psi0, times)
     p = np.abs(amps) ** 2
     total = p.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        raise ParameterError((name,), f"the evolved state at t = {times[bad[0]].item()} "
+                             "is not finite: energy times t overflows float64")
     tail = p[:, _tail_mask(model, indices)].sum(axis=1)
     fractions = np.divide(tail, total, out=np.zeros_like(total), where=total > 0)
     over = np.flatnonzero(fractions > model.tail_tol)
@@ -293,15 +301,22 @@ def evolve_full(model: FullModel, psi0, t: float) -> np.ndarray:
     """psi(t) = exp(-i H0 t) exp(-i H t) psi0, with tail monitoring: the
     interaction factor as in ``run_series``, then the free phases at the
     occupied positions, scattered into a full complex amplitude array.  The
-    time t must be finite."""
+    time t must be finite, and so must every phase it gives: ParameterError
+    names t when an energy times t leaves the double range, and t and omega
+    when a free phase does."""
     amps0, _ = _checked_state(model, psi0, "psi0")
     t = float(t)
     if not math.isfinite(t):
         raise ParameterError(("t",), f"the time must be finite, got {t}")
-    indices, amps = _evolve_grid(model, amps0, np.array([t]))
-    total = sum(w * n for w, n in zip(model.omega, model.occupations(indices)))
+    indices, amps = _evolve_grid(model, amps0, np.array([t]), "t")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(w * n for w, n in zip(model.omega, model.occupations(indices)))
+        phases = np.exp(-1j * t * total)
+    if not np.isfinite(phases).all():
+        raise ParameterError(("t", "omega"), f"the free phases at t = {t} are not "
+                             "finite: omega times occupation times t overflows float64")
     out = np.zeros(amps0.size, dtype=complex)
-    out[indices] = amps[0] * np.exp(-1j * t * total)
+    out[indices] = amps[0] * phases
     return out
 
 
@@ -416,7 +431,8 @@ def run_series(model: FullModel, psi0, t_grid) -> ObservableSeries:
     tail of every time is checked in one pass, and every record comes from
     one ``observables`` call on the pair: certified exact sums over the
     block positions.  The grid must hold at least one time, every one
-    finite.
+    finite, and the evolved state must be finite at each: ParameterError
+    names t_grid when an energy times t leaves the double range.
     """
     amps, norm = _checked_state(model, psi0, "psi0")
     times = np.asarray(t_grid, dtype=float).reshape(-1)
@@ -425,7 +441,7 @@ def run_series(model: FullModel, psi0, t_grid) -> ObservableSeries:
     # a unit-norm state is evolved as it is: dividing by 1.0 changes no bit,
     # and skipping it spares a copy of the whole basis
     psi = amps if norm == 1.0 else amps / norm
-    records = observables(_evolve_grid(model, psi, times), model)
+    records = observables(_evolve_grid(model, psi, times, "t_grid"), model)
     return ObservableSeries(times.tolist(), records,
                             [abs(rec.norm - 1.0) for rec in records])
 

@@ -43,6 +43,25 @@ def test_kernel_identities():
     b = ch.coherent_amplitudes(zeta, al, 90)
     assert np.vdot(a, b) == pytest.approx(ch.kernel(eta.conjugate() * zeta, al),
                                        rel=1e-12)
+    # in range, up to the edge of the double range, it is 0F1 bit for bit
+    for z, al in ((1.2e5, 1.3), (4.0, 1.3), (4j, 0.5), (-3.7 + 1.1j, 2.2), (0.0, 1e300)):
+        assert ch.kernel(z, al) == hyp0f1(al, z)
+
+
+@pytest.mark.parametrize("z, alpha0, names", [
+    (1.3e5, 1.3, ("z", "alpha0")),          # 0F1 past the double range: was inf
+    (1e6j, 1.3, ("z", "alpha0")),           # was nan+nanj
+    (math.nan, 1.0, ("z",)),
+    (complex(1.0, math.inf), 1.0, ("z",)),
+    (1.0, math.nan, ("alpha0",)),
+    (1.0, math.inf, ("alpha0",)),
+    (1.0, 0.0, ("alpha0",)),
+    (math.nan, math.nan, ("z", "alpha0")),
+])
+def test_kernel_refuses_non_finite_inputs_and_values(z, alpha0, names):
+    with pytest.raises(ParameterError) as err:
+        ch.kernel(z, alpha0)
+    assert err.value.names == names
 
 
 def test_coherent_state_truncation_invariant():

@@ -1,6 +1,7 @@
 """Full-model evolution, observables, and the preset interactions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,3 +460,43 @@ def test_run_series_refuses_an_empty_grid(grid):
     with pytest.raises(ParameterError) as exc:
         ev.run_series(model, ev.basis_state(model, (2, 3)), grid)
     assert exc.value.names == ("t_grid",)
+
+
+def _onemode_model():
+    sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
+    return ev.FullModel(om.OneModeHamiltonian(4.0, 1.0, sec), (0.5,), tail_tol=math.inf)
+
+
+# a model, and the first time whose interaction phases E t overflow there
+_PHASE_MODELS = {"HIV 48": (lambda: _hiv_model(n=48), 1e305),
+                 "one-mode": (_onemode_model, 1e307)}
+
+
+@pytest.mark.parametrize("name", sorted(_PHASE_MODELS))
+def test_a_time_whose_phases_overflow_is_refused(name):
+    # exp(-iEt) turned NaN: run_series raised a bare "zero state" ValueError
+    # and evolve_full returned a NaN state
+    make, t = _PHASE_MODELS[name]
+    model = make()
+    psi0 = np.zeros(ev._layout(model)[2] ** len(model.omega), dtype=complex)
+    psi0[3] = 1.0
+    with pytest.raises(ParameterError, match=re.escape(f"t = {t}")) as exc:
+        ev.run_series(model, psi0, [0.0, 1.0, t])
+    assert exc.value.names == ("t_grid",)
+    with pytest.raises(ParameterError) as exc:
+        ev.evolve_full(model, psi0, t)
+    assert exc.value.names == ("t",)
+    # a large time whose phases stay finite still evolves
+    assert np.isfinite(ev.evolve_full(model, psi0, 1e300)).all()
+    assert ev.run_series(model, psi0, [1e300]).norm_errors[0] <= 1e-12
+
+
+@pytest.mark.parametrize("omega0, t", [(1e300, 1e10), (1.7e308, 1.0)])
+def test_free_phases_that_overflow_are_refused(omega0, t):
+    # the interaction phases are finite, the free ones (omega n t, or
+    # already omega n) are not
+    pm = ev.preset("HIV", 8)
+    model = ev.FullModel(pm.mapping, (omega0, 0.7), tail_tol=math.inf)
+    with pytest.raises(ParameterError) as exc:
+        ev.evolve_full(model, ev.basis_state(model, (2, 3)), t)
+    assert exc.value.names == ("t", "omega")
