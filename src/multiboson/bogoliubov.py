@@ -113,13 +113,12 @@ class ImplementerInfo:
     ``converged_cols``: columns whose infinite tails closed inside the
     window (their pairwise Gram is exact to roundoff).  ``interior_rows``:
     top-left block of U X U* free of edge pollution.  Both shrink as
-    c -> 1: eigenvector n spreads to cluster index ~ n (1+sqrt(c))/(1-sqrt(c)),
-    so no fixed margin works for every element.
+    c = ``meixner_c(g.a)`` -> 1: eigenvector n spreads to cluster index
+    ~ n (1+sqrt(c))/(1-sqrt(c)), so no fixed margin works for every element.
     """
 
     converged_cols: int
     interior_rows: int
-    c: float
 
 
 @functools.lru_cache(maxsize=1)
@@ -171,7 +170,7 @@ def implementer(g: GroupElement, alpha0: float,
     sign = np.where(np.arange(n) % 2 == 1, -1.0, 1.0)
     if g.a == 1.0:
         u = np.diag(sign if g.sigma == -1 else np.ones(n))
-        return u, ImplementerInfo(n, n, 0.0)
+        return u, ImplementerInfo(n, n)
     u = _meixner_block(alpha0, c, n).copy()
     if float(g.a) ** g.sigma > 1.0:
         # (-1)^(k+m) in place: negation is exact
@@ -186,7 +185,7 @@ def implementer(g: GroupElement, alpha0: float,
     interior = max(1, int(0.5 * ncol * (1 - sc) / (1 + sc)))
     if ncol == n:
         interior = n
-    return u, ImplementerInfo(ncol, interior, c)
+    return u, ImplementerInfo(ncol, interior)
 
 
 def structure_constants() -> np.ndarray:

@@ -340,6 +340,8 @@ def observables(psi: np.ndarray | tuple[np.ndarray, np.ndarray],
     Each row's norm and its first and second occupation moments per mode are
     exactly rounded sums, bit for bit ``math.fsum``, of p = |amplitudes|^2
     times 1, n_i and n_i^2, all taken in one ``_exact_sums`` call.
+    ParameterError names psi and the first row whose squared norm is 0 or
+    not finite (a NaN or inf amplitude, or one whose square overflows).
     """
     if isinstance(psi, tuple):
         indices, amps = psi
@@ -348,16 +350,21 @@ def observables(psi: np.ndarray | tuple[np.ndarray, np.ndarray],
         indices = np.flatnonzero(dense)
         amps = dense[indices]
     single = np.ndim(amps) == 1
-    p = np.abs(np.atleast_2d(amps)) ** 2
-    if p.ndim != 2:
-        raise ValueError("amplitudes must have shape (m,) or (n_times, m)")
+    with np.errstate(over="ignore"):
+        p = np.abs(np.atleast_2d(amps)) ** 2
+        if p.ndim != 2:
+            raise ValueError("amplitudes must have shape (m,) or (n_times, m)")
+        norm2 = p.sum(axis=1)
+    bad = np.flatnonzero(~((norm2 > 0.0) & (norm2 < math.inf)))
+    if bad.size:
+        i = int(bad[0])
+        raise ParameterError(("psi",), f"row {i} of psi has squared norm {norm2[i]}: "
+                             "need 0 < |psi|^2 < inf")
     occs = [occ.astype(float) for occ in model.occupations(indices)]
     # the rows p, then p n_i and p n_i^2 for each mode, summed in one pass
     sums = _exact_sums(np.concatenate([p] + [p * f for n in occs for f in (n, n * n)]))
     sums = sums.reshape(-1, p.shape[0])
     total = sums[0]
-    if not (total > 0).all():
-        raise ValueError("zero state")
     means, variances, fanos = [], [], []
     for s1, s2 in zip(sums[1::2], sums[2::2]):
         m1 = s1 / total
@@ -380,8 +387,8 @@ _WIDE = np.longdouble
 
 
 def _exact_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each row of a 2-d array of nonnegative float64 values,
-    exactly rounded: bit for bit ``math.fsum`` of the row.
+    """Sum of each row of a 2-d array of nonnegative float64 values, with at
+    least one column, exactly rounded: bit for bit ``math.fsum`` of the row.
 
     The rows are summed in ``_WIDE`` by halving the columns: on a
     transposed, C-contiguous copy, the trailing half of the remaining
@@ -403,7 +410,7 @@ def _exact_sums(x: np.ndarray) -> np.ndarray:
         half = width // 2
         wide[:half] += wide[width - half:width]
         width -= half
-    s = wide[0] if m else np.zeros(x.shape[0], dtype=_WIDE)   # m = 0: a zero state
+    s = wide[0]
     out = s.astype(np.float64)
     spacing = np.minimum(out - np.nextafter(out, -np.inf), np.nextafter(out, np.inf) - out)
     bound = (m - 1).bit_length() * np.finfo(_WIDE).eps * s   # 2 d u S
@@ -472,9 +479,9 @@ def interaction_energy(model: FullModel, psi) -> float:
 
 
 def _jacobi_form(op: JacobiOperator, x: np.ndarray) -> float:
-    """x^H J x for the truncation of the Jacobi operator J to x.size levels."""
-    d = op.diag_array(x.size)
-    e = op.offdiag_array(x.size)
+    """x^H J x for the Jacobi operator J at its size, x of op.size entries."""
+    d = op.diag_array()
+    e = op.offdiag_array()
     return float(d @ (np.abs(x) ** 2) + 2.0 * (e @ (x[:-1].conj() * x[1:]).real))
 
 

@@ -82,7 +82,8 @@ class JacobiOperator:
     the 0-d case); a stream that returns a scalar is constant and is
     broadcast.  b_k couples levels k and k+1 and may carry either sign; the
     spectrum only sees |b_k| but eigenvector component signs follow the
-    stream as given.
+    stream as given.  Arrays and the dense matrix are taken at ``size``;
+    a smaller truncation is ``dataclasses.replace(op, size=m)``.
     """
 
     diag: Callable[[np.ndarray], np.ndarray]
@@ -93,15 +94,13 @@ class JacobiOperator:
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
 
-    def diag_array(self, n: int | None = None) -> np.ndarray:
-        """[a_0, ..., a_{n-1}] in one vectorized call."""
-        n = self.size if n is None else n
-        return _stream(self.diag, np.arange(n, dtype=float))
+    def diag_array(self) -> np.ndarray:
+        """[a_0, ..., a_{size-1}] in one vectorized call."""
+        return _stream(self.diag, np.arange(self.size, dtype=float))
 
-    def offdiag_array(self, n: int | None = None) -> np.ndarray:
-        """[b_0, ..., b_{n-2}] in one vectorized call."""
-        n = self.size if n is None else n
-        return _stream(self.offdiag, np.arange(n - 1, dtype=float))
+    def offdiag_array(self) -> np.ndarray:
+        """[b_0, ..., b_{size-2}] in one vectorized call."""
+        return _stream(self.offdiag, np.arange(self.size - 1, dtype=float))
 
     def recurrence(self, k: np.ndarray):
         """(a_k, b_k) at every index of the float k-array, broadcast to its
@@ -109,10 +108,9 @@ class JacobiOperator:
         sweeps."""
         return _stream(self.diag, k), _stream(self.offdiag, k)
 
-    def dense(self, n: int | None = None) -> np.ndarray:
-        n = self.size if n is None else n
-        m = np.diag(self.diag_array(n))
-        e = self.offdiag_array(n)
+    def dense(self) -> np.ndarray:
+        m = np.diag(self.diag_array())
+        e = self.offdiag_array()
         m += np.diag(e, 1) + np.diag(e, -1)
         return m
 
@@ -266,21 +264,43 @@ def oracle_eigh(op: JacobiOperator):
 # roundings the growth bounds leave out.
 _EXP_LIMIT = np.finfo(float).maxexp - 64
 
+# log2 of half the smallest subnormal (below it a value rounds to 0), and
+# the lowest row-0 start exponent: half the int32 range of ``expo``
+_LOG2_ZERO = np.finfo(float).minexp - np.finfo(float).nmant - 1
+_EXPO_FLOOR = np.iinfo(np.int32).min // 2
 
-def _row0(beta: float, c: float, width: int):
+
+def _row0(beta: float, c: float, width: int, lift: float):
     """Row 0 as (p, expo) with B[0, j] = p[j] * 2**expo[j]: the running
     product (1-c)^(beta/2) prod_{i<j} r_i, r_i = sqrt(c (beta + i) / (i + 1)).
     Columns whose log2 |B[0, j] / B[0, 0]| falls in one bin _EXP_LIMIT bits
     wide form one np.multiply.accumulate run, started from a mantissa in
-    [0.5, 1), so no partial product leaves the normal range."""
+    [0.5, 1), so no partial product leaves the normal range.  The start is
+    the direct power where that is a normal float, else 2**lg with
+    lg = 0.5 beta log1p(-c) / ln 2.  None when the largest row-0 entry,
+    raised by ``lift`` bits (the sweep's growth bound), still rounds to 0:
+    then every entry is 0.  NumericalFailureError when lg is below
+    _EXPO_FLOOR but not 0 by that bound (``lift`` inf or NaN)."""
     jj = np.arange(width - 1)
     r = np.sqrt(c * (beta + jj) / (jj + 1.0))
-    bins = np.floor(np.cumsum(np.log2(r)) / _EXP_LIMIT)
+    rise = np.cumsum(np.log2(r))
+    bins = np.floor(rise / _EXP_LIMIT)
     starts = (np.flatnonzero(np.diff(bins, prepend=0.0)) + 1).tolist()
+    start = (1.0 - c) ** (0.5 * beta)
+    if start >= np.finfo(float).tiny:
+        f, e = math.frexp(start)
+    else:
+        lg = 0.5 * beta * math.log1p(-c) / math.log(2.0)
+        if lg + rise.max(initial=0.0) + lift < _LOG2_ZERO:
+            return None
+        if not lg > _EXPO_FLOOR:
+            raise NumericalFailureError(f"Meixner({beta}, {c}): row 0 starts at 2**{lg:.4g}, "
+                                        f"below the kernel's exponent range (lift {lift})")
+        f, e = math.frexp(2.0 ** (lg % 1.0))
+        e += math.floor(lg)
     p = np.empty(width)
     p[1:] = r
     expo = np.empty(width, dtype=np.int32)
-    f, e = math.frexp((1.0 - c) ** (0.5 * beta))
     for j0, j1 in zip([0, *starts], [*starts, width]):
         if j0:
             # the product reaching column j0, from the mantissa of column
@@ -295,9 +315,10 @@ def _row0(beta: float, c: float, width: int):
     return p, expo
 
 
-def _row_blocks(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+def _row_blocks(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[list, float]:
     """Blocks (k0, k1) of the steps k0 <= k < k1 that share one set of
-    column exponents; step k computes row k+1 over the columns j > k.
+    column exponents, step k computing row k+1 over the columns j > k; and
+    sum_k log2 max(1, G_k), the bits any entry may rise above its row 0.
 
     In each column, |v_{k+1}| <= G_k max(|v_k|, |v_{k-1}|) and every
     intermediate of step k is at most N_k max(|v_k|, |v_{k-1}|), with
@@ -308,7 +329,7 @@ def _row_blocks(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
     A step that passes the limit alone is a block of one step."""
     steps = a.size - 1
     if not steps:
-        return []
+        return [], 0.0
     num = np.maximum(np.abs(x[1:steps + 1] - a[:-1]), np.abs(x[-1] - a[:-1]))
     num[1:] += b[:-2]
     grow = num / b[:-1]
@@ -319,7 +340,7 @@ def _row_blocks(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
         k0 = starts[-1]
         over = np.flatnonzero(top[k0 + 1:] > cum[k0] + _EXP_LIMIT)
         if not over.size:
-            return list(zip(starts, [*starts[1:], steps]))
+            return list(zip(starts, [*starts[1:], steps])), float(cum[-1])
         starts.append(k0 + 1 + int(over[0]))
 
 
@@ -328,15 +349,19 @@ def _upper_rows(fam: Meixner, m: int, width: int) -> np.ndarray:
     blocked forward sweep of ``atom_eigenvector``."""
     a, b = fam.recurrence(np.arange(m, dtype=float))
     x = 2.0 * np.arange(width) + fam.beta
-    p, expo = _row0(fam.beta, fam.c, width)
+    blocks, lift = _row_blocks(x, a, b)
+    row0 = _row0(fam.beta, fam.c, width, lift)
     upper = np.zeros((m, width))
+    if row0 is None:
+        return upper
+    p, expo = row0
     np.ldexp(p, expo, out=upper[0])
     # rows k0-1 and k0 of the block about to start, in units of 2**expo
     state = np.zeros((2, width))
     state[1] = p
     tmp = np.empty(width)
     a_k, b_k = a.tolist(), b.tolist()
-    for k0, k1 in _row_blocks(x, a, b):
+    for k0, k1 in blocks:
         s = slice(k0 + 1, width)
         e = np.frexp(np.maximum(np.abs(state[0, s]), np.abs(state[1, s])))[1]
         np.ldexp(state[:, s], -e, out=state[:, s])

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ParameterError, TruncationOverflowError
 from .jacobi import Chain, JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
 from .orthopoly import Laguerre, Meixner, MeixnerPollaczek
-from .rep import OneModeSector
+from .rep import OneModeSector, sector_coeffs
 
 __all__ = [
     "OneModeHamiltonian",
@@ -74,13 +74,14 @@ class OneModeHamiltonian:
 
 
 def jacobi(h: OneModeHamiltonian) -> JacobiOperator:
-    """Jacobi coefficients of H on the sector basis."""
-    mu, nu, a = h.mu, h.nu, h.sector.alpha0
-    ca = 0.5 * (mu + nu)
-    cb = 0.5 * (mu - nu)
+    """Jacobi coefficients of H on the sector basis: (mu + nu)/2 times the
+    A0 stream and (mu - nu)/2 times the A+ stream of ``rep.sector_coeffs``."""
+    diag, _, raising = sector_coeffs(h.sector)
+    ca = 0.5 * (h.mu + h.nu)
+    cb = 0.5 * (h.mu - h.nu)
     return JacobiOperator(
-        diag=lambda k: ca * (2.0 * k + a),
-        offdiag=lambda k: cb * np.sqrt((k + a) * (k + 1.0)),
+        diag=lambda k: ca * diag(k),
+        offdiag=lambda k: cb * raising(k),
         size=h.sector.n_levels,
     )
 

@@ -522,6 +522,8 @@ _G10_WEIGHTS = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
 _G10_WEIGHTS = np.concatenate([_G10_WEIGHTS, _G10_WEIGHTS[::-1]])
+# the tolerances and panel budget of every _adaptive_gk21 run
+_EPSABS, _EPSREL, _LIMIT = 1e-13, 1e-10, 300
 
 
 def _gk21(f, a: np.ndarray, b: np.ndarray):
@@ -555,23 +557,22 @@ def _gk21(f, a: np.ndarray, b: np.ndarray):
     return h * s_k, err, rnd
 
 
-def _adaptive_gk21(f, a: float, b: float, epsabs: float, epsrel: float,
-                   limit: int):
+def _adaptive_gk21(f, a: float, b: float):
     """Globally adaptive GK21 over the finite (a, b), as SciPy's
     vector-valued adaptive quadrature does it: each round bisects the
     panels of largest error estimate (at most 128, and no more than needed
     to cover the excess over tol / 8), all of them in one ``_gk21`` call.
     It stops once the total error estimate is below tol / 8 or below the
-    summed rounding bounds (tol = max(epsabs, epsrel * |integral|_max)),
-    or at ``limit`` panels.
+    summed rounding bounds (tol = max(_EPSABS, _EPSREL * |integral|_max),
+    the max norm over the entries), or at _LIMIT panels.
 
     Returns the integral and the error estimate plus rounding bound.
     """
     ig, err, rnd = _gk21(f, np.array([a]), np.array([b]))
     total, total_err, round_err = ig[0], float(err[0]), float(rnd[0])
     heap = [(-total_err, a, b, ig[0])]   # (-error, left, right, integral)
-    while len(heap) < limit:
-        tol = max(epsabs, epsrel * float(np.abs(total).max()))
+    while len(heap) < _LIMIT:
+        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
         split = []
         err_sum = 0.0
         while heap and len(split) < 128:
@@ -591,7 +592,7 @@ def _adaptive_gk21(f, a: float, b: float, epsabs: float, epsrel: float,
             xm = float(mid[j])
             heapq.heappush(heap, (-float(err[j]), x1, xm, ig[j]))
             heapq.heappush(heap, (-float(err[k + j]), xm, x2, ig[k + j]))
-        tol = max(epsabs, epsrel * float(np.abs(total).max()))
+        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
         if total_err < tol / 8 or total_err < round_err:
             break
         if not (math.isfinite(total_err) and math.isfinite(round_err)):
@@ -605,17 +606,16 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> n
 
     f maps an x-array of shape (m,) to values of shape (m, n_out).  Each
     piece of the :func:`_breakpoints` ladder is integrated by
-    :func:`_adaptive_gk21` (epsabs 1e-13, epsrel 1e-10 in the max norm,
-    at most 300 panels), every entry together.  Raises
-    NumericalFailureError when the summed error estimate exceeds
-    1e-7 (|integral|_max + 1) or is not a number.
+    :func:`_adaptive_gk21` (its fixed tolerances and panel budget), every
+    entry together.  Raises NumericalFailureError when the summed error
+    estimate exceeds 1e-7 (|integral|_max + 1) or is not a number.
     """
     lo_f, hi_f = _finite_cutoff(f, lo), _finite_cutoff(f, hi)
     pieces = _breakpoints(lo_f, hi_f)
     total = 0.0
     err = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):
-        val, est = _adaptive_gk21(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
+        val, est = _adaptive_gk21(f, a, b)
         total = total + val
         err += est
     scale = float(np.abs(total).max())

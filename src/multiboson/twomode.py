@@ -98,12 +98,6 @@ class TwoModeHamiltonian:
         if not 0 <= r0 < self.reps.rep0.l or not 0 <= r1 < self.reps.rep1.l:
             raise ValueError(f"sector {self.sector} outside representation")
 
-    def alpha0(self) -> float:
-        return self.reps.rep0.alpha0_init[self.sector[0]]
-
-    def beta0(self) -> float:
-        return self.reps.rep1.alpha0_init[self.sector[1]]
-
 
 def _entries(h: TwoModeHamiltonian, n_per_mode: int):
     """The nonzero entries of the truncated interaction on the (r0, r1)
@@ -361,15 +355,14 @@ class TruncationCheck:
 
     ``agreement`` compares the bound-state eigenvalues of the full and half
     truncations only; the continuum cluster below them drifts with the
-    cutoff by construction and is excluded.
+    cutoff by construction and is excluded.  The bound-state count is
+    ``hc_chain(block).family.n_atoms()``; ``validate`` owns the tolerance.
     """
 
     top_full: np.ndarray      # largest eigenvalues at n_levels
     top_half: np.ndarray      # same at n_levels / 2
     extrapolated: np.ndarray  # empirical-order Richardson estimate
-    n_bound: int              # closed-form bound-state count
     agreement: float          # max |full - half| over the bound states
-    converged: bool           # agreement <= 1e-3
 
 
 def hc_truncation_check(block: CBlock) -> TruncationCheck:
@@ -385,8 +378,7 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
 
     Convergence in n_levels is slow (the bound-state tails are polynomial),
     so the raw top eigenvalues are reported together with the extrapolated
-    values; ``converged`` requires the full and half truncations to agree
-    on every bound state within 1e-3.
+    values and the full-versus-half ``agreement``.
     """
     chain = hc_chain(block)
     n_bound = chain.family.n_atoms()
@@ -405,6 +397,5 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
     extrap = full.copy()
     extrap[fast] += den[fast] / (rate[fast] - 1.0)
     agreement = float(np.abs(chain.pair(den, n_bound)).max(initial=0.0))
-    return TruncationCheck(full, half, extrap, n_bound, agreement,
-                           agreement <= 1e-3)
+    return TruncationCheck(full, half, extrap, agreement)
 

@@ -11,7 +11,9 @@ sweep that rescales after every row.
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
 from multiboson import validation
+from multiboson.errors import NumericalFailureError
 from multiboson.jacobi import JacobiOperator, atom_eigenvector
 
 SIZES = [1, 2, 500]
@@ -54,15 +57,16 @@ def test_coefficient_streams_match_scalar_calls(n):
     for name, jop in _operators(n).items():
         d = np.array([jop.diag(k) for k in range(n)], dtype=float)
         e = np.array([jop.offdiag(k) for k in range(n - 1)], dtype=float)
-        assert np.array_equal(jop.diag_array(n), d), name
-        assert np.array_equal(jop.offdiag_array(n), e), name
+        cut = replace(jop, size=n)
+        assert np.array_equal(cut.diag_array(), d), name
+        assert np.array_equal(cut.offdiag_array(), e), name
 
 
 def test_constant_streams_broadcast():
     jop = JacobiOperator(lambda k: 0.5, lambda k: 2.0, 4)
     assert np.array_equal(jop.diag_array(), np.full(4, 0.5))
     assert np.array_equal(jop.offdiag_array(), np.full(3, 2.0))
-    assert np.array_equal(jop.offdiag_array(1), np.zeros(0))
+    assert np.array_equal(replace(jop, size=1).offdiag_array(), np.zeros(0))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -225,6 +229,53 @@ def test_atom_eigenvector_peak_memory():
         tracemalloc.stop()
     assert out.shape == (800, 3200)
     assert peak <= _PER_ROW_PEAK_BYTES
+
+
+def _mp_row0(fam, cols):
+    """|B[0, j]| = sqrt((1-c)^beta (beta)_j c^j / j!) at 40 digits."""
+    with mpmath.workdps(40):
+        beta, c = mpmath.mpf(fam.beta), mpmath.mpf(fam.c)
+        return np.array([float(mpmath.exp(0.5 * (
+            beta * mpmath.log1p(-c) + mpmath.loggamma(beta + j) - mpmath.loggamma(beta)
+            + j * mpmath.log(c) - mpmath.loggamma(j + 1)))) for j in cols])
+
+
+@pytest.mark.parametrize("beta, width", [(1e5, 8000), (1e6, 40000)])
+def test_atom_eigenvector_row0_past_the_start_underflow(beta, width):
+    # (1-c)^(beta/2) is below the double range (2^-2155 at 1e5): the start
+    # underflowed to 0 and every column read 0, though the row peaks inside
+    fam = om.classify(1.0, 0.5, beta).family
+    row = atom_eigenvector(fam, 1, width)[0]
+    cols = np.arange(0, width, 37)
+    ref = _mp_row0(fam, cols)
+    assert ref[0] == 0.0 and ref.max() > 0.04
+    # relative 1e-11 on normal entries; subnormal ones within half a spacing
+    assert np.all(np.abs(row[cols] - ref) <= 1e-11 * ref + 2.0 ** -1074)
+
+
+def test_onemode_evolve_past_the_start_underflow():
+    # it raised TruncationOverflowError ("the first 4000 eigen-expansion
+    # coefficients hold 0.00e+00 of |psi|^2") though the exact coefficients
+    # peak inside them
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (1e5,)), 0, 1000)
+    h = om.OneModeHamiltonian(1.0, 0.5, sector)
+    psi = np.zeros(1000, dtype=complex)
+    psi[0] = 1.0
+    out = om.evolve(h, psi, np.array([0.0, 0.1]))
+    assert np.abs(out[0] - psi).max() <= 1e-12
+    assert abs(np.linalg.norm(out[1]) - 1.0) <= 1e-12
+
+
+def test_atom_eigenvector_below_the_double_range_reads_zero():
+    # the start's binary exponent (about -2e298) does not fit the int32
+    # column exponents; the block's growth bound keeps every entry below
+    # the double range, so it reads 0 as the underflowed start gave it
+    out = atom_eigenvector(op.Meixner(1e300, 0.029437), 50, 60)
+    assert out.shape == (50, 60) and not out.any()
+    # at 1e308 the recurrence itself overflows (the block read NaN): no
+    # growth bound, so a typed error
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailureError):
+        atom_eigenvector(op.Meixner(1e308, 0.029437), 50, 60)
 
 
 def test_atom_eigenvector_single_level():

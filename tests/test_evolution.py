@@ -157,6 +157,27 @@ def test_observables_coherent_profile_mean():
                                          rel=1e-10)
 
 
+# rows of an (indices, amplitudes) pair whose squared norm is 0 or not
+# finite: a zero row and a NaN row raised a bare "zero state" ValueError (the
+# NaN row called "zero"); an inf amplitude, or 1e200 amplitudes whose
+# |a|^2 overflows, returned NaN means with norm inf
+_BAD_ROWS = {"zero": (0.0, "0.0"), "nan": (math.nan, "nan"), "inf": (math.inf, "inf"),
+             "overflow": (1e200, "inf")}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+def test_observables_refuses_a_row_without_a_finite_norm(kind):
+    model = ev.FullModel(ev.preset("HIV", 8).mapping, (1.0, 0.7))
+    value, cause = _BAD_ROWS[kind]
+    amps = np.full((3, 3), 0.5, dtype=complex)
+    amps[1] = value
+    with pytest.raises(ParameterError, match=re.escape(f"row 1 of psi has squared norm {cause}:")) as exc:
+        ev.observables((np.arange(3), amps), model)
+    assert exc.value.names == ("psi",)
+    # the rows before it alone still give records
+    assert len(ev.observables((np.arange(3), amps[:1]), model)) == 1
+
+
 def test_run_series_constant_for_joint_eigenvector():
     # the D-form vacuum spans the one-dimensional charge-0 block: a joint
     # eigenvector of the interaction and the free part

@@ -35,7 +35,7 @@ TAIL = _why(
 OPTIONS = _why(
     "one value per option: no settable value that only ever takes one real",
     "value (a coefficient convention, a normalize or return_info flag, an",
-    "expected-fail status, a zero shift)")
+    "expected-fail status, a zero shift, a quadrature tolerance)")
 EXPONENTS = _why(
     "one exponent-tracking sweep: binary exponents (frexp/ldexp) appear only",
     "in the Meixner kernel, jacobi.atom_eigenvector")
@@ -87,6 +87,18 @@ STATES = _why(
     "and the CLI apply generators as weighted shifts, with one dense reference",
     "(the Casimir-invariance check)")
 
+TRUNCATION = _why(
+    "one truncation rule: a Jacobi operator's coefficient arrays and dense",
+    "matrix are taken at its size, and a smaller truncation is",
+    "dataclasses.replace(op, size=m), so no array call takes a truncation")
+RESTATED = _why(
+    "no restated fields: the C-block truncation check keeps no bound-state",
+    "count (hc_chain(block).family.n_atoms() says it) and no converged flag",
+    "(validate owns the 1e-3 tolerance on its agreement)")
+SECTOR = _why(
+    "one owner of the sector coefficients: the A0, A- and A+ streams are",
+    "written only in rep.sector_coeffs, and onemode.jacobi scales them")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -109,7 +121,7 @@ RULES = [
          "    if tail_fraction(psi) > tail_tol:", TAIL),
     Rule("single-value-option",
          r"convention=|hd_convention|normalize=|return_info|expected_fail"
-         r"|EXPECTED-FAIL|label\.shift", SRC,
+         r"|EXPECTED-FAIL|label\.shift|\bepsabs\b|\bepsrel\b", SRC,
          "def poly_table(family, x, n, normalize=True):", OPTIONS),
     Rule("binary-exponents-outside-kernel", r"frexp|ldexp", SRC,
          "    mant, expo = np.frexp(row)", EXPONENTS,
@@ -171,6 +183,15 @@ RULES = [
     Rule("second-dense-generator-reference", r"build_generators_full",
          (PKG + "validation.py",),
          "    gens = rep.build_generators_full(rep_, n)", STATES, limit=1),
+    Rule("truncation-argument", r"\.(diag_array|offdiag_array|dense)\([^)]",
+         SRC + ("bench/**/*.py",), "    d = op.diag_array(x.size)", TRUNCATION),
+    Rule("restated-check-field", r"\.(n_bound|converged)\b|^\s+(n_bound|converged):",
+         SRC + ("bench/**/*.py",), "    converged: bool           # agreement <= 1e-3",
+         RESTATED),
+    Rule("sector-coefficients-outside-rep", r"sqrt\(\(k \+ a\) \* \(k \+ 1\.0\)\)", SRC,
+         "        offdiag=lambda k: cb * np.sqrt((k + a) * (k + 1.0)),", SECTOR,
+         exempt_files=(PKG + "rep.py",),
+         allowed=(PKG + "rep.py", "    raising = lambda k: np.sqrt((k + a) * (k + 1.0))")),
 ]
 
 
