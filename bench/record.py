@@ -5,6 +5,7 @@ Usage (from the repository root):
 
     python3 bench/record.py --tree change --out BENCH.json
     python3 bench/record.py --tree parent --src /path/to/other/checkout/src --out BENCH.json
+    python3 bench/record.py --against REV [--rounds R] --out AB.json
 
 Every case runs in this process, with BLAS pinned to one thread: one warm-up
 call, ``REPEATS`` untraced calls (their median wall time is ``seconds``)
@@ -32,16 +33,30 @@ atoms of one-mode class 5 (bottom) and class 6 (top) at n_levels 500, 2000
 and 4000 with count 5, and for the 4000-level C-block of ``spectrum --model
 two-c`` (top, the window ``hc_truncation_check`` takes at full size, which
 is never seeded); the whole eigenvector matrix of a D-block at K 500 and
-2000 (``hd_chain(block).eigenvectors``); and each section of the validate
-suite, as the table ``validation.SECTIONS`` yields them through
-``validation.run_sections``, so only trees that have that table can be
-recorded.
+2000 (``hd_chain(block).eigenvectors``); ``run_series`` over 21 times on a
+generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
+dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
+state spread over the whole window (every charge block occupied); and each
+section of the validate suite, as the table ``validation.SECTIONS`` yields
+them through ``validation.run_sections``, so only trees that have that
+table can be recorded.
 
 Rows whose code a change did not touch have moved by 0.74-1.56x between
-two trees recorded one after the other on a 2-vCPU x86_64 VM, so only a
-change well outside that range reads from them, such as the D-block row at
-K 2000 on that VM: 9.6 s by inverse iteration, 0.43 s as the oracle's
-columns.
+two trees recorded one after the other on a 2-vCPU x86_64 VM, so one
+recording per tree reads only a change well outside that range.
+``--against REV`` compares instead: it checks REV out into a temporary
+directory by a local ``git clone --shared`` (no network), removed on exit,
+and runs R rounds (``--rounds``, default 10).  Each round records both
+trees, ``--src`` ("change", by default this checkout's) and REV's
+("parent"), each in its
+own subprocess of this script, in random order and under an environment
+padded to a random size (stack layout alone moves timings: Mytkowicz et
+al., ASPLOS 2009).  Each row then reports the median over rounds of the
+change/parent ratio of ``seconds`` and of ``peak_bytes``, with a
+distribution-free interval of at least 95 % for that median from the order
+statistics of the R ratios (the 2nd and 9th of 10; Kalibera & Jones,
+ISMM 2013), and both trees' accuracy.  Against itself (``--against HEAD``
+on a clean checkout) every interval should hold 1.
 """
 
 import os
@@ -55,7 +70,10 @@ import contextlib
 import importlib
 import io
 import json
+import math
+import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -66,7 +84,8 @@ import numpy as np
 REPEATS = 5
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# what each case's accuracy figure is, by case name (validate sections by prefix)
+# what each case's accuracy figure is, by case name (run_series and validate
+# sections by prefix)
 ACCURACY = {
     "cli validate": "largest deviation / tolerance over the report's checks",
     "cli spectrum two-c": "results.oracle_delta: closed-form bound state against the "
@@ -81,17 +100,27 @@ ACCURACY = {
     "D-block eigenvectors": "max(largest entry of |V^T V - I|, largest |J v_n - E_n v_n| "
                             "/ max |E_n|), E_n the closed-form energies; the error is "
                             "computed once, outside the timed calls",
+    "run_series": "largest norm error over the grid (ObservableSeries.norm_errors)",
 }
 ORACLE_COUNT = 5
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--tree", required=True, help="label of the recorded source tree")
+    p.add_argument("--tree", help="label of the recorded source tree")
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="directory holding the multiboson package (default: this checkout's)")
     p.add_argument("--out", required=True, help="JSON file to write the rows into")
-    return p.parse_args(argv)
+    p.add_argument("--against", metavar="REV",
+                   help="compare --src with git revision REV, interleaved")
+    p.add_argument("--rounds", type=int, default=10,
+                   help="rounds of an --against comparison (default 10)")
+    args = p.parse_args(argv)
+    if (args.tree is None) == (args.against is None):
+        p.error("give exactly one of --tree and --against")
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    return args
 
 
 def measure(fn):
@@ -171,6 +200,30 @@ def layer_cases(bg):
     yield "implementer grid", "bogoliubov.implementer", 240, grid
 
 
+def series_cases(bogoliubov, evolution, rep, twomode):
+    """(case, layer, size, fn) for two ``run_series`` loads over 21 times;
+    fn returns the largest norm error."""
+    times = np.linspace(0.0, 2.0, 21)
+
+    def series(model, psi0):
+        return lambda: max(evolution.run_series(model, psi0, times).norm_errors)
+
+    g = bogoliubov.GroupElement
+    reps = twomode.TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(2, (0.5, 1.5)))
+    h = twomode.TwoModeHamiltonian(reps, g(1.3, -1), g(-0.6, 1), (0, 1))
+    model = evolution.FullModel(h, (1.0, 0.7), tail_tol=math.inf, n_per_mode=40)
+    yield ("run_series generic", "evolution.run_series", 40,
+           series(model, evolution.basis_state(model, (2, 3))))
+    one = rep.MultibosonRep(1, (1.0,))
+    h = evolution.CanonicalInteraction("C", twomode.TwoModeRep(one, one), (0, 0), 200,
+                                       scale=0.8, offset=0.3)
+    model = evolution.FullModel(h, (1.0, 0.7), tail_tol=math.inf)
+    rng = np.random.default_rng(17)
+    psi0 = rng.standard_normal(200 * 200) + 1j * rng.standard_normal(200 * 200)
+    yield ("run_series C-form spread", "evolution.run_series", 200,
+           series(model, psi0 / np.linalg.norm(psi0)))
+
+
 def oracle_cases(jacobi, onemode, rep, twomode):
     """(case, size, path, fn) for each oracle window; fn returns the
     window's largest distance to its closed-form atoms."""
@@ -244,15 +297,15 @@ def section_rows(validation, tree):
     return rows
 
 
-def main(argv=None):
-    args = parse_args(argv)
+def record(args):
     sys.path.insert(0, os.path.abspath(args.src))
-    from multiboson import bogoliubov, cli, onemode, rep, twomode, validation
+    from multiboson import bogoliubov, cli, evolution, onemode, rep, twomode, validation
     # the module: older trees bind the package attribute to onemode.jacobi
     jacobi = importlib.import_module("multiboson.jacobi")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for case, layer, size, fn in (*cli_cases(cli, tmp), *layer_cases(bogoliubov)):
+        for case, layer, size, fn in (*cli_cases(cli, tmp), *layer_cases(bogoliubov),
+                                      *series_cases(bogoliubov, evolution, rep, twomode)):
             seconds, peak, accuracy = measure(fn)
             rows.append({"tree": args.tree, "case": case, "layer": layer, "size": size,
                          "seconds": seconds, "peak_bytes": peak, "accuracy": accuracy})
@@ -273,6 +326,84 @@ def main(argv=None):
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
+
+
+def median_interval(ratios):
+    """(median, low, high) of the ratios; (low, high) are the order
+    statistics k and R + 1 - k, with k the largest rank whose binomial tail
+    P(B < k), B ~ Bin(R, 1/2), is at most 0.025, so the interval holds the
+    median with probability at least 0.95 whatever the distribution (None
+    for both when R < 6 leaves no such k)."""
+    x = sorted(ratios)
+    n = len(x)
+    tail, k = 0.0, 0
+    while tail + math.comb(n, k) / 2 ** n <= 0.025:
+        tail += math.comb(n, k) / 2 ** n
+        k += 1
+    if k == 0:
+        return statistics.median(x), None, None
+    return statistics.median(x), x[k - 1], x[n - k]
+
+
+def compare(args):
+    """The interleaved A/B record of ``--against`` (module docstring)."""
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                          args.against + "^{commit}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    rng = random.Random()
+    rounds = {"change": [], "parent": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = os.path.join(tmp, "parent")
+        subprocess.run(["git", "clone", "--quiet", "--shared", "--no-checkout", ROOT, parent],
+                       check=True)
+        subprocess.run(["git", "-C", parent, "checkout", "--quiet", "--detach", rev],
+                       check=True)
+        srcs = {"change": os.path.abspath(args.src), "parent": os.path.join(parent, "src")}
+        for i in range(args.rounds):
+            for tree in rng.sample(sorted(srcs), 2):
+                out = os.path.join(tmp, f"{tree}-{i}.json")
+                env = dict(os.environ, RECORD_PAD="x" * rng.randrange(4096))
+                subprocess.run([sys.executable, os.path.abspath(__file__), "--tree", tree,
+                                "--src", srcs[tree], "--out", out],
+                               check=True, env=env, stderr=subprocess.DEVNULL)
+                with open(out) as f:
+                    rounds[tree].append({(r["case"], r["size"]): r for r in json.load(f)["rows"]})
+                print(f"round {i + 1}/{args.rounds}: {tree}", file=sys.stderr)
+    rows = []
+    for key, first in rounds["change"][0].items():
+        if key not in rounds["parent"][0]:
+            continue
+        row = {"case": key[0], "size": key[1], "layer": first["layer"]}
+        for metric in ("seconds", "peak_bytes"):
+            ratios = [c[key][metric] / p[key][metric]
+                      for c, p in zip(rounds["change"], rounds["parent"])]
+            med, low, high = median_interval(ratios)
+            row[metric] = {"ratio": med, "interval": [low, high]}
+        row["accuracy"] = {tree: rounds[tree][0][key]["accuracy"] for tree in srcs}
+        rows.append(row)
+        print(f"{key[0]:<58} {str(key[1]):>5}  seconds {_span(row['seconds'])}  "
+              f"peak {_span(row['peak_bytes'])}")
+    record = {"about": "change/parent ratios over interleaved rounds (bench/record.py "
+                       "--against)", "against": rev, "rounds": args.rounds,
+              "accuracy": ACCURACY, "rows": rows}
+    with open(args.out, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+
+
+def _span(metric):
+    low, high = metric["interval"]
+    if low is None:
+        return f"{metric['ratio']:.3f} (no interval)"
+    return f"{metric['ratio']:.3f} [{low:.3f}, {high:.3f}]"
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    if args.against is not None:
+        compare(args)
+    else:
+        record(args)
 
 
 if __name__ == "__main__":

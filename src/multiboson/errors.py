@@ -14,11 +14,14 @@ __all__ = [
 class ParameterError(ValueError):
     """A value outside the domain of the API parameters ``names``, rejected
     where it enters: a public constructor or entry point names the
-    parameters that together put the value out of range."""
+    parameters that together put the value out of range.  ``row`` is the
+    position of the first refused entry of an array parameter (a time grid),
+    None otherwise."""
 
-    def __init__(self, names, message: str):
+    def __init__(self, names, message: str, row: int | None = None):
         super().__init__(message)
         self.names = tuple(names)
+        self.row = row
 
 
 class NumericalFailureError(RuntimeError):

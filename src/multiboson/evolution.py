@@ -8,28 +8,23 @@ one product: ``onemode.evolve`` for a one-mode interaction (closed-form
 eigenpairs in the discrete cases; amplitude arrays in, one row per time
 out), LAPACK tridiagonal eigendecompositions of the charge blocks of a
 canonical interaction, and one divide-and-conquer eigendecomposition
-(LAPACK ``dsyevd``, the dense form of the tridiagonal oracle's ``dstevd``)
-of the whole truncated matrix of a generic two-mode interaction with no
-aligned block structure.  A canonical interaction is split into its
+(``jacobi.dense_eigh``, in place, the dense form of the tridiagonal
+oracle) of the whole truncated matrix of a generic two-mode interaction
+with no aligned block structure.  A canonical interaction is split into its
 Manley-Rowe charge blocks, and only the blocks in which the state has
 amplitude are solved; the others stay exactly zero.  The canonical blocks
 come from ``twomode``: ``twomode.charges`` labels each window position and
 ``twomode.window_block`` gives a block's positions and Jacobi operator.
-(A whole D-block's eigenpairs are the same LAPACK solve: ``twomode.hd_chain``
-pairs its closed-form energies with the oracle's columns, and its
-``Chain.eigenvectors`` returns them signed; ``validate`` holds them to the
-terminating-3F2 closed form.)  Every route applies its
-eigenpairs through one real-arithmetic spectral apply,
-``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``: the eigenvectors
-are real, so the projection and the grid product are real products against
-them, and no complex copy of an eigenvector matrix is made.
+Every route applies its real eigenvectors through ``jacobi.spectral_coeffs``
+and ``jacobi.spectral_apply``, with no complex copy of them.
 
 An evolved state is carried as the pair (indices, amplitudes): the
-ascending flattened positions of the blocks it occupies and its amplitudes
-there, one row per time (``InteractionEvolver.apply``).  A one-mode or a
-generic interaction is one block over the whole basis; a canonical state
-lives on a few charge blocks of at most n positions each, out of n^2.  The
-tail check and the observables read only those positions, and only
+flattened positions of the blocks it occupies, block by block in ascending
+charge, and its amplitudes there, one row per time
+(``InteractionEvolver.apply``).  A one-mode or a generic interaction is one
+block over the whole basis; a canonical state lives on a few charge blocks
+of at most n positions each, out of n^2.  No reader depends on the order:
+the tail check and the observables read only those positions, and only
 ``evolve_full`` scatters the pair into a full amplitude array.
 
 A state is a 1-d array of amplitudes over the model's whole flattened
@@ -63,11 +58,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import NumericalFailureError, ParameterError, TruncationOverflowError
-from .jacobi import JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
+from .errors import ParameterError, TruncationOverflowError
+from .jacobi import JacobiOperator, dense_eigh, oracle_eigh, spectral_apply, spectral_coeffs
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep
@@ -175,14 +169,8 @@ def _layout(model: FullModel) -> tuple[tuple[int, ...], tuple[int, ...], int | N
 
 
 class InteractionEvolver:
-    """Applies exp(-i H t) for the supported interaction kinds.
-
-    A one-mode interaction goes through ``onemode.evolve``.  A two-mode
-    interaction acts through invariant blocks: the Manley-Rowe charge blocks
-    of a canonical interaction, or the whole truncated matrix of a generic
-    one.  ``apply`` builds and eigendecomposes the blocks in which its state
-    has amplitude, so nothing is solved before it is called.
-    """
+    """Applies exp(-i H t) for the supported interaction kinds, by the routes
+    of the module docstring; nothing is solved before ``apply`` is called."""
 
     def __init__(self, model: FullModel):
         self.model = model
@@ -190,13 +178,14 @@ class InteractionEvolver:
     def apply(self, psi: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         """exp(-i H t) psi as the pair (indices, amplitudes).
 
-        ``indices`` are the ascending flattened positions of the blocks
-        where psi is nonzero (the whole basis for a one-mode or a generic
+        ``indices`` are the flattened positions of the blocks where psi is
+        nonzero, block by block in ascending charge and ascending within
+        each block (the whole basis for a one-mode or a generic
         interaction); ``amplitudes`` holds the evolved state there, shape
         (m,) at a scalar t, or (n_times, m) with one row per time of a 1-d
         array t.  Every other position stays exactly zero and is not stored.
-        Only the occupied blocks are solved and applied, each as the tuple
-        (indices, energies, eigenvectors in block coordinates).
+        Only the occupied blocks are solved (a generic matrix in place,
+        ``jacobi.dense_eigh``), each written into its own columns.
         """
         h = self.model.interaction
         psi = np.asarray(psi, dtype=complex)
@@ -210,30 +199,21 @@ class InteractionEvolver:
             blocks = []
             if isinstance(h, TwoModeHamiltonian):
                 if psi.any():
-                    w, v = _generic_eigh(build_h_matrix(h, self.model.n_per_mode))
+                    w, v = dense_eigh(build_h_matrix(h, self.model.n_per_mode))
                     blocks.append((np.arange(w.size), w, v))
             else:
                 for idx, op in _occupied_charge_blocks(h, psi):
                     w, v = oracle_eigh(op)
                     blocks.append((idx, h.scale * w + h.offset, v))
-            indices = (np.sort(np.concatenate([idx for idx, _, _ in blocks])) if blocks
+            indices = (np.concatenate([idx for idx, _, _ in blocks]) if blocks
                        else np.zeros(0, dtype=np.intp))
             out = np.empty((ts.size, indices.size), dtype=complex)
+            start = 0
             for idx, energies, vectors in blocks:
                 coeffs = spectral_coeffs(vectors, psi[idx])
-                out[:, np.searchsorted(indices, idx)] = spectral_apply(vectors, energies,
-                                                                       coeffs, ts)
+                out[:, start:start + idx.size] = spectral_apply(vectors, energies, coeffs, ts)
+                start += idx.size
         return indices, (out[0] if times.ndim == 0 else out)
-
-
-def _generic_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a generic interaction's dense matrix
-    by divide and conquer (LAPACK ``dsyevd``), the algorithm of the
-    tridiagonal ``oracle_eigh``; NumericalFailureError when LAPACK fails."""
-    try:
-        return scipy.linalg.eigh(m, driver="evd")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"dense symmetric eigensolve failed: {exc}") from exc
 
 
 def _occupied_charge_blocks(h: CanonicalInteraction, psi: np.ndarray):
@@ -251,15 +231,21 @@ def _evolve_grid(model: FullModel, psi0: np.ndarray, times: np.ndarray,
     spectral solve of the blocks psi0 occupies; the free phases
     exp(-i H0 t) are left out.  Raises ParameterError naming the grid
     parameter ``name`` at the first time whose state is not finite (an
-    energy times t past the double range makes its phase NaN), and
-    TruncationOverflowError at the first time whose tail fraction exceeds
-    ``model.tail_tol``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        indices, amps = InteractionEvolver(model).apply(psi0, times)
-    p = np.abs(amps) ** 2
-    total = p.sum(axis=1)
-    bad = np.flatnonzero(~np.isfinite(total))
-    if bad.size:
+    energy times t past the double range makes its phase NaN; ``onemode.evolve``
+    refuses that row itself), and TruncationOverflowError at the first time
+    whose tail fraction exceeds ``model.tail_tol``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            indices, amps = InteractionEvolver(model).apply(psi0, times)
+    except ParameterError as exc:
+        if exc.names != ("t",):
+            raise
+        bad = [exc.row]
+    else:
+        p = np.abs(amps) ** 2
+        total = p.sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(total)).tolist()
+    if bad:
         raise ParameterError((name,), f"the evolved state at t = {times[bad[0]].item()} "
                              "is not finite: energy times t overflows float64")
     tail = p[:, _tail_mask(model, indices)].sum(axis=1)
@@ -432,10 +418,13 @@ def run_series(model: FullModel, psi0, t_grid) -> ObservableSeries:
     The normalized psi0 is evolved to every time at once: one spectral solve
     per block it occupies (one per run for a one-mode or a generic
     interaction), whatever the grid length, then one product per block for
-    the whole grid.  The state is carried as (indices, amplitudes) over the
-    occupied blocks, so nothing of size n_times x n^2 is formed.  The free
-    phases are not formed, since no occupation observable sees them.  The
-    tail of every time is checked in one pass, and every record comes from
+    the whole grid.  The state is carried as (indices, amplitudes): n_times x m
+    amplitudes, m the positions of the occupied blocks, from which
+    ``observables`` forms five more such arrays and a long-double copy, about
+    150 bytes per time and position in all (n_times x n^2 for a state spread
+    over the window).  The free phases are not formed, since no occupation
+    observable sees them.  The tail of every time is checked in one pass, and
+    every record comes from
     one ``observables`` call on the pair: certified exact sums over the
     block positions.  The grid must hold at least one time, every one
     finite, and the evolved state must be finite at each: ParameterError

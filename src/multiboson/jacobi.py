@@ -6,8 +6,9 @@ k-array: ``diag(k)`` and ``offdiag(k)`` return the coefficients at every
 index of ``k`` in one numpy expression (a scalar ``k`` is the 0-d case), so
 building a truncation is one vectorized call and never a Python loop.
 
-Two routes to eigenpairs coexist, one per job: ``oracle_eigs`` /
-``oracle_eigh`` call LAPACK's tridiagonal solvers (the verification
+This is the one module that calls LAPACK.  Two routes to eigenpairs
+coexist, one per job: ``oracle_eigs`` / ``oracle_eigh`` call its
+tridiagonal solvers (the verification
 oracle, which also gives the eigenvectors of a finite dual Hahn block,
 where forward recurrence at the closed-form eigenvalues is unstable:
 Gautschi, SIAM Rev. 9, 1967); and the Meixner kernel ``atom_eigenvector``
@@ -18,7 +19,9 @@ algebraically take the plain forward sweep ``orthopoly.poly_table`` over
 ``JacobiOperator.recurrence``.  A ``Chain`` reads an operator as an affine
 image of an ``orthopoly`` family and picks its route; it also holds the one
 rule, ``Chain.pairs_top``, for which end of a truncated spectrum
-closed-form atoms pair with.
+closed-form atoms pair with.  ``dense_eigh`` (``dsyevd``) is the oracle's
+dense form, for the one matrix with no tridiagonal form: a generic
+two-mode interaction's.
 
 The Meixner kernel is the one place that tracks binary exponents.  Its
 entries span far more than the double range (row 0 falls like c^(j/2)), so
@@ -50,11 +53,9 @@ a one-mode chain (localized at the last rows), diagonal chains, and any
 failed certificate.  No closed form enters the oracle.
 
 Every evolution goes through one real-arithmetic spectral apply: the
-eigenvectors V are real (orthogonal polynomials, the Meixner kernel or
-LAPACK), so ``spectral_coeffs`` projects c = V^T psi and ``spectral_apply``
-forms V (e^{-iEt} c) as real products against V, one for the real and one
-for the imaginary part.  A product of a complex array with the real V
-would make numpy copy V to complex first, twice the memory of V itself.
+eigenvectors V are real, so ``spectral_coeffs`` (c = V^T psi) and
+``spectral_apply`` (V e^{-iEt} c) are real products against V, one per
+part; a complex product would first copy V to complex, twice its memory.
 """
 
 import math
@@ -62,14 +63,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstevd
+from scipy.linalg.lapack import dstebz, dstevd, dsyevd, dsyevd_lwork
 
 from .errors import (NoBoundStateError, NumericalFailureError, ParameterError,
                      UnsupportedCaseError)
 from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
                         SpectralMeasure, poly_table)
 
-__all__ = ["JacobiOperator", "Chain", "oracle_eigs", "oracle_eigh",
+__all__ = ["JacobiOperator", "Chain", "oracle_eigs", "oracle_eigh", "dense_eigh",
            "atom_eigenvector", "spectral_coeffs", "spectral_apply"]
 
 
@@ -149,9 +150,7 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     the window, so a few extremal eigenvalues of a large truncation are
     cheap and the full spectrum is not.  The window first tries
     ``_certified_windows``.  ParameterError names the first coefficient that
-    is not finite.
-
-    Independent of any closed form: straight LAPACK tridiagonal solve.
+    is not finite.  No closed form enters: a straight LAPACK solve.
     """
     n = op.size
     if count is None:
@@ -256,6 +255,18 @@ def oracle_eigh(op: JacobiOperator):
     w, v, info = dstevd(d, e)
     if info != 0:
         raise NumericalFailureError(f"tridiagonal eigensolve failed: dstevd info {info}")
+    return w, v
+
+
+def dense_eigh(m: np.ndarray):
+    """Full eigendecomposition (w, V) of an exactly symmetric C-ordered float64
+    matrix m: one ``dsyevd`` call on the lower triangle of its Fortran view
+    m.T, in place, so V takes m's own buffer and m is overwritten."""
+    work, iwork, _ = dsyevd_lwork(m.shape[0], compute_v=1, lower=1)
+    w, v, info = dsyevd(m.T, compute_v=1, lower=1, lwork=int(work), liwork=int(iwork),
+                        overwrite_a=1)
+    if info != 0:
+        raise NumericalFailureError(f"dense symmetric eigensolve failed: dsyevd info {info}")
     return w, v
 
 

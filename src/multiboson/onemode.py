@@ -132,32 +132,32 @@ def _discrete(family, scale: float, sign: float, alpha0: float, index: int) -> C
 def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     """Eigenvectors, energies and coefficients of the leading closed-form
     eigenpairs whose coefficients leave a directly summed tail of at most
-    eps^2 |psi|^2 (eps the float64 epsilon), out of the first 4N: the
-    dropped coefficients are below eps |psi| together, so the expansion
-    returns psi at t = 0 to roundoff.  TruncationOverflowError when no such
-    tail is left, or when the 4N hold less than (1 - sqrt(eps)) |psi|^2 of
+    eps^2 |psi|^2 (eps the float64 epsilon): the dropped coefficients are
+    below eps |psi| together, so the expansion returns psi at t = 0 to
+    roundoff.  The first 4N columns are tried, then twice as many while no
+    such tail is left or while they hold less than (1 - sqrt(eps)) |psi|^2 of
     the |psi|^2 all coefficients hold (Parseval: the kernel's columns are
-    complete and orthonormal over the untruncated chain)."""
+    complete and orthonormal over the untruncated chain), as long as N rows
+    of them stay within max(4 N^2, 2^22) kernel entries (32 MiB).
+    TruncationOverflowError past that bound: the state spreads past them."""
     size = psi.size
     nz = np.flatnonzero(psi)
     rows = int(nz[-1]) + 1 if nz.size else 1
-    cap = 4 * size
     op = jacobi(h)
-    coeffs = spectral_coeffs(chain.eigenvectors(op, rows, cap), psi[:rows])
-    tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
     total = float(np.vdot(psi, psi).real)
     eps = np.finfo(float).eps
-    if not total - tail[0] <= math.sqrt(eps) * total:
-        raise TruncationOverflowError(
-            f"the first {cap} eigen-expansion coefficients hold {tail[0] / total:.2e} "
-            f"of |psi|^2; the state spreads past them")
-    done = np.flatnonzero(tail <= eps ** 2 * total)
-    if done.size == 0:
-        raise TruncationOverflowError(
-            f"eigen-expansion tail {tail[-1] / total:.2e} after {cap} terms; "
-            f"state reaches the truncation edge")
-    m = int(done[0])
-    return chain.eigenvectors(op, size, m), chain.atoms(m), coeffs[:m]
+    cap = 4 * size
+    while size * cap <= max(4 * size * size, 2 ** 22):
+        coeffs = spectral_coeffs(chain.eigenvectors(op, rows, cap), psi[:rows])
+        tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
+        done = np.flatnonzero(tail <= eps ** 2 * total)
+        if total - tail[0] <= math.sqrt(eps) * total and done.size:
+            m = int(done[0])
+            return chain.eigenvectors(op, size, m), chain.atoms(m), coeffs[:m]
+        cap *= 2
+    raise TruncationOverflowError(
+        f"the first {cap // 2} eigen-expansion coefficients hold {tail[0] / total:.2e} "
+        "of |psi|^2 or leave a tail above eps^2; the state spreads past them")
 
 
 def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
@@ -174,10 +174,12 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     so no complex copy of an eigenvector matrix is made.  The closed-form
     expansion keeps every eigenpair until the coefficient tail is below
     eps^2 |psi|^2, so it returns psi at t = 0 to roundoff, and raises
-    TruncationOverflowError when 4N terms do not hold psi;
-    the truncation tail of the evolved state is left to
-    ``evolution.run_series`` and ``evolve_full``.  ParameterError unless psi
-    is 1-d with one amplitude per level of the sector's window.
+    TruncationOverflowError when no affordable number of terms holds psi
+    (``_expand_discrete``); the truncation tail of the evolved state is left
+    to ``evolution.run_series`` and ``evolve_full``.  ParameterError unless
+    psi is 1-d with one amplitude per level of the sector's window, and
+    naming t (with the row) at the first time whose state is not finite: an
+    energy times t past the double range.
     """
     psi = np.asarray(psi, dtype=complex)
     size = h.sector.n_levels
@@ -190,10 +192,17 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     ts = np.atleast_1d(times)
     chain = classify(h.mu, h.nu, h.sector.alpha0)
     if chain.family is None:
-        out = np.exp(1j * ts[:, None] * chain.atoms(size)) * psi
+        vecs, energies = None, chain.atoms(size)
     elif chain.atom_stream is not None:
-        out = spectral_apply(*_expand_discrete(h, chain, psi), -ts)
+        vecs, energies, coeffs = _expand_discrete(h, chain, psi)
     else:
         energies, vecs = oracle_eigh(jacobi(h))
-        out = spectral_apply(vecs, energies, spectral_coeffs(vecs, psi), -ts)
+        coeffs = spectral_coeffs(vecs, psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (np.exp(1j * ts[:, None] * energies) * psi if vecs is None
+               else spectral_apply(vecs, energies, coeffs, -ts))
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ParameterError(("t",), f"the evolved state at t = {ts[bad[0]].item()} is not "
+                             "finite: energy times t overflows float64", row=int(bad[0]))
     return out[0] if times.ndim == 0 else out

@@ -1,18 +1,21 @@
 """Index windows of the tridiagonal oracle against the full-range solve, its
-certified leading-block windows and their fallback, and the real-arithmetic
-spectral apply against the complex product it replaces."""
+certified leading-block windows and their fallback, the in-place dense solve
+against scipy.linalg.eigh's divide and conquer, and the real-arithmetic spectral
+apply against the complex product it replaces."""
 
 import dataclasses
 import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from multiboson import jacobi
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
+from multiboson.bogoliubov import GroupElement
 from multiboson.errors import (NoBoundStateError, NumericalFailureError, ParameterError,
                                UnsupportedCaseError)
 from multiboson.jacobi import oracle_eigh, oracle_eigs, spectral_apply, spectral_coeffs
@@ -354,6 +357,35 @@ def test_non_finite_coefficients_raise_before_any_solve(value, row, which, solve
     with pytest.raises(ParameterError, match=f"{which} coefficient {row} ") as info:
         call()
     assert info.value.names == ("diag", "offdiag")
+
+
+# generic two-mode interactions: twists of both signs, cluster sizes 1 and 2
+DENSE_CASES = {
+    "l1": (tm.TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(1, (1.3,))),
+           GroupElement(1.3, -1), GroupElement(-0.6, 1), (0, 0)),
+    "l2": (tm.TwoModeRep(rep.MultibosonRep(2, (0.5, 1.5)), rep.MultibosonRep(2, (0.4, 2.1))),
+           GroupElement(-2.0, 1), GroupElement(0.8, -1), (1, 0)),
+    "mixed": (tm.TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(2, (0.5, 1.5))),
+              GroupElement(0.5, 1), GroupElement(1.7, 1), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+@pytest.mark.parametrize("n", [4, 9, 16, 24])
+def test_dense_eigh_is_scipy_evd_in_place(case, n):
+    # the same LAPACK routine on the same triangle (the matrix is exactly
+    # symmetric), so the same bits; the eigenvectors overwrite the input
+    m = tm.build_h_matrix(tm.TwoModeHamiltonian(*DENSE_CASES[case]), n)
+    w_ref, v_ref = scipy.linalg.eigh(m, driver="evd")
+    w, v = jacobi.dense_eigh(m)
+    assert np.shares_memory(v, m)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def test_dense_eigh_failure_is_typed(monkeypatch):
+    monkeypatch.setattr(jacobi, "dsyevd", lambda a, **kwargs: (np.zeros(a.shape[0]), a, 2))
+    with pytest.raises(NumericalFailureError, match="dsyevd info 2"):
+        jacobi.dense_eigh(np.eye(3))
 
 
 @pytest.mark.parametrize("kind", ["hc", "onemode"])

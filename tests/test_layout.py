@@ -45,7 +45,9 @@ APPLY = _why(
     "copy of the eigenvector matrix")
 ORACLE = _why(
     "one tridiagonal oracle: raw LAPACK bisection (dstebz) and divide and",
-    "conquer (dstevd) are called only in jacobi.py, with one call convention",
+    "conquer (dstevd), and its dense form (dsyevd, jacobi.dense_eigh, for the",
+    "generic two-mode matrix), are called only in jacobi.py, which alone",
+    "imports scipy.linalg, with one call convention",
     "at every size: no scipy eigh_tridiagonal wrapper and no size threshold",
     "(_SEED_MIN_N); oracle_eigs certifies its leading-block windows by one",
     "Schur-complement enclosure, with no seed or narrow-window pass beside it;",
@@ -58,8 +60,7 @@ EIGENVECTORS = _why(
 ASSEMBLER = _why(
     "one two-mode assembler: twomode writes each entry of the Kronecker",
     "expansion once from the per-mode coefficient diagonals, with no sparse",
-    "Kronecker product; and the generic dense eigensolve is divide and",
-    "conquer (dsyevd), not scipy's default MRRR driver; twomode alone says",
+    "Kronecker product; twomode alone says",
     "which window positions form each charge block (charges, window_block),",
     "with one level-offset rule for C-blocks and no branch on the sign of K,",
     "and validate uses no private evolution name")
@@ -95,6 +96,11 @@ RESTATED = _why(
     "no restated fields: the C-block truncation check keeps no bound-state",
     "count (hc_chain(block).family.n_atoms() says it) and no converged flag",
     "(validate owns the 1e-3 tolerance on its agreement)")
+BLOCKS = _why(
+    "one block layout: InteractionEvolver.apply writes each occupied block",
+    "into its own contiguous columns in ascending charge, and every reader of",
+    "the (indices, amplitudes) pair is order-free, so evolution sorts no",
+    "positions and scatters no block by searchsorted")
 SECTOR = _why(
     "one owner of the sector coefficients: the A0, A- and A+ streams are",
     "written only in rep.sector_coeffs, and onemode.jacobi scales them")
@@ -131,7 +137,7 @@ RULES = [
          "    coeffs = vectors.T @ psi", APPLY,
          exempt_files=(PKG + "jacobi.py",),
          allowed=(PKG + "jacobi.py", "    return _times_real(phased, vectors.T)")),
-    Rule("lapack-outside-jacobi", r"dstebz|dstevd\(", SRC,
+    Rule("lapack-outside-jacobi", r"dstebz|dstevd\(|dsyevd|linalg\.eigh\(|scipy\.linalg", SRC,
          "from scipy.linalg.lapack import dstebz", ORACLE,
          exempt_files=(PKG + "jacobi.py",),
          allowed=(PKG + "jacobi.py", "    w, z, info = dstevd(d, e, compute_v=1)")),
@@ -146,10 +152,6 @@ RULES = [
          "def hd_eigenvectors(block):", EIGENVECTORS),
     Rule("sparse-kronecker-in-twomode", r"sp\.kron|sparse\.kron", (PKG + "twomode.py",),
          "    return sp.kron(a, b)", ASSEMBLER),
-    Rule("dense-eigh-without-evd", r"linalg\.eigh\(", (PKG + "evolution.py",),
-         "    return scipy.linalg.eigh(m)", ASSEMBLER,
-         exempt_line='driver="evd"',
-         allowed=(PKG + "evolution.py", '        return scipy.linalg.eigh(m, driver="evd")')),
     Rule("charge-block-outside-twomode",
          r"_charge_block_indices|_charge_block_operator|def _charges\b|evolution\._",
          (PKG + "validation.py", PKG + "evolution.py"),
@@ -188,6 +190,8 @@ RULES = [
     Rule("restated-check-field", r"\.(n_bound|converged)\b|^\s+(n_bound|converged):",
          SRC + ("bench/**/*.py",), "    converged: bool           # agreement <= 1e-3",
          RESTATED),
+    Rule("sorted-block-positions", r"np\.sort\(|searchsorted", (PKG + "evolution.py",),
+         "            out[:, np.searchsorted(indices, idx)] = amps", BLOCKS),
     Rule("sector-coefficients-outside-rep", r"sqrt\(\(k \+ a\) \* \(k \+ 1\.0\)\)", SRC,
          "        offdiag=lambda k: cb * np.sqrt((k + a) * (k + 1.0)),", SECTOR,
          exempt_files=(PKG + "rep.py",),

@@ -1,6 +1,7 @@
 """One-mode Hamiltonians: classification, spectra, eigenvectors, evolution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,15 +297,50 @@ def test_evolve_discrete_from_mid_window(mu, nu, case):
         ev.evolve_full(model, psi0, -2.0)
 
 
-@pytest.mark.parametrize("mu, nu, alpha0, t", [(7.0, 0.05, 200.0, 0.3),
-                                              (-1e6, -1.0, 1e6, 0.0)])
+@pytest.mark.parametrize("mu, nu, alpha0, t", [(-1e6, -1.0, 1e6, 0.0)])
 def test_evolve_discrete_spread_past_4n_eigenpairs_raises(mu, nu, alpha0, t):
-    # the ground state of these chains spreads over eigenpairs far past the
-    # first 4N = 40 (Meixner c near 1 at a large alpha0): by Parseval those
-    # coefficients hold almost none of |psi|^2, and the expansion says so
+    # the ground state of this chain spreads over some 1e8 eigenpairs
+    # (Meixner c near 1 at a large alpha0), far past the 2^22 kernel entries
+    # the expansion may take: by Parseval the columns it can afford hold none
+    # of |psi|^2, and the expansion says so
     psi = np.eye(10)[0].astype(complex)
     with pytest.raises(TruncationOverflowError, match="spreads past"):
         om.evolve(_h(mu, nu, alpha0=alpha0, n=10), psi, t)
+
+
+@pytest.mark.parametrize("mu, nu, alpha0, n, t", [
+    (4.0, 1.0, 1.3, 8, 0.1), (4.0, 1.0, 1.3, 4, 0.1), (1.0, 0.5, 1.3, 5, 0.1),
+    (2.0, 5.0, 1.3, 6, 0.1), (1.0, 1e-3, 1.3, 100, 0.1), (1.0, 1e-4, 1.3, 400, 0.1),
+    (7.0, 0.05, 200.0, 10, 0.3)])
+def test_evolve_discrete_small_window_is_a_larger_windows_head(mu, nu, alpha0, n, t):
+    # the ground state needs more closed-form columns than the first 4N (21
+    # to 34 at (4, 1), (1, 0.5) and (2, 5), 581 at (1, 1e-3), 1838 at
+    # (1, 1e-4), 1127 at alpha0 200): the expansion doubles its columns until
+    # they hold psi, and the window's amplitudes are the first n of a window
+    # twice as large (measured within 3.7e-18)
+    small = om.evolve(_h(mu, nu, alpha0=alpha0, n=n), np.eye(n)[0].astype(complex), t)
+    large = om.evolve(_h(mu, nu, alpha0=alpha0, n=2 * n),
+                      np.eye(2 * n)[0].astype(complex), t)
+    assert np.abs(small - large[:n]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mu, nu, t", [(1e150, -1e150, 1e300), (1e150, 0.0, 1e300),
+                                       (3.0, 1.0, 1e308), (2.0, 2.0, 1e308)])
+def test_evolve_refuses_a_time_whose_state_overflows(mu, nu, t):
+    # E t past the double range makes the rows NaN (classes 3, 1, 5 and 9):
+    # refused, naming t and the row; run_series names its own t_grid
+    h = _h(mu, nu, alpha0=1.3, n=8)
+    psi = np.eye(8)[0].astype(complex)
+    with pytest.raises(ParameterError, match=re.escape(f"t = {t}")) as exc:
+        om.evolve(h, psi, np.array([0.0, 1.0, t]))
+    assert exc.value.names == ("t",) and exc.value.row == 2
+    with pytest.raises(ParameterError, match=re.escape(f"t = {-t}")) as exc:
+        om.evolve(h, psi, -t)
+    assert exc.value.names == ("t",) and exc.value.row == 0
+    model = ev.FullModel(h, (0.0,), tail_tol=math.inf)
+    with pytest.raises(ParameterError, match=re.escape(f"t = {t}")) as exc:
+        ev.run_series(model, psi, [0.0, t])
+    assert exc.value.names == ("t_grid",)
 
 
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
