@@ -36,10 +36,12 @@ is never seeded); the whole eigenvector matrix of a D-block at K 500 and
 2000 (``hd_chain(block).eigenvectors``); ``run_series`` over 21 times on a
 generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
 dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
-state spread over the whole window (every charge block occupied); and each
-section of the validate suite, as the table ``validation.SECTIONS`` yields
-them through ``validation.run_sections``, so only trees that have that
-table can be recorded.
+state spread over the whole window (every charge block occupied), and on
+the continuous one-mode classes 3 at n_levels 780 over 21 times and 1 at
+n_levels 275 over 201 times (the costliest operations of the benchmark's
+evolve workload); and each section of the validate suite, as the table
+``validation.SECTIONS`` yields them through ``validation.run_sections``, so
+only trees that have that table can be recorded.
 
 Rows whose code a change did not touch have moved by 0.74-1.56x between
 two trees recorded one after the other on a 2-vCPU x86_64 VM, so one
@@ -200,13 +202,13 @@ def layer_cases(bg):
     yield "implementer grid", "bogoliubov.implementer", 240, grid
 
 
-def series_cases(bogoliubov, evolution, rep, twomode):
-    """(case, layer, size, fn) for two ``run_series`` loads over 21 times;
-    fn returns the largest norm error."""
+def series_cases(bogoliubov, evolution, onemode, rep, twomode):
+    """(case, layer, size, fn) for the ``run_series`` loads, over 21 times
+    unless one says otherwise; fn returns the largest norm error."""
     times = np.linspace(0.0, 2.0, 21)
 
-    def series(model, psi0):
-        return lambda: max(evolution.run_series(model, psi0, times).norm_errors)
+    def series(model, psi0, grid=times):
+        return lambda: max(evolution.run_series(model, psi0, grid).norm_errors)
 
     g = bogoliubov.GroupElement
     reps = twomode.TwoModeRep(rep.MultibosonRep(1, (0.7,)), rep.MultibosonRep(2, (0.5, 1.5)))
@@ -222,6 +224,16 @@ def series_cases(bogoliubov, evolution, rep, twomode):
     psi0 = rng.standard_normal(200 * 200) + 1j * rng.standard_normal(200 * 200)
     yield ("run_series C-form spread", "evolution.run_series", 200,
            series(model, psi0 / np.linalg.norm(psi0)))
+    # continuous one-mode classes (one LAPACK eigendecomposition each), from
+    # the basis state a quarter into the window
+    for case, (mu, nu, alpha0), n, points in (("3", (1.39, -1.64, 2.04), 780, 21),
+                                              ("1", (0.975, 0.0, 1.37), 275, 201)):
+        sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
+        model = evolution.FullModel(onemode.OneModeHamiltonian(mu, nu, sector), (1.0,),
+                                    tail_tol=math.inf)
+        yield (f"run_series one-mode class {case} {points} times", "evolution.run_series", n,
+               series(model, evolution.basis_state(model, (n // 4,)),
+                      np.linspace(0.0, 2.0, points)))
 
 
 def oracle_cases(jacobi, onemode, rep, twomode):
@@ -305,7 +317,8 @@ def record(args):
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for case, layer, size, fn in (*cli_cases(cli, tmp), *layer_cases(bogoliubov),
-                                      *series_cases(bogoliubov, evolution, rep, twomode)):
+                                      *series_cases(bogoliubov, evolution, onemode, rep,
+                                                    twomode)):
             seconds, peak, accuracy = measure(fn)
             rows.append({"tree": args.tree, "case": case, "layer": layer, "size": size,
                          "seconds": seconds, "peak_bytes": peak, "accuracy": accuracy})

@@ -16,7 +16,8 @@ amplitude are solved; the others stay exactly zero.  The canonical blocks
 come from ``twomode``: ``twomode.charges`` labels each window position and
 ``twomode.window_block`` gives a block's positions and Jacobi operator.
 Every route applies its real eigenvectors through ``jacobi.spectral_coeffs``
-and ``jacobi.spectral_apply``, with no complex copy of them.
+and ``jacobi.spectral_apply``, with no complex copy of them; ``spectral_apply``
+forms its phases e^{-iEt} and refuses a time whose phases overflow.
 
 An evolved state is carried as the pair (indices, amplitudes): the
 flattened positions of the blocks it occupies, block by block in ascending
@@ -186,6 +187,7 @@ class InteractionEvolver:
         array t.  Every other position stays exactly zero and is not stored.
         Only the occupied blocks are solved (a generic matrix in place,
         ``jacobi.dense_eigh``), each written into its own columns.
+        ParameterError names t at an overflowing time (``jacobi.spectral_apply``).
         """
         h = self.model.interaction
         psi = np.asarray(psi, dtype=complex)
@@ -194,7 +196,7 @@ class InteractionEvolver:
             raise ValueError("t must be a scalar or a 1-d array of times")
         ts = np.atleast_1d(times)
         if isinstance(h, OneModeHamiltonian):
-            indices, out = np.arange(psi.size), evolve_onemode(h, psi, -ts)
+            indices, out = np.arange(psi.size), evolve_onemode(h, psi, ts)
         else:
             blocks = []
             if isinstance(h, TwoModeHamiltonian):
@@ -230,24 +232,19 @@ def _evolve_grid(model: FullModel, psi0: np.ndarray, times: np.ndarray,
     (n_times, m) amplitudes) of ``InteractionEvolver.apply``, from one
     spectral solve of the blocks psi0 occupies; the free phases
     exp(-i H0 t) are left out.  Raises ParameterError naming the grid
-    parameter ``name`` at the first time whose state is not finite (an
-    energy times t past the double range makes its phase NaN; ``onemode.evolve``
-    refuses that row itself), and TruncationOverflowError at the first time
-    whose tail fraction exceeds ``model.tail_tol``."""
+    parameter ``name`` at the first time whose phases are not finite (an
+    energy times t past the double range, which ``jacobi.spectral_apply``
+    refuses), and TruncationOverflowError at the first time whose tail
+    fraction exceeds ``model.tail_tol``."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            indices, amps = InteractionEvolver(model).apply(psi0, times)
+        indices, amps = InteractionEvolver(model).apply(psi0, times)
     except ParameterError as exc:
         if exc.names != ("t",):
             raise
-        bad = [exc.row]
-    else:
-        p = np.abs(amps) ** 2
-        total = p.sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(total)).tolist()
-    if bad:
-        raise ParameterError((name,), f"the evolved state at t = {times[bad[0]].item()} "
-                             "is not finite: energy times t overflows float64")
+        raise ParameterError((name,), f"the evolved state at t = {times[exc.row].item()} "
+                             "is not finite: energy times t overflows float64") from None
+    p = np.abs(amps) ** 2
+    total = p.sum(axis=1)
     tail = p[:, _tail_mask(model, indices)].sum(axis=1)
     fractions = np.divide(tail, total, out=np.zeros_like(total), where=total > 0)
     over = np.flatnonzero(fractions > model.tail_tol)

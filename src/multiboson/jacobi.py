@@ -56,6 +56,9 @@ Every evolution goes through one real-arithmetic spectral apply: the
 eigenvectors V are real, so ``spectral_coeffs`` (c = V^T psi) and
 ``spectral_apply`` (V e^{-iEt} c) are real products against V, one per
 part; a complex product would first copy V to complex, twice its memory.
+``spectral_apply`` owns the time convention: it alone forms the phases
+e^{-iEt} of every route (V None: a diagonal operator) and refuses a time
+whose phases overflow.
 """
 
 import math
@@ -563,11 +566,18 @@ def spectral_coeffs(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return _times_real(psi, vectors)
 
 
-def spectral_apply(vectors: np.ndarray, energies: np.ndarray, coeffs: np.ndarray,
+def spectral_apply(vectors: np.ndarray | None, energies: np.ndarray, coeffs: np.ndarray,
                    times: np.ndarray) -> np.ndarray:
     """Amplitudes V (e^{-i E t} c) at every time t of the 1-d array ``times``,
     shape (n_times, n), for real columns V of ``vectors`` (n, m) with
-    ``energies`` E and coefficients c (m,).  The phases are complex; their
-    product with V is two real products, one per part."""
-    phased = np.exp(-1j * times[:, None] * energies) * coeffs
-    return _times_real(phased, vectors.T)
+    ``energies`` E and coefficients c (m,); ``vectors`` None is the identity.
+    The phases are complex; their product with V is two real products, one
+    per part.  ParameterError names t, with the row, at the first time whose
+    phases are not finite: an energy times t past the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        phased = np.exp(-1j * times[:, None] * energies) * coeffs
+    bad = np.flatnonzero(~np.isfinite(phased).all(axis=1))
+    if bad.size:
+        raise ParameterError(("t",), f"the evolved state at t = {times[bad[0]].item()} is not "
+                             "finite: energy times t overflows float64", row=int(bad[0]))
+    return phased if vectors is None else _times_real(phased, vectors.T)

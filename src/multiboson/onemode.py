@@ -30,10 +30,10 @@ sign tests; callers pass exact zeros when they mean the axes.  A negative
 scale turns the spectrum over: classes 6, 8 and 9 with mu < 0 are bounded
 above, and their atoms pair with the top of a truncation (``Chain.pairs_top``).
 
-``evolve`` maps an amplitude array to amplitude arrays, one row per time,
-and checks no truncation tail: the package has one tail monitor, the
-per-mode check of ``evolution.run_series`` and ``evolve_full`` against
-the ``FullModel``'s tolerance.
+``evolve`` applies exp(-i t H) (the phases of ``jacobi.spectral_apply``),
+one row per time, and checks no truncation tail: the package has one tail
+monitor, the per-mode check of ``evolution.run_series`` and ``evolve_full``
+against the ``FullModel``'s tolerance.
 """
 
 import math
@@ -161,25 +161,25 @@ def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
 
 
 def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
-    """Apply exp(i t H) to the amplitude array psi at a time t, or at every
+    """Apply exp(-i t H) to the amplitude array psi at a time t, or at every
     time of a 1-d array t: shape (N,) at a scalar t, (n_times, N) with one
     row per time of an array t.
 
     The spectral data is taken once per call, whatever the number of times:
     one closed-form eigen-expansion of psi in the discrete cases 5-8, one
     (LAPACK) eigendecomposition of the truncated Jacobi operator in the
-    continuous cases 1-4, one set of diagonal phases in case 9.  Cases 1-8
-    project psi and apply the phases in real arithmetic against the real
-    eigenvectors (``jacobi.spectral_coeffs`` and ``spectral_apply`` at -t),
-    so no complex copy of an eigenvector matrix is made.  The closed-form
-    expansion keeps every eigenpair until the coefficient tail is below
-    eps^2 |psi|^2, so it returns psi at t = 0 to roundoff, and raises
-    TruncationOverflowError when no affordable number of terms holds psi
-    (``_expand_discrete``); the truncation tail of the evolved state is left
-    to ``evolution.run_series`` and ``evolve_full``.  ParameterError unless
-    psi is 1-d with one amplitude per level of the sector's window, and
-    naming t (with the row) at the first time whose state is not finite: an
-    energy times t past the double range.
+    continuous cases 1-4, the diagonal energies in case 9.  Every case
+    applies its phases through ``jacobi.spectral_apply``; cases 1-8 project
+    psi and apply them in real arithmetic against the real eigenvectors
+    (``jacobi.spectral_coeffs``), so no complex copy of an eigenvector
+    matrix is made.  The closed-form expansion keeps every eigenpair until
+    the coefficient tail is below eps^2 |psi|^2, so it returns psi at t = 0
+    to roundoff, and raises TruncationOverflowError when no affordable
+    number of terms holds psi (``_expand_discrete``); the truncation tail of
+    the evolved state is left to ``evolution.run_series`` and
+    ``evolve_full``.  ParameterError unless psi is 1-d with one amplitude
+    per level of the sector's window, and naming t (with the row) at the
+    first time whose phases are not finite (``jacobi.spectral_apply``).
     """
     psi = np.asarray(psi, dtype=complex)
     size = h.sector.n_levels
@@ -189,20 +189,13 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-d array of times")
-    ts = np.atleast_1d(times)
     chain = classify(h.mu, h.nu, h.sector.alpha0)
     if chain.family is None:
-        vecs, energies = None, chain.atoms(size)
+        vecs, energies, coeffs = None, chain.atoms(size), psi
     elif chain.atom_stream is not None:
         vecs, energies, coeffs = _expand_discrete(h, chain, psi)
     else:
         energies, vecs = oracle_eigh(jacobi(h))
         coeffs = spectral_coeffs(vecs, psi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (np.exp(1j * ts[:, None] * energies) * psi if vecs is None
-               else spectral_apply(vecs, energies, coeffs, -ts))
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        raise ParameterError(("t",), f"the evolved state at t = {ts[bad[0]].item()} is not "
-                             "finite: energy times t overflows float64", row=int(bad[0]))
+    out = spectral_apply(vecs, energies, coeffs, np.atleast_1d(times))
     return out[0] if times.ndim == 0 else out

@@ -11,11 +11,15 @@ per-state calls and ``math.fsum`` references bit for bit (also on rows whose
 exact sum sits at or next to a float64 tie, and with no extended type), and
 never see the free phases.  The generic route (one dense eigendecomposition)
 must stay unitary to roundoff and report a LAPACK failure as a typed error.
+Every route of ``apply`` refuses a time whose phases overflow the same way,
+naming the caller's own time.
 """
 
 import dataclasses
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -288,16 +292,47 @@ def test_onemode_evolve_grid_returns_one_state_per_time(case):
 
 
 @pytest.mark.parametrize("case", sorted(ONEMODE))
-def test_onemode_apply_is_onemode_evolve_backwards(case):
-    # apply's one-mode amplitudes are onemode.evolve's at -t, bit for bit
+def test_onemode_apply_is_onemode_evolve(case):
+    # apply's one-mode amplitudes are onemode.evolve's at the same t, bit for
+    # bit: both apply exp(-i H t)
     model = _onemode_model(case)
     psi0 = _state(model, [(3,), (5,)])
     times = np.linspace(-1.0, 2.0, 7)
     indices, amps = ev.InteractionEvolver(model).apply(psi0, times)
     assert np.array_equal(indices, np.arange(psi0.size))
-    assert np.array_equal(amps, om.evolve(model.interaction, psi0, -times))
+    assert np.array_equal(amps, om.evolve(model.interaction, psi0, times))
     _, one = ev.InteractionEvolver(model).apply(psi0, 0.4)
-    assert np.array_equal(one, om.evolve(model.interaction, psi0, -0.4))
+    assert np.array_equal(one, om.evolve(model.interaction, psi0, 0.4))
+
+
+def _overflowing_hiv():
+    model = ev.FullModel(ev.preset("HIV", 48).mapping, (1.0, 0.7), tail_tol=math.inf)
+    return model, ev.basis_state(model, (2, 3)), 1e305
+
+
+def _overflowing_generic():
+    model = _generic_model(8)
+    return model, _state(model, [(2, 1)]), 1e308
+
+
+def _overflowing_onemode():
+    model = ev.FullModel(om.OneModeHamiltonian(3.0, 1.0, rep.OneModeSector(R0, 0, 8)),
+                         (0.8,), tail_tol=math.inf)
+    return model, _state(model, [(3,)]), 1e308
+
+
+@pytest.mark.parametrize("make", [_overflowing_hiv, _overflowing_generic, _overflowing_onemode],
+                         ids=["canonical", "generic", "onemode"])
+def test_apply_refuses_an_overflowing_time_on_every_route(make):
+    # a direct apply call, not through run_series or evolve_full: the canonical
+    # and generic routes returned NaN rows with overflow warnings, and the
+    # one-mode route named the negated time
+    model, psi0, t = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match=re.escape(f"t = {t} ")) as exc:
+            ev.InteractionEvolver(model).apply(psi0, [0.0, t])
+    assert exc.value.names == ("t",) and exc.value.row == 1
 
 
 def test_onemode_evolve_grid_raises_at_the_first_overflowing_time():

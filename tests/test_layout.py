@@ -104,6 +104,11 @@ BLOCKS = _why(
 SECTOR = _why(
     "one owner of the sector coefficients: the A0, A- and A+ streams are",
     "written only in rep.sector_coeffs, and onemode.jacobi scales them")
+PHASES = _why(
+    "one time convention: jacobi.spectral_apply forms every interaction phase",
+    "e^{-iEt} (a diagonal operator passes no eigenvectors) and alone refuses a",
+    "time whose phases overflow; only evolve_full's free phases are formed",
+    "beside it")
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,10 @@ RULES = [
          "        offdiag=lambda k: cb * np.sqrt((k + a) * (k + 1.0)),", SECTOR,
          exempt_files=(PKG + "rep.py",),
          allowed=(PKG + "rep.py", "    raising = lambda k: np.sqrt((k + a) * (k + 1.0))")),
+    Rule("phases-outside-spectral-apply", r"np\.exp\(-?1j", SRC,
+         "        out = np.exp(1j * ts[:, None] * energies) * psi", PHASES,
+         exempt_files=(PKG + "jacobi.py",), exempt_line="np.exp(-1j * t * total)",
+         allowed=(PKG + "evolution.py", "        phases = np.exp(-1j * t * total)")),
 ]
 
 

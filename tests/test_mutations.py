@@ -42,7 +42,7 @@ def _blocks_at_minus_energy(monkeypatch):
 
 
 def _onemode_forward_time(monkeypatch):
-    """One-mode evolution at +t."""
+    """One-mode evolution as exp(+i H t): ``evolve_onemode`` at -t."""
     evolve = evolution.evolve_onemode
     monkeypatch.setattr(evolution, "evolve_onemode", lambda h, psi, t: evolve(h, psi, -t))
 

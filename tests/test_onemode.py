@@ -248,8 +248,19 @@ def test_evolve_t0_and_case9_phases():
     t = 0.41
     out = om.evolve(h, psi0, t)
     k = np.arange(16)
-    expected = np.exp(1j * t * 1.5 * (2 * k + 1.0)) * psi0
+    expected = np.exp(-1j * t * 1.5 * (2 * k + 1.0)) * psi0
     assert np.abs(out - expected).max() <= 1e-12
+
+
+def test_evolve_case9_is_the_diagonal_phases_bit_for_bit():
+    # class 9 is diagonal: its evolution is exp(-i t E) psi, entry by entry
+    h = om.OneModeHamiltonian(-0.8, -0.8, _sector(1.3, 40))
+    psi0 = np.exp(0.3j * np.arange(40)) / np.sqrt(40)
+    energies = om.classify(-0.8, -0.8, 1.3).atoms(40)
+    times = np.array([0.0, 0.41, -2.5, 1e3])
+    assert np.array_equal(om.evolve(h, psi0, times),
+                          np.exp(-1j * times[:, None] * energies) * psi0)
+    assert np.array_equal(om.evolve(h, psi0, 0.41), np.exp(-1j * 0.41 * energies) * psi0)
 
 
 def test_evolve_case5_matches_expm_oracle():
@@ -258,7 +269,7 @@ def test_evolve_case5_matches_expm_oracle():
     t = 0.37
     out = om.evolve(h, psi0, t)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
-    u = scipy.linalg.expm(1j * t * om.jacobi(h).dense())
+    u = scipy.linalg.expm(-1j * t * om.jacobi(h).dense())
     ref = u @ psi0
     assert np.abs(out - ref).max() <= 1e-7
 
@@ -278,7 +289,7 @@ def _evolve_against_oracle(mu, nu, k0, t):
     h = model.interaction
     out = om.evolve(h, psi0, t)
     w, v = oracle_eigh(om.jacobi(h))
-    return np.abs(out - v @ (np.exp(1j * t * w) * v[k0])).max()
+    return np.abs(out - v @ (np.exp(-1j * t * w) * v[k0])).max()
 
 
 @pytest.mark.parametrize("mu, nu, case", DISCRETE_CASES)
@@ -291,10 +302,10 @@ def test_evolve_discrete_from_mid_window(mu, nu, case):
         out = om.evolve(model.interaction, psi0, 0.0)
         assert np.abs(out - psi0).max() <= 1e-12
     # by t = 2 the state has spread to the truncation edge: the tail monitor
-    # of evolve_full, exp(-i H t) at omega 0, raises at t = -2
+    # of evolve_full, exp(-i H t) at omega 0, raises there
     model, psi0 = _basis_model(mu, nu, 200, 1e-8)
     with pytest.raises(TruncationOverflowError):
-        ev.evolve_full(model, psi0, -2.0)
+        ev.evolve_full(model, psi0, 2.0)
 
 
 @pytest.mark.parametrize("mu, nu, alpha0, t", [(-1e6, -1.0, 1e6, 0.0)])
