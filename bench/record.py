@@ -358,19 +358,25 @@ def median_interval(ratios):
     return statistics.median(x), x[k - 1], x[n - k]
 
 
+def checkout(rev, tmp):
+    """(commit id, directory) of git revision ``rev`` of this repository,
+    checked out into the directory ``tmp``/parent by a local ``git clone
+    --shared`` (no network)."""
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    parent = os.path.join(tmp, "parent")
+    subprocess.run(["git", "clone", "--quiet", "--shared", "--no-checkout", ROOT, parent],
+                   check=True)
+    subprocess.run(["git", "-C", parent, "checkout", "--quiet", "--detach", rev], check=True)
+    return rev, parent
+
+
 def compare(args):
     """The interleaved A/B record of ``--against`` (module docstring)."""
-    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
-                          args.against + "^{commit}"],
-                         check=True, capture_output=True, text=True).stdout.strip()
     rng = random.Random()
     rounds = {"change": [], "parent": []}
     with tempfile.TemporaryDirectory() as tmp:
-        parent = os.path.join(tmp, "parent")
-        subprocess.run(["git", "clone", "--quiet", "--shared", "--no-checkout", ROOT, parent],
-                       check=True)
-        subprocess.run(["git", "-C", parent, "checkout", "--quiet", "--detach", rev],
-                       check=True)
+        rev, parent = checkout(args.against, tmp)
         srcs = {"change": os.path.abspath(args.src), "parent": os.path.join(parent, "src")}
         for i in range(args.rounds):
             for tree in rng.sample(sorted(srcs), 2):

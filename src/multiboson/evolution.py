@@ -2,22 +2,22 @@
 
 Schroedinger solutions factor as psi(t) = exp(-i H0 t) exp(-i H t) psi(0)
 with H0 the free number Hamiltonian (diagonal phases).  The interaction
-factor goes through spectral decompositions, all taken in one call of
-``InteractionEvolver.apply`` per run and applied to a whole time grid in
-one product: ``onemode.evolve`` for a one-mode interaction (closed-form
-eigenpairs in the discrete cases; amplitude arrays in, one row per time
-out), LAPACK tridiagonal eigendecompositions of the charge blocks of a
-canonical interaction, and one divide-and-conquer eigendecomposition
-(``jacobi.dense_eigh``, in place, the dense form of the tridiagonal
-oracle) of the whole truncated matrix of a generic two-mode interaction
-with no aligned block structure.  A canonical interaction is split into its
-Manley-Rowe charge blocks, and only the blocks in which the state has
-amplitude are solved; the others stay exactly zero.  The canonical blocks
-come from ``twomode``: ``twomode.charges`` labels each window position and
-``twomode.window_block`` gives a block's positions and Jacobi operator.
-Every route applies its real eigenvectors through ``jacobi.spectral_coeffs``
-and ``jacobi.spectral_apply``, with no complex copy of them; ``spectral_apply``
-forms its phases e^{-iEt} and refuses a time whose phases overflow.
+factor is one loop, ``InteractionEvolver.apply``, over the invariant blocks
+the state occupies, each evolved on a whole time grid in one product by
+``_evolved_blocks``, whose three block sources are: a one-mode interaction,
+one block from ``onemode.evolve`` (closed-form eigenpairs in the discrete
+cases); a generic two-mode interaction with no aligned block structure, one
+block from a divide-and-conquer eigendecomposition of its whole truncated
+matrix (``jacobi.dense_eigh``, in place, the dense form of the tridiagonal
+oracle); and a canonical interaction, one block per Manley-Rowe charge
+block in which the state has amplitude, each a LAPACK tridiagonal
+eigendecomposition with energies scale * w + offset (``twomode.charges``
+labels each window position, ``twomode.window_block`` gives a block's
+positions and Jacobi operator).  Blocks the state does not occupy are not
+solved and stay exactly zero.  Every source applies its real eigenvectors
+through ``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``, with no
+complex copy of them; ``spectral_apply`` forms its phases e^{-iEt} and
+refuses a time whose phases overflow.
 
 An evolved state is carried as the pair (indices, amplitudes): the
 flattened positions of the blocks it occupies, block by block in ascending
@@ -86,7 +86,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CanonicalInteraction:
-    """scale * (canonical D- or C-form interaction) + offset on a sector."""
+    """scale * (canonical D- or C-form interaction) + offset on a sector;
+    ParameterError names scale and offset unless both are finite."""
 
     kind: str
     reps: TwoModeRep
@@ -100,6 +101,9 @@ class CanonicalInteraction:
             raise ValueError(f"kind must be 'D' or 'C', got {self.kind!r}")
         if self.n_per_mode < 2:
             raise ParameterError(("n_per_mode",), "need n_per_mode >= 2")
+        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
+            raise ParameterError(("scale", "offset"), "need a finite scale and offset, got "
+                                 f"{self.scale} and {self.offset}")
 
     def alpha0(self) -> float:
         return self.reps.rep0.alpha0_init[self.sector[0]]
@@ -170,14 +174,15 @@ def _layout(model: FullModel) -> tuple[tuple[int, ...], tuple[int, ...], int | N
 
 
 class InteractionEvolver:
-    """Applies exp(-i H t) for the supported interaction kinds, by the routes
-    of the module docstring; nothing is solved before ``apply`` is called."""
+    """Applies exp(-i H t) for the supported interaction kinds, by the block
+    sources of the module docstring; nothing is solved before ``apply``."""
 
     def __init__(self, model: FullModel):
         self.model = model
 
     def apply(self, psi: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-i H t) psi as the pair (indices, amplitudes).
+        """exp(-i H t) psi as the pair (indices, amplitudes), one loop over
+        the blocks of ``_evolved_blocks``.
 
         ``indices`` are the flattened positions of the blocks where psi is
         nonzero, block by block in ascending charge and ascending within
@@ -185,37 +190,40 @@ class InteractionEvolver:
         interaction); ``amplitudes`` holds the evolved state there, shape
         (m,) at a scalar t, or (n_times, m) with one row per time of a 1-d
         array t.  Every other position stays exactly zero and is not stored.
-        Only the occupied blocks are solved (a generic matrix in place,
-        ``jacobi.dense_eigh``), each written into its own columns.
-        ParameterError names t at an overflowing time (``jacobi.spectral_apply``).
+        ParameterError names t at an overflowing time (``jacobi.spectral_apply``),
+        and scale and offset where a canonical block's energies overflow.
         """
-        h = self.model.interaction
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError("t must be a scalar or a 1-d array of times")
         ts = np.atleast_1d(times)
-        if isinstance(h, OneModeHamiltonian):
-            indices, out = np.arange(psi.size), evolve_onemode(h, psi, ts)
-        else:
-            blocks = []
-            if isinstance(h, TwoModeHamiltonian):
-                if psi.any():
-                    w, v = dense_eigh(build_h_matrix(h, self.model.n_per_mode))
-                    blocks.append((np.arange(w.size), w, v))
-            else:
-                for idx, op in _occupied_charge_blocks(h, psi):
-                    w, v = oracle_eigh(op)
-                    blocks.append((idx, h.scale * w + h.offset, v))
-            indices = (np.concatenate([idx for idx, _, _ in blocks]) if blocks
-                       else np.zeros(0, dtype=np.intp))
-            out = np.empty((ts.size, indices.size), dtype=complex)
-            start = 0
-            for idx, energies, vectors in blocks:
-                coeffs = spectral_coeffs(vectors, psi[idx])
-                out[:, start:start + idx.size] = spectral_apply(vectors, energies, coeffs, ts)
-                start += idx.size
-        return indices, (out[0] if times.ndim == 0 else out)
+        empty = (np.zeros(0, dtype=np.intp), np.empty((ts.size, 0), dtype=complex))
+        indices, amps = zip(empty, *_evolved_blocks(self.model, psi, ts))
+        out = np.concatenate(amps, axis=1)
+        return np.concatenate(indices), (out[0] if times.ndim == 0 else out)
+
+
+def _evolved_blocks(model: FullModel, psi: np.ndarray, ts: np.ndarray):
+    """(indices, (n_times, m) amplitudes of exp(-i H t) psi) for each block
+    psi occupies, from the block source of the interaction's kind (module
+    docstring); a generic matrix is solved in place (``jacobi.dense_eigh``)."""
+    h = model.interaction
+    if isinstance(h, OneModeHamiltonian):
+        yield np.arange(psi.size), evolve_onemode(h, psi, ts)
+    elif isinstance(h, TwoModeHamiltonian):
+        if psi.any():
+            w, v = dense_eigh(build_h_matrix(h, model.n_per_mode))
+            yield np.arange(psi.size), spectral_apply(v, w, spectral_coeffs(v, psi), ts)
+    else:
+        for idx, op in _occupied_charge_blocks(h, psi):
+            w, v = oracle_eigh(op)
+            with np.errstate(over="ignore", invalid="ignore"):   # refused below
+                energies = h.scale * w + h.offset
+            if not np.isfinite(energies).all():
+                raise ParameterError(("scale", "offset"), "the block energies scale * w + offset "
+                                     f"overflow at scale {h.scale}, offset {h.offset}")
+            yield idx, spectral_apply(v, energies, spectral_coeffs(v, psi[idx]), ts)
 
 
 def _occupied_charge_blocks(h: CanonicalInteraction, psi: np.ndarray):

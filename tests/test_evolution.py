@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -521,3 +522,19 @@ def test_free_phases_that_overflow_are_refused(omega0, t):
     with pytest.raises(ParameterError) as exc:
         ev.evolve_full(model, ev.basis_state(model, (2, 3)), t)
     assert exc.value.names == ("t", "omega")
+
+
+@pytest.mark.parametrize("scale, offset", [(1e308, -0.5), (-1e308, 1e308), (math.inf, -0.5),
+                                           (math.nan, -0.5), (-1.0, math.nan),
+                                           (-1.0, -math.inf)])
+def test_a_scale_or_offset_without_finite_energies_is_refused(scale, offset):
+    # a non-finite scale or offset was blamed on the time ("t = 0.0"), and a
+    # finite scale whose block energies overflow raised a RuntimeWarning
+    def series():
+        h = replace(ev.preset("HIV", 48).mapping, n_per_mode=8, scale=scale, offset=offset)
+        model = ev.FullModel(h, (1.0, 1.0))
+        return ev.run_series(model, ev.basis_state(model, (2, 3)), [0.0, 1.0])
+
+    with pytest.raises(ParameterError) as exc:
+        series()
+    assert exc.value.names == ("scale", "offset")

@@ -97,10 +97,10 @@ RESTATED = _why(
     "count (hc_chain(block).family.n_atoms() says it) and no converged flag",
     "(validate owns the 1e-3 tolerance on its agreement)")
 BLOCKS = _why(
-    "one block layout: InteractionEvolver.apply writes each occupied block",
-    "into its own contiguous columns in ascending charge, and every reader of",
-    "the (indices, amplitudes) pair is order-free, so evolution sorts no",
-    "positions and scatters no block by searchsorted")
+    "one block layout: evolution._evolved_blocks yields each occupied block",
+    "in ascending charge and InteractionEvolver.apply concatenates them, and",
+    "every reader of the (indices, amplitudes) pair is order-free, so",
+    "evolution sorts no positions and scatters no block by searchsorted")
 SECTOR = _why(
     "one owner of the sector coefficients: the A0, A- and A+ streams are",
     "written only in rep.sector_coeffs, and onemode.jacobi scales them")

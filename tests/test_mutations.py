@@ -7,7 +7,10 @@ reports at least one failed check (DeMillo, Lipton & Sayward, IEEE Computer
 
 A row that no check kills yet is a strict xfail naming the ROADMAP item
 expected to kill it; that item removes the mark.  ``raises=AssertionError``
-keeps a crash under a fault from counting as a kill.
+keeps a crash under a fault from counting as a kill.  Each such row has a
+reach guard: under its fault, the ``evolve_full`` amplitudes of a probe on a
+small model of the row's kind move, so the name it patches is still on the
+evolution path and the xfail is validate's blindness, not a dead patch.
 """
 
 from dataclasses import replace
@@ -15,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from multiboson import evolution, twomode, validation
+from multiboson import evolution, onemode, rep, twomode, validation
 from multiboson.jacobi import Chain
 from multiboson.orthopoly import DualHahn, Meixner
 
@@ -109,3 +112,42 @@ def test_validate_kills_fault(fault, monkeypatch):
         assert not failed, failed
     else:
         assert failed
+
+
+def _canonical_probe():
+    """D-form amplitudes at n_per_mode 8 from basis states of charges 3 and 4."""
+    reps = twomode.TwoModeRep(rep.MultibosonRep(1, (1.0,)), rep.MultibosonRep(1, (1.5,)))
+    model = evolution.FullModel(evolution.CanonicalInteraction("D", reps, (0, 0), 8,
+                                                               scale=1.3, offset=-0.4),
+                                (0.6, 0.9), tail_tol=np.inf)
+    return _amplitudes(model, evolution.basis_state(model, (1, 2))
+                       + evolution.basis_state(model, (2, 2)))
+
+
+def _meixner_probe():
+    """Class 7 (Meixner, offdiag_sign < 0) amplitudes at N 12 from level 1."""
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (1.2,)), 0, 12)
+    model = evolution.FullModel(onemode.OneModeHamiltonian(0.3, 1.4, sector), (0.8,),
+                                tail_tol=np.inf)
+    return _amplitudes(model, evolution.basis_state(model, (1,)))
+
+
+def _amplitudes(model, psi0):
+    """``evolution.evolve_full`` at t 0.3 and 1.1, looked up on each call."""
+    return np.array([evolution.evolve_full(model, psi0, t) for t in (0.3, 1.1)])
+
+
+# the probe of each strict-xfail row, by row id
+PROBES = {"odd-charge-block-energies": _canonical_probe,
+          "blocks-at-minus-energy": _canonical_probe,
+          "onemode-forward-time": _meixner_probe,
+          "free-phase-sign": _meixner_probe,
+          "meixner-row-sign": _meixner_probe}
+
+
+@pytest.mark.parametrize("fault, probe", [pytest.param(row.values[0], PROBES[row.id], id=row.id)
+                                          for row in ROWS if row.marks])
+def test_fault_reaches_its_probe(fault, probe, monkeypatch):
+    before = probe()
+    fault(monkeypatch)
+    assert np.abs(probe() - before).max() > 1e-6
