@@ -22,7 +22,11 @@ corpus:
   presets HI-HIV at cutoff 96;
 - ``evolution.evolve_full`` at two times on the nine one-mode classes, a D-
   and a C-form canonical interaction, a generic two-mode interaction and
-  the HIV preset at cutoff 48.
+  the HIV preset at cutoff 48;
+- the ``jacobi.oracle_eigs`` window arrays of ``bench/record.py``'s
+  ``oracle_chains`` (one-mode classes 5 and 6 at 500, 2000 and 4000 levels,
+  the 4000-level C-block top), and the full-range spectrum of the D-block
+  at K 200, alpha0 0.5, beta0 2.7.
 
 An output that raises is the token "raises <type>: <message>".
 
@@ -38,7 +42,7 @@ import os
 import sys
 
 # pins BLAS to one thread before numpy is imported
-from record import ROOT, checkout
+from record import ROOT, checkout, oracle_chains
 
 import argparse
 import contextlib
@@ -137,7 +141,7 @@ def _evolve_full_cases(evolution, onemode, rep, twomode, GroupElement):
 
 def corpus(tmp):
     """(name, callable) of every corpus output, in a fixed order."""
-    from multiboson import cli, evolution, onemode, rep, twomode, validation
+    from multiboson import cli, evolution, jacobi, onemode, rep, twomode, validation
     from multiboson.bogoliubov import GroupElement
     from perfbench import workloads
 
@@ -163,6 +167,13 @@ def corpus(tmp):
         yield (f"evolve_full {name}",
                lambda model=model, psi0=psi0: [evolution.evolve_full(model, psi0, t)
                                                for t in TIMES])
+    for case, n, op, chain, count, _ in oracle_chains(onemode, rep, twomode):
+        yield (f"{case} {n}",
+               lambda op=op, chain=chain, count=count: jacobi.oracle_eigs(
+                   op, count, top=chain.pairs_top))
+    blk = twomode.DBlock(200, 0.5, 2.7)
+    yield ("oracle full range D-block K 200",
+           lambda: jacobi.oracle_eigs(twomode.hd_block_jacobi(blk)))
 
 
 def dump(args):

@@ -236,32 +236,36 @@ def series_cases(bogoliubov, evolution, onemode, rep, twomode):
                       np.linspace(0.0, 2.0, points)))
 
 
-def oracle_cases(jacobi, onemode, rep, twomode):
-    """(case, size, path, fn) for each oracle window; fn returns the
-    window's largest distance to its closed-form atoms."""
-    def window(op, chain, count, n_atoms):
-        top = chain.pairs_top
-        certified = getattr(jacobi, "_certified_windows", None)
-        seeded = certified is not None and certified(
-            op.diag_array(), op.offdiag_array(), count, top) is not None
-
-        def fn():
-            w = jacobi.oracle_eigs(op, count, top=top)
-            return float(np.abs(chain.atoms(n_atoms) - chain.pair(w, n_atoms)).max())
-        return ("certified windows" if seeded else "index window"), fn
-
+def oracle_chains(onemode, rep, twomode):
+    """(case, size, op, chain, count, n_atoms) for each oracle window: the
+    window is ``jacobi.oracle_eigs(op, count, top=chain.pairs_top)``, and its
+    first n_atoms paired entries meet the chain's atoms."""
     for case, mu, nu in (("class 5 bottom", 4.0, 1.0), ("class 6 top", -4.0, -1.0)):
         for n in (500, 2000, 4000):
             sector = rep.OneModeSector(rep.MultibosonRep(1, (1.3,)), 0, n)
             op = onemode.jacobi(onemode.OneModeHamiltonian(mu, nu, sector))
-            chain = onemode.classify(mu, nu, 1.3)
-            yield (f"oracle window {case}", n,
-                   *window(op, chain, ORACLE_COUNT, ORACLE_COUNT))
+            yield (f"oracle window {case}", n, op, onemode.classify(mu, nu, 1.3),
+                   ORACLE_COUNT, ORACLE_COUNT)
     blk = twomode.CBlock(0, 0.3, 0.3, n_levels=4000)
     chain = twomode.hc_chain(blk)
     n_atoms = chain.family.n_atoms()
-    yield ("oracle window C-block top", 4000,
-           *window(twomode.hc_block_jacobi(blk), chain, n_atoms + 1, n_atoms))
+    yield ("oracle window C-block top", 4000, twomode.hc_block_jacobi(blk), chain,
+           n_atoms + 1, n_atoms)
+
+
+def oracle_cases(jacobi, onemode, rep, twomode):
+    """(case, size, path, fn) for each oracle window of ``oracle_chains``;
+    fn returns the window's largest distance to its closed-form atoms."""
+    certified = getattr(jacobi, "_certified_windows", None)
+    for case, n, op, chain, count, n_atoms in oracle_chains(onemode, rep, twomode):
+        top = chain.pairs_top
+        seeded = certified is not None and certified(
+            op.diag_array(), op.offdiag_array(), count, top) is not None
+
+        def fn(op=op, chain=chain, count=count, n_atoms=n_atoms, top=top):
+            w = jacobi.oracle_eigs(op, count, top=top)
+            return float(np.abs(chain.atoms(n_atoms) - chain.pair(w, n_atoms)).max())
+        yield case, n, ("certified windows" if seeded else "index window"), fn
 
 
 def dblock_rows(twomode, tree):

@@ -15,10 +15,10 @@ The weight shipping here is the one derived from that identity,
           rho drho dphi,
 
 verified at construction by ``orthopoly._integrate``, the quadrature that
-also serves ``orthopoly.gram_matrix``.  A weight with both indices
-raised by one (rho^{alpha0} K_{alpha0}(2 rho) / (2 pi Gamma(alpha0))) is
-kept as ``reference_weight`` for comparison: its k-th moment overshoots by
-the factor (alpha0 + k)/4, so no constant rescale can repair it.
+also serves ``orthopoly.gram_matrix``.  It replaces the printed weight, both
+indices raised by one (rho^{alpha0} K_{alpha0}(2 rho) / (2 pi Gamma(alpha0))),
+whose k-th moment overshoots by the factor (alpha0 + k)/4, so no constant
+rescale can repair it; the tests pin that erratum.
 """
 
 import cmath
@@ -112,7 +112,7 @@ def kernel(z: complex, alpha0: float) -> complex:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Rotation-invariant weight w(rho) with dmu = w(rho) rho drho dphi.
+    """The moment-matched weight w(rho), with dmu = w(rho) rho drho dphi.
 
     The moments k = 0..``k_checked`` are computed once, at construction, and
     checked against the moment identity; ``moment`` and ``moment_error``
@@ -133,7 +133,7 @@ class RadialMeasure:
         self._check_order(self.k_checked, "k_checked")
         # the dataclass is frozen
         object.__setattr__(self, "_moments", tuple(
-            self._moment_vector(self.weight, self.k_checked).tolist()))
+            self._moment_vector(self.k_checked).tolist()))
         worst = max(self.moment_error(k) for k in range(self.k_checked + 1))
         if worst > 1e-6:
             raise NumericalFailureError(
@@ -143,45 +143,39 @@ class RadialMeasure:
     def weight(self, rho):
         """w(rho) = 2 rho^(alpha0 - 1) K_(alpha0 - 1)(2 rho) / (pi Gamma(alpha0)),
         elementwise over a scalar or an array; 0 for rho <= 0."""
-        return _where_positive(rho, lambda r: self._bessel_weight(r, 2.0, self.alpha0 - 1.0))
+        return _where_positive(rho, self._bessel_weight)
 
-    def reference_weight(self, rho):
-        """Weight with both indices raised,
-        rho^alpha0 K_alpha0(2 rho) / (2 pi Gamma(alpha0)); fails the moment
-        identity."""
-        return _where_positive(rho, lambda r: self._bessel_weight(r, 0.5, self.alpha0))
+    def _bessel_weight(self, r: np.ndarray) -> np.ndarray:
+        """w(r) over an array r > 0.
 
-    def _bessel_weight(self, r: np.ndarray, num: float, nu: float) -> np.ndarray:
-        """num r^nu K_nu(2r) / (pi Gamma(alpha0)) over an array r > 0.
-
-        Where the direct product is not finite (0 * inf near r = 0 from nu
-        near 60 on, inf * tiny far out), or pi Gamma(alpha0) overflows
+        Where the direct product is not finite (0 * inf near r = 0 from
+        alpha0 near 60 on, inf * tiny far out), or pi Gamma(alpha0) overflows
         (alpha0 above 171.1), it is evaluated in log space with
         ``_ln_bessel_k``."""
         a = self.alpha0
+        nu = a - 1.0
         den = math.pi * math.exp(gammaln(a))
         with np.errstate(over="ignore", invalid="ignore"):
-            out = num * r ** nu * kv(nu, 2.0 * r) / den
+            out = 2.0 * r ** nu * kv(nu, 2.0 * r) / den
         bad = ~np.isfinite(out) | (not math.isfinite(den))
         if bad.any():
             rb = r[bad]
-            out[bad] = np.exp(math.log(num / math.pi) - gammaln(a)
+            out[bad] = np.exp(math.log(2.0 / math.pi) - gammaln(a)
                               + nu * np.log(rb) + _ln_bessel_k(nu, 2.0 * rb))
         return out
 
-    def moment(self, k: int, weight=None) -> float:
-        """integral rho^{2k} w(rho) 2 pi rho drho by quadrature of the moments
-        0..max(k, ``k_checked``) together; the stored value for the shipped
-        weight and 0 <= k <= ``k_checked``."""
+    def moment(self, k: int) -> float:
+        """integral rho^{2k} w(rho) 2 pi rho drho: the stored value for
+        0 <= k <= ``k_checked``, else by quadrature of the moments 0..k
+        together."""
         if k < 0:
             raise ValueError(f"moment order must be >= 0, got {k}")
-        if weight is None and k <= self.k_checked:
+        if k <= self.k_checked:
             return self._moments[k]
         self._check_order(k)
-        w = self.weight if weight is None else weight
-        return float(self._moment_vector(w, max(k, self.k_checked))[k])
+        return float(self._moment_vector(k)[k])
 
-    def _moment_vector(self, weight, k_max: int) -> np.ndarray:
+    def _moment_vector(self, k_max: int) -> np.ndarray:
         """Moments k = 0..k_max of ``weight`` as one vector integral.  Column
         k is divided by its target k! (alpha0)_k, so the max-norm tolerance
         holds every moment to the same relative accuracy."""
@@ -198,7 +192,7 @@ class RadialMeasure:
             # column k is column k-1 times rho^2 / step_k, the weight first:
             # where it underflows every column is 0, never 0 * inf
             cols = np.empty((t.size, k_max + 1))
-            cols[:, 0] = 2.0 * math.pi * m * rho * rho / t * weight(rho)
+            cols[:, 0] = 2.0 * math.pi * m * rho * rho / t * self.weight(rho)
             cols[:, 1:] = (rho * rho)[:, None] / step
             return np.cumprod(cols, axis=1)
         return _integrate(f, 0.0, math.inf) * np.cumprod(np.append(1.0, step))

@@ -455,7 +455,8 @@ def interaction_energy(model: FullModel, psi) -> float:
     scale * sum_b psi_b^H J_b psi_b + offset * |psi|^2 with J_b the block's
     Jacobi operator, and a one-mode one is the Jacobi quadratic form; neither
     builds a matrix.  A generic two-mode interaction multiplies psi by its
-    sparse matrix (``twomode._kron_sum``), never made dense.
+    sparse matrix (``twomode._kron_sum``), never made dense.  ParameterError
+    names scale and offset where the canonical energy is not finite.
     """
     h = model.interaction
     amps, _ = _checked_state(model, psi, "psi")
@@ -466,7 +467,11 @@ def interaction_energy(model: FullModel, psi) -> float:
         form = 0.0
         for idx, op in _occupied_charge_blocks(h, amps):
             form += _jacobi_form(op, amps[idx])
-        energy = h.scale * form + h.offset * norm2
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            energy = h.scale * form + h.offset * norm2
+        if not math.isfinite(energy):
+            raise ParameterError(("scale", "offset"), "the energy scale * form + offset "
+                                 f"* |psi|^2 overflows at scale {h.scale}, offset {h.offset}")
     else:
         energy = np.vdot(amps, _kron_sum(h, model.n_per_mode) @ amps).real
     return float(energy / norm2)

@@ -20,7 +20,7 @@ The conserved combination D0 = A0 +- B0 splits each sector into blocks:
 * C-form (``canonical_matrix('C')``, H at ``CANONICAL_TWISTS['C']``):
   -[(1/2) A0 B0 + A+ B+ + A- B-] on semi-infinite blocks |s0 + k, s1 + k>,
   k >= 0, with offsets (s0, s1) = (max(K, 0), max(-K, 0)): the one rule
-  behind ``CBlock.basis``, ``hc_block_jacobi`` and ``uvw_params``.
+  behind ``window_block``, ``hc_block_jacobi`` and ``uvw_params``.
 
 The window rule: in an n x n window flattened as k0 n + k1, ``charges``
 labels a position k0 + k1 (D) or k0 - k1 (C), and ``window_block`` gives the
@@ -209,9 +209,6 @@ class DBlock:
             raise ParameterError(("K",), f"D-blocks need K >= 0, got {self.K}")
         _check_labels(self.alpha0, self.beta0, self.K, ("K",))
 
-    def basis(self) -> list[tuple[int, int]]:
-        return [(k, self.K - k) for k in range(self.K + 1)]
-
 
 @dataclass(frozen=True)
 class CBlock:
@@ -227,10 +224,6 @@ class CBlock:
             raise ParameterError(("n_levels",), f"need n_levels >= 2, got {self.n_levels}")
         _check_labels(self.alpha0, self.beta0, abs(self.K) + self.n_levels,
                       ("n_levels", "K"))
-
-    def basis(self) -> list[tuple[int, int]]:
-        s0, s1 = _offsets(self.K)
-        return [(s0 + k, s1 + k) for k in range(self.n_levels)]
 
 
 def _offsets(K: int) -> tuple[int, int]:
@@ -355,12 +348,13 @@ class TruncationCheck:
 
     ``agreement`` compares the bound-state eigenvalues of the full and half
     truncations only; the continuum cluster below them drifts with the
-    cutoff by construction and is excluded.  The bound-state count is
-    ``hc_chain(block).family.n_atoms()``; ``validate`` owns the tolerance.
+    cutoff by construction and is excluded.  The half and quarter windows
+    enter only through ``extrapolated`` and ``agreement``.  The bound-state
+    count is ``hc_chain(block).family.n_atoms()``; ``validate`` owns the
+    tolerance.
     """
 
     top_full: np.ndarray      # largest eigenvalues at n_levels
-    top_half: np.ndarray      # same at n_levels / 2
     extrapolated: np.ndarray  # empirical-order Richardson estimate
     agreement: float          # max |full - half| over the bound states
 
@@ -397,5 +391,5 @@ def hc_truncation_check(block: CBlock) -> TruncationCheck:
     extrap = full.copy()
     extrap[fast] += den[fast] / (rate[fast] - 1.0)
     agreement = float(np.abs(chain.pair(den, n_bound)).max(initial=0.0))
-    return TruncationCheck(full, half, extrap, agreement)
+    return TruncationCheck(full, extrap, agreement)
 

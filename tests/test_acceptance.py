@@ -227,7 +227,7 @@ def test_criterion_08_orthogonality():
             f"discrete {worst_disc:.2e}, continuous {worst_cont:.2e}")
 
 
-def test_criterion_09_coherent_states():
+def test_criterion_09_coherent_states(erratum_moment_ratios):
     worst_resid = worst_kernel = worst_moment = 0.0
     for al in (0.3, 1.0, 2.7):
         s = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, 80)
@@ -241,8 +241,7 @@ def test_criterion_09_coherent_states():
         meas = ch.radial_measure(al, k_checked=10)
         worst_moment = max(worst_moment,
                            max(meas.moment_error(k) for k in range(11)))
-        ratios = [meas.moment(k, weight=meas.reference_weight)
-                  / meas.target_moment(k) for k in range(5)]
+        ratios = erratum_moment_ratios(al, 4).tolist()
         assert abs(ratios[4] - ratios[0]) > 0.9  # pinned erratum: k-dependent
         assert ratios == pytest.approx([(al + k) / 4.0 for k in range(5)], rel=1e-6)
     ok = worst_resid <= 1e-8 and worst_kernel <= 1e-12 and worst_moment <= 1e-6

@@ -122,8 +122,7 @@ def test_radial_measure_computes_each_moment_once(monkeypatch):
         m.moment_error(k)
     assert len(calls) == 1
     monkeypatch.undo()
-    for k in range(7):
-        assert m.moment(k) == m.moment(k, weight=m.weight)
+    assert [m.moment(k) for k in range(7)] == m._moment_vector(6).tolist()
 
 
 @pytest.mark.parametrize("al", [0.05, 0.3, 1.0, 2.7, 5.0])
@@ -141,11 +140,10 @@ def test_radial_measure_moments_match_scalar_quadrature(al):
 def test_radial_weights_take_arrays_elementwise():
     m = ch.radial_measure(0.7, k_checked=2)
     rho = np.array([-1.0, 0.0, 0.3, 2.0, 9.0])
-    for w in (m.weight, m.reference_weight):
-        got = w(rho)
-        assert got.shape == rho.shape and got[0] == got[1] == 0.0
-        assert np.array_equal(got, [w(r) for r in rho])
-        assert isinstance(w(0.3), float) and w(-2.0) == 0.0
+    got = m.weight(rho)
+    assert got.shape == rho.shape and got[0] == got[1] == 0.0
+    assert np.array_equal(got, [m.weight(r) for r in rho])
+    assert isinstance(m.weight(0.3), float) and m.weight(-2.0) == 0.0
 
 
 @pytest.mark.parametrize("al", [60.0, 100.0, 150.0, 171.5])
@@ -183,7 +181,7 @@ def test_radial_measure_rejects_negative_k_checked():
 def test_radial_moment_rejects_negative_order():
     m = ch.radial_measure(1.0, k_checked=2)
     with pytest.raises(ValueError, match="moment order"):
-        m.moment(-1, weight=m.weight)
+        m.moment(-1)
 
 
 def test_radial_measure_rejects_an_overflowing_order(monkeypatch):
@@ -206,25 +204,23 @@ def test_radial_measure_rejects_an_overflowing_order(monkeypatch):
     assert math.isfinite(m.target_moment(98))
 
 
-def test_radial_measure_reference_weight_fails_moments():
-    # the reference weight (both indices one unit up) overshoots the k-th
+def test_printed_radial_weight_fails_moments(erratum_moment_ratios):
+    # the printed weight (both indices one unit up) overshoots the k-th
     # moment by exactly (alpha0 + k) / 4: demonstrably k-dependent, so no
     # constant rescale can repair it
     for al in (0.3, 1.0, 2.7):
-        m = ch.radial_measure(al, k_checked=4)
-        ratios = [m.moment(k, weight=m.reference_weight) / m.target_moment(k)
-                  for k in range(5)]
+        ratios = erratum_moment_ratios(al, 4).tolist()
         expected = [(al + k) / 4.0 for k in range(5)]
         assert ratios == pytest.approx(expected, rel=1e-7)
         assert abs(ratios[4] - ratios[0]) > 0.9  # no constant rescaling
-    # from alpha0 near 60 the direct product rho^alpha0 K_alpha0(2 rho) is
-    # 0 * inf near rho = 0; the log-space path of the shipped weight holds
+    # from alpha0 near 60 the direct products rho^alpha0 K_alpha0(2 rho) and
+    # rho^(alpha0 - 1) K_(alpha0 - 1)(2 rho) are 0 * inf near rho = 0; the
+    # log-space path of the shipped weight holds
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for al in (60.0, 100.0, 150.0):
-            m = ch.radial_measure(al, k_checked=2)
-            ratios = [m.moment(k, weight=m.reference_weight) / m.target_moment(k)
-                      for k in range(3)]
+            ch.radial_measure(al, k_checked=2)
+            ratios = erratum_moment_ratios(al, 2).tolist()
             assert ratios == pytest.approx([(al + k) / 4.0 for k in range(3)], rel=1e-12)
 
 

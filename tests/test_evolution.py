@@ -528,13 +528,15 @@ def test_free_phases_that_overflow_are_refused(omega0, t):
                                            (math.nan, -0.5), (-1.0, math.nan),
                                            (-1.0, -math.inf)])
 def test_a_scale_or_offset_without_finite_energies_is_refused(scale, offset):
-    # a non-finite scale or offset was blamed on the time ("t = 0.0"), and a
-    # finite scale whose block energies overflow raised a RuntimeWarning
-    def series():
-        h = replace(ev.preset("HIV", 48).mapping, n_per_mode=8, scale=scale, offset=offset)
-        model = ev.FullModel(h, (1.0, 1.0))
-        return ev.run_series(model, ev.basis_state(model, (2, 3)), [0.0, 1.0])
-
-    with pytest.raises(ParameterError) as exc:
-        series()
-    assert exc.value.names == ("scale", "offset")
+    # a non-finite scale or offset was blamed on the time ("t = 0.0"), a
+    # finite scale whose block energies overflow raised a RuntimeWarning, and
+    # interaction_energy returned -inf there
+    entries = {"run_series": lambda model, psi: ev.run_series(model, psi, [0.0, 1.0]),
+               "interaction_energy": ev.interaction_energy}
+    for name, call in entries.items():
+        with pytest.raises(ParameterError) as exc:
+            h = replace(ev.preset("HIV", 48).mapping, n_per_mode=8, scale=scale,
+                        offset=offset)
+            model = ev.FullModel(h, (1.0, 1.0))
+            call(model, ev.basis_state(model, (2, 3)))
+        assert exc.value.names == ("scale", "offset"), name

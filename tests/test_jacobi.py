@@ -76,10 +76,16 @@ def test_full_spectrum_request_unchanged():
 
 
 def test_hc_truncation_check_top_window_exact():
-    chk = tm.hc_truncation_check(tm.CBlock(0, 0.3, 0.3, n_levels=4000))
+    blk = tm.CBlock(0, 0.3, 0.3, n_levels=4000)
+    chk = tm.hc_truncation_check(blk)
     count = chk.top_full.size
     assert np.array_equal(chk.top_full, _reference("hc", 4000)[0][-count:])
-    assert np.array_equal(chk.top_half, _reference("hc", 2000)[0][-count:])
+    # the bound states, the top count - 1 levels, of the full and half windows
+    chain = tm.hc_chain(blk)
+    n_bound = chain.family.n_atoms()
+    assert chain.pairs_top and n_bound == count - 1 >= 1
+    full, half = (_reference("hc", n)[0][-n_bound:] for n in (4000, 2000))
+    assert chk.agreement == np.abs(full - half).max()
 
 
 def _onemode_pairing(mu, nu):

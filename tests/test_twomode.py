@@ -78,13 +78,16 @@ def test_build_h_matrix_symmetric_random():
         assert np.abs(m - m.T).max() <= 1e-12
 
 
+def _block_states(kind, q, n):
+    """(k0, k1) of each state of the charge-q block in an n x n window."""
+    idx, _ = tm.window_block(kind, q, 1.0, 1.0, n)
+    return list(zip(*(k.tolist() for k in np.divmod(idx, n))))
+
+
 def test_manley_rowe_blocks():
-    d2 = tm.DBlock(2, 1.0, 1.0)
-    assert d2.basis() == [(0, 2), (1, 1), (2, 0)]
-    cm1 = tm.CBlock(-1, 1.0, 1.0, n_levels=4)
-    assert cm1.basis()[0] == (0, 1)
-    c3 = tm.CBlock(3, 1.0, 1.0, n_levels=4)
-    assert c3.basis()[2] == (5, 2)
+    assert _block_states("D", 2, 4) == [(0, 2), (1, 1), (2, 0)]
+    assert _block_states("C", -1, 5)[0] == (0, 1)
+    assert _block_states("C", 3, 7)[2] == (5, 2)
 
 
 def test_d0_block_invariance():
@@ -174,7 +177,13 @@ def test_c_block_offsets_match_the_two_branch_formulas():
             assert _bits(op.offdiag_array()) == _bits(offdiag(k[:-1]))
             assert _bits([op.diag(3.0), op.offdiag(3.0)]) == _bits([diag(3.0), offdiag(3.0)])
             start = (K, 0) if K >= 0 else (0, -K)
-            assert blk.basis() == [(start[0] + j, start[1] + j) for j in range(60)]
+            n = 60 + abs(K)
+            idx, wop = tm.window_block("C", K, a0, b0, n)
+            k0, k1 = np.divmod(idx, n)
+            assert list(zip(k0.tolist(), k1.tolist())) == [
+                (start[0] + j, start[1] + j) for j in range(60)]
+            assert _bits(wop.diag_array()) == _bits(op.diag_array())
+            assert _bits(wop.offdiag_array()) == _bits(op.offdiag_array())
             p, q, edges = _two_branch_uvw(K, a0, b0)
             half_sum = 0.5 * (a0 + b0 - 1.0)
             triples = {"low": (p, q, half_sum), "middle": (half_sum, p, q),
