@@ -9,9 +9,9 @@ cross-checked against an independent tridiagonal eigensolver.
 
 __version__ = "0.1.0"
 
-from .errors import (BoundaryAmbiguityError, NoBoundStateError,
-                     NumericalFailureError, ParameterError, TruncationOverflowError,
-                     UnsupportedCaseError, UnsupportedElementError)
+from .errors import (NoBoundStateError, NumericalFailureError, ParameterError,
+                     TruncationOverflowError, UnsupportedCaseError,
+                     UnsupportedElementError)
 from .orthopoly import (ContinuousDualHahn, DualHahn, Laguerre, Meixner,
                         MeixnerPollaczek, PolyFamily, SpectralMeasure, gram_check,
                         gram_matrix, hyp0f1, hyp3f2_terminating)
@@ -23,9 +23,8 @@ from .bogoliubov import (GroupElement, action_matrix, implementer, meixner_c,
                          multiply)
 from .onemode import OneModeHamiltonian, classify, evolve
 from .twomode import (CBlock, DBlock, TwoModeHamiltonian, TwoModeRep,
-                      UVWParams, build_h_matrix, canonical_matrix, hc_block_jacobi,
-                      hc_chain, hc_truncation_check, hd_block_jacobi, hd_chain,
-                      uvw_params)
+                      build_h_matrix, canonical_matrix, hc_block_jacobi, hc_chain,
+                      hc_truncation_check, hd_block_jacobi, hd_chain, uvw_params)
 from .coherent import (SU11Element, coherent_amplitudes,
                        disc_eigenfunction, holo_apply, kernel, radial_measure,
                        su11_flow)

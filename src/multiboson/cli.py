@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__, coherent, errors, evolution, onemode, rep, twomode, validation
-from .errors import BoundaryAmbiguityError, ParameterError
+from .errors import ParameterError
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -256,25 +256,21 @@ def cmd_spectrum(cfg: dict, given: dict, out) -> int:
             results["oracle_delta"] = chain.oracle_delta(twomode.hd_block_jacobi(blk))
         else:
             blk = twomode.CBlock(K, a0, b0, n_levels=cfg["n_levels"])
-            try:
-                chain = twomode.hc_chain(blk)
-            except BoundaryAmbiguityError as exc:
-                results["warning"] = str(exc)
-                results["uvw_candidates"] = list(exc.candidates)
-            else:
-                # the window check first: it bounds the atom count
-                m = chain.family.n_atoms()
-                chk = twomode.hc_truncation_check(blk) if m else None
-                meas = chain.measure()
-                results["uvw"] = dict(vars(twomode.uvw_params(K, a0, b0)))
-                results["atoms"] = _atom_rows(meas)
-                results["continuum"] = list(meas.support)
-                if m:
-                    diagnostics["truncation_top"] = chk.top_full.tolist()
-                    diagnostics["richardson"] = chk.extrapolated.tolist()
-                    diagnostics["agreement"] = chk.agreement
-                    gap = chain.pair(chk.extrapolated, m) - meas.locations
-                    results["oracle_delta"] = float(np.abs(gap).max())
+            fam, branch = twomode.uvw_params(K, a0, b0)
+            chain = twomode.hc_chain(blk)
+            # the window check first: it bounds the atom count
+            m = chain.family.n_atoms()
+            chk = twomode.hc_truncation_check(blk) if m else None
+            meas = chain.measure()
+            results["uvw"] = {**vars(fam), "branch": branch}
+            results["atoms"] = _atom_rows(meas)
+            results["continuum"] = list(meas.support)
+            if m:
+                diagnostics["truncation_top"] = chk.top_full.tolist()
+                diagnostics["richardson"] = chk.extrapolated.tolist()
+                diagnostics["agreement"] = chk.agreement
+                gap = chain.pair(chk.extrapolated, m) - meas.locations
+                results["oracle_delta"] = float(np.abs(gap).max())
     _emit({"command": "spectrum", **given}, results, diagnostics, cfg["format"], out)
     return 0
 

@@ -6,7 +6,6 @@ __all__ = [
     "TruncationOverflowError",
     "UnsupportedElementError",
     "UnsupportedCaseError",
-    "BoundaryAmbiguityError",
     "NoBoundStateError",
 ]
 
@@ -38,18 +37,6 @@ class UnsupportedElementError(ValueError):
 
 class UnsupportedCaseError(ValueError):
     """Operation undefined for this spectral class (e.g. continuous spectrum)."""
-
-
-class BoundaryAmbiguityError(ValueError):
-    """Parameters sit exactly on a boundary between two branch assignments.
-
-    Carries both adjacent candidate assignments in ``candidates``; callers may
-    select one by continuity.
-    """
-
-    def __init__(self, message: str, candidates: tuple):
-        super().__init__(message)
-        self.candidates = candidates
 
 
 class NoBoundStateError(ValueError):

@@ -37,8 +37,10 @@ D-block coefficients, derived from the operator:
 Its eigenvectors are dual Hahn functions, terminating 3F2 sums (Koekoek,
 Lesky & Swarttouw, 2010, section 9.6); ``hd_chain(block).eigenvectors``
 takes the LAPACK oracle's columns, which ``validate`` holds to that closed
-form, sign included.  A C-block's bound states are the columns of
-``hc_chain(block).eigenvectors``.
+form, sign included.  A C-block is one continuous dual Hahn family
+(``uvw_params``), its parameters rotated so that a nonpositive one comes
+first, which makes an exact branch edge u = 0 with no atom; its bound states
+are the columns of ``hc_chain(block).eigenvectors``.
 
 Erratum: a variant with (K-k+beta0) in the last factor circulates in
 derivations of these block coefficients; it does not reproduce the
@@ -53,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BoundaryAmbiguityError, ParameterError
+from .errors import ParameterError
 from .jacobi import Chain, JacobiOperator, oracle_eigs
 from .orthopoly import ContinuousDualHahn, DualHahn
 from .rep import MultibosonRep, OneModeSector, sector_matrices
@@ -65,7 +67,6 @@ __all__ = [
     "TwoModeHamiltonian",
     "DBlock",
     "CBlock",
-    "UVWParams",
     "build_h_matrix",
     "canonical_matrix",
     "hd_block_jacobi",
@@ -284,45 +285,30 @@ def window_block(kind: str, q: int, alpha0: float, beta0: float,
     return k0 * n + k1, op
 
 
-@dataclass(frozen=True)
-class UVWParams:
-    """Branch-selected family parameters of a C-block."""
+def uvw_params(K: int, alpha0: float, beta0: float) -> tuple[ContinuousDualHahn, str]:
+    """The C-block with label K as ContinuousDualHahn(u, v, w), and its branch.
 
-    u: float
-    v: float
-    w: float
-    branch: str
-
-    def __post_init__(self):
-        if not (self.v > 0 and self.w > 0 and self.u + self.v > 0 and self.u + self.w > 0):
-            raise ParameterError(("u", "v", "w"), f"inadmissible parameters "
-                                 f"u={self.u}, v={self.v}, w={self.w}")
-
-
-def uvw_params(K: int, alpha0: float, beta0: float) -> UVWParams:
-    """Family parameters of the C-block with label K.
-
-    The assignment is piecewise in d = beta0 - alpha0 over open intervals;
-    an exact boundary hit raises BoundaryAmbiguityError carrying both
-    adjacent triples.
+    The parameters are h = (alpha0 + beta0 - 1)/2, p = s1 + (d + 1)/2 and
+    q = s0 + (1 - d)/2 in the cyclic order (h, p, q), with d = beta0 - alpha0
+    and (s0, s1) the block's offsets.  The family's recurrence and density
+    are symmetric in (u, v, w) (Koekoek, Lesky & Swarttouw, 2010, section
+    9.3), and only a negative parameter, put first,
+    gives atoms, so the branch only says which comes first: p when p <= 0
+    ("low"), q when q <= 0 ("high"), else h ("middle").  At an exact edge,
+    where p or q is 0, that parameter is u = 0 and the block has no atom, the
+    continuous limit: the atom's share of the mass vanishes as u -> 0-.
+    Raises ParameterError naming (u, v, w) where the family refuses the
+    triple.
     """
     d = beta0 - alpha0
-    half_sum = 0.5 * (alpha0 + beta0 - 1.0)
     s0, s1 = _offsets(K)
-    p, q = s1 + 0.5 * (d + 1.0), s0 + 0.5 * (1.0 - d)
-    # the branch edges are where p or q is 0
-    edges = (-1.0 - 2.0 * s1, 1.0 + 2.0 * s0)
-    triples = {"low": (p, q, half_sum), "middle": (half_sum, p, q),
-               "high": (q, half_sum, p)}
-    # candidates at an exact boundary are degenerate (a parameter hits 0),
-    # so they are carried as raw triples, not validated records
-    for edge, pair in zip(edges, (("low", "middle"), ("middle", "high"))):
-        if d == edge:
-            raise BoundaryAmbiguityError(
-                f"beta0 - alpha0 = {d} sits on a branch boundary",
-                candidates=tuple(dict(zip("uvw", triples[b]), branch=b) for b in pair))
-    branch = "low" if d < edges[0] else "middle" if d < edges[1] else "high"
-    return UVWParams(*triples[branch], branch)
+    h, p, q = 0.5 * (alpha0 + beta0 - 1.0), s1 + 0.5 * (d + 1.0), s0 + 0.5 * (1.0 - d)
+    branch, uvw = (("low", (p, q, h)) if p <= 0 else ("high", (q, h, p)) if q <= 0
+                   else ("middle", (h, p, q)))
+    try:
+        return ContinuousDualHahn(*uvw), branch
+    except ValueError as exc:
+        raise ParameterError(("u", "v", "w"), str(exc)) from exc
 
 
 def continuum_shift(alpha0: float, beta0: float) -> float:
@@ -331,15 +317,14 @@ def continuum_shift(alpha0: float, beta0: float) -> float:
 
 
 def hc_chain(block: CBlock) -> Chain:
-    """The C-block as ContinuousDualHahn(u, v, w) of its ``uvw_params``
-    branch, shifted by -s (``continuum_shift``) with the off-diagonal
-    negated: continuum (-inf, -s) plus ceil(-u) atoms (u+n)^2 - s when u < 0.
-    Raises BoundaryAmbiguityError on a branch boundary."""
-    p = uvw_params(block.K, block.alpha0, block.beta0)
+    """The C-block as its ``uvw_params`` family, shifted by -s
+    (``continuum_shift``) with the off-diagonal negated: continuum (-inf, -s)
+    plus ceil(-u) atoms (u+n)^2 - s when u < 0."""
+    fam, _ = uvw_params(block.K, block.alpha0, block.beta0)
     s = continuum_shift(block.alpha0, block.beta0)
     # libm pow, as the family's measure squares its atoms
-    return Chain(ContinuousDualHahn(p.u, p.v, p.w), 1.0, -s, offdiag_sign=-1.0,
-                 atom_stream=lambda n: np.float_power(p.u + n, 2.0) - s)
+    return Chain(fam, 1.0, -s, offdiag_sign=-1.0,
+                 atom_stream=lambda n: np.float_power(fam.u + n, 2.0) - s)
 
 
 @dataclass(frozen=True)

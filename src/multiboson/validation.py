@@ -348,10 +348,10 @@ def _hc_bound_state(rng, quick):
     """The C-form bound state."""
     nlev = 2000 if quick else 4000
     blk = twomode.CBlock(0, 0.3, 0.3, n_levels=nlev)
-    p = twomode.uvw_params(0, 0.3, 0.3)
+    fam = twomode.hc_chain(blk).family
     chk = twomode.hc_truncation_check(blk)
     return [_check("twomode.hc.uvw",
-                   max(abs(p.u + 0.2), abs(p.v - 0.5), abs(p.w - 0.5)), 1e-14),
+                   max(abs(fam.u + 0.2), abs(fam.v - 0.5), abs(fam.w - 0.5)), 1e-14),
             _check("twomode.hc.bound_state_energy",
                    abs(chk.extrapolated[-1] - 0.045), 1e-3,
                    note=f"raw top at N={nlev}: {chk.top_full[-1]:.6f}"),
@@ -380,7 +380,8 @@ def _mapped_families(rng, quick):
     operators' coefficient streams (200 levels) and atom formulas and their
     chains' mapped families (``jacobi.Chain``): one-mode labels of all nine
     classes, C-blocks on every uvw_params branch (two low ones: u < -1,
-    -1 < u < 0), D-blocks to K 200.  c and phi of the one-mode families lose
+    -1 < u < 0) and on both branch edges (p = 0 at K 0, q = 0 at K 1,
+    where u = 0), D-blocks to K 200.  c and phi of the one-mode families lose
     digits near the diagonal and the axes (4e6 eps at labels 1e-3 from the
     diagonal), so the bound is 1e-10."""
     labels = ((2.0, 0.0), (-1.5, 0.0), (0.0, 1.3), (1.3, -0.7), (-1.1, 2.2), (4.0, 1.0),
@@ -390,7 +391,8 @@ def _mapped_families(rng, quick):
             onemode.classify(mu, nu, a0), 40)
            for (mu, nu), a0 in zip(labels, (0.4, 1.3, 2.7) * 4)]
     for K, a0, b0 in ((0, 4.5, 0.5), (1, 2.6, 0.6), (-1, 3.5, 0.2), (0, 0.3, 0.3),
-                      (-2, 0.7, 0.9), (0, 0.5, 2.0), (-1, 0.5, 2.0)):
+                      (-2, 0.7, 0.9), (0, 0.5, 2.0), (-1, 0.5, 2.0), (0, 3.0, 2.0),
+                      (1, 0.5, 3.5)):
         blk = twomode.CBlock(K, a0, b0, n_levels=200)
         ops.append((twomode.hc_block_jacobi(blk), twomode.hc_chain(blk), None))
     for K, a0, b0 in ((0, 0.7, 1.9), (1, 2.3, 0.4), (7, 1.3, 0.7), (60, 0.5, 2.7),

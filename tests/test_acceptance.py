@@ -190,8 +190,8 @@ def test_criterion_06_hd_blocks():
 
 def test_criterion_07_hc_bound_state():
     t0 = time.time()
-    p = tm.uvw_params(0, 0.3, 0.3)
-    uvw_dev = max(abs(p.u + 0.2), abs(p.v - 0.5), abs(p.w - 0.5))
+    fam, _ = tm.uvw_params(0, 0.3, 0.3)
+    uvw_dev = max(abs(fam.u + 0.2), abs(fam.v - 0.5), abs(fam.w - 0.5))
     blk = tm.CBlock(0, 0.3, 0.3, n_levels=4000)
     chk = tm.hc_truncation_check(blk)
     # solver-reported bound-state energy at the default truncation

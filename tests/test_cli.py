@@ -252,15 +252,28 @@ def test_spectrum_two_c_two_bound_states(capsys, tmp_path):
     assert res["oracle_delta"] <= 0.1
 
 
-def test_spectrum_two_c_boundary_warning(capsys, tmp_path):
+def test_spectrum_two_c_at_a_branch_edge(tmp_path):
+    # beta0 - alpha0 = -1 exactly: the parameter that is 0 comes first as
+    # u = 0, and the block is all continuum
     out_path = tmp_path / "spec.json"
     code = main(["spectrum", "--model", "two-c", "--K", "0",
                  "--alpha0", "2", "--beta0", "1", "--n-levels", "64",
                  "--out", str(out_path)])
     assert code == 0
     res = json.loads(out_path.read_text())["results"]
-    assert "warning" in res
-    assert len(res["uvw_candidates"]) == 2
+    assert res["atoms"] == []
+    assert len(res["continuum"]) == 2 and res["continuum"][0] == -math.inf
+    assert (res["uvw"]["u"], res["uvw"]["branch"]) == (0.0, "low")
+    assert "warning" not in res and "uvw_candidates" not in res
+
+
+def test_spectrum_two_c_refused_label_names_the_block_flags(capsys):
+    # u + v rounds to 0: the family refuses the block's labels
+    code, out, err = _run(capsys, "spectrum", "--model", "two-c", "--K", "-3",
+                          "--alpha0", "1.94973219637944e-16",
+                          "--beta0", "4.617328995191763", "--n-levels", "64")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --alpha0, --beta0, --K: ")
 
 
 def test_evolve_manley_rowe_columns(capsys, tmp_path):

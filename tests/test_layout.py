@@ -109,6 +109,9 @@ PHASES = _why(
     "e^{-iEt} (a diagonal operator passes no eigenvectors) and alone refuses a",
     "time whose phases overflow; only evolve_full's free phases are formed",
     "beside it")
+C_FAMILY = _why(
+    "one rule for a C-block's family parameters: the continuous dual Hahn",
+    "family is the record, and an exact branch edge is not ambiguous")
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,9 @@ RULES = [
          "        out = np.exp(1j * ts[:, None] * energies) * psi", PHASES,
          exempt_files=(PKG + "jacobi.py",), exempt_line="np.exp(-1j * t * total)",
          allowed=(PKG + "evolution.py", "        phases = np.exp(-1j * t * total)")),
+    Rule("branch-edge-candidates", r"BoundaryAmbiguityError|UVWParams|uvw_candidates",
+         SRC + ("bench/**/*.py",), '    results["uvw_candidates"] = list(exc.candidates)',
+         C_FAMILY),
 ]
 
 

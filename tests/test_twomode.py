@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from multiboson import twomode as tm
 from multiboson import orthopoly as op
 from multiboson.bogoliubov import GroupElement
-from multiboson.errors import BoundaryAmbiguityError, NoBoundStateError
+from multiboson.errors import NoBoundStateError, ParameterError
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.rep import MultibosonRep
 
@@ -189,17 +189,14 @@ def test_c_block_offsets_match_the_two_branch_formulas():
             triples = {"low": (p, q, half_sum), "middle": (half_sum, p, q),
                        "high": (q, half_sum, p)}
             d = b0 - a0
+            got, got_branch = tm.uvw_params(K, a0, b0)
             if d in edges:
-                with pytest.raises(BoundaryAmbiguityError) as exc:
-                    tm.uvw_params(K, a0, b0)
-                pair = ("low", "middle") if d == edges[0] else ("middle", "high")
-                assert [(c["branch"], _bits([c["u"], c["v"], c["w"]]))
-                        for c in exc.value.candidates] == [
-                    (b, _bits(triples[b])) for b in pair]
-                continue
-            got = tm.uvw_params(K, a0, b0)
-            branch = "low" if d < edges[0] else "middle" if d < edges[1] else "high"
-            assert got.branch == branch
+                # an exact edge: the parameter that is 0 comes first, no atom
+                branch = "low" if d == edges[0] else "high"
+                assert (got.u, got.n_atoms()) == (0.0, 0)
+            else:
+                branch = "low" if d < edges[0] else "middle" if d < edges[1] else "high"
+            assert got_branch == branch
             assert _bits([got.u, got.v, got.w]) == _bits(triples[branch])
 
 
@@ -369,8 +366,8 @@ def test_hc_eigenvectors_discrete_is_forward_recurrence(K, a0, b0, n_levels):
     # the bound-state tail decays algebraically: bit for bit the plain
     # forward recurrence
     blk = tm.CBlock(K, a0, b0, n_levels=n_levels)
-    p = tm.uvw_params(K, a0, b0)
-    e = p.u ** 2 - tm.continuum_shift(a0, b0)
+    fam, _ = tm.uvw_params(K, a0, b0)
+    e = fam.u ** 2 - tm.continuum_shift(a0, b0)
     v = _hc_bound_states(blk, 1)[:, 0]
     assert np.array_equal(v, _forward_recurrence(tm.hc_block_jacobi(blk), e))
 
@@ -386,36 +383,87 @@ def test_hc_block_jacobi():
 
 
 def test_uvw_params():
-    p = tm.uvw_params(0, 0.3, 0.3)
+    p, branch = tm.uvw_params(0, 0.3, 0.3)
     assert (p.u, p.v, p.w) == pytest.approx((-0.2, 0.5, 0.5))
-    assert p.branch == "middle"
+    assert branch == "middle"
     # third branch: u = K + (alpha0 - beta0 + 1)/2
-    p2 = tm.uvw_params(2, 1.0, 11.0)
+    p2, branch2 = tm.uvw_params(2, 1.0, 11.0)
     assert p2.u == pytest.approx(2 + 0.5 * (1.0 - 11.0 + 1.0))
-    assert p2.branch == "high"
+    assert branch2 == "high"
     # every branch returns a permutation of the same three values
     for K in (0, 1, 3):
         for a0, b0 in ((5.0, 1.0), (1.0, 2.5), (1.0, 2 * K + 4.0)):
-            p = tm.uvw_params(K, a0, b0)
+            p, _ = tm.uvw_params(K, a0, b0)
             vals = sorted((p.u, p.v, p.w))
             expect = sorted((0.5 * (a0 + b0 - 1), 0.5 * (b0 - a0 + 1),
                              K + 0.5 * (a0 - b0 + 1)))
             assert vals == pytest.approx(expect)
     # K < 0 mirror
-    p3 = tm.uvw_params(-1, 2.0, 0.5)
+    p3, _ = tm.uvw_params(-1, 2.0, 0.5)
     vals = sorted((p3.u, p3.v, p3.w))
     expect = sorted((0.5 * (2.0 + 0.5 - 1), 1 + 0.5 * (0.5 - 2.0 + 1),
                      0.5 * (2.0 - 0.5 + 1)))
     assert vals == pytest.approx(expect)
 
 
-def test_uvw_boundary_ambiguity():
-    with pytest.raises(BoundaryAmbiguityError) as exc:
-        tm.uvw_params(1, 1.0, 2.0 * 1 + 1.0 + 1.0)  # d = 2K + 1 exactly
-    c1, c2 = exc.value.candidates
-    assert {c1["branch"], c2["branch"]} == {"middle", "high"}
-    with pytest.raises(BoundaryAmbiguityError):
-        tm.uvw_params(0, 2.0, 1.0)  # d = -1 exactly
+def test_uvw_exact_edge_is_u_zero():
+    # at an exact branch edge the parameter that is 0 comes first: u = 0 and
+    # no atom, the limit of the atom's share of the mass, 2|u| B(v, w) to
+    # first order in u
+    for K, a0, b0, branch, step in (
+            (1, 1.0, 2.0 * 1 + 1.0 + 1.0, "high", 1.0),  # d = 2K + 1 exactly: q = 0
+            (0, 2.0, 1.0, "low", -1.0)):                 # d = -1 exactly: p = 0
+        fam, got = tm.uvw_params(K, a0, b0)
+        assert (fam.u, got) == (0.0, branch)
+        blk = tm.CBlock(K, a0, b0, n_levels=200)
+        chain = tm.hc_chain(blk)
+        assert chain.family.n_atoms() == 0
+        op_ = tm.hc_block_jacobi(blk)
+        a, b = chain.recurrence(np.arange(op_.size, dtype=float))
+        for x, y in ((op_.diag_array(), a), (op_.offdiag_array(), b[:op_.size - 1])):
+            assert np.abs(x - y).max() <= 1e-10 * np.abs(x).max()
+        # just past the edge (beta0 moved by 2 eps) the zero parameter is
+        # u = -eps, and its one atom's share of the mass vanishes with u
+        for eps in (1e-2, 1e-4, 1e-6):
+            past, got = tm.uvw_params(K, a0, b0 + step * 2.0 * eps)
+            assert got == branch and past.n_atoms() == 1
+            assert past.u == pytest.approx(-eps, rel=1e-6)
+            meas = past.measure()
+            share = meas.weights.sum() / meas.total_mass_closed
+            first = 2.0 * eps * math.exp(gammaln(past.v) + gammaln(past.w)
+                                         - gammaln(past.v + past.w))
+            assert abs(share / first - 1.0) <= 3.0 * eps
+
+
+def test_c_block_refusals_are_the_written_rule():
+    # labels CBlock accepts: hc_chain returns, or refuses naming (u, v, w)
+    # exactly where the branch triple as written (by d against the edges)
+    # breaks v, w > 0 and u + v, u + w > 0
+    rng = np.random.default_rng(48)
+    lo, hi = math.log(1.2e-16), math.log(1e3)
+    refused = 0
+    for _ in range(60000):
+        K = int(rng.integers(-5, 6))
+        a0, b0 = (float(x) for x in np.exp(rng.uniform(lo, hi, 2)))
+        blk = tm.CBlock(K, a0, b0, n_levels=2)
+        p, q, edges = _two_branch_uvw(K, a0, b0)
+        h = 0.5 * (a0 + b0 - 1.0)
+        d = b0 - a0
+        u, v, w = (p, q, h) if d < edges[0] else (h, p, q) if d < edges[1] else (q, h, p)
+        admissible = v > 0 and w > 0 and u + v > 0 and u + w > 0
+        try:
+            tm.hc_chain(blk)
+        except ParameterError as exc:
+            assert exc.names == ("u", "v", "w")
+            assert not admissible, (K, a0, b0)
+            refused += 1
+        else:
+            assert admissible, (K, a0, b0)
+    assert refused >= 50
+    # u + v rounds to 0 here
+    with pytest.raises(ParameterError) as exc:
+        tm.hc_chain(tm.CBlock(-3, 1.94973219637944e-16, 4.617328995191763))
+    assert exc.value.names == ("u", "v", "w")
 
 
 def test_hc_spectrum_bound_state():
@@ -481,6 +529,5 @@ def test_hc_truncation_check_rejects_short_quarter(n_levels):
 def test_cdh_gram_for_block_parameters():
     # three parameter triples spanning the bound-state and pure-continuum regimes
     for K, a0, b0 in ((0, 0.3, 0.3), (1, 1.0, 1.0), (0, 0.5, 3.2)):
-        p = tm.uvw_params(K, a0, b0)
-        fam = op.ContinuousDualHahn(p.u, p.v, p.w)
+        fam, _ = tm.uvw_params(K, a0, b0)
         assert op.gram_check(fam, 8) <= 1e-6
