@@ -14,8 +14,7 @@ corpus:
 - the evolve and spectra operations of ``perfbench.workloads.make_round``,
   seeds 1-5, rounds 0-1 (this checkout's ``perfbench``, imported read-only,
   for either tree): the raw output of each, parsed JSON for a CLI command;
-- every check deviation and tolerance of the full and the quick
-  ``validation.run_all``;
+- every check deviation and tolerance of ``validation.run_all``;
 - ``multiboson evolve --format json``, ``coherent`` and ``spectrum --model
   two-d`` and ``two-c`` at their defaults, ``spectrum --mu 4 --nu 1`` (one
   mode, which has no default labels), and ``evolve --format json`` for the
@@ -152,10 +151,8 @@ def corpus(tmp):
                 for i, op in enumerate(ops):
                     yield (f"{workload} seed {seed} round {index} op {i} {op.kind}",
                            lambda op=op: _output(op.run()))
-    for quick in (False, True):
-        yield (f"validate{' quick' if quick else ''}",
-               lambda quick=quick: [(c.name, c.deviation, c.tolerance, c.passed)
-                                    for c in validation.run_all(quick=quick)])
+    yield "validate", lambda: [(c.name, c.deviation, c.tolerance, c.passed)
+                               for c in validation.run_all()]
     for argv in (["evolve", "--format", "json"], ["coherent"], ["spectrum", "--model", "two-d"],
                  ["spectrum", "--model", "two-c"], ["spectrum", "--mu", "4", "--nu", "1"]):
         yield f"cli {' '.join(argv)}", lambda argv=argv: _cli(cli, argv)

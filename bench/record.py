@@ -7,16 +7,19 @@ Usage (from the repository root):
     python3 bench/record.py --tree parent --src /path/to/other/checkout/src --out BENCH.json
     python3 bench/record.py --against REV [--rounds R] --out AB.json
 
-Every case runs in this process, with BLAS pinned to one thread: one warm-up
-call, ``REPEATS`` untraced calls (their median wall time is ``seconds``)
-and one more call under tracemalloc (its peak of traced bytes, numpy buffers
-included, is ``peak_bytes``).  A row is
+Every case runs in this process, with BLAS pinned to one thread: one timed
+warm-up call, ``REPEATS`` untraced samples and one more call under
+tracemalloc (its peak of traced bytes, numpy buffers included, is
+``peak_bytes``).  Each sample calls the case ``repeat`` times in a row,
+ceil(``MIN_SAMPLE`` / the warm-up call's time) and at least once, so a
+sample lasts about 50 ms however fast the case; ``seconds`` is the median
+sample's wall time per call.  A row is
 
-    {tree, case, layer, size, seconds, peak_bytes, accuracy}
+    {tree, case, layer, size, seconds, repeat, peak_bytes, accuracy}
 
 where ``size`` is the case's problem size (n_levels, cutoff or block order
 n, K + 1 for a D-block; null for validate sections and the whole-validate
-cases) and
+case) and
 ``accuracy`` is the case's own error figure (lower is better), described
 under "accuracy" in the output file.  Oracle-window rows also carry
 ``path``: "certified windows" or "index window", the route
@@ -25,8 +28,8 @@ the index window).  Rows of the same tree already in
 ``--out`` are replaced; rows of other trees are kept, so two trees (say a
 change and its parent) can be recorded into one file and compared row by row.
 
-Cases: the CLI commands ``validate --quick``, ``validate``, ``spectrum
---model two-c`` at n_levels 4000 and ``evolve --preset HIV`` at cutoffs 48
+Cases: the CLI commands ``validate``, ``spectrum --model two-c`` at
+n_levels 4000 and ``evolve --preset HIV`` at cutoffs 48
 and 96; the Meixner block of the implementer at n 240; the implementer grid
 of ``validate``; the oracle windows ``jacobi.oracle_eigs`` takes for the
 atoms of one-mode class 5 (bottom) and class 6 (top) at n_levels 500, 2000
@@ -39,9 +42,10 @@ dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
 state spread over the whole window (every charge block occupied), and on
 the continuous one-mode classes 3 at n_levels 780 over 21 times and 1 at
 n_levels 275 over 201 times (the costliest operations of the benchmark's
-evolve workload); and each section of the validate suite, as the table
-``validation.SECTIONS`` yields them through ``validation.run_sections``, so
-only trees that have that table can be recorded.
+evolve workload); and each section of the validate suite's table
+``validation.SECTIONS``, timed alone from the state of the suite's
+generator at the section's start (read from one ``validation.run_sections``
+run), so only trees that have that table can be recorded.
 
 Rows whose code a change did not touch have moved by 0.74-1.56x between
 two trees recorded one after the other on a 2-vCPU x86_64 VM, so one
@@ -84,6 +88,7 @@ import tracemalloc
 import numpy as np
 
 REPEATS = 5
+MIN_SAMPLE = 0.05   # seconds: the sample length a case is repeated to
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # what each case's accuracy figure is, by case name (run_series and validate
@@ -126,21 +131,25 @@ def parse_args(argv=None):
 
 
 def measure(fn):
-    """(median seconds of ``REPEATS`` calls, traced peak bytes, accuracy)
-    after one warm-up call; fn returns the accuracy figure."""
+    """(seconds per call, repeat, traced peak bytes, accuracy): the median
+    over ``REPEATS`` samples of ``repeat`` calls each, repeat set by the
+    timed warm-up call (module docstring); fn returns the accuracy figure."""
+    t0 = time.perf_counter()
     fn()
+    repeat = max(1, math.ceil(MIN_SAMPLE / (time.perf_counter() - t0)))
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        for _ in range(repeat):
+            fn()
+        times.append((time.perf_counter() - t0) / repeat)
     tracemalloc.start()
     try:
         accuracy = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times), peak, accuracy
+    return statistics.median(times), repeat, peak, accuracy
 
 
 def cli_cases(cli, tmp):
@@ -155,11 +164,9 @@ def cli_cases(cli, tmp):
         with open(path) as f:
             return json.load(f)
 
-    def validate(*flags):
-        def fn():
-            report = run(["validate", *flags])
-            return max(r["deviation"] / r["tolerance"] for r in report["results"])
-        return fn
+    def validate():
+        report = run(["validate"])
+        return max(r["deviation"] / r["tolerance"] for r in report["results"])
 
     def spectrum():
         return run(["spectrum", "--model", "two-c", "--K", "0", "--alpha0", "0.3",
@@ -169,8 +176,7 @@ def cli_cases(cli, tmp):
         return lambda: run(["evolve", "--preset", "HIV", "--n-per-mode", str(n)]
                            )["diagnostics"]["max_norm_error"]
 
-    yield "cli validate --quick", "cli.main", None, validate("--quick")
-    yield "cli validate", "cli.main", None, validate()
+    yield "cli validate", "cli.main", None, validate
     yield "cli spectrum two-c", "cli.main", 4000, spectrum
     for n in (48, 96):
         yield "cli evolve HIV", "cli.main", n, evolve(n)
@@ -276,7 +282,7 @@ def dblock_rows(twomode, tree):
     for K in (500, 2000):
         blk = twomode.DBlock(K, 0.5, 2.7)
         op, chain = twomode.hd_block_jacobi(blk), twomode.hd_chain(blk)
-        seconds, peak, v = measure(lambda: chain.eigenvectors(op, K + 1, K + 1))
+        seconds, repeat, peak, v = measure(lambda: chain.eigenvectors(op, K + 1, K + 1))
         d, e, energies = op.diag_array(), op.offdiag_array()[:, None], chain.atoms(K + 1)
         jv = d[:, None] * v
         jv[:-1] += e * v[1:]
@@ -284,32 +290,43 @@ def dblock_rows(twomode, tree):
         residual = np.linalg.norm(jv - v * energies, axis=0).max() / np.abs(energies).max()
         rows.append({"tree": tree, "case": "D-block eigenvectors",
                      "layer": "jacobi.Chain.eigenvectors", "size": K + 1,
-                     "seconds": seconds, "peak_bytes": peak,
+                     "seconds": seconds, "repeat": repeat, "peak_bytes": peak,
                      "accuracy": max(_gram_error(v, K + 1), float(residual))})
         print(json.dumps(rows[-1]), file=sys.stderr)
     return rows
 
 
 def section_rows(validation, tree):
-    """One row per section of ``validation.run_sections`` (full): the median
-    of its section times, and the traced peak during the section (read and
-    reset as each section's checks arrive, so it counts what earlier
-    sections' results still hold)."""
-    validation.run_all()
-    runs = [list(validation.run_sections()) for _ in range(REPEATS)]
-    rows = []
-    tracemalloc.start()
+    """One row per section of ``validation.SECTIONS``, each measured alone
+    and called with the generator state the suite reaches it with: one
+    ``validation.run_sections`` run, its table wrapped for that run, reads
+    each section's state and further arguments (older trees pass more)."""
+    starts = []
+
+    def wrap(section):
+        def run(rng, *args):
+            starts.append((section, rng.bit_generator.state, args))
+            return section(rng, *args)
+        return run
+
+    sections = validation.SECTIONS
+    validation.SECTIONS = tuple(map(wrap, sections))
     try:
-        for i, checks in enumerate(validation.run_sections()):
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            rows.append({"tree": tree, "case": f"validate section {checks[0].name}",
-                         "layer": "validation.run_all", "size": None,
-                         "seconds": statistics.median(run[i][0].seconds for run in runs),
-                         "peak_bytes": peak,
-                         "accuracy": max(c.deviation / c.tolerance for c in checks)})
+        names = [checks[0].name for checks in validation.run_sections()]
     finally:
-        tracemalloc.stop()
+        validation.SECTIONS = sections
+    rows = []
+    for name, (section, state, args) in zip(names, starts):
+        rng = np.random.default_rng()
+
+        def fn(section=section, state=state, args=args, rng=rng):
+            rng.bit_generator.state = state
+            return max(c.deviation / c.tolerance for c in section(rng, *args))
+        seconds, repeat, peak, accuracy = measure(fn)
+        rows.append({"tree": tree, "case": f"validate section {name}",
+                     "layer": "validation.run_all", "size": None, "seconds": seconds,
+                     "repeat": repeat, "peak_bytes": peak, "accuracy": accuracy})
+        print(json.dumps(rows[-1]), file=sys.stderr)
     return rows
 
 
@@ -323,15 +340,16 @@ def record(args):
         for case, layer, size, fn in (*cli_cases(cli, tmp), *layer_cases(bogoliubov),
                                       *series_cases(bogoliubov, evolution, onemode, rep,
                                                     twomode)):
-            seconds, peak, accuracy = measure(fn)
+            seconds, repeat, peak, accuracy = measure(fn)
             rows.append({"tree": args.tree, "case": case, "layer": layer, "size": size,
-                         "seconds": seconds, "peak_bytes": peak, "accuracy": accuracy})
+                         "seconds": seconds, "repeat": repeat, "peak_bytes": peak,
+                         "accuracy": accuracy})
             print(json.dumps(rows[-1]), file=sys.stderr)
     for case, size, path, fn in oracle_cases(jacobi, onemode, rep, twomode):
-        seconds, peak, accuracy = measure(fn)
+        seconds, repeat, peak, accuracy = measure(fn)
         rows.append({"tree": args.tree, "case": case, "layer": "jacobi.oracle_eigs",
-                     "size": size, "seconds": seconds, "peak_bytes": peak,
-                     "accuracy": accuracy, "path": path})
+                     "size": size, "seconds": seconds, "repeat": repeat,
+                     "peak_bytes": peak, "accuracy": accuracy, "path": path})
         print(json.dumps(rows[-1]), file=sys.stderr)
     rows += dblock_rows(twomode, args.tree)
     rows += section_rows(validation, args.tree)

@@ -59,8 +59,8 @@ def _number(kind, low=-math.inf, inf=False):
 
 def _choice(*options):
     def convert(raw):
-        if raw not in options or isinstance(raw, bool) != isinstance(options[0], bool):
-            raise ValueError(f"must be one of {', '.join(map(str, options))}")
+        if raw not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
         return raw
     return convert
 
@@ -91,10 +91,8 @@ def _as_written(parse):
 
 
 _REAL, _POSITIVE = _number(float), _number(float, 0.0)
-_SWITCH = _choice(True, False)
 # config key: (subcommands, converter, default or {model or subcommand: default})
 _FLAGS = {
-    "quick": (("validate",), _SWITCH, False),
     "model": (("spectrum",), _choice("onemode", "two-d", "two-c"), "onemode"),
     "mu": (("spectrum",), _REAL, None),
     "nu": (("spectrum",), _REAL, None),
@@ -206,9 +204,9 @@ def _emit(config: dict, results, diagnostics: dict, fmt: str, out_path,
 
 
 def cmd_validate(cfg: dict, given: dict, out) -> int:
-    results = validation.run_all(quick=cfg["quick"])
+    results = validation.run_all()
     if out:
-        _emit({"command": "validate", "quick": cfg["quick"]}, [r.to_dict() for r in results],
+        _emit({"command": "validate"}, [r.to_dict() for r in results],
               {"n_checks": len(results), "n_passed": sum(r.passed for r in results)},
               "json", out)
     print(validation.format_report(results))
@@ -336,7 +334,7 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The tree of ``_FLAGS``: each flag stores its string (--quick: True) under its key."""
+    """The tree of ``_FLAGS``: each flag stores its string under its key."""
     p = argparse.ArgumentParser(prog="multiboson",
                                 description="cluster-model spectra and evolution")
     p.add_argument("--version", action="version", version=__version__)
@@ -344,10 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         for key in _KEYS[command]:
-            if _FLAGS[key][1] is _SWITCH:
-                sp.add_argument(_flag(key), dest=key, action="store_const", const=True)
-            else:
-                sp.add_argument(_flag(key), dest=key)
+            sp.add_argument(_flag(key), dest=key)
         sp.add_argument("--config")
         sp.add_argument("--out")
     return p

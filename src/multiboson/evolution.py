@@ -43,10 +43,17 @@ moment in one pass: an extended-precision sum is accepted where a rounding
 certificate proves it rounds to the exact value, and ``math.fsum`` takes
 the other rows (``_exact_sums``).
 
-Evolution of the truncated model is unitary, so norms and the block labels
-(Manley-Rowe charges) are conserved to roundoff.  Whether the truncated
-model tracks the infinite one is a separate question monitored in one
-place, ``_evolve_grid``, through the state's tail fraction: the
+Which model is evolved depends on the source.  A generic two-mode
+interaction, every canonical charge block and the continuous one-mode
+classes 1-4 evolve the truncated window's own operator, which is unitary,
+so norms and the block labels (Manley-Rowe charges) are conserved to
+roundoff.  The discrete one-mode classes 5-8 evolve the untruncated chain
+by its closed-form eigenpairs, restricted to the window (``onemode.evolve``):
+their amplitudes are the infinite model's on the window's levels, and the
+norm the state carries past the window is lost from it.  The diagonal
+class 9 is both.  Whether the truncated model tracks the infinite one is
+a separate question monitored in one place, ``_evolve_grid``, through the
+state's tail fraction: the
 norm-squared share of the positions where some mode sits in the last 10%
 of its window (``FullModel.tail_tol``).  Models whose interactions pump
 quanta without bound (all four presets at large t) leave any fixed
@@ -434,6 +441,12 @@ def run_series(model: FullModel, psi0, t_grid) -> ObservableSeries:
     block positions.  The grid must hold at least one time, every one
     finite, and the evolved state must be finite at each: ParameterError
     names t_grid when an energy times t leaves the double range.
+
+    ``norm_errors`` holds |norm - 1| at each time.  On the routes that evolve
+    the truncated window (two-mode interactions, one-mode classes 1-4 and 9)
+    it is roundoff; on one-mode classes 5-8, which evolve the untruncated
+    chain (module docstring), it is also 1 minus the norm the exact
+    evolution leaves on the window.
     """
     amps, norm = _checked_state(model, psi0, "psi0")
     times = np.asarray(t_grid, dtype=float).reshape(-1)

@@ -503,9 +503,10 @@ class Chain:
 
     def oracle_delta(self, op: JacobiOperator, count: int | None = None) -> float:
         """max |atom - paired eigenvalue| over the first ``count`` atoms (all
-        ``op.size`` when None), against ``oracle_eigs`` of the truncation op."""
-        k = op.size if count is None else count
-        w = oracle_eigs(op, count, top=self.pairs_top)
+        ``op.size`` when None or above it), against ``oracle_eigs`` of the
+        truncation op."""
+        k = op.size if count is None else min(count, op.size)
+        w = oracle_eigs(op, k, top=self.pairs_top)
         return float(np.abs(self.atoms(k) - self.pair(w, k)).max())
 
     def eigenvectors(self, op: JacobiOperator, n_rows: int, n_cols: int) -> np.ndarray:

@@ -168,7 +168,11 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     The spectral data is taken once per call, whatever the number of times:
     one closed-form eigen-expansion of psi in the discrete cases 5-8, one
     (LAPACK) eigendecomposition of the truncated Jacobi operator in the
-    continuous cases 1-4, the diagonal energies in case 9.  Every case
+    continuous cases 1-4, the diagonal energies in case 9.  So the cases
+    evolve different models: 1-4 the truncated window, unitarily, and 5-8
+    the untruncated chain, whose eigenvectors the closed form gives, read on
+    the window's levels, so the result's norm falls as the state leaves the
+    window (case 9 is diagonal, and the two agree).  Every case
     applies its phases through ``jacobi.spectral_apply``; cases 1-8 project
     psi and apply them in real arithmetic against the real eigenvectors
     (``jacobi.spectral_coeffs``), so no complex copy of an eigenvector

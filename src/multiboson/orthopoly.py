@@ -112,12 +112,15 @@ def ln_pochhammer(a: float, k: int) -> float:
 
 def hyp0f1(b: float, z: complex) -> complex:
     """0F1(; b; z) for b > 0 by ``scipy.special.hyp0f1``: a float for a real
-    z, a complex for a complex z."""
+    z, a complex for a complex z.  Every term is positive at a real z >= 0,
+    so 0F1 >= 1 there, and a smaller value or a nan is scipy's overflow (at
+    b 1 it returns 0.0 past z 1.2e5): it is returned as inf."""
     if b <= 0:
         raise ValueError(f"hyp0f1 requires b > 0, got {b}")
     if isinstance(z, complex):
         return complex(_hyp0f1(b, z))
-    return float(_hyp0f1(b, z))
+    value = float(_hyp0f1(b, z))
+    return math.inf if z >= 0 and not value >= 1.0 else value
 
 
 def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:

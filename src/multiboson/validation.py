@@ -199,12 +199,12 @@ def _canonical_block_deviation(n: int) -> float:
     return worst
 
 
-def _ladder_algebra(rng, quick):
+def _ladder_algebra(rng):
     """The sl(2) commutators, difference equations and Casimir scalar of
     random alpha0 tables at l = 1, 2, 3."""
     dev_c = dev_d = dev_cas = 0.0
     for l in (1, 2, 3):
-        for _ in range(1 if quick else 3):
+        for _ in range(3):
             table = tuple(rng.uniform(0.2, 3.0, size=l))
             dev_c = max(dev_c, _commutator_residual(l, table, 64))
             dev_d = max(dev_d, _difference_eq_residual(l, table, 100))
@@ -214,7 +214,7 @@ def _ladder_algebra(rng, quick):
             _check("rep.casimir.sector_scalar", dev_cas, 1e-10)]
 
 
-def _casimir_invariance(rng, quick):
+def _casimir_invariance(rng):
     """The Casimir under random generator actions, on the dense generators."""
     r1 = rep.MultibosonRep(1, (1.3,))
     a0m, amm, apm = rep.build_generators_full(r1, 64)
@@ -233,7 +233,7 @@ def _casimir_invariance(rng, quick):
     return [_check("bogoliubov.casimir_invariance", worst, 1e-9)]
 
 
-def _group_law(rng, quick):
+def _group_law(rng):
     """The group homomorphism and the structure constants."""
     f = bogoliubov.structure_constants()
     dev_h = dev_s = 0.0
@@ -253,19 +253,17 @@ def _group_law(rng, quick):
             _check("bogoliubov.structure_constants", dev_s, 1e-12)]
 
 
-def _implementers(rng, quick):
+def _implementers(rng):
     """Implementing unitaries: a and 1/a, and both sigma, share a Meixner
     block (one per (alpha0, c)), taken in turn from the one-entry memo."""
-    n = 160 if quick else 240
+    n = 240
     dev_u = dev_cj = 0.0
-    grid_a = (0.5, 2.0) if quick else (1 / 3, 3.0, 0.5, 2.0)
-    grid_al = (1.0,) if quick else (0.5, 1.0, 2.7)
-    for al in grid_al:
+    for al in (0.5, 1.0, 2.7):
         sector = rep.OneModeSector(rep.MultibosonRep(1, (al,)), 0, n)
         diag, lowering, _ = rep.sector_coeffs(sector)
         k = np.arange(n, dtype=float)
         d, b = diag(k), lowering(k[1:])
-        for a in grid_a:
+        for a in (1 / 3, 3.0, 0.5, 2.0):
             for sg in (1, -1):
                 g = bogoliubov.GroupElement(a, sg)
                 u, info = bogoliubov.implementer(g, al, n)
@@ -282,7 +280,7 @@ def _implementers(rng, quick):
             _check("bogoliubov.implementer_conjugation", dev_cj, 1e-7)]
 
 
-def _onemode_diagonal(rng, quick):
+def _onemode_diagonal(rng):
     """The one-mode diagonal case (class 9)."""
     atoms = onemode.classify(-3.0, -3.0, 2.0).atoms(40)
     expected = -3.0 * (2 * np.arange(40) + 2.0)
@@ -290,7 +288,7 @@ def _onemode_diagonal(rng, quick):
                    np.abs(atoms - expected).max(), 1e-12)]
 
 
-def _onemode_meixner(rng, quick):
+def _onemode_meixner(rng):
     """The one-mode Meixner case (class 5) against the oracle."""
     sec = rep.OneModeSector(rep.MultibosonRep(1, (1.0,)), 0, 100)
     h5 = onemode.OneModeHamiltonian(4.0, 1.0, sec)
@@ -309,7 +307,7 @@ def _onemode_meixner(rng, quick):
             _check("onemode.case5.eigenvector_overlap", worst, 1e-8)]
 
 
-def _hd_spectra(rng, quick):
+def _hd_spectra(rng):
     """Finite two-mode blocks: closed form vs oracle, and the erratum's
     shifted off-diagonal still missing the closed form (regression pin)."""
     blocks = [twomode.DBlock(K, a0, b0) for K in range(7)
@@ -322,7 +320,7 @@ def _hd_spectra(rng, quick):
                    note="shifted b_k variant must stay wrong by >= 0.1")]
 
 
-def _hd_eigenvectors(rng, quick):
+def _hd_eigenvectors(rng):
     """D-block eigenvectors, sign included: the signed overlap 1 - <c_n, v_n>
     of the columns v_n of ``Chain.eigenvectors`` (one solve per block) with
     the normalized dual Hahn columns c_n, terminating 3F2 sums, over the
@@ -344,38 +342,35 @@ def _hd_eigenvectors(rng, quick):
     return [_check("twomode.hd.eigenvector_overlap", worst, 1e-9)]
 
 
-def _hc_bound_state(rng, quick):
+def _hc_bound_state(rng):
     """The C-form bound state."""
-    nlev = 2000 if quick else 4000
-    blk = twomode.CBlock(0, 0.3, 0.3, n_levels=nlev)
+    blk = twomode.CBlock(0, 0.3, 0.3, n_levels=4000)
     fam = twomode.hc_chain(blk).family
     chk = twomode.hc_truncation_check(blk)
     return [_check("twomode.hc.uvw",
                    max(abs(fam.u + 0.2), abs(fam.v - 0.5), abs(fam.w - 0.5)), 1e-14),
             _check("twomode.hc.bound_state_energy",
                    abs(chk.extrapolated[-1] - 0.045), 1e-3,
-                   note=f"raw top at N={nlev}: {chk.top_full[-1]:.6f}"),
+                   note=f"raw top at N=4000: {chk.top_full[-1]:.6f}"),
             _check("twomode.hc.richardson_agreement", chk.agreement, 1e-3),
             _check("twomode.hc.continuum_edge",
                    float(chk.top_full[-2]), 0.005,
                    note="second eigenvalue must stay below the continuum edge")]
 
 
-def _gram(rng, quick):
+def _gram(rng):
     """Orthonormality of the discrete and continuous families."""
     dev_d = max(orthopoly.gram_check(orthopoly.DualHahn(0.0, 0.0, 3), 3),
                 orthopoly.gram_check(orthopoly.Meixner(1.0, 1.0 / 9.0), 8))
     dev_cont = max(orthopoly.gram_check(orthopoly.Laguerre(-0.5), 10),
-                   orthopoly.gram_check(orthopoly.MeixnerPollaczek(0.75, math.pi / 2), 6))
-    if not quick:
-        dev_cont = max(dev_cont,
-                       orthopoly.gram_check(orthopoly.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
-                       orthopoly.gram_check(orthopoly.ContinuousDualHahn(0.5, 0.5, 1.0), 8))
+                   orthopoly.gram_check(orthopoly.MeixnerPollaczek(0.75, math.pi / 2), 6),
+                   orthopoly.gram_check(orthopoly.ContinuousDualHahn(-0.2, 0.5, 0.5), 8),
+                   orthopoly.gram_check(orthopoly.ContinuousDualHahn(0.5, 0.5, 1.0), 8))
     return [_check("orthopoly.gram.discrete", dev_d, 1e-10),
             _check("orthopoly.gram.continuous", dev_cont, 1e-7)]
 
 
-def _mapped_families(rng, quick):
+def _mapped_families(rng):
     """The largest gap, relative to its list's largest entry, between
     operators' coefficient streams (200 levels) and atom formulas and their
     chains' mapped families (``jacobi.Chain``): one-mode labels of all nine
@@ -413,7 +408,7 @@ def _mapped_families(rng, quick):
                    note="streams and atoms relative to their largest entry")]
 
 
-def _coherent_states(rng, quick):
+def _coherent_states(rng):
     """Coherent states: the eigenstate residual and the radial moments."""
     dev_r = dev_m = 0.0
     for al in (0.3, 1.0, 2.7):
@@ -423,14 +418,13 @@ def _coherent_states(rng, quick):
             resid = np.linalg.norm(rep.apply_lowering(s, cs) - z * cs) / np.linalg.norm(cs)
             dev_r = max(dev_r, resid)
     for al in (0.3, 1.0, 2.7):
-        m = coherent.radial_measure(al, k_checked=4 if quick else 10)
-        dev_m = max(dev_m, max(m.moment_error(k)
-                               for k in range(5 if quick else 11)))
+        m = coherent.radial_measure(al, k_checked=10)
+        dev_m = max(dev_m, max(m.moment_error(k) for k in range(11)))
     return [_check("coherent.eigenstate_residual", dev_r, 1e-8),
             _check("coherent.measure_moments", dev_m, 1e-6)]
 
 
-def _disc_flow(rng, quick):
+def _disc_flow(rng):
     """The disc-model SU(1,1) flow."""
     worst_det = worst_law = 0.0
     for mu, nu in ((4.0, 1.0), (1.0, -1.0), (2.0, 0.0), (3.0, 3.0)):
@@ -445,16 +439,15 @@ def _disc_flow(rng, quick):
             _check("coherent.su11_group_law", worst_law, 1e-10)]
 
 
-def _presets(rng, quick):
+def _presets(rng):
     """Preset equivalence and conservation laws: HIV against its canonical
     form on CSR entries at cutoff 40, and the canonical forms against their
     charge blocks on dense n 12 matrices."""
     dev_f = max(_framework_deviation("HIV", 40), _canonical_block_deviation(12))
-    n = 24 if quick else 48
-    pm = evolution.preset("HIV", n)
+    pm = evolution.preset("HIV", 48)
     model = evolution.FullModel(pm.mapping, (1.0, 1.0), tail_tol=math.inf)
     psi0 = evolution.basis_state(model, (2, 3))
-    ts = np.linspace(0.0, 10.0, 9 if quick else 21)
+    ts = np.linspace(0.0, 10.0, 21)
     series = evolution.run_series(model, psi0, ts)
     mr = [r.means[0] - r.means[1] for r in series.records]
     return [_check("evolution.hiv_framework_equality", dev_f, 1e-12),
@@ -468,20 +461,20 @@ SECTIONS = (_ladder_algebra, _casimir_invariance, _group_law, _implementers,
             _presets)
 
 
-def run_sections(quick: bool = False):
+def run_sections():
     """Run ``SECTIONS`` in order, yielding each section's checks stamped
     with the section's wall time."""
     rng = np.random.default_rng(20240817)
     for section in SECTIONS:
         start = perf_counter()
-        checks = section(rng, quick)
+        checks = section(rng)
         seconds = perf_counter() - start
         yield [replace(c, seconds=seconds) for c in checks]
 
 
-def run_all(quick: bool = False):
+def run_all():
     """Run the invariant suite; returns a list of CheckResult."""
-    return [c for checks in run_sections(quick) for c in checks]
+    return [c for checks in run_sections() for c in checks]
 
 
 def format_report(results) -> str:

@@ -28,30 +28,43 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_validate_quick_passes(capsys):
-    code, out, _ = _run(capsys, "validate", "--quick")
+def test_validate_passes(capsys):
+    code, out, _ = _run(capsys, "validate")
     assert code == 0
     assert "PASS" in out and "FAIL\n" not in out
+
+
+def test_validate_has_one_configuration(capsys, tmp_path):
+    # validate takes only --config and --out: the retired --quick switch is
+    # an unrecognized argument, and its config key an unknown one
+    code, _, err = _run(capsys, "validate", "--quick")
+    assert code == 2 and "unrecognized arguments: --quick" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quick": True}))
+    code, _, err = _run(capsys, "validate", "--config", str(cfg))
+    assert code == 2 and "--config" in err and "'quick'" in err
 
 
 def test_validate_has_no_convention_option(capsys, tmp_path):
     # the D-blocks have one coefficient stream: neither a flag nor a config
     # key selects another
-    code, _, err = _run(capsys, "validate", "--quick", "--hd-convention", "printed")
+    code, _, err = _run(capsys, "validate", "--hd-convention", "printed")
     assert code == 2 and "--hd-convention" in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"hd_convention": "printed"}))
-    code, _, err = _run(capsys, "validate", "--quick", "--config", str(cfg))
+    code, _, err = _run(capsys, "validate", "--config", str(cfg))
     assert code == 2 and "hd_convention" in err
 
 
 def test_validate_times_each_section(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     t0 = time.perf_counter()
-    code, out, _ = _run(capsys, "validate", "--quick", "--out", str(out_path))
+    code, out, _ = _run(capsys, "validate", "--out", str(out_path))
     wall = time.perf_counter() - t0
     assert code == 0
-    rows = {r["name"]: r for r in json.loads(out_path.read_text())["results"]}
+    payload = json.loads(out_path.read_text())
+    assert payload["config"] == {"command": "validate"}
+    rows = {r["name"]: r for r in payload["results"]}
     seconds = {name: r["seconds"] for name, r in rows.items()}
     assert all(s >= 0.0 for s in seconds.values())
     # checks of one section share its time, and the sections add up to no
@@ -185,7 +198,8 @@ def test_each_subcommand_takes_exactly_its_config_keys(capsys):
     # key and with its name, so no flag is parsed and then ignored
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == {c for commands, _, _ in _FLAGS.values() for c in commands}
+    # validate takes no flag of the table, only --config and --out
+    assert set(sub.choices) == {"validate", "spectrum", "evolve", "coherent"}
     for command, parser in sub.choices.items():
         keys = {key for key, (commands, _, _) in _FLAGS.items() if command in commands}
         dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}

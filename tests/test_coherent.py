@@ -57,11 +57,26 @@ def test_kernel_identities():
     (1.0, math.inf, ("alpha0",)),
     (1.0, 0.0, ("alpha0",)),
     (math.nan, math.nan, ("z", "alpha0")),
+    (2e5, 1.0, ("z", "alpha0")),            # scipy's 0F1 read 0.0: was 0.0
 ])
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 def test_kernel_refuses_non_finite_inputs_and_values(z, alpha0, names):
     with pytest.raises(ParameterError) as err:
         ch.kernel(z, alpha0)
     assert err.value.names == names
+
+
+# at b 1 exactly, scipy's asymptotic branch divides by zero, reports the
+# ignored ZeroDivisionError and returns 0.0
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_hyp0f1_past_the_double_range_is_inf_at_every_b():
+    # 0F1 >= 1 at a real z >= 0, so a smaller value can only be an overflow
+    for b in (1.0, 1.0 + 1e-15, 1.0 - 1e-10, 0.5, 1.5, 2.0, 3.0):
+        for z in (2e5, 1e300):
+            assert hyp0f1(b, z) == math.inf, (b, z)
+    assert hyp0f1(1.0, 1.3e5) == math.inf
+    # below the overflow the value is scipy's, bit for bit
+    assert ch.kernel(1.2e5, 1.0) == hyp0f1(1.0, 1.2e5) == 1.1714436718895324e+299
 
 
 def test_coherent_state_truncation_invariant():

@@ -148,6 +148,16 @@ def test_oracle_delta_defaults_to_every_level(K):
     assert delta == np.abs(chain.atoms(K + 1) - oracle_eigs(op)).max() <= 1e-9 * (K + 3) ** 2
 
 
+def test_oracle_delta_takes_a_count_past_the_size_as_every_level():
+    # oracle_eigs reads such a count as the whole spectrum; the atoms are
+    # taken to the same count
+    op = _onemode_operator(4.0, 1.0, 10)
+    chain = om.classify(4.0, 1.0, 1.0)
+    delta = chain.oracle_delta(op, 20)
+    assert delta == chain.oracle_delta(op, 10) == chain.oracle_delta(op)
+    assert delta == np.abs(chain.atoms(10) - oracle_eigs(op)).max()
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_oracle_eigs_rejects_empty_window(count):
     with pytest.raises(ValueError, match="count"):

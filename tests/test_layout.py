@@ -112,6 +112,9 @@ PHASES = _why(
 C_FAMILY = _why(
     "one rule for a C-block's family parameters: the continuous dual Hahn",
     "family is the record, and an exact branch edge is not ambiguous")
+ONE_CONFIG = _why(
+    "one validate configuration: the suite runs in 0.07 s in process, so no",
+    "reduced mode stands beside it")
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,8 @@ RULES = [
     Rule("branch-edge-candidates", r"BoundaryAmbiguityError|UVWParams|uvw_candidates",
          SRC + ("bench/**/*.py",), '    results["uvw_candidates"] = list(exc.candidates)',
          C_FAMILY),
+    Rule("validate-reduced-mode", r"\bquick\b", SRC + ("bench/**/*.py",),
+         "def run_all(quick: bool = False):", ONE_CONFIG),
 ]
 
 

@@ -1,7 +1,7 @@
 """Faults that ``validate`` must see: a mutation table.
 
 Each row applies one named fault to one function as the package sees it
-(pytest's ``monkeypatch``) and asserts that ``validation.run_all(quick=True)``
+(pytest's ``monkeypatch``) and asserts that ``validation.run_all()``
 reports at least one failed check (DeMillo, Lipton & Sayward, IEEE Computer
 11(4), 1978).  The unpatched row must pass every check.
 
@@ -107,7 +107,7 @@ ROWS = [
 def test_validate_kills_fault(fault, monkeypatch):
     if fault is not None:
         fault(monkeypatch)
-    failed = [c.name for c in validation.run_all(quick=True) if not c.passed]
+    failed = [c.name for c in validation.run_all() if not c.passed]
     if fault is None:
         assert not failed, failed
     else:

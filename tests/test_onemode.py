@@ -369,6 +369,42 @@ def test_evolve_continuous_case_unitary():
     assert np.abs(back - psi0).max() <= 1e-9
 
 
+# (mu, nu) of each class with evolve's two models: 5-8 closed form, 1-4 oracle
+TWO_MODELS = {5: (1.25, 0.6), 6: (-1.25, -0.6), 7: (0.6, 1.25), 8: (-0.6, -1.25),
+              1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, -0.6), 4: (-1.0, 0.6)}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_MODELS))
+def test_evolve_discrete_classes_run_the_untruncated_chain_continuous_the_window(case):
+    # from level 30 of a 40-level window at alpha0 1.3, t = 0, 0.5, ..., 3:
+    # classes 5-8 are a 320-level oracle evolution read on the window (1.7e-14
+    # here) and lose norm from it (0.717 left at the worst time), classes
+    # 1-4 the 40-level window's own oracle evolution, unitary; the two
+    # models differ by 0.34-0.69
+    mu, nu = TWO_MODELS[case]
+    assert om.classify(mu, nu, 1.3).index == case
+    ts = np.arange(7) * 0.5
+
+    def oracle(n):
+        w, v = oracle_eigh(om.jacobi(_h(mu, nu, alpha0=1.3, n=n)))
+        return (v[:40] * v[30]) @ np.exp(-1j * np.outer(w, ts))
+
+    model = ev.FullModel(_h(mu, nu, alpha0=1.3, n=40), (0.0,), tail_tol=math.inf)
+    psi0 = ev.basis_state(model, (30,))
+    got = om.evolve(model.interaction, psi0, ts).T
+    window, chain = oracle(40), oracle(320)
+    norm_errors = ev.run_series(model, psi0, ts).norm_errors
+    if case >= 5:
+        assert np.abs(got - chain).max() <= 1e-13
+        assert np.abs(got - window).max() > 0.3
+        assert 0.25 < max(norm_errors) < 0.3
+    else:
+        assert np.abs(got - window).max() <= 1e-13
+        assert np.abs(got - chain).max() > 0.3
+        assert max(norm_errors) <= 1e-14
+    assert norm_errors == pytest.approx(1.0 - np.linalg.norm(got, axis=0), abs=1e-14)
+
+
 def test_evolve_tail_overflow():
     # a state on the last level overflows the tail monitor of evolve_full
     # and run_series, whatever the time

@@ -15,23 +15,21 @@ from multiboson import bogoliubov, evolution, rep, twomode, validation
 GOLDEN = json.loads((Path(__file__).parent / "data" / "validate_checks.json").read_text())
 
 
-@pytest.mark.parametrize("mode", ["full", "quick"])
-def test_run_all_checks_match_golden(mode):
-    results = validation.run_all(quick=mode == "quick")
+def test_run_all_checks_match_golden():
+    results = validation.run_all()
     got = [[r.name, r.tolerance] for r in results]
-    assert [g[0] for g in got] == [g[0] for g in GOLDEN[mode]]
-    for (name, tol), (_, gold_tol) in zip(got, GOLDEN[mode]):
+    assert [g[0] for g in got] == [g[0] for g in GOLDEN["full"]]
+    for (name, tol), (_, gold_tol) in zip(got, GOLDEN["full"]):
         # twomode.hd.regression_pin_gap takes a measured eigenvalue gap as
         # its tolerance, so tolerances are compared to a relative 1e-12
         assert tol == pytest.approx(gold_tol, rel=1e-12, abs=0.0), name
     assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("quick", [False, True])
-def test_run_all_is_the_sections_concatenated(quick):
-    sections = list(validation.run_sections(quick))
+def test_run_all_is_the_sections_concatenated():
+    sections = list(validation.run_sections())
     flat = [c for checks in sections for c in checks]
-    results = validation.run_all(quick)
+    results = validation.run_all()
     assert ([(r.name, r.tolerance, r.note, r.passed) for r in results]
             == [(c.name, c.tolerance, c.note, c.passed) for c in flat])
     assert [_bits(r.deviation) for r in results] == [_bits(c.deviation) for c in flat]
@@ -46,7 +44,7 @@ def test_sections_are_the_recorded_table():
     record = json.loads((Path(__file__).parents[1] / "BENCH_27.json").read_text())
     cases = [r["case"] for r in record["rows"]
              if r["tree"] == "change" and r["case"].startswith("validate section ")]
-    sections = list(validation.run_sections(quick=True))
+    sections = list(validation.run_sections())
     assert len(validation.SECTIONS) == len(sections) == 14
     assert all(sections)
     assert [f"validate section {checks[0].name}" for checks in sections] == cases
@@ -60,9 +58,6 @@ def test_implementer_grid_builds_each_distinct_block_once(monkeypatch):
     monkeypatch.setattr(bogoliubov, "atom_eigenvector",
                         lambda *args: calls.append(args) or kernel(*args))
     bogoliubov._meixner_block.cache_clear()
-    validation.run_all(quick=True)
-    assert len(calls) == 1
-    calls.clear()
     validation.run_all()
     assert len(calls) == 6
     # the memo holds one block, and a run's first block is not its last, so
@@ -180,7 +175,7 @@ def test_hiv_framework_deviation_forms_no_dense_array():
 def test_run_all_forms_no_dense_preset():
     # 22.4 MiB while the HIV check was dense; 4.7 MiB on CSR entries; 2.15
     # MiB with the generators applied as weighted shifts (bound: plus 50 %)
-    validation.run_all(quick=True)
+    validation.run_all()
     tracemalloc.start()
     try:
         validation.run_all()
@@ -195,7 +190,7 @@ def test_hiv_framework_equality_keeps_the_csr_deviation():
     # deviation, which the report keeps bit for bit
     assert validation._canonical_block_deviation(12) <= 1e-16
     dev = validation._framework_deviation("HIV", 40)
-    check = {r.name: r for r in validation.run_all(quick=True)}["evolution.hiv_framework_equality"]
+    check = {r.name: r for r in validation.run_all()}["evolution.hiv_framework_equality"]
     assert np.float64(check.deviation).view(np.int64) == np.float64(dev).view(np.int64)
 
 
@@ -228,5 +223,5 @@ def test_run_all_fails_when_a_canonical_matrix_leaks_between_blocks(monkeypatch)
         return m
 
     monkeypatch.setattr(twomode, "canonical_matrix", leaky)
-    check = {r.name: r for r in validation.run_all(quick=True)}["evolution.hiv_framework_equality"]
+    check = {r.name: r for r in validation.run_all()}["evolution.hiv_framework_equality"]
     assert not check.passed and check.deviation == math.inf
