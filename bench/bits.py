@@ -29,11 +29,11 @@ corpus:
 
 An output that raises is the token "raises <type>: <message>".
 
-``--against REV`` checks REV out by ``bench/record.py``'s local ``git clone
---shared`` (no network) into a temporary directory, removed on exit, dumps
-the corpus of both trees, each in its own subprocess of this script, and
-prints for every output "equal" or the first token where the trees differ,
-then one summary line.  The exit status is 1 when some output differs.
+``--against REV`` dumps the corpus of both trees, each in its own subprocess
+of this script, through one round of ``bench/record.py``'s ``run_trees`` (REV
+checked out by a local ``git clone --shared``, no network), and prints for
+every output "equal" or the first token where the trees differ, then one
+summary line.  The exit status is 1 when some output differs.
 Against itself (``--against HEAD`` on a clean checkout) every output is equal.
 """
 
@@ -41,14 +41,13 @@ import os
 import sys
 
 # pins BLAS to one thread before numpy is imported
-from record import ROOT, checkout, oracle_chains
+from record import ROOT, oracle_chains, run_trees
 
 import argparse
 import contextlib
 import dataclasses
 import io
 import json
-import subprocess
 import tempfile
 
 import numpy as np
@@ -188,17 +187,9 @@ def dump(args):
 
 def compare(args):
     """Dump both trees and report every output (module docstring)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        rev, parent = checkout(args.against, tmp)
-        dumps = {}
-        for tree, src in (("change", os.path.abspath(args.src)),
-                          ("parent", os.path.join(parent, "src"))):
-            out = os.path.join(tmp, f"{tree}.json")
-            subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
-                            "--dump", out], check=True)
-            with open(out) as f:
-                dumps[tree] = json.load(f)
-    change, parent = dumps["change"], dumps["parent"]
+    rev, dumps = run_trees(args.against, args.src, lambda src, out: [
+        os.path.abspath(__file__), "--src", src, "--dump", out], 1)
+    (change,), (parent,) = dumps["change"], dumps["parent"]
     equal = 0
     for name in {**change, **parent}:
         a, b = change.get(name), parent.get(name)

@@ -142,8 +142,9 @@ def implementer(g: GroupElement, alpha0: float,
     orthonormal to 2.5e-15 while the full Gram misses the identity by 0.76.
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
-    which no unitary realizes.  ParameterError names g where max(a, 1/a)
-    passes about 9.2e15 (2^53), so that c rounds to 1.  The transformed A0,
+    which no unitary realizes.  ParameterError names n below 1, and g where
+    max(a, 1/a) passes about 9.2e15 (2^53), so that c rounds to 1.  The
+    transformed A0,
 
         a_k = (a^-s + a^s)/2 (2k + alpha0),
         |b_k| = |a^-s - a^s|/2 sqrt((k + alpha0)(k + 1)),
@@ -162,6 +163,8 @@ def implementer(g: GroupElement, alpha0: float,
         )
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if n < 1:
+        raise ParameterError(("n",), f"need n >= 1, got {n}")
     c = meixner_c(g.a)
     if not c < 1.0:
         raise ParameterError(("g",), f"a = {g.a} rounds the Meixner c to {c}: "

@@ -73,8 +73,8 @@ from .jacobi import JacobiOperator, dense_eigh, oracle_eigh, spectral_apply, spe
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep
-from .twomode import (CANONICAL_TWISTS, TwoModeHamiltonian, TwoModeRep, _kron_sum,
-                      build_h_matrix, charges, window_block)
+from .twomode import (TwoModeHamiltonian, TwoModeRep, _kind, _kron_sum, build_h_matrix,
+                      charges, window_block)
 
 __all__ = [
     "CanonicalInteraction",
@@ -104,8 +104,7 @@ class CanonicalInteraction:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in CANONICAL_TWISTS:
-            raise ValueError(f"kind must be 'D' or 'C', got {self.kind!r}")
+        _kind(self.kind)
         if self.n_per_mode < 2:
             raise ParameterError(("n_per_mode",), "need n_per_mode >= 2")
         if not (math.isfinite(self.scale) and math.isfinite(self.offset)):

@@ -430,9 +430,13 @@ def atom_eigenvector(fam: Meixner, n_rows: int, n_cols: int | None = None) -> np
     so every entry equals, bit for bit, the one a sweep that rescales after
     every row would give, wherever the blocks end.  A step whose G_k alone
     passes the limit (c so small that b_k is tiny) is a block of one row,
-    which is that per-row sweep.  Cost n_rows * n_cols.
+    which is that per-row sweep.  Cost n_rows * n_cols.  ParameterError
+    names n_rows and n_cols when either is below 1.
     """
     n_cols = n_rows if n_cols is None else n_cols
+    if min(n_rows, n_cols) < 1:
+        raise ParameterError(("n_rows", "n_cols"), f"need a block of at least 1 x 1, got "
+                             f"{n_rows} x {n_cols}")
     m, width = min(n_rows, n_cols), max(n_rows, n_cols)
     upper = _upper_rows(fam, m, width)
     if n_rows <= n_cols:

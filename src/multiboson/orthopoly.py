@@ -488,7 +488,10 @@ def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndar
     with respect to the family's normalized measure.  Forward recurrence
     only: right for the small degrees of the Gram checks and for solutions
     that decay only algebraically; instability is documented, not mitigated.
+    ParameterError names n_max below 0.
     """
+    if n_max < 0:
+        raise ParameterError(("n_max",), f"need n_max >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
     a, b = (c.tolist() for c in family.recurrence(np.arange(n_max, dtype=float)))
     out = np.empty((n_max + 1,) + x.shape)

@@ -175,13 +175,19 @@ CANONICAL_TWISTS = {
 }
 
 
+def _kind(kind: str) -> str:
+    """``kind`` if it names a canonical form, "D" or "C"; else
+    ParameterError naming it."""
+    if kind not in CANONICAL_TWISTS:
+        raise ParameterError(("kind",), f"kind must be 'D' or 'C', got {kind!r}")
+    return kind
+
+
 def canonical_matrix(kind: str, reps: TwoModeRep, sector: tuple[int, int],
                      n_per_mode: int) -> np.ndarray:
     """Canonical D-form or C-form interaction on the product basis: H at
     the twists ``CANONICAL_TWISTS[kind]``, by ``build_h_matrix``."""
-    if kind not in CANONICAL_TWISTS:
-        raise ValueError(f"kind must be 'D' or 'C', got {kind!r}")
-    h = TwoModeHamiltonian(reps, *CANONICAL_TWISTS[kind], sector)
+    h = TwoModeHamiltonian(reps, *CANONICAL_TWISTS[_kind(kind)], sector)
     return build_h_matrix(h, n_per_mode)
 
 
@@ -264,13 +270,17 @@ def charges(kind: str, n: int, positions: np.ndarray) -> np.ndarray:
     """Manley-Rowe charge k0 + k1 (D-form) or k0 - k1 (C-form) of each
     flattened position k0 n + k1 of an n x n window."""
     k0, k1 = np.divmod(positions, n)
-    return k0 + k1 if kind == "D" else k0 - k1
+    return k0 + k1 if _kind(kind) == "D" else k0 - k1
 
 
 def window_block(kind: str, q: int, alpha0: float, beta0: float,
                  n: int) -> tuple[np.ndarray, JacobiOperator]:
     """Flattened positions and Jacobi operator of the charge-q block of the
-    D- or C-form in an n x n window, by the window rule (module docstring)."""
+    D- or C-form in an n x n window, by the window rule (module docstring);
+    ParameterError names q and n for a charge outside the window (D:
+    0 <= q <= 2n - 2, C: |q| <= n - 1)."""
+    if not (0 <= q <= 2 * n - 2 if _kind(kind) == "D" else abs(q) <= n - 1):
+        raise ParameterError(("q", "n"), f"no {kind}-block of charge {q} in a {n} x {n} window")
     if kind == "D":
         base, full = max(0, q - n + 1), hd_block_jacobi(DBlock(q, alpha0, beta0))
         k0 = np.arange(base, min(q, n - 1) + 1)

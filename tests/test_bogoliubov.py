@@ -75,6 +75,14 @@ def test_meixner_c_rejects_a_outside_its_domain(a):
     assert exc.value.names == ("a",)
 
 
+@pytest.mark.parametrize("a", [2.0, 1.0])
+def test_implementer_refuses_an_empty_window(a):
+    # n = 0 is refused by name on the Meixner route and the identity alike
+    with pytest.raises(ParameterError) as exc:
+        bg.implementer(bg.GroupElement(a, 1), 1.0, 0)
+    assert exc.value.names == ("n",)
+
+
 @pytest.mark.parametrize("a", [1e-300, 1e154])
 def test_implementer_rejects_a_that_rounds_c_to_one(a):
     # a valid element whose Meixner c rounds to 1: no family to build from

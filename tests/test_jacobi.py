@@ -19,6 +19,7 @@ from multiboson.bogoliubov import GroupElement
 from multiboson.errors import (NoBoundStateError, NumericalFailureError, ParameterError,
                                UnsupportedCaseError)
 from multiboson.jacobi import oracle_eigh, oracle_eigs, spectral_apply, spectral_coeffs
+from multiboson.orthopoly import Meixner
 
 EPS = np.finfo(float).eps
 
@@ -464,6 +465,15 @@ def test_eigenvectors_refuse_what_they_cannot_give(name):
         chain.eigenvectors(op, n_rows, n_cols)
     if names is not None:
         assert exc.value.names == names
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
+def test_atom_eigenvector_refuses_an_empty_block(shape):
+    # a block with no rows or no columns is refused by name, not by an
+    # IndexError from the sweep
+    with pytest.raises(ParameterError) as exc:
+        jacobi.atom_eigenvector(Meixner(1.0, 0.3), *shape)
+    assert exc.value.names == ("n_rows", "n_cols")
 
 
 def _unit(v):

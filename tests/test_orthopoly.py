@@ -187,6 +187,12 @@ def test_orthonormal_degree_zero_is_one():
         assert op.poly_table(fam, 0, 1.234)[0] == 1.0
 
 
+def test_poly_table_refuses_a_negative_degree():
+    with pytest.raises(ParameterError) as exc:
+        op.poly_table(op.Meixner(1.0, 0.3), -1, np.linspace(0.0, 1.0, 3))
+    assert exc.value.names == ("n_max",)
+
+
 def test_meixner_degree_one_by_hand():
     # a_0 = (1+c)/(1-c) beta = 1.25, b_0 = 2 sqrt(c)/(1-c) = 0.75 for beta=1, c=1/9
     fam = op.Meixner(1.0, 1.0 / 9.0)

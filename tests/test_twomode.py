@@ -12,6 +12,7 @@ from multiboson import twomode as tm
 from multiboson import orthopoly as op
 from multiboson.bogoliubov import GroupElement
 from multiboson.errors import NoBoundStateError, ParameterError
+from multiboson.evolution import CanonicalInteraction
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.rep import MultibosonRep
 
@@ -55,8 +56,37 @@ def test_build_h_matrix_c_pair():
 def test_canonical_matrix_rejects_other_kinds():
     reps = tm.TwoModeRep(R1, R1)
     for kind in ("E", "d", ""):
-        with pytest.raises(ValueError, match=f"kind must be 'D' or 'C', got {kind!r}"):
+        with pytest.raises(ParameterError, match=f"kind must be 'D' or 'C', got {kind!r}") as exc:
             tm.canonical_matrix(kind, reps, (0, 0), 4)
+        assert exc.value.names == ("kind",)
+
+
+# the other readers of a block kind, each called with that kind
+KIND_READERS = {
+    "CanonicalInteraction": lambda kind: CanonicalInteraction(kind, tm.TwoModeRep(R1, R1),
+                                                              (0, 0), 4),
+    "charges": lambda kind: tm.charges(kind, 3, np.arange(9)),
+    "window_block": lambda kind: tm.window_block(kind, 0, 1.0, 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(KIND_READERS))
+@pytest.mark.parametrize("kind", ["X", "d", ""])
+def test_every_kind_reader_refuses_other_kinds(reader, kind):
+    # canonical_matrix's one check: no reader takes a kind other than "D"
+    # for "C"
+    with pytest.raises(ParameterError, match=f"kind must be 'D' or 'C', got {kind!r}") as exc:
+        KIND_READERS[reader](kind)
+    assert exc.value.names == ("kind",)
+
+
+@pytest.mark.parametrize("kind, q", [("D", -1), ("D", 9), ("D", 100), ("C", 5), ("C", -5),
+                                     ("C", 7)])
+def test_window_block_refuses_a_charge_outside_the_window(kind, q):
+    # a 5 x 5 window holds D charges 0..8 and C charges -4..4
+    with pytest.raises(ParameterError) as exc:
+        tm.window_block(kind, q, 1.0, 1.0, 5)
+    assert exc.value.names == ("q", "n")
 
 
 def test_build_h_matrix_no_mixing_when_a_equals_b():
