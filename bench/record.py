@@ -26,9 +26,9 @@ under "accuracy" in the output file.  Oracle-window rows also carry
 (default: this checkout's) go into a fresh ``--out`` file.
 
 Cases: the CLI commands ``validate``, ``spectrum --model two-c`` at
-n_levels 4000 and ``evolve --preset HIV`` at cutoffs 48
-and 96; the Meixner block of the implementer at n 240; the implementer grid
-of ``validate``; ``run_series`` over 21 times on a
+n_levels 4000, ``spectrum --model two-d`` at K 200 and ``evolve --preset
+HIV`` at cutoffs 48 and 96; the Meixner block of the implementer at n 240;
+the implementer grid of ``validate``; ``run_series`` over 21 times on a
 generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
 dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
 state spread over the whole window (every charge block occupied), and on
@@ -39,11 +39,12 @@ atoms of one-mode class 5 (bottom) and class 6 (top) at n_levels 500, 2000
 and 4000 with count 5, and for the 4000-level C-block of ``spectrum --model
 two-c`` (top, the window ``hc_truncation_check`` takes at full size, which
 is never seeded); the whole eigenvector matrix of a D-block at K 500 and
-2000 (``hd_chain(block).eigenvectors``); and each section of the validate
-suite's table ``validation.SECTIONS``, timed alone from the state of the
-suite's generator at the section's start (read from one
-``validation.run_sections`` run).  Every case yields ``(row, fn[, score])``
-to one loop that measures it (``measure``) and writes its row.
+2000 (``hd_chain(block).eigenvectors``); the whole spectrum of the K 2000
+D-block against its closed form (``hd_chain(block).oracle_delta``); and
+each section of the validate suite's table ``validation.SECTIONS``, timed
+alone from the state of the suite's generator at the section's start (read
+from one ``validation.run_sections`` run).  Every case yields ``(row, fn[,
+score])`` to one loop that measures it (``measure``) and writes its row.
 
 Rows whose code a change did not touch have moved by 0.74-1.56x between
 two trees recorded one after the other on a 2-vCPU x86_64 VM, so one
@@ -96,6 +97,8 @@ ACCURACY = {
     "cli validate": "largest deviation / tolerance over the report's checks",
     "cli spectrum two-c": "results.oracle_delta: closed-form bound state against the "
                           "LAPACK oracle of the truncated block",
+    "cli spectrum two-d": "results.oracle_delta: closed-form block energies against the "
+                          "LAPACK oracle's whole spectrum of the block",
     "cli evolve HIV": "diagnostics.max_norm_error",
     "meixner block": "largest entry of |U^T U - I| on the converged columns",
     "implementer grid": "largest entry of |U^T U - I| on the converged columns, "
@@ -106,6 +109,8 @@ ACCURACY = {
     "D-block eigenvectors": "max(largest entry of |V^T V - I|, largest |J v_n - E_n v_n| "
                             "/ max |E_n|), E_n the closed-form energies; the error is "
                             "computed once, outside the timed calls",
+    "D-block spectrum": "Chain.oracle_delta: largest |closed-form energy - eigenvalue| "
+                        "over the whole block",
     "run_series": "largest norm error over the grid (ObservableSeries.norm_errors)",
 }
 ORACLE_COUNT = 5
@@ -169,12 +174,17 @@ def cli_cases(cli, tmp):
         return run(["spectrum", "--model", "two-c", "--K", "0", "--alpha0", "0.3",
                     "--beta0", "0.3", "--n-levels", "4000"])["results"]["oracle_delta"]
 
+    def two_d():
+        return run(["spectrum", "--model", "two-d", "--K", "200", "--alpha0", "0.5",
+                    "--beta0", "2.7"])["results"]["oracle_delta"]
+
     def evolve(n):
         return lambda: run(["evolve", "--preset", "HIV", "--n-per-mode", str(n)]
                            )["diagnostics"]["max_norm_error"]
 
     yield dict(case="cli validate", layer="cli.main", size=None), validate
     yield dict(case="cli spectrum two-c", layer="cli.main", size=4000), spectrum
+    yield dict(case="cli spectrum two-d", layer="cli.main", size=201), two_d
     for n in (48, 96):
         yield dict(case="cli evolve HIV", layer="cli.main", size=n), evolve(n)
 
@@ -270,9 +280,10 @@ def oracle_cases(jacobi, onemode, rep, twomode):
 
 
 def dblock_cases(twomode):
-    """One case per D-block size: the timed call is the block's whole
-    eigenvector matrix, and its error is scored from the traced call's
-    result (V^T V alone costs more than the solve at K 2000)."""
+    """One case per D-block size whose timed call is the block's whole
+    eigenvector matrix, its error scored from the traced call's result (V^T V
+    alone costs more than the solve at K 2000); then the whole spectrum of
+    the K 2000 block, whose call returns its own error."""
     for K in (500, 2000):
         blk = twomode.DBlock(K, 0.5, 2.7)
         op, chain = twomode.hd_block_jacobi(blk), twomode.hd_chain(blk)
@@ -286,6 +297,9 @@ def dblock_cases(twomode):
             return max(_gram_error(v, op.size), float(residual))
         yield (dict(case="D-block eigenvectors", layer="jacobi.Chain.eigenvectors", size=K + 1),
                lambda op=op, chain=chain: chain.eigenvectors(op, op.size, op.size), score)
+    # op and chain are the last block's, K 2000
+    yield (dict(case="D-block spectrum", layer="jacobi.Chain.oracle_delta", size=op.size),
+           lambda: chain.oracle_delta(op))
 
 
 def section_cases(validation):

@@ -140,23 +140,81 @@ def test_closed_form_atoms_pair_with_the_window(name):
     assert np.abs(np.sort(atoms) - other).max() > tol
 
 
+def _whole_spectrum(op):
+    """Every eigenvalue by LAPACK's root-free QR (dsterf) through scipy: the
+    reference of oracle_delta's whole-spectrum route (one level is its own
+    eigenvalue)."""
+    d, e = op.diag_array(), op.offdiag_array()
+    if op.size == 1:
+        return d
+    return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+
+
 @pytest.mark.parametrize("K", [0, 1, 7, 30])
 def test_oracle_delta_defaults_to_every_level(K):
     blk = tm.DBlock(K, 0.5, 2.7)
     op, chain = tm.hd_block_jacobi(blk), tm.hd_chain(blk)
     delta = chain.oracle_delta(op)
     assert type(delta) is float
-    assert delta == np.abs(chain.atoms(K + 1) - oracle_eigs(op)).max() <= 1e-9 * (K + 3) ** 2
+    assert delta == np.abs(chain.atoms(K + 1) - _whole_spectrum(op)).max() <= 1e-9 * (K + 3) ** 2
 
 
 def test_oracle_delta_takes_a_count_past_the_size_as_every_level():
-    # oracle_eigs reads such a count as the whole spectrum; the atoms are
-    # taken to the same count
+    # a count past the size asks for the whole spectrum, as oracle_eigs
+    # reads it; the atoms are taken to the same count
     op = _onemode_operator(4.0, 1.0, 10)
     chain = om.classify(4.0, 1.0, 1.0)
     delta = chain.oracle_delta(op, 20)
     assert delta == chain.oracle_delta(op, 10) == chain.oracle_delta(op)
-    assert delta == np.abs(chain.atoms(10) - oracle_eigs(op)).max()
+    assert delta == np.abs(chain.atoms(10) - _whole_spectrum(op)).max()
+
+
+def test_oracle_delta_of_a_one_level_block_is_its_diagonal(monkeypatch):
+    # K 0 is drawn by the two-d box, and dstevd refuses an empty e: the one
+    # level is its own eigenvalue, with no LAPACK call
+    monkeypatch.setattr(jacobi, "dstevd", None)
+    monkeypatch.setattr(jacobi, "dstebz", None)
+    blk = tm.DBlock(0, 1.3, 0.4)
+    op, chain = tm.hd_block_jacobi(blk), tm.hd_chain(blk)
+    assert chain.oracle_delta(op) == abs(chain.atoms(1)[0] - op.diag_array()[0])
+
+
+def test_whole_block_delta_never_bisects(monkeypatch):
+    # a whole-spectrum request is one eigenvalue-only dstevd; a window of
+    # fewer levels still bisects
+    def refused(*args):
+        raise AssertionError("bisected")
+
+    monkeypatch.setattr(jacobi, "_bisect", refused)
+    chain, op = _hd(40, 2.3, 0.4)
+    assert chain.oracle_delta(op) <= 1e-9 * 50 ** 2
+    assert chain.oracle_delta(op, 41) == chain.oracle_delta(op)
+    with pytest.raises(AssertionError, match="bisected"):
+        chain.oracle_delta(op, 40)
+
+
+def _norm(op):
+    """||T|| = max |a_k| + 2 max |b_k|, the scale of the oracle's error."""
+    return np.abs(op.diag_array()).max() + 2.0 * np.abs(op.offdiag_array()).max(initial=0.0)
+
+
+# over the box the benchmark draws spectrum --model two-d from (K <= 200,
+# alpha0 and beta0 in [0.2, 3]): measured worst 13.2 eps ||T|| over 5300
+# seeded blocks (K 0 left out), 8.4 at K 2000
+WHOLE_BLOCK_EPS = 16.0
+
+
+def test_whole_block_delta_within_its_stated_bound():
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(40):
+        K = int(rng.integers(0, 201))
+        a0, b0 = (float(x) for x in rng.uniform(0.2, 3.0, size=2))
+        chain, op = _hd(K, a0, b0)
+        worst = max(worst, chain.oracle_delta(op) / (EPS * _norm(op)))
+    assert worst <= WHOLE_BLOCK_EPS
+    chain, op = _hd(2000, 0.5, 2.7)
+    assert chain.oracle_delta(op) <= WHOLE_BLOCK_EPS * EPS * _norm(op)
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -271,9 +329,20 @@ def test_failed_bisection_raises(monkeypatch, kind, fault):
 
 def test_failed_eigh_raises(monkeypatch):
     w = np.zeros(7)
-    monkeypatch.setattr(jacobi, "dstevd", lambda d, e: (w, np.eye(7), 3))
+    monkeypatch.setattr(jacobi, "dstevd", lambda d, e, compute_v: (w, np.eye(7), 3))
     with pytest.raises(NumericalFailureError, match="dstevd info 3"):
         oracle_eigh(_operator("hd", 7))
+
+
+def test_failed_whole_spectrum_raises(monkeypatch):
+    # the eigenvalue-only call reports a failure as the eigendecomposition does
+    calls = []
+    monkeypatch.setattr(jacobi, "dstevd",
+                        lambda d, e, compute_v: calls.append(compute_v) or (d, d[:1], 2))
+    chain, op = _hd(6, 0.5, 0.7)
+    with pytest.raises(NumericalFailureError, match="dstevd info 2"):
+        chain.oracle_delta(op)
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("fault", ["info", "short"])
@@ -360,7 +429,7 @@ def test_non_dominant_row_past_a_quarter_declines():
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("row", [3, 350], ids=["head", "tail"])
 @pytest.mark.parametrize("which", ["diag", "offdiag"])
-@pytest.mark.parametrize("solve", ["window", "full", "eigh"])
+@pytest.mark.parametrize("solve", ["window", "full", "eigh", "delta"])
 def test_non_finite_coefficients_raise_before_any_solve(value, row, which, solve):
     # a leading-block solve would not read a tail row: every entry is
     # checked first, with no RuntimeWarning on the way (pyproject makes
@@ -370,7 +439,8 @@ def test_non_finite_coefficients_raise_before_any_solve(value, row, which, solve
     bad = dataclasses.replace(op, **{which: lambda k: np.where(k == row, value, stream(k))})
     call = {"window": lambda: oracle_eigs(bad, count=5, top=True),
             "full": lambda: oracle_eigs(bad),
-            "eigh": lambda: oracle_eigh(bad)}[solve]
+            "eigh": lambda: oracle_eigh(bad),
+            "delta": lambda: om.classify(-4.0, -1.0, 1.0).oracle_delta(bad)}[solve]
     with pytest.raises(ParameterError, match=f"{which} coefficient {row} ") as info:
         call()
     assert info.value.names == ("diag", "offdiag")
@@ -473,6 +543,31 @@ def test_atom_eigenvector_refuses_an_empty_block(shape):
     # IndexError from the sweep
     with pytest.raises(ParameterError) as exc:
         jacobi.atom_eigenvector(Meixner(1.0, 0.3), *shape)
+    assert exc.value.names == ("n_rows", "n_cols")
+
+
+# one chain of each kind Chain.eigenvectors serves: unit columns, the
+# Meixner kernel, the dual Hahn oracle columns and the C-block sweep
+KINDS = {
+    "diagonal": lambda: _onemode_chain(2.0, 2.0, 50),
+    "meixner": lambda: _onemode_chain(4.0, 1.0, 50),
+    "dual-hahn": lambda: _hd(4, 1.3, 0.7),
+    "continuous-dual-hahn": lambda: _hc(0, 4.5, 0.5, 200),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)], ids=["no-rows", "no-cols"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_eigenvectors_refuse_an_empty_request(monkeypatch, kind, shape):
+    # one refusal naming both counts, on every chain, before any kernel runs
+    def refused(*args):
+        raise AssertionError("a kernel ran")
+
+    for kernel in ("atom_eigenvector", "_stevd", "poly_table"):
+        monkeypatch.setattr(jacobi, kernel, refused)
+    chain, op = KINDS[kind]()
+    with pytest.raises(ParameterError) as exc:
+        chain.eigenvectors(op, *shape)
     assert exc.value.names == ("n_rows", "n_cols")
 
 

@@ -44,10 +44,11 @@ APPLY = _why(
     "jacobi.spectral_coeffs / spectral_apply, as real products with no complex",
     "copy of the eigenvector matrix")
 ORACLE = _why(
-    "one tridiagonal oracle: raw LAPACK bisection (dstebz) and divide and",
-    "conquer (dstevd), and its dense form (dsyevd, jacobi.dense_eigh, for the",
-    "generic two-mode matrix), are called only in jacobi.py, which alone",
-    "imports scipy.linalg, with one call convention",
+    "one tridiagonal oracle: raw LAPACK bisection (dstebz) and dstevd, with",
+    "eigenvectors (divide and conquer) or without (root-free QR, the whole",
+    "spectrum of Chain.oracle_delta), and its dense form (dsyevd,",
+    "jacobi.dense_eigh, for the generic two-mode matrix), are called only in",
+    "jacobi.py, which alone imports scipy.linalg, with one call convention",
     "at every size: no scipy eigh_tridiagonal wrapper and no size threshold",
     "(_SEED_MIN_N); oracle_eigs certifies its leading-block windows by one",
     "Schur-complement enclosure, with no seed or narrow-window pass beside it;",
