@@ -61,12 +61,12 @@ class GroupElement:
 
     def __post_init__(self):
         if self.a == 0:
-            raise ValueError("a must be nonzero")
+            raise ParameterError(("a",), "a must be nonzero")
         a = float(self.a)
         if not (math.isfinite(a) and math.isfinite(a * a) and math.isfinite(1.0 / a)):
             raise ParameterError(("a",), f"a = {self.a}: a, a * a and 1 / a must be finite")
         if self.sigma not in (-1, 1):
-            raise ValueError(f"sigma must be +-1, got {self.sigma}")
+            raise ParameterError(("sigma",), f"sigma must be +-1, got {self.sigma}")
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -142,9 +142,9 @@ def implementer(g: GroupElement, alpha0: float,
     orthonormal to 2.5e-15 while the full Gram misses the identity by 0.76.
 
     Only a > 0 is implementable; a < 0 factors through the central flip,
-    which no unitary realizes.  ParameterError names n below 1, and g where
-    max(a, 1/a) passes about 9.2e15 (2^53), so that c rounds to 1.  The
-    transformed A0,
+    which no unitary realizes.  ParameterError names alpha0 unless finite
+    and positive, n below 1, and g where max(a, 1/a) passes about 9.2e15
+    (2^53), so that c rounds to 1.  The transformed A0,
 
         a_k = (a^-s + a^s)/2 (2k + alpha0),
         |b_k| = |a^-s - a^s|/2 sqrt((k + alpha0)(k + 1)),
@@ -161,8 +161,8 @@ def implementer(g: GroupElement, alpha0: float,
             f"no implementing unitary for a = {g.a} <= 0; "
             "decompose through the central flip at the action level"
         )
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not 0 < alpha0 < math.inf:
+        raise ParameterError(("alpha0",), f"alpha0 must be finite and positive, got {alpha0}")
     if n < 1:
         raise ParameterError(("n",), f"need n >= 1, got {n}")
     c = meixner_c(g.a)

@@ -293,12 +293,13 @@ def su11_flow(mu: float, nu: float, t: float) -> SU11Element:
 
     a(t) = cos(sqrt(mu nu) t) + i (mu+nu)/2 * sinc,  b(t) = i (nu-mu)/2 * sinc,
     where sinc = sin(sqrt(mu nu) t)/sqrt(mu nu) continues to sinh/x for
-    mu nu < 0 and to t at mu nu = 0.  ParameterError names mu, nu and t
-    where omega t, omega = sqrt|mu nu|, or |a|^2 + |b|^2 passes the double
-    range (a hyperbolic flow near omega |t| = 355 for labels of order 1).
+    mu nu < 0 and to t at mu nu = 0.  ParameterError names mu and nu at the
+    excluded pair (0, 0), and mu, nu and t where omega t, omega = sqrt|mu nu|,
+    or |a|^2 + |b|^2 passes the double range (a hyperbolic flow near
+    omega |t| = 355 for labels of order 1).
     """
     if mu == 0 and nu == 0:
-        raise ValueError("label pair (0, 0) is excluded")
+        raise ParameterError(("mu", "nu"), "label pair (0, 0) is excluded")
     p = mu * nu
     om = math.sqrt(abs(p))
     wt = om * t

@@ -148,10 +148,11 @@ class FullModel:
             raise ParameterError(("tail_tol",), f"must be > 0, got {self.tail_tol}")
         generic = isinstance(self.interaction, TwoModeHamiltonian)
         if generic and self.n_per_mode is None:
-            raise ValueError("a generic two-mode interaction needs n_per_mode")
+            raise ParameterError(("n_per_mode",),
+                                 "a generic two-mode interaction needs n_per_mode")
         if not generic and self.n_per_mode is not None:
-            raise ValueError(f"a {type(self.interaction).__name__} carries its own "
-                             "window; only a generic interaction takes n_per_mode")
+            raise ParameterError(("n_per_mode",), f"a {type(self.interaction).__name__} carries "
+                                 "its own window; only a generic interaction takes n_per_mode")
 
     def occupations(self, positions: np.ndarray | None = None) -> list[np.ndarray]:
         """Physical occupation numbers per mode at the flattened basis
@@ -202,7 +203,7 @@ class InteractionEvolver:
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
-            raise ValueError("t must be a scalar or a 1-d array of times")
+            raise ParameterError(("t",), "t must be a scalar or a 1-d array of times")
         ts = np.atleast_1d(times)
         empty = (np.zeros(0, dtype=np.intp), np.empty((ts.size, 0), dtype=complex))
         indices, amps = zip(empty, *_evolved_blocks(self.model, psi, ts))

@@ -192,7 +192,7 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
                              f"the sector's window, got shape {psi.shape}")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-d array of times")
+        raise ParameterError(("t",), "t must be a scalar or a 1-d array of times")
     chain = classify(h.mu, h.nu, h.sector.alpha0)
     if chain.family is None:
         vecs, energies, coeffs = None, chain.atoms(size), psi

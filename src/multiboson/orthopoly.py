@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import betaln, gammaln, loggamma
+from scipy.special import betaln, gammaln, iv, loggamma
 from scipy.special import hyp0f1 as _hyp0f1
 
 from .errors import NumericalFailureError, ParameterError
@@ -58,6 +58,7 @@ __all__ = [
     "ln_pochhammer",
     "hyp0f1",
     "hyp3f2_terminating",
+    "LN_FLOAT_MAX",
     "SpectralMeasure",
     "Laguerre",
     "Meixner",
@@ -113,12 +114,16 @@ def ln_pochhammer(a: float, k: int) -> float:
 def hyp0f1(b: float, z: complex) -> complex:
     """0F1(; b; z) for b > 0 by ``scipy.special.hyp0f1``: a float for a real
     z, a complex for a complex z.  Every term is positive at a real z >= 0,
-    so 0F1 >= 1 there, and a smaller value or a nan is scipy's overflow (at
-    b 1 it returns 0.0 past z 1.2e5): it is returned as inf."""
+    so 0F1 >= 1 there, and a smaller value or a nan is scipy's overflow: it
+    is returned as inf.  At b 1 exactly, where 0F1(; 1; z) = I0(2 sqrt z),
+    scipy is not called once I0 overflows, since its asymptotic branch
+    divides by b - 1 there."""
     if b <= 0:
         raise ValueError(f"hyp0f1 requires b > 0, got {b}")
     if isinstance(z, complex):
         return complex(_hyp0f1(b, z))
+    if b == 1.0 and z > 0 and math.isinf(iv(0.0, 2.0 * math.sqrt(z))):
+        return math.inf
     value = float(_hyp0f1(b, z))
     return math.inf if z >= 0 and not value >= 1.0 else value
 

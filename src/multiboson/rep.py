@@ -27,7 +27,9 @@ __all__ = [
     "alpha0",
     "alpha_minus",
     "sector_coeffs",
+    "apply_lowering",
     "sector_matrices",
+    "generator_weights",
     "build_generators_full",
     "casimir_value",
 ]
@@ -125,7 +127,7 @@ def generator_weights(rep: MultibosonRep, n: int):
     A0 = diag(diagonal), A- carries upper[m] = alpha_minus(m) sqrt((m+1)_l) at
     (m, m + l) for m < n - l, and A+ is its transpose."""
     if n <= rep.l:
-        raise ValueError(f"need n > l = {rep.l}, got {n}")
+        raise ParameterError(("n",), f"need n > l = {rep.l}, got {n}")
     m = np.arange(n - rep.l)
     return alpha0(rep, np.arange(n)), alpha_minus(rep, m) * np.sqrt(pochhammer(m + 1.0, rep.l))
 

@@ -97,7 +97,7 @@ class TwoModeHamiltonian:
     def __post_init__(self):
         r0, r1 = self.sector
         if not 0 <= r0 < self.reps.rep0.l or not 0 <= r1 < self.reps.rep1.l:
-            raise ValueError(f"sector {self.sector} outside representation")
+            raise ParameterError(("sector",), f"sector {self.sector} outside representation")
 
 
 def _entries(h: TwoModeHamiltonian, n_per_mode: int):

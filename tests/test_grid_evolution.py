@@ -236,8 +236,6 @@ def _solves(monkeypatch, model, psi0, points):
     with monkeypatch.context() as m:
         eigh = _count(m, ev, "oracle_eigh")
         eigh_1 = _count(m, om, "oracle_eigh")
-        # the package attribute multiboson.jacobi is the module (the one-mode
-        # operator builder is onemode.jacobi and is not re-exported)
         atoms = _count(m, jacobi, "atom_eigenvector")
         dense = _count(m, jacobi, "dsyevd")
         series = ev.run_series(model, psi0, np.linspace(0.0, 1.0, points))

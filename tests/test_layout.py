@@ -116,6 +116,9 @@ C_FAMILY = _why(
 ONE_CONFIG = _why(
     "one validate configuration: the suite runs in 0.07 s in process, so no",
     "reduced mode stands beside it")
+API = _why(
+    "one declaration of the public API: each name is imported from its module,",
+    "and that module's __all__ declares it")
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,8 @@ RULES = [
          C_FAMILY),
     Rule("validate-reduced-mode", r"\bquick\b", SRC + ("bench/**/*.py",),
          "def run_all(quick: bool = False):", ONE_CONFIG),
+    Rule("package-re-export", r"^\s*(from|import)\s", (PKG + "__init__.py",),
+         "from .jacobi import Chain, oracle_eigs", API),
 ]
 
 

@@ -4,13 +4,16 @@ A name in a ``src/multiboson`` module's ``__all__`` is read when some module
 of the package refers to it as a name or an attribute (``poly_table(...)``,
 ``tm.charges``), an import alias counting as its original name.  Its own
 definition (a reference inside its own def or class body), its ``__all__``
-entry, the re-export in ``__init__`` and any mention in a string or
-docstring do not count.  The audit matches by name, not by module, so a
+entry and any mention in a string or docstring do not count.  The audit matches by name, not by module, so a
 name shared by two modules is read when either is.
 
 The members of an exported class (its public methods and properties, and
 its annotated fields) are held to the same rule, a reference inside the
 member's own def not counting; they are listed as ``module.Class.member``.
+
+Conversely, every public name one module of the package takes from another
+is declared in that module's ``__all__``: the lists are the one declaration
+of the API, and the package namespace re-exports nothing.
 
 The names below have no reader yet; each waits on the ROADMAP item that
 will give it a check that reads it, or delete it.  The list must stay
@@ -86,6 +89,56 @@ def _read_names(tree):
 
     visit(tree, frozenset(), False)
     return read
+
+
+def _imports(tree):
+    """(module, name) of each public name the module takes from another
+    package module: ``from .m import x``, or ``m.x`` where ``from . import m``
+    binds m and no parameter or local name of an enclosing function is m."""
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update({a.asname or a.name: a.name for a in node.names})
+            else:
+                found |= {(node.module, a.name) for a in node.names}
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            shadowed = shadowed | {a.arg for a in (*args.posonlyargs, *args.args,
+                                                    *args.kwonlyargs, args.vararg,
+                                                    args.kwarg) if a} \
+                | {n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.value.id not in shadowed):
+            found.add((modules[node.value.id], node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return {(mod, name) for mod, name in found if not name.startswith("_")}
+
+
+def test_every_imported_name_is_declared():
+    modules = _modules()
+    undeclared = {f"{mod}.{name} (read by {reader})"
+                  for reader, tree in modules.items() for mod, name in _imports(tree)
+                  if mod in modules and name not in _exports(modules[mod])}
+    assert not undeclared, f"not in its module's __all__: {sorted(undeclared)}"
+
+
+def test_what_counts_as_an_import():
+    tree = ast.parse("from . import m, n as k\n"
+                     "from .p import x, _y\n"
+                     "def f(n, q):\n"
+                     "    m = n.a\n"
+                     "    return k.b + q.c + m.d\n"
+                     "def g(m):\n"
+                     "    return m.e + k._f + (lambda k: k.g)(1)\n"
+                     "z = m.h\n")
+    assert _imports(tree) == {("p", "x"), ("n", "b"), ("m", "h")}
 
 
 def test_every_public_name_has_a_reader_or_a_roadmap_item():
