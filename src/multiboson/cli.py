@@ -1,16 +1,16 @@
 """Command-line front end: spectrum queries, evolution runs, validation.
 
 Subcommands ``validate``, ``spectrum``, ``evolve`` and ``coherent`` each
-take ``--config`` (a JSON file of flag values) and ``--out``.  Every other
-flag is declared once, in ``_FLAGS``, under its config key (the flag with
-"_" for "-"): its subcommands, one converter that fixes its type and range,
-and its default (per model or subcommand where it varies).  The argparse
-tree, the config-key check, the defaults and every single-flag usage error
-come from that table; config values pass the same converters, flags
-override them, and a null is not given.  Reals are finite, but
-``--tail-tol`` may be inf, its default.  Rules across flags stay in the
-commands; the library checks each value where it enters, raising
-``errors.ParameterError`` with its parameter names, mapped to flags here.
+take ``--out``.  Flags are the one input channel: every other flag is
+declared once, in ``_FLAGS``, under its dest (the flag with "_" for "-"):
+its subcommands, one converter of the string as written that fixes its
+type and range, and its default (per model or subcommand where it varies).
+The argparse tree, the defaults and every single-flag usage error come from
+that table, and the config echo of each output holds the converted value of
+each flag given.  Reals are finite, but ``--tail-tol`` may be inf, its
+default.  Rules across flags stay in the commands; the library checks each
+value where it enters, raising ``errors.ParameterError`` with its parameter
+names, mapped to flags here.
 
 Exit codes: 0 success; 2 a usage error naming the flags at fault (the given
 ones, if any); 1 a failure of another ``errors`` type, printed after its
@@ -48,8 +48,6 @@ _FAILURES = tuple(getattr(errors, name) for name in errors.__all__)
 def _number(kind, low=-math.inf, inf=False):
     """Converter to a ``kind`` (int or float) x in (low, inf), or (low, inf] if ``inf``."""
     def convert(raw):
-        if isinstance(raw, (bool, float) if kind is int else bool):
-            raise TypeError(f"expected {kind.__name__}")
         x = kind(raw)
         if not (low < x < math.inf or inf and x == math.inf):
             raise ValueError(f"must lie in ({low}, inf{']' if inf else ')'}")
@@ -65,21 +63,16 @@ def _choice(*options):
     return convert
 
 
-def _items(raw) -> list:
-    """A comma-separated string, a list or one value, as a list."""
-    return raw.split(",") if isinstance(raw, str) else raw if isinstance(raw, list) else [raw]
-
-
-def _parse_times(raw) -> list[float]:
-    """Times "lo:hi:num" (num evenly spaced), comma-separated or listed; >= 1, finite."""
-    if isinstance(raw, str) and ":" in raw:
+def _parse_times(raw: str) -> list[float]:
+    """Times "lo:hi:num" (num evenly spaced) or comma-separated; >= 1, finite."""
+    if ":" in raw:
         lo, hi, num = raw.split(":")
         lo, hi = _REAL(lo), _REAL(hi)
         if not math.isfinite(hi - lo):
             raise ValueError("hi - lo must be finite")
         times = np.linspace(lo, hi, max(int(num), 0)).tolist()
     else:
-        times = [_REAL(t) for t in _items(raw)]
+        times = [_REAL(t) for t in raw.split(",")]
     if not times:
         raise ValueError("holds no times; give at least one")
     return times
@@ -91,12 +84,12 @@ def _as_written(parse):
 
 
 _REAL, _POSITIVE = _number(float), _number(float, 0.0)
-# config key: (subcommands, converter, default or {model or subcommand: default})
+# dest: (subcommands, converter, default or {model or subcommand: default})
 _FLAGS = {
     "model": (("spectrum",), _choice("onemode", "two-d", "two-c"), "onemode"),
     "mu": (("spectrum",), _REAL, None),
     "nu": (("spectrum",), _REAL, None),
-    "alpha0_table": (("spectrum",), lambda raw: [_POSITIVE(x) for x in _items(raw)], None),
+    "alpha0_table": (("spectrum",), lambda raw: [_POSITIVE(x) for x in raw.split(",")], None),
     "l": (("spectrum",), _number(int, 0), 1),
     "r": (("spectrum",), _number(int, -1), 0),
     "n_levels": (("spectrum", "coherent"), _number(int, 1),
@@ -107,7 +100,7 @@ _FLAGS = {
     "beta0": (("spectrum",), _POSITIVE, 1.0),
     "preset": (("evolve",), _choice("HI", "HII", "HIII", "HIV"), "HIV"),
     "n_per_mode": (("evolve",), _number(int, 1), 48),
-    "state": (("evolve",), _as_written(lambda raw: [_number(int)(x) for x in _items(raw)]),
+    "state": (("evolve",), _as_written(lambda raw: [_number(int)(x) for x in raw.split(",")]),
               None),
     "times": (("evolve",), _as_written(_parse_times), "0:10:21"),
     "tail_tol": (("evolve",), _number(float, 0.0, inf=True), math.inf),
@@ -119,8 +112,9 @@ _FLAGS = {
 }
 _KEYS = {c: tuple(k for k, f in _FLAGS.items() if c in f[0])
          for c in ("validate", "spectrum", "evolve", "coherent")}
-# library parameter names -> the config keys that set them (a name that is a
-# key maps to itself); a one-mode sector's alpha0 is an --alpha0-table entry
+# library parameter names -> the dests of the flags that set them (a name
+# that is a dest maps to itself); a one-mode sector's alpha0 is an
+# --alpha0-table entry
 _API_KEYS = {"n": ("n_levels",), "n_atoms": ("count",), "k_checked": ("k_max",),
              "zeta": ("zeta_re", "zeta_im"), "alpha0": ("alpha0", "alpha0_table"),
              "alpha0_init": ("alpha0_table",), "beta": ("alpha0_table",),
@@ -137,34 +131,23 @@ def _flag(key: str) -> str:
 def _flags(names, args, given) -> str:
     """The flags setting the parameters ``names``: those given, if any was."""
     keys = [k for k in dict.fromkeys(k for n in names for k in _API_KEYS.get(n, (n,)))
-            if k in _KEYS[args.command] + ("config", "out")]
-    named = [k for k in keys if k in given or k in ("config", "out") and getattr(args, k)]
+            if k in _KEYS[args.command] + ("out",)]
+    named = [k for k in keys if k in given or k == "out" and args.out]
     return ", ".join(map(_flag, named or keys)) or str(names)
 
 
 def _config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """(values, given): ``given`` holds the converted value of each key set
-    in ``--config`` or by a flag (which wins), ``values`` adds the defaults."""
+    """(values, given): ``given`` holds the converted value of each flag
+    given, ``values`` adds the defaults."""
     keys = _KEYS[args.command]
-    raw = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ParameterError(("config",), str(exc)) from exc
-        unknown = set(raw) - set(keys) if isinstance(raw, dict) else {"(not an object)"}
-        if unknown:
-            raise ParameterError(("config",), f"unknown config keys for "
-                                 f"{args.command}: {sorted(unknown)}")
-    raw.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
     given = {}
-    for key, value in raw.items():
-        if value is not None:
+    for key in keys:
+        raw = getattr(args, key)
+        if raw is not None:
             try:
-                given[key] = _FLAGS[key][1](value)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError((key,), f"{value!r} is not admissible: {exc}") from exc
+                given[key] = _FLAGS[key][1](raw)
+            except ValueError as exc:
+                raise ParameterError((key,), f"{raw!r} is not admissible: {exc}") from exc
     values = {}
     for key in keys:
         default = _FLAGS[key][2]
@@ -283,7 +266,7 @@ def cmd_evolve(cfg: dict, given: dict, out) -> int:
         ls = (m.reps.rep0.l, m.reps.rep1.l)
         occupations = tuple(n - (n - r) % l for n, l, r in zip((2, 3), ls, m.sector))
     else:
-        occupations = tuple(map(int, _items(cfg["state"])))
+        occupations = tuple(map(int, cfg["state"].split(",")))
     psi0 = evolution.basis_state(model, occupations)
     series = evolution.run_series(model, psi0, _parse_times(cfg["times"]))
     rows = [(t, r.means[0], r.variances[0], r.fanos[0], r.means[1], r.variances[1],
@@ -334,7 +317,7 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The tree of ``_FLAGS``: each flag stores its string under its key."""
+    """The tree of ``_FLAGS``: each flag stores its string under its dest."""
     p = argparse.ArgumentParser(prog="multiboson",
                                 description="cluster-model spectra and evolution")
     p.add_argument("--version", action="version", version=__version__)
@@ -343,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=text)
         for key in _KEYS[command]:
             sp.add_argument(_flag(key), dest=key)
-        sp.add_argument("--config")
         sp.add_argument("--out")
     return p
 

@@ -168,8 +168,8 @@ class RadialMeasure:
         """integral rho^{2k} w(rho) 2 pi rho drho: the stored value for
         0 <= k <= ``k_checked``, else by quadrature of the moments 0..k
         together."""
-        if k < 0:
-            raise ValueError(f"moment order must be >= 0, got {k}")
+        if not k >= 0:
+            raise ParameterError(("k",), f"moment order must be >= 0, got {k}")
         if k <= self.k_checked:
             return self._moments[k]
         self._check_order(k)
@@ -231,8 +231,8 @@ def holo_apply(which: str, coeffs, alpha0: float) -> np.ndarray:
     A0 = 2 z d/dz + alpha0, A+ = multiplication by z,
     A- = (alpha0 + z d/dz) d/dz; exact on coefficient lists.
     """
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not alpha0 > 0:
+        raise ParameterError(("alpha0",), f"alpha0 must be positive, got {alpha0}")
     c = np.asarray(coeffs, dtype=complex)
     if which == "A0":
         k = np.arange(c.size)
@@ -244,7 +244,7 @@ def holo_apply(which: str, coeffs, alpha0: float) -> np.ndarray:
             return np.zeros(max(c.size - 1, 1), dtype=complex)
         k = np.arange(1, c.size)
         return k * (alpha0 + k - 1.0) * c[1:]
-    raise ValueError(f"which must be 'A0', 'Aplus' or 'Aminus', got {which!r}")
+    raise ParameterError(("which",), f"which must be 'A0', 'Aplus' or 'Aminus', got {which!r}")
 
 
 # |det - 1| of a rounded element, in units of eps times the size its entries
@@ -276,8 +276,8 @@ class SU11Element:
         size = _size(self.a, self.b) if size is None else size
         if not (math.isfinite(size)
                 and abs(self.det() - 1.0) <= DET_C * sys.float_info.epsilon * size):
-            raise ValueError(f"({self.a}, {self.b}): |a|^2 - |b|^2 is not 1 within "
-                             f"{DET_C:g} eps (|a|^2 + |b|^2)")
+            raise ParameterError(("a", "b"), f"({self.a}, {self.b}): |a|^2 - |b|^2 is not 1 "
+                                 f"within {DET_C:g} eps (|a|^2 + |b|^2)")
 
     def det(self) -> float:
         return abs(self.a) ** 2 - abs(self.b) ** 2
@@ -337,17 +337,19 @@ def disc_eigenfunction(lam: float, mu: float, nu: float, alpha0: float,
     from each branch point.
     """
     if not (mu > nu > 0):
-        raise ValueError(f"requires mu > nu > 0, got mu={mu}, nu={nu}")
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
-    if abs(z) >= 1:
-        raise ValueError(f"requires |z| < 1, got |z| = {abs(z)}")
+        raise ParameterError(("mu", "nu"), f"requires mu > nu > 0, got mu={mu}, nu={nu}")
+    if not alpha0 > 0:
+        raise ParameterError(("alpha0",), f"alpha0 must be positive, got {alpha0}")
+    if not abs(z) < 1:
+        raise ParameterError(("z",), f"requires |z| < 1, got |z| = {abs(z)}")
+    if lam != lam:
+        raise ParameterError(("lam",), "lam is NaN")
     rm = math.sqrt(mu)
     rn = math.sqrt(nu)
     z1 = -((rm - rn) ** 2) / (mu - nu)
     z2 = -((rm + rn) ** 2) / (mu - nu)
     if abs(z - z1) < 1e-8 or abs(z - z2) < 1e-8:
-        raise ValueError(f"z = {z} too close to a branch point")
+        raise ParameterError(("z",), f"z = {z} too close to a branch point")
     p = lam / (2.0 * rm * rn)
     a_exp = p - alpha0 / 2.0
     b_exp = -p - alpha0 / 2.0

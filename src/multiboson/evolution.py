@@ -351,7 +351,7 @@ def observables(psi: np.ndarray | tuple[np.ndarray, np.ndarray],
     with np.errstate(over="ignore"):
         p = np.abs(np.atleast_2d(amps)) ** 2
         if p.ndim != 2:
-            raise ValueError("amplitudes must have shape (m,) or (n_times, m)")
+            raise ParameterError(("psi",), "amplitudes must have shape (m,) or (n_times, m)")
         norm2 = p.sum(axis=1)
     bad = np.flatnonzero(~((norm2 > 0.0) & (norm2 < math.inf)))
     if bad.size:

@@ -100,8 +100,8 @@ class JacobiOperator:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
+        if not self.size >= 1:
+            raise ParameterError(("size",), f"size must be >= 1, got {self.size}")
 
     def diag_array(self) -> np.ndarray:
         """[a_0, ..., a_{size-1}] in one vectorized call."""
@@ -163,8 +163,8 @@ def oracle_eigs(op: JacobiOperator, count: int | None = None,
     n = op.size
     if count is None:
         count = n
-    elif count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    elif not count >= 1:
+        raise ParameterError(("count",), f"count must be >= 1, got {count}")
     count = min(count, n)
     d, e = _arrays(op)
     if n == 1:

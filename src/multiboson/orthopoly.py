@@ -102,7 +102,7 @@ def ln_pochhammer(a: float, k: int) -> float:
     k log a + (a + k - 1/2) log1p(k/a) - k plus the difference of the series
     tails, with no term much larger than the result."""
     if not 0 < a < math.inf:
-        raise ValueError(f"ln_pochhammer requires finite a > 0, got {a}")
+        raise ParameterError(("a",), f"ln_pochhammer requires finite a > 0, got {a}")
     if k >= a:
         return float(gammaln(a + k) - gammaln(a))
     if a < 64.0:
@@ -118,8 +118,8 @@ def hyp0f1(b: float, z: complex) -> complex:
     is returned as inf.  At b 1 exactly, where 0F1(; 1; z) = I0(2 sqrt z),
     scipy is not called once I0 overflows, since its asymptotic branch
     divides by b - 1 there."""
-    if b <= 0:
-        raise ValueError(f"hyp0f1 requires b > 0, got {b}")
+    if not b > 0:
+        raise ParameterError(("b",), f"hyp0f1 requires b > 0, got {b}")
     if isinstance(z, complex):
         return complex(_hyp0f1(b, z))
     if b == 1.0 and z > 0 and math.isinf(iv(0.0, 2.0 * math.sqrt(z))):
@@ -133,17 +133,21 @@ def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:
 
     A lower parameter that is zero or hits zero inside the summation range
     (d or e in {0, -1, ..., -(n-1)}) makes a term divide by zero and raises.
+    ParameterError names n below 0, each of b, c, d, e that is NaN, and d, e
+    when a lower parameter hits zero.
     """
-    if n < 0:
-        raise ValueError(f"hyp3f2_terminating requires n >= 0, got {n}")
+    if not n >= 0:
+        raise ParameterError(("n",), f"hyp3f2_terminating requires n >= 0, got {n}")
+    nan = tuple(name for name, v in zip("bcde", (b, c, d, e)) if v != v)
+    if nan:
+        raise ParameterError(nan, f"hyp3f2_terminating parameters {nan} are NaN")
     total = 1.0
     term = 1.0
     for k in range(n):
         dk, ek = d + k, e + k
         if dk == 0.0 or ek == 0.0:
-            raise ValueError(
-                f"lower parameter hits zero inside the sum: d={d}, e={e}, n={n}"
-            )
+            raise ParameterError(("d", "e"), f"lower parameter hits zero inside the "
+                                 f"sum: d={d}, e={e}, n={n}")
         term *= (-n + k) * (b + k) * (c + k) / (dk * ek * (k + 1.0))
         total += term
     return total
@@ -171,7 +175,9 @@ class SpectralMeasure:
 
     A measure with a density carries its total mass in closed form.  The
     affine map from a family's natural variable to a physical one is
-    recorded once, on ``jacobi.Chain``.
+    recorded once, on ``jacobi.Chain``.  ParameterError names the fields at
+    fault: arrays of two lengths, a support without its density or closed
+    mass, and an atom weight that is not positive (NaN included).
     """
 
     locations: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -185,16 +191,19 @@ class SpectralMeasure:
         object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.locations.shape != self.weights.shape or self.weights.ndim != 1:
-            raise ValueError("locations and weights must be 1-d arrays of one length")
+            raise ParameterError(("locations", "weights"),
+                                 "locations and weights must be 1-d arrays of one length")
         if (self.support is None) != (self.density is None):
-            raise ValueError("a continuous part needs both support and density")
+            raise ParameterError(("support", "density"),
+                                 "a continuous part needs both support and density")
         if self.density is not None and self.total_mass_closed is None:
-            raise ValueError("a continuous part needs total_mass_closed")
-        bad = np.flatnonzero(self.weights <= 0)
+            raise ParameterError(("total_mass_closed",),
+                                 "a continuous part needs total_mass_closed")
+        bad = np.flatnonzero(~(self.weights > 0))
         if bad.size:
             i = bad[0]
-            raise ValueError(f"atom weight must be positive, got {self.weights[i]} "
-                             f"at {self.locations[i]}")
+            raise ParameterError(("weights",), f"atom weight must be positive, got "
+                                 f"{self.weights[i]} at {self.locations[i]}")
 
     def total_mass(self) -> float:
         """Closed-form total mass when known, else the atom weights summed
@@ -213,9 +222,10 @@ class SpectralMeasure:
                                None if self.total_mass_closed is None else 1.0)
 
     def mapped(self, shift: float = 0.0, scale: float = 1.0) -> "SpectralMeasure":
-        """Pushforward under x -> scale * x + shift (mass preserved)."""
-        if scale == 0:
-            raise ValueError("scale must be nonzero")
+        """Pushforward under x -> scale * x + shift (mass preserved).
+        ParameterError names a scale that is 0 or NaN."""
+        if not abs(scale) > 0:
+            raise ParameterError(("scale",), f"scale must be nonzero, got {scale}")
         support, d = self.support, self.density
         if d is not None:
             support = tuple(sorted(scale * s + shift for s in support))
@@ -245,8 +255,8 @@ class Laguerre:
     nmax = None
 
     def __post_init__(self):
-        if self.alpha <= -1:
-            raise ValueError(f"Laguerre requires alpha > -1, got {self.alpha}")
+        if not self.alpha > -1:
+            raise ParameterError(("alpha",), f"Laguerre requires alpha > -1, got {self.alpha}")
 
     def recurrence(self, k: float | np.ndarray):
         a = 2 * k + self.alpha + 1
@@ -276,10 +286,10 @@ class Meixner:
     nmax = None
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"Meixner requires beta > 0, got {self.beta}")
+        if not self.beta > 0:
+            raise ParameterError(("beta",), f"Meixner requires beta > 0, got {self.beta}")
         if not 0 < self.c < 1:
-            raise ValueError(f"Meixner requires 0 < c < 1, got {self.c}")
+            raise ParameterError(("c",), f"Meixner requires 0 < c < 1, got {self.c}")
 
     def recurrence(self, k: float | np.ndarray):
         beta, c = self.beta, self.c
@@ -299,9 +309,12 @@ class Meixner:
 
     def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
         """ParameterError names beta and c when the mass (1 - c)^-beta, which
-        bounds every weight, nears overflow, and n_atoms when a weight is 0."""
+        bounds every weight, nears overflow, and n_atoms when it is negative
+        or a weight is 0."""
         if n_atoms is None:
             n_atoms = self.default_n_atoms()
+        if not n_atoms >= 0:
+            raise ParameterError(("n_atoms",), f"need n_atoms >= 0, got {n_atoms}")
         if not -self.beta * math.log1p(-self.c) < LN_FLOAT_MAX - 1.0:
             raise ParameterError(("beta", "c"), f"the Meixner mass (1 - c)^-beta "
                                  f"overflows float64 at beta = {self.beta}, c = {self.c}")
@@ -321,10 +334,11 @@ class MeixnerPollaczek:
     nmax = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"MeixnerPollaczek requires lam > 0, got {self.lam}")
+        if not self.lam > 0:
+            raise ParameterError(("lam",), f"MeixnerPollaczek requires lam > 0, got {self.lam}")
         if not 0 < self.phi < math.pi:
-            raise ValueError(f"MeixnerPollaczek requires 0 < phi < pi, got {self.phi}")
+            raise ParameterError(("phi",),
+                                 f"MeixnerPollaczek requires 0 < phi < pi, got {self.phi}")
 
     def recurrence(self, k: float | np.ndarray):
         lam, phi = self.lam, self.phi
@@ -351,10 +365,12 @@ class DualHahn:
     kmax: int
 
     def __post_init__(self):
-        if self.gamma <= -1 or self.delta <= -1:
-            raise ValueError("DualHahn requires gamma > -1 and delta > -1")
-        if self.kmax < 0 or self.kmax != int(self.kmax):
-            raise ValueError(f"DualHahn requires integer K >= 0, got {self.kmax}")
+        low = tuple(name for name in ("gamma", "delta") if not getattr(self, name) > -1)
+        if low:
+            raise ParameterError(low, f"DualHahn requires gamma > -1 and delta > -1, got "
+                                 f"{self.gamma}, {self.delta}")
+        if not (self.kmax >= 0 and float(self.kmax).is_integer()):
+            raise ParameterError(("K",), f"DualHahn requires integer K >= 0, got {self.kmax}")
 
     @property
     def nmax(self) -> int:
@@ -424,11 +440,10 @@ class ContinuousDualHahn:
     nmax = None
 
     def __post_init__(self):
-        if self.v <= 0 or self.w <= 0 or self.u + self.v <= 0 or self.u + self.w <= 0:
-            raise ValueError(
-                f"ContinuousDualHahn requires v, w > 0 and u+v, u+w > 0, got "
-                f"u={self.u}, v={self.v}, w={self.w}"
-            )
+        u, v, w = self.u, self.v, self.w
+        if not (v > 0 and w > 0 and u + v > 0 and u + w > 0):
+            raise ParameterError(("u", "v", "w"), "ContinuousDualHahn requires v, w > 0 "
+                                 f"and u+v, u+w > 0, got u={u}, v={v}, w={w}")
 
     def recurrence(self, k: float | np.ndarray):
         u, v, w = self.u, self.v, self.w
@@ -493,10 +508,15 @@ def poly_table(family: PolyFamily, n_max: int, x: float | np.ndarray) -> np.ndar
     with respect to the family's normalized measure.  Forward recurrence
     only: right for the small degrees of the Gram checks and for solutions
     that decay only algebraically; instability is documented, not mitigated.
-    ParameterError names n_max below 0.
+    ParameterError names n_max below 0 or past the last member of a finite
+    family (``family.nmax``), where b_k = 0 would divide.
     """
     if n_max < 0:
         raise ParameterError(("n_max",), f"need n_max >= 0, got {n_max}")
+    last = getattr(family, "nmax", None)   # a JacobiOperator has none
+    if last is not None and n_max > last:
+        raise ParameterError(("n_max",), f"need n_max <= {last}, the family's "
+                             f"last member, got {n_max}")
     x = np.asarray(x, dtype=float)
     a, b = (c.tolist() for c in family.recurrence(np.arange(n_max, dtype=float)))
     out = np.empty((n_max + 1,) + x.shape)

@@ -44,8 +44,8 @@ class MultibosonRep:
     alpha0_init: tuple[float, ...]
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ParameterError(("l",), f"cluster size must be >= 1, got {self.l}")
+        if not (self.l >= 1 and float(self.l).is_integer()):
+            raise ParameterError(("l",), f"cluster size must be an integer >= 1, got {self.l}")
         object.__setattr__(self, "alpha0_init", tuple(float(a) for a in self.alpha0_init))
         if len(self.alpha0_init) != self.l:
             raise ParameterError(("l", "alpha0_init"), f"need {self.l} alpha0 constants")
@@ -80,8 +80,9 @@ class OneModeSector:
     def __post_init__(self):
         if not 0 <= self.r < self.rep.l:
             raise ParameterError(("r",), f"sector index {self.r} outside [0, {self.rep.l})")
-        if self.n_levels < 2:
-            raise ParameterError(("n_levels",), f"need n_levels >= 2, got {self.n_levels}")
+        if not (self.n_levels >= 2 and float(self.n_levels).is_integer()):
+            raise ParameterError(("n_levels",),
+                                 f"need an integer n_levels >= 2, got {self.n_levels}")
 
     @property
     def alpha0(self) -> float:

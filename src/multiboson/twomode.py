@@ -315,10 +315,7 @@ def uvw_params(K: int, alpha0: float, beta0: float) -> tuple[ContinuousDualHahn,
     h, p, q = 0.5 * (alpha0 + beta0 - 1.0), s1 + 0.5 * (d + 1.0), s0 + 0.5 * (1.0 - d)
     branch, uvw = (("low", (p, q, h)) if p <= 0 else ("high", (q, h, p)) if q <= 0
                    else ("middle", (h, p, q)))
-    try:
-        return ContinuousDualHahn(*uvw), branch
-    except ValueError as exc:
-        raise ParameterError(("u", "v", "w"), str(exc)) from exc
+    return ContinuousDualHahn(*uvw), branch
 
 
 def continuum_shift(alpha0: float, beta0: float) -> float:

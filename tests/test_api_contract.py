@@ -9,7 +9,9 @@ import pytest
 from multiboson import bogoliubov as bg
 from multiboson import coherent as ch
 from multiboson import evolution as ev
+from multiboson import jacobi
 from multiboson import onemode as om
+from multiboson import orthopoly as op
 from multiboson import rep
 from multiboson import twomode as tm
 from multiboson.errors import ParameterError
@@ -20,6 +22,8 @@ G = bg.GroupElement(1.0, 1)
 GENERIC = tm.TwoModeHamiltonian(REPS, G, G, (0, 0))
 ONEMODE = om.OneModeHamiltonian(4.0, 1.0, rep.OneModeSector(ONE, 0, 10))
 CANONICAL = ev.FullModel(ev.CanonicalInteraction("D", REPS, (0, 0), 10), (1.0, 1.0))
+NAN = math.nan
+ONES = jacobi.JacobiOperator(np.ones_like, np.ones_like, 4)
 
 REFUSALS = {
     "element-a-zero": (lambda: bg.GroupElement(0.0, 1), ("a",)),
@@ -38,6 +42,42 @@ REFUSALS = {
     "flow-labels-zero": (lambda: ch.su11_flow(0.0, 0.0, 1.0), ("mu", "nu")),
     "generator-weights-n": (lambda: rep.generator_weights(rep.MultibosonRep(2, (1.0, 1.5)), 2),
                             ("n",)),
+    "rep-l-fractional": (lambda: rep.MultibosonRep(1.5, (1.0,)), ("l",)),
+    "sector-n_levels-fractional": (lambda: rep.OneModeSector(ONE, 0, 2.5), ("n_levels",)),
+    "laguerre-alpha-nan": (lambda: op.Laguerre(NAN), ("alpha",)),
+    "meixner-beta-nan": (lambda: op.Meixner(NAN, 0.5), ("beta",)),
+    "meixner-c-nan": (lambda: op.Meixner(1.0, NAN), ("c",)),
+    "meixner-measure-negative-n_atoms": (lambda: op.Meixner(1.0, 0.5).measure(-1),
+                                         ("n_atoms",)),
+    "meixner-pollaczek-lam-nan": (lambda: op.MeixnerPollaczek(NAN, 1.0), ("lam",)),
+    "meixner-pollaczek-phi-nan": (lambda: op.MeixnerPollaczek(1.0, NAN), ("phi",)),
+    "dual-hahn-gamma-nan": (lambda: op.DualHahn(NAN, 0.0, 3), ("gamma",)),
+    "dual-hahn-K-nan": (lambda: op.DualHahn(0.0, 0.0, NAN), ("K",)),
+    "continuous-dual-hahn-nan": (lambda: op.ContinuousDualHahn(NAN, 1.0, 1.0), ("u", "v", "w")),
+    "spectral-measure-weight-nan": (lambda: op.SpectralMeasure([1.0], [NAN]), ("weights",)),
+    "spectral-measure-scale-nan": (lambda: op.SpectralMeasure([1.0], [1.0]).mapped(0.0, NAN),
+                                   ("scale",)),
+    "poly-table-past-the-last-member": (
+        lambda: op.poly_table(op.DualHahn(0.0, 0.0, 3), 10, np.linspace(0.0, 1.0, 3)),
+        ("n_max",)),
+    "hyp0f1-b-nan": (lambda: op.hyp0f1(NAN, 1.0), ("b",)),
+    "ln-pochhammer-a-nan": (lambda: op.ln_pochhammer(NAN, 2), ("a",)),
+    "hyp3f2-n-negative": (lambda: op.hyp3f2_terminating(-1, 1.0, 1.0, 1.0, 1.0), ("n",)),
+    "hyp3f2-c-nan": (lambda: op.hyp3f2_terminating(2, 1.0, NAN, 1.0, 1.0), ("c",)),
+    "jacobi-operator-size": (lambda: jacobi.JacobiOperator(np.ones_like, np.ones_like, 0),
+                             ("size",)),
+    "oracle-eigs-count-nan": (lambda: jacobi.oracle_eigs(ONES, NAN), ("count",)),
+    "radial-moment-order-nan": (lambda: ch.radial_measure(1.0, k_checked=2).moment(NAN),
+                                ("k",)),
+    "holo-apply-alpha0-nan": (lambda: ch.holo_apply("A0", [1.0], NAN), ("alpha0",)),
+    "holo-apply-which": (lambda: ch.holo_apply("A1", [1.0], 1.0), ("which",)),
+    "su11-element-off-the-group": (lambda: ch.SU11Element(2.0, 0.0), ("a", "b")),
+    "disc-eigenfunction-z-nan": (lambda: ch.disc_eigenfunction(1.0, 2.0, 1.0, 1.0, NAN),
+                                 ("z",)),
+    "disc-eigenfunction-lam-nan": (lambda: ch.disc_eigenfunction(NAN, 2.0, 1.0, 1.0, 0.1),
+                                   ("lam",)),
+    "observables-3d-amplitudes": (lambda: ev.observables(
+        (np.arange(2), np.ones((1, 1, 2))), CANONICAL), ("psi",)),
 }
 
 

@@ -34,26 +34,27 @@ def test_validate_passes(capsys):
     assert "PASS" in out and "FAIL\n" not in out
 
 
-def test_validate_has_one_configuration(capsys, tmp_path):
-    # validate takes only --config and --out: the retired --quick switch is
-    # an unrecognized argument, and its config key an unknown one
+def test_validate_has_one_configuration(capsys):
+    # validate takes only --out: the retired --quick switch is an
+    # unrecognized argument
     code, _, err = _run(capsys, "validate", "--quick")
     assert code == 2 and "unrecognized arguments: --quick" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "spectrum", "evolve", "coherent"])
+def test_flags_are_the_one_input_channel(capsys, tmp_path, command):
+    # the retired --config file of flag values is an unrecognized argument
+    # of every subcommand, whatever the file holds
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"quick": True}))
-    code, _, err = _run(capsys, "validate", "--config", str(cfg))
-    assert code == 2 and "--config" in err and "'quick'" in err
+    cfg.write_text(json.dumps({}))
+    code, out, err = _run(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == "" and "unrecognized arguments: --config" in err
 
 
-def test_validate_has_no_convention_option(capsys, tmp_path):
-    # the D-blocks have one coefficient stream: neither a flag nor a config
-    # key selects another
+def test_validate_has_no_convention_option(capsys):
+    # the D-blocks have one coefficient stream: no flag selects another
     code, _, err = _run(capsys, "validate", "--hd-convention", "printed")
     assert code == 2 and "--hd-convention" in err
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"hd_convention": "printed"}))
-    code, _, err = _run(capsys, "validate", "--config", str(cfg))
-    assert code == 2 and "hd_convention" in err
 
 
 def test_validate_times_each_section(capsys, tmp_path):
@@ -194,16 +195,16 @@ def test_spectrum_output_matches_golden(capsys, model, fmt):
 
 
 def test_each_subcommand_takes_exactly_its_config_keys(capsys):
-    # the parser holds exactly the flags of the table, each under its config
-    # key and with its name, so no flag is parsed and then ignored
+    # the parser holds exactly the flags of the table, each under its dest
+    # and with its name, so no flag is parsed and then ignored
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    # validate takes no flag of the table, only --config and --out
+    # validate takes no flag of the table, only --out
     assert set(sub.choices) == {"validate", "spectrum", "evolve", "coherent"}
     for command, parser in sub.choices.items():
         keys = {key for key, (commands, _, _) in _FLAGS.items() if command in commands}
         dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
-        assert dests - {"command", "config", "out"} == keys
+        assert dests - {"command", "out"} == keys
         for key in keys:
             assert parser._option_string_actions["--" + key.replace("_", "-")].dest == key
     code, _, err = _run(capsys, "validate", "--format", "csv")
@@ -345,39 +346,6 @@ def test_byte_identical_reruns(capsys, tmp_path):
     assert main(vargs + ["--out", str(c)]) == 0
     assert main(vargs + ["--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
-
-
-def test_config_file_with_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "onemode", "mu": 4.0, "nu": 1.0,
-                               "count": 3}))
-    out_path = tmp_path / "o.json"
-    code = main(["spectrum", "--config", str(cfg), "--count", "5",
-                 "--out", str(out_path)])
-    assert code == 0
-    res = json.loads(out_path.read_text())
-    assert len(res["results"]["atoms"]) == 5  # flag overrides file
-
-
-def test_malformed_config_usage_error(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = _run(capsys, "spectrum", "--config", str(bad), "--mu", "1",
-                        "--nu", "0")
-    assert code == 2
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"model": "onemode", "mu": 1.0, "nu": 0.0,
-                                   "frobnicate": 1}))
-    code, _, err = _run(capsys, "spectrum", "--config", str(unknown))
-    assert code == 2
-    assert "unknown config keys" in err
-    # config values go through the converters of their flags
-    typed = tmp_path / "typed.json"
-    for value, flag in (("x", "--count"), (2.5, "--count"), (True, "--count")):
-        typed.write_text(json.dumps({"model": "onemode", "mu": 4.0, "nu": 1.0,
-                                     "count": value}))
-        code, _, err = _run(capsys, "spectrum", "--config", str(typed))
-        assert code == 2 and flag in err
 
 
 def test_failure_names_its_error_type(capsys):

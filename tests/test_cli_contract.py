@@ -1,14 +1,14 @@
 """The command-line input contract, over seeded draws of every subcommand's
 flags at extreme values.
 
-Each draw passes some flags on the command line and others through a
-``--config`` file, and ``main`` must then keep one of three promises:
+Each draw passes every drawn value as a flag, the one input channel, and
+``main`` must then keep one of three promises:
 
 * exit 0 prints only finite numbers, apart from the documented non-finite
   tokens: the ±Infinity ends of a continuum support, the NaN of an undefined
   Fano factor, and the echo of ``--tail-tol inf``;
-* exit 2 names on stderr a flag that was given (on the command line or as a
-  config key), or the required flag that was missing;
+* exit 2 names on stderr a flag that was given, or the required flag that
+  was missing;
 * exit 1 comes from an exception type of ``multiboson.errors``, whose name
   the failure message leads with.
 
@@ -48,7 +48,7 @@ def _grid():
             | st.lists(REALS, min_size=1, max_size=3).map(",".join))
 
 
-# per subcommand, each flag's config key and the strategy of its values
+# per subcommand, each flag's dest and the strategy of its values
 FLAGS = {
     "spectrum": {
         "model": st.sampled_from(("onemode", "two-d", "two-c", "bogus")),
@@ -76,9 +76,9 @@ FLAGS = {
         "k_max": _ints(0, 6, 10, 40),
         "format": st.sampled_from(("json", "csv")),
     },
-    # validate takes no key of its own and one run takes 0.1-0.5 s, so it
-    # draws only config keys it refuses: the retired quick switch, or a key
-    # of another command
+    # validate takes no flag of its own and one run takes 0.1-0.5 s, so it
+    # draws only flags it refuses: the retired quick switch, or a flag of
+    # another command
     "validate": {
         "quick": st.sampled_from(("true", "false")),
         "count": st.just("3"),
@@ -99,7 +99,7 @@ def _flag(key: str) -> str:
 
 @st.composite
 def _draws(draw):
-    """(argv, config dict, the flags given, the required flags missing)."""
+    """(argv, the flags given, the required flags missing)."""
     task = draw(st.sampled_from(("onemode", "onemode", "two-d", "two-c", "bogus",
                                  "evolve", "evolve", "coherent", "coherent", "validate")))
     command = task if task in FLAGS else "spectrum"
@@ -112,20 +112,11 @@ def _draws(draw):
     values = {key: draw(flags[key]) for key in keys}
     if command == "spectrum" and task != "onemode" or draw(st.booleans()) and task == "onemode":
         values["model"] = task
-    argv, config = [command], {}
-    for key, value in values.items():
-        if command == "validate" or draw(st.integers(0, 3)) == 0:
-            # a config value: the JSON number of a numeric string, else the string
-            try:
-                config[key] = json.loads(value)
-            except ValueError:
-                config[key] = value
-        else:
-            argv.append(f"{_flag(key)}={value}")
+    argv = [command] + [f"{_flag(key)}={value}" for key, value in values.items()]
     missing = set()
     if command == "spectrum" and values.get("model", "onemode") == "onemode":
         missing = {_flag(key) for key in ("mu", "nu") if key not in values}
-    return argv, config, set(map(_flag, values)), missing
+    return argv, set(map(_flag, values)), missing
 
 
 def _allowed(path: tuple) -> bool:
@@ -163,14 +154,9 @@ def _payloads(out: str):
             yield (row[0],), json.loads(row[1])
 
 
-def _violation(draw, tmp_dir) -> str | None:
+def _violation(draw) -> str | None:
     """What the draw's run breaks of the contract, or None."""
-    argv, config, named, missing = draw
-    if config:
-        path = tmp_dir / "cfg.json"
-        path.write_text(json.dumps(config))
-        argv = argv + ["--config", str(path)]
-        named = named | {"--config"}
+    argv, named, missing = draw
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -192,6 +178,6 @@ def _violation(draw, tmp_dir) -> str | None:
 @settings(max_examples=2000, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(draw=_draws())
-def test_cli_input_contract(tmp_path_factory, draw):
-    problem = _violation(draw, tmp_path_factory.getbasetemp())
+def test_cli_input_contract(draw):
+    problem = _violation(draw)
     assert problem is None, (draw, problem)

@@ -119,6 +119,10 @@ ONE_CONFIG = _why(
 API = _why(
     "one declaration of the public API: each name is imported from its module,",
     "and that module's __all__ declares it")
+TYPED = _why(
+    "typed refusals: the library refuses an input with errors.ParameterError",
+    "naming its parameters, never a bare ValueError; only the converters of",
+    "cli.py raise one, which cli._config reports under its flag")
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,11 @@ RULES = [
          "def run_all(quick: bool = False):", ONE_CONFIG),
     Rule("package-re-export", r"^\s*(from|import)\s", (PKG + "__init__.py",),
          "from .jacobi import Chain, oracle_eigs", API),
+    Rule("bare-value-error", r"\braise ValueError\b", SRC,
+         '        raise ValueError(f"size must be >= 1, got {self.size}")', TYPED,
+         exempt_files=(PKG + "cli.py",),
+         allowed=(PKG + "cli.py",
+                  '        raise ValueError("holds no times; give at least one")')),
 ]
 
 
