@@ -26,8 +26,11 @@ under "accuracy" in the output file.  Oracle-window rows also carry
 (default: this checkout's) go into a fresh ``--out`` file.
 
 Cases: the CLI commands ``validate``, ``spectrum --model two-c`` at
-n_levels 4000, ``spectrum --model two-d`` at K 200 and ``evolve --preset
-HIV`` at cutoffs 48 and 96; the Meixner block of the implementer at n 240;
+n_levels 4000, ``spectrum --model two-d`` at K 200, ``spectrum --mu 4 --nu
+1`` (one-mode class 5) at n_levels 1000 with count 8, a query of the
+spectra workload's kind whose front end (reading flags, writing JSON)
+weighs a large share of its time, and ``evolve --preset HIV`` at cutoffs 48
+and 96; the Meixner block of the implementer at n 240;
 the implementer grid of ``validate``; ``run_series`` over 21 times on a
 generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
 dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
@@ -99,6 +102,9 @@ ACCURACY = {
                           "LAPACK oracle of the truncated block",
     "cli spectrum two-d": "results.oracle_delta: closed-form block energies against the "
                           "LAPACK oracle's whole spectrum of the block",
+    "cli spectrum onemode": "results.oracle_delta: the first five closed-form class-5 "
+                            "(Meixner) atoms against the LAPACK oracle's lowest "
+                            "eigenvalues of the truncated chain",
     "cli evolve HIV": "diagnostics.max_norm_error",
     "meixner block": "largest entry of |U^T U - I| on the converged columns",
     "implementer grid": "largest entry of |U^T U - I| on the converged columns, "
@@ -178,6 +184,10 @@ def cli_cases(cli, tmp):
         return run(["spectrum", "--model", "two-d", "--K", "200", "--alpha0", "0.5",
                     "--beta0", "2.7"])["results"]["oracle_delta"]
 
+    def onemode():
+        return run(["spectrum", "--mu", "4", "--nu", "1", "--n-levels", "1000",
+                    "--count", "8"])["results"]["oracle_delta"]
+
     def evolve(n):
         return lambda: run(["evolve", "--preset", "HIV", "--n-per-mode", str(n)]
                            )["diagnostics"]["max_norm_error"]
@@ -185,6 +195,7 @@ def cli_cases(cli, tmp):
     yield dict(case="cli validate", layer="cli.main", size=None), validate
     yield dict(case="cli spectrum two-c", layer="cli.main", size=4000), spectrum
     yield dict(case="cli spectrum two-d", layer="cli.main", size=201), two_d
+    yield dict(case="cli spectrum onemode", layer="cli.main", size=1000), onemode
     for n in (48, 96):
         yield dict(case="cli evolve HIV", layer="cli.main", size=n), evolve(n)
 

@@ -5,8 +5,16 @@ take ``--out``.  Flags are the one input channel: every other flag is
 declared once, in ``_FLAGS``, under its dest (the flag with "_" for "-"):
 its subcommands, one converter of the string as written that fixes its
 type and range, and its default (per model or subcommand where it varies).
-The argparse tree, the defaults and every single-flag usage error come from
-that table, and the config echo of each output holds the converted value of
+One loop in ``main`` reads argv against that table: the command, then
+``--flag value`` or ``--flag=value`` pairs of its flags and ``--out``, each
+value taken as written (a negative number included) and the last of a
+repeated flag winning.  A token that is none of the command's flags
+(abbreviations included), or a flag whose value is missing (argv ends, or
+the next token is one of the command's flags), is a usage error naming
+it.  ``-h``/``--help`` prints the commands, or the command's flags with
+their defaults from the table; ``--version`` before any command prints the
+version.  The defaults and every single-flag usage error come from the
+table, and the config echo of each output holds the converted value of
 each flag given.  Reals are finite, but ``--tail-tol`` may be inf, its
 default.  Rules across flags stay in the commands; the library checks each
 value where it enters, raising ``errors.ParameterError`` with its parameter
@@ -14,21 +22,20 @@ names, mapped to flags here.
 
 Exit codes: 0 success; 2 a usage error naming the flags at fault (the given
 ones, if any); 1 a failure of another ``errors`` type, printed after its
-name; any other exception is a defect and is not caught.  Exit-0 output
+name; any other exception is a defect and is not caught.  JSON output is
+one line, keys sorted (``python -m json.tool`` indents it).  Exit-0 output
 holds finite numbers but for two documented tokens: the infinite ends of a
 continuum support (``-Infinity``, ``Infinity`` on a half line) and the
 ``NaN`` of an undefined Fano factor; the config echo repeats --tail-tol inf.
-The parser is built once per process and must not be mutated; every option
-defaults to None, so no state carries from one call to the next.
+Each call reads only its own argv, so no state carries from one call to
+the next.
 
 Dense LAPACK solves run at OpenBLAS's default thread count, while the
 benchmark pins one: a generic n_per_mode 16 ``run_series`` took 7.8-15.9 ms
 against 4.3-5.9 ms at one thread (2-vCPU VM); set OPENBLAS_NUM_THREADS=1.
 """
 
-import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -128,33 +135,34 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _flags(names, args, given) -> str:
+def _flags(names, command: str, out, given) -> str:
     """The flags setting the parameters ``names``: those given, if any was."""
     keys = [k for k in dict.fromkeys(k for n in names for k in _API_KEYS.get(n, (n,)))
-            if k in _KEYS[args.command] + ("out",)]
-    named = [k for k in keys if k in given or k == "out" and args.out]
+            if k in _KEYS[command] + ("out",)]
+    named = [k for k in keys if k in given or k == "out" and out]
     return ", ".join(map(_flag, named or keys)) or str(names)
 
 
-def _config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """(values, given): ``given`` holds the converted value of each flag
-    given, ``values`` adds the defaults."""
-    keys = _KEYS[args.command]
+def _default(key: str, command: str, model: str):
+    default = _FLAGS[key][2]
+    if isinstance(default, dict):
+        default = default.get(command, default.get(model))
+    return default
+
+
+def _config(command: str, raw: dict) -> tuple[dict, dict]:
+    """(values, given): ``given`` holds the converted value of each flag in
+    ``raw`` (dest: value as written), ``values`` adds the defaults."""
+    keys = _KEYS[command]
     given = {}
     for key in keys:
-        raw = getattr(args, key)
-        if raw is not None:
+        if key in raw:
             try:
-                given[key] = _FLAGS[key][1](raw)
+                given[key] = _FLAGS[key][1](raw[key])
             except ValueError as exc:
-                raise ParameterError((key,), f"{raw!r} is not admissible: {exc}") from exc
-    values = {}
-    for key in keys:
-        default = _FLAGS[key][2]
-        if isinstance(default, dict):
-            default = default.get(args.command, default.get(given.get("model", "onemode")))
-        values[key] = given.get(key, default)
-    return values, given
+                raise ParameterError((key,), f"{raw[key]!r} is not admissible: {exc}") from exc
+    model = given.get("model", "onemode")
+    return {key: given.get(key, _default(key, command, model)) for key in keys}, given
 
 
 def _emit(config: dict, results, diagnostics: dict, fmt: str, out_path,
@@ -163,8 +171,7 @@ def _emit(config: dict, results, diagnostics: dict, fmt: str, out_path,
     payload = {"config": config, "version": __version__, "results": results,
                "diagnostics": diagnostics}
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        text += "\n"
+        text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -315,32 +322,71 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The tree of ``_FLAGS``: each flag stores its string under its dest."""
-    p = argparse.ArgumentParser(prog="multiboson",
-                                description="cluster-model spectra and evolution")
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, (_, text) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text)
+# per command, each flag main reads -> its dest
+_DESTS = {c: {_flag(key): key for key in keys + ("out",)} for c, keys in _KEYS.items()}
+_HELP = ("-h", "--help")
+_USAGE = f"usage: multiboson {{{','.join(_COMMANDS)}}} [--flag VALUE ...]"
+
+
+def _help(command: str | None) -> str:
+    """The commands, or ``command``'s flags with their defaults."""
+    if command is None:
+        rows = [(c, text) for c, (_, text) in _COMMANDS.items()]
+        rows.append(("--version", "print the version and exit"))
+        head = [_USAGE, "cluster-model spectra and evolution", "", "commands:"]
+    else:
+        rows = []
         for key in _KEYS[command]:
-            sp.add_argument(_flag(key), dest=key)
-        sp.add_argument("--out")
-    return p
+            default = _FLAGS[key][2]
+            if isinstance(default, dict) and command not in default:
+                shown = ", ".join(f"{m} {v}" for m, v in default.items() if m not in _COMMANDS)
+                rows.append((_flag(key), f"{shown} (per --model)"))
+            else:
+                rows.append((_flag(key), str(_default(key, command, None))))
+        rows.append(("--out", "stdout"))
+        head = [f"usage: multiboson {command} [--flag VALUE ...]", _COMMANDS[command][1], "",
+                "flags (default):"]
+    return "\n".join(head + [f"  {name:<16}{text}" for name, text in rows])
+
+
+def _usage_error(message: str) -> int:
+    print(f"{_USAGE}\nerror: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
+    if command == "--version":
+        print(__version__)
+        return 0
+    if command in _HELP:
+        print(_help(None))
+        return 0
+    if command not in _COMMANDS:
+        return _usage_error(f"unrecognized command: {command}" if argv else "give a command")
+    dests = _DESTS[command]
+    raw = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            return 0
+        name, eq, value = token.partition("=")
+        if name not in dests:
+            return _usage_error(f"unrecognized arguments: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.partition("=")[0] in dests:
+                return _usage_error(f"argument {name}: expected one argument")
+        raw[dests[name]] = value
+    out = raw.pop("out", None)
     given = {}
     try:
-        cfg, given = _config(args)
-        return _COMMANDS[args.command][0](cfg, given, args.out)
+        cfg, given = _config(command, raw)
+        return _COMMANDS[command][0](cfg, given, out)
     except ParameterError as exc:
-        print(f"error: {_flags(exc.names, args, given)}: {exc}", file=sys.stderr)
+        print(f"error: {_flags(exc.names, command, out, given)}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except _FAILURES as exc:
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -41,6 +41,7 @@ integrand once per round on the nodes of every panel being bisected, and
 finds the finite ends of an infinite support itself.
 """
 
+import cmath
 import heapq
 import math
 import sys
@@ -117,9 +118,12 @@ def hyp0f1(b: float, z: complex) -> complex:
     so 0F1 >= 1 there, and a smaller value or a nan is scipy's overflow: it
     is returned as inf.  At b 1 exactly, where 0F1(; 1; z) = I0(2 sqrt z),
     scipy is not called once I0 overflows, since its asymptotic branch
-    divides by b - 1 there."""
+    divides by b - 1 there.  ParameterError names b unless b > 0, and a NaN z
+    (real or complex), before scipy is called."""
     if not b > 0:
         raise ParameterError(("b",), f"hyp0f1 requires b > 0, got {b}")
+    if cmath.isnan(z):
+        raise ParameterError(("z",), f"hyp0f1 requires a z that is not NaN, got {z}")
     if isinstance(z, complex):
         return complex(_hyp0f1(b, z))
     if b == 1.0 and z > 0 and math.isinf(iv(0.0, 2.0 * math.sqrt(z))):

@@ -78,8 +78,9 @@ class OneModeSector:
     n_levels: int
 
     def __post_init__(self):
-        if not 0 <= self.r < self.rep.l:
-            raise ParameterError(("r",), f"sector index {self.r} outside [0, {self.rep.l})")
+        if not (0 <= self.r < self.rep.l and float(self.r).is_integer()):
+            raise ParameterError(("r",), f"need an integer sector index in [0, {self.rep.l}), "
+                                         f"got {self.r}")
         if not (self.n_levels >= 2 and float(self.n_levels).is_integer()):
             raise ParameterError(("n_levels",),
                                  f"need an integer n_levels >= 2, got {self.n_levels}")

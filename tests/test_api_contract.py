@@ -44,6 +44,8 @@ REFUSALS = {
                             ("n",)),
     "rep-l-fractional": (lambda: rep.MultibosonRep(1.5, (1.0,)), ("l",)),
     "sector-n_levels-fractional": (lambda: rep.OneModeSector(ONE, 0, 2.5), ("n_levels",)),
+    "sector-r-fractional": (lambda: rep.OneModeSector(rep.MultibosonRep(2, (1.0, 1.5)), 0.5, 10),
+                            ("r",)),
     "laguerre-alpha-nan": (lambda: op.Laguerre(NAN), ("alpha",)),
     "meixner-beta-nan": (lambda: op.Meixner(NAN, 0.5), ("beta",)),
     "meixner-c-nan": (lambda: op.Meixner(1.0, NAN), ("c",)),
@@ -61,6 +63,7 @@ REFUSALS = {
         lambda: op.poly_table(op.DualHahn(0.0, 0.0, 3), 10, np.linspace(0.0, 1.0, 3)),
         ("n_max",)),
     "hyp0f1-b-nan": (lambda: op.hyp0f1(NAN, 1.0), ("b",)),
+    "hyp0f1-z-nan": (lambda: op.hyp0f1(1.0, NAN), ("z",)),
     "ln-pochhammer-a-nan": (lambda: op.ln_pochhammer(NAN, 2), ("a",)),
     "hyp3f2-n-negative": (lambda: op.hyp3f2_terminating(-1, 1.0, 1.0, 1.0, 1.0), ("n",)),
     "hyp3f2-c-nan": (lambda: op.hyp3f2_terminating(2, 1.0, NAN, 1.0, 1.0), ("c",)),

@@ -1,15 +1,16 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
-import argparse
 import csv
 import json
 import math
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from multiboson.cli import _FLAGS, build_parser, main
+from multiboson import __version__
+from multiboson.cli import _FLAGS, main
 
 # reference ``spectrum`` output, byte for byte, keyed "<model> <format>"
 GOLDEN = json.loads((Path(__file__).parent / "data" / "spectrum_golden.json").read_text())
@@ -195,27 +196,98 @@ def test_spectrum_output_matches_golden(capsys, model, fmt):
 
 
 def test_each_subcommand_takes_exactly_its_config_keys(capsys):
-    # the parser holds exactly the flags of the table, each under its dest
-    # and with its name, so no flag is parsed and then ignored
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    # validate takes no flag of the table, only --out
-    assert set(sub.choices) == {"validate", "spectrum", "evolve", "coherent"}
-    for command, parser in sub.choices.items():
-        keys = {key for key, (commands, _, _) in _FLAGS.items() if command in commands}
-        dests = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
-        assert dests - {"command", "out"} == keys
-        for key in keys:
-            assert parser._option_string_actions["--" + key.replace("_", "-")].dest == key
-    code, _, err = _run(capsys, "validate", "--format", "csv")
-    assert code == 2 and "--format" in err
+    # main reads exactly the flags of the table for each command: its own
+    # reach their converter (a value it refuses names the flag), every other
+    # command's is an unrecognized argument, so no flag is read and then
+    # ignored; validate takes no flag of the table, only --out
+    for command in ("validate", "spectrum", "evolve", "coherent"):
+        for key, (commands, _, _) in _FLAGS.items():
+            flag = "--" + key.replace("_", "-")
+            code, out, err = _run(capsys, command, flag, "x")
+            assert code == 2 and out == ""
+            if command in commands:
+                assert err.startswith("error: ") and flag in err, err
+                assert "'x' is not admissible" in err, err
+            else:
+                assert f"unrecognized arguments: {flag}" in err, err
 
 
-def test_parser_built_once_per_process(capsys):
-    assert build_parser() is build_parser()
-    _run(capsys, "spectrum", "--model", "two-d", "--K", "1")
-    _run(capsys, "spectrum", "--model", "two-d", "--K", "2")
-    assert build_parser.cache_info().misses == 1
+ONEMODE_ARGV = ("spectrum", "--mu", "4", "--nu", "1", "--count", "3")
+
+
+def test_flag_equals_value_reads_as_two_tokens(capsys):
+    code, spaced, _ = _run(capsys, *ONEMODE_ARGV, "--n-levels", "300")
+    assert code == 0
+    code, joined, _ = _run(capsys, "spectrum", "--mu=4", "--nu=1", "--count=3",
+                           "--n-levels=300")
+    assert code == 0 and joined == spaced
+    # a negative value is taken as written, after "=" or as the next token
+    code, spaced, _ = _run(capsys, "spectrum", "--mu", "-4", "--nu", "-1")
+    assert code == 0 and json.loads(spaced)["results"]["case_index"] == 6
+    code, joined, _ = _run(capsys, "spectrum", "--mu=-4", "--nu=-1")
+    assert code == 0 and joined == spaced
+
+
+def test_repeated_flag_last_value_wins(capsys):
+    code, repeated, _ = _run(capsys, *ONEMODE_ARGV, "--count", "5", "--mu=4")
+    assert code == 0
+    code, once, _ = _run(capsys, "spectrum", "--mu", "4", "--nu", "1", "--count", "5")
+    assert code == 0 and repeated == once
+    assert len(json.loads(once)["results"]["atoms"]) == 5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--nu", "1", "--mu"], "--mu"),
+    (["spectrum", "--mu", "--nu", "1"], "--mu"),
+    (["spectrum", "--mu", "--nu=1"], "--mu"),
+    (["evolve", "--times", "--out", "x.csv"], "--times"),
+    (["coherent", "--out"], "--out"),
+])
+def test_flag_without_value_is_a_usage_error(capsys, argv, flag):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: expected one argument" in err
+
+
+def test_abbreviated_flag_is_unrecognized(capsys):
+    code, out, err = _run(capsys, "spectrum", "--mu", "4", "--nu", "1", "--n-lev", "10")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --n-lev" in err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--mu", "4"], ["-h=1"]])
+def test_unknown_command_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == "" and "error: " in err
+    assert not argv or argv[0] in err
+
+
+def test_version_prints_the_package_version(capsys):
+    code, out, err = _run(capsys, "--version")
+    assert code == 0 and out == __version__ + "\n" and err == ""
+
+
+def test_help_lists_the_commands(capsys):
+    for flag in ("-h", "--help"):
+        code, out, _ = _run(capsys, flag)
+        assert code == 0
+        assert {"validate", "spectrum", "evolve", "coherent"} <= set(
+            re.findall(r"^  (\S+)", out, re.MULTILINE))
+
+
+@pytest.mark.parametrize("command", ["validate", "spectrum", "evolve", "coherent"])
+def test_help_lists_exactly_the_command_flags(capsys, command):
+    # after flags already read, too: help wins and nothing runs
+    code, out, err = _run(capsys, command, "--out", "unused.json", "-h")
+    assert code == 0 and err == ""
+    listed = re.findall(r"^  (--\S+)", out, re.MULTILINE)
+    keys = ["--" + k.replace("_", "-") for k, (cmds, _, _) in _FLAGS.items() if command in cmds]
+    assert sorted(listed) == sorted(keys + ["--out"])
+    assert len(listed) == len(set(listed))
+    # each row shows the flag's default
+    if command == "evolve":
+        assert re.search(r"^  --times\s+0:10:21$", out, re.MULTILINE)
+        assert re.search(r"^  --format\s+csv$", out, re.MULTILINE)
 
 
 def test_back_to_back_calls_do_not_leak_state(capsys):

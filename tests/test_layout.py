@@ -82,6 +82,9 @@ PAIRING = _why(
 FLAGS = _why(
     "one flag table: every CLI flag is declared once, in cli._FLAGS, and no",
     "per-flag check, rewrap or catch-all stands beside it")
+READER = _why(
+    FLAGS + "; and one flag reader: the table is read by one loop in cli.main,",
+    "with no argparse tree built from it")
 STATES = _why(
     "one state form: a state is a plain 1-d amplitude array, checked where it",
     "enters evolution, with no wrapper class; the ladder generators of",
@@ -194,6 +197,7 @@ RULES = [
     Rule("per-flag-check", r"_KNOWN_KEYS|_at_least|_positive|from None|except Exception",
          (PKG + "cli.py",),
          "    except Exception:", FLAGS),
+    Rule("second-flag-parser", r"argparse", SRC, "import argparse", READER),
     Rule("state-wrapper-class", r"StateVector", SRC,
          "class StateVector:", STATES),
     Rule("sparse-generators", r"DENSE_LIMIT|diags_array|scipy\.sparse", (PKG + "rep.py",),
