@@ -20,7 +20,7 @@ default.  Rules across flags stay in the commands; the library checks each
 value where it enters, raising ``errors.ParameterError`` with its parameter
 names, mapped to flags here.
 
-Exit codes: 0 success; 2 a usage error naming the flags at fault (the given
+Exit codes: 0 success; 2 a usage error naming the flags at fault (the typed
 ones, if any); 1 a failure of another ``errors`` type, printed after its
 name; any other exception is a defect and is not caught.  JSON output is
 one line, keys sorted (``python -m json.tool`` indents it).  Exit-0 output
@@ -124,10 +124,8 @@ _KEYS = {c: tuple(k for k, f in _FLAGS.items() if c in f[0])
 # --alpha0-table entry
 _API_KEYS = {"n": ("n_levels",), "n_atoms": ("count",), "k_checked": ("k_max",),
              "zeta": ("zeta_re", "zeta_im"), "alpha0": ("alpha0", "alpha0_table"),
-             "alpha0_init": ("alpha0_table",), "beta": ("alpha0_table",),
-             "alpha": ("alpha0_table",), "lam": ("alpha0_table",), "c": ("mu", "nu"),
-             "phi": ("mu", "nu"), "name": ("preset",), "t_grid": ("times",),
-             "occupations": ("state",),
+             "alpha0_init": ("alpha0_table",), "beta": ("alpha0_table",), "c": ("mu", "nu"),
+             "t_grid": ("times",), "occupations": ("state",),
              **dict.fromkeys("uvw", ("alpha0", "beta0", "K"))}
 
 
@@ -135,11 +133,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _flags(names, command: str, out, given) -> str:
-    """The flags setting the parameters ``names``: those given, if any was."""
+def _flags(names, command: str, raw: dict) -> str:
+    """The flags setting the parameters ``names``: those typed (in ``raw``),
+    if any was."""
     keys = [k for k in dict.fromkeys(k for n in names for k in _API_KEYS.get(n, (n,)))
             if k in _KEYS[command] + ("out",)]
-    named = [k for k in keys if k in given or k == "out" and out]
+    named = [k for k in keys if k in raw]
     return ", ".join(map(_flag, named or keys)) or str(names)
 
 
@@ -151,8 +150,9 @@ def _default(key: str, command: str, model: str):
 
 
 def _config(command: str, raw: dict) -> tuple[dict, dict]:
-    """(values, given): ``given`` holds the converted value of each flag in
-    ``raw`` (dest: value as written), ``values`` adds the defaults."""
+    """(values, given): ``given`` holds the converted value of each of the
+    command's flags in ``raw`` (dest: value as written), ``values`` adds the
+    defaults."""
     keys = _KEYS[command]
     given = {}
     for key in keys:
@@ -380,13 +380,11 @@ def main(argv=None) -> int:
             if value is None or value.partition("=")[0] in dests:
                 return _usage_error(f"argument {name}: expected one argument")
         raw[dests[name]] = value
-    out = raw.pop("out", None)
-    given = {}
     try:
         cfg, given = _config(command, raw)
-        return _COMMANDS[command][0](cfg, given, out)
+        return _COMMANDS[command][0](cfg, given, raw.get("out"))
     except ParameterError as exc:
-        print(f"error: {_flags(exc.names, command, out, given)}: {exc}", file=sys.stderr)
+        print(f"error: {_flags(exc.names, command, raw)}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except _FAILURES as exc:
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -495,9 +495,9 @@ class Chain:
         return self.atom_stream(np.arange(count, dtype=float))
 
     def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
-        """The family's measure mapped, with ``n_atoms`` atoms for Meixner;
-        a diagonal chain's first ``n_atoms`` atoms at unit weight (it has no
-        default count)."""
+        """The family's atoms and support under x -> scale x + shift, with
+        ``n_atoms`` atoms for Meixner; a diagonal chain's first ``n_atoms``
+        atoms at unit weight (it has no default count)."""
         fam = self.family
         if fam is None:
             if n_atoms is None:

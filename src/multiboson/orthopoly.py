@@ -8,10 +8,10 @@ terminating 3F2, the independent reference for the D-block eigenvectors.
 
 Every family is a frozen parameter record that knows its orthonormal
 three-term recurrence (positive off-diagonal convention, P_0 = 1) and its
-orthogonality measure, a :class:`SpectralMeasure`: atom locations and
-weights as two float arrays plus, for a continuum, its support interval and
-density.  ``recurrence(k)`` takes a scalar or a float k-array and returns
-(a_k, b_k) elementwise.  Measures are kept in the family's natural
+orthogonality measure.  ``measure()`` returns a :class:`SpectralMeasure`:
+atom locations and weights as two float arrays plus, for a continuum, its
+support interval.  ``recurrence(k)`` takes a scalar or a float k-array and
+returns (a_k, b_k) elementwise.  Measures are kept in the family's natural
 variable; callers map to physical variables with
 :meth:`SpectralMeasure.mapped`.
 
@@ -24,13 +24,13 @@ Natural variables and stored (unnormalized) measures:
 * ``ContinuousDualHahn(u,v,w)``  density on (-inf, 0) plus ceil(-u) atoms at
   x = (u+n)^2 when u < 0
 
-Every family gives its total mass in closed form, and
-:meth:`SpectralMeasure.normalized` divides by it.  Densities are
-elementwise functions of a scalar or an array.  Each atom weight comes
-from its family's scalar formula, one atom at a time (``DualHahn``: one
-array expression), so a weight does not depend on how many atoms are
-asked for; :func:`gram_matrix` takes its Meixner atoms from
-``Meixner.measure`` too.
+Every family gives its total mass in closed form, ``mass()``, and a
+continuous one its density (``ContinuousDualHahn``: ``density_y``, y =
+sqrt(-x)), an elementwise function of a scalar or an array; only
+:func:`gram_matrix` reads them.  Each atom weight comes from its family's
+scalar formula, one atom at a time (``DualHahn``: one array expression),
+so a weight does not depend on how many atoms are asked for;
+:func:`gram_matrix` takes its Meixner atoms from ``Meixner.measure`` too.
 
 One routine, :func:`_integrate`, does every quadrature of the package: the
 continuous parts in :func:`gram_check` and the moments of
@@ -173,22 +173,19 @@ def _where_positive(x, fn):
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Atoms at ``locations`` with positive ``weights`` (float arrays of one
-    length, empty for a purely continuous measure) plus a density on the
-    interval ``support``, an elementwise function of a scalar or an array;
-    ``support`` and ``density`` are None for a purely atomic measure.
+    length, empty for a purely continuous measure) plus the interval
+    ``support`` of the continuum, None for a purely atomic measure.
 
-    A measure with a density carries its total mass in closed form.  The
-    affine map from a family's natural variable to a physical one is
-    recorded once, on ``jacobi.Chain``.  ParameterError names the fields at
-    fault: arrays of two lengths, a support without its density or closed
-    mass, and an atom weight that is not positive (NaN included).
+    The record holds what a spectrum prints; the density and the closed
+    total mass stay with the family.  The affine map from a family's natural
+    variable to a physical one is recorded once, on ``jacobi.Chain``.
+    ParameterError names the fields at fault: arrays of two lengths, and an
+    atom weight that is not positive (NaN included).
     """
 
     locations: np.ndarray = field(default_factory=lambda: np.empty(0))
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
     support: tuple[float, float] | None = None
-    density: Callable[[np.ndarray], np.ndarray] | None = None
-    total_mass_closed: float | None = None
 
     def __post_init__(self):
         # the dataclass is frozen
@@ -197,45 +194,21 @@ class SpectralMeasure:
         if self.locations.shape != self.weights.shape or self.weights.ndim != 1:
             raise ParameterError(("locations", "weights"),
                                  "locations and weights must be 1-d arrays of one length")
-        if (self.support is None) != (self.density is None):
-            raise ParameterError(("support", "density"),
-                                 "a continuous part needs both support and density")
-        if self.density is not None and self.total_mass_closed is None:
-            raise ParameterError(("total_mass_closed",),
-                                 "a continuous part needs total_mass_closed")
         bad = np.flatnonzero(~(self.weights > 0))
         if bad.size:
             i = bad[0]
             raise ParameterError(("weights",), f"atom weight must be positive, got "
                                  f"{self.weights[i]} at {self.locations[i]}")
 
-    def total_mass(self) -> float:
-        """Closed-form total mass when known, else the atom weights summed
-        in order."""
-        if self.total_mass_closed is not None:
-            return self.total_mass_closed
-        return float(sum(self.weights.tolist()))
-
-    def normalized(self) -> "SpectralMeasure":
-        """Rescale weights and density so the total mass is 1."""
-        m = self.total_mass()
-        d = self.density
-        if d is not None:
-            d = lambda x, _d=d, _m=m: _d(x) / _m
-        return SpectralMeasure(self.locations, self.weights / m, self.support, d,
-                               None if self.total_mass_closed is None else 1.0)
-
-    def mapped(self, shift: float = 0.0, scale: float = 1.0) -> "SpectralMeasure":
-        """Pushforward under x -> scale * x + shift (mass preserved).
+    def mapped(self, shift: float, scale: float) -> "SpectralMeasure":
+        """The locations and the support under x -> scale * x + shift.
         ParameterError names a scale that is 0 or NaN."""
         if not abs(scale) > 0:
             raise ParameterError(("scale",), f"scale must be nonzero, got {scale}")
-        support, d = self.support, self.density
-        if d is not None:
+        support = self.support
+        if support is not None:
             support = tuple(sorted(scale * s + shift for s in support))
-            d = lambda x, _d=d, _s=scale, _t=shift: _d((x - _t) / _s) / abs(_s)
-        return SpectralMeasure(scale * self.locations + shift, self.weights, support, d,
-                               self.total_mass_closed)
+        return SpectralMeasure(scale * self.locations + shift, self.weights, support)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +240,18 @@ class Laguerre:
         b = np.sqrt((k + 1) * (k + self.alpha + 1))
         return a, b
 
-    def measure(self) -> SpectralMeasure:
+    def density(self, x: float | np.ndarray):
+        """x^alpha e^-x, 0 off the half line."""
         al = self.alpha
-        dens = lambda x: _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
-        return SpectralMeasure(
-            support=(0.0, math.inf), density=dens,
-            total_mass_closed=_exp(gammaln(al + 1), ("alpha",), "Laguerre mass"),
-        )
+        return _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
+
+    def mass(self) -> float:
+        """Gamma(alpha + 1); ParameterError names alpha when it overflows."""
+        return _exp(gammaln(self.alpha + 1), ("alpha",), "Laguerre mass")
+
+    def measure(self) -> SpectralMeasure:
+        """No atoms; the continuum (0, inf)."""
+        return SpectralMeasure(support=(0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -311,22 +289,27 @@ class Meixner:
         # geometric tail below 1e-18 of the total mass
         return max(40, int(math.ceil(-42.0 / math.log(self.c))) + 10)
 
+    def mass(self) -> float:
+        """(1 - c)^-beta, which bounds every weight.  ParameterError names
+        beta and c when it nears overflow."""
+        if not -self.beta * math.log1p(-self.c) < LN_FLOAT_MAX - 1.0:
+            raise ParameterError(("beta", "c"), f"the Meixner mass (1 - c)^-beta "
+                                 f"overflows float64 at beta = {self.beta}, c = {self.c}")
+        return (1 - self.c) ** (-self.beta)
+
     def measure(self, n_atoms: int | None = None) -> SpectralMeasure:
-        """ParameterError names beta and c when the mass (1 - c)^-beta, which
-        bounds every weight, nears overflow, and n_atoms when it is negative
-        or a weight is 0."""
+        """The first ``n_atoms`` atoms (default ``default_n_atoms()``), no
+        continuum.  ParameterError names n_atoms when it is negative or a
+        weight is 0, and beta and c when the mass nears overflow (``mass``)."""
         if n_atoms is None:
             n_atoms = self.default_n_atoms()
         if not n_atoms >= 0:
             raise ParameterError(("n_atoms",), f"need n_atoms >= 0, got {n_atoms}")
-        if not -self.beta * math.log1p(-self.c) < LN_FLOAT_MAX - 1.0:
-            raise ParameterError(("beta", "c"), f"the Meixner mass (1 - c)^-beta "
-                                 f"overflows float64 at beta = {self.beta}, c = {self.c}")
+        self.mass()   # its guard bounds every weight
         w = np.array([self.atom_weight(n) for n in range(n_atoms)])
         if n_atoms and w[-1] == 0.0:   # unimodal weights underflow at the top
             raise ParameterError(("n_atoms",), f"atom {n_atoms - 1}'s weight underflows")
-        return SpectralMeasure(2.0 * np.arange(n_atoms) + self.beta, w,
-                               total_mass_closed=(1 - self.c) ** (-self.beta))
+        return SpectralMeasure(2.0 * np.arange(n_atoms) + self.beta, w)
 
 
 @dataclass(frozen=True)
@@ -350,14 +333,21 @@ class MeixnerPollaczek:
         b = np.sqrt((k + 1) * (k + 2 * lam)) / (2 * math.sin(phi))
         return a, b
 
-    def measure(self) -> SpectralMeasure:
+    def density(self, x: float | np.ndarray):
         lam, phi = self.lam, self.phi
-        dens = lambda x: (np.exp((2 * phi - math.pi) * x)
-                          * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
+        return (np.exp((2 * phi - math.pi) * x)
+                * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
+
+    def mass(self) -> float:
+        """2 pi Gamma(2 lam) / (2 sin phi)^(2 lam); ParameterError names lam
+        when Gamma(2 lam) overflows."""
+        lam, phi = self.lam, self.phi
         gam = _exp(gammaln(2 * lam), ("lam",), "Meixner-Pollaczek mass factor Gamma(2 lam) =")
-        mass = 2 * math.pi * gam / (2 * math.sin(phi)) ** (2 * lam)
-        return SpectralMeasure(support=(-math.inf, math.inf), density=dens,
-                               total_mass_closed=mass)
+        return 2 * math.pi * gam / (2 * math.sin(phi)) ** (2 * lam)
+
+    def measure(self) -> SpectralMeasure:
+        """No atoms; the continuum is the whole line."""
+        return SpectralMeasure(support=(-math.inf, math.inf))
 
 
 @dataclass(frozen=True)
@@ -406,10 +396,11 @@ class DualHahn:
                       + gammaln(a0 + n) - gammaln(a0) - gammaln(b0 + n) + gammaln(b0))
 
     def measure(self) -> SpectralMeasure:
-        """ParameterError names K when an atom weight is below the double
-        range (the top atoms from K near 550 at gamma, delta of order 1),
-        with the largest K whose weights all stay in it, found by bisection
-        over K: the smallest weight, the top atom's, falls as K grows."""
+        """The K+1 atoms.  ParameterError names K when an atom weight is
+        below the double range (the top atoms from K near 550 at gamma,
+        delta of order 1), with the largest K whose weights all stay in it,
+        found by bisection over K: the smallest weight, the top atom's,
+        falls as K grows."""
         g, d, K = self.gamma, self.delta, self.kmax
         n = np.arange(K + 1)
         w = self.atom_weight(n)
@@ -424,9 +415,12 @@ class DualHahn:
             raise ParameterError(("K",), f"the weights of DualHahn({g}, {d}, K) underflow "
                                  f"float64 at K = {K} from atom {int(np.argmin(w > 0))} on; "
                                  f"K <= {good} keeps every weight positive")
-        # closed-form mass 1 / C(delta + K, K)
-        mass = math.exp(gammaln(d + 1) + gammaln(K + 1) - gammaln(d + 1 + K))
-        return SpectralMeasure(n * (n + g + d + 1.0), w, total_mass_closed=mass)
+        return SpectralMeasure(n * (n + g + d + 1.0), w)
+
+    def mass(self) -> float:
+        """1 / C(delta + K, K)."""
+        d, K = self.delta, self.kmax
+        return math.exp(gammaln(d + 1) + gammaln(K + 1) - gammaln(d + 1 + K))
 
 
 @dataclass(frozen=True)
@@ -479,19 +473,21 @@ class ContinuousDualHahn:
             den *= (u + j) * (u - v + 1 + j) * (u - w + 1 + j) * (j + 1)
         return pref * num / den * (-1.0) ** n
 
+    def mass(self) -> float:
+        """Gamma(u + v) Gamma(u + w) Gamma(v + w); ParameterError names u, v
+        and w when it overflows."""
+        return _exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
+                    + gammaln(self.v + self.w), ("u", "v", "w"), "mass")
+
     def measure(self) -> SpectralMeasure:
+        """The ``n_atoms()`` atoms and the continuum (-inf, 0).  ParameterError
+        names u, v and w when an atom weight leaves the double range."""
         n = range(self.n_atoms())
         w = np.array([self.atom_weight(k) for k in n])
         if not ((0 < w) & (w < math.inf)).all():
             raise ParameterError(("u", "v", "w"), "atom weights leave the double "
                                  f"range at u = {self.u}, v = {self.v}, w = {self.w}")
-        dens = lambda x: _where_positive(
-            -np.asarray(x, dtype=float),
-            lambda y2: self.density_y(np.sqrt(y2)) / (2 * np.sqrt(y2)))
-        mass = _exp(gammaln(self.u + self.v) + gammaln(self.u + self.w)
-                    + gammaln(self.v + self.w), ("u", "v", "w"), "mass")
-        return SpectralMeasure(np.array([(self.u + k) ** 2 for k in n]), w,
-                               (-math.inf, 0.0), dens, mass)
+        return SpectralMeasure(np.array([(self.u + k) ** 2 for k in n]), w, (-math.inf, 0.0))
 
 
 PolyFamily = Union[Laguerre, Meixner, MeixnerPollaczek, DualHahn, ContinuousDualHahn]
@@ -693,28 +689,29 @@ def _breakpoints(lo, hi):
     return sorted(pts)
 
 
-def _gram_measure(family: PolyFamily, n_max: int) -> SpectralMeasure:
-    """The family's normalized measure, Meixner's atoms cut at the first
-    n > 4 n_max with w_n max(1, x_n)^(2 n_max) < 1e-20 (relative tail 1e-20
-    under polynomial factors of degree <= 2 n_max); the atom count asked of
-    ``Meixner.measure`` doubles until the cut lies inside it."""
+def _gram_measure(family: PolyFamily, n_max: int, mass: float) -> SpectralMeasure:
+    """The family's measure, weights over ``mass``, Meixner's atoms cut at the
+    first n > 4 n_max with w_n max(1, x_n)^(2 n_max) < 1e-20 (relative tail
+    1e-20 under polynomial factors of degree <= 2 n_max); the atom count
+    asked of ``Meixner.measure`` doubles until the cut lies inside it."""
     if not isinstance(family, Meixner):
-        return family.measure().normalized()
+        meas = family.measure()
+        return replace(meas, weights=meas.weights / mass)
     n_atoms = max(family.default_n_atoms(), 4 * n_max + 2)
     while True:
-        meas = family.measure(n_atoms).normalized()
-        x, w = meas.locations, meas.weights
+        meas = family.measure(n_atoms)
+        x, w = meas.locations, meas.weights / mass
         small = w * np.maximum(1.0, x) ** (2 * n_max) < 1e-20
         small[:4 * n_max + 1] = False
         if small.any():
             cut = int(np.argmax(small)) + 1
-            return replace(meas, locations=x[:cut], weights=w[:cut])
+            return SpectralMeasure(x[:cut], w[:cut])
         n_atoms *= 2
 
 
 def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
     """Gram matrix <P_i, P_j>, i, j <= n_max (capped at the family size),
-    under the family's normalized measure.
+    under the family's measure divided by its closed mass.
 
     The atom part is one product (P w) P^T over all atoms.  The continuous
     part integrates the upper triangle of density * P P^T as one vector
@@ -725,7 +722,8 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
     if family.nmax is not None:
         n_max = min(n_max, family.nmax)
     G = np.zeros((n_max + 1, n_max + 1))
-    meas = _gram_measure(family, n_max)
+    mass = family.mass()
+    meas = _gram_measure(family, n_max, mass)
     if meas.locations.size:
         p = poly_table(family, n_max, meas.locations)
         G += (p * meas.weights) @ p.T
@@ -740,17 +738,15 @@ def gram_matrix(family: PolyFamily, n_max: int) -> np.ndarray:
         # substitute x = t^2: the Jacobian 2t cancels the x^alpha endpoint
         # singularity for alpha = -1/2 and softens it for any alpha > -1
         def f(t):
-            return (2.0 * t * meas.density(t * t))[:, None] * products(t * t)
+            return (2.0 * t * (family.density(t * t) / mass))[:, None] * products(t * t)
         vals = _integrate(f, 0.0, math.inf)
     elif isinstance(family, MeixnerPollaczek):
         def f(x):
-            return meas.density(x)[:, None] * products(x)
+            return (family.density(x) / mass)[:, None] * products(x)
         vals = _integrate(f, *meas.support)
     elif isinstance(family, ContinuousDualHahn):
         # substitute x = -y^2: the 1/(2y) density factor cancels the
         # Jacobian, leaving the smooth integrand density_y * P_i * P_j
-        mass = family.measure().total_mass_closed
-
         def f(y):
             return (family.density_y(y) / mass)[:, None] * products(-y * y)
         vals = _integrate(f, 0.0, math.inf)

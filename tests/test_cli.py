@@ -197,16 +197,17 @@ def test_spectrum_output_matches_golden(capsys, model, fmt):
 
 def test_each_subcommand_takes_exactly_its_config_keys(capsys):
     # main reads exactly the flags of the table for each command: its own
-    # reach their converter (a value it refuses names the flag), every other
-    # command's is an unrecognized argument, so no flag is read and then
-    # ignored; validate takes no flag of the table, only --out
+    # reach their converter (a value it refuses names exactly the flag
+    # typed, not every flag setting that parameter), every other command's
+    # is an unrecognized argument, so no flag is read and then ignored;
+    # validate takes no flag of the table, only --out
     for command in ("validate", "spectrum", "evolve", "coherent"):
         for key, (commands, _, _) in _FLAGS.items():
             flag = "--" + key.replace("_", "-")
             code, out, err = _run(capsys, command, flag, "x")
             assert code == 2 and out == ""
             if command in commands:
-                assert err.startswith("error: ") and flag in err, err
+                assert err.startswith(f"error: {flag}: "), err
                 assert "'x' is not admissible" in err, err
             else:
                 assert f"unrecognized arguments: {flag}" in err, err
@@ -314,6 +315,34 @@ def test_spectrum_onemode_continuum(capsys, tmp_path):
     res = json.loads(out_path.read_text())["results"]
     assert res["atoms"] == []
     assert res["continuum"][0] == 0.0 and math.isinf(res["continuum"][1])
+
+
+# classes 1-4 at alpha0 400 (Laguerre alpha 399, Meixner-Pollaczek lam 200)
+# and a C-block at alpha0 = beta0 = 300, each beside the same query at label
+# 3: their closed masses leave the double range at the large labels (at phi
+# 2e-6 the Meixner-Pollaczek mass divides by (2 sin phi)^100, which rounds
+# to 0), and no output prints a mass
+@pytest.mark.parametrize("argv, large", [
+    (("--mu", "1", "--nu", "0", "--alpha0-table", "{}"), "400"),
+    (("--mu", "0", "--nu", "1", "--alpha0-table", "{}"), "400"),
+    (("--mu", "1", "--nu=-1", "--alpha0-table", "{}"), "400"),
+    (("--mu=-1", "--nu", "1", "--alpha0-table", "{}"), "400"),
+    (("--mu", "1e-12", "--nu=-1", "--alpha0-table", "{}"), "100"),
+    (("--model", "two-c", "--K", "0", "--alpha0", "{}", "--beta0", "{}",
+      "--n-levels", "100"), "300"),
+], ids=["class-1", "class-2", "class-3", "class-4", "class-3-small-phi", "two-c"])
+def test_spectrum_at_large_labels_prints_what_small_labels_print(capsys, argv, large):
+    runs = []
+    for label in (large, "3"):
+        code, out, err = _run(capsys, "spectrum", *(a.format(label) for a in argv))
+        assert code == 0, err
+        # every number is finite but the documented infinite ends of the support
+        tokens = []
+        payload = json.loads(out, parse_constant=lambda c: tokens.append(c) or float(c))
+        assert len(tokens) == sum(map(math.isinf, payload["results"]["continuum"])), out
+        runs.append(payload)
+    for part in ("results", "diagnostics"):
+        assert runs[0][part].keys() == runs[1][part].keys()
 
 
 def test_spectrum_two_d(capsys, tmp_path):

@@ -77,7 +77,7 @@ PAIRING = _why(
     "a truncated spectrum closed-form atoms pair with (pairs_top), and no",
     "caller decides it by hand; one spectral-measure record",
     "(orthopoly.SpectralMeasure) holds its atoms as two arrays and its",
-    "continuum as plain fields, and TruncationOverflowError carries no unread",
+    "continuum as its support, and TruncationOverflowError carries no unread",
     "cutoff advice")
 FLAGS = _why(
     "one flag table: every CLI flag is declared once, in cli._FLAGS, and no",
@@ -190,6 +190,8 @@ RULES = [
     Rule("second-measure-record",
          r"ContinuousPart|atom_locations|atom_weights|atom_mass|advised_n", SRC,
          "    atom_weights: np.ndarray", PAIRING),
+    Rule("measure-record-mass", r"total_mass_closed|\.normalized\(|\.total_mass\(", SRC,
+         "    return family.measure().normalized()", PAIRING),
     Rule("pairing-decided-by-caller", r"top=True|top=False|scale < 0", SRC,
          "    atoms = chain.atoms(n, top=True)", PAIRING,
          exempt_files=(PKG + "orthopoly.py", PKG + "jacobi.py"),

@@ -101,10 +101,6 @@ def test_spectrum_case1_halfline():
     meas = om.classify(1.0, 0.0, 1.0).measure()
     assert meas.locations.size == meas.weights.size == 0
     assert meas.support == (0.0, math.inf)
-    # density of the mapped measure: 2 (2x)^(alpha0-1) e^(-2x) for mu = 1
-    for x in (0.3, 1.0, 2.5):
-        expected = 2.0 * (2 * x) ** 0.0 * math.exp(-2 * x)
-        assert meas.density(x) == pytest.approx(expected, rel=1e-12)
     neg = om.classify(-2.0, 0.0, 1.0).measure()
     assert neg.support == (-math.inf, 0.0)
 
@@ -116,7 +112,7 @@ def test_spectrum_case9_diagonal():
     assert np.allclose(meas.locations, expected)
     assert meas.locations[0] == -6.0 and meas.locations[1] == -12.0
     assert np.array_equal(meas.weights, np.ones(40))
-    assert meas.support is None and meas.density is None
+    assert meas.support is None
 
 
 def test_case9_measure_needs_an_atom_count():

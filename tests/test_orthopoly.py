@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -53,8 +54,8 @@ def test_gamma_abs_sq():
     # |Gamma(a + ib)|^2 through the package's one route, the Meixner-Pollaczek
     # density at phi = pi/2: Gamma(1/2)^2 = pi, Gamma(1) = 1 and
     # |Gamma(1 + i)|^2 = pi / sinh(pi)
-    half = op.MeixnerPollaczek(0.5, math.pi / 2).measure().density
-    one = op.MeixnerPollaczek(1.0, math.pi / 2).measure().density
+    half = op.MeixnerPollaczek(0.5, math.pi / 2).density
+    one = op.MeixnerPollaczek(1.0, math.pi / 2).density
     assert half(0.0) == pytest.approx(math.pi, rel=1e-12)
     assert one(0.0) == pytest.approx(1.0, rel=1e-12)
     assert one(1.0) == pytest.approx(math.pi / math.sinh(math.pi), rel=1e-12)
@@ -202,9 +203,9 @@ def test_meixner_degree_one_by_hand():
 
 def test_dual_hahn_two_point_gram_by_hand():
     fam = op.DualHahn(0.0, 0.0, 1)
-    meas = fam.measure().normalized()
+    meas = fam.measure()
     locs = meas.locations
-    ws = meas.weights
+    ws = meas.weights / fam.mass()
     assert np.allclose(locs, [0.0, 2.0])
     assert np.allclose(ws, [0.5, 0.5])
     p1 = op.poly_table(fam, 1, locs)[1]
@@ -283,13 +284,13 @@ def test_meixner_measure_normalization():
     fam = op.Meixner(0.7, 1.0 / 9.0)
     printed = fam.measure()
     assert printed.weights[0] == pytest.approx(1.0)  # (beta)_0 c^0 / 0!
-    assert printed.total_mass() == pytest.approx((1 - 1 / 9.0) ** (-0.7), rel=1e-12)
-    normalized = fam.measure().normalized()
-    assert math.fsum(normalized.weights) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(normalized.locations[:3], [0.7, 2.7, 4.7])
+    assert fam.mass() == pytest.approx((1 - 1 / 9.0) ** (-0.7), rel=1e-12)
+    normalized = printed.weights / fam.mass()
+    assert math.fsum(normalized) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(printed.locations[:3], [0.7, 2.7, 4.7])
     # each weight is its scalar formula over the closed-form mass
-    assert normalized.weights.tolist() == [fam.atom_weight(n) / printed.total_mass()
-                                           for n in range(len(printed.weights))]
+    assert normalized.tolist() == [fam.atom_weight(n) / fam.mass()
+                                   for n in range(len(printed.weights))]
 
 
 def test_cdh_atom_count():
@@ -304,14 +305,12 @@ def test_measure_mapped_affine():
     fam = op.Meixner(1.0, 0.25)
     meas = fam.measure(n_atoms=5).mapped(shift=1.0, scale=-2.0)
     assert meas.locations[0] == pytest.approx(-2.0 * 1.0 + 1.0)
-    lag = op.Laguerre(0.5).measure().mapped(scale=0.5)
+    assert np.array_equal(meas.weights, fam.measure(n_atoms=5).weights)
+    lag = op.Laguerre(0.5).measure().mapped(0.0, 0.5)
     lo, hi = lag.support
     assert lo == 0.0 and math.isinf(hi)
-    # pushforward density: mass on a window is preserved
-    raw = op.Laguerre(0.5).measure()
-    m1 = quad(raw.density, 0, 2, limit=200)[0]
-    m2 = quad(lag.density, 0, 1, limit=200)[0]
-    assert m1 == pytest.approx(m2, rel=1e-9)
+    # a negative scale turns the support over
+    assert op.Laguerre(0.5).measure().mapped(1.0, -2.0).support == (-math.inf, 1.0)
 
 
 def test_spectral_measure_invariants():
@@ -320,7 +319,7 @@ def test_spectral_measure_invariants():
     with pytest.raises(ValueError):
         op.SpectralMeasure(locations=[0.0, 1.0], weights=[1.0])
     with pytest.raises(ValueError):
-        op.SpectralMeasure().mapped(scale=0.0)
+        op.SpectralMeasure().mapped(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def test_gram_meixner_atoms_cut_by_the_tail_rule(beta, c, n_max):
     while not (n > 4 * n_max and fam.atom_weight(n) / mass
                * max(1.0, 2.0 * n + beta) ** (2 * n_max) < 1e-20):
         n += 1
-    meas = op._gram_measure(fam, n_max)
+    meas = op._gram_measure(fam, n_max, fam.mass())
     assert meas.weights.tolist() == [fam.atom_weight(k) / mass for k in range(n + 1)]
     assert meas.locations.tolist() == [2.0 * k + beta for k in range(n + 1)]
 
@@ -440,7 +439,7 @@ def test_integrate_error_gate_raises(f, lo, hi):
 def test_integrate_matches_closed_form_moments():
     # Laguerre moments int_0^inf x^k x^alpha e^-x dx = Gamma(k + alpha + 1)
     al = 1.7
-    f = lambda x: np.stack([op.Laguerre(al).measure().density(x) * x ** k
+    f = lambda x: np.stack([op.Laguerre(al).density(x) * x ** k
                             for k in range(6)], axis=1)
     got = op._integrate(f, 0.0, math.inf)
     ref = np.array([math.gamma(k + al + 1) for k in range(6)])
@@ -456,10 +455,7 @@ def test_integrate_finds_mass_far_from_the_origin():
 
 def test_densities_take_arrays_elementwise():
     xs = np.array([-3.0, -0.5, 0.0, 0.7, 2.5, 11.0])
-    for meas in (op.Laguerre(-0.5).measure().normalized(),
-                 op.MeixnerPollaczek(0.75, 1.0).measure(),
-                 op.ContinuousDualHahn(-0.2, 0.5, 0.5).measure().mapped(shift=1.0)):
-        dens = meas.density
+    for dens in (op.Laguerre(-0.5).density, op.MeixnerPollaczek(0.75, 1.0).density):
         got = dens(xs)
         assert got.shape == xs.shape
         assert np.allclose(got, [dens(x) for x in xs], rtol=1e-15, atol=0.0)
@@ -468,18 +464,26 @@ def test_densities_take_arrays_elementwise():
     assert np.allclose(cdh.density_y(ys), [cdh.density_y(y) for y in ys],
                        rtol=1e-15, atol=0.0)
     # |Gamma(1/2 + i)|^2 = pi / cosh(pi)
-    mp = op.MeixnerPollaczek(0.5, math.pi / 2).measure().density
+    mp = op.MeixnerPollaczek(0.5, math.pi / 2).density
     assert mp(1.0) == pytest.approx(math.pi / math.cosh(math.pi), rel=1e-13)
 
 
 def test_continuous_measure_needs_closed_mass():
-    lag = op.Laguerre(0.0).measure()
-    with pytest.raises(ValueError):
-        op.SpectralMeasure(support=lag.support, density=lag.density)
-    with pytest.raises(ValueError):   # a support needs its density
-        op.SpectralMeasure(support=lag.support, total_mass_closed=1.0)
+    # the family owns its closed mass and its density; the measure record
+    # holds atoms and a support only
+    assert [f.name for f in fields(op.SpectralMeasure)] == ["locations", "weights", "support"]
+    assert op.Laguerre(0.0).mass() == 1.0
+    assert op.MeixnerPollaczek(0.5, math.pi / 2).mass() == pytest.approx(math.pi, rel=1e-15)
+    # the mass is the density's integral plus the atoms' weights
+    for fam in (op.Laguerre(1.7), op.MeixnerPollaczek(0.5, 1.0)):
+        got = op._integrate(lambda x: fam.density(x)[:, None], *fam.measure().support)[0]
+        assert got == pytest.approx(fam.mass(), rel=1e-10)
+    for fam in (op.ContinuousDualHahn(0.5, 0.5, 1.0), op.ContinuousDualHahn(-1.3, 2.0, 1.7)):
+        got = op._integrate(lambda y: fam.density_y(y)[:, None], 0.0, math.inf)[0]
+        assert got + math.fsum(fam.measure().weights) == pytest.approx(fam.mass(), rel=1e-10)
     # atoms alone sum to their mass
-    assert op.SpectralMeasure(locations=[1.0, 2.0], weights=[0.25, 0.5]).total_mass() == 0.75
+    fam = op.DualHahn(-0.5, 1.75, 6)
+    assert math.fsum(fam.measure().weights) == pytest.approx(fam.mass(), rel=1e-14)
 
 
 def _quad_vec_gram(fam, n):
@@ -488,24 +492,20 @@ def _quad_vec_gram(fam, n):
     if fam.nmax is not None:
         n = min(n, fam.nmax)
     outer = lambda x: np.outer(*2 * [op.poly_table(fam, n, x)])
-    if isinstance(fam, op.Meixner):
-        meas = fam.measure(n_atoms=250).normalized()
-    else:
-        meas = fam.measure().normalized()
-    G = sum((w * outer(x) for x, w in zip(meas.locations, meas.weights)),
+    meas = fam.measure(n_atoms=250) if isinstance(fam, op.Meixner) else fam.measure()
+    mass = fam.mass()
+    G = sum((w / mass * outer(x) for x, w in zip(meas.locations, meas.weights)),
             np.zeros((n + 1, n + 1)))
-    if meas.density is None:
+    if meas.support is None:
         return G
-    dens = meas.density
     if isinstance(fam, op.Laguerre):
-        g = lambda t: 2.0 * t * float(dens(t * t)) * outer(t * t)
+        g = lambda t: 2.0 * t * float(fam.density(t * t) / mass) * outer(t * t)
         lo, hi = 0.0, 16.0
     elif isinstance(fam, op.ContinuousDualHahn):
-        mass = fam.measure().total_mass_closed
         g = lambda y: float(fam.density_y(y)) / mass * outer(-y * y)
         lo, hi = 0.0, 80.0
     else:
-        g = lambda x: float(dens(x)) * outer(x)
+        g = lambda x: float(fam.density(x) / mass) * outer(x)
         lo, hi = -80.0, 80.0
     pts = sorted({lo, hi} | {s * 2.0 ** k for k in range(7) for s in (-1, 1)
                              if lo < s * 2.0 ** k < hi})
