@@ -17,10 +17,10 @@ sample's wall time per call.  A row is
     {case, layer, size, seconds, repeat, peak_bytes, accuracy}
 
 where ``size`` is the case's problem size (n_levels, cutoff or block order
-n, K + 1 for a D-block; null for validate sections and the whole-validate
-case) and
-``accuracy`` is the case's own error figure (lower is better), described
-under "accuracy" in the output file.  Oracle-window rows also carry
+n, K + 1 for a D-block, the top degree for ``gram_check``; null for
+validate sections and the whole-validate case) and ``accuracy`` is the
+case's own error figure (lower is better), described under "accuracy" in
+the output file.  Oracle-window rows also carry
 ``path``: "certified windows" or "index window", the route
 ``jacobi.oracle_eigs`` took.  The rows of the package under ``--src``
 (default: this checkout's) go into a fresh ``--out`` file.
@@ -29,10 +29,12 @@ Cases: the CLI commands ``validate``, ``spectrum --model two-c`` at
 n_levels 4000, ``spectrum --model two-d`` at K 200, ``spectrum --mu 4 --nu
 1`` (one-mode class 5) at n_levels 1000 with count 8, a query of the
 spectra workload's kind whose front end (reading flags, writing JSON)
-weighs a large share of its time, and ``evolve --preset HIV`` at cutoffs 48
-and 96; the Meixner block of the implementer at n 240;
-the implementer grid of ``validate``; ``run_series`` over 21 times on a
-generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
+weighs a large share of its time, ``evolve --preset HIV`` at cutoffs 48
+and 96, and the spectra workload's ``coherent`` query at n_levels 80 (its
+moment checks run the radial quadrature); the Meixner block of the
+implementer at n 240; the implementer grid of ``validate``; the quadrature
+of ``orthopoly.gram_check`` on Laguerre(-0.5) at n 10; ``run_series`` over
+21 times on a generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
 dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
 state spread over the whole window (every charge block occupied), and on
 the continuous one-mode classes 3 at n_levels 780 over 21 times and 1 at
@@ -94,8 +96,8 @@ REPEATS = 5
 MIN_SAMPLE = 0.05   # seconds: the sample length a case is repeated to
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# what each case's accuracy figure is, by case name (run_series and validate
-# sections by prefix)
+# what each case's accuracy figure is, by case name (run_series, oracle
+# windows, gram_check and validate sections by prefix)
 ACCURACY = {
     "cli validate": "largest deviation / tolerance over the report's checks",
     "cli spectrum two-c": "results.oracle_delta: closed-form bound state against the "
@@ -106,9 +108,12 @@ ACCURACY = {
                             "(Meixner) atoms against the LAPACK oracle's lowest "
                             "eigenvalues of the truncated chain",
     "cli evolve HIV": "diagnostics.max_norm_error",
+    "cli coherent": "largest results.moments[].rel_error: the radial measure's moments "
+                    "against k! (alpha0)_k",
     "meixner block": "largest entry of |U^T U - I| on the converged columns",
     "implementer grid": "largest entry of |U^T U - I| on the converged columns, "
                         "over the grid",
+    "gram_check": "the deviation gram_check returns: largest |<P_i, P_j> - delta_ij|",
     "validate section": "largest deviation / tolerance over the section's checks",
     "oracle window": "largest |closed-form atom - paired eigenvalue| over the window's "
                      "atoms (the C-block's bound state; its continuum edge has no atom)",
@@ -192,19 +197,25 @@ def cli_cases(cli, tmp):
         return lambda: run(["evolve", "--preset", "HIV", "--n-per-mode", str(n)]
                            )["diagnostics"]["max_norm_error"]
 
+    def coherent():
+        moments = run(["coherent", "--zeta-re", "0.5", "--zeta-im", "0.3", "--alpha0", "1.7",
+                       "--n-levels", "80", "--k-max", "6"])["results"]["moments"]
+        return max(m["rel_error"] for m in moments)
+
     yield dict(case="cli validate", layer="cli.main", size=None), validate
     yield dict(case="cli spectrum two-c", layer="cli.main", size=4000), spectrum
     yield dict(case="cli spectrum two-d", layer="cli.main", size=201), two_d
     yield dict(case="cli spectrum onemode", layer="cli.main", size=1000), onemode
     for n in (48, 96):
         yield dict(case="cli evolve HIV", layer="cli.main", size=n), evolve(n)
+    yield dict(case="cli coherent", layer="cli.main", size=80), coherent
 
 
 def _gram_error(u, nc):
     return float(np.abs(u[:, :nc].T @ u[:, :nc] - np.eye(nc)).max())
 
 
-def layer_cases(bg):
+def layer_cases(bg, orthopoly):
     def block():
         # the memo holds one block: clearing it makes every call build
         bg._meixner_block.cache_clear()
@@ -224,6 +235,8 @@ def layer_cases(bg):
 
     yield dict(case="meixner block", layer="bogoliubov.implementer", size=240), block
     yield dict(case="implementer grid", layer="bogoliubov.implementer", size=240), grid
+    yield (dict(case="gram_check Laguerre(-0.5)", layer="orthopoly.gram_check", size=10),
+           lambda: orthopoly.gram_check(orthopoly.Laguerre(-0.5), 10))
 
 
 def series_cases(bogoliubov, evolution, onemode, rep, twomode):
@@ -343,11 +356,12 @@ def section_cases(validation):
 
 def record(args):
     sys.path.insert(0, os.path.abspath(args.src))
-    from multiboson import bogoliubov, cli, evolution, jacobi, onemode, rep, twomode, validation
+    from multiboson import (bogoliubov, cli, evolution, jacobi, onemode, orthopoly, rep,
+                            twomode, validation)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for row, *case in itertools.chain(
-                cli_cases(cli, tmp), layer_cases(bogoliubov),
+                cli_cases(cli, tmp), layer_cases(bogoliubov, orthopoly),
                 series_cases(bogoliubov, evolution, onemode, rep, twomode),
                 oracle_cases(jacobi, onemode, rep, twomode), dblock_cases(twomode),
                 section_cases(validation)):

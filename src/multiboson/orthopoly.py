@@ -34,15 +34,15 @@ so a weight does not depend on how many atoms are asked for;
 
 One routine, :func:`_integrate`, does every quadrature of the package: the
 continuous parts in :func:`gram_check` and the moments of
-``coherent.RadialMeasure``.  It runs the 21-point Gauss-Kronrod rule of
-QUADPACK (Piessens et al., 1983) under global adaptive bisection, the
-strategy of SciPy's vector-valued adaptive quadrature, evaluating the
-integrand once per round on the nodes of every panel being bisected, and
-finds the finite ends of an infinite support itself.
+``coherent.RadialMeasure``.  It finds the finite ends of an infinite
+support itself and runs the 21-point Gauss-Kronrod rule of QUADPACK
+(Piessens et al., 1983) under local adaptive bisection: one pass over the
+whole breakpoint ladder, evaluating the integrand once per round on the
+nodes of every panel whose error estimate passes its own tolerance, within
+one panel budget for the whole integral.
 """
 
 import cmath
-import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -334,16 +334,24 @@ class MeixnerPollaczek:
         return a, b
 
     def density(self, x: float | np.ndarray):
+        """e^{(2 phi - pi) x} |Gamma(lam + ix)|^2 in one exponent, so the
+        first factor cannot overflow where the product is small."""
         lam, phi = self.lam, self.phi
-        return (np.exp((2 * phi - math.pi) * x)
-                * np.exp(2.0 * loggamma(lam + 1j * np.asarray(x)).real))
+        return np.exp((2 * phi - math.pi) * x
+                      + 2.0 * loggamma(lam + 1j * np.asarray(x)).real)
 
     def mass(self) -> float:
         """2 pi Gamma(2 lam) / (2 sin phi)^(2 lam); ParameterError names lam
-        when Gamma(2 lam) overflows."""
+        when Gamma(2 lam) overflows, and lam and phi when the mass is not a
+        finite positive float."""
         lam, phi = self.lam, self.phi
         gam = _exp(gammaln(2 * lam), ("lam",), "Meixner-Pollaczek mass factor Gamma(2 lam) =")
-        return 2 * math.pi * gam / (2 * math.sin(phi)) ** (2 * lam)
+        den = (2 * math.sin(phi)) ** (2 * lam)
+        mass = 2 * math.pi * gam / den if den > 0 else math.inf
+        if not 0 < mass < math.inf:
+            raise ParameterError(("lam", "phi"), f"the Meixner-Pollaczek mass leaves the "
+                                 f"double range at lam = {lam}, phi = {phi}")
+        return mass
 
     def measure(self) -> SpectralMeasure:
         """No atoms; the continuum is the whole line."""
@@ -553,7 +561,8 @@ _G10_WEIGHTS = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
 _G10_WEIGHTS = np.concatenate([_G10_WEIGHTS, _G10_WEIGHTS[::-1]])
-# the tolerances and panel budget of every _adaptive_gk21 run
+# the tolerances of every _adaptive_gk21 panel and its budget of panels
+# for the whole integral
 _EPSABS, _EPSREL, _LIMIT = 1e-13, 1e-10, 300
 
 
@@ -588,67 +597,52 @@ def _gk21(f, a: np.ndarray, b: np.ndarray):
     return h * s_k, err, rnd
 
 
-def _adaptive_gk21(f, a: float, b: float):
-    """Globally adaptive GK21 over the finite (a, b), as SciPy's
-    vector-valued adaptive quadrature does it: each round bisects the
-    panels of largest error estimate (at most 128, and no more than needed
-    to cover the excess over tol / 8), all of them in one ``_gk21`` call.
-    It stops once the total error estimate is below tol / 8 or below the
-    summed rounding bounds (tol = max(_EPSABS, _EPSREL * |integral|_max),
-    the max norm over the entries), or at _LIMIT panels.
+def _adaptive_gk21(f, edges: np.ndarray):
+    """Locally adaptive GK21 over the panels between consecutive ``edges``.
 
-    Returns the integral and the error estimate plus rounding bound.
+    One ``_gk21`` call evaluates every panel; each round then bisects, in
+    one more call, every panel whose error estimate exceeds both its
+    rounding bound and tol / 8, with the panel's own tol = max(_EPSABS,
+    _EPSREL * |panel integral|_max), the max norm over the entries, so the
+    small entries of a vector integrand keep their relative accuracy.  It
+    stops when no panel needs splitting, when a split would pass _LIMIT
+    panels over the whole integral, or at a non-finite estimate.
+
+    Returns the integral and the summed error estimates plus rounding
+    bounds.
     """
-    ig, err, rnd = _gk21(f, np.array([a]), np.array([b]))
-    total, total_err, round_err = ig[0], float(err[0]), float(rnd[0])
-    heap = [(-total_err, a, b, ig[0])]   # (-error, left, right, integral)
-    while len(heap) < _LIMIT:
-        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
-        split = []
-        err_sum = 0.0
-        while heap and len(split) < 128:
-            if split and err_sum > total_err - tol / 8:
-                break
-            split.append(heapq.heappop(heap))
-            err_sum -= split[-1][0]
-        lo = np.array([p[1] for p in split])
-        hi = np.array([p[2] for p in split])
-        mid = 0.5 * (lo + hi)
-        ig, err, rnd = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        k = len(split)
-        for j, (neg_err, x1, x2, old) in enumerate(split):
-            total = total + (ig[j] + ig[k + j] - old)
-            total_err += float(err[j] + err[k + j]) + neg_err
-            round_err += float(rnd[j] + rnd[k + j])
-            xm = float(mid[j])
-            heapq.heappush(heap, (-float(err[j]), x1, xm, ig[j]))
-            heapq.heappush(heap, (-float(err[k + j]), xm, x2, ig[k + j]))
-        tol = max(_EPSABS, _EPSREL * float(np.abs(total).max()))
-        if total_err < tol / 8 or total_err < round_err:
+    ig, err, rnd = _gk21(f, edges[:-1], edges[1:])
+    while np.isfinite(err).all():   # a non-finite value makes err non-finite
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(ig).max(axis=1))
+        i = np.flatnonzero((err > rnd) & (err > tol / 8))
+        if not i.size or len(err) + i.size > _LIMIT:
             break
-        if not (math.isfinite(total_err) and math.isfinite(round_err)):
-            break
-    return total, total_err + round_err
+        # the left halves replace their panels, the right halves follow them
+        mid = 0.5 * (edges[i] + edges[i + 1])
+        ig2, err2, rnd2 = _gk21(f, np.concatenate([edges[i], mid]),
+                                np.concatenate([mid, edges[i + 1]]))
+        k = i.size
+        ig[i], err[i], rnd[i] = ig2[:k], err2[:k], rnd2[:k]
+        ig = np.insert(ig, i + 1, ig2[k:], axis=0)
+        err = np.insert(err, i + 1, err2[k:])
+        rnd = np.insert(rnd, i + 1, rnd2[k:])
+        edges = np.insert(edges, i + 1, mid)
+    return ig.sum(axis=0), float(err.sum() + rnd.sum())
 
 
 def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> np.ndarray:
     """Adaptive quadrature over (lo, hi) of an array integrand, infinite
     supports truncated where every entry is negligible.
 
-    f maps an x-array of shape (m,) to values of shape (m, n_out).  Each
-    piece of the :func:`_breakpoints` ladder is integrated by
-    :func:`_adaptive_gk21` (its fixed tolerances and panel budget), every
-    entry together.  Raises NumericalFailureError when the summed error
-    estimate exceeds 1e-7 (|integral|_max + 1) or is not a number.
+    f maps an x-array of shape (m,) to values of shape (m, n_out).  One
+    :func:`_adaptive_gk21` pass takes every panel of the
+    :func:`_breakpoints` ladder at once, every entry together, under its
+    fixed tolerances and one _LIMIT panel budget for the whole integral.
+    Raises NumericalFailureError when the summed error estimate exceeds
+    1e-7 (|integral|_max + 1) or is not a number.
     """
     lo_f, hi_f = _finite_cutoff(f, lo), _finite_cutoff(f, hi)
-    pieces = _breakpoints(lo_f, hi_f)
-    total = 0.0
-    err = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        val, est = _adaptive_gk21(f, a, b)
-        total = total + val
-        err += est
+    total, err = _adaptive_gk21(f, np.array(_breakpoints(lo_f, hi_f), dtype=float))
     scale = float(np.abs(total).max())
     if not err <= 1e-7 * (scale + 1.0):   # a NaN estimate fails too
         raise NumericalFailureError(
@@ -676,7 +670,8 @@ def _finite_cutoff(f, end: float) -> float:
 
 
 def _breakpoints(lo, hi):
-    """Geometric ladder of subdivision points; _adaptive_gk21 takes each piece."""
+    """Geometric ladder of subdivision points, the first panels of
+    _adaptive_gk21."""
     pts = {lo, hi}
     mag = 1.0
     while mag < max(abs(lo), abs(hi)):

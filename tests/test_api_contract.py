@@ -53,6 +53,13 @@ REFUSALS = {
                                          ("n_atoms",)),
     "meixner-pollaczek-lam-nan": (lambda: op.MeixnerPollaczek(NAN, 1.0), ("lam",)),
     "meixner-pollaczek-phi-nan": (lambda: op.MeixnerPollaczek(1.0, NAN), ("phi",)),
+    # (2 sin phi)^(2 lam) underflows to 0, or the quotient overflows
+    "meixner-pollaczek-mass-underflow": (lambda: op.MeixnerPollaczek(50, 1e-5).mass(),
+                                         ("lam", "phi")),
+    "meixner-pollaczek-mass-phi-tiny": (lambda: op.MeixnerPollaczek(0.75, 1e-300).mass(),
+                                        ("lam", "phi")),
+    "meixner-pollaczek-mass-overflow": (lambda: op.MeixnerPollaczek(50, 1e-3).mass(),
+                                        ("lam", "phi")),
     "dual-hahn-gamma-nan": (lambda: op.DualHahn(NAN, 0.0, 3), ("gamma",)),
     "dual-hahn-K-nan": (lambda: op.DualHahn(0.0, 0.0, NAN), ("K",)),
     "continuous-dual-hahn-nan": (lambda: op.ContinuousDualHahn(NAN, 1.0, 1.0), ("u", "v", "w")),

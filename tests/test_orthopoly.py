@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import iv
 
 from multiboson import orthopoly as op
-from multiboson.coherent import _ln_bessel_k
+from multiboson.coherent import _ln_bessel_k, radial_measure
 from multiboson.errors import NumericalFailureError, ParameterError
 
 
@@ -363,6 +363,11 @@ def test_gram_quadrature_accuracy_pinned(fam, n):
     (op.Laguerre(0.0), 10),
     (op.Meixner(2.7, 0.4), 10),
     (op.MeixnerPollaczek(1.35, 2.2), 8),
+    # phi near 0 and pi: e^{(2 phi - pi) x} alone overflows at |x| past
+    # about 709 / |2 phi - pi|, where the density is small
+    (op.MeixnerPollaczek(0.75, 0.05), 4),
+    (op.MeixnerPollaczek(0.75, 0.01), 4),
+    (op.MeixnerPollaczek(0.75, math.pi - 0.05), 4),
 ])
 def test_gram_wider_parameters(fam, n):
     assert op.gram_check(fam, n) <= 1e-7
@@ -451,6 +456,48 @@ def test_integrate_finds_mass_far_from_the_origin():
     # without a scale hint
     got = op._integrate(lambda x: (x ** 40 * np.exp(-x))[:, None], 0.0, math.inf)
     assert abs(got[0] / math.gamma(41) - 1.0) <= 1e-12
+
+
+def _counting_gk21(monkeypatch):
+    """A list that receives the panel count of every _gk21 call."""
+    calls = []
+    gk21 = op._gk21
+
+    def counting(f, a, b):
+        calls.append(len(a))
+        return gk21(f, a, b)
+
+    monkeypatch.setattr(op, "_gk21", counting)
+    return calls
+
+
+def test_integrate_is_one_pass_over_the_whole_ladder(monkeypatch):
+    passes = []
+    adaptive = op._adaptive_gk21
+
+    def counting_pass(f, edges):
+        passes.append(np.array(edges))
+        return adaptive(f, edges)
+
+    monkeypatch.setattr(op, "_adaptive_gk21", counting_pass)
+    calls = _counting_gk21(monkeypatch)
+    f = lambda x: (x ** 1.7 * np.exp(-x))[:, None]
+    op._integrate(f, 0.0, math.inf)
+    assert len(passes) == 1
+    ladder = op._breakpoints(op._finite_cutoff(f, 0.0), op._finite_cutoff(f, math.inf))
+    assert passes[0].tolist() == ladder
+    # the first round evaluates every panel of the ladder
+    assert calls[0] == len(ladder) - 1 > 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: op.gram_check(op.Laguerre(-0.5), 10),
+    lambda: radial_measure(1.7, 6),
+], ids=["gram_check Laguerre(-0.5) n 10", "radial_measure(1.7, 6)"])
+def test_quadrature_takes_few_integrand_rounds(monkeypatch, run):
+    calls = _counting_gk21(monkeypatch)
+    run()
+    assert 1 <= len(calls) <= 4
 
 
 def test_densities_take_arrays_elementwise():
