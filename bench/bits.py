@@ -14,7 +14,9 @@ corpus:
 - the evolve and spectra operations of ``perfbench.workloads.make_round``,
   seeds 1-5, rounds 0-1 (this checkout's ``perfbench``, imported read-only,
   for either tree): the raw output of each, parsed JSON for a CLI command;
-- every check deviation and tolerance of ``validation.run_all``;
+- every check deviation and tolerance of one ``validation.run_sections``
+  pass, one output per section, named by its first check, so a report
+  names the section a change moves;
 - ``multiboson evolve --format json``, ``coherent`` and ``spectrum --model
   two-d`` and ``two-c`` at their defaults, ``spectrum --mu 4 --nu 1`` (one
   mode, which has no default labels), and ``evolve --format json`` for the
@@ -150,8 +152,10 @@ def corpus(tmp):
                 for i, op in enumerate(ops):
                     yield (f"{workload} seed {seed} round {index} op {i} {op.kind}",
                            lambda op=op: _output(op.run()))
-    yield "validate", lambda: [(c.name, c.deviation, c.tolerance, c.passed)
-                               for c in validation.run_all()]
+    for checks in validation.run_sections():
+        yield (f"validate section {checks[0].name}",
+               lambda checks=checks: [(c.name, c.deviation, c.tolerance, c.passed)
+                                      for c in checks])
     for argv in (["evolve", "--format", "json"], ["coherent"], ["spectrum", "--model", "two-d"],
                  ["spectrum", "--model", "two-c"], ["spectrum", "--mu", "4", "--nu", "1"]):
         yield f"cli {' '.join(argv)}", lambda argv=argv: _cli(cli, argv)

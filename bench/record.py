@@ -46,9 +46,8 @@ two-c`` (top, the window ``hc_truncation_check`` takes at full size, which
 is never seeded); the whole eigenvector matrix of a D-block at K 500 and
 2000 (``hd_chain(block).eigenvectors``); the whole spectrum of the K 2000
 D-block against its closed form (``hd_chain(block).oracle_delta``); and
-each section of the validate suite's table ``validation.SECTIONS``, timed
-alone from the state of the suite's generator at the section's start (read
-from one ``validation.run_sections`` run).  Every case yields ``(row, fn[,
+each section of the validate suite's table ``validation.SECTIONS``, called
+alone (each seeds its own draws).  Every case yields ``(row, fn[,
 score])`` to one loop that measures it (``measure``) and writes its row.
 
 Rows whose code a change did not touch have moved by 0.74-1.56x between
@@ -65,8 +64,9 @@ rounds of the change/parent ratio of ``seconds`` and of ``peak_bytes``,
 with a distribution-free interval of at least 95 % for that median from
 the order statistics of the R ratios (the 2nd and 9th of 10; Kalibera &
 Jones, ISMM 2013), and both trees' accuracy.  Both trees run this script,
-so REV's validate sections must take one argument, the generator: every
-tree from 15c0bfb on.  Against itself (``--against HEAD`` on a clean
+so REV's validate sections must take no argument: every tree since each
+section seeds its own draws (from 15c0bfb until then a section took the
+suite's generator).  Against itself (``--against HEAD`` on a clean
 checkout) every interval should hold 1.
 """
 
@@ -327,31 +327,12 @@ def dblock_cases(twomode):
 
 
 def section_cases(validation):
-    """One case per section of ``validation.SECTIONS``, each measured alone
-    and called with the generator state the suite reaches it with: one
-    ``validation.run_sections`` run, its table wrapped for that run, reads
-    each section's state."""
-    starts = []
-
-    def wrap(section):
-        def run(rng):
-            starts.append((section, rng.bit_generator.state))
-            return section(rng)
-        return run
-
-    sections = validation.SECTIONS
-    validation.SECTIONS = tuple(map(wrap, sections))
-    try:
-        names = [checks[0].name for checks in validation.run_sections()]
-    finally:
-        validation.SECTIONS = sections
-    for name, (section, state) in zip(names, starts):
-        rng = np.random.default_rng()
-
-        def fn(section=section, state=state, rng=rng):
-            rng.bit_generator.state = state
-            return max(c.deviation / c.tolerance for c in section(rng))
-        yield dict(case=f"validate section {name}", layer="validation.run_all", size=None), fn
+    """One case per section of ``validation.SECTIONS``, each called alone,
+    named by its first check in one ``validation.run_sections`` pass."""
+    names = [checks[0].name for checks in validation.run_sections()]
+    for name, section in zip(names, validation.SECTIONS):
+        yield (dict(case=f"validate section {name}", layer="validation.run_all", size=None),
+               lambda section=section: max(c.deviation / c.tolerance for c in section()))
 
 
 def record(args):

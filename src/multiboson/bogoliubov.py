@@ -186,8 +186,6 @@ def implementer(g: GroupElement, alpha0: float,
     ncol = int(bad[0]) if bad.size else n
     sc = math.sqrt(c)
     interior = max(1, int(0.5 * ncol * (1 - sc) / (1 + sc)))
-    if ncol == n:
-        interior = n
     return u, ImplementerInfo(ncol, interior)
 
 

@@ -116,10 +116,11 @@ class RadialMeasure:
 
     The moments k = 0..``k_checked`` are computed once, at construction, and
     checked against the moment identity; ``moment`` and ``moment_error``
-    read them back without a new quadrature.  ParameterError names alpha0
-    unless alpha0 - 1 is above -1 in floats and Gamma(alpha0), which the
-    weight divides by, is finite (alpha0 < 171.6), and k_checked when it is
-    negative or its target overflows float64, before any quadrature.
+    read them back without a new quadrature, and refuse any other order.
+    ParameterError names alpha0 unless alpha0 - 1 is above -1 in floats and
+    Gamma(alpha0), which the weight divides by, is finite (alpha0 < 171.6),
+    and k_checked when it is negative or its target overflows float64,
+    before any quadrature.
     """
 
     alpha0: float
@@ -165,15 +166,13 @@ class RadialMeasure:
         return out
 
     def moment(self, k: int) -> float:
-        """integral rho^{2k} w(rho) 2 pi rho drho: the stored value for
-        0 <= k <= ``k_checked``, else by quadrature of the moments 0..k
-        together."""
-        if not k >= 0:
-            raise ParameterError(("k",), f"moment order must be >= 0, got {k}")
-        if k <= self.k_checked:
-            return self._moments[k]
-        self._check_order(k)
-        return float(self._moment_vector(k)[k])
+        """integral rho^{2k} w(rho) 2 pi rho drho, the stored value that the
+        moment identity checked; ParameterError names k outside
+        0..``k_checked``."""
+        if not 0 <= k <= self.k_checked:
+            raise ParameterError(("k",), f"moment order {k} outside the checked orders "
+                                 f"0..{self.k_checked}")
+        return self._moments[k]
 
     def _moment_vector(self, k_max: int) -> np.ndarray:
         """Moments k = 0..k_max of ``weight`` as one vector integral.  Column

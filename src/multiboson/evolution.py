@@ -176,7 +176,7 @@ def _layout(model: FullModel) -> tuple[tuple[int, ...], tuple[int, ...], int | N
     elif isinstance(h, TwoModeHamiltonian):
         n = model.n_per_mode
     else:
-        raise TypeError(f"unsupported interaction {type(h).__name__}")
+        raise ParameterError(("interaction",), f"unsupported interaction {type(h).__name__}")
     return (h.reps.rep0.l, h.reps.rep1.l), tuple(h.sector), n
 
 

@@ -341,11 +341,15 @@ class MeixnerPollaczek:
                       + 2.0 * loggamma(lam + 1j * np.asarray(x)).real)
 
     def mass(self) -> float:
-        """2 pi Gamma(2 lam) / (2 sin phi)^(2 lam); ParameterError names lam
-        when Gamma(2 lam) overflows, and lam and phi when the mass is not a
-        finite positive float."""
+        """2 pi Gamma(2 lam) / (2 sin phi)^(2 lam), in one exponent where
+        Gamma(2 lam) alone overflows; ParameterError names lam and phi when
+        the mass is not a finite positive float."""
         lam, phi = self.lam, self.phi
-        gam = _exp(gammaln(2 * lam), ("lam",), "Meixner-Pollaczek mass factor Gamma(2 lam) =")
+        ln_gam = gammaln(2 * lam)
+        if not ln_gam < LN_FLOAT_MAX:
+            return _exp(math.log(2 * math.pi) + ln_gam - 2 * lam * math.log(2 * math.sin(phi)),
+                        ("lam", "phi"), "Meixner-Pollaczek mass")
+        gam = math.exp(ln_gam)
         den = (2 * math.sin(phi)) ** (2 * lam)
         mass = 2 * math.pi * gam / den if den > 0 else math.inf
         if not 0 < mass < math.inf:

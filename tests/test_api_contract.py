@@ -60,6 +60,13 @@ REFUSALS = {
                                         ("lam", "phi")),
     "meixner-pollaczek-mass-overflow": (lambda: op.MeixnerPollaczek(50, 1e-3).mass(),
                                         ("lam", "phi")),
+    # Gamma(2 lam) alone overflows, and so does the quotient in one exponent
+    "meixner-pollaczek-mass-log-overflow": (
+        lambda: op.MeixnerPollaczek(100, math.pi / 2).mass(), ("lam", "phi")),
+    "laguerre-mass-overflow": (lambda: op.Laguerre(171.0).mass(), ("alpha",)),
+    "meixner-mass-overflow": (lambda: op.Meixner(1000.0, 0.9).mass(), ("beta", "c")),
+    "continuous-dual-hahn-atom-weights": (
+        lambda: op.ContinuousDualHahn(-40.5, 41.0, 41.0).measure(), ("u", "v", "w")),
     "dual-hahn-gamma-nan": (lambda: op.DualHahn(NAN, 0.0, 3), ("gamma",)),
     "dual-hahn-K-nan": (lambda: op.DualHahn(0.0, 0.0, NAN), ("K",)),
     "continuous-dual-hahn-nan": (lambda: op.ContinuousDualHahn(NAN, 1.0, 1.0), ("u", "v", "w")),
@@ -79,6 +86,11 @@ REFUSALS = {
     "oracle-eigs-count-nan": (lambda: jacobi.oracle_eigs(ONES, NAN), ("count",)),
     "radial-moment-order-nan": (lambda: ch.radial_measure(1.0, k_checked=2).moment(NAN),
                                 ("k",)),
+    # only the orders the moment identity checked are held
+    "radial-moment-order-unchecked": (lambda: ch.radial_measure(1.0, k_checked=2).moment(3),
+                                      ("k",)),
+    "coherent-amplitudes-alpha0-zero": (lambda: ch.coherent_amplitudes(0.5, 0.0, 4),
+                                        ("alpha0", "n")),
     "holo-apply-alpha0-nan": (lambda: ch.holo_apply("A0", [1.0], NAN), ("alpha0",)),
     "holo-apply-which": (lambda: ch.holo_apply("A1", [1.0], 1.0), ("which",)),
     "su11-element-off-the-group": (lambda: ch.SU11Element(2.0, 0.0), ("a", "b")),
@@ -86,6 +98,18 @@ REFUSALS = {
                                  ("z",)),
     "disc-eigenfunction-lam-nan": (lambda: ch.disc_eigenfunction(NAN, 2.0, 1.0, 1.0, 0.1),
                                    ("lam",)),
+    "disc-eigenfunction-alpha0-zero": (lambda: ch.disc_eigenfunction(1.0, 2.0, 1.0, 0.0, 0.1),
+                                       ("alpha0",)),
+    "canonical-n_per_mode-one": (lambda: ev.CanonicalInteraction("D", REPS, (0, 0), 1),
+                                 ("n_per_mode",)),
+    "full-model-omega-nan": (lambda: ev.FullModel(CANONICAL.interaction, (1.0, NAN)),
+                             ("omega",)),
+    "full-model-tail-tol-zero": (lambda: ev.FullModel(CANONICAL.interaction, (1.0, 1.0),
+                                                      tail_tol=0.0), ("tail_tol",)),
+    "full-model-interaction-unsupported": (lambda: ev.FullModel("x", (1.0,)),
+                                           ("interaction",)),
+    "classify-alpha0-nan": (lambda: om.classify(1.0, 0.5, NAN), ("alpha0",)),
+    "c-block-n_levels-one": (lambda: tm.CBlock(0, 1.0, 1.0, n_levels=1), ("n_levels",)),
     "observables-3d-amplitudes": (lambda: ev.observables(
         (np.arange(2), np.ones((1, 1, 2))), CANONICAL), ("psi",)),
 }

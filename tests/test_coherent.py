@@ -13,7 +13,7 @@ from scipy.special import gammaln, kv
 
 from multiboson import coherent as ch
 from multiboson import rep
-from multiboson.errors import ParameterError
+from multiboson.errors import NumericalFailureError, ParameterError
 from multiboson.orthopoly import hyp0f1
 
 
@@ -213,10 +213,20 @@ def test_radial_measure_rejects_an_overflowing_order(monkeypatch):
                 ch.radial_measure(0.05, k_checked=k)
     m = ch.radial_measure(0.05, k_checked=2)
     with pytest.raises(ValueError, match="largest admissible order is 98"):
-        m.moment(99)
-    with pytest.raises(ValueError, match="largest admissible order is 98"):
         m.target_moment(99)
     assert math.isfinite(m.target_moment(98))
+    # a measure holds only the orders its moment identity checked
+    with pytest.raises(ParameterError, match="outside the checked orders 0..2") as err:
+        m.moment(99)
+    assert err.value.names == ("k",)
+
+
+def test_radial_measure_refuses_a_moment_identity_miss(monkeypatch):
+    # a quadrature 1e-5 off every moment trips the construction guard
+    integrate = ch._integrate
+    monkeypatch.setattr(ch, "_integrate", lambda *args: integrate(*args) * (1.0 + 1e-5))
+    with pytest.raises(NumericalFailureError, match="moment identity violated"):
+        ch.radial_measure(1.0, k_checked=2)
 
 
 def test_printed_radial_weight_fails_moments(erratum_moment_ratios):

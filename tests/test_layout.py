@@ -116,6 +116,11 @@ PHASES = _why(
 C_FAMILY = _why(
     "one rule for a C-block's family parameters: the continuous dual Hahn",
     "family is the record, and an exact branch edge is not ambiguous")
+OWN_DRAWS = _why(
+    "independent validate sections: a section takes no argument and seeds its",
+    "own draws from validation.SEED, so the table's order is only the report's",
+    "and bench/record.py times a section by a plain call, with no shared",
+    "generator passed in or replayed")
 ONE_CONFIG = _why(
     "one validate configuration: the suite runs in 0.07 s in process, so no",
     "reduced mode stands beside it")
@@ -184,6 +189,8 @@ RULES = [
          "    dense = preset(name, n).matrix", VALIDATE),
     Rule("section-timer", r"_SectionTimer|\.lap\(", SRC + ("bench/**/*.py",),
          "    timer.lap(name)", VALIDATE),
+    Rule("section-generator-argument", r"def _\w+\(rng\)|section\(rng\)",
+         (PKG + "validation.py", "bench/**/*.py"), "def _gram(rng):", OWN_DRAWS),
     Rule("hand-made-atom-pairing",
          r"CaseLabel|hc_family|eigenvalue_discrete|manley_rowe_blocks", SRC,
          "def manley_rowe_blocks(kind, n):", PAIRING),

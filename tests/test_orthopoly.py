@@ -533,6 +533,16 @@ def test_continuous_measure_needs_closed_mass():
     assert math.fsum(fam.measure().weights) == pytest.approx(fam.mass(), rel=1e-14)
 
 
+def test_meixner_pollaczek_mass_past_gamma_overflow():
+    # Gamma(172) = e^711.7 overflows float64 alone, the mass
+    # 2 pi Gamma(172) / 2^172 = e^594.3 does not; it is formed in one exponent
+    fam = op.MeixnerPollaczek(86, math.pi / 2)
+    with mpmath.workdps(30):
+        want = float(2 * mpmath.pi * mpmath.gamma(172) / mpmath.mpf(2) ** 172)
+    assert fam.mass() == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert op.gram_check(fam, 3) <= 1e-7
+
+
 def _quad_vec_gram(fam, n):
     """Gram matrix from an independent route: atoms of fam.measure, and
     scipy's quad_vec on a scalar integrand over fixed finite ranges."""

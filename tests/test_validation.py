@@ -38,6 +38,16 @@ def test_run_all_is_the_sections_concatenated():
         assert len({c.seconds for c in checks}) == 1 and checks[0].seconds > 0.0
 
 
+def test_each_section_alone_gives_its_suite_checks():
+    # a section seeds its own draws, so called alone, after or before any
+    # other, it returns the checks the suite's one loop gives for it
+    for section, checks in zip(validation.SECTIONS, list(validation.run_sections())):
+        alone = section()
+        assert ([(c.name, c.tolerance, c.note, c.passed) for c in alone]
+                == [(c.name, c.tolerance, c.note, c.passed) for c in checks])
+        assert [_bits(c.deviation) for c in alone] == [_bits(c.deviation) for c in checks]
+
+
 def test_sections_are_the_recorded_table():
     # the 14 sections whose first checks name the section rows of the
     # checked-in bench record
