@@ -175,15 +175,15 @@ def test_spectrum_count_zero_usage_error(capsys):
     (["evolve", "--tail-tol", "nan"], "--tail-tol"),
     (["evolve", "--times", "0,nan"], "--times"),
     (["evolve", "--times", "0:inf:3"], "--times"),
-    # finite ends whose span hi - lo overflows
-    (["evolve", "--times=-1e308:1e308:3"], "--times"),
-    # an output file that cannot be opened
-    (["spectrum", "--model", "two-d", "--out", "/nonexistent-dir/x.json"], "--out"),
     # amplitudes past the double range fail the truncation criterion
     (["coherent", "--zeta-re", "1e300"], "--zeta-re"),
     (["coherent", "--zeta-re", "4", "--n-levels", "8"], "--n-levels"),
     # a finite time whose phases overflow: E t past the double range
     (["evolve", "--times", "1e305"], "--times"),
+    # finite ends whose span hi - lo overflows
+    (["evolve", "--times=-1e308:1e308:3"], "--times"),
+    # an output file that cannot be opened
+    (["spectrum", "--model", "two-d", "--out", "/nonexistent-dir/x.json"], "--out"),
 ])
 def test_usage_error_names_the_flag(capsys, argv, flag):
     code, _, err = _run(capsys, *argv)
