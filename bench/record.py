@@ -33,7 +33,11 @@ weighs a large share of its time, ``evolve --preset HIV`` at cutoffs 48
 and 96, and the spectra workload's ``coherent`` query at n_levels 80 (its
 moment checks run the radial quadrature); the Meixner block of the
 implementer at n 240; the implementer grid of ``validate``; the quadrature
-of ``orthopoly.gram_check`` on Laguerre(-0.5) at n 10; ``run_series`` over
+of ``orthopoly.gram_check`` on Laguerre(-0.5) at n 10; the coefficient
+streams (``JacobiOperator.diag_array`` and ``offdiag_array``) of the
+4000-level C-block of ``spectrum --model two-c``; the block apply
+``jacobi.spectral_apply`` on the spectral data of the class-1 ``run_series``
+row below (275 levels, 201 times); ``run_series`` over
 21 times on a generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
 dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
 state spread over the whole window (every charge block occupied), and on
@@ -114,6 +118,9 @@ ACCURACY = {
     "implementer grid": "largest entry of |U^T U - I| on the converged columns, "
                         "over the grid",
     "gram_check": "the deviation gram_check returns: largest |<P_i, P_j> - delta_ij|",
+    "coefficient streams": "largest |stream coefficient - the mapped family's recurrence "
+                           "coefficient| over both arrays, relative to max |a_k|",
+    "block apply": "largest |norm of the evolved state - 1| over the 201 times",
     "validate section": "largest deviation / tolerance over the section's checks",
     "oracle window": "largest |closed-form atom - paired eigenvalue| over the window's "
                      "atoms (the C-block's bound state; its continuum edge has no atom)",
@@ -125,6 +132,9 @@ ACCURACY = {
     "run_series": "largest norm error over the grid (ObservableSeries.norm_errors)",
 }
 ORACLE_COUNT = 5
+# the continuous one-mode run_series rows: (class, (mu, nu, alpha0), n_levels,
+# times), each from the basis state a quarter into the window
+ONEMODE_SERIES = (("3", (1.39, -1.64, 2.04), 780, 21), ("1", (0.975, 0.0, 1.37), 275, 201))
 
 
 def parse_args(argv=None):
@@ -239,6 +249,30 @@ def layer_cases(bg, orthopoly):
            lambda: orthopoly.gram_check(orthopoly.Laguerre(-0.5), 10))
 
 
+def stream_apply_cases(jacobi, onemode, rep, twomode):
+    """The coefficient streams of the 4000-level C-block, scored against the
+    block's chain, and ``jacobi.spectral_apply`` on the spectral data of the
+    class-1 ``run_series`` row, formed once outside the timed call; each fn
+    returns its arrays, scored after the traced call."""
+    blk = twomode.CBlock(0, 0.3, 0.3, n_levels=4000)
+    op, chain = twomode.hc_block_jacobi(blk), twomode.hc_chain(blk)
+
+    def stream_error(arrays):
+        a, b = chain.recurrence(np.arange(op.size, dtype=float))
+        d, e = arrays
+        return float(max(np.abs(d - a).max(), np.abs(e - b[:-1]).max()) / np.abs(a).max())
+    yield (dict(case="coefficient streams", layer="jacobi.JacobiOperator", size=op.size),
+           lambda: (op.diag_array(), op.offdiag_array()), stream_error)
+    _, (mu, nu, alpha0), n, points = ONEMODE_SERIES[1]
+    sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
+    energies, vecs = jacobi.oracle_eigh(onemode.jacobi(onemode.OneModeHamiltonian(mu, nu, sector)))
+    coeffs = jacobi.spectral_coeffs(vecs, np.eye(n)[n // 4].astype(complex))
+    times = np.linspace(0.0, 2.0, points)
+    yield (dict(case="block apply", layer="jacobi.spectral_apply", size=n),
+           lambda: jacobi.spectral_apply(vecs, energies, coeffs, times),
+           lambda amps: float(np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()))
+
+
 def series_cases(bogoliubov, evolution, onemode, rep, twomode):
     """The ``run_series`` loads, over 21 times unless one says otherwise;
     fn returns the largest norm error."""
@@ -260,10 +294,8 @@ def series_cases(bogoliubov, evolution, onemode, rep, twomode):
     rng = np.random.default_rng(17)
     psi0 = rng.standard_normal(200 * 200) + 1j * rng.standard_normal(200 * 200)
     yield series("run_series C-form spread", 200, model, psi0 / np.linalg.norm(psi0))
-    # continuous one-mode classes (one LAPACK eigendecomposition each), from
-    # the basis state a quarter into the window
-    for case, (mu, nu, alpha0), n, points in (("3", (1.39, -1.64, 2.04), 780, 21),
-                                              ("1", (0.975, 0.0, 1.37), 275, 201)):
+    # continuous one-mode classes (one LAPACK eigendecomposition each)
+    for case, (mu, nu, alpha0), n, points in ONEMODE_SERIES:
         sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
         model = evolution.FullModel(onemode.OneModeHamiltonian(mu, nu, sector), (1.0,),
                                     tail_tol=math.inf)
@@ -343,6 +375,7 @@ def record(args):
     with tempfile.TemporaryDirectory() as tmp:
         for row, *case in itertools.chain(
                 cli_cases(cli, tmp), layer_cases(bogoliubov, orthopoly),
+                stream_apply_cases(jacobi, onemode, rep, twomode),
                 series_cases(bogoliubov, evolution, onemode, rep, twomode),
                 oracle_cases(jacobi, onemode, rep, twomode), dblock_cases(twomode),
                 section_cases(validation)):

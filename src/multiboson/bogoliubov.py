@@ -31,11 +31,12 @@ the same block build it once, and the memo holds a single read-only block
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedElementError
+from .errors import ParameterError
 from .jacobi import atom_eigenvector
 from .orthopoly import Meixner
 
@@ -110,11 +111,12 @@ def meixner_c(a: float) -> float:
 class ImplementerInfo:
     """Truncation diagnostics for an implementing unitary.
 
-    ``converged_cols``: columns whose infinite tails closed inside the
-    window (their pairwise Gram is exact to roundoff).  ``interior_rows``:
-    top-left block of U X U* free of edge pollution.  Both shrink as
-    c = ``meixner_c(g.a)`` -> 1: eigenvector n spreads to cluster index
-    ~ n (1+sqrt(c))/(1-sqrt(c)), so no fixed margin works for every element.
+    ``converged_cols``: the leading columns that hold their digits and whose
+    infinite tails closed inside the window (their pairwise Gram is exact
+    to roundoff).  ``interior_rows``: top-left block of U X U* free of edge
+    pollution.  Both shrink as c = ``meixner_c(g.a)`` -> 1: eigenvector n
+    spreads to cluster index ~ n (1+sqrt(c))/(1-sqrt(c)), so no fixed
+    margin works for every element.
     """
 
     converged_cols: int
@@ -122,13 +124,21 @@ class ImplementerInfo:
 
 
 @functools.lru_cache(maxsize=1)
-def _meixner_block(alpha0: float, c: float, n: int) -> np.ndarray:
-    """Read-only n x n Meixner(alpha0, c) kernel block, each column
-    ell^2-normalized over the window."""
+def _meixner_block(alpha0: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n x n Meixner(alpha0, c) kernel block, each nonzero column
+    ell^2-normalized over the window, and which columns hold their digits:
+    those whose largest entry is a normal float.  Row 0 carries
+    (1 - c)^(alpha0 / 2), so a large alpha0 sinks whole columns: one whose
+    largest entry is below 2^-480, where its squares would lose digits, is
+    first divided by that entry; one that underflows stays 0."""
     u = atom_eigenvector(Meixner(alpha0, c), n)
-    u /= np.linalg.norm(u, axis=0)
+    top = np.abs(u).max(axis=0)
+    low = (top < 2.0 ** -480) & (top > 0)
+    u[:, low] /= top[low]
+    norm = np.linalg.norm(u, axis=0)
+    u /= np.where(norm > 0, norm, 1.0)
     u.flags.writeable = False
-    return u
+    return u, top >= sys.float_info.min
 
 
 def implementer(g: GroupElement, alpha0: float,
@@ -141,10 +151,10 @@ def implementer(g: GroupElement, alpha0: float,
     unitary.  At a = 1/2, alpha0 = 1, n = 240 the first 92 columns are
     orthonormal to 2.5e-15 while the full Gram misses the identity by 0.76.
 
-    Only a > 0 is implementable; a < 0 factors through the central flip,
-    which no unitary realizes.  ParameterError names alpha0 unless finite
-    and positive, n below 1, and g where max(a, 1/a) passes about 9.2e15
-    (2^53), so that c rounds to 1.  The transformed A0,
+    ParameterError names g unless a > 0 (a < 0 factors through the central
+    flip, which no unitary realizes) and max(a, 1/a) stays below about
+    9.2e15 (2^53), where c rounds to 1; alpha0 unless finite and positive;
+    and n below 1.  The transformed A0,
 
         a_k = (a^-s + a^s)/2 (2k + alpha0),
         |b_k| = |a^-s - a^s|/2 sqrt((k + alpha0)(k + 1)),
@@ -156,11 +166,9 @@ def implementer(g: GroupElement, alpha0: float,
     same block up to those signs, so called in such pairs (as ``validate``
     does: 6 blocks for its 24 elements) it builds each block once.
     """
-    if g.a <= 0:
-        raise UnsupportedElementError(
-            f"no implementing unitary for a = {g.a} <= 0; "
-            "decompose through the central flip at the action level"
-        )
+    if not g.a > 0:
+        raise ParameterError(("g",), f"no implementing unitary for a = {g.a} <= 0; "
+                             "decompose through the central flip at the action level")
     if not 0 < alpha0 < math.inf:
         raise ParameterError(("alpha0",), f"alpha0 must be finite and positive, got {alpha0}")
     if n < 1:
@@ -174,7 +182,8 @@ def implementer(g: GroupElement, alpha0: float,
     if g.a == 1.0:
         u = np.diag(sign if g.sigma == -1 else np.ones(n))
         return u, ImplementerInfo(n, n)
-    u = _meixner_block(alpha0, c, n).copy()
+    block, live = _meixner_block(alpha0, c, n)
+    u = block.copy()
     if float(g.a) ** g.sigma > 1.0:
         # (-1)^(k+m) in place: negation is exact
         u[1::2] *= -1.0
@@ -182,7 +191,7 @@ def implementer(g: GroupElement, alpha0: float,
     if g.sigma == -1:
         u *= sign
     tail = np.abs(u[max(0, n - 8):, :]).max(axis=0)
-    bad = np.flatnonzero(tail > 1e-9)
+    bad = np.flatnonzero(~(live & (tail <= 1e-9)))
     ncol = int(bad[0]) if bad.size else n
     sc = math.sqrt(c)
     interior = max(1, int(0.5 * ncol * (1 - sc) / (1 + sc)))

@@ -20,9 +20,10 @@ default.  Rules across flags stay in the commands; the library checks each
 value where it enters, raising ``errors.ParameterError`` with its parameter
 names, mapped to flags here.
 
-Exit codes: 0 success; 2 a usage error naming the flags at fault (the typed
-ones, if any); 1 a failure of another ``errors`` type, printed after its
-name; any other exception is a defect and is not caught.  JSON output is
+Exit codes: 0 success; 2 a usage error or a library domain refusal
+(``errors.ParameterError``), naming the flags at fault (the typed ones, if
+any); 1 a numerical or truncation failure (the other two ``errors`` types),
+printed after its name; any other exception is a defect and is not caught.  JSON output is
 one line, keys sorted (``python -m json.tool`` indents it).  Exit-0 output
 holds finite numbers but for two documented tokens: the infinite ends of a
 continuum support (``-Infinity``, ``Infinity`` on a half line) and the

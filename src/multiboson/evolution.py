@@ -256,8 +256,7 @@ def _evolve_grid(model: FullModel, psi0: np.ndarray, times: np.ndarray,
     except ParameterError as exc:
         if exc.names != ("t",):
             raise
-        raise ParameterError((name,), f"the evolved state at t = {times[exc.row].item()} "
-                             "is not finite: energy times t overflows float64") from None
+        raise ParameterError((name,), str(exc)) from None
     p = np.abs(amps) ** 2
     total = p.sum(axis=1)
     tail = p[:, _tail_mask(model, indices)].sum(axis=1)

@@ -73,8 +73,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstevd, dsyevd, dsyevd_lwork
 
-from .errors import (NoBoundStateError, NumericalFailureError, ParameterError,
-                     UnsupportedCaseError)
+from .errors import NumericalFailureError, ParameterError
 from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
                         SpectralMeasure, poly_table)
 
@@ -548,22 +547,19 @@ class Chain:
         algebraically; p_0 = 1).  Meixner and continuous dual Hahn columns
         are not normalized over the n_rows rows: a reader normalizes each.
 
-        Raises UnsupportedCaseError for a chain with a continuum and no atom
-        stream (one-mode classes 1-4); ParameterError naming n_rows and
-        n_cols for an empty request (either below 1, on every chain, before
-        any kernel runs), a diagonal request with n_cols > n_rows, or a dual
-        Hahn request past its K+1 rows or columns; NoBoundStateError for
-        columns past a continuous dual Hahn chain's ``n_atoms``."""
+        One rule refuses what the chain cannot serve: ParameterError names
+        n_rows and n_cols unless 1 <= n_rows <= R and 1 <= n_cols <= C, with
+        R = K+1 for a dual Hahn block (else unbounded) and C its atom count:
+        none on a continuum (classes 1-4), n_rows unit columns (diagonal),
+        K+1 (dual Hahn), ``n_atoms`` (continuous dual Hahn), all (Meixner)."""
         fam = self.family
-        if self.atom_stream is None:
-            raise UnsupportedCaseError(f"class {self.index} has a continuous spectrum "
-                                       "and no atoms to take eigenvectors at")
-        if min(n_rows, n_cols) < 1:
-            raise ParameterError(("n_rows", "n_cols"), f"need a block of at least 1 x 1, got "
-                                 f"{n_rows} x {n_cols}")
+        rows = math.inf if fam is None or fam.nmax is None else fam.nmax + 1
+        cols = (0 if self.atom_stream is None else n_rows if fam is None
+                else fam.n_atoms() if isinstance(fam, ContinuousDualHahn) else rows)
+        if not (1 <= n_rows <= rows and 1 <= n_cols <= cols):
+            raise ParameterError(("n_rows", "n_cols"), f"the chain serves 1..{rows} rows "
+                                 f"by 1..{cols} atoms, got {n_rows} x {n_cols}")
         if fam is None:
-            if n_cols > n_rows:
-                raise ParameterError(("n_rows", "n_cols"), f"{n_cols} unit columns in {n_rows} rows")
             return np.eye(n_rows, n_cols)
         if isinstance(fam, Meixner):
             u = atom_eigenvector(fam, n_rows, n_cols)
@@ -571,14 +567,9 @@ class Chain:
                 u[1::2] *= -1.0
             return u
         if isinstance(fam, DualHahn):
-            if max(n_rows, n_cols) > fam.kmax + 1:
-                raise ParameterError(("n_rows", "n_cols"), f"{n_rows} x {n_cols} past the "
-                                     f"{fam.kmax + 1} levels of a dual Hahn block")
             v = oracle_eigh(op)[1]
             v = (v[:, ::-1] if self.pairs_top else v)[:, :n_cols]
             return v[:n_rows] * np.copysign(1.0, v[0])
-        if n_cols > fam.n_atoms():
-            raise NoBoundStateError(f"{n_cols} bound states asked, {fam.n_atoms()} exist")
         return poly_table(op, n_rows - 1, self.atoms(n_cols))
 
 
@@ -603,12 +594,13 @@ def spectral_apply(vectors: np.ndarray | None, energies: np.ndarray, coeffs: np.
     shape (n_times, n), for real columns V of ``vectors`` (n, m) with
     ``energies`` E and coefficients c (m,); ``vectors`` None is the identity.
     The phases are complex; their product with V is two real products, one
-    per part.  ParameterError names t, with the row, at the first time whose
-    phases are not finite: an energy times t past the double range."""
+    per part.  ParameterError names t at the first time whose phases are
+    not finite, that time in its message: an energy times t past the
+    double range."""
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         phased = np.exp(-1j * times[:, None] * energies) * coeffs
     bad = np.flatnonzero(~np.isfinite(phased).all(axis=1))
     if bad.size:
         raise ParameterError(("t",), f"the evolved state at t = {times[bad[0]].item()} is not "
-                             "finite: energy times t overflows float64", row=int(bad[0]))
+                             "finite: energy times t overflows float64")
     return phased if vectors is None else _times_real(phased, vectors.T)

@@ -182,8 +182,8 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     number of terms holds psi (``_expand_discrete``); the truncation tail of
     the evolved state is left to ``evolution.run_series`` and
     ``evolve_full``.  ParameterError unless psi is 1-d with one amplitude
-    per level of the sector's window, and naming t (with the row) at the
-    first time whose phases are not finite (``jacobi.spectral_apply``).
+    per level of the sector's window, and naming t at the first time whose
+    phases are not finite (``jacobi.spectral_apply``).
     """
     psi = np.asarray(psi, dtype=complex)
     size = h.sector.n_levels

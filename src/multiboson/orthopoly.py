@@ -137,14 +137,14 @@ def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:
 
     A lower parameter that is zero or hits zero inside the summation range
     (d or e in {0, -1, ..., -(n-1)}) makes a term divide by zero and raises.
-    ParameterError names n below 0, each of b, c, d, e that is NaN, and d, e
-    when a lower parameter hits zero.
+    ParameterError names n below 0, each of b, c, d, e that is not finite,
+    and d, e when a lower parameter hits zero.
     """
     if not n >= 0:
         raise ParameterError(("n",), f"hyp3f2_terminating requires n >= 0, got {n}")
-    nan = tuple(name for name, v in zip("bcde", (b, c, d, e)) if v != v)
-    if nan:
-        raise ParameterError(nan, f"hyp3f2_terminating parameters {nan} are NaN")
+    bad = tuple(name for name, v in zip("bcde", (b, c, d, e)) if not math.isfinite(v))
+    if bad:
+        raise ParameterError(bad, f"hyp3f2_terminating parameters {bad} are not finite")
     total = 1.0
     term = 1.0
     for k in range(n):
@@ -232,8 +232,9 @@ class Laguerre:
     nmax = None
 
     def __post_init__(self):
-        if not self.alpha > -1:
-            raise ParameterError(("alpha",), f"Laguerre requires alpha > -1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > -1):
+            raise ParameterError(("alpha",), f"Laguerre requires finite alpha > -1, "
+                                 f"got {self.alpha}")
 
     def recurrence(self, k: float | np.ndarray):
         a = 2 * k + self.alpha + 1
@@ -268,8 +269,8 @@ class Meixner:
     nmax = None
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ParameterError(("beta",), f"Meixner requires beta > 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ParameterError(("beta",), f"Meixner requires finite beta > 0, got {self.beta}")
         if not 0 < self.c < 1:
             raise ParameterError(("c",), f"Meixner requires 0 < c < 1, got {self.c}")
 
@@ -321,8 +322,9 @@ class MeixnerPollaczek:
     nmax = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ParameterError(("lam",), f"MeixnerPollaczek requires lam > 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ParameterError(("lam",), f"MeixnerPollaczek requires finite lam > 0, "
+                                 f"got {self.lam}")
         if not 0 < self.phi < math.pi:
             raise ParameterError(("phi",),
                                  f"MeixnerPollaczek requires 0 < phi < pi, got {self.phi}")
@@ -371,10 +373,11 @@ class DualHahn:
     kmax: int
 
     def __post_init__(self):
-        low = tuple(name for name in ("gamma", "delta") if not getattr(self, name) > -1)
+        low = tuple(name for name, x in (("gamma", self.gamma), ("delta", self.delta))
+                    if not (math.isfinite(x) and x > -1))
         if low:
-            raise ParameterError(low, f"DualHahn requires gamma > -1 and delta > -1, got "
-                                 f"{self.gamma}, {self.delta}")
+            raise ParameterError(low, f"DualHahn requires finite gamma > -1 and delta > -1, "
+                                 f"got {self.gamma}, {self.delta}")
         if not (self.kmax >= 0 and float(self.kmax).is_integer()):
             raise ParameterError(("K",), f"DualHahn requires integer K >= 0, got {self.kmax}")
 
@@ -451,9 +454,10 @@ class ContinuousDualHahn:
 
     def __post_init__(self):
         u, v, w = self.u, self.v, self.w
-        if not (v > 0 and w > 0 and u + v > 0 and u + w > 0):
-            raise ParameterError(("u", "v", "w"), "ContinuousDualHahn requires v, w > 0 "
-                                 f"and u+v, u+w > 0, got u={u}, v={v}, w={w}")
+        if not (all(map(math.isfinite, (u, v, w)))
+                and v > 0 and w > 0 and u + v > 0 and u + w > 0):
+            raise ParameterError(("u", "v", "w"), "ContinuousDualHahn requires finite u, v, w "
+                                 f"with v, w > 0 and u+v, u+w > 0, got u={u}, v={v}, w={w}")
 
     def recurrence(self, k: float | np.ndarray):
         u, v, w = self.u, self.v, self.w

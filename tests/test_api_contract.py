@@ -1,5 +1,7 @@
 """The library's input contract: a refused input raises ``ParameterError``
-naming the parameters that put it out of range."""
+naming the parameters that put it out of range, an infinity as much as a
+NaN, and so does a request the callee cannot serve (a group element no
+unitary implements, eigenvectors past a chain's atoms)."""
 
 import math
 
@@ -23,7 +25,22 @@ GENERIC = tm.TwoModeHamiltonian(REPS, G, G, (0, 0))
 ONEMODE = om.OneModeHamiltonian(4.0, 1.0, rep.OneModeSector(ONE, 0, 10))
 CANONICAL = ev.FullModel(ev.CanonicalInteraction("D", REPS, (0, 0), 10), (1.0, 1.0))
 NAN = math.nan
+INF = math.inf
 ONES = jacobi.JacobiOperator(np.ones_like, np.ones_like, 4)
+
+
+def _onemode_vectors(mu, nu, n_rows, n_cols):
+    """Chain.eigenvectors of the one-mode H at (mu, nu) on a 10-level window."""
+    h = om.OneModeHamiltonian(mu, nu, rep.OneModeSector(ONE, 0, 10))
+    return om.classify(mu, nu, 1.0).eigenvectors(om.jacobi(h), n_rows, n_cols)
+
+
+def _block_vectors(block, n_rows, n_cols):
+    """Chain.eigenvectors of a two-mode D- or C-block."""
+    if isinstance(block, tm.DBlock):
+        return tm.hd_chain(block).eigenvectors(tm.hd_block_jacobi(block), n_rows, n_cols)
+    return tm.hc_chain(block).eigenvectors(tm.hc_block_jacobi(block), n_rows, n_cols)
+
 
 REFUSALS = {
     "element-a-zero": (lambda: bg.GroupElement(0.0, 1), ("a",)),
@@ -32,6 +49,19 @@ REFUSALS = {
     "implementer-alpha0-zero": (lambda: bg.implementer(G, 0.0, 4), ("alpha0",)),
     "implementer-alpha0-inf": (lambda: bg.implementer(G, math.inf, 4), ("alpha0",)),
     "implementer-alpha0-nan": (lambda: bg.implementer(G, math.nan, 4), ("alpha0",)),
+    # a < 0 factors through the central flip, which no unitary realizes
+    "implementer-a-negative": (lambda: bg.implementer(bg.GroupElement(-2.0, 1), 1.0, 4),
+                               ("g",)),
+    # every request Chain.eigenvectors cannot serve, under one rule
+    "eigenvectors-continuum": (lambda: _onemode_vectors(1.0, 0.0, 10, 1), ("n_rows", "n_cols")),
+    "eigenvectors-empty": (lambda: _onemode_vectors(4.0, 1.0, 0, 2), ("n_rows", "n_cols")),
+    "eigenvectors-unit-columns-past-rows": (lambda: _onemode_vectors(2.0, 2.0, 10, 12),
+                                            ("n_rows", "n_cols")),
+    "eigenvectors-past-dual-hahn-levels": (lambda: _block_vectors(tm.DBlock(4, 1.3, 0.7), 5, 8),
+                                           ("n_rows", "n_cols")),
+    "eigenvectors-past-c-block-bound-states": (
+        lambda: _block_vectors(tm.CBlock(0, 4.5, 0.5, n_levels=200), 200, 4),
+        ("n_rows", "n_cols")),
     "generic-without-n_per_mode": (lambda: ev.FullModel(GENERIC, (1.0, 1.0)), ("n_per_mode",)),
     "onemode-with-n_per_mode": (lambda: ev.FullModel(ONEMODE, (1.0,), n_per_mode=10),
                                 ("n_per_mode",)),
@@ -47,6 +77,13 @@ REFUSALS = {
     "sector-r-fractional": (lambda: rep.OneModeSector(rep.MultibosonRep(2, (1.0, 1.5)), 0.5, 10),
                             ("r",)),
     "laguerre-alpha-nan": (lambda: op.Laguerre(NAN), ("alpha",)),
+    "laguerre-alpha-inf": (lambda: op.Laguerre(INF), ("alpha",)),
+    "meixner-beta-inf": (lambda: op.Meixner(INF, 0.5), ("beta",)),
+    "meixner-pollaczek-lam-inf": (lambda: op.MeixnerPollaczek(INF, 1.0), ("lam",)),
+    "dual-hahn-gamma-inf": (lambda: op.DualHahn(INF, 0.0, 3), ("gamma",)),
+    "dual-hahn-delta-inf": (lambda: op.DualHahn(0.0, INF, 3), ("delta",)),
+    "continuous-dual-hahn-v-inf": (lambda: op.ContinuousDualHahn(1.0, INF, 1.0),
+                                   ("u", "v", "w")),
     "meixner-beta-nan": (lambda: op.Meixner(NAN, 0.5), ("beta",)),
     "meixner-c-nan": (lambda: op.Meixner(1.0, NAN), ("c",)),
     "meixner-measure-negative-n_atoms": (lambda: op.Meixner(1.0, 0.5).measure(-1),
@@ -81,11 +118,15 @@ REFUSALS = {
     "ln-pochhammer-a-nan": (lambda: op.ln_pochhammer(NAN, 2), ("a",)),
     "hyp3f2-n-negative": (lambda: op.hyp3f2_terminating(-1, 1.0, 1.0, 1.0, 1.0), ("n",)),
     "hyp3f2-c-nan": (lambda: op.hyp3f2_terminating(2, 1.0, NAN, 1.0, 1.0), ("c",)),
+    "hyp3f2-b-inf": (lambda: op.hyp3f2_terminating(3, INF, 0.5, 1.5, 2.5), ("b",)),
     "jacobi-operator-size": (lambda: jacobi.JacobiOperator(np.ones_like, np.ones_like, 0),
                              ("size",)),
     "oracle-eigs-count-nan": (lambda: jacobi.oracle_eigs(ONES, NAN), ("count",)),
     "radial-moment-order-nan": (lambda: ch.radial_measure(1.0, k_checked=2).moment(NAN),
                                 ("k",)),
+    # below 0.02 the radial quadrature's integrand overflows
+    "radial-measure-alpha0-below-floor": (lambda: ch.radial_measure(0.01, k_checked=3),
+                                          ("alpha0",)),
     # only the orders the moment identity checked are held
     "radial-moment-order-unchecked": (lambda: ch.radial_measure(1.0, k_checked=2).moment(3),
                                       ("k",)),

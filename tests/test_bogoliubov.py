@@ -12,7 +12,7 @@ from multiboson import bogoliubov as bg
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson import twomode as tm
-from multiboson.errors import ParameterError, UnsupportedElementError
+from multiboson.errors import ParameterError
 from multiboson.jacobi import atom_eigenvector, oracle_eigh, oracle_eigs
 from multiboson.orthopoly import Meixner
 
@@ -249,7 +249,7 @@ def test_implementer_returns_a_private_copy():
     ref = u.copy()
     u[:] = 0.0
     assert np.array_equal(bg.implementer(g, 1.0, 64)[0], ref)
-    assert not bg._meixner_block(1.0, bg.meixner_c(0.5), 64).flags.writeable
+    assert not bg._meixner_block(1.0, bg.meixner_c(0.5), 64)[0].flags.writeable
 
 
 def test_implementer_is_orthonormal_only_on_converged_columns():
@@ -265,8 +265,23 @@ def test_implementer_is_orthonormal_only_on_converged_columns():
 
 
 def test_implementer_rejects_negative_a():
-    with pytest.raises(UnsupportedElementError):
+    with pytest.raises(ParameterError) as exc:
         bg.implementer(bg.GroupElement(-2.0, 1), 1.0, 16)
+    assert exc.value.names == ("g",)
+
+
+@pytest.mark.parametrize("alpha0", [1e4, 1e5])
+def test_implementer_is_finite_where_the_kernel_sinks(alpha0):
+    # row 0 carries (1 - c)^(alpha0 / 2): at 1e4 every window entry is near
+    # 1e-230, whose squares underflow, and at 1e5 every entry underflows.
+    # The window norms were 0, the columns inf or NaN, and NaN passed the
+    # tail test, so all 12 NaN columns counted as converged
+    u, info = bg.implementer(bg.GroupElement(0.5, 1), alpha0, 12)
+    assert np.isfinite(u).all()
+    norms = np.linalg.norm(u, axis=0)
+    assert np.all(norms == 0.0) if alpha0 == 1e5 else np.abs(norms - 1.0).max() <= 1e-15
+    # the peaks lie far past the window, so no tail closes inside it
+    assert info.converged_cols == 0
 
 
 def test_implementer_columns_match_eigenvector_oracle():

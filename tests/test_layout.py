@@ -132,6 +132,12 @@ TYPED = _why(
     "naming its parameters, never a bare ValueError; only the converters of",
     "cli.py raise one, which cli._config reports under its flag")
 
+ONE_REFUSAL = _why(
+    "one refusal type: a request outside the domain, a value or one the callee",
+    "cannot serve (a group element no unitary implements, eigenvectors past a",
+    "chain's atoms), is an errors.ParameterError naming its parameters, and the",
+    "refused time of a grid is in its message, with no row attribute beside it")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -239,6 +245,9 @@ RULES = [
          "def run_all(quick: bool = False):", ONE_CONFIG),
     Rule("package-re-export", r"^\s*(from|import)\s", (PKG + "__init__.py",),
          "from .jacobi import Chain, oracle_eigs", API),
+    Rule("retired-refusal-type", r"UnsupportedElementError|UnsupportedCaseError|"
+         r"NoBoundStateError|\.row\b|\brow=", SRC + ("bench/**/*.py",),
+         "            raise NoBoundStateError(f\"{n_cols} bound states asked\")", ONE_REFUSAL),
     Rule("bare-value-error", r"\braise ValueError\b", SRC,
          '        raise ValueError(f"size must be >= 1, got {self.size}")', TYPED,
          exempt_files=(PKG + "cli.py",),

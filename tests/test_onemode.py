@@ -12,7 +12,7 @@ from multiboson import evolution as ev
 from multiboson import onemode as om
 from multiboson import rep
 from multiboson.bogoliubov import GroupElement, action_matrix
-from multiboson.errors import ParameterError, TruncationOverflowError, UnsupportedCaseError
+from multiboson.errors import ParameterError, TruncationOverflowError
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.orthopoly import poly_table
 
@@ -182,10 +182,10 @@ def test_eigenvectors_discrete_match_larger_oracle_past_window():
 
 
 def test_eigenvectors_continuous_case_rejected():
-    with pytest.raises(UnsupportedCaseError):
-        _columns(_h(1.0, 0.0), 1)
-    with pytest.raises(UnsupportedCaseError):
-        _columns(_h(1.0, -1.0), 1)
+    for h in (_h(1.0, 0.0), _h(1.0, -1.0)):
+        with pytest.raises(ParameterError) as exc:
+            _columns(h, 1)
+        assert exc.value.names == ("n_rows", "n_cols")
 
 
 def test_oracle_eigs_trivial():
@@ -335,15 +335,15 @@ def test_evolve_discrete_small_window_is_a_larger_windows_head(mu, nu, alpha0, n
                                        (3.0, 1.0, 1e308), (2.0, 2.0, 1e308)])
 def test_evolve_refuses_a_time_whose_state_overflows(mu, nu, t):
     # E t past the double range makes the rows NaN (classes 3, 1, 5 and 9):
-    # refused, naming t and the row; run_series names its own t_grid
+    # refused, naming t and the refused time; run_series names its own t_grid
     h = _h(mu, nu, alpha0=1.3, n=8)
     psi = np.eye(8)[0].astype(complex)
     with pytest.raises(ParameterError, match=re.escape(f"t = {t}")) as exc:
         om.evolve(h, psi, np.array([0.0, 1.0, t]))
-    assert exc.value.names == ("t",) and exc.value.row == 2
-    with pytest.raises(ParameterError, match=re.escape(f"t = {-t}")) as exc:
+    assert exc.value.names == ("t",)
+    with pytest.raises(ParameterError, match=re.escape(f"t = {-t} ")) as exc:
         om.evolve(h, psi, -t)
-    assert exc.value.names == ("t",) and exc.value.row == 0
+    assert exc.value.names == ("t",)
     model = ev.FullModel(h, (0.0,), tail_tol=math.inf)
     with pytest.raises(ParameterError, match=re.escape(f"t = {t}")) as exc:
         ev.run_series(model, psi, [0.0, t])

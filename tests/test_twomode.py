@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from multiboson import twomode as tm
 from multiboson import orthopoly as op
 from multiboson.bogoliubov import GroupElement
-from multiboson.errors import NoBoundStateError, ParameterError
+from multiboson.errors import ParameterError
 from multiboson.evolution import CanonicalInteraction
 from multiboson.jacobi import JacobiOperator, oracle_eigh, oracle_eigs
 from multiboson.rep import MultibosonRep
@@ -535,8 +535,9 @@ def test_hc_eigenvector_truncation_oracle():
     # magnitudes decay monotonically beyond some index
     mags = np.abs(v)
     assert np.all(np.diff(mags[10:500]) <= 1e-15)
-    with pytest.raises(NoBoundStateError):
+    with pytest.raises(ParameterError) as exc:
         _hc_bound_states(blk, 2)
+    assert exc.value.names == ("n_rows", "n_cols")
 
 
 def test_hc_truncation_check_richardson():
