@@ -36,14 +36,15 @@ implementer at n 240; the implementer grid of ``validate``; the quadrature
 of ``orthopoly.gram_check`` on Laguerre(-0.5) at n 10; the coefficient
 streams (``JacobiOperator.diag_array`` and ``offdiag_array``) of the
 4000-level C-block of ``spectrum --model two-c``; the block apply
-``jacobi.spectral_apply`` on the spectral data of the class-1 ``run_series``
-row below (275 levels, 201 times); ``run_series`` over
+``jacobi.spectral_apply`` on the ``jacobi.Spectral`` record of the class-1
+``run_series`` row below (275 levels, 201 times); ``run_series`` over
 21 times on a generic two-mode interaction at n_per_mode 40 (its ``peak_bytes`` is the
 dense eigensolve's) and on a C-form interaction at n_per_mode 200 from a
 state spread over the whole window (every charge block occupied), and on
 the continuous one-mode classes 3 at n_levels 780 over 21 times and 1 at
 n_levels 275 over 201 times (the costliest operations of the benchmark's
-evolve workload); the oracle windows ``jacobi.oracle_eigs`` takes for the
+evolve workload), with the one ``jacobi.oracle_eigh`` call of the class-3
+row timed alone beside it (the LAPACK floor of that row); the oracle windows ``jacobi.oracle_eigs`` takes for the
 atoms of one-mode class 5 (bottom) and class 6 (top) at n_levels 500, 2000
 and 4000 with count 5, and for the 4000-level C-block of ``spectrum --model
 two-c`` (top, the window ``hc_truncation_check`` takes at full size, which
@@ -130,6 +131,7 @@ ACCURACY = {
     "D-block spectrum": "Chain.oracle_delta: largest |closed-form energy - eigenvalue| "
                         "over the whole block",
     "run_series": "largest norm error over the grid (ObservableSeries.norm_errors)",
+    "oracle_eigh": "largest entry of |V^T V - I| of the eigenvectors",
 }
 ORACLE_COUNT = 5
 # the continuous one-mode run_series rows: (class, (mu, nu, alpha0), n_levels,
@@ -266,16 +268,24 @@ def stream_apply_cases(jacobi, onemode, rep, twomode):
     _, (mu, nu, alpha0), n, points = ONEMODE_SERIES[1]
     sector = rep.OneModeSector(rep.MultibosonRep(1, (alpha0,)), 0, n)
     energies, vecs = jacobi.oracle_eigh(onemode.jacobi(onemode.OneModeHamiltonian(mu, nu, sector)))
-    coeffs = jacobi.spectral_coeffs(vecs, np.eye(n)[n // 4].astype(complex))
+    psi = np.eye(n)[n // 4].astype(complex)
     times = np.linspace(0.0, 2.0, points)
+    if hasattr(jacobi, "Spectral"):
+        args = (jacobi.Spectral.project(energies, vecs, psi), times)
+    else:
+        # a tree from before the spectral record: the coefficients of the
+        # basis state, V^T psi, are one row of V
+        args = (vecs, energies, vecs[n // 4].astype(complex), times)
     yield (dict(case="block apply", layer="jacobi.spectral_apply", size=n),
-           lambda: jacobi.spectral_apply(vecs, energies, coeffs, times),
+           lambda: jacobi.spectral_apply(*args),
            lambda amps: float(np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()))
 
 
-def series_cases(bogoliubov, evolution, onemode, rep, twomode):
+def series_cases(bogoliubov, evolution, jacobi, onemode, rep, twomode):
     """The ``run_series`` loads, over 21 times unless one says otherwise;
-    fn returns the largest norm error."""
+    fn returns the largest norm error.  Beside the class-3 row, the one
+    ``jacobi.oracle_eigh`` call that row makes, alone: the LAPACK floor of
+    the evolve workload's costliest operations."""
     times = np.linspace(0.0, 2.0, 21)
 
     def series(case, n, model, psi0, grid=times):
@@ -301,6 +311,11 @@ def series_cases(bogoliubov, evolution, onemode, rep, twomode):
                                     tail_tol=math.inf)
         yield series(f"run_series one-mode class {case} {points} times", n, model,
                      evolution.basis_state(model, (n // 4,)), np.linspace(0.0, 2.0, points))
+        if case == "3":
+            op = onemode.jacobi(model.interaction)
+            yield (dict(case=f"oracle_eigh one-mode class {case}", layer="jacobi.oracle_eigh",
+                        size=n), lambda op=op: jacobi.oracle_eigh(op),
+                   lambda wv, n=n: _gram_error(wv[1], n))
 
 
 def oracle_chains(onemode, rep, twomode):
@@ -376,7 +391,7 @@ def record(args):
         for row, *case in itertools.chain(
                 cli_cases(cli, tmp), layer_cases(bogoliubov, orthopoly),
                 stream_apply_cases(jacobi, onemode, rep, twomode),
-                series_cases(bogoliubov, evolution, onemode, rep, twomode),
+                series_cases(bogoliubov, evolution, jacobi, onemode, rep, twomode),
                 oracle_cases(jacobi, onemode, rep, twomode), dblock_cases(twomode),
                 section_cases(validation)):
             seconds, repeat, peak, accuracy = measure(*case)

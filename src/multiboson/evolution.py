@@ -14,10 +14,12 @@ block in which the state has amplitude, each a LAPACK tridiagonal
 eigendecomposition with energies scale * w + offset (``twomode.charges``
 labels each window position, ``twomode.window_block`` gives a block's
 positions and Jacobi operator).  Blocks the state does not occupy are not
-solved and stay exactly zero.  Every source applies its real eigenvectors
-through ``jacobi.spectral_coeffs`` and ``jacobi.spectral_apply``, with no
-complex copy of them; ``spectral_apply`` forms its phases e^{-iEt} and
-refuses a time whose phases overflow.
+solved and stay exactly zero.  Every source builds one ``jacobi.Spectral``
+record per block: its energies, its real eigenvectors and the coefficients
+of the block's state over them.  ``jacobi.spectral_apply`` turns each
+record into amplitudes with no complex copy of the eigenvectors; it owns
+the time grid, forms the phases e^{-iEt} and refuses a time whose phases
+overflow.
 
 An evolved state is carried as the pair (indices, amplitudes): the
 flattened positions of the blocks it occupies, block by block in ascending
@@ -69,7 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, TruncationOverflowError
-from .jacobi import JacobiOperator, dense_eigh, oracle_eigh, spectral_apply, spectral_coeffs
+from .jacobi import JacobiOperator, Spectral, dense_eigh, oracle_eigh, spectral_apply
 from .onemode import OneModeHamiltonian, evolve as evolve_onemode
 from .onemode import jacobi as onemode_jacobi
 from .rep import MultibosonRep
@@ -197,31 +199,32 @@ class InteractionEvolver:
         interaction); ``amplitudes`` holds the evolved state there, shape
         (m,) at a scalar t, or (n_times, m) with one row per time of a 1-d
         array t.  Every other position stays exactly zero and is not stored.
-        ParameterError names t at an overflowing time (``jacobi.spectral_apply``),
-        and scale and offset where a canonical block's energies overflow.
+        ParameterError names t unless it is a scalar or 1-d, before any
+        solve, and at an overflowing time (``jacobi.spectral_apply``), and
+        scale and offset where a canonical block's energies overflow.
         """
         psi = np.asarray(psi, dtype=complex)
-        times = np.asarray(t, dtype=float)
-        if times.ndim > 1:
-            raise ParameterError(("t",), "t must be a scalar or a 1-d array of times")
-        ts = np.atleast_1d(times)
-        empty = (np.zeros(0, dtype=np.intp), np.empty((ts.size, 0), dtype=complex))
-        indices, amps = zip(empty, *_evolved_blocks(self.model, psi, ts))
-        out = np.concatenate(amps, axis=1)
-        return np.concatenate(indices), (out[0] if times.ndim == 0 else out)
+        # the record of no block: its apply refuses a bad t before any solve
+        empty = (np.zeros(0, dtype=np.intp), spectral_apply(_NO_BLOCK, t))
+        indices, amps = zip(empty, *_evolved_blocks(self.model, psi, t))
+        return np.concatenate(indices), np.concatenate(amps, axis=-1)
 
 
-def _evolved_blocks(model: FullModel, psi: np.ndarray, ts: np.ndarray):
-    """(indices, (n_times, m) amplitudes of exp(-i H t) psi) for each block
-    psi occupies, from the block source of the interaction's kind (module
-    docstring); a generic matrix is solved in place (``jacobi.dense_eigh``)."""
+_NO_BLOCK = Spectral(np.zeros(0), None, np.zeros(0, dtype=complex))
+
+
+def _evolved_blocks(model: FullModel, psi: np.ndarray, t):
+    """(indices, amplitudes of exp(-i H t) psi) for each block psi occupies,
+    shaped as ``jacobi.spectral_apply`` shapes them at t, from the block
+    source of the interaction's kind (module docstring); a generic matrix is
+    solved in place (``jacobi.dense_eigh``)."""
     h = model.interaction
     if isinstance(h, OneModeHamiltonian):
-        yield np.arange(psi.size), evolve_onemode(h, psi, ts)
+        yield np.arange(psi.size), evolve_onemode(h, psi, t)
     elif isinstance(h, TwoModeHamiltonian):
         if psi.any():
-            w, v = dense_eigh(build_h_matrix(h, model.n_per_mode))
-            yield np.arange(psi.size), spectral_apply(v, w, spectral_coeffs(v, psi), ts)
+            spec = Spectral.project(*dense_eigh(build_h_matrix(h, model.n_per_mode)), psi)
+            yield np.arange(psi.size), spectral_apply(spec, t)
     else:
         for idx, op in _occupied_charge_blocks(h, psi):
             w, v = oracle_eigh(op)
@@ -230,7 +233,7 @@ def _evolved_blocks(model: FullModel, psi: np.ndarray, ts: np.ndarray):
             if not np.isfinite(energies).all():
                 raise ParameterError(("scale", "offset"), "the block energies scale * w + offset "
                                      f"overflow at scale {h.scale}, offset {h.offset}")
-            yield idx, spectral_apply(v, energies, spectral_coeffs(v, psi[idx]), ts)
+            yield idx, spectral_apply(Spectral.project(energies, v, psi[idx]), t)
 
 
 def _occupied_charge_blocks(h: CanonicalInteraction, psi: np.ndarray):

@@ -57,13 +57,15 @@ bound states decay only algebraically), D-block windows and the far end of
 a one-mode chain (localized at the last rows), diagonal chains, and any
 failed certificate.  No closed form enters the oracle.
 
-Every evolution goes through one real-arithmetic spectral apply: the
-eigenvectors V are real, so ``spectral_coeffs`` (c = V^T psi) and
-``spectral_apply`` (V e^{-iEt} c) are real products against V, one per
-part; a complex product would first copy V to complex, twice its memory.
-``spectral_apply`` owns the time convention: it alone forms the phases
-e^{-iEt} of every route (V None: a diagonal operator) and refuses a time
-whose phases overflow.
+Every evolution route builds one record, ``Spectral``: a block's energies
+E, its real eigenvectors V (None: a diagonal operator) and the state's
+coefficients c, which its constructor ``Spectral.project`` forms as
+V^T psi.  One function turns a record into amplitudes, ``spectral_apply``
+(V e^{-iEt} c).  Both are real products against V, one per part; a complex
+product would first copy V to complex, twice its memory.  ``spectral_apply``
+owns the time grid: a scalar t gives one row of amplitudes and a 1-d t one
+row per time; it alone forms the phases e^{-iEt} of every route, and it
+refuses any other shape of t and a time whose phases overflow.
 """
 
 import math
@@ -78,7 +80,7 @@ from .orthopoly import (ContinuousDualHahn, DualHahn, Meixner, PolyFamily,
                         SpectralMeasure, poly_table)
 
 __all__ = ["JacobiOperator", "Chain", "oracle_eigs", "oracle_eigh", "dense_eigh",
-           "atom_eigenvector", "spectral_coeffs", "spectral_apply"]
+           "atom_eigenvector", "Spectral", "spectral_apply"]
 
 
 @dataclass(frozen=True)
@@ -582,25 +584,42 @@ def _times_real(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_coeffs(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Coefficients c = V^T psi of a complex amplitude array psi over the
-    real columns V of ``vectors`` (n, m): V^T Re psi + i V^T Im psi."""
-    return _times_real(psi, vectors)
+@dataclass(frozen=True)
+class Spectral:
+    """One block's state in the eigenbasis of its operator: the real
+    eigenvector columns ``vectors`` (n, m), None for a diagonal operator
+    (the identity), their ``energies`` E (m,) and the state's coefficients
+    c (m,) over them.  ``project`` is the constructor that projects a state;
+    the closed-form one-mode expansion, which projects only the rows its
+    state occupies, passes its coefficients as they are."""
+
+    energies: np.ndarray
+    vectors: np.ndarray | None
+    coeffs: np.ndarray
+
+    @classmethod
+    def project(cls, energies, vectors, psi) -> "Spectral":
+        """The record of the complex amplitude array psi: c = V^T Re psi +
+        i V^T Im psi over the real columns V of ``vectors``, psi itself for
+        None."""
+        return cls(energies, vectors, psi if vectors is None else _times_real(psi, vectors))
 
 
-def spectral_apply(vectors: np.ndarray | None, energies: np.ndarray, coeffs: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """Amplitudes V (e^{-i E t} c) at every time t of the 1-d array ``times``,
-    shape (n_times, n), for real columns V of ``vectors`` (n, m) with
-    ``energies`` E and coefficients c (m,); ``vectors`` None is the identity.
-    The phases are complex; their product with V is two real products, one
-    per part.  ParameterError names t at the first time whose phases are
-    not finite, that time in its message: an energy times t past the
-    double range."""
+def spectral_apply(spec: Spectral, t) -> np.ndarray:
+    """Amplitudes V (e^{-i E t} c) of the record at a time t, shape (n,), or
+    at every time of a 1-d array t, shape (n_times, n).  The phases are
+    complex; their product with V is two real products, one per part.
+    ParameterError names t unless it is a scalar or 1-d, and at the first
+    time whose phases are not finite, that time in its message: an energy
+    times t past the double range."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ParameterError(("t",), "t must be a scalar or a 1-d array of times")
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        phased = np.exp(-1j * times[:, None] * energies) * coeffs
+        phased = np.exp(-1j * times.reshape(-1, 1) * spec.energies) * spec.coeffs
     bad = np.flatnonzero(~np.isfinite(phased).all(axis=1))
     if bad.size:
-        raise ParameterError(("t",), f"the evolved state at t = {times[bad[0]].item()} is not "
+        raise ParameterError(("t",), f"the evolved state at t = {times.flat[bad[0]]} is not "
                              "finite: energy times t overflows float64")
-    return phased if vectors is None else _times_real(phased, vectors.T)
+    out = phased if spec.vectors is None else _times_real(phased, spec.vectors.T)
+    return out[0] if times.ndim == 0 else out

@@ -30,8 +30,9 @@ sign tests; callers pass exact zeros when they mean the axes.  A negative
 scale turns the spectrum over: classes 6, 8 and 9 with mu < 0 are bounded
 above, and their atoms pair with the top of a truncation (``Chain.pairs_top``).
 
-``evolve`` applies exp(-i t H) (the phases of ``jacobi.spectral_apply``),
-one row per time, and checks no truncation tail: the package has one tail
+``evolve`` applies exp(-i t H) as one ``jacobi.Spectral`` record, turned
+into amplitudes by ``jacobi.spectral_apply``, one row per time, and checks
+no truncation tail: the package has one tail
 monitor, the per-mode check of ``evolution.run_series`` and ``evolve_full``
 against the ``FullModel``'s tolerance.
 """
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, TruncationOverflowError
-from .jacobi import Chain, JacobiOperator, oracle_eigh, spectral_apply, spectral_coeffs
+from .jacobi import Chain, JacobiOperator, Spectral, oracle_eigh, spectral_apply
 from .orthopoly import Laguerre, Meixner, MeixnerPollaczek
 from .rep import OneModeSector, sector_coeffs
 
@@ -129,14 +130,14 @@ def _discrete(family, scale: float, sign: float, alpha0: float, index: int) -> C
                  atom_stream=lambda n: scale * (2.0 * n + alpha0))
 
 
-def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
-    """Eigenvectors, energies and coefficients of the leading closed-form
-    eigenpairs whose coefficients leave a directly summed tail of at most
-    eps^2 |psi|^2 (eps the float64 epsilon): the dropped coefficients are
-    below eps |psi| together, so the expansion returns psi at t = 0 to
-    roundoff.  The first 4N columns are tried, then twice as many while no
-    such tail is left or while they hold less than (1 - sqrt(eps)) |psi|^2 of
-    the |psi|^2 all coefficients hold (Parseval: the kernel's columns are
+def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray) -> Spectral:
+    """The record of the leading closed-form eigenpairs whose coefficients
+    leave a directly summed tail of at most eps^2 |psi|^2 (eps the float64
+    epsilon): the dropped coefficients are below eps |psi| together.  The
+    coefficients are projected from the rows psi occupies.  The first 4N
+    columns are tried, then twice as many while no such tail is left or
+    while they hold less than (1 - sqrt(eps)) |psi|^2 of the |psi|^2 all
+    coefficients hold (Parseval: the kernel's columns are
     complete and orthonormal over the untruncated chain), as long as N rows
     of them stay within max(4 N^2, 2^22) kernel entries (32 MiB).
     TruncationOverflowError past that bound: the state spreads past them."""
@@ -148,12 +149,12 @@ def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray):
     eps = np.finfo(float).eps
     cap = 4 * size
     while size * cap <= max(4 * size * size, 2 ** 22):
-        coeffs = spectral_coeffs(chain.eigenvectors(op, rows, cap), psi[:rows])
-        tail = np.cumsum(np.abs(coeffs[::-1]) ** 2)[::-1]
+        spec = Spectral.project(chain.atoms(cap), chain.eigenvectors(op, rows, cap), psi[:rows])
+        tail = np.cumsum(np.abs(spec.coeffs[::-1]) ** 2)[::-1]
         done = np.flatnonzero(tail <= eps ** 2 * total)
         if total - tail[0] <= math.sqrt(eps) * total and done.size:
             m = int(done[0])
-            return chain.eigenvectors(op, size, m), chain.atoms(m), coeffs[:m]
+            return Spectral(chain.atoms(m), chain.eigenvectors(op, size, m), spec.coeffs[:m])
         cap *= 2
     raise TruncationOverflowError(
         f"the first {cap // 2} eigen-expansion coefficients hold {tail[0] / total:.2e} "
@@ -165,24 +166,23 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     time of a 1-d array t: shape (N,) at a scalar t, (n_times, N) with one
     row per time of an array t.
 
-    The spectral data is taken once per call, whatever the number of times:
-    one closed-form eigen-expansion of psi in the discrete cases 5-8, one
+    The spectral data is taken once per call, whatever the number of times,
+    as one ``jacobi.Spectral`` record: one closed-form eigen-expansion of psi in the discrete cases 5-8, one
     (LAPACK) eigendecomposition of the truncated Jacobi operator in the
     continuous cases 1-4, the diagonal energies in case 9.  So the cases
     evolve different models: 1-4 the truncated window, unitarily, and 5-8
     the untruncated chain, whose eigenvectors the closed form gives, read on
     the window's levels, so the result's norm falls as the state leaves the
-    window (case 9 is diagonal, and the two agree).  Every case
-    applies its phases through ``jacobi.spectral_apply``; cases 1-8 project
-    psi and apply them in real arithmetic against the real eigenvectors
-    (``jacobi.spectral_coeffs``), so no complex copy of an eigenvector
-    matrix is made.  The closed-form expansion keeps every eigenpair until
-    the coefficient tail is below eps^2 |psi|^2, so it returns psi at t = 0
-    to roundoff, and raises TruncationOverflowError when no affordable
-    number of terms holds psi (``_expand_discrete``); the truncation tail of
-    the evolved state is left to ``evolution.run_series`` and
-    ``evolve_full``.  ParameterError unless psi is 1-d with one amplitude
-    per level of the sector's window, and naming t at the first time whose
+    window (case 9 is diagonal, and the two agree).  Every case applies its
+    record through ``jacobi.spectral_apply``, which owns the time rules, in
+    real arithmetic against the real eigenvectors, so no complex copy of an
+    eigenvector matrix is made.  The closed-form expansion keeps every
+    eigenpair until the coefficient tail is below eps^2 |psi|^2, and raises
+    TruncationOverflowError when no affordable number of terms holds psi
+    (``_expand_discrete``); the truncation tail of the evolved state is left
+    to ``evolution.run_series`` and ``evolve_full``.  ParameterError unless
+    psi is 1-d with one amplitude per level of the sector's window, and
+    naming t unless it is a scalar or 1-d, and at the first time whose
     phases are not finite (``jacobi.spectral_apply``).
     """
     psi = np.asarray(psi, dtype=complex)
@@ -190,16 +190,11 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     if psi.shape != (size,):
         raise ParameterError(("psi",), f"need a 1-d state of {size} amplitudes for "
                              f"the sector's window, got shape {psi.shape}")
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ParameterError(("t",), "t must be a scalar or a 1-d array of times")
     chain = classify(h.mu, h.nu, h.sector.alpha0)
     if chain.family is None:
-        vecs, energies, coeffs = None, chain.atoms(size), psi
+        spec = Spectral.project(chain.atoms(size), None, psi)
     elif chain.atom_stream is not None:
-        vecs, energies, coeffs = _expand_discrete(h, chain, psi)
+        spec = _expand_discrete(h, chain, psi)
     else:
-        energies, vecs = oracle_eigh(jacobi(h))
-        coeffs = spectral_coeffs(vecs, psi)
-    out = spectral_apply(vecs, energies, coeffs, np.atleast_1d(times))
-    return out[0] if times.ndim == 0 else out
+        spec = Spectral.project(*oracle_eigh(jacobi(h)), psi)
+    return spectral_apply(spec, t)

@@ -17,7 +17,7 @@ from multiboson import rep
 from multiboson import twomode as tm
 from multiboson.bogoliubov import GroupElement
 from multiboson.errors import NumericalFailureError, ParameterError
-from multiboson.jacobi import oracle_eigh, oracle_eigs, spectral_apply, spectral_coeffs
+from multiboson.jacobi import Spectral, oracle_eigh, oracle_eigs, spectral_apply
 from multiboson.orthopoly import Meixner
 
 EPS = np.finfo(float).eps
@@ -483,14 +483,13 @@ def test_spectral_apply_matches_complex_product(kind, n, t):
     w, v = oracle_eigh(_operator(kind, n))
     rng = np.random.default_rng(n)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ts = np.atleast_1d(t)
-    coeffs = spectral_coeffs(v, psi)
+    spec = Spectral.project(w, v, psi)
     tol = 4 * EPS * np.linalg.norm(psi)
-    assert np.abs(coeffs - v.T @ psi).max() <= tol
+    assert np.abs(spec.coeffs - v.T @ psi).max() <= tol
     ref = (np.exp(-1j * np.multiply.outer(t, w)) * (v.T @ psi)) @ v.T
-    got = spectral_apply(v, w, coeffs, ts)
-    assert got.shape == (ts.size, n)
-    assert np.abs(got.reshape(ref.shape) - ref).max() <= tol
+    got = spectral_apply(spec, t)
+    assert got.shape == np.shape(t) + (n,)
+    assert np.abs(got - ref).max() <= tol
 
 
 def _onemode_chain(mu, nu, n, alpha0=1.0):

@@ -40,9 +40,11 @@ EXPONENTS = _why(
     "one exponent-tracking sweep: binary exponents (frexp/ldexp) appear only",
     "in the Meixner kernel, jacobi.atom_eigenvector")
 APPLY = _why(
-    "one spectral apply: eigenvectors are projected and applied only in",
-    "jacobi.spectral_coeffs / spectral_apply, as real products with no complex",
-    "copy of the eigenvector matrix")
+    "one spectral record and one apply: every evolution route builds a",
+    "jacobi.Spectral record, whose constructor Spectral.project projects the",
+    "state, and jacobi.spectral_apply alone turns it into amplitudes, as real",
+    "products with no complex copy of the eigenvector matrix; no separate",
+    "projection function (spectral_coeffs) stands beside the record")
 ORACLE = _why(
     "one tridiagonal oracle: raw LAPACK bisection (dstebz) and dstevd, with",
     "eigenvectors (divide and conquer) or without (root-free QR, the whole",
@@ -169,7 +171,10 @@ RULES = [
     Rule("eigenvector-transpose-outside-apply", r"(vecs|vectors)\.T", SRC,
          "    coeffs = vectors.T @ psi", APPLY,
          exempt_files=(PKG + "jacobi.py",),
-         allowed=(PKG + "jacobi.py", "    return _times_real(phased, vectors.T)")),
+         allowed=(PKG + "jacobi.py", "    out = phased if spec.vectors is None else "
+                                     "_times_real(phased, spec.vectors.T)")),
+    Rule("projection-outside-the-record", r"spectral_coeffs", SRC + ("bench/**/*.py",),
+         "    coeffs = jacobi.spectral_coeffs(vecs, psi)", APPLY),
     Rule("lapack-outside-jacobi", r"dstebz|dstevd\(|dsyevd|linalg\.eigh\(|scipy\.linalg", SRC,
          "from scipy.linalg.lapack import dstebz", ORACLE,
          exempt_files=(PKG + "jacobi.py",),

@@ -40,8 +40,7 @@ def _blocks_at_minus_energy(monkeypatch):
     """Canonical blocks evolved as exp(+i E t)."""
     apply = evolution.spectral_apply
     monkeypatch.setattr(evolution, "spectral_apply",
-                        lambda vectors, energies, coeffs, times:
-                        apply(vectors, energies, coeffs, -times))
+                        lambda spec, t: apply(spec, -np.asarray(t, dtype=float)))
 
 
 def _onemode_forward_time(monkeypatch):
