@@ -15,11 +15,12 @@ eigendecomposition with energies scale * w + offset (``twomode.charges``
 labels each window position, ``twomode.window_block`` gives a block's
 positions and Jacobi operator).  Blocks the state does not occupy are not
 solved and stay exactly zero.  Every source builds one ``jacobi.Spectral``
-record per block: its energies, its real eigenvectors and the coefficients
-of the block's state over them.  ``jacobi.spectral_apply`` turns each
-record into amplitudes with no complex copy of the eigenvectors; it owns
-the time grid, forms the phases e^{-iEt} and refuses a time whose phases
-overflow.
+record per block: its energies, its real eigenvectors, the coefficients
+of the block's state over them and that state.  ``jacobi.spectral_apply``
+turns each record into amplitudes with no complex copy of the
+eigenvectors; it owns the time grid, forms the phases e^{-iEt}, refuses a
+time whose phases overflow and returns each block's state bit for bit at
+t = 0.
 
 An evolved state is carried as the pair (indices, amplitudes): the
 flattened positions of the blocks it occupies, block by block in ascending
@@ -210,7 +211,7 @@ class InteractionEvolver:
         return np.concatenate(indices), np.concatenate(amps, axis=-1)
 
 
-_NO_BLOCK = Spectral(np.zeros(0), None, np.zeros(0, dtype=complex))
+_NO_BLOCK = Spectral.project(np.zeros(0), None, np.zeros(0, dtype=complex))
 
 
 def _evolved_blocks(model: FullModel, psi: np.ndarray, t):

@@ -65,7 +65,9 @@ V^T psi.  One function turns a record into amplitudes, ``spectral_apply``
 product would first copy V to complex, twice its memory.  ``spectral_apply``
 owns the time grid: a scalar t gives one row of amplitudes and a 1-d t one
 row per time; it alone forms the phases e^{-iEt} of every route, and it
-refuses any other shape of t and a time whose phases overflow.
+refuses any other shape of t and a time whose phases overflow.  At t = 0 it
+returns the state the record was built from, bit for bit, on every route:
+the record holds that state, since V (V^T psi) is psi only to roundoff.
 """
 
 import math
@@ -589,26 +591,30 @@ class Spectral:
     """One block's state in the eigenbasis of its operator: the real
     eigenvector columns ``vectors`` (n, m), None for a diagonal operator
     (the identity), their ``energies`` E (m,) and the state's coefficients
-    c (m,) over them.  ``project`` is the constructor that projects a state;
-    the closed-form one-mode expansion, which projects only the rows its
-    state occupies, passes its coefficients as they are."""
+    c (m,) over them, and that ``state`` itself (n,), which
+    ``spectral_apply`` returns at t = 0.  ``project`` is the constructor that
+    projects a state; the closed-form one-mode expansion, which projects
+    only the rows its state occupies, passes its coefficients as they are."""
 
     energies: np.ndarray
     vectors: np.ndarray | None
     coeffs: np.ndarray
+    state: np.ndarray
 
     @classmethod
     def project(cls, energies, vectors, psi) -> "Spectral":
         """The record of the complex amplitude array psi: c = V^T Re psi +
         i V^T Im psi over the real columns V of ``vectors``, psi itself for
         None."""
-        return cls(energies, vectors, psi if vectors is None else _times_real(psi, vectors))
+        return cls(energies, vectors, psi if vectors is None else _times_real(psi, vectors), psi)
 
 
 def spectral_apply(spec: Spectral, t) -> np.ndarray:
     """Amplitudes V (e^{-i E t} c) of the record at a time t, shape (n,), or
-    at every time of a 1-d array t, shape (n_times, n).  The phases are
-    complex; their product with V is two real products, one per part.
+    at every time of a 1-d array t, shape (n_times, n); the record's state
+    itself, bit for bit, at every t that is 0, not its round trip
+    V (V^T psi).  The phases are complex; their product with V is two real
+    products, one per part.
     ParameterError names t unless it is a scalar or 1-d, and at the first
     time whose phases are not finite, that time in its message: an energy
     times t past the double range."""
@@ -622,4 +628,5 @@ def spectral_apply(spec: Spectral, t) -> np.ndarray:
         raise ParameterError(("t",), f"the evolved state at t = {times.flat[bad[0]]} is not "
                              "finite: energy times t overflows float64")
     out = phased if spec.vectors is None else _times_real(phased, spec.vectors.T)
+    out[times.reshape(-1) == 0] = spec.state
     return out[0] if times.ndim == 0 else out

@@ -154,7 +154,7 @@ def _expand_discrete(h: OneModeHamiltonian, chain: Chain, psi: np.ndarray) -> Sp
         done = np.flatnonzero(tail <= eps ** 2 * total)
         if total - tail[0] <= math.sqrt(eps) * total and done.size:
             m = int(done[0])
-            return Spectral(chain.atoms(m), chain.eigenvectors(op, size, m), spec.coeffs[:m])
+            return Spectral(chain.atoms(m), chain.eigenvectors(op, size, m), spec.coeffs[:m], psi)
         cap *= 2
     raise TruncationOverflowError(
         f"the first {cap // 2} eigen-expansion coefficients hold {tail[0] / total:.2e} "
@@ -167,22 +167,24 @@ def evolve(h: OneModeHamiltonian, psi, t) -> np.ndarray:
     row per time of an array t.
 
     The spectral data is taken once per call, whatever the number of times,
-    as one ``jacobi.Spectral`` record: one closed-form eigen-expansion of psi in the discrete cases 5-8, one
-    (LAPACK) eigendecomposition of the truncated Jacobi operator in the
-    continuous cases 1-4, the diagonal energies in case 9.  So the cases
-    evolve different models: 1-4 the truncated window, unitarily, and 5-8
-    the untruncated chain, whose eigenvectors the closed form gives, read on
-    the window's levels, so the result's norm falls as the state leaves the
-    window (case 9 is diagonal, and the two agree).  Every case applies its
-    record through ``jacobi.spectral_apply``, which owns the time rules, in
-    real arithmetic against the real eigenvectors, so no complex copy of an
-    eigenvector matrix is made.  The closed-form expansion keeps every
-    eigenpair until the coefficient tail is below eps^2 |psi|^2, and raises
+    as one ``jacobi.Spectral`` record: one closed-form eigen-expansion of
+    psi in the discrete cases 5-8, one (LAPACK) eigendecomposition of the
+    truncated Jacobi operator in the continuous cases 1-4, the diagonal
+    energies in case 9.  So the cases evolve different models: 1-4 the
+    truncated window, unitarily, and 5-8 the untruncated chain, whose
+    eigenvectors the closed form gives, read on the window's levels, so the
+    result's norm falls as the state leaves the window (case 9 is diagonal,
+    and the two agree).  Every case applies its record through
+    ``jacobi.spectral_apply``, which owns the time rules, in real arithmetic
+    against the real eigenvectors, so no complex copy of an eigenvector
+    matrix is made.  The closed-form expansion keeps every eigenpair until
+    the coefficient tail is below eps^2 |psi|^2, and raises
     TruncationOverflowError when no affordable number of terms holds psi
-    (``_expand_discrete``); the truncation tail of the evolved state is left
-    to ``evolution.run_series`` and ``evolve_full``.  ParameterError unless
-    psi is 1-d with one amplitude per level of the sector's window, and
-    naming t unless it is a scalar or 1-d, and at the first time whose
+    (``_expand_discrete``); at t = 0 every case returns psi bit for bit,
+    which the record holds.  The truncation tail of the evolved state is
+    left to ``evolution.run_series`` and ``evolve_full``.  ParameterError
+    unless psi is 1-d with one amplitude per level of the sector's window,
+    and naming t unless it is a scalar or 1-d, and at the first time whose
     phases are not finite (``jacobi.spectral_apply``).
     """
     psi = np.asarray(psi, dtype=complex)

@@ -423,8 +423,8 @@ def test_evolve_default_state_lies_in_the_preset_sector(capsys, preset, state):
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     res = json.loads(out)["results"]
-    # at t = 0 the block eigendecomposition returns the state to roundoff
-    assert (res[0]["mean_n0"], res[0]["mean_n1"]) == pytest.approx(state, abs=1e-12)
+    # at t = 0 the evolution returns the state itself, bit for bit
+    assert (res[0]["mean_n0"], res[0]["mean_n1"]) == state
     code, explicit, _ = _run(capsys, *argv, "--state", ",".join(map(str, state)))
     assert code == 0 and json.loads(explicit)["results"] == res
 

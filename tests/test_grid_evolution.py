@@ -15,7 +15,10 @@ Every route of ``apply`` refuses a time whose phases overflow the same way,
 naming the caller's own time.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
 import tracemalloc
@@ -25,6 +28,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from multiboson import cli
 from multiboson import evolution as ev
 from multiboson import jacobi
 from multiboson import onemode as om
@@ -331,6 +335,47 @@ def test_apply_refuses_an_overflowing_time_on_every_route(make):
         with pytest.raises(ParameterError, match=re.escape(f"t = {t} ")) as exc:
             ev.InteractionEvolver(model).apply(psi0, [0.0, t])
     assert exc.value.names == ("t",)
+
+
+# a state on each route of apply: one-mode classes 1, 5 and 9, the generic
+# dense solve, and C- and D-form states over three charge blocks
+AT_ZERO = {
+    **{f"onemode{c}": lambda c=c: (_onemode_model(c), [(3,), (7,)]) for c in (1, 5, 9)},
+    "generic": lambda: (_generic_model(), [(2, 1), (3, 2)]),
+    **{f"canonical{kind}": lambda kind=kind: (_canonical_model(kind),
+                                              CANONICAL_STATES[kind]["superposition"])
+       for kind in "CD"},
+}
+
+
+def _cli_default_at_zero():
+    """(mean_n0, mean_n1, var_n0, var_n1, norm_error) at t 0 of ``multiboson
+    evolve`` from the default state (2, 3) of the HIV preset, and their exact
+    values there."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["evolve", "--preset", "HIV", "--times", "0:1:3", "--format", "json"]) == 0
+    row = json.loads(out.getvalue())["results"][0]
+    assert row["t"] == 0.0
+    got = [row[key] for key in ("mean_n0", "mean_n1", "var_n0", "var_n1", "norm_error")]
+    return np.array(got), np.array([2.0, 3.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("route", [*AT_ZERO, "cli-default"])
+def test_every_route_returns_its_state_at_t_zero(route):
+    # bit for bit, signed zeros included, at t 0 and -0 of a grid and at a
+    # scalar 0; the round trip V (V^T psi) would miss by roundoff
+    if route == "cli-default":
+        got, want = _cli_default_at_zero()
+    else:
+        model, cells = AT_ZERO[route]()
+        psi = _state(model, cells)
+        evolver = ev.InteractionEvolver(model)
+        indices, amps = evolver.apply(psi, np.array([0.0, 0.7, -0.0]))
+        _, scalar = evolver.apply(psi, 0.0)
+        assert np.abs(amps[1] - psi[indices]).max() > 1e-3
+        got, want = np.stack([amps[0], amps[2], scalar]), np.stack([psi[indices]] * 3)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_onemode_evolve_grid_raises_at_the_first_overflowing_time():
