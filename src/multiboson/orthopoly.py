@@ -138,7 +138,8 @@ def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:
     A lower parameter that is zero or hits zero inside the summation range
     (d or e in {0, -1, ..., -(n-1)}) makes a term divide by zero and raises.
     ParameterError names n below 0, each of b, c, d, e that is not finite,
-    and d, e when a lower parameter hits zero.
+    d, e when a lower parameter hits zero, and all five when a term or the
+    sum overflows float64 (it then ends at inf or NaN).
     """
     if not n >= 0:
         raise ParameterError(("n",), f"hyp3f2_terminating requires n >= 0, got {n}")
@@ -154,6 +155,9 @@ def hyp3f2_terminating(n: int, b: float, c: float, d: float, e: float) -> float:
                                  f"sum: d={d}, e={e}, n={n}")
         term *= (-n + k) * (b + k) * (c + k) / (dk * ek * (k + 1.0))
         total += term
+    if not math.isfinite(total):
+        raise ParameterError(("n", "b", "c", "d", "e"), f"the 3F2 sum overflows float64 at "
+                             f"n={n}, b={b}, c={c}, d={d}, e={e}")
     return total
 
 
@@ -224,6 +228,14 @@ def _exp(ln: float, names, what: str) -> float:
     return math.exp(ln)
 
 
+def _exp_array(ln, names, what: str):
+    """e^ln elementwise, or ParameterError naming the family parameters
+    ``names`` where some entry overflows float64 (a NaN entry stays NaN)."""
+    if (np.asarray(ln) >= LN_FLOAT_MAX).any():
+        raise ParameterError(names, f"the {what} e^{np.max(ln):.6g} overflows float64")
+    return np.exp(ln)
+
+
 @dataclass(frozen=True)
 class Laguerre:
     """Laguerre-class family, density x^alpha e^-x on the half line."""
@@ -242,9 +254,11 @@ class Laguerre:
         return a, b
 
     def density(self, x: float | np.ndarray):
-        """x^alpha e^-x, 0 off the half line."""
+        """x^alpha e^-x, 0 off the half line; ParameterError names alpha
+        where it overflows."""
         al = self.alpha
-        return _where_positive(x, lambda p: np.exp(al * np.log(p) - p))
+        return _where_positive(x, lambda p: _exp_array(al * np.log(p) - p, ("alpha",),
+                                                       "Laguerre density"))
 
     def mass(self) -> float:
         """Gamma(alpha + 1); ParameterError names alpha when it overflows."""
@@ -337,10 +351,11 @@ class MeixnerPollaczek:
 
     def density(self, x: float | np.ndarray):
         """e^{(2 phi - pi) x} |Gamma(lam + ix)|^2 in one exponent, so the
-        first factor cannot overflow where the product is small."""
+        first factor cannot overflow where the product is small;
+        ParameterError names lam and phi where the product overflows."""
         lam, phi = self.lam, self.phi
-        return np.exp((2 * phi - math.pi) * x
-                      + 2.0 * loggamma(lam + 1j * np.asarray(x)).real)
+        return _exp_array((2 * phi - math.pi) * x + 2.0 * loggamma(lam + 1j * np.asarray(x)).real,
+                          ("lam", "phi"), "Meixner-Pollaczek density")
 
     def mass(self) -> float:
         """2 pi Gamma(2 lam) / (2 sin phi)^(2 lam), in one exponent where
@@ -460,21 +475,28 @@ class ContinuousDualHahn:
                                  f"with v, w > 0 and u+v, u+w > 0, got u={u}, v={v}, w={w}")
 
     def recurrence(self, k: float | np.ndarray):
+        """(a_k, b_k); ParameterError names u, v and w where one overflows."""
         u, v, w = self.u, self.v, self.w
-        A = (k + u + v) * (k + u + w)
-        C = k * (k + v + w - 1.0)
-        a = u * u - A - C
-        b = np.sqrt(A * (k + 1) * (k + v + w))
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            A = (k + u + v) * (k + u + w)
+            C = k * (k + v + w - 1.0)
+            a = u * u - A - C
+            b = np.sqrt(A * (k + 1) * (k + v + w))
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ParameterError(("u", "v", "w"), "the recurrence coefficients overflow float64 "
+                                 f"at u = {u}, v = {v}, w = {w}")
         return a, b
 
     def density_y(self, y: float | np.ndarray):
         """Continuous density with respect to dy at y = sqrt(-x) (already per
-        2 pi), elementwise over a scalar or an array y > 0."""
+        2 pi), elementwise over a scalar or an array y > 0; ParameterError
+        names u, v and w where it overflows."""
         u, v, w = self.u, self.v, self.w
         iy = 1j * np.asarray(y, dtype=float)
         lg = (loggamma(u + iy) + loggamma(v + iy) + loggamma(w + iy)
               - loggamma(2.0 * iy))
-        return np.exp(2.0 * lg.real) / (2 * math.pi)
+        return _exp_array(2.0 * lg.real, ("u", "v", "w"), "continuous dual Hahn density") / (
+            2 * math.pi)
 
     def n_atoms(self) -> int:
         return int(math.ceil(-self.u)) if self.u < 0 else 0

@@ -153,6 +153,18 @@ REFUSALS = {
     "c-block-n_levels-one": (lambda: tm.CBlock(0, 1.0, 1.0, n_levels=1), ("n_levels",)),
     "observables-3d-amplitudes": (lambda: ev.observables(
         (np.arange(2), np.ones((1, 1, 2))), CANONICAL), ("psi",)),
+    # finite but huge family parameters: a value past the double range is
+    # refused, with no RuntimeWarning before it
+    "laguerre-density-overflow": (lambda: op.Laguerre(1e300).density(2.0), ("alpha",)),
+    "meixner-pollaczek-density-overflow": (lambda: op.MeixnerPollaczek(1e300, 1.0).density(1.0),
+                                           ("lam", "phi")),
+    "continuous-dual-hahn-density-overflow": (
+        lambda: op.ContinuousDualHahn(1.0, 1e300, 1.0).density_y(1.0), ("u", "v", "w")),
+    "continuous-dual-hahn-recurrence-overflow": (
+        lambda: op.ContinuousDualHahn(1.0, 1e300, 1.0).recurrence(np.arange(3.0)),
+        ("u", "v", "w")),
+    "hyp3f2-sum-overflow": (lambda: op.hyp3f2_terminating(3, 1e300, 1e300, 1.0, 1.0),
+                            ("n", "b", "c", "d", "e")),
 }
 
 
