@@ -32,9 +32,9 @@ above, and their atoms pair with the top of a truncation (``Chain.pairs_top``).
 
 ``evolve`` applies exp(-i t H) as one ``jacobi.Spectral`` record, turned
 into amplitudes by ``jacobi.spectral_apply``, one row per time, and checks
-no truncation tail: the package has one tail
-monitor, the per-mode check of ``evolution.run_series`` and ``evolve_full``
-against the ``FullModel``'s tolerance.
+no truncation tail: the package has one tail monitor, the per-mode check of
+``evolution.run_series`` and ``evolve_full`` against the ``FullModel``'s
+tolerance.
 """
 
 import math
